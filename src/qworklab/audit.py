@@ -21,6 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .schemes import (
     SchemeId,
     W_MERGE_TOL,
     WorkDistribution,
+    _eigenspaces,
     collective_two_copy,
     consistent_histories,
     distribution,
@@ -484,15 +486,9 @@ class NogoReport:
 
 def _povm_gap(a: Povm, b: Povm) -> float:
     """Max operator distance between two POVMs matched on their work labels."""
-    gap = 0.0
-    labels = sorted(set(round(w / W_MERGE_TOL) for w, _ in a.elements)
-                    | set(round(w / W_MERGE_TOL) for w, _ in b.elements))
-    for key in labels:
-        w = key * W_MERGE_TOL
-        op_a = sum((op for v, op in a.elements if abs(v - w) <= 2 * W_MERGE_TOL), 0.0)
-        op_b = sum((op for v, op in b.elements if abs(v - w) <= 2 * W_MERGE_TOL), 0.0)
-        gap = max(gap, max_abs(np.asarray(op_a) - np.asarray(op_b)))
-    return gap
+    labels = [w for w, _ in a.elements + b.elements]
+    signed = [op for _, op in a.elements] + [-op for _, op in b.elements]
+    return max_abs(merge_atoms(labels, np.array(signed))[1])
 
 
 def demonstrate_nogo(dim: int = 2, seed: int = 0, n_samples: int = 100) -> NogoReport:
@@ -808,8 +804,6 @@ EXPECTED_TABLE1_PATTERN = {
     "state_dependent": ("violated", "satisfied", "satisfied"),
 }
 
-_OUT_OF_SCOPE_ROWS = ("hamilton_jacobi", "beyond_work_distributions")
-
 
 def _meter_atom_error(s: Scenario, cfg: PointerConfig) -> float:
     """Worst mismatch between windowed meter mass and the TPM atom weights."""
@@ -865,11 +859,9 @@ def _gaussian_row(cfg: Table1Config) -> Table1Row:
 
 
 def _weak_value_distribution_atoms(s: Scenario, cfg: PointerConfig):
-    rows = weak_value_table(s, cfg)
-    e_i = np.array([e for e, _ in eig_hermitian(s.h_initial).projectors()])
-    e_f = np.array([e for e, _ in eig_hermitian(s.h_final).projectors()])
+    e_i, _, e_f, _, _ = _eigenspaces(s)
     works = (e_f[None, :] - e_i[:, None]).ravel()
-    return merge_atoms(works, rows.ravel())
+    return merge_atoms(works, weak_value_table(s, cfg).ravel())
 
 
 def _postselection_row(cfg: Table1Config) -> Table1Row:
@@ -913,46 +905,44 @@ def _postselection_row(cfg: Table1Config) -> Table1Row:
                            "(strong) to the Margenau-Hill quasi-probability (weak)")
 
 
+def _audited_row(scheme: SchemeId, notes: str, cfg: Table1Config) -> Table1Row:
+    n = cfg.samples if scheme is not SchemeId.CONSISTENT_HISTORIES else min(cfg.samples, 60)
+    return Table1Row(
+        scheme=scheme.value,
+        c1=check_c1_linearity(scheme, cfg.dim, min(n, 150), cfg.seed, cfg.ch_steps),
+        c2=check_c2(scheme, cfg.dim, n, cfg.seed, cfg.ch_steps),
+        c3=check_c3(scheme, cfg.dim, n, cfg.seed, cfg.ch_steps),
+        notes=notes,
+    )
+
+
+def _out_of_scope_row(name: str, cfg: Table1Config) -> Table1Row:
+    notes = "not implemented (out of scope)"
+    c1, c2, c3 = (ConditionVerdict(c, Status.OUT_OF_SCOPE, None, notes=notes)
+                  for c in Condition)
+    return Table1Row(name, c1, c2, c3, notes=notes)
+
+
+# row builders, in the survey table's order
+_TABLE1_ROWS = (
+    partial(_audited_row, SchemeId.TPM, ""),
+    partial(_audited_row, SchemeId.OPERATOR_OF_WORK, "work values are not energy differences"),
+    _gaussian_row,
+    partial(_audited_row, SchemeId.FCS, "linear quasi-probability"),
+    _postselection_row,
+    partial(_audited_row, SchemeId.MARGENAU_HILL,
+            "weak-value quasi-probability; negativity witnesses contextuality"),
+    partial(_audited_row, SchemeId.CONSISTENT_HISTORIES,
+            "power-operator histories; moments converge to the work operator"),
+    partial(_audited_row, SchemeId.STATE_DEPENDENT,
+            "initial energy labelled by the expectation value in the rho eigenbasis "
+            "(a convention; the statistics have no canonical energy reading)"),
+    partial(_out_of_scope_row, "hamilton_jacobi"),
+    partial(_out_of_scope_row, "beyond_work_distributions"),
+)
+
+
 def build_table1(cfg: Table1Config | None = None) -> Table1Report:
     """Audit every implemented scheme and collect the verdict table."""
     cfg = cfg or Table1Config()
-    rows: list[Table1Row] = []
-    scheme_rows = [
-        (SchemeId.TPM, "tpm", ""),
-        (SchemeId.OPERATOR_OF_WORK, "operator_of_work",
-         "work values are not energy differences"),
-        None,  # gaussian placeholder keeps the survey row order
-        (SchemeId.FCS, "fcs", "linear quasi-probability"),
-        "post_selection",
-        (SchemeId.MARGENAU_HILL, "margenau_hill",
-         "weak-value quasi-probability; negativity witnesses contextuality"),
-        (SchemeId.CONSISTENT_HISTORIES, "consistent_histories",
-         "power-operator histories; moments converge to the work operator"),
-        (SchemeId.STATE_DEPENDENT, "state_dependent",
-         "initial energy labelled by the expectation value in the rho eigenbasis "
-         "(a convention; the statistics have no canonical energy reading)"),
-    ]
-    for entry in scheme_rows:
-        if entry is None:
-            rows.append(_gaussian_row(cfg))
-            continue
-        if entry == "post_selection":
-            rows.append(_postselection_row(cfg))
-            continue
-        scheme, name, note = entry
-        n = cfg.samples if scheme is not SchemeId.CONSISTENT_HISTORIES else min(cfg.samples, 60)
-        rows.append(Table1Row(
-            scheme=name,
-            c1=check_c1_linearity(scheme, cfg.dim, min(n, 150), cfg.seed, cfg.ch_steps),
-            c2=check_c2(scheme, cfg.dim, n, cfg.seed, cfg.ch_steps),
-            c3=check_c3(scheme, cfg.dim, n, cfg.seed, cfg.ch_steps),
-            notes=note,
-        ))
-    for name in _OUT_OF_SCOPE_ROWS:
-        verdict = lambda c: ConditionVerdict(c, Status.OUT_OF_SCOPE, None,
-                                             notes="not implemented (out of scope)")
-        rows.append(Table1Row(name, verdict(Condition.C1_LINEAR_POVM),
-                              verdict(Condition.C2_TPM_AGREEMENT),
-                              verdict(Condition.C3_FIRST_LAW),
-                              notes="not implemented (out of scope)"))
-    return Table1Report(config=cfg, rows=tuple(rows))
+    return Table1Report(config=cfg, rows=tuple(build(cfg) for build in _TABLE1_ROWS))

@@ -209,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qworklab {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    scheme_names = [s.value.replace("_", "-") for s in SchemeId
-                    if s is not SchemeId.GAUSSIAN_POINTER]
+    scheme_names = [s.value.replace("_", "-") for s in SchemeId]
 
     p = sub.add_parser("dist", help="evaluate one scheme on a scenario file")
     p.add_argument("--scheme", required=True, choices=scheme_names)

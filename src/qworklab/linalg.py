@@ -47,8 +47,8 @@ def require_square(m, name: str = "matrix") -> np.ndarray:
 
 
 def dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -117,15 +117,18 @@ class SpectralDecomposition:
         rather than raw columns.  Cluster label is the mean eigenvalue.
         """
         vals = self.eigenvalues
-        vecs = self.eigenvectors
-        out: list[tuple[float, np.ndarray]] = []
-        start = 0
-        for k in range(1, len(vals) + 1):
-            if k == len(vals) or vals[k] - vals[k - 1] > gap:
-                block = vecs[:, start:k]
-                out.append((float(np.mean(vals[start:k])), block @ dag(block)))
-                start = k
-        return out
+        bounds = np.append(_chain_starts(vals, gap), vals.size)
+        blocks = [self.eigenvectors[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        means = np.add.reduceat(vals, bounds[:-1]) / np.diff(bounds)
+        return [(m, block @ dag(block)) for m, block in zip(means.tolist(), blocks)]
+
+
+def _chain_starts(sorted_vals: np.ndarray, gap: float) -> np.ndarray:
+    """Start index of each run of ascending values whose adjacent gaps are <= ``gap``.
+
+    The indices suit ``np.add.reduceat``; ``sorted_vals`` must be non-empty.
+    """
+    return np.flatnonzero(np.concatenate(([True], np.diff(sorted_vals) > gap)))
 
 
 def _jacobi(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import GridTooNarrow
 from .linalg import dag, eig_hermitian
 from .scenario import Scenario
-from .schemes import margenau_hill, tpm
+from .schemes import _joint_table, margenau_hill, tpm
 
 GRID_MIN_POINTS = 256
 NORMALIZATION_TOL = 1e-6
@@ -183,26 +183,22 @@ def weak_value_protocol(s: Scenario, k: int, cfg: PointerConfig) -> np.ndarray:
     joint row (strong coupling) and the Margenau-Hill row (weak coupling) with
     interference factor exp(-g^2 / 8 s^2).
     """
-    g, spread = cfg.coupling, cfg.spread
-    dec_i = eig_hermitian(s.h_initial)
-    init = dec_i.projectors()
-    if not 0 <= k < len(init):
-        raise ValueError(f"k={k} outside the {len(init)} initial eigenspaces")
-    _, p_k = init[k]
-    comp = np.eye(s.dim) - p_k
-    kappa = math.exp(-g ** 2 / (8.0 * spread ** 2))
-    rho = s.rho
-    effective = p_k @ rho @ p_k + 0.5 * kappa * (p_k @ rho @ comp + comp @ rho @ p_k)
-    u = s.unitary()
-    evolved = u @ effective @ dag(u)
-    fin = eig_hermitian(s.h_final).projectors()
-    return np.array([float(np.trace(q @ evolved).real) for _, q in fin])
+    rows = weak_value_table(s, cfg)
+    if not 0 <= k < rows.shape[0]:
+        raise ValueError(f"k={k} outside the {rows.shape[0]} initial eigenspaces")
+    return rows[k]
 
 
 def weak_value_table(s: Scenario, cfg: PointerConfig) -> np.ndarray:
     """All weak-value protocol rows stacked: shape (n_initial, n_final)."""
-    n = len(eig_hermitian(s.h_initial).projectors())
-    return np.vstack([weak_value_protocol(s, k, cfg) for k in range(n)])
+    kappa = math.exp(-cfg.coupling ** 2 / (8.0 * cfg.spread ** 2))
+    rho = s.rho
+
+    def effective(p):
+        comp = np.eye(s.dim) - p
+        return p @ rho @ p + 0.5 * kappa * (p @ rho @ comp + comp @ rho @ p)
+
+    return _joint_table(s, effective).weights
 
 
 def interpolation_sweep(s: Scenario, coupling: float, ratios):

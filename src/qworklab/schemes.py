@@ -23,6 +23,7 @@ from .errors import (
 from .linalg import (
     DEGENERACY_GAP,
     EIG_FLOOR,
+    _chain_starts,
     dag,
     eig_hermitian,
     max_abs,
@@ -35,7 +36,6 @@ W_MERGE_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-9
 IMAG_RESIDUE_TOL = 1e-10
 TRAJ_CAP = 2 ** 20
-LAMBDA_BISECTION_TOL = 1e-6
 POVM_EIG_TOL = 1e-10
 _ATOM_PRUNE = 1e-15
 
@@ -49,7 +49,6 @@ class SchemeId(str, Enum):
     STATE_DEPENDENT = "state_dependent"
     SUB_ENSEMBLE = "sub_ensemble"
     COLLECTIVE_TWO_COPY = "collective_two_copy"
-    GAUSSIAN_POINTER = "gaussian_pointer"
 
 
 def merge_atoms(works, weights, tol: float = W_MERGE_TOL):
@@ -57,24 +56,20 @@ def merge_atoms(works, weights, tol: float = W_MERGE_TOL):
 
     Merging is chained on adjacent gaps; the merged work value is the plain
     mean of the member values (weights may be negative, so a weighted mean
-    would be ill-conditioned).
+    would be ill-conditioned).  ``weights`` may be real, complex, or a stack
+    of operators with the atoms along axis 0; each group's weights are summed.
     """
     works = np.asarray(works, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    weights = np.asarray(weights)
+    weights = weights.astype(np.promote_types(weights.dtype, float), copy=False)
     if works.size == 0:
         return works, weights
     order = np.argsort(works, kind="stable")
     works = works[order]
-    weights = weights[order]
-    out_w: list[float] = []
-    out_p: list[float] = []
-    start = 0
-    for k in range(1, works.size + 1):
-        if k == works.size or works[k] - works[k - 1] > tol:
-            out_w.append(float(np.mean(works[start:k])))
-            out_p.append(float(np.sum(weights[start:k])))
-            start = k
-    return np.array(out_w), np.array(out_p)
+    starts = _chain_starts(works, tol)
+    sizes = np.diff(np.append(starts, works.size))
+    return (np.add.reduceat(works, starts) / sizes,
+            np.add.reduceat(weights[order], starts, axis=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,28 +192,38 @@ def _eigensystems(s: Scenario):
     return eig_hermitian(s.h_initial), eig_hermitian(s.h_final), s.unitary()
 
 
+def _eigenspaces(s: Scenario):
+    """(initial labels, initial projectors, final labels, final projectors, U).
+
+    Labels are eigenspace mean energies (ascending); projectors are stacked
+    with shape (n_eigenspaces, d, d).
+    """
+    dec_i, dec_f, u = _eigensystems(s)
+    init, fin = dec_i.projectors(), dec_f.projectors()
+    return (np.array([e for e, _ in init]), np.array([op for _, op in init]),
+            np.array([e for e, _ in fin]), np.array([op for _, op in fin]), u)
+
+
+def _joint_table(s: Scenario, initial_op) -> JointWorkTable:
+    """Joint weights Re Tr(Q_b U X_a U^dag) with X_a = ``initial_op(P_a)``.
+
+    ``initial_op`` maps the stacked initial projectors P_a to operators X_a;
+    work values are the eigenspace energy differences E'_b - E_a.
+    """
+    e_i, p, e_f, q, u = _eigenspaces(s)
+    evolved = u @ initial_op(p) @ dag(u)
+    weights = np.einsum("bij,aji->ab", q, evolved).real
+    return JointWorkTable(initial_energies=e_i, final_energies=e_f, weights=weights,
+                          work_values=e_f[None, :] - e_i[:, None])
+
+
 def tpm(s: Scenario) -> tuple[WorkDistribution, JointWorkTable]:
     """Two-projective-measurement scheme.
 
     Joint weights Tr(Q_j U P_i rho P_i U^dag) over eigenspace projectors of the
     initial and final Hamiltonians; work values are the energy differences.
     """
-    dec_i, dec_f, u = _eigensystems(s)
-    init = dec_i.projectors()
-    fin = dec_f.projectors()
-    e_i = np.array([e for e, _ in init])
-    e_f = np.array([e for e, _ in fin])
-    weights = np.empty((len(init), len(fin)))
-    for a, (_, p) in enumerate(init):
-        evolved = u @ (p @ s.rho @ p) @ dag(u)
-        for b, (_, q) in enumerate(fin):
-            weights[a, b] = float(np.trace(q @ evolved).real)
-    table = JointWorkTable(
-        initial_energies=e_i,
-        final_energies=e_f,
-        weights=weights,
-        work_values=e_f[None, :] - e_i[:, None],
-    )
+    table = _joint_table(s, lambda p: p @ s.rho @ p)
     return table.to_distribution(SchemeId.TPM, is_quasi=False), table
 
 
@@ -250,23 +255,12 @@ def fcs_quasiprob(s: Scenario) -> WorkDistribution:
     r = dag(v_i) @ s.rho @ v_i        # rho in the initial energy basis
     q = np.einsum("mn,mo,no->mno", t, np.conj(t), r)
     works = e_f[:, None, None] - (e_i[None, :, None] + e_i[None, None, :]) / 2.0
-    # merge as usual but carry complex weights so the imaginary residue is visible
-    order = np.argsort(works.ravel(), kind="stable")
-    sorted_w = works.ravel()[order]
-    sorted_q = q.ravel()[order]
-    out_w, out_q = [], []
-    start = 0
-    for k in range(1, sorted_w.size + 1):
-        if k == sorted_w.size or sorted_w[k] - sorted_w[k - 1] > W_MERGE_TOL:
-            out_w.append(float(np.mean(sorted_w[start:k])))
-            out_q.append(complex(np.sum(sorted_q[start:k])))
-            start = k
-    residue = max((abs(z.imag) for z in out_q), default=0.0)
+    # merge the complex weights so the imaginary residue is visible
+    out_w, out_q = merge_atoms(works.ravel(), q.ravel())
+    residue = float(np.abs(out_q.imag).max(initial=0.0))
     if residue > IMAG_RESIDUE_TOL:
         raise ImaginaryResidue(f"grouped FCS weight has imaginary part {residue:.3e}")
-    return WorkDistribution.from_atoms(
-        out_w, [z.real for z in out_q], SchemeId.FCS, is_quasi=True
-    )
+    return WorkDistribution.from_atoms(out_w, out_q.real, SchemeId.FCS, is_quasi=True)
 
 
 def fcs_characteristic(s: Scenario, u_var: float) -> complex:
@@ -279,22 +273,7 @@ def fcs_characteristic(s: Scenario, u_var: float) -> complex:
 
 def margenau_hill(s: Scenario) -> tuple[JointWorkTable, WorkDistribution]:
     """Margenau-Hill joint quasi-probability Re Tr[rho P_k U^dag Q_m U]."""
-    dec_i, dec_f, u = _eigensystems(s)
-    init = dec_i.projectors()
-    fin = dec_f.projectors()
-    e_i = np.array([e for e, _ in init])
-    e_f = np.array([e for e, _ in fin])
-    weights = np.empty((len(init), len(fin)))
-    for a, (_, p) in enumerate(init):
-        left = s.rho @ p @ dag(u)
-        for b, (_, q) in enumerate(fin):
-            weights[a, b] = float(np.trace(left @ q @ u).real)
-    table = JointWorkTable(
-        initial_energies=e_i,
-        final_energies=e_f,
-        weights=weights,
-        work_values=e_f[None, :] - e_i[:, None],
-    )
+    table = _joint_table(s, lambda p: s.rho @ p)
     return table, table.to_distribution(SchemeId.MARGENAU_HILL, is_quasi=True)
 
 
@@ -421,57 +400,38 @@ def sub_ensemble(s: Scenario, decomp: PureDecomposition) -> WorkDistribution:
 
 
 def _collective_factors(s: Scenario):
-    """Per-(i, j) second-copy factors <i|T_j|i> I + lambda T_j^offdiag (lambda folded later)."""
-    dec_i, dec_f, u = _eigensystems(s)
+    """Second-copy factors <i|T_j|i> I + lambda T_j^off of T_j = U^dag Q_j U.
+
+    Returns the initial eigenbasis, energies, final eigenspace energies, the
+    diagonals ``diag[i, j] = <i|T_j|i>``, the off-diagonal parts T_j^off and
+    their least eigenvalues.
+    """
+    dec_i = eig_hermitian(s.h_initial)
+    _, _, e_f, q, u = _eigenspaces(s)
     basis = dec_i.eigenvectors
-    fin = dec_f.projectors()
-    d = s.dim
-    diag_parts = np.empty((d, len(fin)))
-    off_parts = []
-    for j, (_, q) in enumerate(fin):
-        t_j = dag(u) @ q @ u
-        t_basis = dag(basis) @ t_j @ basis
-        diag_parts[:, j] = np.diag(t_basis).real
-        off = t_basis - np.diag(np.diag(t_basis))
-        off_parts.append(basis @ off @ dag(basis))
-    e_i = dec_i.eigenvalues
-    e_f = np.array([e for e, _ in fin])
-    return basis, e_i, e_f, diag_parts, off_parts
-
-
-def _collective_min_eig(diag_parts, off_parts, lam: float) -> float:
-    lo = 0.0
-    d = diag_parts.shape[0]
-    for j, off in enumerate(off_parts):
-        if max_abs(off) == 0.0:
-            lo = min(lo, float(diag_parts[:, j].min()))
-            continue
-        off_min = float(eig_hermitian(off).eigenvalues[0])
-        for i in range(d):
-            lo = min(lo, diag_parts[i, j] + lam * off_min)
-    return lo
+    t_basis = dag(basis) @ (dag(u) @ q @ u) @ basis
+    diag = np.diagonal(t_basis, axis1=1, axis2=2)
+    off_parts = basis @ (t_basis - diag[:, :, None] * np.eye(s.dim)) @ dag(basis)
+    off_min = np.array([eig_hermitian(off).eigenvalues[0] for off in off_parts])
+    return basis, dec_i.eigenvalues, e_f, diag.real.T, off_parts, off_min
 
 
 def lambda_max(s: Scenario) -> float:
     """Largest lambda in [0, 1] keeping every two-copy element positive.
 
-    Bisection to 1e-6; lambda = 0 always qualifies (it reproduces TPM).
+    The least eigenvalue of an element is <i|T_j|i> + lambda lambda_min(T_j^off),
+    linear in lambda, so the boundary is min_ij <i|T_j|i> / -lambda_min(T_j^off)
+    over the j whose off-diagonal part is nonzero (lambda_min < 0), clipped to
+    [0, 1].  lambda = 0 always qualifies (it reproduces TPM).
     """
-    _, _, _, diag_parts, off_parts = _collective_factors(s)
+    _, _, _, diag_parts, _, off_min = _collective_factors(s)
+    return _lambda_bound(diag_parts, off_min)
 
-    def ok(lam: float) -> bool:
-        return _collective_min_eig(diag_parts, off_parts, lam) >= -POVM_EIG_TOL
 
-    if ok(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > LAMBDA_BISECTION_TOL:
-        mid = (lo + hi) / 2.0
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _lambda_bound(diag_parts: np.ndarray, off_min: np.ndarray) -> float:
+    neg = off_min < 0.0
+    bound = (diag_parts[:, neg].min(axis=0) / -off_min[neg]).min(initial=1.0)
+    return float(np.clip(bound, 0.0, 1.0))
 
 
 def collective_two_copy(s: Scenario, lam: float | str = "auto") -> tuple[Povm, WorkDistribution]:
@@ -480,14 +440,14 @@ def collective_two_copy(s: Scenario, lam: float | str = "auto") -> tuple[Povm, W
     Weights are Tr(M_(ij) rho (x) rho) at the TPM work values E'_j - E_i.
     ``lam="auto"`` selects lambda_max.
     """
+    basis, e_i, e_f, diag_parts, off_parts, off_min = _collective_factors(s)
     if lam == "auto":
-        lam_val = lambda_max(s)
+        lam_val = _lambda_bound(diag_parts, off_min)
     else:
         lam_val = float(lam)
         if not 0.0 <= lam_val <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
-    basis, e_i, e_f, diag_parts, off_parts = _collective_factors(s)
-    lo = _collective_min_eig(diag_parts, off_parts, lam_val)
+    lo = float((diag_parts + lam_val * off_min).min())
     if lo < -POVM_EIG_TOL:
         raise NotPositive(lam_val, lo)
 
@@ -512,21 +472,12 @@ def collective_two_copy(s: Scenario, lam: float | str = "auto") -> tuple[Povm, W
 
 def tpm_povm(s: Scenario) -> Povm:
     """Analytic TPM POVM: Pi_w = sum over (i,j) at w of |<E'_j|U|E_i>|^2 projectors."""
-    dec_i, dec_f, u = _eigensystems(s)
-    init = dec_i.projectors()
-    fin = dec_f.projectors()
-    pieces = []
-    for e_a, p in init:
-        for e_b, q in fin:
-            strength = p @ dag(u) @ q @ u @ p
-            pieces.append((float(e_b - e_a), (strength + dag(strength)) / 2.0))
-    works = np.array([w for w, _ in pieces])
-    merged_w, _ = merge_atoms(works, np.zeros(works.size))
-    elements = []
-    for w in merged_w:
-        total = sum(op for val, op in pieces if abs(val - w) <= W_MERGE_TOL + 1e-15)
-        elements.append((float(w), total))
-    return Povm(elements=tuple(elements))
+    e_i, p, e_f, q, u = _eigenspaces(s)
+    strength = p[:, None] @ (dag(u) @ q @ u)[None, :] @ p[:, None]
+    strength = (strength + dag(strength)) / 2.0
+    works, ops = merge_atoms((e_f[None, :] - e_i[:, None]).ravel(),
+                             strength.reshape(-1, s.dim, s.dim))
+    return Povm(elements=tuple(zip(works.tolist(), ops)))
 
 
 def distribution(scheme: SchemeId | str, s: Scenario, **opts) -> WorkDistribution:

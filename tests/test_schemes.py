@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qworklab import schemes as sch
 from qworklab.errors import (
@@ -60,10 +62,52 @@ def assert_matches_atoms(dist, oracle_atoms, atol=1e-10):
 
 # --- work distribution container -------------------------------------------------
 
+def merge_atoms_loop(works, weights, tol=sch.W_MERGE_TOL):
+    """Plain-loop reference merge: stable sort, chain adjacent gaps <= tol."""
+    order = np.argsort(works, kind="stable")
+    works, weights = np.asarray(works, dtype=float)[order], np.asarray(weights)[order]
+    out_w, out_p = [], []
+    start = 0
+    for k in range(1, works.size + 1):
+        if k == works.size or works[k] - works[k - 1] > tol:
+            out_w.append(np.mean(works[start:k]))
+            out_p.append(np.sum(weights[start:k], axis=0))
+            start = k
+    return np.array(out_w), np.array(out_p)
+
+
 def test_merge_atoms_chains_and_sums():
-    w, p = sch.merge_atoms([0.0, 9e-10, 1.8e-9, 1.0], [0.2, 0.3, 0.1, 0.4])
+    works = [0.0, 9e-10, 1.8e-9, 1.0]
+    w, p = sch.merge_atoms(works, [0.2, 0.3, 0.1, 0.4])
     np.testing.assert_allclose(w, [9e-10, 1.0])
     np.testing.assert_allclose(p, [0.6, 0.4])
+    _, p = sch.merge_atoms(works, [0.2 + 0.1j, 0.3, 0.1, 0.4 - 0.1j])
+    np.testing.assert_allclose(p, [0.6 + 0.1j, 0.4 - 0.1j])
+    _, ops = sch.merge_atoms(works, np.array([0.2, 0.3, 0.1, 0.4])[:, None, None] * (SZ + 1j * SX))
+    assert ops.shape == (2, 2, 2)
+    np.testing.assert_allclose(ops, np.array([0.6, 0.4])[:, None, None] * (SZ + 1j * SX))
+
+
+_GAPS = st.one_of(st.floats(0.0, 0.99 * sch.W_MERGE_TOL), st.floats(1.01 * sch.W_MERGE_TOL, 2.0))
+
+
+@given(gaps=st.lists(_GAPS, max_size=40), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["real", "complex", "operators"]))
+@settings(max_examples=80, deadline=None)
+def test_merge_atoms_matches_loop_oracle(gaps, seed, kind):
+    rng = np.random.default_rng(seed)
+    works = rng.permutation(rng.uniform(-3.0, 3.0) + np.cumsum([0.0] + gaps))
+    shape = (works.size, 2, 2) if kind == "operators" else (works.size,)
+    weights = rng.standard_normal(shape)
+    if kind != "real":
+        weights = weights + 1j * rng.standard_normal(shape)
+    w, p = sch.merge_atoms(works, weights)
+    w_ref, p_ref = merge_atoms_loop(works, weights)
+    assert w.shape == w_ref.shape and p.shape == p_ref.shape
+    # summation order may differ from the loop's: allow n rounding steps per sum
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(w, w_ref, rtol=0, atol=2 * works.size * eps * np.abs(works).max())
+    np.testing.assert_allclose(p, p_ref, rtol=0, atol=2 * works.size * eps * np.abs(weights).sum())
 
 
 def test_distribution_rejects_bad_normalization():
@@ -414,17 +458,18 @@ def test_collective_diagonal_unitary_reproduces_tpm_any_lambda():
 
 def test_lambda_max_is_positivity_boundary():
     rng = np.random.default_rng(19)
-    found_interior = 0
-    for _ in range(40):
-        s = random_scenario(2, rng)
-        lam = sch.lambda_max(s)
-        assert lam >= 0.0
-        sch.collective_two_copy(s, max(lam - 1e-6, 0.0))[0].check(eig_tol=1e-8)
-        if lam < 1.0:
-            found_interior += 1
-            with pytest.raises(NotPositive):
-                sch.collective_two_copy(s, min(1.0, lam + 1e-3))
-    assert found_interior > 0
+    for dim, n_scenarios in ((2, 40), (3, 15), (4, 8)):
+        found_interior = 0
+        for _ in range(n_scenarios):
+            s = random_scenario(dim, rng)
+            lam = sch.lambda_max(s)
+            assert 0.0 <= lam <= 1.0
+            sch.collective_two_copy(s, lam)[0].check(eig_tol=1e-8)
+            if lam < 1.0:
+                found_interior += 1
+                with pytest.raises(NotPositive):
+                    sch.collective_two_copy(s, min(1.0, lam + 1e-3))
+        assert found_interior > 0
 
 
 def test_collective_hadamard_improves_first_law_gap(hadamard_scenario):
