@@ -30,6 +30,7 @@ from .schemes import (
     PureDecomposition,
     SchemeId,
     WorkDistribution,
+    collective_povm,
     collective_two_copy,
     consistent_histories,
     distribution,

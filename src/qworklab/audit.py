@@ -42,6 +42,7 @@ from .schemes import (
     W_MERGE_TOL,
     WorkDistribution,
     _eigenspaces,
+    collective_povm,
     collective_two_copy,
     consistent_histories,
     distribution,
@@ -56,6 +57,10 @@ SATISFIED_TOL = 1e-7
 VIOLATION_FLOOR = 1e-3
 RECONSTRUCTION_TOL = 1e-6
 DEFAULT_CH_STEPS = 6
+WITNESS_TIE_TOL = 1e-12  # a witness candidate must improve on the best by more than this
+# (coupling, spread) of the survey table's strong and weak Gaussian work meters
+POINTER_STRONG = (40.0, 1.0)
+POINTER_WEAK = (1.0, 150.0)
 
 
 class Condition(str, Enum):
@@ -265,7 +270,7 @@ def _witness_payload(s: Scenario, value: float, detail: str) -> dict:
 # --- the three condition checks ----------------------------------------------
 
 def check_c2(scheme: SchemeId | str, dim: int = 2, n_samples: int = 200,
-             seed: int = 0, k_steps: int = DEFAULT_CH_STEPS) -> ConditionVerdict:
+             seed: int = 0) -> ConditionVerdict:
     """Total-variation distance to the TPM distribution on commuting states."""
     scheme = SchemeId(scheme)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
@@ -273,10 +278,10 @@ def check_c2(scheme: SchemeId | str, dim: int = 2, n_samples: int = 200,
     worst, witness = 0.0, None
     probes: list[tuple[Scenario, int]] = []
     if scheme is SchemeId.OPERATOR_OF_WORK:
-        probes.append((_probe_work_operator_c2(dim), k_steps))
+        probes.append((_probe_work_operator_c2(dim), DEFAULT_CH_STEPS))
     if driven:
         probes.append(_probe_ch_c2(dim))
-    samples = [(sample_scenario(dim, rng, coherent=False, driven=driven), k_steps)
+    samples = [(sample_scenario(dim, rng, coherent=False, driven=driven), DEFAULT_CH_STEPS)
                for _ in range(n_samples)]
     for s, kk in probes + samples:
         tv = _scheme_dist(scheme, s, kk).tv_distance(tpm(s)[0])
@@ -317,7 +322,7 @@ def _ch_limit_c3(dim: int, n_samples: int, rng) -> tuple[float, dict | None, str
 
 
 def check_c3(scheme: SchemeId | str, dim: int = 2, n_samples: int = 200,
-             seed: int = 0, k_steps: int = DEFAULT_CH_STEPS) -> ConditionVerdict:
+             seed: int = 0) -> ConditionVerdict:
     """First-law gap |mean(p) - (Tr(U rho U^dag H') - Tr(rho H))| on coherent states."""
     scheme = SchemeId(scheme)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
@@ -328,7 +333,7 @@ def check_c3(scheme: SchemeId | str, dim: int = 2, n_samples: int = 200,
     probes = [hadamard_scenario()] if scheme is SchemeId.TPM and dim == 2 else []
     samples = [sample_scenario(dim, rng, coherent=True) for _ in range(n_samples)]
     for s in probes + samples:
-        gap = abs(_scheme_dist(scheme, s, k_steps).mean() - mean_energy_change(s))
+        gap = abs(_scheme_dist(scheme, s, DEFAULT_CH_STEPS).mean() - mean_energy_change(s))
         if gap > worst:
             worst, witness = gap, _witness_payload(s, gap, "first-law gap")
     return _graded(Condition.C3_FIRST_LAW, worst, witness,
@@ -336,7 +341,7 @@ def check_c3(scheme: SchemeId | str, dim: int = 2, n_samples: int = 200,
 
 
 def check_c1_linearity(scheme: SchemeId | str, dim: int = 2, n_samples: int = 200,
-                       seed: int = 0, k_steps: int = DEFAULT_CH_STEPS) -> ConditionVerdict:
+                       seed: int = 0) -> ConditionVerdict:
     """Convexity under mixtures plus nonnegativity of the weights."""
     scheme = SchemeId(scheme)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
@@ -352,9 +357,9 @@ def check_c1_linearity(scheme: SchemeId | str, dim: int = 2, n_samples: int = 20
     # negativity probes
     neg_probes: list[tuple[Scenario, int]] = []
     if scheme is SchemeId.FCS:
-        neg_probes.append((_probe_fcs_negativity(dim), k_steps))
+        neg_probes.append((_probe_fcs_negativity(dim), DEFAULT_CH_STEPS))
     if scheme is SchemeId.MARGENAU_HILL:
-        neg_probes.append((_probe_mh_negativity(dim), k_steps))
+        neg_probes.append((_probe_mh_negativity(dim), DEFAULT_CH_STEPS))
     if driven:
         neg_probes.append(_probe_ch_negativity(dim))
     for s, kk in neg_probes:
@@ -383,9 +388,7 @@ def check_c1_linearity(scheme: SchemeId | str, dim: int = 2, n_samples: int = 20
             yield s_mix, s1, s2, lam
 
     for s_mix, s1, s2, lam in mix_probes + list(mixture_samples()):
-        d_mix = _scheme_dist(scheme, s_mix, k_steps)
-        d1 = _scheme_dist(scheme, s1, k_steps)
-        d2 = _scheme_dist(scheme, s2, k_steps)
+        d_mix, d1, d2 = (_scheme_dist(scheme, s, DEFAULT_CH_STEPS) for s in (s_mix, s1, s2))
         consider(d_mix.tv_distance(_blend(d1, d2, lam)), s_mix, "nonconvexity")
         for d, s in ((d_mix, s_mix), (d1, s1), (d2, s2)):
             consider(max(0.0, -d.min_weight()), s, "negativity")
@@ -410,8 +413,7 @@ def informationally_complete_states(dim: int) -> list[np.ndarray]:
 
 
 def reconstruct_povm(scheme: SchemeId | str, h, h_final, u, seed: int = 0,
-                     n_validation: int = 100,
-                     k_steps: int = DEFAULT_CH_STEPS) -> Povm:
+                     n_validation: int = 100) -> Povm:
     """Solve for state-independent operators reproducing the scheme.
 
     Evaluates the scheme on an informationally complete set of d^2 states,
@@ -425,7 +427,7 @@ def reconstruct_povm(scheme: SchemeId | str, h, h_final, u, seed: int = 0,
 
     def run(rho: np.ndarray) -> WorkDistribution:
         s = Scenario(dim=dim, h_initial=h, h_final=h_final, evolution=u, rho=rho)
-        return _scheme_dist(scheme, s, k_steps)
+        return _scheme_dist(scheme, s, DEFAULT_CH_STEPS)
 
     states = informationally_complete_states(dim)
     dists = [run(rho) for rho in states]
@@ -602,7 +604,7 @@ def check_collective_adapted(dim: int = 2, n_samples: int = 200,
     def gap_pair(s: Scenario) -> tuple[float, float, float]:
         nonlocal worst_pos, worst_defect
         lam = lambda_max(s)
-        povm, dist = collective_two_copy(s, lam)
+        povm, dist = collective_povm(s, lam), collective_two_copy(s, lam)
         worst_pos = min(worst_pos, povm.min_eigenvalue())
         worst_defect = max(worst_defect, povm.completeness_defect())
         target = mean_energy_change(s)
@@ -634,7 +636,7 @@ def check_collective_adapted(dim: int = 2, n_samples: int = 200,
     c2_tv = 0.0
     for _ in range(n_samples):
         s = sample_scenario(dim, rng, coherent=False)
-        _, dist = collective_two_copy(s, lambda_max(s))
+        dist = collective_two_copy(s, lambda_max(s))
         c2_tv = max(c2_tv, dist.tv_distance(tpm(s)[0]))
 
     s_had = hadamard_scenario()
@@ -699,8 +701,10 @@ def contextuality_witness(search_budget: int = 10_000,
     """Search pure qubit states and unitaries for negative joint weights.
 
     80% of the budget is uniform random sampling, 20% coordinate-wise local
-    refinement of the best candidate with a fixed per-seed schedule.  Returns
-    the best witness if its value is below -1e-3, else None.
+    refinement of the best candidate with a fixed per-seed schedule.  A
+    candidate replaces the best only if it is lower by more than
+    ``WITNESS_TIE_TOL``, so last-bit noise cannot change the reported scenario.
+    Returns the best witness if its value is below -1e-3, else None.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
     n_random = max(1, int(0.8 * search_budget))
@@ -712,7 +716,7 @@ def contextuality_witness(search_budget: int = 10_000,
     for _ in range(n_random):
         params = rng.random(5) * spans
         value, idx, s = _witness_value(params)
-        if value < best[0]:
+        if value < best[0] - WITNESS_TIE_TOL:
             best = (value, idx, s)
             best_params = params
 
@@ -722,7 +726,7 @@ def contextuality_witness(search_budget: int = 10_000,
         trial = best_params.copy()
         trial[coord] += rng.normal() * step * spans[coord] / math.pi
         value, idx, s = _witness_value(trial)
-        if value < best[0]:
+        if value < best[0] - WITNESS_TIE_TOL:
             best = (value, idx, s)
             best_params = trial
         if coord == 4:
@@ -739,11 +743,6 @@ class Table1Config:
     dim: int = 2
     samples: int = 500
     seed: int = 0
-    ch_steps: int = DEFAULT_CH_STEPS
-    pointer_coupling_strong: float = 40.0
-    pointer_spread_strong: float = 1.0
-    pointer_coupling_weak: float = 1.0
-    pointer_spread_weak: float = 150.0
 
 
 @dataclass(frozen=True)
@@ -787,7 +786,7 @@ class Table1Report:
                 "dim": self.config.dim,
                 "samples": self.config.samples,
                 "seed": self.config.seed,
-                "ch_steps": self.config.ch_steps,
+                "ch_steps": DEFAULT_CH_STEPS,
             },
             "rows": [r.to_dict() for r in self.rows],
         }
@@ -818,11 +817,8 @@ def _gaussian_row(cfg: Table1Config) -> Table1Row:
     diag_rho = np.diag([0.7, 0.3]).astype(complex)
     s_diag = Scenario(dim=2, h_initial=_SZ, h_final=_SZ, evolution=_HADAMARD,
                       rho=diag_rho, label="hadamard-diagonal")
-    strong = PointerConfig.for_scenario(
-        s_coh, cfg.pointer_coupling_strong, cfg.pointer_spread_strong)
-    weak = PointerConfig.for_scenario(
-        s_coh, cfg.pointer_coupling_weak, cfg.pointer_spread_weak,
-        points_per_sigma=8.0)
+    strong = PointerConfig.for_scenario(s_coh, *POINTER_STRONG)
+    weak = PointerConfig.for_scenario(s_coh, *POINTER_WEAK, points_per_sigma=8.0)
 
     # C1: density is linear in rho and manifestly nonnegative
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 8]))
@@ -909,9 +905,9 @@ def _audited_row(scheme: SchemeId, notes: str, cfg: Table1Config) -> Table1Row:
     n = cfg.samples if scheme is not SchemeId.CONSISTENT_HISTORIES else min(cfg.samples, 60)
     return Table1Row(
         scheme=scheme.value,
-        c1=check_c1_linearity(scheme, cfg.dim, min(n, 150), cfg.seed, cfg.ch_steps),
-        c2=check_c2(scheme, cfg.dim, n, cfg.seed, cfg.ch_steps),
-        c3=check_c3(scheme, cfg.dim, n, cfg.seed, cfg.ch_steps),
+        c1=check_c1_linearity(scheme, cfg.dim, min(n, 150), cfg.seed),
+        c2=check_c2(scheme, cfg.dim, n, cfg.seed),
+        c3=check_c3(scheme, cfg.dim, n, cfg.seed),
         notes=notes,
     )
 

@@ -56,23 +56,21 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if np.size(m) else 0.0
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return max_abs(m - dag(m)) <= tol
-
-
-def require_hermitian(m, name: str = "operator", tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(m, name: str = "operator") -> np.ndarray:
     arr = require_square(m, name)
     defect = max_abs(arr - dag(arr))
-    if defect > tol:
-        raise ValidationError("NotHermitian", name, f"||M - M^dag||_max = {defect:.3e} > {tol}")
+    if defect > HERMITICITY_TOL:
+        raise ValidationError("NotHermitian", name,
+                              f"||M - M^dag||_max = {defect:.3e} > {HERMITICITY_TOL}")
     return arr.copy()
 
 
-def require_unitary(m, name: str = "operator", tol: float = UNITARITY_TOL) -> np.ndarray:
+def require_unitary(m, name: str = "operator") -> np.ndarray:
     arr = require_square(m, name)
     defect = max_abs(dag(arr) @ arr - np.eye(arr.shape[0]))
-    if defect > tol:
-        raise ValidationError("NotUnitary", name, f"||U^dag U - I||_max = {defect:.3e} > {tol}")
+    if defect > UNITARITY_TOL:
+        raise ValidationError("NotUnitary", name,
+                              f"||U^dag U - I||_max = {defect:.3e} > {UNITARITY_TOL}")
     return arr.copy()
 
 
@@ -109,15 +107,15 @@ class SpectralDecomposition:
         v = self.eigenvectors
         return (v * fn(self.eigenvalues)) @ dag(v)
 
-    def projectors(self, gap: float = DEGENERACY_GAP) -> list[tuple[float, np.ndarray]]:
-        """Eigenspace projectors, clustering eigenvalues closer than ``gap``.
+    def projectors(self) -> list[tuple[float, np.ndarray]]:
+        """Eigenspace projectors, clustering eigenvalues closer than ``DEGENERACY_GAP``.
 
         Degenerate eigenvector orientations are solver-dependent, so any
         consumer facing possible degeneracies must work with these projectors
         rather than raw columns.  Cluster label is the mean eigenvalue.
         """
         vals = self.eigenvalues
-        bounds = np.append(_chain_starts(vals, gap), vals.size)
+        bounds = np.append(_chain_starts(vals, DEGENERACY_GAP), vals.size)
         blocks = [self.eigenvectors[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         means = np.add.reduceat(vals, bounds[:-1]) / np.diff(bounds)
         return [(m, block @ dag(block)) for m, block in zip(means.tolist(), blocks)]
@@ -194,24 +192,22 @@ def _jacobi(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def eig_hermitian(op, max_sweeps: int = MAX_SWEEPS) -> SpectralDecomposition:
+def eig_hermitian(op) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian operator.
 
     Uses cyclic Jacobi rotations with a fixed sweep order, so the result is
     deterministic for a fixed input.  Raises :class:`NonConvergence` if the
-    off-diagonal mass is not eliminated within ``max_sweeps`` sweeps.
+    off-diagonal mass is not eliminated within ``MAX_SWEEPS`` sweeps.
     """
     arr = require_hermitian(op)
     key = arr.shape[0].to_bytes(2, "little") + arr.tobytes()
     hit = _EIG_CACHE.get(key)
-    if hit is not None and max_sweeps == MAX_SWEEPS:
+    if hit is not None:
         return hit
-    vals, vecs = _jacobi(arr, max_sweeps)
-    dec = SpectralDecomposition(vals, vecs)
-    if max_sweeps == MAX_SWEEPS:
-        if len(_EIG_CACHE) >= _EIG_CACHE_CAP:
-            _EIG_CACHE.clear()
-        _EIG_CACHE[key] = dec
+    dec = SpectralDecomposition(*_jacobi(arr, MAX_SWEEPS))
+    if len(_EIG_CACHE) >= _EIG_CACHE_CAP:
+        _EIG_CACHE.clear()
+    _EIG_CACHE[key] = dec
     return dec
 
 
@@ -333,13 +329,6 @@ def random_pure(dim: int, seed) -> np.ndarray:
     rng = _rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def random_hermitian(dim: int, seed, spread: float = 1.0) -> np.ndarray:
-    """Random Hermitian matrix (GUE-style), for audits and searches."""
-    rng = _rng(seed)
-    g = _ginibre(dim, rng) * spread
-    return (g + dag(g)) / 2.0
 
 
 def projector(vec: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from .scenario import Scenario
 from .schemes import _joint_table, margenau_hill, tpm
 
 GRID_MIN_POINTS = 256
+GRID_MAX_POINTS = 2 ** 17
 NORMALIZATION_TOL = 1e-6
 _COVER_SIGMAS = 6.0
 
@@ -55,8 +56,7 @@ class PointerConfig:
 
     @classmethod
     def for_scenario(cls, s: Scenario, coupling: float, spread: float,
-                     points_per_sigma: float = 48.0, max_points: int = 2 ** 17
-                     ) -> "PointerConfig":
+                     points_per_sigma: float = 48.0) -> "PointerConfig":
         """Grid that covers every shifted centre by 6 spreads and resolves them."""
         e_i = eig_hermitian(s.h_initial).eigenvalues
         e_f = eig_hermitian(s.h_final).eigenvalues
@@ -64,7 +64,7 @@ class PointerConfig:
         lo = float(centers.min() - _COVER_SIGMAS * spread)
         hi = float(centers.max() + _COVER_SIGMAS * spread)
         n = int(math.ceil((hi - lo) / spread * points_per_sigma)) + 1
-        n = min(max(n, GRID_MIN_POINTS), max_points)
+        n = min(max(n, GRID_MIN_POINTS), GRID_MAX_POINTS)
         return cls(coupling=coupling, spread=spread, x_min=lo, x_max=hi, n_points=n)
 
 

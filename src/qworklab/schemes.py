@@ -37,6 +37,7 @@ WEIGHT_SUM_TOL = 1e-9
 IMAG_RESIDUE_TOL = 1e-10
 TRAJ_CAP = 2 ** 20
 POVM_EIG_TOL = 1e-10
+DECOMPOSITION_TOL = 1e-9
 _ATOM_PRUNE = 1e-15
 
 
@@ -51,8 +52,8 @@ class SchemeId(str, Enum):
     COLLECTIVE_TWO_COPY = "collective_two_copy"
 
 
-def merge_atoms(works, weights, tol: float = W_MERGE_TOL):
-    """Sort atoms by work value and merge values closer than ``tol``.
+def merge_atoms(works, weights):
+    """Sort atoms by work value and merge values closer than ``W_MERGE_TOL``.
 
     Merging is chained on adjacent gaps; the merged work value is the plain
     mean of the member values (weights may be negative, so a weighted mean
@@ -66,7 +67,7 @@ def merge_atoms(works, weights, tol: float = W_MERGE_TOL):
         return works, weights
     order = np.argsort(works, kind="stable")
     works = works[order]
-    starts = _chain_starts(works, tol)
+    starts = _chain_starts(works, W_MERGE_TOL)
     sizes = np.diff(np.append(starts, works.size))
     return (np.add.reduceat(works, starts) / sizes,
             np.add.reduceat(weights[order], starts, axis=0))
@@ -82,10 +83,9 @@ class WorkDistribution:
     is_quasi: bool
 
     @classmethod
-    def from_atoms(cls, works, weights, scheme: SchemeId, is_quasi: bool,
-                   prune: float = _ATOM_PRUNE) -> "WorkDistribution":
+    def from_atoms(cls, works, weights, scheme: SchemeId, is_quasi: bool) -> "WorkDistribution":
         w, p = merge_atoms(works, weights)
-        keep = np.abs(p) > prune
+        keep = np.abs(p) > _ATOM_PRUNE
         w, p = w[keep], p[keep]
         total = float(np.sum(p))
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
@@ -155,13 +155,14 @@ class PureDecomposition:
     def reconstruct(self) -> np.ndarray:
         return (self.states.T * self.weights) @ np.conj(self.states)
 
-    def check_against(self, rho: np.ndarray, tol: float = 1e-9) -> None:
+    def check_against(self, rho: np.ndarray) -> None:
         if np.any(self.weights < -1e-12) or abs(float(self.weights.sum()) - 1.0) > 1e-12:
             raise DecompositionMismatch("decomposition weights are not a probability vector")
         gap = max_abs(self.reconstruct() - rho)
-        if gap > tol:
+        if gap > DECOMPOSITION_TOL:
             raise DecompositionMismatch(
-                f"decomposition reconstructs rho only to {gap:.3e} (tolerance {tol})"
+                f"decomposition reconstructs rho only to {gap:.3e} "
+                f"(tolerance {DECOMPOSITION_TOL})"
             )
 
 
@@ -399,12 +400,14 @@ def sub_ensemble(s: Scenario, decomp: PureDecomposition) -> WorkDistribution:
                                        is_quasi=False)
 
 
-def _collective_factors(s: Scenario):
-    """Second-copy factors <i|T_j|i> I + lambda T_j^off of T_j = U^dag Q_j U.
+def _collective(s: Scenario, lam: float | str):
+    """Second-copy factors F_ij = <i|T_j|i> I + lambda T_j^off of T_j = U^dag Q_j U.
 
     Returns the initial eigenbasis, energies, final eigenspace energies, the
-    diagonals ``diag[i, j] = <i|T_j|i>``, the off-diagonal parts T_j^off and
-    their least eigenvalues.
+    diagonals ``diag_parts[i, j] = <i|T_j|i>``, the off-diagonal parts T_j^off
+    and the checked lambda; ``lam="auto"`` selects lambda_max.  Raises
+    :class:`NotPositive` when an element's least eigenvalue
+    <i|T_j|i> + lambda lambda_min(T_j^off) is negative.
     """
     dec_i = eig_hermitian(s.h_initial)
     _, _, e_f, q, u = _eigenspaces(s)
@@ -413,7 +416,19 @@ def _collective_factors(s: Scenario):
     diag = np.diagonal(t_basis, axis1=1, axis2=2)
     off_parts = basis @ (t_basis - diag[:, :, None] * np.eye(s.dim)) @ dag(basis)
     off_min = np.array([eig_hermitian(off).eigenvalues[0] for off in off_parts])
-    return basis, dec_i.eigenvalues, e_f, diag.real.T, off_parts, off_min
+    diag_parts = diag.real.T
+    if lam == "auto":
+        neg = off_min < 0.0
+        bound = (diag_parts[:, neg].min(axis=0) / -off_min[neg]).min(initial=1.0)
+        lam_val = float(np.clip(bound, 0.0, 1.0))
+    else:
+        lam_val = float(lam)
+        if not 0.0 <= lam_val <= 1.0:
+            raise ValueError("lambda must lie in [0, 1]")
+    lo = float((diag_parts + lam_val * off_min).min())
+    if lo < -POVM_EIG_TOL:
+        raise NotPositive(lam_val, lo)
+    return basis, dec_i.eigenvalues, e_f, diag_parts, off_parts, lam_val
 
 
 def lambda_max(s: Scenario) -> float:
@@ -424,50 +439,31 @@ def lambda_max(s: Scenario) -> float:
     over the j whose off-diagonal part is nonzero (lambda_min < 0), clipped to
     [0, 1].  lambda = 0 always qualifies (it reproduces TPM).
     """
-    _, _, _, diag_parts, _, off_min = _collective_factors(s)
-    return _lambda_bound(diag_parts, off_min)
+    return _collective(s, "auto")[-1]
 
 
-def _lambda_bound(diag_parts: np.ndarray, off_min: np.ndarray) -> float:
-    neg = off_min < 0.0
-    bound = (diag_parts[:, neg].min(axis=0) / -off_min[neg]).min(initial=1.0)
-    return float(np.clip(bound, 0.0, 1.0))
+def collective_two_copy(s: Scenario, lam: float | str = "auto") -> WorkDistribution:
+    """Two-copy collective measurement M_(ij) = |i><i| (x) F_ij at work E'_j - E_i.
 
-
-def collective_two_copy(s: Scenario, lam: float | str = "auto") -> tuple[Povm, WorkDistribution]:
-    """Two-copy collective measurement M_(ij) = |i><i| (x) (<i|T_j|i> I + lam T_j^off).
-
-    Weights are Tr(M_(ij) rho (x) rho) at the TPM work values E'_j - E_i.
-    ``lam="auto"`` selects lambda_max.
+    With F_ij = <i|T_j|i> I + lam T_j^off, the weight factorises:
+    Tr[M_(ij) rho (x) rho] = <i|rho|i> (<i|T_j|i> + lam Tr(T_j^off rho)), so no
+    two-copy operator is formed.  ``lam="auto"`` selects lambda_max.
     """
-    basis, e_i, e_f, diag_parts, off_parts, off_min = _collective_factors(s)
-    if lam == "auto":
-        lam_val = _lambda_bound(diag_parts, off_min)
-    else:
-        lam_val = float(lam)
-        if not 0.0 <= lam_val <= 1.0:
-            raise ValueError("lambda must lie in [0, 1]")
-    lo = float((diag_parts + lam_val * off_min).min())
-    if lo < -POVM_EIG_TOL:
-        raise NotPositive(lam_val, lo)
+    basis, e_i, e_f, diag_parts, off_parts, lam_val = _collective(s, lam)
+    pops = np.diagonal(dag(basis) @ s.rho @ basis).real
+    off_mean = np.einsum("jab,ba->j", off_parts, s.rho).real
+    weights = pops[:, None] * (diag_parts + lam_val * off_mean[None, :])
+    return WorkDistribution.from_atoms((e_f[None, :] - e_i[:, None]).ravel(), weights.ravel(),
+                                       SchemeId.COLLECTIVE_TWO_COPY, is_quasi=False)
 
-    d = s.dim
-    eye = np.eye(d, dtype=np.complex128)
-    rho2 = tensor(s.rho, s.rho)
-    elements = []
-    works, weights = [], []
-    for i in range(d):
-        p_i = projector(basis[:, i])
-        for j in range(len(e_f)):
-            factor = diag_parts[i, j] * eye + lam_val * off_parts[j]
-            m_ij = tensor(p_i, factor)
-            elements.append(((i, j), m_ij))
-            works.append(float(e_f[j] - e_i[i]))
-            weights.append(float(np.trace(m_ij @ rho2).real))
-    povm = Povm(elements=tuple(elements))
-    dist = WorkDistribution.from_atoms(works, weights, SchemeId.COLLECTIVE_TWO_COPY,
-                                       is_quasi=False)
-    return povm, dist
+
+def collective_povm(s: Scenario, lam: float | str = "auto") -> Povm:
+    """The two-copy elements M_(ij) = |i><i| (x) F_ij on C^d (x) C^d, labelled (i, j)."""
+    basis, _, e_f, diag_parts, off_parts, lam_val = _collective(s, lam)
+    eye = np.eye(s.dim, dtype=np.complex128)
+    return Povm(elements=tuple(
+        ((i, j), tensor(projector(basis[:, i]), diag_parts[i, j] * eye + lam_val * off_parts[j]))
+        for i in range(s.dim) for j in range(len(e_f))))
 
 
 def tpm_povm(s: Scenario) -> Povm:
@@ -499,5 +495,5 @@ def distribution(scheme: SchemeId | str, s: Scenario, **opts) -> WorkDistributio
         decomp = opts.get("decomposition") or spectral_pure_decomposition(s.rho)
         return sub_ensemble(s, decomp)
     if scheme is SchemeId.COLLECTIVE_TWO_COPY:
-        return collective_two_copy(s, opts.get("lam", "auto"))[1]
+        return collective_two_copy(s, opts.get("lam", "auto"))
     raise ValueError(f"no atom-valued distribution for scheme {scheme}")

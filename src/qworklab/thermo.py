@@ -28,6 +28,7 @@ from .linalg import (
 
 BETA_MIN = 1e-6
 BETA_MAX = 1e6
+WORK_LOSS_CONSISTENCY_TOL = 1e-10  # allowed gap between the two work-loss paths
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,8 +69,12 @@ def free_energy(rho: np.ndarray, ctx: ThermalContext) -> float:
 
 
 def max_extractable_work(rho: np.ndarray, ctx: ThermalContext) -> float:
-    """Best average work from rho with unitaries and a bath: S(rho || gibbs) / beta."""
-    return relative_entropy(rho, ctx.gibbs_state()) / ctx.beta
+    """Best average work from rho with unitaries and a bath: F(rho) - F(gibbs).
+
+    This equals S(rho || gibbs) / beta; since ln gibbs = -beta H - ln Z,
+    F(gibbs) = -ln Z / beta, and the Gibbs state itself is never formed.
+    """
+    return free_energy(rho, ctx) + ctx.log_partition() / ctx.beta
 
 
 def dephased(rho: np.ndarray, ctx: ThermalContext) -> np.ndarray:
@@ -86,13 +91,12 @@ def free_energy_decomposition(rho: np.ndarray, ctx: ThermalContext) -> tuple[flo
 
     The two parts sum to Delta F(rho) = F(rho) - F(gibbs).
     """
-    diag_part = free_energy(dephased(rho, ctx), ctx) - free_energy(ctx.gibbs_state(), ctx)
+    diag_part = max_extractable_work(dephased(rho, ctx), ctx)
     coherent_part = asymmetry(rho, ctx) / ctx.beta
     return diag_part, coherent_part
 
 
-def measurement_work_loss(rho: np.ndarray, ctx: ThermalContext,
-                          consistency_tol: float = 1e-10) -> float:
+def measurement_work_loss(rho: np.ndarray, ctx: ThermalContext) -> float:
     """Average work lost by measuring energy first: W_max(rho) - W_max(D(rho)).
 
     Computed independently as the difference of the two extractable works and
@@ -108,7 +112,7 @@ def measurement_work_loss(rho: np.ndarray, ctx: ThermalContext,
         )
     direct = max_extractable_work(rho, ctx) - max_extractable_work(dephased(rho, ctx), ctx)
     via_coherence = asymmetry(rho, ctx) / ctx.beta
-    if abs(direct - via_coherence) > consistency_tol:
+    if abs(direct - via_coherence) > WORK_LOSS_CONSISTENCY_TOL:
         raise ArithmeticError(
             f"work-loss paths disagree: {direct!r} vs {via_coherence!r}"
         )

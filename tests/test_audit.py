@@ -184,6 +184,22 @@ def test_witness_reevaluates_from_serialized_scenario():
     assert abs(table.weights[k, m] - witness.value) <= 1e-12
 
 
+def test_witness_scenario_stable_under_last_bit_noise(monkeypatch):
+    # a 2-ulp change in a candidate's value must not change which scenario wins
+    clean = serialize_scenario(audit.contextuality_witness(search_budget=500, seed=0).scenario)
+    exact = audit._witness_value
+    for noise_seed in range(4):
+        rng = np.random.default_rng(noise_seed)
+
+        def noisy(params):
+            value, idx, s = exact(params)
+            return value + int(rng.integers(-2, 3)) * np.spacing(value), idx, s
+
+        monkeypatch.setattr(audit, "_witness_value", noisy)
+        witness = audit.contextuality_witness(search_budget=500, seed=0)
+        assert serialize_scenario(witness.scenario) == clean
+
+
 def test_witness_absent_for_diagonal_states():
     # diagonal joint weights are TPM probabilities, so no negativity exists
     rho = np.diag([0.3, 0.7]).astype(complex)

@@ -442,7 +442,7 @@ def test_random_decomposition_reconstructs():
 # --- collective two-copy ----------------------------------------------------------
 
 def test_collective_lambda_zero_is_tpm(hadamard_scenario):
-    _, dist = sch.collective_two_copy(hadamard_scenario, 0.0)
+    dist = sch.collective_two_copy(hadamard_scenario, 0.0)
     assert dist.tv_distance(sch.tpm(hadamard_scenario)[0]) <= 1e-12
 
 
@@ -452,7 +452,7 @@ def test_collective_diagonal_unitary_reproduces_tpm_any_lambda():
                  evolution=u, rho=PLUS)
     assert sch.lambda_max(s) == 1.0
     for lam in (0.0, 0.37, 1.0):
-        _, dist = sch.collective_two_copy(s, lam)
+        dist = sch.collective_two_copy(s, lam)
         assert dist.tv_distance(sch.tpm(s)[0]) <= 1e-12
 
 
@@ -464,7 +464,7 @@ def test_lambda_max_is_positivity_boundary():
             s = random_scenario(dim, rng)
             lam = sch.lambda_max(s)
             assert 0.0 <= lam <= 1.0
-            sch.collective_two_copy(s, lam)[0].check(eig_tol=1e-8)
+            sch.collective_povm(s, lam).check(eig_tol=1e-8)
             if lam < 1.0:
                 found_interior += 1
                 with pytest.raises(NotPositive):
@@ -475,7 +475,8 @@ def test_lambda_max_is_positivity_boundary():
 def test_collective_hadamard_improves_first_law_gap(hadamard_scenario):
     target = mean_energy_change(hadamard_scenario)
     gap_tpm = abs(sch.tpm(hadamard_scenario)[0].mean() - target)
-    povm, dist = sch.collective_two_copy(hadamard_scenario, "auto")
+    povm = sch.collective_povm(hadamard_scenario, "auto")
+    dist = sch.collective_two_copy(hadamard_scenario, "auto")
     povm.check()
     assert len(povm.elements) == 4
     assert abs(dist.mean() - target) < gap_tpm
@@ -485,9 +486,29 @@ def test_collective_hadamard_improves_first_law_gap(hadamard_scenario):
 def test_collective_povm_on_two_copies_completeness():
     rng = np.random.default_rng(22)
     s = random_scenario(3, rng)
-    povm, _ = sch.collective_two_copy(s, "auto")
+    povm = sch.collective_povm(s, "auto")
     total = sum(op for _, op in povm.elements)
     assert max_abs(total - np.eye(9)) <= 1e-10
+
+
+def test_collective_closed_form_matches_two_copy_trace():
+    # oracle: Tr(M_ij rho (x) rho) from the explicit d^2 x d^2 elements
+    rng = np.random.default_rng(26)
+    for dim in (2, 3, 4):
+        for _ in range(4):
+            s = random_scenario(dim, rng)
+            work_values = sch.tpm(s)[1].work_values
+            rho2 = np.kron(s.rho, s.rho)
+            lam_max = sch.lambda_max(s)
+            for lam in (0.0, 0.5 * lam_max, lam_max):
+                povm = sch.collective_povm(s, lam)
+                works = [work_values[i, j] for (i, j), _ in povm.elements]
+                weights = [np.trace(op @ rho2).real for _, op in povm.elements]
+                ref = sch.WorkDistribution.from_atoms(
+                    works, weights, sch.SchemeId.COLLECTIVE_TWO_COPY, False)
+                dist = sch.collective_two_copy(s, lam)
+                assert np.array_equal(dist.works, ref.works)
+                assert np.max(np.abs(dist.weights - ref.weights)) <= 1e-12
 
 
 def test_collective_any_lambda_matches_tpm_on_diagonal_states():
@@ -495,7 +516,7 @@ def test_collective_any_lambda_matches_tpm_on_diagonal_states():
     for _ in range(20):
         s = random_scenario(3, rng, diagonal_rho=True)
         for lam in (0.0, 0.5 * sch.lambda_max(s), sch.lambda_max(s)):
-            _, dist = sch.collective_two_copy(s, lam)
+            dist = sch.collective_two_copy(s, lam)
             assert dist.tv_distance(sch.tpm(s)[0]) <= 1e-9
 
 
@@ -533,7 +554,7 @@ def test_every_scheme_normalizes_to_one():
         sch.margenau_hill(s)[1],
         sch.state_dependent(s),
         sch.sub_ensemble(s, sch.spectral_pure_decomposition(s.rho)),
-        sch.collective_two_copy(s, "auto")[1],
+        sch.collective_two_copy(s, "auto"),
     ]
     ramp = make_ramp(PLUS)
     dists.append(sch.consistent_histories(ramp, 6))

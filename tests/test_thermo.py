@@ -43,7 +43,9 @@ def test_free_energy_difference_equals_relative_entropy():
         ctx = random_context(RNG, dim=int(RNG.integers(2, 5)))
         rho = random_density_np(ctx.hamiltonian.shape[0], RNG)
         lhs = th.free_energy(rho, ctx) - th.free_energy(ctx.gibbs_state(), ctx)
-        assert abs(lhs - th.max_extractable_work(rho, ctx)) <= 1e-10
+        wmax = th.max_extractable_work(rho, ctx)
+        assert abs(lhs - wmax) <= 1e-10
+        assert abs(wmax - relative_entropy(rho, ctx.gibbs_state()) / ctx.beta) <= 1e-10
 
 
 def test_max_extractable_work_examples():
@@ -112,6 +114,29 @@ def test_measurement_work_loss():
         commutator = max_abs(rho @ ctx.hamiltonian - ctx.hamiltonian @ rho)
         if commutator > 1e-3:
             assert loss > 1e-6
+
+
+def _entropy_np(probs):
+    probs = probs[probs > 1e-14]
+    return float(-np.sum(probs * np.log(probs)))
+
+
+@pytest.mark.parametrize("dim", [16, 32])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_measurement_work_loss_large_dim_matches_numpy(dim, seed):
+    # Haar-rotated ladder with 0.4 jitter and a Wishart state, numpy only;
+    # at beta = 1 the Gibbs state has eigenvalues near e^-dim
+    rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
+    u = haar_unitary_np(dim, rng)
+    h = (u * (np.arange(dim) + 0.4 * rng.random(dim))) @ u.conj().T
+    h = (h + h.conj().T) / 2.0
+    rho = random_density_np(dim, rng)
+    rho = (rho + rho.conj().T) / 2.0
+    ctx = th.ThermalContext(1.0, h)
+    vecs = np.linalg.eigh(h)[1]
+    pops = np.einsum("ai,ab,bi->i", vecs.conj(), rho, vecs).real
+    expected = _entropy_np(pops) - _entropy_np(np.linalg.eigvalsh(rho))
+    assert abs(th.measurement_work_loss(rho, ctx) - expected) <= 1e-8
 
 
 def test_measurement_work_loss_warns_on_degenerate_spectrum():
