@@ -158,31 +158,20 @@ def hadamard_scenario() -> Scenario:
 
 def _embed(dim: int, h, hf, evolution, rho, label: str) -> Scenario:
     """Pad a qubit probe into a larger space with an inert high-energy ladder."""
-    if dim == 2:
-        return Scenario(dim=2, h_initial=h, h_final=hf, evolution=evolution,
-                        rho=rho, label=label)
-    extra = dim - 2
+    if dim > 2:
+        def pad(m, fill):
+            out = np.diag(np.concatenate([np.zeros(2), fill])).astype(complex)
+            out[:2, :2] = m
+            return out
 
-    def pad_h(m, base):
-        out = np.zeros((dim, dim), dtype=complex)
-        out[:2, :2] = m
-        out[range(2, dim), range(2, dim)] = base + np.arange(extra)
-        return out
-
-    def pad_u(m):
-        out = np.eye(dim, dtype=complex)
-        out[:2, :2] = m
-        return out
-
-    rho_pad = np.zeros((dim, dim), dtype=complex)
-    rho_pad[:2, :2] = rho
-    if isinstance(evolution, DrivingProtocol):
-        bps = tuple((t, pad_h(hm, 10.0)) for t, hm in evolution.breakpoints)
-        evo = DrivingProtocol(bps, evolution.steps_per_segment)
-        return Scenario(dim=dim, h_initial=pad_h(h, 10.0), h_final=pad_h(hf, 10.0),
-                        evolution=evo, rho=rho_pad, label=label)
-    return Scenario(dim=dim, h_initial=pad_h(h, 10.0), h_final=pad_h(hf, 10.0),
-                    evolution=pad_u(evolution), rho=rho_pad, label=label)
+        ladder = 10.0 + np.arange(dim - 2)
+        h, hf, rho = pad(h, ladder), pad(hf, ladder), pad(rho, np.zeros(dim - 2))
+        if isinstance(evolution, DrivingProtocol):
+            evolution = DrivingProtocol(tuple((t, pad(hm, ladder)) for t, hm in
+                                              evolution.breakpoints), evolution.steps_per_segment)
+        else:
+            evolution = pad(evolution, np.ones(dim - 2))
+    return Scenario(dim=dim, h_initial=h, h_final=hf, evolution=evolution, rho=rho, label=label)
 
 
 def _probe_fcs_negativity(dim: int) -> Scenario:
@@ -227,27 +216,16 @@ def _probe_ch_c2(dim: int) -> tuple[Scenario, int]:
 
 def _probe_state_dependent_mixture(dim: int):
     # components share no eigenbasis with their mixture: non-convex statistics
-    rho1 = np.diag([1.0, 0.0]).astype(complex)
-    rho2 = _PLUS
-    s1 = _embed(dim, _H01, _H01, np.eye(2, dtype=complex), rho1, "sd-pure-z")
-    s2 = _embed(dim, _H01, _H01, np.eye(2, dtype=complex), rho2, "sd-pure-x")
-    lam = 0.5
-    mix = lam * s1.rho + (1.0 - lam) * s2.rho
-    s_mix = Scenario(dim=dim, h_initial=s1.h_initial, h_final=s1.h_final,
-                     evolution=s1.evolution, rho=mix, label="sd-mixture")
-    return s_mix, s1, s2, lam
+    s1 = _embed(dim, _H01, _H01, np.eye(2, dtype=complex), np.diag([1.0, 0.0]), "sd-pure-z")
+    s2 = _embed(dim, _H01, _H01, np.eye(2, dtype=complex), _PLUS, "sd-pure-x")
+    return s1.with_rho(0.5 * s1.rho + 0.5 * s2.rho, "sd-mixture"), s1, s2, 0.5
 
 
 def _probe_collective_mixture(dim: int):
     # quadratic rho (x) rho dependence: mixing defect 0.075 on this pair
-    rho2 = np.diag([0.8, 0.2]).astype(complex)
     s1 = _embed(dim, _SZ, _SZ, _HADAMARD, _PLUS, "collective-coherent")
-    s2 = _embed(dim, _SZ, _SZ, _HADAMARD, rho2, "collective-diagonal")
-    lam = 0.5
-    mix = lam * s1.rho + (1.0 - lam) * s2.rho
-    s_mix = Scenario(dim=dim, h_initial=s1.h_initial, h_final=s1.h_final,
-                     evolution=s1.evolution, rho=mix, label="collective-mixture")
-    return s_mix, s1, s2, lam
+    s2 = _embed(dim, _SZ, _SZ, _HADAMARD, np.diag([0.8, 0.2]), "collective-diagonal")
+    return s1.with_rho(0.5 * s1.rho + 0.5 * s2.rho, "collective-mixture"), s1, s2, 0.5
 
 
 def _scheme_dist(scheme: SchemeId, s: Scenario, k_steps: int) -> WorkDistribution:
@@ -267,6 +245,21 @@ def _witness_payload(s: Scenario, value: float, detail: str) -> dict:
     return {"scenario": scenario_to_dict(s), "value": float(value), "detail": detail}
 
 
+def _worst(cases) -> tuple[float, dict | None, str]:
+    """Worst of ``(violation, scenario, detail)`` cases: (value, witness, detail).
+
+    The first maximum wins; the witness payload is built once, for that case.
+    With no case above 0 the result is (0.0, None, "").
+    """
+    worst, arg = 0.0, None
+    for violation, s, detail in cases:
+        if violation > worst:
+            worst, arg = violation, (s, detail)
+    if arg is None:
+        return 0.0, None, ""
+    return worst, _witness_payload(arg[0], worst, arg[1]), arg[1]
+
+
 # --- the three condition checks ----------------------------------------------
 
 def check_c2(scheme: SchemeId | str, dim: int = 2, n_samples: int = 200,
@@ -275,7 +268,6 @@ def check_c2(scheme: SchemeId | str, dim: int = 2, n_samples: int = 200,
     scheme = SchemeId(scheme)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     driven = scheme is SchemeId.CONSISTENT_HISTORIES
-    worst, witness = 0.0, None
     probes: list[tuple[Scenario, int]] = []
     if scheme is SchemeId.OPERATOR_OF_WORK:
         probes.append((_probe_work_operator_c2(dim), DEFAULT_CH_STEPS))
@@ -283,10 +275,8 @@ def check_c2(scheme: SchemeId | str, dim: int = 2, n_samples: int = 200,
         probes.append(_probe_ch_c2(dim))
     samples = [(sample_scenario(dim, rng, coherent=False, driven=driven), DEFAULT_CH_STEPS)
                for _ in range(n_samples)]
-    for s, kk in probes + samples:
-        tv = _scheme_dist(scheme, s, kk).tv_distance(tpm(s)[0])
-        if tv > worst:
-            worst, witness = tv, _witness_payload(s, tv, "tv distance to TPM")
+    worst, witness, _ = _worst((_scheme_dist(scheme, s, kk).tv_distance(tpm(s)[0]), s,
+                                "tv distance to TPM") for s, kk in probes + samples)
     return _graded(Condition.C2_TPM_AGREEMENT, worst, witness,
                    notes=f"{len(probes) + n_samples} diagonal-state scenarios, dim {dim}")
 
@@ -329,13 +319,11 @@ def check_c3(scheme: SchemeId | str, dim: int = 2, n_samples: int = 200,
     if scheme is SchemeId.CONSISTENT_HISTORIES:
         worst, witness, note = _ch_limit_c3(dim, min(n_samples, 25), rng)
         return _graded(Condition.C3_FIRST_LAW, worst, witness, notes=note)
-    worst, witness = 0.0, None
     probes = [hadamard_scenario()] if scheme is SchemeId.TPM and dim == 2 else []
     samples = [sample_scenario(dim, rng, coherent=True) for _ in range(n_samples)]
-    for s in probes + samples:
-        gap = abs(_scheme_dist(scheme, s, DEFAULT_CH_STEPS).mean() - mean_energy_change(s))
-        if gap > worst:
-            worst, witness = gap, _witness_payload(s, gap, "first-law gap")
+    worst, witness, _ = _worst(
+        (abs(_scheme_dist(scheme, s, DEFAULT_CH_STEPS).mean() - mean_energy_change(s)), s,
+         "first-law gap") for s in probes + samples)
     return _graded(Condition.C3_FIRST_LAW, worst, witness,
                    notes=f"{len(probes) + n_samples} coherent scenarios, dim {dim}")
 
@@ -346,13 +334,6 @@ def check_c1_linearity(scheme: SchemeId | str, dim: int = 2, n_samples: int = 20
     scheme = SchemeId(scheme)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     driven = scheme is SchemeId.CONSISTENT_HISTORIES
-    worst, witness, mode = 0.0, None, ""
-
-    def consider(violation: float, s: Scenario, detail: str):
-        nonlocal worst, witness, mode
-        if violation > worst:
-            worst, mode = violation, detail
-            witness = _witness_payload(s, violation, detail)
 
     # negativity probes
     neg_probes: list[tuple[Scenario, int]] = []
@@ -362,37 +343,32 @@ def check_c1_linearity(scheme: SchemeId | str, dim: int = 2, n_samples: int = 20
         neg_probes.append((_probe_mh_negativity(dim), DEFAULT_CH_STEPS))
     if driven:
         neg_probes.append(_probe_ch_negativity(dim))
-    for s, kk in neg_probes:
-        consider(max(0.0, -_scheme_dist(scheme, s, kk).min_weight()), s, "negativity")
 
-    # convexity probes
+    # convexity probes, then mixtures of two random states of a sampled experiment
     mix_probes = []
     if scheme in (SchemeId.STATE_DEPENDENT, SchemeId.SUB_ENSEMBLE):
         mix_probes.append(_probe_state_dependent_mixture(dim))
     if scheme is SchemeId.COLLECTIVE_TWO_COPY:
         mix_probes.append(_probe_collective_mixture(dim))
 
-    def mixture_samples():
-        for _ in range(n_samples):
-            base = sample_scenario(dim, rng, coherent=True, driven=driven)
-            rho1 = random_density(dim, rng)
-            rho2 = random_density(dim, rng)
-            lam = float(rng.uniform(0.2, 0.8))
-            mix = lam * rho1 + (1.0 - lam) * rho2
-            s1 = Scenario(dim=dim, h_initial=base.h_initial, h_final=base.h_final,
-                          evolution=base.evolution, rho=rho1)
-            s2 = Scenario(dim=dim, h_initial=base.h_initial, h_final=base.h_final,
-                          evolution=base.evolution, rho=rho2)
-            s_mix = Scenario(dim=dim, h_initial=base.h_initial, h_final=base.h_final,
-                             evolution=base.evolution, rho=mix)
-            yield s_mix, s1, s2, lam
+    for _ in range(n_samples):
+        base = sample_scenario(dim, rng, coherent=True, driven=driven)
+        rho1 = random_density(dim, rng)
+        rho2 = random_density(dim, rng)
+        lam = float(rng.uniform(0.2, 0.8))
+        mix = lam * rho1 + (1.0 - lam) * rho2
+        mix_probes.append((base.with_rho(mix), base.with_rho(rho1), base.with_rho(rho2), lam))
 
-    for s_mix, s1, s2, lam in mix_probes + list(mixture_samples()):
-        d_mix, d1, d2 = (_scheme_dist(scheme, s, DEFAULT_CH_STEPS) for s in (s_mix, s1, s2))
-        consider(d_mix.tv_distance(_blend(d1, d2, lam)), s_mix, "nonconvexity")
-        for d, s in ((d_mix, s_mix), (d1, s1), (d2, s2)):
-            consider(max(0.0, -d.min_weight()), s, "negativity")
+    def cases():
+        for s, kk in neg_probes:
+            yield max(0.0, -_scheme_dist(scheme, s, kk).min_weight()), s, "negativity"
+        for s_mix, s1, s2, lam in mix_probes:
+            d_mix, d1, d2 = (_scheme_dist(scheme, s, DEFAULT_CH_STEPS) for s in (s_mix, s1, s2))
+            yield d_mix.tv_distance(_blend(d1, d2, lam)), s_mix, "nonconvexity"
+            for d, s in ((d_mix, s_mix), (d1, s1), (d2, s2)):
+                yield max(0.0, -d.min_weight()), s, "negativity"
 
+    worst, witness, mode = _worst(cases())
     notes = f"linearity + positivity over dim {dim}"
     if mode:
         notes += f"; dominant failure mode: {mode}"
@@ -422,14 +398,13 @@ def reconstruct_povm(scheme: SchemeId | str, h, h_final, u, seed: int = 0,
     :class:`NotLinear` when the validation residual exceeds 1e-6.
     """
     scheme = SchemeId(scheme)
-    h = np.asarray(h, dtype=complex)
-    dim = h.shape[0]
+    dim = np.shape(h)[0]
+    states = informationally_complete_states(dim)
+    base = Scenario(dim=dim, h_initial=h, h_final=h_final, evolution=u, rho=states[0])
 
     def run(rho: np.ndarray) -> WorkDistribution:
-        s = Scenario(dim=dim, h_initial=h, h_final=h_final, evolution=u, rho=rho)
-        return _scheme_dist(scheme, s, DEFAULT_CH_STEPS)
+        return _scheme_dist(scheme, base.with_rho(rho), DEFAULT_CH_STEPS)
 
-    states = informationally_complete_states(dim)
     dists = [run(rho) for rho in states]
     support, _ = merge_atoms(np.concatenate([d.works for d in dists]),
                              np.concatenate([d.weights for d in dists]))
@@ -517,9 +492,7 @@ def demonstrate_nogo(dim: int = 2, seed: int = 0, n_samples: int = 100) -> NogoR
     # the off-diagonal part to vanish, leaving exactly these operators
     coeff = np.zeros((dim, len(support)))
     for i in range(dim):
-        s_i = Scenario(dim=dim, h_initial=h, h_final=hf, evolution=u,
-                       rho=projector(basis[:, i]))
-        d_i = tpm(s_i)[0]
+        d_i = tpm(ref.with_rho(projector(basis[:, i])))[0]
         for col, w in enumerate(support):
             coeff[i, col] = d_i.weight_at(w)
     forced = Povm(elements=tuple(
@@ -534,8 +507,7 @@ def demonstrate_nogo(dim: int = 2, seed: int = 0, n_samples: int = 100) -> NogoR
     for _ in range(n_samples):
         p = _diagonal_probabilities(dim, rng)
         rho_d = (basis * p) @ dag(basis)
-        s_d = Scenario(dim=dim, h_initial=h, h_final=hf, evolution=u, rho=rho_d)
-        d_ref = tpm(s_d)[0]
+        d_ref = tpm(ref.with_rho(rho_d))[0]
         for w, op in forced.elements:
             c2_residual = max(c2_residual, abs(
                 float(np.trace(rho_d @ op).real) - d_ref.weight_at(w)))
@@ -814,9 +786,7 @@ def _meter_atom_error(s: Scenario, cfg: PointerConfig) -> float:
 
 def _gaussian_row(cfg: Table1Config) -> Table1Row:
     s_coh = hadamard_scenario()
-    diag_rho = np.diag([0.7, 0.3]).astype(complex)
-    s_diag = Scenario(dim=2, h_initial=_SZ, h_final=_SZ, evolution=_HADAMARD,
-                      rho=diag_rho, label="hadamard-diagonal")
+    s_diag = s_coh.with_rho(np.diag([0.7, 0.3]).astype(complex), "hadamard-diagonal")
     strong = PointerConfig.for_scenario(s_coh, *POINTER_STRONG)
     weak = PointerConfig.for_scenario(s_coh, *POINTER_WEAK, points_per_sigma=8.0)
 
@@ -826,11 +796,9 @@ def _gaussian_row(cfg: Table1Config) -> Table1Row:
     for _ in range(10):
         rho1, rho2 = random_density(2, rng), random_density(2, rng)
         lam = float(rng.uniform(0.2, 0.8))
-        mk = lambda rho: Scenario(dim=2, h_initial=_SZ, h_final=_SZ,
-                                  evolution=_HADAMARD, rho=rho)
-        d_mix = gaussian_meter(mk(lam * rho1 + (1 - lam) * rho2), strong).density
-        d_blend = (lam * gaussian_meter(mk(rho1), strong).density
-                   + (1 - lam) * gaussian_meter(mk(rho2), strong).density)
+        d_mix, d1, d2 = (gaussian_meter(s_coh.with_rho(rho), strong).density
+                         for rho in (lam * rho1 + (1 - lam) * rho2, rho1, rho2))
+        d_blend = lam * d1 + (1 - lam) * d2
         lin = max(lin, float(np.max(np.abs(d_mix - d_blend))))
     c1 = _graded(Condition.C1_LINEAR_POVM, lin, None,
                  notes="density linear in rho; nonnegative by construction")

@@ -1,9 +1,11 @@
 """Dense complex linear algebra and quantum-state utilities.
 
-Everything here works on plain ``numpy`` complex arrays.  Operators are
-validated by the ``require_*`` functions, which return a defensive complex128
-copy; downstream code treats validated arrays as immutable.  The eigensolver
-is a cyclic Jacobi iteration written for small dense Hermitian matrices
+Everything here works on plain ``numpy`` complex arrays.  The ``require_*``
+functions validate operators and return a defensive complex128 copy; they
+run when an input type (``Scenario``, ``DrivingProtocol``, ``ThermalContext``)
+is constructed and, inside ``eig_hermitian``, on a cache miss only.
+Downstream code treats validated arrays as immutable.  The eigensolver is a
+cyclic Jacobi iteration written for small dense Hermitian matrices
 (dimension <= 64), favouring robustness and determinism over speed.
 """
 
@@ -57,11 +59,13 @@ def max_abs(m: np.ndarray) -> float:
 
 
 def require_hermitian(m, name: str = "operator") -> np.ndarray:
+    """Validate a Hermitian matrix; the defect is measured relative to its scale."""
     arr = require_square(m, name)
     defect = max_abs(arr - dag(arr))
-    if defect > HERMITICITY_TOL:
+    limit = HERMITICITY_TOL * max(1.0, max_abs(arr))
+    if defect > limit:
         raise ValidationError("NotHermitian", name,
-                              f"||M - M^dag||_max = {defect:.3e} > {HERMITICITY_TOL}")
+                              f"||M - M^dag||_max = {defect:.3e} > {limit:.3e}")
     return arr.copy()
 
 
@@ -198,15 +202,17 @@ def eig_hermitian(op) -> SpectralDecomposition:
     Uses cyclic Jacobi rotations with a fixed sweep order, so the result is
     deterministic for a fixed input.  Raises :class:`NonConvergence` if the
     off-diagonal mass is not eliminated within ``MAX_SWEEPS`` sweeps.
+    The input is validated only on a cache miss: the key holds the full shape
+    and the bytes, so a hit is a matrix that was validated when it was solved.
     """
-    arr = require_hermitian(op)
-    key = arr.shape[0].to_bytes(2, "little") + arr.tobytes()
+    arr = np.asarray(op, dtype=np.complex128)
+    key = repr(arr.shape).encode() + arr.tobytes()
     hit = _EIG_CACHE.get(key)
     if hit is not None:
         return hit
-    dec = SpectralDecomposition(*_jacobi(arr, MAX_SWEEPS))
+    dec = SpectralDecomposition(*_jacobi(require_hermitian(arr), MAX_SWEEPS))
     if len(_EIG_CACHE) >= _EIG_CACHE_CAP:
-        _EIG_CACHE.clear()
+        del _EIG_CACHE[next(iter(_EIG_CACHE))]  # evict the oldest entry
     _EIG_CACHE[key] = dec
     return dec
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooNarrow
-from .linalg import dag, eig_hermitian
+from .linalg import eig_hermitian
 from .scenario import Scenario
-from .schemes import _joint_table, margenau_hill, tpm
+from .schemes import _joint_table, _transition_kernel, margenau_hill, tpm
 
 GRID_MIN_POINTS = 256
 GRID_MAX_POINTS = 2 ** 17
@@ -98,16 +98,6 @@ class PointerReadout:
         return float(np.trapezoid(self.work_density()[mask], w[mask]))
 
 
-def _pointer_amplitude_parts(s: Scenario):
-    """Transition amplitudes t[m, n], state matrix r[n, n'], energies."""
-    dec_i = eig_hermitian(s.h_initial)
-    dec_f = eig_hermitian(s.h_final)
-    u = s.unitary()
-    t = dag(dec_f.eigenvectors) @ u @ dec_i.eigenvectors
-    r = dag(dec_i.eigenvectors) @ s.rho @ dec_i.eigenvectors
-    return t, r, dec_i.eigenvalues, dec_f.eigenvalues
-
-
 def gaussian_meter(s: Scenario, cfg: PointerConfig) -> PointerReadout:
     """Two-interaction work-meter readout density.
 
@@ -116,7 +106,7 @@ def gaussian_meter(s: Scenario, cfg: PointerConfig) -> PointerReadout:
     coherences between (n, n') are damped by exp(-g^2 (E_n - E_n')^2 / 8 s^2).
     """
     g, spread = cfg.coupling, cfg.spread
-    t, r, e_i, e_f = _pointer_amplitude_parts(s)
+    b, e_i, e_f = _transition_kernel(s)
     centers = g * (e_f[:, None] - e_i[None, :])  # centers[m, n]
     lo, hi = centers.min(), centers.max()
     if lo - _COVER_SIGMAS * spread < cfg.x_min or hi + _COVER_SIGMAS * spread > cfg.x_max:
@@ -129,7 +119,6 @@ def gaussian_meter(s: Scenario, cfg: PointerConfig) -> PointerReadout:
     # phi[m, n, x]: initial Gaussian amplitude shifted to each centre
     phi = norm * np.exp(-((xs[None, None, :] - centers[:, :, None]) ** 2)
                         / (4.0 * spread ** 2))
-    b = np.einsum("mn,mo,no->mno", t, np.conj(t), r)
     density = np.einsum("mno,mnx,mox->x", b, phi, phi).real
     floor = float(density.min())
     if floor < -1e-12:

@@ -8,6 +8,7 @@ serialized to a JSON document with complex entries written as [re, im] pairs.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -226,6 +227,21 @@ class Scenario:
             if u.shape[0] != d:
                 raise ValidationError("DimMismatch", "evolution.U", f"dimension != dim={d}")
             object.__setattr__(self, "evolution", u)
+
+    def with_rho(self, rho, label: str = "") -> "Scenario":
+        """The same experiment on another initial state.
+
+        Only ``rho`` is validated.  H, H_final, the evolution and the compiled
+        unitary are shared with this scenario, which has validated them.
+        """
+        rho = require_density(rho, "rho")
+        if rho.shape[0] != self.dim:
+            raise ValidationError("DimMismatch", "rho",
+                                  f"dimension {rho.shape[0]} != dim={self.dim}")
+        out = copy.copy(self)
+        object.__setattr__(out, "rho", rho)
+        object.__setattr__(out, "label", label)
+        return out
 
     @property
     def is_driven(self) -> bool:

@@ -242,6 +242,19 @@ def work_operator(s: Scenario) -> tuple[np.ndarray, WorkDistribution]:
     return w_op, dist
 
 
+def _transition_kernel(s: Scenario):
+    """Kernel b[m, n, n'] = t[m, n] conj(t[m, n']) r[n, n'], initial and final energies.
+
+    t[m, n] = <E'_m|U|E_n> and r is rho in the initial energy eigenbasis; the
+    FCS quasi-probability and the Gaussian work meter both weight by b.
+    """
+    dec_i, dec_f, u = _eigensystems(s)
+    v_i = dec_i.eigenvectors
+    t = dag(dec_f.eigenvectors) @ u @ v_i
+    r = dag(v_i) @ s.rho @ v_i
+    return np.einsum("mn,mo,no->mno", t, np.conj(t), r), dec_i.eigenvalues, dec_f.eigenvalues
+
+
 def fcs_quasiprob(s: Scenario) -> WorkDistribution:
     """Full-counting-statistics quasi-probability.
 
@@ -249,12 +262,7 @@ def fcs_quasiprob(s: Scenario) -> WorkDistribution:
     transition kernel; conjugate (n, n') pairs share a work value, so the
     grouped weights must be real up to ``IMAG_RESIDUE_TOL``.
     """
-    dec_i, dec_f, u = _eigensystems(s)
-    v_i, e_i = dec_i.eigenvectors, dec_i.eigenvalues
-    v_f, e_f = dec_f.eigenvectors, dec_f.eigenvalues
-    t = dag(v_f) @ u @ v_i            # t[m, n] = <E'_m|U|E_n>
-    r = dag(v_i) @ s.rho @ v_i        # rho in the initial energy basis
-    q = np.einsum("mn,mo,no->mno", t, np.conj(t), r)
+    q, e_i, e_f = _transition_kernel(s)
     works = e_f[:, None, None] - (e_i[None, :, None] + e_i[None, None, :]) / 2.0
     # merge the complex weights so the imaginary residue is visible
     out_w, out_q = merge_atoms(works.ravel(), q.ravel())

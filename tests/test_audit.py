@@ -10,6 +10,16 @@ from qworklab.schemes import SchemeId, margenau_hill, tpm, tpm_povm
 from conftest import HADAMARD, PLUS, SZ, haar_unitary_np, random_hermitian_np
 
 
+def test_worst_keeps_the_first_maximum_and_builds_one_witness(monkeypatch):
+    built = []
+    monkeypatch.setattr(audit, "_witness_payload",
+                        lambda s, value, detail: built.append((s, value, detail)) or detail)
+    cases = [(0.1, "a", "first"), (0.3, "b", "second"), (0.3, "c", "tie"), (0.2, "d", "x")]
+    assert audit._worst(iter(cases)) == (0.3, "second", "second")
+    assert built == [("b", 0.3, "second")]
+    assert audit._worst([(0.0, "a", "zero")]) == (0.0, None, "")
+
+
 def test_tpm_c2_is_self_consistent():
     verdict = audit.check_c2(SchemeId.TPM, dim=2, n_samples=50, seed=0)
     assert verdict.status is audit.Status.SATISFIED

@@ -73,6 +73,35 @@ def test_eig_rejects_non_hermitian():
         la.eig_hermitian(np.array([[np.nan, 0], [0, 0]], dtype=complex))
 
 
+def test_eig_validates_a_new_matrix_of_a_cached_shape():
+    h = random_hermitian_np(3, np.random.default_rng(11))
+    la.eig_hermitian(h)
+    bad = h.copy()
+    bad[0, 1] += 1.0
+    with pytest.raises(ValidationError):
+        la.eig_hermitian(bad)
+
+
+def test_eig_cache_key_holds_the_full_shape():
+    h = random_hermitian_np(4, np.random.default_rng(12))
+    la.eig_hermitian(h)
+    stack = h.reshape(4, 2, 2)
+    assert stack.tobytes() == h.tobytes()
+    with pytest.raises(ValidationError):
+        la.eig_hermitian(stack)
+
+
+def test_eig_cache_evicts_only_the_oldest_entry():
+    la._EIG_CACHE.clear()
+    mats = [np.diag([0.0, k + 1.0]).astype(complex) for k in range(la._EIG_CACHE_CAP + 1)]
+    for m in mats:
+        la.eig_hermitian(m)
+    assert len(la._EIG_CACHE) == la._EIG_CACHE_CAP
+    keys = [repr(m.shape).encode() + m.tobytes() for m in mats]
+    assert keys[0] not in la._EIG_CACHE
+    assert all(k in la._EIG_CACHE for k in keys[1:])
+
+
 def test_projectors_cluster_degenerate_eigenvalues():
     h = np.diag([1.0, 1.0 + 1e-12, 3.0]).astype(complex)
     projs = la.eig_hermitian(h).projectors()

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from qworklab import scenario as scenario_mod
+from qworklab.audit import random_nondegenerate_hermitian
 from qworklab.errors import ParseError, ValidationError
-from qworklab.linalg import max_abs
+from qworklab.linalg import HERMITICITY_TOL, max_abs, random_density, random_unitary
 from qworklab.scenario import (
     DrivingProtocol,
     Scenario,
@@ -15,6 +17,7 @@ from qworklab.scenario import (
     serialize_scenario,
     time_reversed,
 )
+from qworklab.schemes import tpm
 
 from conftest import HADAMARD, PLUS, SX, SZ
 
@@ -108,6 +111,61 @@ def test_protocol_endpoint_mismatch_rejected():
     with pytest.raises(ValidationError) as err:
         Scenario(dim=2, h_initial=SZ, h_final=SZ, evolution=proto, rho=PLUS)
     assert err.value.kind == "EndpointMismatch"
+
+
+def test_scenario_at_energy_scale_1e6_is_accepted():
+    rng = np.random.default_rng(2)
+    h, hf = random_nondegenerate_hermitian(3, rng), random_nondegenerate_hermitian(3, rng)
+    u, rho = random_unitary(3, rng), random_density(3, rng)
+    # scaled by 1e6, both draws carry rounding defects above the unscaled limit
+    for m in (1e6 * h, 1e6 * hf):
+        assert max_abs(m - m.conj().T) > HERMITICITY_TOL
+    s = Scenario(dim=3, h_initial=h, h_final=hf, evolution=u, rho=rho)
+    big = Scenario(dim=3, h_initial=1e6 * h, h_final=1e6 * hf, evolution=u, rho=rho)
+    assert tpm(big)[0].mean() == pytest.approx(1e6 * tpm(s)[0].mean(), rel=1e-9)
+
+
+# --- with_rho --------------------------------------------------------------------
+
+def test_with_rho_shares_the_experiment(hadamard_scenario):
+    rho = np.diag([0.7, 0.3]).astype(complex)
+    s = hadamard_scenario.with_rho(rho, "diagonal")
+    assert s.h_initial is hadamard_scenario.h_initial
+    assert s.h_final is hadamard_scenario.h_final
+    assert s.evolution is hadamard_scenario.evolution
+    assert s.label == "diagonal"
+    np.testing.assert_array_equal(s.rho, rho)
+    assert hadamard_scenario.label == "hadamard-plus"
+    np.testing.assert_array_equal(hadamard_scenario.rho, PLUS)
+
+
+def test_with_rho_compiles_a_driven_unitary_once(monkeypatch):
+    calls = []
+    real = scenario_mod.compile_unitary
+
+    def counting(protocol, grid=None):
+        calls.append(protocol)
+        return real(protocol, grid)
+
+    monkeypatch.setattr(scenario_mod, "compile_unitary", counting)
+    proto = DrivingProtocol(((0.0, SZ), (1.0, SZ + 0.7 * SX)), 16)
+    s = Scenario(dim=2, h_initial=SZ, h_final=SZ + 0.7 * SX, evolution=proto, rho=PLUS)
+    first = s.with_rho(np.diag([0.8, 0.2]).astype(complex))
+    u = s.unitary()
+    second = s.with_rho(np.diag([0.1, 0.9]).astype(complex))
+    assert first.unitary() is u and second.unitary() is u
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("rho, kind", [
+    (np.diag([0.9, 0.0]), "NotDensity"),
+    (np.eye(3) / 3.0, "DimMismatch"),
+])
+def test_with_rho_validates_the_state(hadamard_scenario, rho, kind):
+    with pytest.raises(ValidationError) as err:
+        hadamard_scenario.with_rho(rho)
+    assert err.value.kind == kind
+    assert err.value.path == "rho"
 
 
 def test_protocol_time_validation():

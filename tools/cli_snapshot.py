@@ -1,0 +1,149 @@
+"""Write a fixed, seeded set of qworklab CLI outputs into a directory.
+
+Two checkouts that should behave the same are compared by snapshotting each
+and diffing the directories:
+
+    python3 tools/cli_snapshot.py /tmp/snap-a --src /path/to/checkout-a/src
+    python3 tools/cli_snapshot.py /tmp/snap-b --src /path/to/checkout-b/src
+    diff -r /tmp/snap-a /tmp/snap-b
+
+``--src`` defaults to the ``src`` directory next to this script.  The script
+uses the standard library only: the scenario files are generated with
+``random`` from fixed seeds, and every command runs in its own
+``python -m qworklab.cli`` process with the output directory as working
+directory, so no output holds an absolute path.  Each command's stdout goes
+to ``<name>.out``; ``exit_codes.txt`` lists every command with its exit code
+and its stderr.  A full snapshot takes about 25 s on one core.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+SCHEMES = ("tpm", "operator-of-work", "fcs", "margenau-hill", "consistent-histories",
+           "state-dependent", "sub-ensemble", "collective-two-copy")
+
+
+def _ginibre(dim: int, rng: random.Random) -> list[list[complex]]:
+    return [[complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(dim)]
+            for _ in range(dim)]
+
+
+def _hermitian(dim: int, rng: random.Random) -> list[list[complex]]:
+    g = _ginibre(dim, rng)
+    return [[(g[i][j] + g[j][i].conjugate()) / 2.0 for j in range(dim)] for i in range(dim)]
+
+
+def _unitary(dim: int, rng: random.Random) -> list[list[complex]]:
+    """Modified Gram-Schmidt on the columns of a complex Gaussian matrix."""
+    g = _ginibre(dim, rng)
+    cols: list[list[complex]] = []
+    for k in range(dim):
+        v = [g[i][k] for i in range(dim)]
+        for q in cols:
+            dot = sum(q[i].conjugate() * v[i] for i in range(dim))
+            v = [v[i] - dot * q[i] for i in range(dim)]
+        norm = math.sqrt(sum(abs(x) ** 2 for x in v))
+        cols.append([x / norm for x in v])
+    return [[cols[j][i] for j in range(dim)] for i in range(dim)]
+
+
+def _density(dim: int, rng: random.Random) -> list[list[complex]]:
+    g = _ginibre(dim, rng)
+    w = [[sum(g[i][k] * g[j][k].conjugate() for k in range(dim)) for j in range(dim)]
+         for i in range(dim)]
+    tr = sum(w[i][i].real for i in range(dim))
+    return [[z / tr for z in row] for row in w]
+
+
+def _pairs(m: list[list[complex]]) -> list:
+    return [[[z.real, z.imag] for z in row] for row in m]
+
+
+def scenario_docs(dim: int, seed: int) -> tuple[dict, dict]:
+    """A unitary and a driven scenario document on the same H, H_final and rho."""
+    rng = random.Random(seed)
+    h, hf = _hermitian(dim, rng), _hermitian(dim, rng)
+    u, rho = _unitary(dim, rng), _density(dim, rng)
+    base = {"dim": dim, "H": _pairs(h), "H_final": _pairs(hf), "rho": _pairs(rho)}
+    unitary = dict(base, label=f"snapshot-d{dim}",
+                   evolution={"type": "unitary", "U": _pairs(u)})
+    driven = dict(base, label=f"snapshot-d{dim}-driven",
+                  evolution={"type": "protocol", "steps_per_segment": 16,
+                             "breakpoints": [{"t": 0.0, "H": _pairs(h)},
+                                             {"t": 1.0, "H": _pairs(hf)}]})
+    return unitary, driven
+
+
+def commands() -> list[tuple[str, list[str]]]:
+    """(name, CLI arguments) for every snapshot entry, in a fixed order."""
+    runs: list[tuple[str, list[str]]] = []
+    for dim in (2, 3, 4):
+        for scheme in SCHEMES:
+            kind = "driven" if scheme == "consistent-histories" else "unitary"
+            for fmt in ("csv", "json"):
+                runs.append((f"dist-{scheme}-d{dim}-{fmt}",
+                             ["dist", "--scheme", scheme, "--scenario",
+                              f"scenarios/d{dim}-{kind}.json", "--format", fmt]))
+    runs.append(("dist-sub-ensemble-d3-members5",
+                 ["dist", "--scheme", "sub-ensemble", "--scenario", "scenarios/d3-unitary.json",
+                  "--members", "5", "--seed", "3"]))
+    runs.append(("table1-d2-s100", ["table1", "--dim", "2", "--samples", "100"]))
+    for dim in (2, 3):
+        runs.append((f"nogo-d{dim}", ["nogo", "--dim", str(dim)]))
+    for seed in (0, 1, 2):
+        runs.append((f"witness-b500-seed{seed}",
+                     ["witness", "--budget", "500", "--seed", str(seed)]))
+    for scheme in SCHEMES:
+        for dim in (2, 3):
+            runs.append((f"audit-{scheme}-d{dim}",
+                         ["audit", "--scheme", scheme, "--dim", str(dim), "--samples", "40"]))
+    for dim in (2, 3):
+        runs.append((f"collective-d{dim}", ["collective", "--dim", str(dim), "--samples", "40"]))
+    runs.append(("thermo-s50", ["thermo", "--samples", "50"]))
+    for fmt in ("csv", "json"):
+        runs.append((f"pointer-sweep-d2-{fmt}",
+                     ["pointer-sweep", "--scenario", "scenarios/d2-unitary.json",
+                      "--format", fmt]))
+        runs.append((f"pointer-density-d2-{fmt}",
+                     ["pointer-sweep", "--scenario", "scenarios/d2-unitary.json",
+                      "--density", "--format", fmt]))
+    return runs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", help="directory to write the snapshot into")
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="directory holding the qworklab package to run")
+    args = parser.parse_args(argv)
+
+    out = Path(args.out)
+    (out / "scenarios").mkdir(parents=True, exist_ok=True)
+    for dim in (2, 3, 4):
+        unitary, driven = scenario_docs(dim, seed=1000 + dim)
+        for kind, doc in (("unitary", unitary), ("driven", driven)):
+            (out / "scenarios" / f"d{dim}-{kind}.json").write_text(json.dumps(doc, indent=1))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    status = []
+    for name, cli_args in commands():
+        proc = subprocess.run([sys.executable, "-m", "qworklab.cli", *cli_args], cwd=out,
+                              env=env, capture_output=True, text=True)
+        (out / f"{name}.out").write_text(proc.stdout)
+        status.append(f"{name} exit={proc.returncode} {proc.stderr.strip()}".rstrip())
+        print(status[-1], flush=True)
+    (out / "exit_codes.txt").write_text("\n".join(status) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
