@@ -57,6 +57,9 @@ SATISFIED_TOL = 1e-7
 VIOLATION_FLOOR = 1e-3
 RECONSTRUCTION_TOL = 1e-6
 DEFAULT_CH_STEPS = 6
+SAMPLE_PROTOCOL_STEPS = 16  # steps per segment of a sampled driving protocol
+N_VALIDATION = 100          # fresh states checked by each POVM reconstruction
+N_NOGO_SAMPLES = 100        # diagonal states checked against the forced POVM
 WITNESS_TIE_TOL = 1e-12  # a witness candidate must improve on the best by more than this
 # (coupling, spread) of the survey table's strong and weak Gaussian work meters
 POINTER_STRONG = (40.0, 1.0)
@@ -123,13 +126,12 @@ def _diagonal_probabilities(dim: int, rng) -> np.ndarray:
     return raw / raw.sum()
 
 
-def sample_scenario(dim: int, rng, coherent: bool = True, driven: bool = False,
-                    steps: int = 16, label: str = "") -> Scenario:
+def sample_scenario(dim: int, rng, coherent: bool = True, driven: bool = False) -> Scenario:
     h = random_nondegenerate_hermitian(dim, rng)
     hf = random_nondegenerate_hermitian(dim, rng)
     if driven:
         evolution: np.ndarray | DrivingProtocol = DrivingProtocol(
-            ((0.0, h), (1.0, hf)), steps)
+            ((0.0, h), (1.0, hf)), SAMPLE_PROTOCOL_STEPS)
     else:
         evolution = random_unitary(dim, rng)
     if coherent:
@@ -137,8 +139,7 @@ def sample_scenario(dim: int, rng, coherent: bool = True, driven: bool = False,
     else:
         v = eig_hermitian(h).eigenvectors
         rho = (v * _diagonal_probabilities(dim, rng)) @ dag(v)
-    return Scenario(dim=dim, h_initial=h, h_final=hf, evolution=evolution,
-                    rho=rho, label=label)
+    return Scenario(dim=dim, h_initial=h, h_final=hf, evolution=evolution, rho=rho)
 
 
 # --- canonical probe instances (seed-independent regression witnesses) -------
@@ -281,8 +282,8 @@ def check_c2(scheme: SchemeId | str, dim: int = 2, n_samples: int = 200,
                    notes=f"{len(probes) + n_samples} diagonal-state scenarios, dim {dim}")
 
 
-def _ch_step_ladder(dim: int, top: int = 16) -> list[int]:
-    ks = [k for k in (4, 8, 16) if dim ** (k + 1) <= 2 ** 18 and k <= top]
+def _ch_step_ladder(dim: int) -> list[int]:
+    ks = [k for k in (4, 8, 16) if dim ** (k + 1) <= 2 ** 18]
     return ks if len(ks) >= 2 else [4, 8]
 
 
@@ -388,18 +389,22 @@ def informationally_complete_states(dim: int) -> list[np.ndarray]:
     return states
 
 
-def reconstruct_povm(scheme: SchemeId | str, h, h_final, u, seed: int = 0,
-                     n_validation: int = 100) -> Povm:
+def _hits(dist: WorkDistribution, support: np.ndarray, tol: float) -> np.ndarray:
+    """Hit matrix, shape (support, atoms): atom n of ``dist`` lies within ``tol`` of value k."""
+    return np.abs(dist.works[None, :] - support[:, None]) <= tol
+
+
+def reconstruct_povm(scheme: SchemeId | str, h, h_final, u, seed: int = 0) -> Povm:
     """Solve for state-independent operators reproducing the scheme.
 
     Evaluates the scheme on an informationally complete set of d^2 states,
-    inverts the linear system for one operator per merged work value, and
-    validates the reconstruction on fresh random states.  Raises
-    :class:`NotLinear` when the validation residual exceeds 1e-6.
+    inverts the linear system for one operator per merged work value (one
+    right-hand side each), and validates the reconstruction on fresh random
+    states.  Raises :class:`NotLinear` when the validation residual exceeds 1e-6.
     """
     scheme = SchemeId(scheme)
     dim = np.shape(h)[0]
-    states = informationally_complete_states(dim)
+    states = np.array(informationally_complete_states(dim))
     base = Scenario(dim=dim, h_initial=h, h_final=h_final, evolution=u, rho=states[0])
 
     def run(rho: np.ndarray) -> WorkDistribution:
@@ -408,28 +413,23 @@ def reconstruct_povm(scheme: SchemeId | str, h, h_final, u, seed: int = 0,
     dists = [run(rho) for rho in states]
     support, _ = merge_atoms(np.concatenate([d.works for d in dists]),
                              np.concatenate([d.weights for d in dists]))
-    y = np.array([[d.weight_at(w) for w in support] for d in dists])
-    m = np.array([rho.T.ravel() for rho in states])
-    elements = []
-    for col, w in enumerate(support):
-        vec, *_ = np.linalg.lstsq(m, y[:, col], rcond=None)
-        op = vec.reshape(dim, dim)
-        elements.append((float(w), (op + dag(op)) / 2.0))
-    povm = Povm(elements=tuple(elements))
+    y = np.array([_hits(d, support, W_MERGE_TOL) @ d.weights for d in dists])
+    # Tr(rho X) = sum_ij rho_ji X_ij: row r of the system is rho_r transposed, flattened
+    x, *_ = np.linalg.lstsq(states.swapaxes(1, 2).reshape(len(states), -1), y, rcond=None)
+    ops = x.T.reshape(-1, dim, dim)
+    ops = (ops + dag(ops)) / 2.0
+    povm = Povm(elements=tuple(zip(support.tolist(), ops)))
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
     residual = 0.0
-    for _ in range(n_validation):
+    for _ in range(N_VALIDATION):
         rho = random_density(dim, rng)
         actual = run(rho)
-        matched = np.zeros(len(actual.works), dtype=bool)
-        for w, op in povm.elements:
-            predicted = float(np.trace(rho @ op).real)
-            hit = np.abs(actual.works - w) <= W_MERGE_TOL + 1e-12
-            matched |= hit
-            residual = max(residual, abs(predicted - float(actual.weights[hit].sum())))
-        stray = float(np.abs(actual.weights[~matched]).sum())
-        residual = max(residual, stray)
+        predicted = np.einsum("ij,kji->k", rho, ops).real
+        hit = _hits(actual, support, W_MERGE_TOL + 1e-12)
+        stray = float(np.abs(actual.weights[~hit.any(axis=0)]).sum())
+        residual = max(residual, stray,
+                       float(np.abs(predicted - hit @ actual.weights).max(initial=0.0)))
     if residual > RECONSTRUCTION_TOL:
         raise NotLinear(residual)
     return povm
@@ -468,7 +468,7 @@ def _povm_gap(a: Povm, b: Povm) -> float:
     return max_abs(merge_atoms(labels, np.array(signed))[1])
 
 
-def demonstrate_nogo(dim: int = 2, seed: int = 0, n_samples: int = 100) -> NogoReport:
+def demonstrate_nogo(dim: int = 2, seed: int = 0) -> NogoReport:
     """Numerical demonstration that C1, C2 and C3 cannot all hold.
 
     (i) Restricting a C1+C2-satisfying protocol to its diagonal-state
@@ -490,11 +490,8 @@ def demonstrate_nogo(dim: int = 2, seed: int = 0, n_samples: int = 100) -> NogoR
 
     # diagonal-state behaviour fixes the diagonal of each element; C1+C2 force
     # the off-diagonal part to vanish, leaving exactly these operators
-    coeff = np.zeros((dim, len(support)))
-    for i in range(dim):
-        d_i = tpm(ref.with_rho(projector(basis[:, i])))[0]
-        for col, w in enumerate(support):
-            coeff[i, col] = d_i.weight_at(w)
+    coeff = np.array([_hits(d, support, W_MERGE_TOL) @ d.weights
+                      for d in (tpm(ref.with_rho(projector(v)))[0] for v in basis.T)])
     forced = Povm(elements=tuple(
         (float(w), (basis * coeff[:, col]) @ dag(basis))
         for col, w in enumerate(support)))
@@ -504,7 +501,7 @@ def demonstrate_nogo(dim: int = 2, seed: int = 0, n_samples: int = 100) -> NogoR
     tomo_gap = _povm_gap(tomo, analytic)
 
     c2_residual = 0.0
-    for _ in range(n_samples):
+    for _ in range(N_NOGO_SAMPLES):
         p = _diagonal_probabilities(dim, rng)
         rho_d = (basis * p) @ dag(basis)
         d_ref = tpm(ref.with_rho(rho_d))[0]

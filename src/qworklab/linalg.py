@@ -1,12 +1,13 @@
 """Dense complex linear algebra and quantum-state utilities.
 
-Everything here works on plain ``numpy`` complex arrays.  The ``require_*``
-functions validate operators and return a defensive complex128 copy; they
-run when an input type (``Scenario``, ``DrivingProtocol``, ``ThermalContext``)
-is constructed and, inside ``eig_hermitian``, on a cache miss only.
-Downstream code treats validated arrays as immutable.  The eigensolver is a
-cyclic Jacobi iteration written for small dense Hermitian matrices
-(dimension <= 64), favouring robustness and determinism over speed.
+Everything here works on plain ``numpy`` complex arrays in any memory layout.
+The ``require_*`` functions validate operators and return a defensive complex128
+copy; they run when an input type (``Scenario``, ``DrivingProtocol``,
+``ThermalContext``) is constructed and, inside ``eig_hermitian``, on a cache
+miss only.  Downstream code treats validated arrays as immutable.  The
+eigensolver is a cyclic Jacobi iteration written for small dense Hermitian
+matrices (dimension <= 64), favouring robustness and determinism over speed;
+``SpectralDecomposition.eigenspaces()`` is the one form of its eigenspaces.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValidationError("DimMismatch", name, f"expected a matrix, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr.view(np.float64))):
+    if not np.isfinite(arr).all():
         raise ValidationError("DimMismatch", name, "entries must be finite (no NaN/Inf)")
     return arr
 
@@ -84,7 +85,7 @@ def require_density(m, name: str = "state") -> np.ndarray:
     tr = complex(np.trace(arr))
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise ValidationError("NotDensity", name, f"trace = {tr:.12g}, expected 1")
-    lo = float(eig_hermitian(arr).eigenvalues[0])
+    lo = float(_eig(arr, validated=True).eigenvalues[0])
     if lo < -DENSITY_EIG_TOL:
         raise ValidationError("NotDensity", name, f"min eigenvalue {lo:.3e} < -{DENSITY_EIG_TOL}")
     return arr
@@ -111,18 +112,19 @@ class SpectralDecomposition:
         v = self.eigenvectors
         return (v * fn(self.eigenvalues)) @ dag(v)
 
-    def projectors(self) -> list[tuple[float, np.ndarray]]:
-        """Eigenspace projectors, clustering eigenvalues closer than ``DEGENERACY_GAP``.
+    def eigenspaces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenspaces, clustering eigenvalues closer than ``DEGENERACY_GAP``.
 
-        Degenerate eigenvector orientations are solver-dependent, so any
-        consumer facing possible degeneracies must work with these projectors
-        rather than raw columns.  Cluster label is the mean eigenvalue.
+        Returns the cluster mean eigenvalues, ascending, shape (k,), and their
+        projectors stacked with shape (k, d, d).  Degenerate eigenvector
+        orientations are solver-dependent, so any consumer facing possible
+        degeneracies must work with these projectors rather than raw columns.
         """
         vals = self.eigenvalues
-        bounds = np.append(_chain_starts(vals, DEGENERACY_GAP), vals.size)
-        blocks = [self.eigenvectors[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-        means = np.add.reduceat(vals, bounds[:-1]) / np.diff(bounds)
-        return [(m, block @ dag(block)) for m, block in zip(means.tolist(), blocks)]
+        starts = _chain_starts(vals, DEGENERACY_GAP)
+        labels = np.add.reduceat(vals, starts) / np.diff(np.append(starts, vals.size))
+        blocks = np.split(self.eigenvectors, starts[1:], axis=1)
+        return labels, np.array([block @ dag(block) for block in blocks])
 
 
 def _chain_starts(sorted_vals: np.ndarray, gap: float) -> np.ndarray:
@@ -205,12 +207,17 @@ def eig_hermitian(op) -> SpectralDecomposition:
     The input is validated only on a cache miss: the key holds the full shape
     and the bytes, so a hit is a matrix that was validated when it was solved.
     """
-    arr = np.asarray(op, dtype=np.complex128)
+    return _eig(np.asarray(op, dtype=np.complex128), validated=False)
+
+
+def _eig(arr: np.ndarray, validated: bool) -> SpectralDecomposition:
+    """Cached solve of ``arr``; a miss validates it unless the caller already has."""
     key = repr(arr.shape).encode() + arr.tobytes()
     hit = _EIG_CACHE.get(key)
     if hit is not None:
         return hit
-    dec = SpectralDecomposition(*_jacobi(require_hermitian(arr), MAX_SWEEPS))
+    dec = SpectralDecomposition(*_jacobi(arr if validated else require_hermitian(arr),
+                                         MAX_SWEEPS))
     if len(_EIG_CACHE) >= _EIG_CACHE_CAP:
         del _EIG_CACHE[next(iter(_EIG_CACHE))]  # evict the oldest entry
     _EIG_CACHE[key] = dec
@@ -248,11 +255,8 @@ def dephase(rho, basis: SpectralDecomposition) -> np.ndarray:
     projectors, so the result does not depend on the orientation of
     eigenvectors inside a cluster.
     """
-    arr = require_square(rho)
-    out = np.zeros_like(arr)
-    for _, proj in basis.projectors():
-        out += proj @ arr @ proj
-    return out
+    proj = basis.eigenspaces()[1]
+    return (proj @ require_square(rho) @ proj).sum(axis=0)
 
 
 def von_neumann_entropy(rho) -> float:

@@ -196,13 +196,10 @@ def _eigensystems(s: Scenario):
 def _eigenspaces(s: Scenario):
     """(initial labels, initial projectors, final labels, final projectors, U).
 
-    Labels are eigenspace mean energies (ascending); projectors are stacked
-    with shape (n_eigenspaces, d, d).
+    Labels and stacked projectors as ``SpectralDecomposition.eigenspaces`` gives them.
     """
     dec_i, dec_f, u = _eigensystems(s)
-    init, fin = dec_i.projectors(), dec_f.projectors()
-    return (np.array([e for e, _ in init]), np.array([op for _, op in init]),
-            np.array([e for e, _ in fin]), np.array([op for _, op in fin]), u)
+    return (*dec_i.eigenspaces(), *dec_f.eigenspaces(), u)
 
 
 def _joint_table(s: Scenario, initial_op) -> JointWorkTable:
@@ -233,11 +230,8 @@ def work_operator(s: Scenario) -> tuple[np.ndarray, WorkDistribution]:
     u = s.unitary()
     w_op = dag(u) @ s.h_final @ u - s.h_initial
     w_op = (w_op + dag(w_op)) / 2.0
-    dec = eig_hermitian(w_op)
-    works, weights = [], []
-    for val, proj in dec.projectors():
-        works.append(val)
-        weights.append(float(np.trace(proj @ s.rho).real))
+    works, proj = eig_hermitian(w_op).eigenspaces()
+    weights = np.einsum("kij,ji->k", proj, s.rho).real
     dist = WorkDistribution.from_atoms(works, weights, SchemeId.OPERATOR_OF_WORK, is_quasi=False)
     return w_op, dist
 
@@ -319,13 +313,22 @@ def consistent_histories(s: Scenario, k_steps: int) -> WorkDistribution:
         t_j, u_j = records[j]
         x_op = dag(u_j) @ protocol.derivative_at(t_j) @ u_j
         x_op = (x_op + dag(x_op)) / 2.0
-        clusters = eig_hermitian(x_op).projectors()
-        prods = np.concatenate([np.einsum("ij,njk->nik", proj, prods)
-                                for _, proj in clusters])
-        works = np.concatenate([works + val * dt for val, _ in clusters])
+        vals, proj = eig_hermitian(x_op).eigenspaces()
+        # cluster-major: history (c, n) follows every history n through cluster c
+        prods = np.einsum("cij,njk->cnik", proj, prods).reshape(-1, d, d)
+        works = (works[None, :] + vals[:, None] * dt).ravel()
     weights = np.einsum("nij,ji->n", prods, s.rho).real
     return WorkDistribution.from_atoms(works, weights, SchemeId.CONSISTENT_HISTORIES,
                                        is_quasi=True)
+
+
+def _expectations(states: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Re <psi_n|O_k|psi_n> for state rows psi_n and a stack of operators O_k, shape (n, k).
+
+    Each term is (<psi_n| O_k) |psi_n>, one vector product per term as a loop over
+    states would do, so the values match that loop to the last bit.
+    """
+    return (np.conj(states)[:, None, None, :] @ ops @ states[:, None, :, None])[:, :, 0, 0].real
 
 
 def state_dependent(s: Scenario) -> WorkDistribution:
@@ -338,26 +341,15 @@ def state_dependent(s: Scenario) -> WorkDistribution:
     dec_rho = eig_hermitian(s.rho)
     lam = dec_rho.eigenvalues
     if np.any(np.diff(lam) < DEGENERACY_GAP):
-        warnings.warn(
-            "rho has (near-)degenerate eigenvalues; its eigenbasis is ambiguous",
-            DegenerateRhoWarning,
-            stacklevel=2,
-        )
-    dec_f = eig_hermitian(s.h_final)
-    fin = dec_f.projectors()
-    u = s.unitary()
-    works, weights = [], []
-    for a in range(lam.size):
-        if lam[a] <= EIG_FLOOR:
-            continue
-        phi = dec_rho.eigenvectors[:, a]
-        e_a = float((np.conj(phi) @ s.h_initial @ phi).real)
-        evolved = u @ phi
-        for e_j, q in fin:
-            works.append(e_j - e_a)
-            weights.append(float(lam[a]) * float((np.conj(evolved) @ q @ evolved).real))
-    return WorkDistribution.from_atoms(works, weights, SchemeId.STATE_DEPENDENT,
-                                       is_quasi=False)
+        warnings.warn("rho has (near-)degenerate eigenvalues; its eigenbasis is ambiguous",
+                      DegenerateRhoWarning, stacklevel=2)
+    keep = lam > EIG_FLOOR
+    phi = dec_rho.eigenvectors[:, keep].T  # rows are the kept eigenstates
+    e_a = _expectations(phi, s.h_initial[None])[:, 0]
+    e_f, q = eig_hermitian(s.h_final).eigenspaces()
+    weights = lam[keep][:, None] * _expectations((s.unitary() @ phi[:, :, None])[..., 0], q)
+    return WorkDistribution.from_atoms((e_f[None, :] - e_a[:, None]).ravel(), weights.ravel(),
+                                       SchemeId.STATE_DEPENDENT, is_quasi=False)
 
 
 def spectral_pure_decomposition(rho: np.ndarray) -> PureDecomposition:
@@ -398,13 +390,8 @@ def sub_ensemble(s: Scenario, decomp: PureDecomposition) -> WorkDistribution:
     """One work atom per decomposition member: its mean energy change."""
     decomp.check_against(s.rho)
     u = s.unitary()
-    h_evolved = dag(u) @ s.h_final @ u
-    works = []
-    for psi in decomp.states:
-        e_out = float((np.conj(psi) @ h_evolved @ psi).real)
-        e_in = float((np.conj(psi) @ s.h_initial @ psi).real)
-        works.append(e_out - e_in)
-    return WorkDistribution.from_atoms(works, decomp.weights, SchemeId.SUB_ENSEMBLE,
+    e_out, e_in = _expectations(decomp.states, np.array([dag(u) @ s.h_final @ u, s.h_initial])).T
+    return WorkDistribution.from_atoms(e_out - e_in, decomp.weights, SchemeId.SUB_ENSEMBLE,
                                        is_quasi=False)
 
 

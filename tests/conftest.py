@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qworklab.linalg import DEGENERACY_GAP
 from qworklab.scenario import Scenario
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -31,3 +32,41 @@ def random_density_np(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     w = g @ g.conj().T
     return w / np.trace(w).real
+
+
+def projector_pairs(dec, gap=DEGENERACY_GAP):
+    """Plain-loop reference eigenspaces: (mean eigenvalue, projector) per run of
+    ascending eigenvalues whose adjacent gaps are <= gap."""
+    vals, vecs = dec.eigenvalues, dec.eigenvectors
+    pairs, start = [], 0
+    for k in range(1, vals.size + 1):
+        if k == vals.size or vals[k] - vals[k - 1] > gap:
+            block = vecs[:, start:k]
+            pairs.append((float(np.mean(vals[start:k])), block @ block.conj().T))
+            start = k
+    return pairs
+
+
+_DEGENERATE_LEVELS = np.array([1.0, 1.0, 2.0, 3.0])  # first dim of them: one two-fold level
+
+
+def degenerate_hermitian(dim, rng):
+    """diag(1, 1, 2, 3)[:dim] in a random basis: a two-fold degenerate eigenspace."""
+    v = haar_unitary_np(dim, rng)
+    return (v * _DEGENERATE_LEVELS[:dim]) @ v.conj().T
+
+
+def degenerate_w_triple(dim, rng):
+    """(H, H_final, U) sharing one random eigenbasis, with U^dag H_final U - H degenerate.
+
+    H is a non-degenerate ladder and U^dag H_final U - H = diag(1, 1, 2, 3)[:dim]
+    in that basis.
+    """
+    v = haar_unitary_np(dim, rng)
+
+    def rotate(diag):
+        return (v * diag) @ v.conj().T
+
+    ladder = np.arange(dim, dtype=float)
+    return (rotate(ladder), rotate(ladder + _DEGENERATE_LEVELS[:dim]),
+            rotate(np.exp(1j * rng.random(dim))))

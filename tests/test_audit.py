@@ -5,9 +5,17 @@ from qworklab import audit
 from qworklab.errors import NotLinear
 from qworklab.linalg import max_abs, projector
 from qworklab.scenario import Scenario, mean_energy_change, parse_scenario, serialize_scenario
-from qworklab.schemes import SchemeId, margenau_hill, tpm, tpm_povm
+from qworklab.schemes import SchemeId, margenau_hill, merge_atoms, tpm, tpm_povm
 
-from conftest import HADAMARD, PLUS, SZ, haar_unitary_np, random_hermitian_np
+from conftest import (
+    HADAMARD,
+    PLUS,
+    SZ,
+    degenerate_hermitian,
+    degenerate_w_triple,
+    haar_unitary_np,
+    random_hermitian_np,
+)
 
 
 def test_worst_keeps_the_first_maximum_and_builds_one_witness(monkeypatch):
@@ -132,6 +140,40 @@ def test_every_c1_satisfier_reconstructs_on_held_out_states():
     for scheme in (SchemeId.TPM, SchemeId.OPERATOR_OF_WORK):
         povm = audit.reconstruct_povm(scheme, h, hf, u, seed=1)
         povm.check(eig_tol=1e-8, sum_tol=1e-8)
+
+
+def reconstruct_povm_loop(scheme, h, hf, u):
+    """Per-work-value reference: one least-squares solve and one hermitisation per value."""
+    dim = h.shape[0]
+    states = audit.informationally_complete_states(dim)
+    base = Scenario(dim=dim, h_initial=h, h_final=hf, evolution=u, rho=states[0])
+    dists = [audit._scheme_dist(scheme, base.with_rho(rho), audit.DEFAULT_CH_STEPS)
+             for rho in states]
+    support, _ = merge_atoms(np.concatenate([d.works for d in dists]),
+                             np.concatenate([d.weights for d in dists]))
+    y = np.array([[d.weight_at(w) for w in support] for d in dists])
+    m = np.array([rho.T.ravel() for rho in states])
+    elements = []
+    for col, w in enumerate(support):
+        vec, *_ = np.linalg.lstsq(m, y[:, col], rcond=None)
+        op = vec.reshape(dim, dim)
+        elements.append((float(w), (op + op.conj().T) / 2.0))
+    return elements
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_reconstruct_povm_matches_the_loop_reference(dim):
+    rng = np.random.default_rng(50 + dim)
+    h, hf, u = (random_hermitian_np(dim, rng), degenerate_hermitian(dim, rng),
+                haar_unitary_np(dim, rng))
+    cases = [(SchemeId.TPM, h, hf, u), (SchemeId.FCS, h, hf, u),
+             (SchemeId.OPERATOR_OF_WORK, *degenerate_w_triple(dim, rng))]
+    for scheme, *triple in cases:
+        povm = audit.reconstruct_povm(scheme, *triple, seed=0)
+        ref = reconstruct_povm_loop(scheme, *triple)
+        assert [w for w, _ in povm.elements] == [w for w, _ in ref]
+        for (_, op), (_, op_ref) in zip(povm.elements, ref):
+            assert max_abs(op - op_ref) <= 1e-14
 
 
 # --- no-go demonstration -------------------------------------------------------------

@@ -7,8 +7,15 @@ from hypothesis import strategies as st
 
 from qworklab import linalg as la
 from qworklab.errors import DimensionMismatch, NonConvergence, ValidationError
+from qworklab.scenario import Scenario
 
-from conftest import haar_unitary_np, random_density_np, random_hermitian_np
+from conftest import (
+    degenerate_hermitian,
+    haar_unitary_np,
+    projector_pairs,
+    random_density_np,
+    random_hermitian_np,
+)
 
 
 # --- eigensolver -----------------------------------------------------------
@@ -104,9 +111,89 @@ def test_eig_cache_evicts_only_the_oldest_entry():
 
 def test_projectors_cluster_degenerate_eigenvalues():
     h = np.diag([1.0, 1.0 + 1e-12, 3.0]).astype(complex)
-    projs = la.eig_hermitian(h).projectors()
+    _, projs = la.eig_hermitian(h).eigenspaces()
     assert len(projs) == 2
-    assert abs(np.trace(projs[0][1]).real - 2.0) < 1e-12
+    assert abs(np.trace(projs[0]).real - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_eigenspaces_and_dephase_match_the_loop_reference(dim):
+    rng = np.random.default_rng(40 + dim)
+    rho = random_density_np(dim, rng)
+    for h, n_spaces in ((random_hermitian_np(dim, rng), dim),
+                        (degenerate_hermitian(dim, rng), dim - 1)):
+        dec = la.eig_hermitian(h)
+        labels, projs = dec.eigenspaces()
+        pairs = projector_pairs(dec)
+        assert projs.shape == (n_spaces, dim, dim) and len(pairs) == n_spaces
+        np.testing.assert_allclose(labels, [e for e, _ in pairs], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(projs, [p for _, p in pairs], rtol=0, atol=1e-14)
+        dephased = sum(p @ rho @ p for _, p in pairs)
+        np.testing.assert_allclose(la.dephase(rho, dec), dephased, rtol=0, atol=1e-14)
+
+
+@given(levels=st.lists(st.sampled_from([-1.5, 0.0, 0.25, 2.0]), min_size=2, max_size=6),
+       seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_eigenspaces_ignore_rotations_inside_a_degenerate_eigenspace(levels, seed):
+    rng = np.random.default_rng(seed)
+    vals = np.sort(np.array(levels))
+    dim = vals.size
+    vecs = haar_unitary_np(dim, rng)
+    rotation = np.zeros((dim, dim), dtype=complex)
+    for value in np.unique(vals):
+        idx = np.flatnonzero(vals == value)
+        rotation[np.ix_(idx, idx)] = haar_unitary_np(idx.size, rng) if idx.size > 1 else 1.0
+    labels, projs = la.SpectralDecomposition(vals, vecs).eigenspaces()
+    labels_rot, projs_rot = la.SpectralDecomposition(vals, vecs @ rotation).eigenspaces()
+    np.testing.assert_array_equal(labels_rot, labels)
+    np.testing.assert_allclose(projs_rot, projs, rtol=0, atol=1e-12)
+
+
+# --- memory layout and single validation ---------------------------------------
+
+@pytest.mark.parametrize("layout", ["transposed", "fortran", "strided"])
+def test_non_contiguous_input_is_accepted(layout):
+    rng = np.random.default_rng(8)
+    h = random_hermitian_np(3, rng)
+    view = {"transposed": lambda: h.T,
+            "fortran": lambda: np.asfortranarray(h),
+            "strided": lambda: np.kron(h, np.ones((2, 2)))[::2, ::2]}[layout]()
+    assert not view.flags.c_contiguous
+    copy = np.ascontiguousarray(view)
+    la._EIG_CACHE.clear()
+    dec = la.eig_hermitian(view)
+    la._EIG_CACHE.clear()
+    np.testing.assert_array_equal(dec.eigenvalues, la.eig_hermitian(copy).eigenvalues)
+    np.testing.assert_array_equal(la.require_hermitian(view), copy)
+    rho = random_density_np(3, rng)
+    s = Scenario(dim=3, h_initial=view, h_final=view, evolution=np.eye(3), rho=rho.T)
+    np.testing.assert_array_equal(s.h_initial, copy)
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.inf), complex(np.inf, 1.0)],
+                         ids=["nan", "inf-imag", "inf-real"])
+def test_non_finite_entries_raise_dim_mismatch(bad):
+    for layout in (lambda m: m, lambda m: m.T, np.asfortranarray):
+        m = np.eye(3, dtype=complex)
+        m[0, 1] = bad
+        with pytest.raises(ValidationError) as err:
+            la.eig_hermitian(layout(m))
+        assert err.value.kind == "DimMismatch"
+
+
+def test_require_density_validates_a_fresh_state_once(monkeypatch):
+    calls = []
+    original = la.require_hermitian
+    monkeypatch.setattr(la, "require_hermitian",
+                        lambda m, name="operator": calls.append(name) or original(m, name))
+    la._EIG_CACHE.clear()
+    la.require_density(la.random_density(3, 5))
+    assert calls == ["state"]
+    bad = np.array([[0.5, 0.2], [0.0, 0.5]], dtype=complex)
+    with pytest.raises(ValidationError) as err:
+        la.require_density(bad, "rho")
+    assert (err.value.kind, err.value.path) == ("NotHermitian", "rho")
 
 
 # --- tensor / partial trace --------------------------------------------------

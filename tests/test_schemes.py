@@ -13,10 +13,28 @@ from qworklab.errors import (
     NotPositive,
     TrajectoryBudgetExceeded,
 )
-from qworklab.linalg import max_abs, projector, random_density, random_unitary
-from qworklab.scenario import DrivingProtocol, Scenario, mean_energy_change, time_reversed
+from qworklab.linalg import eig_hermitian, max_abs, projector, random_density, random_unitary
+from qworklab.scenario import (
+    DrivingProtocol,
+    Scenario,
+    compile_unitary,
+    mean_energy_change,
+    time_reversed,
+)
 
-from conftest import H01, HADAMARD, PLUS, SX, SZ, haar_unitary_np, random_density_np
+from conftest import (
+    H01,
+    HADAMARD,
+    PLUS,
+    SX,
+    SZ,
+    degenerate_hermitian,
+    degenerate_w_triple,
+    haar_unitary_np,
+    projector_pairs,
+    random_density_np,
+    random_hermitian_np,
+)
 
 RNG = np.random.default_rng(20240817)
 
@@ -560,3 +578,113 @@ def test_every_scheme_normalizes_to_one():
     dists.append(sch.consistent_histories(ramp, 6))
     for dist in dists:
         assert abs(float(dist.weights.sum()) - 1.0) <= 1e-9
+
+
+# --- stacked eigenspaces against per-atom loop references ---------------------------
+#
+# Each reference below is the one-atom-at-a-time form of a scheme, built on the
+# (label, projector) pairs of ``projector_pairs``.  The state-dependent and
+# sub-ensemble schemes keep the per-state vector products, so they must match
+# their references exactly; the others sum in another order (1e-14).
+
+def work_operator_loop(s):
+    u = s.unitary()
+    w_op = u.conj().T @ s.h_final @ u - s.h_initial
+    works, weights = [], []
+    for val, proj in projector_pairs(eig_hermitian((w_op + w_op.conj().T) / 2.0)):
+        works.append(val)
+        weights.append(float(np.trace(proj @ s.rho).real))
+    return sch.WorkDistribution.from_atoms(works, weights, sch.SchemeId.OPERATOR_OF_WORK, False)
+
+
+def state_dependent_loop(s):
+    dec_rho = eig_hermitian(s.rho)
+    u = s.unitary()
+    works, weights = [], []
+    for lam, phi in zip(dec_rho.eigenvalues, dec_rho.eigenvectors.T):
+        if lam <= sch.EIG_FLOOR:
+            continue
+        e_a = float((np.conj(phi) @ s.h_initial @ phi).real)
+        evolved = u @ phi
+        for e_j, q in projector_pairs(eig_hermitian(s.h_final)):
+            works.append(e_j - e_a)
+            weights.append(float(lam) * float((np.conj(evolved) @ q @ evolved).real))
+    return sch.WorkDistribution.from_atoms(works, weights, sch.SchemeId.STATE_DEPENDENT, False)
+
+
+def sub_ensemble_loop(s, decomp):
+    u = s.unitary()
+    h_evolved = u.conj().T @ s.h_final @ u
+    works = [float((np.conj(psi) @ h_evolved @ psi).real)
+             - float((np.conj(psi) @ s.h_initial @ psi).real) for psi in decomp.states]
+    return sch.WorkDistribution.from_atoms(works, decomp.weights, sch.SchemeId.SUB_ENSEMBLE,
+                                           False)
+
+
+def consistent_histories_loop(s, k_steps):
+    protocol = s.evolution
+    dt = protocol.duration / k_steps
+    _, records = compile_unitary(
+        protocol, grid=[protocol.duration * j / k_steps for j in range(k_steps + 1)])
+    prods = np.eye(s.dim, dtype=complex)[None]
+    works = np.zeros(1)
+    for t_j, u_j in records[1:-1]:
+        x_op = u_j.conj().T @ protocol.derivative_at(t_j) @ u_j
+        clusters = projector_pairs(eig_hermitian((x_op + x_op.conj().T) / 2.0))
+        prods = np.concatenate([np.einsum("ij,njk->nik", proj, prods) for _, proj in clusters])
+        works = np.concatenate([works + val * dt for val, _ in clusters])
+    weights = np.einsum("nij,ji->n", prods, s.rho).real
+    return sch.WorkDistribution.from_atoms(works, weights, sch.SchemeId.CONSISTENT_HISTORIES,
+                                           True)
+
+
+def loop_reference_scenarios(kind, driven=False):
+    """One scenario per d = 2, 3, 4: generic, with a degenerate H_final, or a degenerate W."""
+    rng = np.random.default_rng({"generic": 71, "degenerate-final": 72, "degenerate-w": 73}[kind])
+    out = []
+    for dim in (2, 3, 4):
+        h, hf, u = random_hermitian_np(dim, rng), random_hermitian_np(dim, rng), None
+        if kind == "degenerate-final":
+            hf = degenerate_hermitian(dim, rng)
+        elif kind == "degenerate-w":
+            h, hf, u = degenerate_w_triple(dim, rng)
+        evolution = (DrivingProtocol(((0.0, h), (1.0, hf)), 16) if driven
+                     else haar_unitary_np(dim, rng) if u is None else u)
+        out.append(Scenario(dim=dim, h_initial=h, h_final=hf, evolution=evolution,
+                            rho=random_density_np(dim, rng)))
+    return out
+
+
+def assert_same_atoms(got, ref, atol=1e-14):
+    assert got.works.shape == ref.works.shape
+    np.testing.assert_allclose(got.works, ref.works, rtol=0, atol=atol)
+    np.testing.assert_allclose(got.weights, ref.weights, rtol=0, atol=atol)
+
+
+LOOP_KINDS = ["generic", "degenerate-final", "degenerate-w"]
+
+
+@pytest.mark.parametrize("kind", LOOP_KINDS)
+def test_work_operator_matches_the_loop_reference(kind):
+    for s in loop_reference_scenarios(kind):
+        assert_same_atoms(sch.work_operator(s)[1], work_operator_loop(s))
+
+
+@pytest.mark.parametrize("kind", LOOP_KINDS)
+def test_state_dependent_matches_the_loop_reference(kind):
+    for s in loop_reference_scenarios(kind):
+        assert_same_atoms(sch.state_dependent(s), state_dependent_loop(s), atol=0.0)
+
+
+@pytest.mark.parametrize("kind", LOOP_KINDS)
+def test_sub_ensemble_matches_the_loop_reference(kind):
+    for s in loop_reference_scenarios(kind):
+        for decomp in (sch.spectral_pure_decomposition(s.rho),
+                       sch.random_pure_decomposition(s.rho, s.dim + 2, seed=9)):
+            assert_same_atoms(sch.sub_ensemble(s, decomp), sub_ensemble_loop(s, decomp), atol=0.0)
+
+
+@pytest.mark.parametrize("kind", LOOP_KINDS)
+def test_consistent_histories_matches_the_loop_reference(kind):
+    for s in loop_reference_scenarios(kind, driven=True):
+        assert_same_atoms(sch.consistent_histories(s, 5), consistent_histories_loop(s, 5))

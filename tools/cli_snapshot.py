@@ -1,11 +1,17 @@
 """Write a fixed, seeded set of qworklab CLI outputs into a directory.
 
 Two checkouts that should behave the same are compared by snapshotting each
-and diffing the directories:
+and comparing the directories:
 
     python3 tools/cli_snapshot.py /tmp/snap-a --src /path/to/checkout-a/src
-    python3 tools/cli_snapshot.py /tmp/snap-b --src /path/to/checkout-b/src
-    diff -r /tmp/snap-a /tmp/snap-b
+    python3 tools/cli_snapshot.py /tmp/snap-b --src /path/to/checkout-b/src --against /tmp/snap-a
+
+``--against DIR`` compares the new snapshot with the one in ``DIR`` file by
+file and reports each file as identical, numeric (the same text outside the
+numbers, with the largest absolute difference of a number) or structural
+(any other difference, a missing file included).  The exit code is 1 if any
+file is structurally different and 0 otherwise; ``diff -r`` gives the same
+answer for byte identity alone.
 
 ``--src`` defaults to the ``src`` directory next to this script.  The script
 uses the standard library only: the scenario files are generated with
@@ -23,6 +29,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -118,11 +125,49 @@ def commands() -> list[tuple[str, list[str]]]:
     return runs
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def compare_file(new: str, old: str) -> tuple[str, float]:
+    """("identical" | "numeric" | "structural", largest absolute numeric difference)."""
+    if new == old:
+        return "identical", 0.0
+    if _NUMBER.split(new) != _NUMBER.split(old):
+        return "structural", math.inf
+    return "numeric", max(abs(float(a) - float(b))
+                          for a, b in zip(_NUMBER.findall(new), _NUMBER.findall(old)))
+
+
+def compare_dirs(new: Path, old: Path) -> bool:
+    """Print one verdict per file of either snapshot; True if none is structural."""
+    names = sorted({str(p.relative_to(d)) for d in (new, old) for p in d.rglob("*")
+                    if p.is_file()})
+    counts = {"identical": 0, "numeric": 0, "structural": 0}
+    largest = 0.0
+    for name in names:
+        a, b = new / name, old / name
+        if a.is_file() and b.is_file():
+            kind, diff = compare_file(a.read_text(), b.read_text())
+        else:
+            kind, diff = "structural", math.inf
+        counts[kind] += 1
+        if kind == "numeric":
+            largest = max(largest, diff)
+            print(f"numeric     {name}  max |diff| = {diff:.3g}")
+        else:
+            print(f"{kind:<11} {name}")
+    print(f"{counts['identical']} identical, {counts['numeric']} numeric "
+          f"(largest |diff| {largest:.3g}), {counts['structural']} structural")
+    return counts["structural"] == 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="directory to write the snapshot into")
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="directory holding the qworklab package to run")
+    parser.add_argument("--against", metavar="DIR",
+                        help="an earlier snapshot to compare the new one with")
     args = parser.parse_args(argv)
 
     out = Path(args.out)
@@ -142,6 +187,8 @@ def main(argv=None) -> int:
         status.append(f"{name} exit={proc.returncode} {proc.stderr.strip()}".rstrip())
         print(status[-1], flush=True)
     (out / "exit_codes.txt").write_text("\n".join(status) + "\n")
+    if args.against is not None:
+        return 0 if compare_dirs(out, Path(args.against)) else 1
     return 0
 
 
