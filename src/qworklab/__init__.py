@@ -25,11 +25,13 @@ from .scenario import (
     time_reversed,
 )
 from .schemes import (
+    CollectiveFactors,
     JointWorkTable,
     Povm,
     PureDecomposition,
     SchemeId,
     WorkDistribution,
+    collective_factors,
     collective_povm,
     collective_two_copy,
     consistent_histories,

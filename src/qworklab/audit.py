@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DegenerateRhoWarning, NotLinear
 from .linalg import (
+    _eig,
     dag,
     eig_hermitian,
     max_abs,
@@ -42,11 +43,10 @@ from .schemes import (
     W_MERGE_TOL,
     WorkDistribution,
     _eigenspaces,
-    collective_povm,
+    collective_factors,
     collective_two_copy,
     consistent_histories,
     distribution,
-    lambda_max,
     margenau_hill,
     merge_atoms,
     tpm,
@@ -61,6 +61,7 @@ SAMPLE_PROTOCOL_STEPS = 16  # steps per segment of a sampled driving protocol
 N_VALIDATION = 100          # fresh states checked by each POVM reconstruction
 N_NOGO_SAMPLES = 100        # diagonal states checked against the forced POVM
 WITNESS_TIE_TOL = 1e-12  # a witness candidate must improve on the best by more than this
+WORST_TIE_RTOL = 1e-12   # a later case must exceed the worst so far by this fraction
 # (coupling, spread) of the survey table's strong and weak Gaussian work meters
 POINTER_STRONG = (40.0, 1.0)
 POINTER_WEAK = (1.0, 150.0)
@@ -132,12 +133,16 @@ def sample_scenario(dim: int, rng, coherent: bool = True, driven: bool = False) 
     if driven:
         evolution: np.ndarray | DrivingProtocol = DrivingProtocol(
             ((0.0, h), (1.0, hf)), SAMPLE_PROTOCOL_STEPS)
+        # the protocol validated its endpoints; Scenario takes them as they are
+        h, hf = evolution.breakpoints[0][1], evolution.breakpoints[-1][1]
     else:
         evolution = random_unitary(dim, rng)
     if coherent:
         rho = random_density(dim, rng)
     else:
-        v = eig_hermitian(h).eigenvectors
+        # h is Hermitian by construction and is validated once, by Scenario or
+        # the protocol; the solve is cached for the schemes
+        v = _eig(h, validated=True).eigenvectors
         rho = (v * _diagonal_probabilities(dim, rng)) @ dag(v)
     return Scenario(dim=dim, h_initial=h, h_final=hf, evolution=evolution, rho=rho)
 
@@ -249,12 +254,14 @@ def _witness_payload(s: Scenario, value: float, detail: str) -> dict:
 def _worst(cases) -> tuple[float, dict | None, str]:
     """Worst of ``(violation, scenario, detail)`` cases: (value, witness, detail).
 
-    The first maximum wins; the witness payload is built once, for that case.
-    With no case above 0 the result is (0.0, None, "").
+    A later case replaces the worst only if it exceeds it by more than the
+    fraction ``WORST_TIE_RTOL``, so cases tied up to last-bit noise keep the
+    first as witness.  The payload is built once, for that case.  With no
+    case above 0 the result is (0.0, None, "").
     """
     worst, arg = 0.0, None
     for violation, s, detail in cases:
-        if violation > worst:
+        if violation > worst * (1.0 + WORST_TIE_RTOL):
             worst, arg = violation, (s, detail)
     if arg is None:
         return 0.0, None, ""
@@ -570,21 +577,25 @@ def check_collective_adapted(dim: int = 2, n_samples: int = 200,
     worst_pos = 0.0
     worst_defect = 0.0
 
-    def gap_pair(s: Scenario) -> tuple[float, float, float]:
+    def gap_pair(s: Scenario, diagonalise: bool = False) -> tuple[float, float, float]:
         nonlocal worst_pos, worst_defect
-        lam = lambda_max(s)
-        povm, dist = collective_povm(s, lam), collective_two_copy(s, lam)
-        worst_pos = min(worst_pos, povm.min_eigenvalue())
+        factors = collective_factors(s)
+        povm = factors.povm()
+        # samples read positivity off the factors; the two fixed probes also
+        # diagonalise every built element, an independent check of that formula
+        worst_pos = min(worst_pos, povm.min_eigenvalue() if diagonalise
+                        else factors.min_eigenvalue())
         worst_defect = max(worst_defect, povm.completeness_defect())
         target = mean_energy_change(s)
-        return abs(tpm(s)[0].mean() - target), abs(dist.mean() - target), lam
+        return (abs(tpm(s)[0].mean() - target),
+                abs(factors.distribution(s.rho).mean() - target), factors.lam)
 
     # canonical tie: U and H_final diagonal in the H basis, so every T_j is
     # diagonal there and the collective scheme reduces to TPM exactly
     phase = np.diag(np.exp(1j * np.array([0.3, -1.1]))).astype(complex)
     s_tie = Scenario(dim=2, h_initial=_SZ, h_final=np.diag([0.3, 1.7]).astype(complex),
                      evolution=phase, rho=random_density(2, rng))
-    g_t, g_c, _ = gap_pair(s_tie)
+    g_t, g_c, _ = gap_pair(s_tie, diagonalise=True)
     if abs(g_t - g_c) <= 1e-12:
         ties += 1
     else:
@@ -605,11 +616,10 @@ def check_collective_adapted(dim: int = 2, n_samples: int = 200,
     c2_tv = 0.0
     for _ in range(n_samples):
         s = sample_scenario(dim, rng, coherent=False)
-        dist = collective_two_copy(s, lambda_max(s))
+        dist = collective_two_copy(s)
         c2_tv = max(c2_tv, dist.tv_distance(tpm(s)[0]))
 
-    s_had = hadamard_scenario()
-    g_t, g_c, _ = gap_pair(s_had)
+    g_t, g_c, _ = gap_pair(hadamard_scenario(), diagonalise=True)
     return CollectiveAdaptedReport(
         dim=dim,
         seed=seed,

@@ -204,14 +204,19 @@ class Scenario:
     _u_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "h_initial", require_hermitian(self.h_initial, "H"))
-        object.__setattr__(self, "h_final", require_hermitian(self.h_final, "H_final"))
+        driven = isinstance(self.evolution, DrivingProtocol)
+        # H or H_final that is the protocol's own endpoint array was validated with it
+        ends = ((self.evolution.breakpoints[0][1], self.evolution.breakpoints[-1][1])
+                if driven else (None, None))
+        for attr, name, end in (("h_initial", "H", ends[0]), ("h_final", "H_final", ends[1])):
+            if getattr(self, attr) is not end:
+                object.__setattr__(self, attr, require_hermitian(getattr(self, attr), name))
         object.__setattr__(self, "rho", require_density(self.rho, "rho"))
         d = self.dim
         for name, arr in (("H", self.h_initial), ("H_final", self.h_final), ("rho", self.rho)):
             if arr.shape[0] != d:
                 raise ValidationError("DimMismatch", name, f"dimension {arr.shape[0]} != dim={d}")
-        if isinstance(self.evolution, DrivingProtocol):
+        if driven:
             if self.evolution.dim != d:
                 raise ValidationError("DimMismatch", "evolution", f"protocol dimension != dim={d}")
             start = self.evolution.breakpoints[0][1]

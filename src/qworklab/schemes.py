@@ -395,22 +395,115 @@ def sub_ensemble(s: Scenario, decomp: PureDecomposition) -> WorkDistribution:
                                        is_quasi=False)
 
 
-def _collective(s: Scenario, lam: float | str):
-    """Second-copy factors F_ij = <i|T_j|i> I + lambda T_j^off of T_j = U^dag Q_j U.
+_SECULAR_STEPS = 100  # cap on Newton steps; a handful suffice up to d = 64
 
-    Returns the initial eigenbasis, energies, final eigenspace energies, the
-    diagonals ``diag_parts[i, j] = <i|T_j|i>``, the off-diagonal parts T_j^off
-    and the checked lambda; ``lam="auto"`` selects lambda_max.  Raises
-    :class:`NotPositive` when an element's least eigenvalue
-    <i|T_j|i> + lambda lambda_min(T_j^off) is negative.
+
+def _secular_min(w: np.ndarray) -> np.ndarray:
+    """lambda_min(|t><t| - diag(w)) for each row ``w = |t|^2`` of a stack.
+
+    It is the root mu in [-w_(1), -w_(2)] (the two largest weights) of the
+    secular equation sum_i w_i / (w_i + mu) = 1 (Golub 1973; Bunch, Nielsen &
+    Sorensen 1978).  Multiplied by w_(1) + mu, it reads
+    F(mu) = (w_(1) + mu)(1 - phi(mu)) - w_(1) = 0 with phi the sum without
+    the top term; F rises and is convex on that bracket.  The 2 x 2 block of
+    the top two components bounds mu <= -sqrt(w_(1) w_(2)), so Newton steps
+    from there descend monotonically onto the root, all rows at once, until
+    none moves left.  With at most one nonzero weight the matrix is 0 and
+    mu = 0; with equal top weights the bracket collapses to mu = -w_(1).
+    Both are returned exactly.
     """
-    dec_i = eig_hermitian(s.h_initial)
-    _, _, e_f, q, u = _eigenspaces(s)
+    top = np.sort(w, axis=1)
+    w1 = top[:, -1]
+    w2 = top[:, -2] if w.shape[1] > 1 else np.zeros_like(w1)
+    mu = np.where(w2 > 0.0, -w1, 0.0)
+    inner = (w2 > 0.0) & (w1 > w2)
+    rest, w1 = w[inner], w1[inner]
+    rest[np.arange(len(rest)), np.argmax(rest, axis=1)] = 0.0
+    x = np.minimum(-np.sqrt(w1 * w2[inner]), np.nextafter(-w2[inner], -1.0))  # off the pole
+    for _ in range(_SECULAR_STEPS):
+        r = rest / (rest + x[:, None])
+        phi = r.sum(axis=1)
+        slope = (1.0 - phi) + (w1 + x) * (r / (rest + x[:, None])).sum(axis=1)
+        step = x - ((w1 + x) * (1.0 - phi) - w1) / slope
+        if not np.any(step < x):
+            break
+        x = np.minimum(step, x)
+    mu[inner] = x
+    return mu
+
+
+@dataclass(frozen=True, eq=False)
+class CollectiveFactors:
+    """Second-copy factors F_ij = <i|T_j|i> I + lam T_j^off of T_j = U^dag Q_j U.
+
+    The two-copy element of outcome (i, j) is |i><i| (x) F_ij, with |i> the
+    columns of ``basis`` (the initial eigenvectors).  ``diag_parts[i, j]`` is
+    <i|T_j|i>, ``off_parts[j]`` is T_j^off and ``off_min[j]`` its least
+    eigenvalue.
+    """
+
+    basis: np.ndarray
+    initial_energies: np.ndarray
+    final_energies: np.ndarray
+    diag_parts: np.ndarray
+    off_parts: np.ndarray
+    off_min: np.ndarray
+    lam: float
+
+    def min_eigenvalue(self) -> float:
+        """Least eigenvalue over all two-copy elements, without building one.
+
+        |i><i| (x) F_ij has spectrum {0} and spec(F_ij), whose least value is
+        <i|T_j|i> + lam lambda_min(T_j^off); this equals
+        ``self.povm().min_eigenvalue()``.
+        """
+        return min(0.0, float((self.diag_parts + self.lam * self.off_min).min()))
+
+    def distribution(self, rho: np.ndarray) -> WorkDistribution:
+        """Weights Tr[(|i><i| (x) F_ij)(rho (x) rho)] = <i|rho|i> (<i|T_j|i> + lam Tr(T_j^off rho))."""
+        pops = np.diagonal(dag(self.basis) @ rho @ self.basis).real
+        off_mean = np.einsum("jab,ba->j", self.off_parts, rho).real
+        weights = pops[:, None] * (self.diag_parts + self.lam * off_mean[None, :])
+        works = self.final_energies[None, :] - self.initial_energies[:, None]
+        return WorkDistribution.from_atoms(works.ravel(), weights.ravel(),
+                                           SchemeId.COLLECTIVE_TWO_COPY, is_quasi=False)
+
+    def povm(self) -> Povm:
+        """The explicit d^2 x d^2 elements |i><i| (x) F_ij, labelled (i, j)."""
+        d = self.basis.shape[0]
+        eye = np.eye(d, dtype=np.complex128)
+        return Povm(elements=tuple(
+            ((i, j), tensor(projector(self.basis[:, i]),
+                            self.diag_parts[i, j] * eye + self.lam * self.off_parts[j]))
+            for i in range(d) for j in range(len(self.final_energies))))
+
+
+def collective_factors(s: Scenario, lam: float | str = "auto") -> CollectiveFactors:
+    """The factors of the two-copy elements at a checked lambda.
+
+    ``lam="auto"`` selects lambda_max.  Raises :class:`NotPositive` when an
+    element's least eigenvalue <i|T_j|i> + lambda lambda_min(T_j^off) is
+    negative.  For a rank-one Q_j = |E'_j><E'_j|, T_j^off = |t><t| - diag(|t|^2)
+    in the initial eigenbasis with t = V^dag U^dag |E'_j>, so lambda_min comes
+    from the secular equation; only a degenerate final eigenspace (rank > 1)
+    takes a Jacobi solve.
+    """
+    dec_i, dec_f, u = _eigensystems(s)
+    e_f, q = dec_f.eigenspaces()
     basis = dec_i.eigenvectors
     t_basis = dag(basis) @ (dag(u) @ q @ u) @ basis
     diag = np.diagonal(t_basis, axis1=1, axis2=2)
     off_parts = basis @ (t_basis - diag[:, :, None] * np.eye(s.dim)) @ dag(basis)
-    off_min = np.array([eig_hermitian(off).eigenvalues[0] for off in off_parts])
+    starts = _chain_starts(dec_f.eigenvalues, DEGENERACY_GAP)
+    rank_one = np.diff(np.append(starts, s.dim)) == 1
+    # t from the final eigenvectors, not from the diagonal of t_basis (a sum of
+    # rounded products): an exact zero of t stays exact, and lambda_max reads
+    # the sign of off_min
+    t = dag(basis) @ dag(u) @ dec_f.eigenvectors[:, starts[rank_one]]
+    off_min = np.empty(len(e_f))
+    off_min[rank_one] = _secular_min(np.abs(t.T) ** 2)
+    off_min[~rank_one] = [eig_hermitian(off_parts[j]).eigenvalues[0]
+                          for j in np.flatnonzero(~rank_one)]
     diag_parts = diag.real.T
     if lam == "auto":
         neg = off_min < 0.0
@@ -423,7 +516,8 @@ def _collective(s: Scenario, lam: float | str):
     lo = float((diag_parts + lam_val * off_min).min())
     if lo < -POVM_EIG_TOL:
         raise NotPositive(lam_val, lo)
-    return basis, dec_i.eigenvalues, e_f, diag_parts, off_parts, lam_val
+    return CollectiveFactors(basis, dec_i.eigenvalues, e_f, diag_parts, off_parts, off_min,
+                             lam_val)
 
 
 def lambda_max(s: Scenario) -> float:
@@ -434,7 +528,7 @@ def lambda_max(s: Scenario) -> float:
     over the j whose off-diagonal part is nonzero (lambda_min < 0), clipped to
     [0, 1].  lambda = 0 always qualifies (it reproduces TPM).
     """
-    return _collective(s, "auto")[-1]
+    return collective_factors(s, "auto").lam
 
 
 def collective_two_copy(s: Scenario, lam: float | str = "auto") -> WorkDistribution:
@@ -444,21 +538,12 @@ def collective_two_copy(s: Scenario, lam: float | str = "auto") -> WorkDistribut
     Tr[M_(ij) rho (x) rho] = <i|rho|i> (<i|T_j|i> + lam Tr(T_j^off rho)), so no
     two-copy operator is formed.  ``lam="auto"`` selects lambda_max.
     """
-    basis, e_i, e_f, diag_parts, off_parts, lam_val = _collective(s, lam)
-    pops = np.diagonal(dag(basis) @ s.rho @ basis).real
-    off_mean = np.einsum("jab,ba->j", off_parts, s.rho).real
-    weights = pops[:, None] * (diag_parts + lam_val * off_mean[None, :])
-    return WorkDistribution.from_atoms((e_f[None, :] - e_i[:, None]).ravel(), weights.ravel(),
-                                       SchemeId.COLLECTIVE_TWO_COPY, is_quasi=False)
+    return collective_factors(s, lam).distribution(s.rho)
 
 
 def collective_povm(s: Scenario, lam: float | str = "auto") -> Povm:
     """The two-copy elements M_(ij) = |i><i| (x) F_ij on C^d (x) C^d, labelled (i, j)."""
-    basis, _, e_f, diag_parts, off_parts, lam_val = _collective(s, lam)
-    eye = np.eye(s.dim, dtype=np.complex128)
-    return Povm(elements=tuple(
-        ((i, j), tensor(projector(basis[:, i]), diag_parts[i, j] * eye + lam_val * off_parts[j]))
-        for i in range(s.dim) for j in range(len(e_f))))
+    return collective_factors(s, lam).povm()
 
 
 def tpm_povm(s: Scenario) -> Povm:

@@ -2,10 +2,19 @@ import numpy as np
 import pytest
 
 from qworklab import audit
+from qworklab import linalg as la
+from qworklab import scenario as scenario_mod
 from qworklab.errors import NotLinear
 from qworklab.linalg import max_abs, projector
 from qworklab.scenario import Scenario, mean_energy_change, parse_scenario, serialize_scenario
-from qworklab.schemes import SchemeId, margenau_hill, merge_atoms, tpm, tpm_povm
+from qworklab.schemes import (
+    SchemeId,
+    collective_factors,
+    margenau_hill,
+    merge_atoms,
+    tpm,
+    tpm_povm,
+)
 
 from conftest import (
     HADAMARD,
@@ -26,6 +35,51 @@ def test_worst_keeps_the_first_maximum_and_builds_one_witness(monkeypatch):
     assert audit._worst(iter(cases)) == (0.3, "second", "second")
     assert built == [("b", 0.3, "second")]
     assert audit._worst([(0.0, "a", "zero")]) == (0.0, None, "")
+
+
+def test_worst_keeps_the_first_of_cases_tied_to_the_last_bits(monkeypatch):
+    monkeypatch.setattr(audit, "_witness_payload", lambda s, value, detail: detail)
+    near = 1.0 + 4 * np.spacing(1.0)
+    assert audit._worst([(1.0, "a", "first"), (near, "b", "noise")])[2] == "first"
+    assert audit._worst([(1.0, "a", "first"), (1.0 + 1e-9, "b", "worse")])[2] == "worse"
+
+
+def test_worst_witness_stable_under_last_bit_noise(monkeypatch):
+    # every state-dependent nonconvexity case saturates at tv = 1 to within 5 ulp
+    clean = audit.check_c1_linearity(SchemeId.STATE_DEPENDENT, dim=2, n_samples=40, seed=0)
+    exact = audit._worst
+    for noise_seed in range(4):
+        rng = np.random.default_rng(noise_seed)
+
+        def noisy(cases):
+            return exact((v + int(rng.integers(-2, 3)) * np.spacing(v), s, detail)
+                         for v, s, detail in cases)
+
+        monkeypatch.setattr(audit, "_worst", noisy)
+        verdict = audit.check_c1_linearity(SchemeId.STATE_DEPENDENT, dim=2, n_samples=40, seed=0)
+        assert verdict.witness["scenario"] == clean.witness["scenario"]
+
+
+def test_sample_scenario_validates_each_hamiltonian_once(monkeypatch):
+    calls = []
+    original = la.require_hermitian
+
+    def record(m, name="operator"):
+        calls.append(name)
+        return original(m, name)
+
+    monkeypatch.setattr(la, "require_hermitian", record)
+    monkeypatch.setattr(scenario_mod, "require_hermitian", record)
+    la._EIG_CACHE.clear()
+    rng = np.random.default_rng(4)
+    expected = {(True, False): ["H", "H_final", "rho"],
+                (False, False): ["H", "H_final", "rho"],
+                (True, True): ["evolution.breakpoints[0].H", "evolution.breakpoints[1].H", "rho"],
+                (False, True): ["evolution.breakpoints[0].H", "evolution.breakpoints[1].H", "rho"]}
+    for (coherent, driven), names in expected.items():
+        calls.clear()
+        audit.sample_scenario(3, rng, coherent=coherent, driven=driven)
+        assert calls == names, (coherent, driven)
 
 
 def test_tpm_c2_is_self_consistent():
@@ -214,6 +268,19 @@ def test_collective_adapted_report():
     g_tpm, g_col = report.hadamard_gap_pair
     assert g_tpm == pytest.approx(1.0, abs=1e-12)
     assert g_col <= 1e-12
+
+
+def test_collective_adapted_positivity_matches_the_loop_reference(monkeypatch):
+    # the report reads sample positivity off the factors; the reference fully
+    # diagonalises every built two-copy element of the same scenarios
+    for dim in (2, 3, 4):
+        seen = []
+        monkeypatch.setattr(audit, "collective_factors",
+                            lambda s: seen.append(collective_factors(s)) or seen[-1])
+        report = audit.check_collective_adapted(dim=dim, n_samples=4, seed=dim)
+        assert len(seen) == 6  # the tie probe, 4 samples and the Hadamard probe
+        reference = min(0.0, min(f.povm().min_eigenvalue() for f in seen))
+        assert abs(report.worst_positivity - reference) <= 1e-14
 
 
 # --- contextuality witness -------------------------------------------------------------

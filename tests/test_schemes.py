@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from qworklab import schemes as sch
 from qworklab.errors import (
@@ -488,6 +489,62 @@ def test_lambda_max_is_positivity_boundary():
                 with pytest.raises(NotPositive):
                     sch.collective_two_copy(s, min(1.0, lam + 1e-3))
         assert found_interior > 0
+
+
+def _assert_off_min_matches_eigvalsh(s):
+    factors = sch.collective_factors(s)
+    ref = [np.linalg.eigvalsh(off)[0] for off in factors.off_parts]
+    assert np.max(np.abs(factors.off_min - ref)) <= 1e-14
+    return factors
+
+
+def test_collective_off_min_matches_eigvalsh():
+    rng = np.random.default_rng(31)
+    for dim in (2, 3, 4, 16, 64):
+        _assert_off_min_matches_eigvalsh(random_scenario(dim, rng))
+
+
+def test_collective_off_min_edge_cases_are_exact():
+    rng = np.random.default_rng(32)
+    ladder = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
+    final = np.diag([0.3, 1.4, 2.2, 3.7]).astype(complex)
+    phases = np.diag(np.exp(1j * rng.random(2)))
+    # H, H_final diagonal: t is a column of U, so U's blocks fix t's zero pattern
+    s = Scenario(dim=4, h_initial=ladder, h_final=final,
+                 evolution=block_diag(HADAMARD, phases), rho=random_density_np(4, rng))
+    off_min = _assert_off_min_matches_eigvalsh(s).off_min
+    assert np.array_equal(off_min[:2], [-abs(HADAMARD[0, 0]) ** 2] * 2)  # equal top weights
+    assert np.array_equal(off_min[2:], [0.0, 0.0])  # a single nonzero component: T^off = 0
+    # a zero component in t with distinct nonzero weights
+    s = Scenario(dim=4, h_initial=ladder, h_final=final,
+                 evolution=block_diag(haar_unitary_np(3, rng), phases[:1, :1]),
+                 rho=random_density_np(4, rng))
+    off_min = _assert_off_min_matches_eigvalsh(s).off_min
+    assert np.all(off_min[:3] < 0.0) and off_min[3] == 0.0
+    # d = 1: t has one component
+    s = Scenario(dim=1, h_initial=[[1.0]], h_final=[[2.0]], evolution=[[1.0]], rho=[[1.0]])
+    assert np.array_equal(_assert_off_min_matches_eigvalsh(s).off_min, [0.0])
+
+
+def test_collective_degenerate_final_eigenspace_takes_the_jacobi_branch():
+    rng = np.random.default_rng(33)
+    for dim in (3, 4):
+        h = random_hermitian_np(dim, rng)
+        s = Scenario(dim=dim, h_initial=h, h_final=degenerate_hermitian(dim, rng),
+                     evolution=haar_unitary_np(dim, rng), rho=random_density_np(dim, rng))
+        factors = _assert_off_min_matches_eigvalsh(s)
+        assert len(factors.final_energies) == dim - 1  # one two-fold eigenspace
+        sch.collective_povm(s).check(eig_tol=1e-8)
+
+
+def test_collective_factor_positivity_matches_full_diagonalisation():
+    rng = np.random.default_rng(34)
+    for dim in (2, 3, 4):
+        for _ in range(3):
+            s = random_scenario(dim, rng)
+            for lam in (0.0, 0.5 * sch.lambda_max(s), "auto"):
+                factors = sch.collective_factors(s, lam)
+                assert abs(factors.min_eigenvalue() - factors.povm().min_eigenvalue()) <= 1e-14
 
 
 def test_collective_hadamard_improves_first_law_gap(hadamard_scenario):

@@ -19,7 +19,7 @@ uses the standard library only: the scenario files are generated with
 ``python -m qworklab.cli`` process with the output directory as working
 directory, so no output holds an absolute path.  Each command's stdout goes
 to ``<name>.out``; ``exit_codes.txt`` lists every command with its exit code
-and its stderr.  A full snapshot takes about 25 s on one core.
+and its stderr.  A full snapshot takes about 45 s on one core.
 """
 
 from __future__ import annotations
@@ -89,6 +89,19 @@ def scenario_docs(dim: int, seed: int) -> tuple[dict, dict]:
     return unitary, driven
 
 
+def degenerate_doc(dim: int, seed: int) -> dict:
+    """A unitary scenario whose H_final has a two-fold degenerate lowest level."""
+    rng = random.Random(seed)
+    h, v = _hermitian(dim, rng), _unitary(dim, rng)
+    levels = [0.0, 0.0] + [float(k) for k in range(1, dim - 1)]
+    hf = [[sum(v[i][k] * levels[k] * v[j][k].conjugate() for k in range(dim))
+           for j in range(dim)] for i in range(dim)]
+    u, rho = _unitary(dim, rng), _density(dim, rng)
+    return {"dim": dim, "label": f"snapshot-d{dim}-degenerate", "H": _pairs(h),
+            "H_final": _pairs(hf), "evolution": {"type": "unitary", "U": _pairs(u)},
+            "rho": _pairs(rho)}
+
+
 def commands() -> list[tuple[str, list[str]]]:
     """(name, CLI arguments) for every snapshot entry, in a fixed order."""
     runs: list[tuple[str, list[str]]] = []
@@ -99,6 +112,11 @@ def commands() -> list[tuple[str, list[str]]]:
                 runs.append((f"dist-{scheme}-d{dim}-{fmt}",
                              ["dist", "--scheme", scheme, "--scenario",
                               f"scenarios/d{dim}-{kind}.json", "--format", fmt]))
+    # the two-copy scheme where H_final is degenerate (its Jacobi branch) and at d = 16
+    for name in ("d3-degenerate", "d16-unitary"):
+        runs.append((f"dist-collective-two-copy-{name}-json",
+                     ["dist", "--scheme", "collective-two-copy", "--scenario",
+                      f"scenarios/{name}.json", "--format", "json"]))
     runs.append(("dist-sub-ensemble-d3-members5",
                  ["dist", "--scheme", "sub-ensemble", "--scenario", "scenarios/d3-unitary.json",
                   "--members", "5", "--seed", "3"]))
@@ -112,7 +130,7 @@ def commands() -> list[tuple[str, list[str]]]:
         for dim in (2, 3):
             runs.append((f"audit-{scheme}-d{dim}",
                          ["audit", "--scheme", scheme, "--dim", str(dim), "--samples", "40"]))
-    for dim in (2, 3):
+    for dim in (2, 3, 4):
         runs.append((f"collective-d{dim}", ["collective", "--dim", str(dim), "--samples", "40"]))
     runs.append(("thermo-s50", ["thermo", "--samples", "50"]))
     for fmt in ("csv", "json"):
@@ -172,10 +190,12 @@ def main(argv=None) -> int:
 
     out = Path(args.out)
     (out / "scenarios").mkdir(parents=True, exist_ok=True)
+    docs = {"d3-degenerate": degenerate_doc(3, seed=2003),
+            "d16-unitary": scenario_docs(16, seed=1016)[0]}
     for dim in (2, 3, 4):
-        unitary, driven = scenario_docs(dim, seed=1000 + dim)
-        for kind, doc in (("unitary", unitary), ("driven", driven)):
-            (out / "scenarios" / f"d{dim}-{kind}.json").write_text(json.dumps(doc, indent=1))
+        docs[f"d{dim}-unitary"], docs[f"d{dim}-driven"] = scenario_docs(dim, seed=1000 + dim)
+    for name, doc in docs.items():
+        (out / "scenarios" / f"{name}.json").write_text(json.dumps(doc, indent=1))
 
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
