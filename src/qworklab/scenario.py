@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .linalg import (
     HERMITICITY_TOL,
+    _eig,
     dag,
-    eig_hermitian,
     max_abs,
     require_density,
     require_hermitian,
@@ -126,8 +126,9 @@ class DrivingProtocol:
 
 
 def _expi(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i h dt) via spectral decomposition."""
-    dec = eig_hermitian(h)
+    """exp(-i h dt) via spectral decomposition; ``h`` interpolates breakpoints the
+    protocol validated, so a cache miss solves it as it is."""
+    dec = _eig(h, validated=True)
     return dec.apply(lambda lam: np.exp(-1j * lam * dt))
 
 

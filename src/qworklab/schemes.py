@@ -24,11 +24,10 @@ from .linalg import (
     DEGENERACY_GAP,
     EIG_FLOOR,
     _chain_starts,
+    _eig,
     dag,
     eig_hermitian,
     max_abs,
-    projector,
-    tensor,
 )
 from .scenario import Scenario, compile_unitary
 
@@ -168,16 +167,21 @@ class PureDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Labelled positive operators summing to the identity."""
+    """Positive operators ``ops``, shape (k, d, d), summing to the identity;
+    ``labels``, shape (k,), holds the work value of each."""
 
-    elements: tuple[tuple[object, np.ndarray], ...]
+    labels: np.ndarray
+    ops: np.ndarray
+
+    def probabilities(self, rho: np.ndarray) -> np.ndarray:
+        """Re Tr(rho M_k) of every element, shape (k,)."""
+        return np.einsum("ij,kji->k", rho, self.ops).real
 
     def min_eigenvalue(self) -> float:
-        return min(float(eig_hermitian(op).eigenvalues[0]) for _, op in self.elements)
+        return min(float(eig_hermitian(op).eigenvalues[0]) for op in self.ops)
 
     def completeness_defect(self) -> float:
-        total = sum(op for _, op in self.elements)
-        return max_abs(total - np.eye(total.shape[0]))
+        return max_abs(self.ops.sum(axis=0) - np.eye(self.ops.shape[1]))
 
     def check(self, eig_tol: float = 1e-8, sum_tol: float = 1e-8) -> None:
         lo = self.min_eigenvalue()
@@ -189,8 +193,9 @@ class Povm:
 
 
 def _eigensystems(s: Scenario):
-    """(initial decomposition, final decomposition, U)."""
-    return eig_hermitian(s.h_initial), eig_hermitian(s.h_final), s.unitary()
+    """(initial decomposition, final decomposition, U).  The Scenario validated H
+    and H_final, so a cache miss solves them as they are."""
+    return _eig(s.h_initial, validated=True), _eig(s.h_final, validated=True), s.unitary()
 
 
 def _eigenspaces(s: Scenario):
@@ -346,7 +351,7 @@ def state_dependent(s: Scenario) -> WorkDistribution:
     keep = lam > EIG_FLOOR
     phi = dec_rho.eigenvectors[:, keep].T  # rows are the kept eigenstates
     e_a = _expectations(phi, s.h_initial[None])[:, 0]
-    e_f, q = eig_hermitian(s.h_final).eigenspaces()
+    e_f, q = _eig(s.h_final, validated=True).eigenspaces()
     weights = lam[keep][:, None] * _expectations((s.unitary() @ phi[:, :, None])[..., 0], q)
     return WorkDistribution.from_atoms((e_f[None, :] - e_a[:, None]).ravel(), weights.ravel(),
                                        SchemeId.STATE_DEPENDENT, is_quasi=False)
@@ -469,13 +474,18 @@ class CollectiveFactors:
                                            SchemeId.COLLECTIVE_TWO_COPY, is_quasi=False)
 
     def povm(self) -> Povm:
-        """The explicit d^2 x d^2 elements |i><i| (x) F_ij, labelled (i, j)."""
-        d = self.basis.shape[0]
-        eye = np.eye(d, dtype=np.complex128)
-        return Povm(elements=tuple(
-            ((i, j), tensor(projector(self.basis[:, i]),
-                            self.diag_parts[i, j] * eye + self.lam * self.off_parts[j]))
-            for i in range(d) for j in range(len(self.final_energies))))
+        """The explicit d^2 x d^2 elements |i><i| (x) F_ij at work E'_j - E_i.
+
+        Elements are i-major: element i k + j is outcome (i, j), k final eigenspaces.
+        """
+        d, k = self.diag_parts.shape
+        v = self.basis.T
+        proj = v[:, :, None] * v.conj()[:, None, :]
+        factors = (self.diag_parts[:, :, None, None] * np.eye(d, dtype=np.complex128)
+                   + self.lam * self.off_parts[None])
+        ops = proj[:, None, :, None, :, None] * factors[:, :, None, :, None, :]
+        works = self.final_energies[None, :] - self.initial_energies[:, None]
+        return Povm(works.ravel(), ops.reshape(d * k, d * d, d * d))
 
 
 def collective_factors(s: Scenario, lam: float | str = "auto") -> CollectiveFactors:
@@ -542,7 +552,7 @@ def collective_two_copy(s: Scenario, lam: float | str = "auto") -> WorkDistribut
 
 
 def collective_povm(s: Scenario, lam: float | str = "auto") -> Povm:
-    """The two-copy elements M_(ij) = |i><i| (x) F_ij on C^d (x) C^d, labelled (i, j)."""
+    """The two-copy elements M_(ij) = |i><i| (x) F_ij on C^d (x) C^d at work E'_j - E_i."""
     return collective_factors(s, lam).povm()
 
 
@@ -551,9 +561,8 @@ def tpm_povm(s: Scenario) -> Povm:
     e_i, p, e_f, q, u = _eigenspaces(s)
     strength = p[:, None] @ (dag(u) @ q @ u)[None, :] @ p[:, None]
     strength = (strength + dag(strength)) / 2.0
-    works, ops = merge_atoms((e_f[None, :] - e_i[:, None]).ravel(),
-                             strength.reshape(-1, s.dim, s.dim))
-    return Povm(elements=tuple(zip(works.tolist(), ops)))
+    return Povm(*merge_atoms((e_f[None, :] - e_i[:, None]).ravel(),
+                             strength.reshape(-1, s.dim, s.dim)))
 
 
 def distribution(scheme: SchemeId | str, s: Scenario, **opts) -> WorkDistribution:

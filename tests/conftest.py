@@ -70,3 +70,13 @@ def degenerate_w_triple(dim, rng):
     ladder = np.arange(dim, dtype=float)
     return (rotate(ladder), rotate(ladder + _DEGENERATE_LEVELS[:dim]),
             rotate(np.exp(1j * rng.random(dim))))
+
+
+def collective_elements_loop(factors):
+    """Plain-loop reference two-copy elements, i-major: kron(|v_i><v_i|, d_ij I + lam T_j^off)
+    for each initial eigenvector v_i and final eigenspace j."""
+    d, k = factors.diag_parts.shape
+    eye = np.eye(d, dtype=complex)
+    return np.array([np.kron(np.outer(factors.basis[:, i], factors.basis[:, i].conj()),
+                             factors.diag_parts[i, j] * eye + factors.lam * factors.off_parts[j])
+                     for i in range(d) for j in range(k)])

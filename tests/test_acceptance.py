@@ -231,8 +231,8 @@ def test_criterion_11_povm_tomography():
     ref = sch.tpm_povm(Scenario(dim=2, h_initial=h, h_final=hf, evolution=u,
                                 rho=np.eye(2, dtype=complex) / 2))
     gap = 0.0
-    for w, op in povm.elements:
-        match = min(ref.elements, key=lambda el: abs(el[0] - w))
+    for w, op in zip(povm.labels, povm.ops):
+        match = min(zip(ref.labels, ref.ops), key=lambda el: abs(el[0] - w))
         gap = max(gap, max_abs(op - match[1]))
     try:
         audit.reconstruct_povm(SchemeId.STATE_DEPENDENT, h, hf, u, seed=0)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,13 @@ from qworklab.errors import NotLinear
 from qworklab.linalg import max_abs, projector
 from qworklab.scenario import Scenario, mean_energy_change, parse_scenario, serialize_scenario
 from qworklab.schemes import (
+    Povm,
     SchemeId,
     collective_factors,
+    fcs_quasiprob,
     margenau_hill,
     merge_atoms,
+    state_dependent,
     tpm,
     tpm_povm,
 )
@@ -78,8 +83,14 @@ def test_sample_scenario_validates_each_hamiltonian_once(monkeypatch):
                 (False, True): ["evolution.breakpoints[0].H", "evolution.breakpoints[1].H", "rho"]}
     for (coherent, driven), names in expected.items():
         calls.clear()
-        audit.sample_scenario(3, rng, coherent=coherent, driven=driven)
+        s = audit.sample_scenario(3, rng, coherent=coherent, driven=driven)
         assert calls == names, (coherent, driven)
+        # the schemes solve the validated fields as they are, and a driven
+        # scenario compiles its unitary from the validated breakpoints
+        for scheme in (tpm, fcs_quasiprob, margenau_hill, state_dependent, collective_factors):
+            calls.clear()
+            scheme(s)
+            assert calls == [], (coherent, driven, scheme.__name__)
 
 
 def test_tpm_c2_is_self_consistent():
@@ -152,8 +163,8 @@ def test_reconstruct_tpm_povm_matches_analytic_oracle():
     u = haar_unitary_np(2, rng)
     povm = audit.reconstruct_povm(SchemeId.TPM, h, hf, u, seed=0)
     oracle = analytic_tpm_povm_oracle(h, hf, u)
-    assert len(povm.elements) == len(oracle)
-    for w, op in povm.elements:
+    assert len(povm.labels) == len(oracle)
+    for w, op in zip(povm.labels, povm.ops):
         key = min(oracle, key=lambda k: abs(k - w))
         assert abs(key - w) <= 1e-8
         assert max_abs(op - oracle[key]) <= 1e-8
@@ -163,7 +174,7 @@ def test_reconstruct_tpm_povm_matches_analytic_oracle():
     s = Scenario(dim=2, h_initial=h, h_final=hf, evolution=u,
                  rho=np.eye(2, dtype=complex) / 2)
     packaged = tpm_povm(s)
-    for w, op in packaged.elements:
+    for w, op in zip(packaged.labels, packaged.ops):
         key = min(oracle, key=lambda k: abs(k - w))
         assert max_abs(op - oracle[key]) <= 1e-10
 
@@ -171,9 +182,9 @@ def test_reconstruct_tpm_povm_matches_analytic_oracle():
 def test_reconstruct_fcs_povm_has_negative_operator():
     h = np.diag([0.0, 1.0]).astype(complex)
     povm = audit.reconstruct_povm(SchemeId.FCS, h, h, HADAMARD, seed=0)
-    total = sum(op for _, op in povm.elements)
+    total = sum(op for op in povm.ops)
     assert max_abs(total - np.eye(2)) <= 1e-8
-    for _, op in povm.elements:
+    for op in povm.ops:
         assert max_abs(op - op.conj().T) <= 1e-10
     assert povm.min_eigenvalue() < -1e-3
 
@@ -225,9 +236,21 @@ def test_reconstruct_povm_matches_the_loop_reference(dim):
     for scheme, *triple in cases:
         povm = audit.reconstruct_povm(scheme, *triple, seed=0)
         ref = reconstruct_povm_loop(scheme, *triple)
-        assert [w for w, _ in povm.elements] == [w for w, _ in ref]
-        for (_, op), (_, op_ref) in zip(povm.elements, ref):
+        assert povm.labels.tolist() == [w for w, _ in ref]
+        for op, (_, op_ref) in zip(povm.ops, ref):
             assert max_abs(op - op_ref) <= 1e-14
+
+
+def test_povm_gap_matches_elements_by_label():
+    assert [f.name for f in fields(Povm)] == ["labels", "ops"]
+    rng = np.random.default_rng(61)
+    povm = tpm_povm(audit.sample_scenario(3, rng))
+    perm = rng.permutation(len(povm.labels))
+    assert audit._povm_gap(povm, Povm(povm.labels[perm], povm.ops[perm])) == 0.0
+    eps = 1e-6
+    ops = povm.ops.copy()
+    ops[perm[0]] += eps * np.eye(3)
+    assert audit._povm_gap(povm, Povm(povm.labels, ops)) == pytest.approx(eps, rel=1e-9)
 
 
 # --- no-go demonstration -------------------------------------------------------------

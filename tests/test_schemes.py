@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+from qworklab import audit
 from qworklab import schemes as sch
 from qworklab.errors import (
     DecompositionMismatch,
@@ -29,6 +30,7 @@ from conftest import (
     PLUS,
     SX,
     SZ,
+    collective_elements_loop,
     degenerate_hermitian,
     degenerate_w_triple,
     haar_unitary_np,
@@ -553,7 +555,7 @@ def test_collective_hadamard_improves_first_law_gap(hadamard_scenario):
     povm = sch.collective_povm(hadamard_scenario, "auto")
     dist = sch.collective_two_copy(hadamard_scenario, "auto")
     povm.check()
-    assert len(povm.elements) == 4
+    assert len(povm.ops) == 4
     assert abs(dist.mean() - target) < gap_tpm
     assert gap_tpm == pytest.approx(1.0, abs=1e-12)
 
@@ -562,8 +564,41 @@ def test_collective_povm_on_two_copies_completeness():
     rng = np.random.default_rng(22)
     s = random_scenario(3, rng)
     povm = sch.collective_povm(s, "auto")
-    total = sum(op for _, op in povm.elements)
+    total = sum(op for op in povm.ops)
     assert max_abs(total - np.eye(9)) <= 1e-10
+
+
+def test_collective_povm_elements_match_the_kron_loop():
+    rng = np.random.default_rng(35)
+    for dim in (2, 3, 4):
+        degenerate = Scenario(dim=dim, h_initial=random_hermitian_np(dim, rng),
+                              h_final=degenerate_hermitian(dim, rng),
+                              evolution=haar_unitary_np(dim, rng), rho=random_density_np(dim, rng))
+        for s in (random_scenario(dim, rng), degenerate):
+            for lam in (0.0, "auto"):
+                factors = sch.collective_factors(s, lam)
+                povm = factors.povm()
+                assert np.array_equal(povm.ops, collective_elements_loop(factors))
+                assert povm.labels.shape == (len(povm.ops),)
+        assert len(sch.collective_factors(degenerate).final_energies) == dim - 1
+
+
+def test_collective_povm_labels_are_the_tpm_work_values():
+    rng = np.random.default_rng(36)
+    for dim in (2, 3, 4):
+        for _ in range(3):
+            s = audit.sample_scenario(dim, rng)
+            assert np.array_equal(sch.collective_povm(s).labels, sch.tpm(s)[1].work_values.ravel())
+
+
+def test_povm_probabilities_match_the_per_element_trace():
+    rng = np.random.default_rng(37)
+    for dim in (2, 3, 4):
+        s = random_scenario(dim, rng)
+        rho2 = np.kron(s.rho, s.rho)
+        for povm, rho in ((sch.tpm_povm(s), s.rho), (sch.collective_povm(s), rho2)):
+            ref = [np.trace(rho @ op).real for op in povm.ops]
+            assert np.max(np.abs(povm.probabilities(rho) - ref)) <= 1e-15
 
 
 def test_collective_closed_form_matches_two_copy_trace():
@@ -577,8 +612,8 @@ def test_collective_closed_form_matches_two_copy_trace():
             lam_max = sch.lambda_max(s)
             for lam in (0.0, 0.5 * lam_max, lam_max):
                 povm = sch.collective_povm(s, lam)
-                works = [work_values[i, j] for (i, j), _ in povm.elements]
-                weights = [np.trace(op @ rho2).real for _, op in povm.elements]
+                works = work_values.ravel()
+                weights = [np.trace(op @ rho2).real for op in povm.ops]
                 ref = sch.WorkDistribution.from_atoms(
                     works, weights, sch.SchemeId.COLLECTIVE_TWO_COPY, False)
                 dist = sch.collective_two_copy(s, lam)

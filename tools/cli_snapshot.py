@@ -121,7 +121,7 @@ def commands() -> list[tuple[str, list[str]]]:
                  ["dist", "--scheme", "sub-ensemble", "--scenario", "scenarios/d3-unitary.json",
                   "--members", "5", "--seed", "3"]))
     runs.append(("table1-d2-s100", ["table1", "--dim", "2", "--samples", "100"]))
-    for dim in (2, 3):
+    for dim in (2, 3, 4):
         runs.append((f"nogo-d{dim}", ["nogo", "--dim", str(dim)]))
     for seed in (0, 1, 2):
         runs.append((f"witness-b500-seed{seed}",
