@@ -131,10 +131,9 @@ def sample_scenario(dim: int, rng, coherent: bool = True, driven: bool = False) 
     h = random_nondegenerate_hermitian(dim, rng)
     hf = random_nondegenerate_hermitian(dim, rng)
     if driven:
+        # the protocol validates h and hf; Scenario takes its equal endpoints as they are
         evolution: np.ndarray | DrivingProtocol = DrivingProtocol(
-            ((0.0, h), (1.0, hf)), SAMPLE_PROTOCOL_STEPS)
-        # the protocol validated its endpoints; Scenario takes them as they are
-        h, hf = evolution.breakpoints[0][1], evolution.breakpoints[-1][1]
+            [0.0, 1.0], [h, hf], SAMPLE_PROTOCOL_STEPS)
     else:
         evolution = random_unitary(dim, rng)
     if coherent:
@@ -165,16 +164,17 @@ def hadamard_scenario() -> Scenario:
 def _embed(dim: int, h, hf, evolution, rho, label: str) -> Scenario:
     """Pad a qubit probe into a larger space with an inert high-energy ladder."""
     if dim > 2:
-        def pad(m, fill):
-            out = np.diag(np.concatenate([np.zeros(2), fill])).astype(complex)
-            out[:2, :2] = m
+        def pad(m, fill):  # a matrix, or each matrix of a stack
+            base = np.diag(np.concatenate([np.zeros(2), fill]))
+            out = np.broadcast_to(base, np.shape(m)[:-2] + base.shape).astype(complex)
+            out[..., :2, :2] = m
             return out
 
         ladder = 10.0 + np.arange(dim - 2)
         h, hf, rho = pad(h, ladder), pad(hf, ladder), pad(rho, np.zeros(dim - 2))
         if isinstance(evolution, DrivingProtocol):
-            evolution = DrivingProtocol(tuple((t, pad(hm, ladder)) for t, hm in
-                                              evolution.breakpoints), evolution.steps_per_segment)
+            evolution = DrivingProtocol(evolution.times, pad(evolution.hamiltonians, ladder),
+                                        evolution.steps_per_segment)
         else:
             evolution = pad(evolution, np.ones(dim - 2))
     return Scenario(dim=dim, h_initial=h, h_final=hf, evolution=evolution, rho=rho, label=label)
@@ -210,12 +210,12 @@ def _probe_ch_negativity(dim: int) -> tuple[Scenario, int]:
     theta, phi = 2.2, 0.5
     psi = np.array([math.cos(theta / 2.0),
                     np.exp(1j * phi) * math.sin(theta / 2.0)])
-    proto = DrivingProtocol(((0.0, h0), (2.0, h1)), 32)
+    proto = DrivingProtocol([0.0, 2.0], [h0, h1], 32)
     return _embed(dim, h0, h1, proto, projector(psi), "ch-negativity"), 6
 
 
 def _probe_ch_c2(dim: int) -> tuple[Scenario, int]:
-    proto = DrivingProtocol(((0.0, _SZ), (1.0, _SZ + 0.7 * _SX)), 32)
+    proto = DrivingProtocol([0.0, 1.0], [_SZ, _SZ + 0.7 * _SX], 32)
     rho = np.diag([0.8, 0.2]).astype(complex)
     return _embed(dim, _SZ, _SZ + 0.7 * _SX, proto, rho, "ch-ramp-diagonal"), 8
 
@@ -371,7 +371,13 @@ def check_c1_linearity(scheme: SchemeId | str, dim: int = 2, n_samples: int = 20
         for s, kk in neg_probes:
             yield max(0.0, -_scheme_dist(scheme, s, kk).min_weight()), s, "negativity"
         for s_mix, s1, s2, lam in mix_probes:
-            d_mix, d1, d2 = (_scheme_dist(scheme, s, DEFAULT_CH_STEPS) for s in (s_mix, s1, s2))
+            if scheme is SchemeId.COLLECTIVE_TWO_COPY:
+                # the three states share H, H_final and U: one set of factors serves all
+                factors = collective_factors(s_mix)
+                d_mix, d1, d2 = (factors.distribution(s.rho) for s in (s_mix, s1, s2))
+            else:
+                d_mix, d1, d2 = (_scheme_dist(scheme, s, DEFAULT_CH_STEPS)
+                                 for s in (s_mix, s1, s2))
             yield d_mix.tv_distance(_blend(d1, d2, lam)), s_mix, "nonconvexity"
             for d, s in ((d_mix, s_mix), (d1, s1), (d2, s2)):
                 yield max(0.0, -d.min_weight()), s, "negativity"
@@ -730,12 +736,6 @@ class Table1Report:
 
     def pattern(self) -> dict:
         return {row.scheme: row.pattern() for row in self.rows}
-
-    def row(self, scheme: str) -> Table1Row:
-        for r in self.rows:
-            if r.scheme == scheme:
-                return r
-        raise KeyError(scheme)
 
     def to_dict(self) -> dict:
         return {

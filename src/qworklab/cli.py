@@ -97,7 +97,10 @@ def _cmd_dist(args) -> int:
     if scheme is SchemeId.CONSISTENT_HISTORIES:
         opts["k_steps"] = args.k_steps
     if scheme is SchemeId.COLLECTIVE_TWO_COPY and args.lam != "auto":
-        opts["lam"] = float(args.lam)
+        try:
+            opts["lam"] = float(args.lam)
+        except ValueError:
+            raise ParseError(f"--lam must be a number or 'auto', got {args.lam!r}") from None
     if scheme is SchemeId.SUB_ENSEMBLE:
         if args.members:
             opts["decomposition"] = random_pure_decomposition(s.rho, args.members, args.seed)
@@ -288,8 +291,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ParseError, ValidationError, FileNotFoundError) as exc:
-        path = getattr(exc, "path", "")
-        sys.stderr.write(f"scenario error{f' at {path!r}' if path else ''}: {exc}\n")
+        sys.stderr.write(f"input error: {exc}\n")
         return 2
     except QworklabError as exc:
         sys.stderr.write(f"scheme error: {exc}\n")

@@ -27,6 +27,10 @@ class ParseError(QworklabError):
         super().__init__(f"{message}" + (f" (at '{path}')" if path else ""))
 
 
+class DomainError(QworklabError, ValueError):
+    """A parameter lies outside the domain of the requested operation."""
+
+
 class DimensionMismatch(QworklabError):
     """Operator shapes are incompatible with the requested operation."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence, ValidationError
+from .errors import DimensionMismatch, DomainError, NonConvergence, ValidationError
 
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
@@ -309,7 +309,7 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-random unitary: modified Gram-Schmidt orthonormalization of a
     complex-normal matrix (the QR factor with positive-real diagonal)."""
     if dim < 2:
-        raise ValueError("dim must be >= 2")
+        raise DomainError("dim must be >= 2")
     rng = _rng(seed)
     g = _ginibre(dim, rng)
     q = np.zeros_like(g)
@@ -325,7 +325,7 @@ def random_unitary(dim: int, seed) -> np.ndarray:
 def random_density(dim: int, seed) -> np.ndarray:
     """Full-rank random density operator via normalized Wishart construction."""
     if dim < 2:
-        raise ValueError("dim must be >= 2")
+        raise DomainError("dim must be >= 2")
     rng = _rng(seed)
     g = _ginibre(dim, rng)
     w = g @ dag(g)
@@ -335,7 +335,7 @@ def random_density(dim: int, seed) -> np.ndarray:
 def random_pure(dim: int, seed) -> np.ndarray:
     """Haar-random pure state vector."""
     if dim < 2:
-        raise ValueError("dim must be >= 2")
+        raise DomainError("dim must be >= 2")
     rng = _rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)

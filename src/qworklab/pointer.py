@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooNarrow
+from .errors import DomainError, GridTooNarrow
 from .linalg import eig_hermitian
 from .scenario import Scenario
 from .schemes import _joint_table, _transition_kernel, margenau_hill, tpm
@@ -45,11 +45,11 @@ class PointerConfig:
 
     def __post_init__(self):
         if self.coupling <= 0 or self.spread <= 0:
-            raise ValueError("coupling and spread must be positive")
+            raise DomainError("coupling and spread must be positive")
         if self.n_points < GRID_MIN_POINTS:
-            raise ValueError(f"n_points must be at least {GRID_MIN_POINTS}")
+            raise DomainError(f"n_points must be at least {GRID_MIN_POINTS}")
         if self.x_max <= self.x_min:
-            raise ValueError("empty grid range")
+            raise DomainError("empty grid range")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_points)
@@ -58,6 +58,8 @@ class PointerConfig:
     def for_scenario(cls, s: Scenario, coupling: float, spread: float,
                      points_per_sigma: float = 48.0) -> "PointerConfig":
         """Grid that covers every shifted centre by 6 spreads and resolves them."""
+        if coupling <= 0 or spread <= 0:  # before the grid size divides by the spread
+            raise DomainError("coupling and spread must be positive")
         e_i = eig_hermitian(s.h_initial).eigenvalues
         e_f = eig_hermitian(s.h_final).eigenvalues
         centers = coupling * (e_f[:, None] - e_i[None, :]).ravel()

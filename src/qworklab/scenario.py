@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import DomainError, ParseError, ValidationError
 from .linalg import (
     HERMITICITY_TOL,
     _eig,
@@ -34,83 +33,78 @@ _TIME_MATCH_TOL = 1e-12
 class DrivingProtocol:
     """Piecewise-linear time-dependent Hamiltonian on [0, tau].
 
-    ``breakpoints`` is an ordered list of (time, Hamiltonian); the Hamiltonian
-    between breakpoints is the linear interpolation of its neighbours.
+    ``times``, shape (n,), are the strictly increasing breakpoint times from 0
+    and ``hamiltonians``, shape (n, d, d), the Hamiltonians at them; between
+    breakpoints the Hamiltonian is the linear interpolation of its neighbours.
     """
 
-    breakpoints: tuple[tuple[float, np.ndarray], ...]
+    times: np.ndarray
+    hamiltonians: np.ndarray
     steps_per_segment: int = DEFAULT_STEPS_PER_SEGMENT
 
     def __post_init__(self):
-        if len(self.breakpoints) < 2:
+        times = np.array(self.times, dtype=float)
+        if times.size < 2 or len(self.hamiltonians) != times.size:
             raise ValidationError("DimMismatch", "evolution.breakpoints",
-                                  "need at least two breakpoints (start and end)")
+                                  "need one Hamiltonian at each of at least two times")
         if self.steps_per_segment < 1:
             raise ValidationError("DimMismatch", "evolution.steps_per_segment",
                                   "steps_per_segment must be positive")
-        pts = []
-        dim = None
-        for i, (t, h) in enumerate(self.breakpoints):
-            t = float(t)
-            h = require_hermitian(h, f"evolution.breakpoints[{i}].H")
-            if dim is None:
-                dim = h.shape[0]
-            elif h.shape[0] != dim:
+        hams = []
+        for i, h in enumerate(self.hamiltonians):
+            hams.append(require_hermitian(h, f"evolution.breakpoints[{i}].H"))
+            if hams[i].shape != hams[0].shape:
                 raise ValidationError("DimMismatch", f"evolution.breakpoints[{i}].H",
-                                      f"dimension {h.shape[0]} != {dim}")
-            pts.append((t, h))
-        if abs(pts[0][0]) > _TIME_MATCH_TOL:
+                                      f"dimension {hams[i].shape[0]} != {hams[0].shape[0]}")
+        if abs(times[0]) > _TIME_MATCH_TOL:
             raise ParseError("first breakpoint time must be 0", "evolution.breakpoints[0].t")
-        pts[0] = (0.0, pts[0][1])
-        for i in range(1, len(pts)):
-            if pts[i][0] <= pts[i - 1][0]:
-                raise ParseError("breakpoint times must be strictly increasing",
-                                 f"evolution.breakpoints[{i}].t")
-        object.__setattr__(self, "breakpoints", tuple(pts))
+        times[0] = 0.0
+        bad = np.flatnonzero(np.diff(times) <= 0)
+        if bad.size:
+            raise ParseError("breakpoint times must be strictly increasing",
+                             f"evolution.breakpoints[{bad[0] + 1}].t")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "hamiltonians", np.array(hams))
 
     @property
     def dim(self) -> int:
-        return self.breakpoints[0][1].shape[0]
+        return self.hamiltonians.shape[1]
 
     @property
     def duration(self) -> float:
-        return self.breakpoints[-1][0]
+        return float(self.times[-1])
 
-    def hamiltonian_at(self, t: float) -> np.ndarray:
-        """Linear interpolation of the breakpoint Hamiltonians."""
-        times = [bp[0] for bp in self.breakpoints]
-        if t <= times[0]:
-            return self.breakpoints[0][1]
-        if t >= times[-1]:
-            return self.breakpoints[-1][1]
-        for i in range(1, len(times)):
-            if t <= times[i]:
-                t0, h0 = self.breakpoints[i - 1]
-                t1, h1 = self.breakpoints[i]
-                lam = (t - t0) / (t1 - t0)
-                return (1.0 - lam) * h0 + lam * h1
-        return self.breakpoints[-1][1]
+    def hamiltonian_at(self, t) -> np.ndarray:
+        """Linear interpolation of the breakpoint Hamiltonians at a time or an array
+        of times, shape ``np.shape(t) + (d, d)``; times outside [0, tau] take the
+        nearer endpoint."""
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.times, t), 1, self.times.size - 1)
+        t0, t1 = self.times[i - 1], self.times[i]
+        lam = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)[..., None, None]
+        return (1.0 - lam) * self.hamiltonians[i - 1] + lam * self.hamiltonians[i]
 
-    def derivative_at(self, t: float) -> np.ndarray:
-        """Time derivative of the interpolation.
+    def derivative_at(self, t) -> np.ndarray:
+        """Time derivative of the interpolation at a time or an array of times.
 
         At a breakpoint the one-sided slopes differ; the symmetric average is
         used so that the derivative commutes with time reversal of the
-        protocol.  At the endpoints only one slope exists.
+        protocol.  At the endpoints only one slope exists.  A segment counts
+        at ``t`` when ``t`` lies in it or within the time tolerance of its ends.
         """
-        slopes = []
-        for i in range(1, len(self.breakpoints)):
-            t0, h0 = self.breakpoints[i - 1]
-            t1, h1 = self.breakpoints[i]
-            slopes.append(((t0, t1), (h1 - h0) / (t1 - t0)))
+        t = np.asarray(t, dtype=float)
+        t0, t1 = self.times[:-1], self.times[1:]
+        slopes = (self.hamiltonians[1:] - self.hamiltonians[:-1]) / (t1 - t0)[:, None, None]
         tol = _TIME_MATCH_TOL * max(1.0, self.duration)
-        hits = [s for (t0, t1), s in slopes if t0 - tol <= t <= t1 + tol
-                and (abs(t - t0) <= tol or abs(t - t1) <= tol or t0 < t < t1)]
-        if not hits:
-            raise ValueError(f"time {t} outside protocol range")
-        if len(hits) == 1:
-            return hits[0]
-        return sum(hits[1:], start=hits[0]) / len(hits)
+        tc = t[..., None]
+        hits = ((t0 - tol <= tc) & (tc <= t1 + tol)
+                & ((np.abs(tc - t0) <= tol) | (np.abs(tc - t1) <= tol) | ((t0 < tc) & (tc < t1))))
+        missing = ~hits.any(axis=-1)
+        if missing.any():
+            raise DomainError(f"time {t[missing][0]} outside protocol range")
+        first = hits.argmax(axis=-1)
+        last = hits.shape[-1] - 1 - hits[..., ::-1].argmax(axis=-1)
+        return (slopes[first] + slopes[last]) / 2
 
     def reversed(self) -> "DrivingProtocol":
         """Motion-reversed protocol: mirrored in time and complex-conjugated.
@@ -119,10 +113,8 @@ class DrivingProtocol:
         computational basis) makes the reversed propagator equal the
         conjugated inverse of the forward one.
         """
-        tau = self.duration
-        pts = [(tau - t, np.conj(h)) for t, h in reversed(self.breakpoints)]
-        pts[0] = (0.0, pts[0][1])
-        return DrivingProtocol(tuple(pts), self.steps_per_segment)
+        return DrivingProtocol(self.duration - self.times[::-1], np.conj(self.hamiltonians[::-1]),
+                               self.steps_per_segment)
 
 
 def _expi(h: np.ndarray, dt: float) -> np.ndarray:
@@ -134,62 +126,59 @@ def _expi(h: np.ndarray, dt: float) -> np.ndarray:
 
 def compile_unitary(
     protocol: DrivingProtocol, grid: list[float] | None = None
-) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Time-ordered product of midpoint-rule factors exp(-i H(mid) dt).
 
-    Later times multiply from the left.  ``grid`` selects the output times for
-    the intermediate propagators (it must start at 0 and end at the protocol
-    duration); by default every internal substep boundary is reported.  Each
-    interval between requested times is subdivided so that no factor step
-    exceeds (shortest segment length) / steps_per_segment.
+    Later times multiply from the left.  Returns ``(u, times, unitaries)``:
+    U(tau), the output times, shape (m,), and the propagators U(t) at them,
+    shape (m, d, d).  ``grid`` selects the output times (it must start at 0
+    and end at the protocol duration); by default every internal substep
+    boundary is reported.  Each interval between requested times is
+    subdivided so that no factor step exceeds (shortest segment length) /
+    steps_per_segment.
     """
     tau = protocol.duration
-    bps = [bp[0] for bp in protocol.breakpoints]
-    seg_min = min(b - a for a, b in zip(bps, bps[1:]))
-    h_target = seg_min / protocol.steps_per_segment
+    bps = protocol.times
+    steps = protocol.steps_per_segment
+    h_target = np.diff(bps).min() / steps
     tol = _TIME_MATCH_TOL * max(1.0, tau)
 
     if grid is None:
-        grid_pts = []
-        for a, b in zip(bps, bps[1:]):
-            n = protocol.steps_per_segment
-            grid_pts.extend(a + (b - a) * k / n for k in range(n))
-        grid_pts.append(tau)
+        grid_pts = np.append((bps[:-1, None] + np.diff(bps)[:, None] * np.arange(steps) / steps)
+                             .ravel(), tau)
     else:
-        grid_pts = [float(t) for t in grid]
+        grid_pts = np.array(grid, dtype=float)
         if abs(grid_pts[0]) > tol or abs(grid_pts[-1] - tau) > tol:
             raise ValueError("grid must start at 0 and end at the protocol duration")
         grid_pts[0], grid_pts[-1] = 0.0, tau
 
-    pts = sorted(set(grid_pts) | set(bps))
+    # a set, not np.unique: that imports numpy.ma, about 1 MB of resident memory
+    pts = sorted(set(grid_pts.tolist()) | set(bps.tolist()))
     merged = [pts[0]]
     for t in pts[1:]:
         if t - merged[-1] > tol:
             merged.append(t)
-    grid_set = sorted(grid_pts)
+    grid_set = sorted(grid_pts.tolist())
 
-    def _on_grid(t: float) -> float | None:
-        for g in grid_set:
-            if abs(g - t) <= tol:
-                return g
-        return None
+    # every midpoint Hamiltonian at once; n[j] equal substeps of width dt[j] in interval j
+    a, b = np.array(merged[:-1]), np.array(merged[1:])
+    n = np.maximum(1, np.ceil((b - a) / h_target - 1e-9)).astype(int)
+    dt = (b - a) / n
+    k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    hams = iter(protocol.hamiltonian_at(np.repeat(a, n) + (k + 0.5) * np.repeat(dt, n)))
 
-    dim = protocol.dim
-    u = np.eye(dim, dtype=np.complex128)
-    records: list[tuple[float, np.ndarray]] = []
-    g0 = _on_grid(0.0)
-    if g0 is not None:
-        records.append((g0, u))
-    for a, b in zip(merged, merged[1:]):
-        n = max(1, math.ceil((b - a) / h_target - 1e-9))
-        dt = (b - a) / n
-        for k in range(n):
-            mid = a + (k + 0.5) * dt
-            u = _expi(protocol.hamiltonian_at(mid), dt) @ u
-        g = _on_grid(b)
-        if g is not None:
-            records.append((g, u))
-    return u, records
+    u = np.eye(protocol.dim, dtype=np.complex128)
+    times, unitaries, j = [], [], 0
+    for t, count, step in zip(merged, [0, *n], [0.0, *dt]):
+        for _ in range(count):
+            u = _expi(next(hams), step) @ u
+        # the first grid time within tol of t; no merged time exceeds the largest grid time
+        while grid_set[j] - t < -tol:
+            j += 1
+        if grid_set[j] - t <= tol:
+            times.append(grid_set[j])
+            unitaries.append(u)
+    return u, np.array(times), np.array(unitaries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,12 +195,13 @@ class Scenario:
 
     def __post_init__(self):
         driven = isinstance(self.evolution, DrivingProtocol)
-        # H or H_final that is the protocol's own endpoint array was validated with it
-        ends = ((self.evolution.breakpoints[0][1], self.evolution.breakpoints[-1][1])
-                if driven else (None, None))
+        # an H or H_final equal to the protocol's endpoint is that validated endpoint
+        ends = self.evolution.hamiltonians[[0, -1]] if driven else (None, None)
         for attr, name, end in (("h_initial", "H", ends[0]), ("h_final", "H_final", ends[1])):
-            if getattr(self, attr) is not end:
-                object.__setattr__(self, attr, require_hermitian(getattr(self, attr), name))
+            value = getattr(self, attr)
+            if end is None or not np.array_equal(value, end):
+                end = require_hermitian(value, name)
+            object.__setattr__(self, attr, end)
         object.__setattr__(self, "rho", require_density(self.rho, "rho"))
         d = self.dim
         for name, arr in (("H", self.h_initial), ("H_final", self.h_final), ("rho", self.rho)):
@@ -220,12 +210,10 @@ class Scenario:
         if driven:
             if self.evolution.dim != d:
                 raise ValidationError("DimMismatch", "evolution", f"protocol dimension != dim={d}")
-            start = self.evolution.breakpoints[0][1]
-            end = self.evolution.breakpoints[-1][1]
-            if max_abs(start - self.h_initial) > HERMITICITY_TOL:
+            if max_abs(ends[0] - self.h_initial) > HERMITICITY_TOL:
                 raise ValidationError("EndpointMismatch", "evolution.breakpoints[0].H",
                                       "protocol start Hamiltonian differs from H")
-            if max_abs(end - self.h_final) > HERMITICITY_TOL:
+            if max_abs(ends[1] - self.h_final) > HERMITICITY_TOL:
                 raise ValidationError("EndpointMismatch", "evolution.breakpoints[-1].H",
                                       "protocol end Hamiltonian differs from H_final")
         else:
@@ -258,7 +246,7 @@ class Scenario:
         if not self.is_driven:
             return self.evolution
         if "u" not in self._u_cache:
-            self._u_cache["u"], _ = compile_unitary(self.evolution)
+            self._u_cache["u"] = compile_unitary(self.evolution)[0]
         return self._u_cache["u"]
 
 
@@ -334,7 +322,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         doc["evolution"] = {
             "type": "protocol",
             "breakpoints": [{"t": float(t), "H": _matrix_to_json(h)}
-                            for t, h in s.evolution.breakpoints],
+                            for t, h in zip(s.evolution.times, s.evolution.hamiltonians)],
             "steps_per_segment": s.evolution.steps_per_segment,
         }
     else:
@@ -375,7 +363,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if "breakpoints" not in evo or not isinstance(evo["breakpoints"], list):
             raise ParseError("protocol evolution requires a 'breakpoints' array",
                              "evolution.breakpoints")
-        bps = []
+        times, hams = [], []
         for i, bp in enumerate(evo["breakpoints"]):
             if not isinstance(bp, dict) or "t" not in bp or "H" not in bp:
                 raise ParseError("breakpoint must have fields 't' and 'H'",
@@ -384,12 +372,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
             if not isinstance(t, (int, float)) or isinstance(t, bool):
                 raise ParseError("breakpoint time must be a number",
                                  f"evolution.breakpoints[{i}].t")
-            bps.append((float(t), _matrix_from_json(bp["H"], f"evolution.breakpoints[{i}].H")))
+            times.append(float(t))
+            hams.append(_matrix_from_json(bp["H"], f"evolution.breakpoints[{i}].H"))
         steps = evo.get("steps_per_segment", DEFAULT_STEPS_PER_SEGMENT)
         if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
             raise ParseError("steps_per_segment must be a positive integer",
                              "evolution.steps_per_segment")
-        evolution = DrivingProtocol(tuple(bps), steps)
+        evolution = DrivingProtocol(times, hams, steps)
     else:
         raise ParseError(f"unknown evolution type {evo['type']!r}", "evolution.type")
 

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DecompositionMismatch,
     DegenerateRhoWarning,
+    DomainError,
     ImaginaryResidue,
     NotPositive,
     TrajectoryBudgetExceeded,
@@ -296,9 +297,9 @@ def consistent_histories(s: Scenario, k_steps: int) -> WorkDistribution:
     trajectory budget is still enforced on the full count d^(K+1).
     """
     if not s.is_driven:
-        raise ValueError("consistent_histories requires a driving-protocol scenario")
+        raise DomainError("consistent_histories requires a driving-protocol scenario")
     if k_steps < 2:
-        raise ValueError("need at least 2 grid steps")
+        raise DomainError("need at least 2 grid steps")
     d = s.dim
     if d ** (k_steps + 1) > TRAJ_CAP:
         raise TrajectoryBudgetExceeded(
@@ -308,16 +309,17 @@ def consistent_histories(s: Scenario, k_steps: int) -> WorkDistribution:
     tau = protocol.duration
     dt = tau / k_steps
     grid = [tau * j / k_steps for j in range(k_steps + 1)]
-    _, records = compile_unitary(protocol, grid=grid)
-    if len(records) != k_steps + 1:
+    _, times, unitaries = compile_unitary(protocol, grid=grid)
+    if times.size != k_steps + 1:
         raise ValueError("grid times collapsed; use a coarser grid")
 
+    # X(t_j) at every interior grid point
+    u = unitaries[1:-1]
+    x = dag(u) @ protocol.derivative_at(times[1:-1]) @ u
+    x = (x + dag(x)) / 2.0
     prods = np.eye(d, dtype=np.complex128)[None, :, :]
     works = np.zeros(1)
-    for j in range(1, k_steps):
-        t_j, u_j = records[j]
-        x_op = dag(u_j) @ protocol.derivative_at(t_j) @ u_j
-        x_op = (x_op + dag(x_op)) / 2.0
+    for x_op in x:
         vals, proj = eig_hermitian(x_op).eigenspaces()
         # cluster-major: history (c, n) follows every history n through cluster c
         prods = np.einsum("cij,njk->cnik", proj, prods).reshape(-1, d, d)
@@ -522,7 +524,7 @@ def collective_factors(s: Scenario, lam: float | str = "auto") -> CollectiveFact
     else:
         lam_val = float(lam)
         if not 0.0 <= lam_val <= 1.0:
-            raise ValueError("lambda must lie in [0, 1]")
+            raise DomainError("lambda must lie in [0, 1]")
     lo = float((diag_parts + lam_val * off_min).min())
     if lo < -POVM_EIG_TOL:
         raise NotPositive(lam_val, lo)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qworklab.linalg import DEGENERACY_GAP
-from qworklab.scenario import Scenario
+from qworklab.scenario import _TIME_MATCH_TOL, Scenario
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -80,3 +80,34 @@ def collective_elements_loop(factors):
     return np.array([np.kron(np.outer(factors.basis[:, i], factors.basis[:, i].conj()),
                              factors.diag_parts[i, j] * eye + factors.lam * factors.off_parts[j])
                      for i in range(d) for j in range(k)])
+
+
+def hamiltonian_at_loop(protocol, t):
+    """Plain-loop reference interpolation at one time: the segment whose end is the
+    first breakpoint at or after t; times outside [0, tau] take the nearer endpoint."""
+    times, hams = protocol.times, protocol.hamiltonians
+    if t <= times[0]:
+        return hams[0]
+    if t >= times[-1]:
+        return hams[-1]
+    for i in range(1, len(times)):
+        if t <= times[i]:
+            lam = (t - times[i - 1]) / (times[i] - times[i - 1])
+            return (1.0 - lam) * hams[i - 1] + lam * hams[i]
+    return hams[-1]
+
+
+def derivative_at_loop(protocol, t):
+    """Plain-loop reference derivative at one time: the mean slope of the segments
+    that contain t or end within the time tolerance of it."""
+    times, hams = protocol.times, protocol.hamiltonians
+    tol = _TIME_MATCH_TOL * max(1.0, protocol.duration)
+    hits = []
+    for i in range(1, len(times)):
+        t0, t1 = times[i - 1], times[i]
+        if t0 - tol <= t <= t1 + tol and (abs(t - t0) <= tol or abs(t - t1) <= tol
+                                          or t0 < t < t1):
+            hits.append((hams[i] - hams[i - 1]) / (t1 - t0))
+    if not hits:
+        raise ValueError(f"time {t} outside protocol range")
+    return sum(hits[1:], start=hits[0]) / len(hits)

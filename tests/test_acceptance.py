@@ -167,7 +167,7 @@ def test_criterion_08_collective_improvement():
 
 def test_criterion_09_consistent_histories_properties():
     rho = 0.6 * PLUS + 0.4 * np.diag([0.8, 0.2]).astype(complex)
-    proto = DrivingProtocol(((0.0, SZ), (1.0, SZ + 0.7 * SX)), 64)
+    proto = DrivingProtocol([0.0, 1.0], [SZ, SZ + 0.7 * SX], 64)
     s = Scenario(dim=2, h_initial=SZ, h_final=SZ + 0.7 * SX, evolution=proto, rho=rho)
     fwd = sch.consistent_histories(s, 8)
     rev = sch.consistent_histories(time_reversed(s), 8)

@@ -6,6 +6,7 @@ import pytest
 from qworklab import audit
 from qworklab import linalg as la
 from qworklab import scenario as scenario_mod
+from qworklab import schemes as schemes_mod
 from qworklab.errors import NotLinear
 from qworklab.linalg import max_abs, projector
 from qworklab.scenario import Scenario, mean_energy_change, parse_scenario, serialize_scenario
@@ -91,6 +92,21 @@ def test_sample_scenario_validates_each_hamiltonian_once(monkeypatch):
             calls.clear()
             scheme(s)
             assert calls == [], (coherent, driven, scheme.__name__)
+
+
+def test_c1_two_copy_computes_the_factors_once_per_mixture(monkeypatch):
+    calls = []
+
+    def counting(s, lam="auto"):
+        calls.append(s)
+        return collective_factors(s, lam)
+
+    # the audit calls the factors directly and the scheme dispatch through schemes
+    monkeypatch.setattr(audit, "collective_factors", counting)
+    monkeypatch.setattr(schemes_mod, "collective_factors", counting)
+    audit.check_c1_linearity(SchemeId.COLLECTIVE_TWO_COPY, dim=2, n_samples=200, seed=0)
+    # the probe mixture and one mixture per sample; its two components reuse the factors
+    assert len(calls) == 201
 
 
 def test_tpm_c2_is_self_consistent():

@@ -23,7 +23,7 @@ def scenario_file(tmp_path):
 def ramp_file(tmp_path):
     from qworklab.scenario import DrivingProtocol
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    proto = DrivingProtocol(((0.0, SZ), (1.0, SZ + 0.7 * sx)), 32)
+    proto = DrivingProtocol([0.0, 1.0], [SZ, SZ + 0.7 * sx], 32)
     s = Scenario(dim=2, h_initial=SZ, h_final=SZ + 0.7 * sx, evolution=proto, rho=PLUS)
     path = tmp_path / "ramp.json"
     path.write_text(serialize_scenario(s))
@@ -114,6 +114,21 @@ def test_scheme_error_is_exit_3(ramp_file, capsys):
     code, _ = run_cli(["dist", "--scheme", "consistent-histories", "--scenario",
                        ramp_file, "--k-steps", "25"], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("args, code", [
+    (["dist", "--scheme", "collective-two-copy", "--scenario", "{file}", "--lam", "2"], 3),
+    (["dist", "--scheme", "collective-two-copy", "--scenario", "{file}", "--lam", "abc"], 2),
+    (["dist", "--scheme", "consistent-histories", "--scenario", "{file}"], 3),
+    (["table1", "--dim", "1"], 3),
+    (["pointer-sweep", "--scenario", "{file}", "--coupling", "-1"], 3),
+    (["pointer-sweep", "--scenario", "{file}", "--density", "--spread", "0"], 3),
+], ids=["dist-lam-2", "dist-lam-abc", "dist-ch-unitary", "table1-dim-1",
+        "pointer-sweep-coupling-negative", "pointer-density-spread-0"])
+def test_flag_domain_errors_exit_with_documented_codes(args, code, scenario_file, capsys):
+    assert main([a.format(file=scenario_file) for a in args]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_same_seed_byte_identical_outputs(scenario_file, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from qworklab import linalg as la
 from qworklab import scenario as scenario_mod
 from qworklab.audit import random_nondegenerate_hermitian
 from qworklab.errors import ParseError, ValidationError
@@ -19,7 +20,15 @@ from qworklab.scenario import (
 )
 from qworklab.schemes import tpm
 
-from conftest import HADAMARD, PLUS, SX, SZ
+from conftest import (
+    HADAMARD,
+    PLUS,
+    SX,
+    SZ,
+    derivative_at_loop,
+    hamiltonian_at_loop,
+    random_hermitian_np,
+)
 
 MINIMAL_DOC = {
     "dim": 2,
@@ -97,7 +106,7 @@ def test_roundtrip_is_bit_exact(hadamard_scenario):
 
 
 def test_roundtrip_protocol_scenario():
-    proto = DrivingProtocol(((0.0, SZ), (1.0, SZ + 0.7 * SX)), steps_per_segment=16)
+    proto = DrivingProtocol([0.0, 1.0], [SZ, SZ + 0.7 * SX], steps_per_segment=16)
     s = Scenario(dim=2, h_initial=SZ, h_final=SZ + 0.7 * SX, evolution=proto,
                  rho=PLUS, label="ramp")
     again = parse_scenario(serialize_scenario(s))
@@ -107,7 +116,7 @@ def test_roundtrip_protocol_scenario():
 
 
 def test_protocol_endpoint_mismatch_rejected():
-    proto = DrivingProtocol(((0.0, SZ), (1.0, SX)))
+    proto = DrivingProtocol([0.0, 1.0], [SZ, SX])
     with pytest.raises(ValidationError) as err:
         Scenario(dim=2, h_initial=SZ, h_final=SZ, evolution=proto, rho=PLUS)
     assert err.value.kind == "EndpointMismatch"
@@ -148,7 +157,7 @@ def test_with_rho_compiles_a_driven_unitary_once(monkeypatch):
         return real(protocol, grid)
 
     monkeypatch.setattr(scenario_mod, "compile_unitary", counting)
-    proto = DrivingProtocol(((0.0, SZ), (1.0, SZ + 0.7 * SX)), 16)
+    proto = DrivingProtocol([0.0, 1.0], [SZ, SZ + 0.7 * SX], 16)
     s = Scenario(dim=2, h_initial=SZ, h_final=SZ + 0.7 * SX, evolution=proto, rho=PLUS)
     first = s.with_rho(np.diag([0.8, 0.2]).astype(complex))
     u = s.unitary()
@@ -170,17 +179,88 @@ def test_with_rho_validates_the_state(hadamard_scenario, rho, kind):
 
 def test_protocol_time_validation():
     with pytest.raises(ParseError):
-        DrivingProtocol(((0.5, SZ), (1.0, SZ)))
+        DrivingProtocol([0.5, 1.0], [SZ, SZ])
     with pytest.raises(ParseError):
-        DrivingProtocol(((0.0, SZ), (0.0, SZ)))
+        DrivingProtocol([0.0, 0.0], [SZ, SZ])
+
+
+# --- the stacked protocol form ----------------------------------------------------
+
+def unequal_protocols():
+    """A 3-breakpoint protocol at d = 3 and a 4-breakpoint one at d = 4, unequal segments."""
+    rng = np.random.default_rng(17)
+    return [DrivingProtocol(times, [random_hermitian_np(dim, rng) for _ in times], 8)
+            for times, dim in (([0.0, 0.5, 2.0], 3), ([0.0, 0.3, 0.7, 1.6], 4))]
+
+
+def probe_times(protocol):
+    """Each breakpoint, points within and just beyond the time tolerance of it (inside
+    [-tol / 2, tau + tol / 2]), and points between breakpoints."""
+    tol = scenario_mod._TIME_MATCH_TOL * max(1.0, protocol.duration)
+    bps = protocol.times
+    near = (bps[:, None] + tol * np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])).ravel()
+    near = near[(near >= -tol / 2) & (near <= protocol.duration + tol / 2)]
+    return np.concatenate([near, bps[:-1] + np.diff(bps) / 2, bps[:-1] + np.diff(bps) / 3])
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["3-breakpoints", "4-breakpoints"])
+def test_interpolation_matches_the_loop_reference(case):
+    protocol = unequal_protocols()[case]
+    n, d = protocol.times.size, protocol.dim
+    assert protocol.times.shape == (n,) and protocol.hamiltonians.shape == (n, d, d)
+    ts = probe_times(protocol)
+    hams, slopes = protocol.hamiltonian_at(ts), protocol.derivative_at(ts)
+    assert hams.shape == slopes.shape == (ts.size, d, d)
+    for t, h_t, dh_t in zip(ts, hams, slopes):
+        assert h_t.tobytes() == hamiltonian_at_loop(protocol, t).tobytes()
+        assert dh_t.tobytes() == derivative_at_loop(protocol, t).tobytes()
+        assert protocol.derivative_at(t).tobytes() == dh_t.tobytes()
+    # outside [0, tau] the interpolation holds the nearer endpoint
+    for t in (-1.0, protocol.duration + 1.0):
+        np.testing.assert_array_equal(protocol.hamiltonian_at(t), hamiltonian_at_loop(protocol, t))
+
+
+def test_derivative_outside_the_protocol_raises():
+    protocol = unequal_protocols()[0]
+    tol = scenario_mod._TIME_MATCH_TOL * protocol.duration
+    for t in (-3.0 * tol, protocol.duration + 3.0 * tol, [0.5, 2.5]):
+        with pytest.raises(ValueError):
+            protocol.derivative_at(t)
+
+
+def _pairs(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+
+
+def test_parse_validates_each_breakpoint_and_rho_once(monkeypatch):
+    calls = []
+    original = la.require_hermitian
+
+    def record(m, name="operator"):
+        calls.append(name)
+        return original(m, name)
+
+    monkeypatch.setattr(la, "require_hermitian", record)
+    monkeypatch.setattr(scenario_mod, "require_hermitian", record)
+    rng = np.random.default_rng(5)
+    hams = [random_hermitian_np(3, rng) for _ in range(3)]
+    doc = {"dim": 3, "H": _pairs(hams[0]), "H_final": _pairs(hams[-1]),
+           "rho": _pairs(np.eye(3) / 3.0),
+           "evolution": {"type": "protocol", "steps_per_segment": 8,
+                         "breakpoints": [{"t": t, "H": _pairs(h)}
+                                         for t, h in zip((0.0, 0.5, 2.0), hams)]}}
+    s = parse_scenario(json.dumps(doc))
+    # H and H_final equal the end breakpoints, which the protocol validated
+    assert calls == [f"evolution.breakpoints[{i}].H" for i in range(3)] + ["rho"]
+    np.testing.assert_array_equal(s.h_final, hams[-1])
 
 
 # --- compile_unitary -----------------------------------------------------------
 
 def test_constant_hamiltonian_is_exact():
     tau = 1.3
-    proto = DrivingProtocol(((0.0, SZ), (tau, SZ)))
-    u, _ = compile_unitary(proto)
+    proto = DrivingProtocol([0.0, tau], [SZ, SZ])
+    u, _, _ = compile_unitary(proto)
     assert max_abs(u - scipy.linalg.expm(-1j * SZ * tau)) <= 1e-12
 
 
@@ -188,10 +268,11 @@ def test_commuting_breakpoints_match_quadrature_oracle():
     d0 = np.diag([0.0, 1.0]).astype(complex)
     d1 = np.diag([2.0, -1.0]).astype(complex)
     steps = 16
-    proto = DrivingProtocol(((0.0, d0), (0.7, d1), (1.0, d0)), steps_per_segment=steps)
-    u, _ = compile_unitary(proto)
+    proto = DrivingProtocol([0.0, 0.7, 1.0], [d0, d1, d0], steps_per_segment=steps)
+    u, _, _ = compile_unitary(proto)
     acc = np.zeros((2, 2), dtype=complex)
-    for (ta, ha), (tb, hb) in zip(proto.breakpoints, proto.breakpoints[1:]):
+    bps = list(zip(proto.times, proto.hamiltonians))
+    for (ta, ha), (tb, hb) in zip(bps, bps[1:]):
         dt = (tb - ta) / steps
         for k in range(steps):
             lam = (k + 0.5) / steps
@@ -201,22 +282,22 @@ def test_commuting_breakpoints_match_quadrature_oracle():
 
 def test_step_doubling_second_order():
     h1 = SZ + 0.8 * SX
-    ref, _ = compile_unitary(DrivingProtocol(((0.0, SZ), (1.0, h1)), 2048))
+    ref, _, _ = compile_unitary(DrivingProtocol([0.0, 1.0], [SZ, h1], 2048))
     errs = []
     for n in (8, 16, 32):
-        u, _ = compile_unitary(DrivingProtocol(((0.0, SZ), (1.0, h1)), n))
+        u, _, _ = compile_unitary(DrivingProtocol([0.0, 1.0], [SZ, h1], n))
         errs.append(max_abs(u - ref))
     assert errs[1] <= errs[0] / 3.0
     assert errs[2] <= errs[1] / 3.0
 
 
 def test_grid_records_requested_times():
-    proto = DrivingProtocol(((0.0, SZ), (1.0, SZ + 0.5 * SX)), 8)
+    proto = DrivingProtocol([0.0, 1.0], [SZ, SZ + 0.5 * SX], 8)
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]
-    u, records = compile_unitary(proto, grid=grid)
-    assert [t for t, _ in records] == grid
-    assert max_abs(records[-1][1] - u) == 0.0
-    for _, uj in records:
+    u, times, unitaries = compile_unitary(proto, grid=grid)
+    assert times.tolist() == grid
+    assert max_abs(unitaries[-1] - u) == 0.0
+    for uj in unitaries:
         assert max_abs(uj.conj().T @ uj - np.eye(2)) <= 1e-10
 
 
@@ -227,8 +308,8 @@ def test_compiled_unitaries_pass_the_unitarity_invariant():
         h0 = (g + g.conj().T) / 2
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         h1 = (g + g.conj().T) / 2
-        u, records = compile_unitary(DrivingProtocol(((0.0, h0), (1.5, h1)), 16))
-        for _, uj in records + [(None, u)]:
+        u, _, unitaries = compile_unitary(DrivingProtocol([0.0, 1.5], [h0, h1], 16))
+        for uj in [*unitaries, u]:
             assert max_abs(uj.conj().T @ uj - np.eye(3)) <= 1e-10
 
 
@@ -246,7 +327,7 @@ def test_mean_energy_change_examples(hadamard_scenario):
 
 
 def test_time_reversed_propagator_identity():
-    proto = DrivingProtocol(((0.0, SZ), (1.0, SZ + 0.8 * SX)), 16)
+    proto = DrivingProtocol([0.0, 1.0], [SZ, SZ + 0.8 * SX], 16)
     s = Scenario(dim=2, h_initial=SZ, h_final=SZ + 0.8 * SX, evolution=proto, rho=PLUS)
     rev = time_reversed(s)
     assert max_abs(rev.unitary() - np.conj(s.unitary().conj().T)) <= 1e-12

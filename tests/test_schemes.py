@@ -33,6 +33,7 @@ from conftest import (
     collective_elements_loop,
     degenerate_hermitian,
     degenerate_w_triple,
+    derivative_at_loop,
     haar_unitary_np,
     projector_pairs,
     random_density_np,
@@ -324,12 +325,12 @@ def test_mh_extremal_negative_joint_value():
 # --- consistent histories ----------------------------------------------------------
 
 def make_ramp(rho, h0=SZ, h1=SZ + 0.7 * SX, tau=1.0, steps=64):
-    proto = DrivingProtocol(((0.0, h0), (tau, h1)), steps)
+    proto = DrivingProtocol([0.0, tau], [h0, h1], steps)
     return Scenario(dim=2, h_initial=h0, h_final=h1, evolution=proto, rho=rho)
 
 
 def test_ch_constant_driving_is_delta_at_zero():
-    proto = DrivingProtocol(((0.0, SZ), (1.0, SZ)))
+    proto = DrivingProtocol([0.0, 1.0], [SZ, SZ])
     s = Scenario(dim=2, h_initial=SZ, h_final=SZ, evolution=proto, rho=PLUS)
     assert sch.consistent_histories(s, 8).atoms == [(0.0, pytest.approx(1.0))]
 
@@ -370,7 +371,7 @@ def test_ch_negativity_instance():
     h0 = -2.0 * SX
     h1 = 2.0 * SZ
     psi = np.array([math.cos(1.1), np.exp(0.5j) * math.sin(1.1)])
-    proto = DrivingProtocol(((0.0, h0), (2.0, h1)), 32)
+    proto = DrivingProtocol([0.0, 2.0], [h0, h1], 32)
     s = Scenario(dim=2, h_initial=h0, h_final=h1, evolution=proto, rho=projector(psi))
     dist = sch.consistent_histories(s, 6)
     assert dist.min_weight() < -0.25
@@ -716,12 +717,12 @@ def sub_ensemble_loop(s, decomp):
 def consistent_histories_loop(s, k_steps):
     protocol = s.evolution
     dt = protocol.duration / k_steps
-    _, records = compile_unitary(
+    _, times, unitaries = compile_unitary(
         protocol, grid=[protocol.duration * j / k_steps for j in range(k_steps + 1)])
     prods = np.eye(s.dim, dtype=complex)[None]
     works = np.zeros(1)
-    for t_j, u_j in records[1:-1]:
-        x_op = u_j.conj().T @ protocol.derivative_at(t_j) @ u_j
+    for t_j, u_j in zip(times[1:-1], unitaries[1:-1]):
+        x_op = u_j.conj().T @ derivative_at_loop(protocol, t_j) @ u_j
         clusters = projector_pairs(eig_hermitian((x_op + x_op.conj().T) / 2.0))
         prods = np.concatenate([np.einsum("ij,njk->nik", proj, prods) for _, proj in clusters])
         works = np.concatenate([works + val * dt for val, _ in clusters])
@@ -740,7 +741,7 @@ def loop_reference_scenarios(kind, driven=False):
             hf = degenerate_hermitian(dim, rng)
         elif kind == "degenerate-w":
             h, hf, u = degenerate_w_triple(dim, rng)
-        evolution = (DrivingProtocol(((0.0, h), (1.0, hf)), 16) if driven
+        evolution = (DrivingProtocol([0.0, 1.0], [h, hf], 16) if driven
                      else haar_unitary_np(dim, rng) if u is None else u)
         out.append(Scenario(dim=dim, h_initial=h, h_final=hf, evolution=evolution,
                             rho=random_density_np(dim, rng)))

@@ -102,6 +102,19 @@ def degenerate_doc(dim: int, seed: int) -> dict:
             "rho": _pairs(rho)}
 
 
+def three_breakpoint_doc(dim: int, seed: int) -> dict:
+    """A driven scenario with breakpoints at t = 0, 0.5 and 2: unequal segments, and
+    the interior breakpoint falls on the t_1 point of a 4-step history grid."""
+    rng = random.Random(seed)
+    hams = [_hermitian(dim, rng) for _ in range(3)]
+    rho = _density(dim, rng)
+    return {"dim": dim, "label": f"snapshot-d{dim}-three-breakpoints", "H": _pairs(hams[0]),
+            "H_final": _pairs(hams[-1]), "rho": _pairs(rho),
+            "evolution": {"type": "protocol", "steps_per_segment": 16,
+                          "breakpoints": [{"t": t, "H": _pairs(h)}
+                                          for t, h in zip((0.0, 0.5, 2.0), hams)]}}
+
+
 def commands() -> list[tuple[str, list[str]]]:
     """(name, CLI arguments) for every snapshot entry, in a fixed order."""
     runs: list[tuple[str, list[str]]] = []
@@ -117,6 +130,13 @@ def commands() -> list[tuple[str, list[str]]]:
         runs.append((f"dist-collective-two-copy-{name}-json",
                      ["dist", "--scheme", "collective-two-copy", "--scenario",
                       f"scenarios/{name}.json", "--format", "json"]))
+    # a three-breakpoint protocol: a history grid point on the interior breakpoint, and TPM
+    three = "scenarios/d3-three-breakpoints.json"
+    runs.append(("dist-consistent-histories-d3-three-breakpoints-k4-json",
+                 ["dist", "--scheme", "consistent-histories", "--scenario", three,
+                  "--k-steps", "4", "--format", "json"]))
+    runs.append(("dist-tpm-d3-three-breakpoints-json",
+                 ["dist", "--scheme", "tpm", "--scenario", three, "--format", "json"]))
     runs.append(("dist-sub-ensemble-d3-members5",
                  ["dist", "--scheme", "sub-ensemble", "--scenario", "scenarios/d3-unitary.json",
                   "--members", "5", "--seed", "3"]))
@@ -191,7 +211,8 @@ def main(argv=None) -> int:
     out = Path(args.out)
     (out / "scenarios").mkdir(parents=True, exist_ok=True)
     docs = {"d3-degenerate": degenerate_doc(3, seed=2003),
-            "d16-unitary": scenario_docs(16, seed=1016)[0]}
+            "d16-unitary": scenario_docs(16, seed=1016)[0],
+            "d3-three-breakpoints": three_breakpoint_doc(3, seed=3003)}
     for dim in (2, 3, 4):
         docs[f"d{dim}-unitary"], docs[f"d{dim}-driven"] = scenario_docs(dim, seed=1000 + dim)
     for name, doc in docs.items():
