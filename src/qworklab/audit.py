@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateRhoWarning, NotLinear
+from .errors import DegenerateRhoWarning, DomainError, NotLinear
 from .linalg import (
     _eig,
     dag,
@@ -89,15 +89,6 @@ class ConditionVerdict:
     witness: dict | None = None
     notes: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition.value,
-            "status": self.status.value,
-            "max_violation": self.max_violation,
-            "witness": self.witness,
-            "notes": self.notes,
-        }
-
 
 def _graded(condition: Condition, violation: float, witness: dict | None,
             notes: str = "") -> ConditionVerdict:
@@ -107,6 +98,11 @@ def _graded(condition: Condition, violation: float, witness: dict | None,
         return ConditionVerdict(condition, Status.VIOLATED, violation, witness, notes)
     return ConditionVerdict(condition, Status.INCONCLUSIVE, violation, witness,
                             notes + " (dead zone: raise n_samples)")
+
+
+def _require_count(n: int, name: str = "n_samples") -> None:
+    if n < 1:
+        raise DomainError(f"{name} must be >= 1, got {n}")
 
 
 # --- scenario sampling -------------------------------------------------------
@@ -274,6 +270,7 @@ def check_c2(scheme: SchemeId | str, dim: int = 2, n_samples: int = 200,
              seed: int = 0) -> ConditionVerdict:
     """Total-variation distance to the TPM distribution on commuting states."""
     scheme = SchemeId(scheme)
+    _require_count(n_samples)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     driven = scheme is SchemeId.CONSISTENT_HISTORIES
     probes: list[tuple[Scenario, int]] = []
@@ -323,6 +320,7 @@ def check_c3(scheme: SchemeId | str, dim: int = 2, n_samples: int = 200,
              seed: int = 0) -> ConditionVerdict:
     """First-law gap |mean(p) - (Tr(U rho U^dag H') - Tr(rho H))| on coherent states."""
     scheme = SchemeId(scheme)
+    _require_count(n_samples)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     if scheme is SchemeId.CONSISTENT_HISTORIES:
         worst, witness, note = _ch_limit_c3(dim, min(n_samples, 25), rng)
@@ -340,6 +338,7 @@ def check_c1_linearity(scheme: SchemeId | str, dim: int = 2, n_samples: int = 20
                        seed: int = 0) -> ConditionVerdict:
     """Convexity under mixtures plus nonnegativity of the weights."""
     scheme = SchemeId(scheme)
+    _require_count(n_samples)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     driven = scheme is SchemeId.CONSISTENT_HISTORIES
 
@@ -463,9 +462,6 @@ class NogoReport:
     tpm_verdicts: dict
     notes: str
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _povm_gap(a: Povm, b: Povm) -> float:
     """Max operator distance between two POVMs matched on their work labels."""
@@ -516,11 +512,6 @@ def demonstrate_nogo(dim: int = 2, seed: int = 0) -> NogoReport:
     c3_gap = abs(float(povm_had.labels @ povm_had.probabilities(s_had.rho))
                  - mean_energy_change(s_had))
 
-    verdicts = {
-        "c1": check_c1_linearity(SchemeId.TPM, dim=dim, n_samples=60, seed=seed).to_dict(),
-        "c2": check_c2(SchemeId.TPM, dim=dim, n_samples=60, seed=seed).to_dict(),
-        "c3": check_c3(SchemeId.TPM, dim=dim, n_samples=60, seed=seed).to_dict(),
-    }
     return NogoReport(
         dim=dim,
         seed=seed,
@@ -528,7 +519,9 @@ def demonstrate_nogo(dim: int = 2, seed: int = 0) -> NogoReport:
         tomography_vs_analytic_gap=tomo_gap,
         diagonal_c2_residual=c2_residual,
         coherent_c3_gap=c3_gap,
-        tpm_verdicts={k: v["status"] for k, v in verdicts.items()},
+        tpm_verdicts={k: check(SchemeId.TPM, dim=dim, n_samples=60, seed=seed).status.value
+                      for k, check in (("c1", check_c1_linearity), ("c2", check_c2),
+                                       ("c3", check_c3))},
         notes="C1+C2 force the TPM POVM; the Hadamard instance then breaks C3 with gap 1",
     )
 
@@ -548,14 +541,12 @@ class CollectiveAdaptedReport:
     adapted_c2_max_tv: float
     hadamard_gap_pair: tuple[float, float]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def check_collective_adapted(dim: int = 2, n_samples: int = 200,
                              seed: int = 0) -> CollectiveAdaptedReport:
     """Adapted two-copy conditions: POVM validity, exact diagonal agreement,
     and the first-law gap contraction |gap| -> (1 - lambda_max) |gap|."""
+    _require_count(n_samples)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 6]))
     strict = ties = violations = 0
     worst_pos = 0.0
@@ -669,9 +660,10 @@ def contextuality_witness(search_budget: int = 10_000,
     ``WITNESS_TIE_TOL``, so last-bit noise cannot change the reported scenario.
     Returns the best witness if its value is below -1e-3, else None.
     """
+    _require_count(search_budget, "search_budget")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
     n_random = max(1, int(0.8 * search_budget))
-    n_refine = max(0, search_budget - n_random)
+    n_refine = search_budget - n_random
     spans = np.array([math.pi, 2 * math.pi, 2 * math.pi, math.pi, 2 * math.pi])
 
     best_params = None
@@ -719,15 +711,6 @@ class Table1Row:
     def pattern(self) -> tuple[str, str, str]:
         return (self.c1.status.value, self.c2.status.value, self.c3.status.value)
 
-    def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "c1": self.c1.to_dict(),
-            "c2": self.c2.to_dict(),
-            "c3": self.c3.to_dict(),
-            "notes": self.notes,
-        }
-
 
 @dataclass(frozen=True)
 class Table1Report:
@@ -738,15 +721,9 @@ class Table1Report:
         return {row.scheme: row.pattern() for row in self.rows}
 
     def to_dict(self) -> dict:
-        return {
-            "config": {
-                "dim": self.config.dim,
-                "samples": self.config.samples,
-                "seed": self.config.seed,
-                "ch_steps": DEFAULT_CH_STEPS,
-            },
-            "rows": [r.to_dict() for r in self.rows],
-        }
+        doc = asdict(self)
+        doc["config"]["ch_steps"] = DEFAULT_CH_STEPS
+        return doc
 
 
 EXPECTED_TABLE1_PATTERN = {

@@ -9,12 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .audit import (
-    Condition,
     Table1Config,
     build_table1,
     check_c1_linearity,
@@ -24,7 +24,7 @@ from .audit import (
     contextuality_witness,
     demonstrate_nogo,
 )
-from .errors import ParseError, QworklabError, ValidationError
+from .errors import DomainError, ParseError, QworklabError, ValidationError
 from .linalg import HERMITICITY_TOL, UNITARITY_TOL
 from .pointer import PointerConfig, gaussian_meter, interpolation_sweep
 from .scenario import load_scenario
@@ -64,22 +64,25 @@ def _metadata(seed) -> dict:
             "tolerances": TOLERANCES}
 
 
+def _report(doc: dict, seed, **after) -> str:
+    """JSON text of ``doc``, then ``metadata``, then each ``after`` key that is not None."""
+    doc["metadata"] = _metadata(seed)
+    doc.update((key, value) for key, value in after.items() if value is not None)
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
+
+
 def emit_distribution(dist: WorkDistribution, fmt: str, seed=None) -> str:
     """Render a distribution as CSV (work,weight) or JSON with metadata."""
     if fmt == "csv":
-        lines = ["work,weight"]
-        lines += [f"{_fmt(w)},{_fmt(p)}" for w, p in dist.atoms]
-        return "\n".join(lines) + "\n"
-    doc = {
-        "scheme": dist.scheme.value,
-        "is_quasi": dist.is_quasi,
-        "atoms": [[w, p] for w, p in dist.atoms],
-        "metadata": _metadata(seed),
-    }
+        return _csv("work,weight", dist.atoms)
     note = _CONVENTION_FLAGS.get(dist.scheme)
-    if note:
-        doc["conventions"] = [note]
-    return json.dumps(doc, indent=2) + "\n"
+    return _report({"scheme": dist.scheme.value, "is_quasi": dist.is_quasi,
+                    "atoms": [[w, p] for w, p in dist.atoms]}, seed,
+                   conventions=[note] if note else None)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -88,6 +91,11 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc: dict, args, **after) -> None:
+    """Write the JSON report of a verb to ``--out`` or stdout."""
+    _write(_report(doc, args.seed, **after), args.out)
 
 
 def _cmd_dist(args) -> int:
@@ -113,63 +121,40 @@ def _cmd_dist(args) -> int:
 
 def _cmd_audit(args) -> int:
     scheme = SchemeId(args.scheme.replace("-", "_"))
-    wanted = {"c1": [Condition.C1_LINEAR_POVM], "c2": [Condition.C2_TPM_AGREEMENT],
-              "c3": [Condition.C3_FIRST_LAW]}.get(args.condition)
-    checks = {
-        Condition.C1_LINEAR_POVM: check_c1_linearity,
-        Condition.C2_TPM_AGREEMENT: check_c2,
-        Condition.C3_FIRST_LAW: check_c3,
-    }
-    conditions = wanted or list(checks)
-    verdicts = [checks[c](scheme, args.dim, args.samples, args.seed).to_dict()
-                for c in conditions]
-    doc = {"scheme": scheme.value, "dim": args.dim, "samples": args.samples,
-           "verdicts": verdicts, "metadata": _metadata(args.seed)}
+    checks = {"c1": check_c1_linearity, "c2": check_c2, "c3": check_c3}
+    names = list(checks) if args.condition == "all" else [args.condition]
+    verdicts = [asdict(checks[c](scheme, args.dim, args.samples, args.seed)) for c in names]
     note = _CONVENTION_FLAGS.get(scheme)
-    if note:
-        doc["conventions"] = [note]
-    _write(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit({"scheme": scheme.value, "dim": args.dim, "samples": args.samples,
+           "verdicts": verdicts}, args, conventions=[note] if note else None)
     return 0
 
 
 def _cmd_table1(args) -> int:
     report = build_table1(Table1Config(dim=args.dim, samples=args.samples, seed=args.seed))
-    doc = report.to_dict()
-    doc["metadata"] = _metadata(args.seed)
-    doc["conventions"] = sorted(set(_CONVENTION_FLAGS.values()))
-    _write(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(report.to_dict(), args, conventions=sorted(set(_CONVENTION_FLAGS.values())))
     return 0
 
 
 def _cmd_nogo(args) -> int:
-    report = demonstrate_nogo(args.dim, args.seed)
-    doc = report.to_dict()
-    doc["metadata"] = _metadata(args.seed)
-    _write(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(asdict(demonstrate_nogo(args.dim, args.seed)), args)
     return 0
 
 
 def _cmd_witness(args) -> int:
     witness = contextuality_witness(args.budget, args.seed)
-    doc = {"found": witness is not None, "metadata": _metadata(args.seed)}
-    if witness is not None:
-        doc["witness"] = witness.to_dict()
-    _write(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit({"found": witness is not None}, args, witness=witness.to_dict() if witness else None)
     return 0
 
 
 def _cmd_thermo(args) -> int:
     report = identity_suite(args.samples, args.seed)
-    doc = {"check": args.check, "report": report, "metadata": _metadata(args.seed)}
-    _write(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit({"check": args.check, "report": report}, args)
     return 0 if report["pass"] else 3
 
 
 def _cmd_collective(args) -> int:
-    report = check_collective_adapted(args.dim, args.samples, args.seed)
-    doc = report.to_dict()
-    doc["metadata"] = _metadata(args.seed)
-    _write(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(asdict(check_collective_adapted(args.dim, args.samples, args.seed)), args)
     return 0
 
 
@@ -179,28 +164,22 @@ def _cmd_pointer_sweep(args) -> int:
         cfg = PointerConfig.for_scenario(s, args.coupling, args.spread)
         readout = gaussian_meter(s, cfg)
         if args.format == "csv":
-            lines = ["x,density,work,work_density"]
-            for x, px, w, pw in zip(readout.xs, readout.density,
-                                    readout.work_axis(), readout.work_density()):
-                lines.append(f"{_fmt(x)},{_fmt(px)},{_fmt(w)},{_fmt(pw)}")
-            _write("\n".join(lines) + "\n", args.out)
+            _write(_csv("x,density,work,work_density",
+                        zip(readout.xs, readout.density, readout.work_axis(),
+                            readout.work_density())), args.out)
         else:
-            doc = {"coupling": args.coupling, "spread": args.spread,
-                   "xs": readout.xs.tolist(), "density": readout.density.tolist(),
-                   "metadata": _metadata(args.seed)}
-            _write(json.dumps(doc, indent=2) + "\n", args.out)
+            _emit({"coupling": args.coupling, "spread": args.spread,
+                   "xs": readout.xs.tolist(), "density": readout.density.tolist()}, args)
         return 0
+    if not (args.ratio_min > 0 and args.ratio_max > 0):
+        raise DomainError("spread/coupling ratio bounds must be positive")
     ratios = np.logspace(np.log10(args.ratio_min), np.log10(args.ratio_max), args.points)
     sweep = interpolation_sweep(s, args.coupling, ratios)
     if args.format == "csv":
-        lines = ["spread_over_coupling,l1_to_tpm,l1_to_margenau_hill"]
-        lines += [f"{_fmt(r)},{_fmt(dt)},{_fmt(dm)}" for r, dt, dm in sweep]
-        _write("\n".join(lines) + "\n", args.out)
+        _write(_csv("spread_over_coupling,l1_to_tpm,l1_to_margenau_hill", sweep), args.out)
     else:
-        doc = {"sweep": [{"ratio": r, "l1_to_tpm": dt, "l1_to_margenau_hill": dm}
-                         for r, dt, dm in sweep],
-               "metadata": _metadata(args.seed)}
-        _write(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit({"sweep": [{"ratio": r, "l1_to_tpm": dt, "l1_to_margenau_hill": dm}
+                         for r, dt, dm in sweep]}, args)
     return 0
 
 

@@ -44,7 +44,7 @@ class PointerConfig:
     n_points: int = 2048
 
     def __post_init__(self):
-        if self.coupling <= 0 or self.spread <= 0:
+        if not (self.coupling > 0 and self.spread > 0):
             raise DomainError("coupling and spread must be positive")
         if self.n_points < GRID_MIN_POINTS:
             raise DomainError(f"n_points must be at least {GRID_MIN_POINTS}")
@@ -58,7 +58,7 @@ class PointerConfig:
     def for_scenario(cls, s: Scenario, coupling: float, spread: float,
                      points_per_sigma: float = 48.0) -> "PointerConfig":
         """Grid that covers every shifted centre by 6 spreads and resolves them."""
-        if coupling <= 0 or spread <= 0:  # before the grid size divides by the spread
+        if not (coupling > 0 and spread > 0):  # NaN fails too; before the grid divides by spread
             raise DomainError("coupling and spread must be positive")
         e_i = eig_hermitian(s.h_initial).eigenvalues
         e_f = eig_hermitian(s.h_final).eigenvalues

@@ -133,14 +133,13 @@ def compile_unitary(
     U(tau), the output times, shape (m,), and the propagators U(t) at them,
     shape (m, d, d).  ``grid`` selects the output times (it must start at 0
     and end at the protocol duration); by default every internal substep
-    boundary is reported.  Each interval between requested times is
-    subdivided so that no factor step exceeds (shortest segment length) /
-    steps_per_segment.
+    boundary is reported.  Each interval between requested times and
+    breakpoints is subdivided so that no factor step exceeds (length of the
+    segment holding it) / steps_per_segment.
     """
     tau = protocol.duration
     bps = protocol.times
     steps = protocol.steps_per_segment
-    h_target = np.diff(bps).min() / steps
     tol = _TIME_MATCH_TOL * max(1.0, tau)
 
     if grid is None:
@@ -160,9 +159,11 @@ def compile_unitary(
             merged.append(t)
     grid_set = sorted(grid_pts.tolist())
 
-    # every midpoint Hamiltonian at once; n[j] equal substeps of width dt[j] in interval j
+    # every midpoint Hamiltonian at once; n[j] equal substeps of width dt[j] in interval j,
+    # each at most (length of the segment holding the interval) / steps
     a, b = np.array(merged[:-1]), np.array(merged[1:])
-    n = np.maximum(1, np.ceil((b - a) / h_target - 1e-9)).astype(int)
+    seg = np.clip(np.searchsorted(bps, (a + b) / 2) - 1, 0, bps.size - 2)
+    n = np.maximum(1, np.ceil((b - a) / (np.diff(bps)[seg] / steps) - 1e-9)).astype(int)
     dt = (b - a) / n
     k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
     hams = iter(protocol.hamiltonian_at(np.repeat(a, n) + (k + 0.5) * np.repeat(dt, n)))

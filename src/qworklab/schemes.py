@@ -382,7 +382,7 @@ def random_pure_decomposition(rho: np.ndarray, size: int, seed) -> PureDecomposi
     vecs = dec.eigenvectors[:, keep]
     rank = int(lam.size)
     if size < rank:
-        raise ValueError(f"need at least rank(rho)={rank} members")
+        raise DomainError(f"need at least rank(rho)={rank} members, got {size}")
     if size == 1:
         mix = np.ones((1, 1), dtype=np.complex128)
     else:

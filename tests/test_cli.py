@@ -20,6 +20,15 @@ def scenario_file(tmp_path):
 
 
 @pytest.fixture
+def mixed_file(tmp_path):
+    s = Scenario(dim=2, h_initial=SZ, h_final=SZ, evolution=HADAMARD,
+                 rho=np.diag([0.7, 0.3]).astype(complex), label="hadamard-mixed")
+    path = tmp_path / "mixed.json"
+    path.write_text(serialize_scenario(s))
+    return str(path)
+
+
+@pytest.fixture
 def ramp_file(tmp_path):
     from qworklab.scenario import DrivingProtocol
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -123,10 +132,26 @@ def test_scheme_error_is_exit_3(ramp_file, capsys):
     (["table1", "--dim", "1"], 3),
     (["pointer-sweep", "--scenario", "{file}", "--coupling", "-1"], 3),
     (["pointer-sweep", "--scenario", "{file}", "--density", "--spread", "0"], 3),
+    (["witness", "--budget", "-1"], 3),
+    (["witness", "--budget", "0"], 3),
+    (["thermo", "--samples", "0"], 3),
+    (["thermo", "--samples", "-3"], 3),
+    (["audit", "--scheme", "tpm", "--samples", "0"], 3),
+    (["table1", "--samples", "0"], 3),
+    (["collective", "--samples", "0"], 3),
+    (["dist", "--scheme", "sub-ensemble", "--scenario", "{mixed}", "--members", "1"], 3),
+    (["dist", "--scheme", "sub-ensemble", "--scenario", "{mixed}", "--members", "-2"], 3),
+    (["pointer-sweep", "--scenario", "{mixed}", "--ratio-min", "0"], 3),
+    (["pointer-sweep", "--scenario", "{mixed}", "--ratio-min", "-1"], 3),
 ], ids=["dist-lam-2", "dist-lam-abc", "dist-ch-unitary", "table1-dim-1",
-        "pointer-sweep-coupling-negative", "pointer-density-spread-0"])
-def test_flag_domain_errors_exit_with_documented_codes(args, code, scenario_file, capsys):
-    assert main([a.format(file=scenario_file) for a in args]) == code
+        "pointer-sweep-coupling-negative", "pointer-density-spread-0",
+        "witness-budget-negative", "witness-budget-0", "thermo-samples-0",
+        "thermo-samples-negative", "audit-samples-0", "table1-samples-0",
+        "collective-samples-0", "dist-members-below-rank", "dist-members-negative",
+        "pointer-sweep-ratio-min-0", "pointer-sweep-ratio-min-negative"])
+def test_flag_domain_errors_exit_with_documented_codes(args, code, scenario_file, mixed_file,
+                                                       capsys):
+    assert main([a.format(file=scenario_file, mixed=mixed_file) for a in args]) == code
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 

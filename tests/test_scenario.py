@@ -291,6 +291,24 @@ def test_step_doubling_second_order():
     assert errs[2] <= errs[1] / 3.0
 
 
+@pytest.mark.parametrize("middle", [0.5, 0.01, 0.001])
+def test_each_segment_takes_its_own_factor_step(monkeypatch, middle):
+    steps = []
+    real = scenario_mod._expi
+
+    def counting(h, dt):
+        steps.append(dt)
+        return real(h, dt)
+
+    monkeypatch.setattr(scenario_mod, "_expi", counting)
+    proto = DrivingProtocol([0.0, middle, 1.0], [SZ, SZ + 0.7 * SX, -SZ], 16)
+    u, _, _ = compile_unitary(proto)
+    assert len(steps) == 32
+    np.testing.assert_allclose(steps, [middle / 16] * 16 + [(1.0 - middle) / 16] * 16,
+                               rtol=1e-12)
+    assert max_abs(u.conj().T @ u - np.eye(2)) <= 1e-10
+
+
 def test_grid_records_requested_times():
     proto = DrivingProtocol([0.0, 1.0], [SZ, SZ + 0.5 * SX], 8)
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]

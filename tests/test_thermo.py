@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qworklab import linalg as la
 from qworklab import thermo as th
 from qworklab.errors import DegenerateHamiltonianWarning
 from qworklab.linalg import max_abs, relative_entropy
@@ -172,6 +173,29 @@ def test_bipartite_identity_1000_random_scenarios():
         assert rep.athermality_system >= -1e-10
         assert rep.athermality_bath >= -1e-10
     assert worst <= 1e-9
+
+
+def test_bipartite_scenario_validates_hamiltonians_only_when_built(monkeypatch):
+    calls = []
+    original = la.require_hermitian
+
+    def record(m, name="operator"):
+        calls.append(name)
+        return original(m, name)
+
+    monkeypatch.setattr(la, "require_hermitian", record)
+    monkeypatch.setattr(th, "require_hermitian", record)
+    rng = np.random.default_rng(84)
+    bs = th.BipartiteScenario(2, 2, SZ, 0.6 * SZ, random_density_np(2, rng), 1.0,
+                              haar_unitary_np(4, rng))
+    # each Hamiltonian under its own name, then once more by its thermal context
+    assert calls == ["H_S", "H_B", "rho_S", "H", "H"]
+    assert bs.system_context() is bs.system_context()
+    assert bs.bath_context() is bs.bath_context()
+    for _ in range(2):
+        calls.clear()
+        th.bipartite_work_identity(bs)
+        assert not {"H", "H_S", "H_B"} & set(calls), calls
 
 
 def test_local_free_energy_decomposition():

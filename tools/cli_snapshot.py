@@ -160,6 +160,17 @@ def commands() -> list[tuple[str, list[str]]]:
         runs.append((f"pointer-density-d2-{fmt}",
                      ["pointer-sweep", "--scenario", "scenarios/d2-unitary.json",
                       "--density", "--format", fmt]))
+    # flags outside their domain: each exits 3 with one line on stderr
+    runs += [
+        ("error-witness-budget0", ["witness", "--budget", "0"]),
+        ("error-thermo-samples0", ["thermo", "--samples", "0"]),
+        ("error-audit-samples0", ["audit", "--scheme", "tpm", "--samples", "0"]),
+        ("error-dist-sub-ensemble-members1",
+         ["dist", "--scheme", "sub-ensemble", "--scenario", "scenarios/d3-unitary.json",
+          "--members", "1"]),
+        ("error-pointer-sweep-ratio-min0",
+         ["pointer-sweep", "--scenario", "scenarios/d2-unitary.json", "--ratio-min", "0"]),
+    ]
     return runs
 
 
