@@ -173,6 +173,8 @@ def _cmd_pointer_sweep(args) -> int:
         return 0
     if not (args.ratio_min > 0 and args.ratio_max > 0):
         raise DomainError("spread/coupling ratio bounds must be positive")
+    if args.points < 1:
+        raise DomainError("points must be at least 1")
     ratios = np.logspace(np.log10(args.ratio_min), np.log10(args.ratio_max), args.points)
     sweep = interpolation_sweep(s, args.coupling, ratios)
     if args.format == "csv":

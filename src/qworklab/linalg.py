@@ -5,13 +5,18 @@ The ``require_*`` functions validate operators and return a defensive complex128
 copy; they run when an input type (``Scenario``, ``DrivingProtocol``,
 ``ThermalContext``) is constructed and, inside ``eig_hermitian``, on a cache
 miss only.  Downstream code treats validated arrays as immutable.  The
-eigensolver is a cyclic Jacobi iteration written for small dense Hermitian
-matrices (dimension <= 64), favouring robustness and determinism over speed;
-``SpectralDecomposition.eigenspaces()`` is the one form of its eigenspaces.
+eigensolver is a deterministic complex Jacobi iteration for dense Hermitian
+matrices (dimension <= 64).  A single matrix below ``_ROUNDS_MIN_DIM`` takes
+the cyclic per-pair loop; a larger one, or a stack (n, d, d), takes sweeps in
+Brent & Luk's parallel order, whose rounds rotate all their disjoint pairs at
+once, vectorised over the pairs and the stack.  Both share one threshold and
+one rotation formula.  ``SpectralDecomposition.eigenspaces()`` is the one form
+of its eigenspaces.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +32,7 @@ EIG_FLOOR = 1e-14          # eigenvalues below this contribute 0 to entropies
 DEGENERACY_GAP = 1e-9      # eigenvalues closer than this share an eigenspace
 MAX_SWEEPS = 100
 JACOBI_TOL = 1e-12         # off-diagonal convergence target (relative to scale)
+_ROUNDS_MIN_DIM = 8        # one matrix this large takes the round-parallel kernel
 
 _EIG_CACHE: dict[bytes, "SpectralDecomposition"] = {}
 _EIG_CACHE_CAP = 512
@@ -135,16 +141,48 @@ def _chain_starts(sorted_vals: np.ndarray, gap: float) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], np.diff(sorted_vals) > gap)))
 
 
+def _jacobi_threshold(a: np.ndarray):
+    """Convergence target and rotation-skip level of a matrix, or of each matrix
+    in a stack: the off-diagonal max-norm must fall to
+    ``JACOBI_TOL * max(1, ||A||_max)``, and an entry at or below half of that
+    is not rotated."""
+    tol = JACOBI_TOL * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    return tol, 0.5 * tol
+
+
+def _rotation(apq, mag, app, aqq, m=math):
+    """Jacobi rotation zeroing ``apq`` (``mag = |apq| > 0``) in the Hermitian block
+    [[app, apq], [conj(apq), aqq]].
+
+    Returns ``c`` and ``sp = s e^{i arg apq}`` for the column update
+    [col_p, col_q] <- [col_p, col_q] @ [[c, -sp], [conj(sp), c]].  ``m`` is
+    ``math`` for one pair or ``numpy`` for arrays of pairs.
+    """
+    # t takes the sign of app - aqq; adding 0.0 turns a tie's -0.0 into +0.0, so t = 1 there
+    tau = (app - aqq + 0.0) / (2.0 * mag)
+    t = m.copysign(1.0 / (abs(tau) + m.hypot(1.0, tau)), tau)
+    c = 1.0 / m.sqrt(1.0 + t * t)
+    return c, t * c * (apq / mag)
+
+
 def _jacobi(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic complex Jacobi diagonalization of a Hermitian matrix."""
+    """Complex Jacobi diagonalization of a Hermitian matrix (d, d) or stack (n, d, d).
+
+    Returns the ascending eigenvalues and the matching eigenvector columns,
+    shaped like the input without its last axis, and like the input.  A stack,
+    or one matrix with d >= ``_ROUNDS_MIN_DIM``, takes the round-parallel
+    kernel ``_jacobi_rounds``; a smaller single matrix takes the cyclic
+    per-pair loop, which has less overhead there.
+    """
+    if a.ndim == 3 or a.shape[0] >= _ROUNDS_MIN_DIM:
+        vals, vecs = _jacobi_rounds(a.reshape(-1, *a.shape[-2:]), max_sweeps)
+        return (vals, vecs) if a.ndim == 3 else (vals[0], vecs[0])
     d = a.shape[0]
     A = a.astype(np.complex128, copy=True)
     V = np.eye(d, dtype=np.complex128)
     if d == 1:
         return np.array([A[0, 0].real]), V
-    scale = max(1.0, max_abs(A))
-    tol = JACOBI_TOL * scale
-    skip = 0.5 * tol
+    tol, skip = _jacobi_threshold(A)
 
     for _ in range(max_sweeps):
         off = 0.0
@@ -166,16 +204,7 @@ def _jacobi(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
                 mag = abs(apq)
                 if mag <= skip:
                     continue
-                phase = apq / mag
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * mag)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = -math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                sp = s * phase           # rotation applies s e^{+i phi} / s e^{-i phi}
-                # columns: [col_p, col_q] <- [col_p, col_q] @ [[c, -sp], [conj(sp), c]]
+                c, sp = _rotation(apq, mag, A[p, p].real, A[q, q].real)
                 col_p = A[:, p].copy()
                 col_q = A[:, q].copy()
                 A[:, p] = c * col_p + np.conj(sp) * col_q
@@ -198,11 +227,91 @@ def _jacobi(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _rounds(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """One sweep over the pairs p < q of range(d) as rounds of disjoint pairs.
+
+    The circle method of Brent & Luk's parallel ordering: in [0, *ring] index 0
+    stays put while the ring turns one place per round, and each round pairs
+    the i-th entry with the i-th from the end.  Even d gives d - 1 rounds of
+    d/2 pairs; odd d runs as d + 1 with a dummy index, so each of its d rounds
+    gives one index a bye.
+    """
+    n = d + d % 2
+    half = n // 2
+    out = []
+    for r in range(n - 1):
+        order = np.concatenate(([0], np.roll(np.arange(1, n), r)))
+        ends = order[:half], order[::-1][:half]
+        p, q = np.minimum(*ends), np.maximum(*ends)
+        p, q = p[q < d], q[q < d]
+        p.setflags(write=False)
+        q.setflags(write=False)
+        out.append((p, q))
+    return tuple(out)
+
+
+def _jacobi_rounds(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi diagonalization of a stack (n, d, d) in parallel-ordered rounds.
+
+    Each sweep runs the rounds of ``_rounds(d)``; a round rotates all its
+    disjoint pairs at once, in every matrix not yet converged.  Convergence is
+    tested per matrix at the start of each sweep, against the same threshold
+    as the per-pair loop, and a converged matrix is not rotated again.  Every
+    operation is elementwise per matrix, so each matrix gets bitwise the
+    result it gets in a stack of one.
+    """
+    d = a.shape[-1]
+    A = a.astype(np.complex128, copy=True)
+    V = np.broadcast_to(np.eye(d, dtype=np.complex128), A.shape).copy()
+    tol, skip = _jacobi_threshold(A)
+    upper = np.triu_indices(d, 1)
+    idx = np.arange(d)
+    for _ in range(max_sweeps):
+        off = np.abs(A[:, upper[0], upper[1]]).max(axis=1, initial=0.0)
+        todo = np.flatnonzero(off > tol)
+        if not todo.size:
+            diag = A[:, idx, idx].real
+            order = np.argsort(diag, axis=1, kind="stable")
+            vals = np.take_along_axis(diag, order, 1)
+            vecs = np.take_along_axis(V, order[:, None, :], 2)
+            vals.setflags(write=False)
+            vecs.setflags(write=False)
+            return vals, vecs
+        As, Vs, sk = A[todo], V[todo], skip[todo, None]
+        for p, q in _rounds(d):
+            apq = As[:, p, q]
+            mag = np.abs(apq)
+            rot = mag > sk
+            if not rot.any():
+                continue
+            c, sp = _rotation(np.where(rot, apq, 1.0), np.where(rot, mag, 1.0),
+                              As[:, p, p].real, As[:, q, q].real, np)
+            c = np.where(rot, c, 1.0)[:, None, :]
+            sp = np.where(rot, sp, 0.0)[:, None, :]
+            for M in (As, Vs):
+                col_p, col_q = M[:, :, p], M[:, :, q]
+                M[:, :, p] = c * col_p + sp.conj() * col_q
+                M[:, :, q] = -sp * col_p + c * col_q
+            c, sp = c.swapaxes(1, 2), sp.swapaxes(1, 2)
+            row_p, row_q = As[:, p, :], As[:, q, :]
+            As[:, p, :] = c * row_p + sp * row_q
+            As[:, q, :] = -sp.conj() * row_p + c * row_q
+            As[:, p, q] = np.where(rot, 0.0, As[:, p, q])
+            As[:, q, p] = np.where(rot, 0.0, As[:, q, p])
+            As[:, p, p] = As[:, p, p].real
+            As[:, q, q] = As[:, q, q].real
+        A[todo], V[todo] = As, Vs
+    raise NonConvergence(
+        f"Jacobi eigensolver did not reach off-diagonal {tol.max():.1e} in {max_sweeps} sweeps"
+    )
+
+
 def eig_hermitian(op) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian operator.
 
-    Uses cyclic Jacobi rotations with a fixed sweep order, so the result is
-    deterministic for a fixed input.  Raises :class:`NonConvergence` if the
+    Uses Jacobi rotations in a fixed sweep order (see ``_jacobi``), so the
+    result is deterministic for a fixed input.  Raises :class:`NonConvergence` if the
     off-diagonal mass is not eliminated within ``MAX_SWEEPS`` sweeps.
     The input is validated only on a cache miss: the key holds the full shape
     and the bytes, so a hit is a matrix that was validated when it was solved.

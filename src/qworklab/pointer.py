@@ -33,6 +33,11 @@ NORMALIZATION_TOL = 1e-6
 _COVER_SIGMAS = 6.0
 
 
+def _require_coupling_and_spread(coupling: float, spread: float) -> None:
+    if not (0 < coupling < math.inf and 0 < spread < math.inf):  # NaN fails too
+        raise DomainError("coupling and spread must be finite and positive")
+
+
 @dataclass(frozen=True)
 class PointerConfig:
     """Coupling strength, initial pointer spread, and readout grid."""
@@ -44,8 +49,7 @@ class PointerConfig:
     n_points: int = 2048
 
     def __post_init__(self):
-        if not (self.coupling > 0 and self.spread > 0):
-            raise DomainError("coupling and spread must be positive")
+        _require_coupling_and_spread(self.coupling, self.spread)
         if self.n_points < GRID_MIN_POINTS:
             raise DomainError(f"n_points must be at least {GRID_MIN_POINTS}")
         if self.x_max <= self.x_min:
@@ -58,8 +62,7 @@ class PointerConfig:
     def for_scenario(cls, s: Scenario, coupling: float, spread: float,
                      points_per_sigma: float = 48.0) -> "PointerConfig":
         """Grid that covers every shifted centre by 6 spreads and resolves them."""
-        if not (coupling > 0 and spread > 0):  # NaN fails too; before the grid divides by spread
-            raise DomainError("coupling and spread must be positive")
+        _require_coupling_and_spread(coupling, spread)  # before the grid divides by spread
         e_i = eig_hermitian(s.h_initial).eigenvalues
         e_f = eig_hermitian(s.h_final).eigenvalues
         centers = coupling * (e_f[:, None] - e_i[None, :]).ravel()

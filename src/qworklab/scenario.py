@@ -17,7 +17,8 @@ import numpy as np
 from .errors import DomainError, ParseError, ValidationError
 from .linalg import (
     HERMITICITY_TOL,
-    _eig,
+    MAX_SWEEPS,
+    _jacobi,
     dag,
     max_abs,
     require_density,
@@ -117,11 +118,12 @@ class DrivingProtocol:
                                self.steps_per_segment)
 
 
-def _expi(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i h dt) via spectral decomposition; ``h`` interpolates breakpoints the
-    protocol validated, so a cache miss solves it as it is."""
-    dec = _eig(h, validated=True)
-    return dec.apply(lambda lam: np.exp(-1j * lam * dt))
+def _expi(hs: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """exp(-i H_j dt_j) for a stack of Hamiltonians (m, d, d) and steps (m,), from one
+    stacked eigensolve.  The stack interpolates breakpoints the protocol validated,
+    so it is solved as it is, and bypasses the eigen cache: midpoints do not recur."""
+    vals, vecs = _jacobi(hs, MAX_SWEEPS)
+    return (vecs * np.exp(-1j * vals * steps[:, None])[:, None, :]) @ dag(vecs)
 
 
 def compile_unitary(
@@ -166,13 +168,14 @@ def compile_unitary(
     n = np.maximum(1, np.ceil((b - a) / (np.diff(bps)[seg] / steps) - 1e-9)).astype(int)
     dt = (b - a) / n
     k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    hams = iter(protocol.hamiltonian_at(np.repeat(a, n) + (k + 0.5) * np.repeat(dt, n)))
+    mids = protocol.hamiltonian_at(np.repeat(a, n) + (k + 0.5) * np.repeat(dt, n))
+    factors = iter(_expi(mids, np.repeat(dt, n)))
 
     u = np.eye(protocol.dim, dtype=np.complex128)
     times, unitaries, j = [], [], 0
-    for t, count, step in zip(merged, [0, *n], [0.0, *dt]):
+    for t, count in zip(merged, [0, *n]):
         for _ in range(count):
-            u = _expi(next(hams), step) @ u
+            u = next(factors) @ u
         # the first grid time within tol of t; no merged time exceeds the largest grid time
         while grid_set[j] - t < -tol:
             j += 1

@@ -58,8 +58,7 @@ class ThermalContext:
     hamiltonian: np.ndarray
 
     def __post_init__(self):
-        if not (BETA_MIN < self.beta < BETA_MAX) or not math.isfinite(self.beta):
-            raise ValueError(f"beta must lie in ({BETA_MIN}, {BETA_MAX})")
+        _require_beta(self.beta)
         object.__setattr__(self, "hamiltonian", require_hermitian(self.hamiltonian, "H"))
 
     @property
@@ -78,6 +77,20 @@ class ThermalContext:
         shift = float(e.min())
         boltz = np.exp(-self.beta * (e - shift))
         return dec.apply(lambda lam: np.exp(-self.beta * (lam - shift))) / boltz.sum()
+
+
+def _require_beta(beta: float) -> None:
+    if not (BETA_MIN < beta < BETA_MAX) or not math.isfinite(beta):
+        raise ValueError(f"beta must lie in ({BETA_MIN}, {BETA_MAX})")
+
+
+def _context(beta: float, hamiltonian: np.ndarray) -> ThermalContext:
+    """A context over a Hamiltonian its caller has validated: only beta is checked."""
+    _require_beta(beta)
+    ctx = object.__new__(ThermalContext)
+    object.__setattr__(ctx, "beta", beta)
+    object.__setattr__(ctx, "hamiltonian", hamiltonian)
+    return ctx
 
 
 def free_energy(rho: np.ndarray, ctx: ThermalContext) -> float:
@@ -163,9 +176,9 @@ class BipartiteScenario:
             raise ValueError("H_B dimension mismatch")
         if self.u_joint.shape[0] != self.dim_system * self.dim_bath:
             raise ValueError("U_SB must act on the product space")
-        # the contexts also enforce the beta range
-        object.__setattr__(self, "_system", ThermalContext(self.beta, self.h_system))
-        object.__setattr__(self, "_bath", ThermalContext(self.beta, self.h_bath))
+        # the contexts share the Hamiltonians validated above and enforce the beta range
+        object.__setattr__(self, "_system", _context(self.beta, self.h_system))
+        object.__setattr__(self, "_bath", _context(self.beta, self.h_bath))
 
     def system_context(self) -> ThermalContext:
         return self._system
@@ -261,8 +274,11 @@ def identity_suite(n_samples: int = 200, seed: int = 1) -> dict:
         rho = random_density(dim, rng)
         bs = BipartiteScenario(2, 2, sz, 0.6 * sz, random_density(2, rng),
                                float(rng.uniform(0.3, 2.0)), random_unitary(4, rng))
-        local = local_free_energy_decomposition(
-            random_density(4, rng), (2, 2), sz, 0.6 * sz, float(rng.uniform(0.3, 2.0)))
+        x_sb = random_density(4, rng)
+        beta_local = float(rng.uniform(0.3, 2.0))
+        # the Hamiltonians bs validated, at the local check's own beta
+        local = _local_decomposition(x_sb, (2, 2), _context(beta_local, bs.h_system),
+                                     _context(beta_local, bs.h_bath))
         gibbs = ctx.gibbs_state()
         wmax = max_extractable_work(rho, ctx)
         diag_part, coh_part = free_energy_decomposition(rho, ctx)
@@ -299,9 +315,14 @@ def local_free_energy_decomposition(rho_joint: np.ndarray, dims: tuple[int, int]
                                     h_system: np.ndarray, h_bath: np.ndarray,
                                     beta: float) -> dict:
     """Check F(X_SB, H) = F(X_S, H_S) + F(X_B, H_B) + I(X_SB) / beta."""
+    return _local_decomposition(rho_joint, dims, ThermalContext(beta, h_system),
+                                ThermalContext(beta, h_bath))
+
+
+def _local_decomposition(rho_joint: np.ndarray, dims: tuple[int, int],
+                         ctx_s: ThermalContext, ctx_b: ThermalContext) -> dict:
     rho_joint = require_density(rho_joint, "X_SB")
-    ctx_s = ThermalContext(beta, h_system)
-    ctx_b = ThermalContext(beta, h_bath)
+    beta = ctx_s.beta
     h_total = tensor(ctx_s.hamiltonian, np.eye(dims[1])) + tensor(np.eye(dims[0]), ctx_b.hamiltonian)
     joint = float(np.trace(h_total @ rho_joint).real) - von_neumann_entropy(rho_joint) / beta
     f_s = free_energy(partial_trace(rho_joint, dims, "A"), ctx_s)

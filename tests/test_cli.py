@@ -143,12 +143,21 @@ def test_scheme_error_is_exit_3(ramp_file, capsys):
     (["dist", "--scheme", "sub-ensemble", "--scenario", "{mixed}", "--members", "-2"], 3),
     (["pointer-sweep", "--scenario", "{mixed}", "--ratio-min", "0"], 3),
     (["pointer-sweep", "--scenario", "{mixed}", "--ratio-min", "-1"], 3),
+    (["pointer-sweep", "--scenario", "{file}", "--points", "-1"], 3),
+    (["pointer-sweep", "--scenario", "{file}", "--points", "0"], 3),
+    (["pointer-sweep", "--scenario", "{file}", "--coupling", "inf"], 3),
+    (["pointer-sweep", "--scenario", "{file}", "--density", "--coupling", "inf"], 3),
+    (["pointer-sweep", "--scenario", "{file}", "--density", "--spread", "inf"], 3),
+    (["pointer-sweep", "--scenario", "{file}", "--density", "--spread", "nan"], 3),
 ], ids=["dist-lam-2", "dist-lam-abc", "dist-ch-unitary", "table1-dim-1",
         "pointer-sweep-coupling-negative", "pointer-density-spread-0",
         "witness-budget-negative", "witness-budget-0", "thermo-samples-0",
         "thermo-samples-negative", "audit-samples-0", "table1-samples-0",
         "collective-samples-0", "dist-members-below-rank", "dist-members-negative",
-        "pointer-sweep-ratio-min-0", "pointer-sweep-ratio-min-negative"])
+        "pointer-sweep-ratio-min-0", "pointer-sweep-ratio-min-negative",
+        "pointer-sweep-points-negative", "pointer-sweep-points-0",
+        "pointer-sweep-coupling-inf", "pointer-density-coupling-inf",
+        "pointer-density-spread-inf", "pointer-density-spread-nan"])
 def test_flag_domain_errors_exit_with_documented_codes(args, code, scenario_file, mixed_file,
                                                        capsys):
     assert main([a.format(file=scenario_file, mixed=mixed_file) for a in args]) == code

@@ -73,6 +73,111 @@ def test_eig_nonconvergence_guard():
         la._jacobi(h, 0)
 
 
+# --- the round-parallel kernel: stacks and single matrices with d >= 8 ---------
+
+KERNEL_DIMS = [2, 3, 4, 5, 8, 9, 16, 33, 64]
+
+
+def hermitian_stack(dim, n, rng):
+    return np.array([random_hermitian_np(dim, rng) for _ in range(n)])
+
+
+def assert_spectral(vals, vecs, h):
+    """Eigenvalues within 1e-9 of eigvalsh; reconstruction and orthonormality."""
+    dim = h.shape[-1]
+    np.testing.assert_allclose(vals, np.linalg.eigvalsh(h), rtol=0, atol=1e-9)
+    assert la.max_abs((vecs * vals[..., None, :]) @ la.dag(vecs) - h) <= 1e-8
+    assert la.max_abs(la.dag(vecs) @ vecs - np.eye(dim)) <= 1e-9
+    assert np.all(np.diff(vals, axis=-1) >= 0)
+    assert not vals.flags.writeable and not vecs.flags.writeable
+
+
+@pytest.mark.parametrize("dim", KERNEL_DIMS)
+def test_stacked_kernel_matches_numpy(dim):
+    rng = np.random.default_rng(70 + dim)
+    h = hermitian_stack(dim, 3 if dim > 16 else 6, rng)
+    vals, vecs = la._jacobi(h, la.MAX_SWEEPS)
+    assert vals.shape == h.shape[:2] and vecs.shape == h.shape
+    assert_spectral(vals, vecs, h)
+
+
+@pytest.mark.parametrize("dim", [d for d in KERNEL_DIMS if d >= la._ROUNDS_MIN_DIM])
+def test_single_matrix_at_d_8_and_above_takes_the_round_kernel(dim):
+    h = random_hermitian_np(dim, np.random.default_rng(dim))
+    vals, vecs = la._jacobi(h, la.MAX_SWEEPS)
+    assert_spectral(vals, vecs, h)
+    stacked = la._jacobi(h[None], la.MAX_SWEEPS)
+    np.testing.assert_array_equal(vals, stacked[0][0])
+    np.testing.assert_array_equal(vecs, stacked[1][0])
+
+
+@pytest.mark.parametrize("dim", KERNEL_DIMS)
+def test_each_stack_member_equals_its_stack_of_one(dim):
+    rng = np.random.default_rng(90 + dim)
+    h = hermitian_stack(dim, 5, rng)
+    h[1] = np.diag(rng.standard_normal(dim))  # converges before the others
+    h[2] *= 1e-3
+    # converged as given, with an entry above the skip level: rotating it again would show
+    h[3] = np.diag(np.arange(dim, dtype=complex))
+    h[3, 0, -1] = h[3, -1, 0] = 0.7 * la.JACOBI_TOL * max(1, dim - 1)
+    vals, vecs = la._jacobi(h, la.MAX_SWEEPS)
+    for i in range(h.shape[0]):
+        one_vals, one_vecs = la._jacobi(h[i:i + 1], la.MAX_SWEEPS)
+        np.testing.assert_array_equal(vals[i], one_vals[0])
+        np.testing.assert_array_equal(vecs[i], one_vecs[0])
+
+
+@pytest.mark.parametrize("dim", [2, 5, 8, 9])
+def test_stacked_kernel_on_degenerate_spectra(dim):
+    rng = np.random.default_rng(110 + dim)
+    levels = np.sort(rng.choice([-1.0, 0.5, 2.0], size=dim))
+    levels[:2] = levels[0]  # at least one degenerate eigenspace
+    levels.sort()
+    vecs = haar_unitary_np(dim, rng)
+    rotation = np.zeros((dim, dim), dtype=complex)
+    for value in np.unique(levels):
+        idx = np.flatnonzero(levels == value)
+        rotation[np.ix_(idx, idx)] = haar_unitary_np(idx.size, rng) if idx.size > 1 else 1.0
+    h = np.array([(v * levels) @ v.conj().T for v in (vecs, vecs @ rotation)])
+    h = (h + la.dag(h)) / 2
+    vals, out = la._jacobi(h, la.MAX_SWEEPS)
+    assert_spectral(vals, out, h)
+    spaces = [la.SpectralDecomposition(vals[i], out[i]).eigenspaces() for i in range(2)]
+    np.testing.assert_allclose(spaces[0][0], np.unique(levels), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(spaces[1][1], spaces[0][1], rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 9])
+def test_stacked_kernel_leaves_diagonal_input_alone(dim):
+    diag = np.array([np.diag(np.arange(dim, 0, -1.0)), np.diag(np.zeros(dim))], dtype=complex)
+    vals, vecs = la._jacobi(diag, la.MAX_SWEEPS)
+    np.testing.assert_array_equal(vals, [np.arange(1.0, dim + 1), np.zeros(dim)])
+    np.testing.assert_array_equal(vecs[0], np.eye(dim)[:, ::-1])
+    np.testing.assert_array_equal(vecs[1], np.eye(dim))
+    vals, vecs = la._jacobi(diag[:, ::-1, ::-1], la.MAX_SWEEPS)
+    np.testing.assert_array_equal(vecs, [np.eye(dim), np.eye(dim)])
+
+
+def test_stacked_kernel_nonconvergence_guard():
+    h = hermitian_stack(6, 3, np.random.default_rng(0))
+    with pytest.raises(NonConvergence):
+        la._jacobi(h, 0)
+    with pytest.raises(NonConvergence):
+        la._jacobi(np.kron(h[0], np.eye(2)), 0)  # one matrix at d = 12
+
+
+def test_rounds_cover_every_pair_once_with_disjoint_pairs():
+    for dim in (2, 3, 8, 9, 64):
+        rounds = la._rounds(dim)
+        assert len(rounds) == dim - 1 + dim % 2
+        pairs = []
+        for p, q in rounds:
+            assert p.size == dim // 2 and np.all(p < q)
+            assert np.unique(np.concatenate([p, q])).size == 2 * p.size
+            pairs += list(zip(p.tolist(), q.tolist()))
+        assert sorted(pairs) == [(p, q) for p in range(dim) for q in range(p + 1, dim)]
+
+
 def test_eig_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         la.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))

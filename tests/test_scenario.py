@@ -296,9 +296,10 @@ def test_each_segment_takes_its_own_factor_step(monkeypatch, middle):
     steps = []
     real = scenario_mod._expi
 
-    def counting(h, dt):
-        steps.append(dt)
-        return real(h, dt)
+    def counting(hs, dts):
+        assert len(hs) == len(dts)
+        steps.extend(dts)
+        return real(hs, dts)
 
     monkeypatch.setattr(scenario_mod, "_expi", counting)
     proto = DrivingProtocol([0.0, middle, 1.0], [SZ, SZ + 0.7 * SX, -SZ], 16)
@@ -307,6 +308,31 @@ def test_each_segment_takes_its_own_factor_step(monkeypatch, middle):
     np.testing.assert_allclose(steps, [middle / 16] * 16 + [(1.0 - middle) / 16] * 16,
                                rtol=1e-12)
     assert max_abs(u.conj().T @ u - np.eye(2)) <= 1e-10
+
+
+def compile_unitary_loop(proto):
+    """Reference: one eig_hermitian solve and exponential per midpoint, in time order."""
+    u = np.eye(proto.dim, dtype=complex)
+    unitaries = [u]
+    for t0, t1 in zip(proto.times, proto.times[1:]):
+        h = (t1 - t0) / proto.steps_per_segment
+        for k in range(proto.steps_per_segment):
+            dec = la.eig_hermitian(proto.hamiltonian_at(t0 + (k + 0.5) * h))
+            u = dec.apply(lambda lam: np.exp(-1j * lam * h)) @ u
+            unitaries.append(u)
+    return u, np.array(unitaries)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_stacked_compile_matches_the_per_midpoint_loop(dim):
+    rng = np.random.default_rng(40 + dim)
+    hams = [random_hermitian_np(dim, rng) for _ in range(3)]
+    proto = DrivingProtocol([0.0, 0.3, 1.1], hams, 12)
+    u, times, unitaries = compile_unitary(proto)
+    ref_u, ref_unitaries = compile_unitary_loop(proto)
+    assert times.size == ref_unitaries.shape[0] == 25
+    assert max_abs(u - ref_u) <= 1e-12
+    assert max_abs(unitaries - ref_unitaries) <= 1e-12
 
 
 def test_grid_records_requested_times():

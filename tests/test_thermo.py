@@ -188,14 +188,40 @@ def test_bipartite_scenario_validates_hamiltonians_only_when_built(monkeypatch):
     rng = np.random.default_rng(84)
     bs = th.BipartiteScenario(2, 2, SZ, 0.6 * SZ, random_density_np(2, rng), 1.0,
                               haar_unitary_np(4, rng))
-    # each Hamiltonian under its own name, then once more by its thermal context
-    assert calls == ["H_S", "H_B", "rho_S", "H", "H"]
+    # each Hamiltonian once, under its own name; the contexts share the validated arrays
+    assert calls == ["H_S", "H_B", "rho_S"]
+    assert bs.system_context().hamiltonian is bs.h_system
+    assert bs.bath_context().hamiltonian is bs.h_bath
     assert bs.system_context() is bs.system_context()
     assert bs.bath_context() is bs.bath_context()
     for _ in range(2):
         calls.clear()
         th.bipartite_work_identity(bs)
         assert not {"H", "H_S", "H_B"} & set(calls), calls
+
+
+def test_identity_suite_validates_each_hamiltonian_once_per_sample(monkeypatch):
+    calls = []
+    original = la.require_hermitian
+
+    def record(m, name="operator"):
+        calls.append(name)
+        return original(m, name)
+
+    monkeypatch.setattr(la, "require_hermitian", record)
+    monkeypatch.setattr(th, "require_hermitian", record)
+    th.identity_suite(3, seed=4)
+    # per sample: the random H of the single-system context, then H_S and H_B of the
+    # bipartite scenario, whose arrays the local decomposition reuses
+    assert [n for n in calls if n in {"H", "H_S", "H_B"}] == ["H", "H_S", "H_B"] * 3
+
+
+def test_bipartite_scenario_checks_beta_through_its_contexts():
+    rng = np.random.default_rng(85)
+    for beta in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            th.BipartiteScenario(2, 2, SZ, 0.6 * SZ, random_density_np(2, rng), beta,
+                                 haar_unitary_np(4, rng))
 
 
 def test_local_free_energy_decomposition():
