@@ -21,7 +21,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -40,9 +40,9 @@ from .scenario import DrivingProtocol, Scenario, mean_energy_change, scenario_to
 from .schemes import (
     Povm,
     SchemeId,
+    TRAJ_CAP,
     W_MERGE_TOL,
     WorkDistribution,
-    _eigenspaces,
     collective_factors,
     collective_two_copy,
     consistent_histories,
@@ -199,7 +199,7 @@ def _probe_work_operator_c2(dim: int) -> Scenario:
                   "work-operator-support")
 
 
-def _probe_ch_negativity(dim: int) -> tuple[Scenario, int]:
+def _probe_ch_negativity(dim: int) -> Scenario:
     # ramp -2 sigma_x -> 2 sigma_z over tau = 2: min history weight ~ -0.32 at K = 6
     h0 = -2.0 * _SX
     h1 = 2.0 * _SZ
@@ -207,13 +207,13 @@ def _probe_ch_negativity(dim: int) -> tuple[Scenario, int]:
     psi = np.array([math.cos(theta / 2.0),
                     np.exp(1j * phi) * math.sin(theta / 2.0)])
     proto = DrivingProtocol([0.0, 2.0], [h0, h1], 32)
-    return _embed(dim, h0, h1, proto, projector(psi), "ch-negativity"), 6
+    return _embed(dim, h0, h1, proto, projector(psi), "ch-negativity")
 
 
 def _probe_ch_c2(dim: int) -> tuple[Scenario, int]:
     proto = DrivingProtocol([0.0, 1.0], [_SZ, _SZ + 0.7 * _SX], 32)
     rho = np.diag([0.8, 0.2]).astype(complex)
-    return _embed(dim, _SZ, _SZ + 0.7 * _SX, proto, rho, "ch-ramp-diagonal"), 8
+    return _embed(dim, _SZ, _SZ + 0.7 * _SX, proto, rho, "ch-ramp-diagonal"), _ch_steps(dim, 8)
 
 
 def _probe_state_dependent_mixture(dim: int):
@@ -226,7 +226,7 @@ def _probe_state_dependent_mixture(dim: int):
 def _probe_collective_mixture(dim: int):
     # quadratic rho (x) rho dependence: mixing defect 0.075 on this pair
     s1 = _embed(dim, _SZ, _SZ, _HADAMARD, _PLUS, "collective-coherent")
-    s2 = _embed(dim, _SZ, _SZ, _HADAMARD, np.diag([0.8, 0.2]), "collective-diagonal")
+    s2 = s1.with_rho(np.pad(np.diag([0.8, 0.2]), (0, dim - 2)), "collective-diagonal")
     return s1.with_rho(0.5 * s1.rho + 0.5 * s2.rho, "collective-mixture"), s1, s2, 0.5
 
 
@@ -266,45 +266,102 @@ def _worst(cases) -> tuple[float, dict | None, str]:
 
 # --- the three condition checks ----------------------------------------------
 
+def _ensemble(condition: Condition, dim: int, n: int, seed: int, driven: bool) -> list:
+    """What a check of ``condition`` grades, from a stream that depends on the
+    condition, not the scheme: C1 mixtures (s_mix, s1, s2, lam) of two random
+    states on a sampled experiment, C2 diagonal-state and C3 coherent scenarios
+    (at most 25 driven: the limit criterion solves each at every K)."""
+    _require_count(n)
+    if condition is Condition.C3_FIRST_LAW and driven:
+        n = min(n, 25)
+    stream = list(Condition).index(condition) + 1
+    rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
+    if condition is not Condition.C1_LINEAR_POVM:
+        coherent = condition is Condition.C3_FIRST_LAW
+        return [sample_scenario(dim, rng, coherent=coherent, driven=driven) for _ in range(n)]
+    mixtures = []
+    for _ in range(n):
+        base = sample_scenario(dim, rng, coherent=True, driven=driven)
+        rho1 = random_density(dim, rng)
+        rho2 = random_density(dim, rng)
+        lam = float(rng.uniform(0.2, 0.8))
+        mix = lam * rho1 + (1.0 - lam) * rho2
+        mixtures.append((base.with_rho(mix), base.with_rho(rho1), base.with_rho(rho2), lam))
+    return mixtures
+
+
+def _ch_steps(dim: int, k_max: int) -> int | None:
+    """The largest history grid K <= ``k_max`` whose d^(K+1) trajectories fit
+    ``TRAJ_CAP``, or None when not even K = 2 fits."""
+    k = k_max
+    while k >= 2 and dim ** (k + 1) > TRAJ_CAP:
+        k -= 1
+    return k if k >= 2 else None
+
+
+def _over_budget(condition: Condition, dim: int) -> ConditionVerdict:
+    return ConditionVerdict(condition, Status.INCONCLUSIVE, None, notes=(
+        f"no history grid fits the trajectory budget d^(K+1) <= {TRAJ_CAP} at dim {dim}"))
+
+
+def _grade_c2(scheme: SchemeId, dim: int, samples: list) -> ConditionVerdict:
+    k_steps = _ch_steps(dim, DEFAULT_CH_STEPS)
+    probes: list[tuple[Scenario, int]] = []
+    if scheme is SchemeId.OPERATOR_OF_WORK:
+        probes.append((_probe_work_operator_c2(dim), DEFAULT_CH_STEPS))
+    if scheme is SchemeId.CONSISTENT_HISTORIES:
+        if k_steps is None:
+            return _over_budget(Condition.C2_TPM_AGREEMENT, dim)
+        probes.append(_probe_ch_c2(dim))
+    cases = probes + [(s, k_steps) for s in samples]
+    worst, witness, _ = _worst((_scheme_dist(scheme, s, kk).tv_distance(tpm(s)[0]), s,
+                                "tv distance to TPM") for s, kk in cases)
+    return _graded(Condition.C2_TPM_AGREEMENT, worst, witness,
+                   notes=f"{len(cases)} diagonal-state scenarios, dim {dim}")
+
+
 def check_c2(scheme: SchemeId | str, dim: int = 2, n_samples: int = 200,
              seed: int = 0) -> ConditionVerdict:
     """Total-variation distance to the TPM distribution on commuting states."""
     scheme = SchemeId(scheme)
-    _require_count(n_samples)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    driven = scheme is SchemeId.CONSISTENT_HISTORIES
-    probes: list[tuple[Scenario, int]] = []
-    if scheme is SchemeId.OPERATOR_OF_WORK:
-        probes.append((_probe_work_operator_c2(dim), DEFAULT_CH_STEPS))
-    if driven:
-        probes.append(_probe_ch_c2(dim))
-    samples = [(sample_scenario(dim, rng, coherent=False, driven=driven), DEFAULT_CH_STEPS)
-               for _ in range(n_samples)]
-    worst, witness, _ = _worst((_scheme_dist(scheme, s, kk).tv_distance(tpm(s)[0]), s,
-                                "tv distance to TPM") for s, kk in probes + samples)
-    return _graded(Condition.C2_TPM_AGREEMENT, worst, witness,
-                   notes=f"{len(probes) + n_samples} diagonal-state scenarios, dim {dim}")
+    samples = _ensemble(Condition.C2_TPM_AGREEMENT, dim, n_samples, seed,
+                        driven=scheme is SchemeId.CONSISTENT_HISTORIES)
+    return _grade_c2(scheme, dim, samples)
 
 
 def _ch_step_ladder(dim: int) -> list[int]:
+    """The K ladder of the C3 limit criterion: the K in (4, 8, 16) with at most
+    2^18 trajectories; where fewer than two fit, the largest doubling (K, 2K)
+    within ``TRAJ_CAP``; empty where none fits."""
     ks = [k for k in (4, 8, 16) if dim ** (k + 1) <= 2 ** 18]
-    return ks if len(ks) >= 2 else [4, 8]
+    if len(ks) >= 2:
+        return ks
+    half = (_ch_steps(dim, 16) or 0) // 2
+    return [half, 2 * half] if half >= 2 else []
 
 
-def _ch_limit_c3(dim: int, n_samples: int, rng) -> tuple[float, dict | None, str]:
-    """Convergence criterion: first-moment error must shrink by <= 0.6 per K doubling.
+def _grade_c3(scheme: SchemeId, dim: int, samples: list) -> ConditionVerdict:
+    """The first-law gap of each case; for consistent histories, a convergence
+    criterion instead: the first-moment error must shrink by <= 0.6 per K doubling.
 
     The ratio is taken on errors aggregated over the sample set (individual
     instances can cross zero between two grid sizes, which makes single-sample
     ratios meaningless there).
     """
+    if scheme is not SchemeId.CONSISTENT_HISTORIES:
+        cases = ([hadamard_scenario()] if scheme is SchemeId.TPM and dim == 2 else []) + samples
+        worst, witness, _ = _worst(
+            (abs(_scheme_dist(scheme, s, DEFAULT_CH_STEPS).mean() - mean_energy_change(s)), s,
+             "first-law gap") for s in cases)
+        return _graded(Condition.C3_FIRST_LAW, worst, witness,
+                       notes=f"{len(cases)} coherent scenarios, dim {dim}")
     ks = _ch_step_ladder(dim)
+    if not ks:
+        return _over_budget(Condition.C3_FIRST_LAW, dim)
     agg = np.zeros(len(ks))
-    probe, probe_k = _probe_ch_c2(dim)
-    scenarios = [probe] + [sample_scenario(dim, rng, coherent=True, driven=True)
-                           for _ in range(n_samples)]
+    probe, _ = _probe_ch_c2(dim)
     witness = _witness_payload(probe, 0.0, f"aggregate error ratio across K={ks}")
-    for s in scenarios:
+    for s in [probe] + samples:
         target = mean_energy_change(s)
         for j, k in enumerate(ks):
             agg[j] += abs(consistent_histories(s, k).mean() - target)
@@ -313,70 +370,43 @@ def _ch_limit_c3(dim: int, n_samples: int, rng) -> tuple[float, dict | None, str
     worst = max((max(0.0, r - 0.6) for r in ratios), default=0.0)
     note = (f"limit criterion: K ladder {ks}, aggregate per-doubling error "
             f"ratios {[round(r, 3) for r in ratios]} (must stay <= 0.6)")
-    return worst, (witness if worst > 0 else None), note
+    return _graded(Condition.C3_FIRST_LAW, worst, witness if worst > 0 else None, notes=note)
 
 
 def check_c3(scheme: SchemeId | str, dim: int = 2, n_samples: int = 200,
              seed: int = 0) -> ConditionVerdict:
     """First-law gap |mean(p) - (Tr(U rho U^dag H') - Tr(rho H))| on coherent states."""
     scheme = SchemeId(scheme)
-    _require_count(n_samples)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
-    if scheme is SchemeId.CONSISTENT_HISTORIES:
-        worst, witness, note = _ch_limit_c3(dim, min(n_samples, 25), rng)
-        return _graded(Condition.C3_FIRST_LAW, worst, witness, notes=note)
-    probes = [hadamard_scenario()] if scheme is SchemeId.TPM and dim == 2 else []
-    samples = [sample_scenario(dim, rng, coherent=True) for _ in range(n_samples)]
-    worst, witness, _ = _worst(
-        (abs(_scheme_dist(scheme, s, DEFAULT_CH_STEPS).mean() - mean_energy_change(s)), s,
-         "first-law gap") for s in probes + samples)
-    return _graded(Condition.C3_FIRST_LAW, worst, witness,
-                   notes=f"{len(probes) + n_samples} coherent scenarios, dim {dim}")
+    samples = _ensemble(Condition.C3_FIRST_LAW, dim, n_samples, seed,
+                        driven=scheme is SchemeId.CONSISTENT_HISTORIES)
+    return _grade_c3(scheme, dim, samples)
 
 
-def check_c1_linearity(scheme: SchemeId | str, dim: int = 2, n_samples: int = 200,
-                       seed: int = 0) -> ConditionVerdict:
-    """Convexity under mixtures plus nonnegativity of the weights."""
-    scheme = SchemeId(scheme)
-    _require_count(n_samples)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    driven = scheme is SchemeId.CONSISTENT_HISTORIES
-
+def _grade_c1(scheme: SchemeId, dim: int, mixtures: list) -> ConditionVerdict:
+    k_steps = _ch_steps(dim, DEFAULT_CH_STEPS)
     # negativity probes
-    neg_probes: list[tuple[Scenario, int]] = []
+    neg_probes = []
     if scheme is SchemeId.FCS:
-        neg_probes.append((_probe_fcs_negativity(dim), DEFAULT_CH_STEPS))
+        neg_probes.append(_probe_fcs_negativity(dim))
     if scheme is SchemeId.MARGENAU_HILL:
-        neg_probes.append((_probe_mh_negativity(dim), DEFAULT_CH_STEPS))
-    if driven:
+        neg_probes.append(_probe_mh_negativity(dim))
+    if scheme is SchemeId.CONSISTENT_HISTORIES:
+        if k_steps is None:
+            return _over_budget(Condition.C1_LINEAR_POVM, dim)
         neg_probes.append(_probe_ch_negativity(dim))
 
-    # convexity probes, then mixtures of two random states of a sampled experiment
+    # convexity probes, then the sampled mixtures
     mix_probes = []
     if scheme in (SchemeId.STATE_DEPENDENT, SchemeId.SUB_ENSEMBLE):
         mix_probes.append(_probe_state_dependent_mixture(dim))
     if scheme is SchemeId.COLLECTIVE_TWO_COPY:
         mix_probes.append(_probe_collective_mixture(dim))
 
-    for _ in range(n_samples):
-        base = sample_scenario(dim, rng, coherent=True, driven=driven)
-        rho1 = random_density(dim, rng)
-        rho2 = random_density(dim, rng)
-        lam = float(rng.uniform(0.2, 0.8))
-        mix = lam * rho1 + (1.0 - lam) * rho2
-        mix_probes.append((base.with_rho(mix), base.with_rho(rho1), base.with_rho(rho2), lam))
-
     def cases():
-        for s, kk in neg_probes:
-            yield max(0.0, -_scheme_dist(scheme, s, kk).min_weight()), s, "negativity"
-        for s_mix, s1, s2, lam in mix_probes:
-            if scheme is SchemeId.COLLECTIVE_TWO_COPY:
-                # the three states share H, H_final and U: one set of factors serves all
-                factors = collective_factors(s_mix)
-                d_mix, d1, d2 = (factors.distribution(s.rho) for s in (s_mix, s1, s2))
-            else:
-                d_mix, d1, d2 = (_scheme_dist(scheme, s, DEFAULT_CH_STEPS)
-                                 for s in (s_mix, s1, s2))
+        for s in neg_probes:
+            yield max(0.0, -_scheme_dist(scheme, s, k_steps).min_weight()), s, "negativity"
+        for s_mix, s1, s2, lam in mix_probes + mixtures:
+            d_mix, d1, d2 = (_scheme_dist(scheme, s, k_steps) for s in (s_mix, s1, s2))
             yield d_mix.tv_distance(_blend(d1, d2, lam)), s_mix, "nonconvexity"
             for d, s in ((d_mix, s_mix), (d1, s1), (d2, s2)):
                 yield max(0.0, -d.min_weight()), s, "negativity"
@@ -386,6 +416,15 @@ def check_c1_linearity(scheme: SchemeId | str, dim: int = 2, n_samples: int = 20
     if mode:
         notes += f"; dominant failure mode: {mode}"
     return _graded(Condition.C1_LINEAR_POVM, worst, witness, notes=notes)
+
+
+def check_c1_linearity(scheme: SchemeId | str, dim: int = 2, n_samples: int = 200,
+                       seed: int = 0) -> ConditionVerdict:
+    """Convexity under mixtures plus nonnegativity of the weights."""
+    scheme = SchemeId(scheme)
+    samples = _ensemble(Condition.C1_LINEAR_POVM, dim, n_samples, seed,
+                        driven=scheme is SchemeId.CONSISTENT_HISTORIES)
+    return _grade_c1(scheme, dim, samples)
 
 
 # --- POVM tomography ----------------------------------------------------------
@@ -722,7 +761,7 @@ class Table1Report:
 
     def to_dict(self) -> dict:
         doc = asdict(self)
-        doc["config"]["ch_steps"] = DEFAULT_CH_STEPS
+        doc["config"]["ch_steps"] = _ch_steps(self.config.dim, DEFAULT_CH_STEPS)
         return doc
 
 
@@ -785,7 +824,8 @@ def _gaussian_row(cfg: Table1Config) -> Table1Row:
 
 
 def _weak_value_distribution_atoms(s: Scenario, cfg: PointerConfig):
-    e_i, _, e_f, _, _ = _eigenspaces(s)
+    e_i, _ = s.eigenspaces("H")
+    e_f, _ = s.eigenspaces("H_final")
     works = (e_f[None, :] - e_i[:, None]).ravel()
     return merge_atoms(works, weak_value_table(s, cfg).ravel())
 
@@ -831,15 +871,15 @@ def _postselection_row(cfg: Table1Config) -> Table1Row:
                            "(strong) to the Margenau-Hill quasi-probability (weak)")
 
 
-def _audited_row(scheme: SchemeId, notes: str, cfg: Table1Config) -> Table1Row:
-    n = cfg.samples if scheme is not SchemeId.CONSISTENT_HISTORIES else min(cfg.samples, 60)
-    return Table1Row(
-        scheme=scheme.value,
-        c1=check_c1_linearity(scheme, cfg.dim, min(n, 150), cfg.seed),
-        c2=check_c2(scheme, cfg.dim, n, cfg.seed),
-        c3=check_c3(scheme, cfg.dim, n, cfg.seed),
-        notes=notes,
-    )
+def _audited_row(scheme: SchemeId, notes: str, cfg: Table1Config, ensemble) -> Table1Row:
+    """An audited row, graded on ``ensemble(condition, n, driven)``."""
+    driven = scheme is SchemeId.CONSISTENT_HISTORIES
+    n = min(cfg.samples, 60) if driven else cfg.samples
+    verdicts = []
+    for condition, grade, n_c in zip(Condition, (_grade_c1, _grade_c2, _grade_c3),
+                                     (min(n, 150), n, n)):
+        verdicts.append(grade(scheme, cfg.dim, ensemble(condition, n=n_c, driven=driven)))
+    return Table1Row(scheme.value, *verdicts, notes=notes)
 
 
 def _out_of_scope_row(name: str, cfg: Table1Config) -> Table1Row:
@@ -849,20 +889,19 @@ def _out_of_scope_row(name: str, cfg: Table1Config) -> Table1Row:
     return Table1Row(name, c1, c2, c3, notes=notes)
 
 
-# row builders, in the survey table's order
+# the survey table's rows, in order: an audited scheme with its notes, or a row builder
 _TABLE1_ROWS = (
-    partial(_audited_row, SchemeId.TPM, ""),
-    partial(_audited_row, SchemeId.OPERATOR_OF_WORK, "work values are not energy differences"),
+    (SchemeId.TPM, ""),
+    (SchemeId.OPERATOR_OF_WORK, "work values are not energy differences"),
     _gaussian_row,
-    partial(_audited_row, SchemeId.FCS, "linear quasi-probability"),
+    (SchemeId.FCS, "linear quasi-probability"),
     _postselection_row,
-    partial(_audited_row, SchemeId.MARGENAU_HILL,
-            "weak-value quasi-probability; negativity witnesses contextuality"),
-    partial(_audited_row, SchemeId.CONSISTENT_HISTORIES,
-            "power-operator histories; moments converge to the work operator"),
-    partial(_audited_row, SchemeId.STATE_DEPENDENT,
-            "initial energy labelled by the expectation value in the rho eigenbasis "
-            "(a convention; the statistics have no canonical energy reading)"),
+    (SchemeId.MARGENAU_HILL, "weak-value quasi-probability; negativity witnesses contextuality"),
+    (SchemeId.CONSISTENT_HISTORIES,
+     "power-operator histories; moments converge to the work operator"),
+    (SchemeId.STATE_DEPENDENT,
+     "initial energy labelled by the expectation value in the rho eigenbasis "
+     "(a convention; the statistics have no canonical energy reading)"),
     partial(_out_of_scope_row, "hamilton_jacobi"),
     partial(_out_of_scope_row, "beyond_work_distributions"),
 )
@@ -871,4 +910,8 @@ _TABLE1_ROWS = (
 def build_table1(cfg: Table1Config | None = None) -> Table1Report:
     """Audit every implemented scheme and collect the verdict table."""
     cfg = cfg or Table1Config()
-    return Table1Report(config=cfg, rows=tuple(build(cfg) for build in _TABLE1_ROWS))
+    # each condition's instances, sampled once for every audited row that grades them
+    ensemble = cache(partial(_ensemble, dim=cfg.dim, seed=cfg.seed))
+    return Table1Report(config=cfg, rows=tuple(
+        _audited_row(*row, cfg, ensemble) if isinstance(row, tuple) else row(cfg)
+        for row in _TABLE1_ROWS))

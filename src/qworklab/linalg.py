@@ -4,7 +4,9 @@ Everything here works on plain ``numpy`` complex arrays in any memory layout.
 The ``require_*`` functions validate operators and return a defensive complex128
 copy; they run when an input type (``Scenario``, ``DrivingProtocol``,
 ``ThermalContext``) is constructed and, inside ``eig_hermitian``, on a cache
-miss only.  Downstream code treats validated arrays as immutable.  The
+miss only.  Downstream code treats validated arrays, and operators it makes
+exactly Hermitian, as immutable and solves them with ``_eig(arr, validated=True)``
+(a Scenario keeps its spectra), which skips validation on a miss.  The
 eigensolver is a deterministic complex Jacobi iteration for dense Hermitian
 matrices (dimension <= 64).  A single matrix below ``_ROUNDS_MIN_DIM`` takes
 the cyclic per-pair loop; a larger one, or a stack (n, d, d), takes sweeps in

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridTooNarrow
-from .linalg import eig_hermitian
 from .scenario import Scenario
 from .schemes import _joint_table, _transition_kernel, margenau_hill, tpm
 
@@ -63,9 +62,8 @@ class PointerConfig:
                      points_per_sigma: float = 48.0) -> "PointerConfig":
         """Grid that covers every shifted centre by 6 spreads and resolves them."""
         _require_coupling_and_spread(coupling, spread)  # before the grid divides by spread
-        e_i = eig_hermitian(s.h_initial).eigenvalues
-        e_f = eig_hermitian(s.h_final).eigenvalues
-        centers = coupling * (e_f[:, None] - e_i[None, :]).ravel()
+        dec_i, dec_f = s.spectrum("H"), s.spectrum("H_final")
+        centers = coupling * (dec_f.eigenvalues[:, None] - dec_i.eigenvalues[None, :]).ravel()
         lo = float(centers.min() - _COVER_SIGMAS * spread)
         hi = float(centers.max() + _COVER_SIGMAS * spread)
         n = int(math.ceil((hi - lo) / spread * points_per_sigma)) + 1

@@ -4,6 +4,8 @@ A scenario is (H, H_final, evolution, rho) where the evolution is either an
 explicit unitary or a piecewise-linear driving protocol compiled to a
 time-ordered product of midpoint-rule exponential factors.  Scenarios are
 serialized to a JSON document with complex entries written as [re, im] pairs.
+What a scenario derives from H, H_final and the evolution is computed once, in
+one dict that its ``with_rho`` copies share.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from .errors import DomainError, ParseError, ValidationError
 from .linalg import (
     HERMITICITY_TOL,
     MAX_SWEEPS,
+    SpectralDecomposition,
+    _eig,
     _jacobi,
     dag,
     max_abs,
@@ -195,7 +199,7 @@ class Scenario:
     evolution: np.ndarray | DrivingProtocol
     rho: np.ndarray
     label: str = ""
-    _u_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         driven = isinstance(self.evolution, DrivingProtocol)
@@ -229,8 +233,8 @@ class Scenario:
     def with_rho(self, rho, label: str = "") -> "Scenario":
         """The same experiment on another initial state.
 
-        Only ``rho`` is validated.  H, H_final, the evolution and the compiled
-        unitary are shared with this scenario, which has validated them.
+        Only ``rho`` is validated.  H, H_final, the evolution and everything
+        derived from them are shared with this scenario, which has validated them.
         """
         rho = require_density(rho, "rho")
         if rho.shape[0] != self.dim:
@@ -245,13 +249,27 @@ class Scenario:
     def is_driven(self) -> bool:
         return isinstance(self.evolution, DrivingProtocol)
 
+    def derived(self, key, make):
+        """``make()``, computed once for this experiment and its ``with_rho`` copies,
+        which share the result: ``make`` must not read rho."""
+        if key not in self._derived:
+            self._derived[key] = make()
+        return self._derived[key]
+
     def unitary(self) -> np.ndarray:
         """Final evolution operator U(tau)."""
         if not self.is_driven:
             return self.evolution
-        if "u" not in self._u_cache:
-            self._u_cache["u"] = compile_unitary(self.evolution)[0]
-        return self._u_cache["u"]
+        return self.derived("u", lambda: compile_unitary(self.evolution)[0])
+
+    def spectrum(self, name: str) -> SpectralDecomposition:
+        """Decomposition of ``"H"`` or ``"H_final"``, solved as it is: construction validated it."""
+        h = {"H": self.h_initial, "H_final": self.h_final}[name]
+        return self.derived(name, lambda: _eig(h, validated=True))
+
+    def eigenspaces(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """``spectrum(name).eigenspaces()``: the eigenvalue labels and stacked projectors."""
+        return self.derived(name + " eigenspaces", lambda: self.spectrum(name).eigenspaces())
 
 
 def mean_energy_change(s: Scenario) -> float:

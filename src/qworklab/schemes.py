@@ -193,28 +193,15 @@ class Povm:
             raise ValueError(f"POVM completeness defect {defect:.3e} > {sum_tol}")
 
 
-def _eigensystems(s: Scenario):
-    """(initial decomposition, final decomposition, U).  The Scenario validated H
-    and H_final, so a cache miss solves them as they are."""
-    return _eig(s.h_initial, validated=True), _eig(s.h_final, validated=True), s.unitary()
-
-
-def _eigenspaces(s: Scenario):
-    """(initial labels, initial projectors, final labels, final projectors, U).
-
-    Labels and stacked projectors as ``SpectralDecomposition.eigenspaces`` gives them.
-    """
-    dec_i, dec_f, u = _eigensystems(s)
-    return (*dec_i.eigenspaces(), *dec_f.eigenspaces(), u)
-
-
 def _joint_table(s: Scenario, initial_op) -> JointWorkTable:
     """Joint weights Re Tr(Q_b U X_a U^dag) with X_a = ``initial_op(P_a)``.
 
     ``initial_op`` maps the stacked initial projectors P_a to operators X_a;
     work values are the eigenspace energy differences E'_b - E_a.
     """
-    e_i, p, e_f, q, u = _eigenspaces(s)
+    e_i, p = s.eigenspaces("H")
+    e_f, q = s.eigenspaces("H_final")
+    u = s.unitary()
     evolved = u @ initial_op(p) @ dag(u)
     weights = np.einsum("bij,aji->ab", q, evolved).real
     return JointWorkTable(initial_energies=e_i, final_energies=e_f, weights=weights,
@@ -233,10 +220,13 @@ def tpm(s: Scenario) -> tuple[WorkDistribution, JointWorkTable]:
 
 def work_operator(s: Scenario) -> tuple[np.ndarray, WorkDistribution]:
     """Spectral statistics of W = U^dag H_final U - H."""
-    u = s.unitary()
-    w_op = dag(u) @ s.h_final @ u - s.h_initial
-    w_op = (w_op + dag(w_op)) / 2.0
-    works, proj = eig_hermitian(w_op).eigenspaces()
+    def solve():  # W is made exactly Hermitian here, so it is solved as it is
+        u = s.unitary()
+        w_op = dag(u) @ s.h_final @ u - s.h_initial
+        w_op = (w_op + dag(w_op)) / 2.0
+        return (w_op, *_eig(w_op, validated=True).eigenspaces())
+
+    w_op, works, proj = s.derived("work_operator", solve)
     weights = np.einsum("kij,ji->k", proj, s.rho).real
     dist = WorkDistribution.from_atoms(works, weights, SchemeId.OPERATOR_OF_WORK, is_quasi=False)
     return w_op, dist
@@ -248,7 +238,8 @@ def _transition_kernel(s: Scenario):
     t[m, n] = <E'_m|U|E_n> and r is rho in the initial energy eigenbasis; the
     FCS quasi-probability and the Gaussian work meter both weight by b.
     """
-    dec_i, dec_f, u = _eigensystems(s)
+    dec_i, dec_f = s.spectrum("H"), s.spectrum("H_final")
+    u = s.unitary()
     v_i = dec_i.eigenvectors
     t = dag(dec_f.eigenvectors) @ u @ v_i
     r = dag(v_i) @ s.rho @ v_i
@@ -274,7 +265,8 @@ def fcs_quasiprob(s: Scenario) -> WorkDistribution:
 
 def fcs_characteristic(s: Scenario, u_var: float) -> complex:
     """Characteristic function Tr[U^dag e^{iuH'} U e^{-iuH/2} rho e^{-iuH/2}]."""
-    dec_i, dec_f, u = _eigensystems(s)
+    dec_i, dec_f = s.spectrum("H"), s.spectrum("H_final")
+    u = s.unitary()
     half = dec_i.apply(lambda lam: np.exp(-1j * u_var * lam / 2.0))
     final = dec_f.apply(lambda lam: np.exp(1j * u_var * lam))
     return complex(np.trace(dag(u) @ final @ u @ half @ s.rho @ half))
@@ -320,7 +312,7 @@ def consistent_histories(s: Scenario, k_steps: int) -> WorkDistribution:
     prods = np.eye(d, dtype=np.complex128)[None, :, :]
     works = np.zeros(1)
     for x_op in x:
-        vals, proj = eig_hermitian(x_op).eigenspaces()
+        vals, proj = _eig(x_op, validated=True).eigenspaces()  # made Hermitian above
         # cluster-major: history (c, n) follows every history n through cluster c
         prods = np.einsum("cij,njk->cnik", proj, prods).reshape(-1, d, d)
         works = (works[None, :] + vals[:, None] * dt).ravel()
@@ -353,7 +345,7 @@ def state_dependent(s: Scenario) -> WorkDistribution:
     keep = lam > EIG_FLOOR
     phi = dec_rho.eigenvectors[:, keep].T  # rows are the kept eigenstates
     e_a = _expectations(phi, s.h_initial[None])[:, 0]
-    e_f, q = _eig(s.h_final, validated=True).eigenspaces()
+    e_f, q = s.eigenspaces("H_final")
     weights = lam[keep][:, None] * _expectations((s.unitary() @ phi[:, :, None])[..., 0], q)
     return WorkDistribution.from_atoms((e_f[None, :] - e_a[:, None]).ravel(), weights.ravel(),
                                        SchemeId.STATE_DEPENDENT, is_quasi=False)
@@ -491,7 +483,7 @@ class CollectiveFactors:
 
 
 def collective_factors(s: Scenario, lam: float | str = "auto") -> CollectiveFactors:
-    """The factors of the two-copy elements at a checked lambda.
+    """The factors of the two-copy elements at a checked lambda, once per scenario.
 
     ``lam="auto"`` selects lambda_max.  Raises :class:`NotPositive` when an
     element's least eigenvalue <i|T_j|i> + lambda lambda_min(T_j^off) is
@@ -500,8 +492,13 @@ def collective_factors(s: Scenario, lam: float | str = "auto") -> CollectiveFact
     from the secular equation; only a degenerate final eigenspace (rank > 1)
     takes a Jacobi solve.
     """
-    dec_i, dec_f, u = _eigensystems(s)
-    e_f, q = dec_f.eigenspaces()
+    return s.derived(("collective_factors", lam), lambda: _collective_factors(s, lam))
+
+
+def _collective_factors(s: Scenario, lam: float | str) -> CollectiveFactors:
+    dec_i, dec_f = s.spectrum("H"), s.spectrum("H_final")
+    e_f, q = s.eigenspaces("H_final")
+    u = s.unitary()
     basis = dec_i.eigenvectors
     t_basis = dag(basis) @ (dag(u) @ q @ u) @ basis
     diag = np.diagonal(t_basis, axis1=1, axis2=2)
@@ -560,7 +557,9 @@ def collective_povm(s: Scenario, lam: float | str = "auto") -> Povm:
 
 def tpm_povm(s: Scenario) -> Povm:
     """Analytic TPM POVM: Pi_w = sum over (i,j) at w of |<E'_j|U|E_i>|^2 projectors."""
-    e_i, p, e_f, q, u = _eigenspaces(s)
+    e_i, p = s.eigenspaces("H")
+    e_f, q = s.eigenspaces("H_final")
+    u = s.unitary()
     strength = p[:, None] @ (dag(u) @ q @ u)[None, :] @ p[:, None]
     strength = (strength + dag(strength)) / 2.0
     return Povm(*merge_atoms((e_f[None, :] - e_i[:, None]).ravel(),

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from qworklab.schemes import (
     Povm,
     SchemeId,
     collective_factors,
+    collective_two_copy,
     fcs_quasiprob,
     margenau_hill,
     merge_atoms,
@@ -95,18 +96,49 @@ def test_sample_scenario_validates_each_hamiltonian_once(monkeypatch):
 
 
 def test_c1_two_copy_computes_the_factors_once_per_mixture(monkeypatch):
-    calls = []
+    built = []
+    original = schemes_mod.CollectiveFactors
 
-    def counting(s, lam="auto"):
-        calls.append(s)
-        return collective_factors(s, lam)
+    def counting(*args):
+        built.append(args)
+        return original(*args)
 
-    # the audit calls the factors directly and the scheme dispatch through schemes
-    monkeypatch.setattr(audit, "collective_factors", counting)
-    monkeypatch.setattr(schemes_mod, "collective_factors", counting)
+    monkeypatch.setattr(schemes_mod, "CollectiveFactors", counting)
     audit.check_c1_linearity(SchemeId.COLLECTIVE_TWO_COPY, dim=2, n_samples=200, seed=0)
     # the probe mixture and one mixture per sample; its two components reuse the factors
-    assert len(calls) == 201
+    assert len(built) == 201
+
+
+def test_with_rho_copies_share_the_derived_state():
+    s = audit.sample_scenario(3, np.random.default_rng(8), coherent=True, driven=True)
+    copies = [s.with_rho(rho) for rho in (np.eye(3) / 3, np.diag([0.5, 0.3, 0.2]))]
+    for copy in copies:
+        assert copy.unitary() is s.unitary()
+        for name in ("H", "H_final"):
+            assert copy.spectrum(name) is s.spectrum(name)
+            assert all(a is b for a, b in zip(copy.eigenspaces(name), s.eigenspaces(name)))
+        assert collective_factors(copy) is collective_factors(s)
+        assert collective_factors(copy, 0.0) is collective_factors(s, 0.0)
+    assert collective_factors(s, 0.0) is not collective_factors(s)
+
+
+def test_schemes_solve_h_and_h_final_once_per_experiment(monkeypatch):
+    s = audit.sample_scenario(3, np.random.default_rng(9), coherent=True)
+    solved = []
+    original = la._jacobi
+
+    def recording(a, max_sweeps):
+        solved.append(a.copy())
+        return original(a, max_sweeps)
+
+    monkeypatch.setattr(la, "_jacobi", recording)
+    rng = np.random.default_rng(10)
+    for t in (s, s.with_rho(la.random_density(3, rng)), s.with_rho(la.random_density(3, rng))):
+        for scheme in (tpm, fcs_quasiprob, margenau_hill, state_dependent, collective_two_copy):
+            la._EIG_CACHE.clear()  # so only the scenario can hold a spectrum between calls
+            scheme(t)
+    for h in (s.h_initial, s.h_final):
+        assert sum(np.array_equal(a, h) for a in solved) == 1
 
 
 def test_tpm_c2_is_self_consistent():
@@ -375,6 +407,39 @@ def test_table1_small_sample_pattern_matches():
         assert pattern[scheme] == expected, scheme
     for scheme in ("hamilton_jacobi", "beyond_work_distributions"):
         assert pattern[scheme] == ("out-of-scope",) * 3
+
+
+def test_table1_audited_rows_equal_the_direct_checks():
+    n, seed = 20, 3
+    rows = {row.scheme: row for row in
+            audit.build_table1(audit.Table1Config(dim=2, samples=n, seed=seed)).rows}
+    audited = [SchemeId.TPM, SchemeId.OPERATOR_OF_WORK, SchemeId.FCS, SchemeId.MARGENAU_HILL,
+               SchemeId.CONSISTENT_HISTORIES, SchemeId.STATE_DEPENDENT]
+    for scheme in audited:
+        row = rows[scheme.value]
+        assert asdict(row.c1) == asdict(audit.check_c1_linearity(scheme, 2, n, seed)), scheme
+        assert asdict(row.c2) == asdict(audit.check_c2(scheme, 2, n, seed)), scheme
+        assert asdict(row.c3) == asdict(audit.check_c3(scheme, 2, n, seed)), scheme
+
+
+def test_ch_history_grids_follow_the_trajectory_budget():
+    ladders = {d: audit._ch_step_ladder(d) for d in (2, 3, 4, 5, 8, 16, 17)}
+    assert ladders == {2: [4, 8, 16], 3: [4, 8], 4: [4, 8], 5: [3, 6], 8: [2, 4],
+                       16: [2, 4], 17: []}
+    assert [audit._ch_steps(d, 6) for d in (2, 7, 8, 16, 64, 102)] == [6, 6, 5, 4, 2, None]
+    for d, ks in ladders.items():
+        assert all(d ** (k + 1) <= schemes_mod.TRAJ_CAP for k in ks)
+
+
+def test_ch_conditions_without_a_fitting_grid_are_inconclusive():
+    verdicts = [audit.check_c3(SchemeId.CONSISTENT_HISTORIES, dim=17, n_samples=1)]
+    # no K >= 2 fits from d = 102; no sample is needed to see it
+    verdicts += [grade(SchemeId.CONSISTENT_HISTORIES, 102, [])
+                 for grade in (audit._grade_c1, audit._grade_c2)]
+    for verdict in verdicts:
+        assert verdict.status is audit.Status.INCONCLUSIVE
+        assert verdict.max_violation is None
+        assert f"trajectory budget d^(K+1) <= {schemes_mod.TRAJ_CAP}" in verdict.notes
 
 
 def test_table1_pattern_is_seed_independent():

@@ -141,6 +141,9 @@ def commands() -> list[tuple[str, list[str]]]:
                  ["dist", "--scheme", "sub-ensemble", "--scenario", "scenarios/d3-unitary.json",
                   "--members", "5", "--seed", "3"]))
     runs.append(("table1-d2-s100", ["table1", "--dim", "2", "--samples", "100"]))
+    # the consistent-histories row past d = 4, where its history grids shrink to fit TRAJ_CAP
+    for dim in (5, 8):
+        runs.append((f"table1-d{dim}-s10", ["table1", "--dim", str(dim), "--samples", "10"]))
     for dim in (2, 3, 4):
         runs.append((f"nogo-d{dim}", ["nogo", "--dim", str(dim)]))
     for seed in (0, 1, 2):
