@@ -278,37 +278,38 @@ def margenau_hill(s: Scenario) -> tuple[JointWorkTable, WorkDistribution]:
     return table, table.to_distribution(SchemeId.MARGENAU_HILL, is_quasi=True)
 
 
-def consistent_histories(s: Scenario, k_steps: int) -> WorkDistribution:
-    """Consistent-histories work quasi-probability on a K-step time grid.
-
-    Builds the Heisenberg power operator X(t_j) = U^dag(t_j) dH/dt(t_j) U(t_j)
-    on K+1 equally spaced grid points, enumerates projector trajectories, and
-    weights each grouped history by Re Tr(C_w rho).  The two endpoint
-    projector sums telescope to the identity (work values depend only on the
-    interior points), so only interior trajectories are enumerated; the
-    trajectory budget is still enforced on the full count d^(K+1).
-    """
+def _ch_power_operators(s: Scenario, k_steps: int) -> tuple[float, np.ndarray]:
+    """The step dt = tau/K of a K-step time grid and the Heisenberg power operator
+    X(t_j) = U^dag(t_j) dH/dt(t_j) U(t_j), made exactly Hermitian, at its K-1
+    interior points, stacked (K-1, d, d)."""
     if not s.is_driven:
         raise DomainError("consistent_histories requires a driving-protocol scenario")
     if k_steps < 2:
         raise DomainError("need at least 2 grid steps")
-    d = s.dim
-    if d ** (k_steps + 1) > TRAJ_CAP:
-        raise TrajectoryBudgetExceeded(
-            f"d^(K+1) = {d ** (k_steps + 1)} exceeds cap {TRAJ_CAP}"
-        )
     protocol = s.evolution
     tau = protocol.duration
-    dt = tau / k_steps
     grid = [tau * j / k_steps for j in range(k_steps + 1)]
     _, times, unitaries = compile_unitary(protocol, grid=grid)
     if times.size != k_steps + 1:
         raise ValueError("grid times collapsed; use a coarser grid")
-
-    # X(t_j) at every interior grid point
     u = unitaries[1:-1]
     x = dag(u) @ protocol.derivative_at(times[1:-1]) @ u
-    x = (x + dag(x)) / 2.0
+    return tau / k_steps, (x + dag(x)) / 2.0
+
+
+def consistent_histories(s: Scenario, k_steps: int) -> WorkDistribution:
+    """Consistent-histories work quasi-probability on a K-step time grid.
+
+    Enumerates the projector trajectories of X(t_j) (``_ch_power_operators``)
+    and weights each grouped history by Re Tr(C_w rho).  The two endpoint
+    projector sums telescope to the identity (work values depend only on the
+    interior points), so only interior trajectories are enumerated; the
+    trajectory budget is still enforced on the full count d^(K+1).
+    """
+    d = s.dim
+    if d ** (k_steps + 1) > TRAJ_CAP:
+        raise TrajectoryBudgetExceeded(f"d^(K+1) = {d ** (k_steps + 1)} exceeds cap {TRAJ_CAP}")
+    dt, x = _ch_power_operators(s, k_steps)
     prods = np.eye(d, dtype=np.complex128)[None, :, :]
     works = np.zeros(1)
     for x_op in x:
@@ -319,6 +320,17 @@ def consistent_histories(s: Scenario, k_steps: int) -> WorkDistribution:
     weights = np.einsum("nij,ji->n", prods, s.rho).real
     return WorkDistribution.from_atoms(works, weights, SchemeId.CONSISTENT_HISTORIES,
                                        is_quasi=True)
+
+
+def consistent_histories_mean(s: Scenario, k_steps: int) -> float:
+    """The first moment of ``consistent_histories(s, k_steps)`` in closed form.
+
+    Summing the history weights over every projector index but step j's
+    inserts sum_c P_c = I at each other step, so the mean telescopes to
+    dt sum_j Re Tr[X(t_j) rho]: no eigensolve, no enumeration, no budget.
+    """
+    dt, x = _ch_power_operators(s, k_steps)
+    return dt * float(np.einsum("nij,ji->", x, s.rho).real)
 
 
 def _expectations(states: np.ndarray, ops: np.ndarray) -> np.ndarray:

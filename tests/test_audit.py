@@ -423,23 +423,30 @@ def test_table1_audited_rows_equal_the_direct_checks():
 
 
 def test_ch_history_grids_follow_the_trajectory_budget():
-    ladders = {d: audit._ch_step_ladder(d) for d in (2, 3, 4, 5, 8, 16, 17)}
-    assert ladders == {2: [4, 8, 16], 3: [4, 8], 4: [4, 8], 5: [3, 6], 8: [2, 4],
-                       16: [2, 4], 17: []}
     assert [audit._ch_steps(d, 6) for d in (2, 7, 8, 16, 64, 102)] == [6, 6, 5, 4, 2, None]
-    for d, ks in ladders.items():
-        assert all(d ** (k + 1) <= schemes_mod.TRAJ_CAP for k in ks)
 
 
 def test_ch_conditions_without_a_fitting_grid_are_inconclusive():
-    verdicts = [audit.check_c3(SchemeId.CONSISTENT_HISTORIES, dim=17, n_samples=1)]
     # no K >= 2 fits from d = 102; no sample is needed to see it
-    verdicts += [grade(SchemeId.CONSISTENT_HISTORIES, 102, [])
-                 for grade in (audit._grade_c1, audit._grade_c2)]
-    for verdict in verdicts:
+    for grade in (audit._grade_c1, audit._grade_c2):
+        verdict = grade(SchemeId.CONSISTENT_HISTORIES, 102, [])
         assert verdict.status is audit.Status.INCONCLUSIVE
         assert verdict.max_violation is None
         assert f"trajectory budget d^(K+1) <= {schemes_mod.TRAJ_CAP}" in verdict.notes
+    # C3 reads the closed-form first moment, which no budget limits
+    verdict = audit.check_c3(SchemeId.CONSISTENT_HISTORIES, dim=17, n_samples=10, seed=1)
+    assert verdict.status is audit.Status.SATISFIED
+    assert "K ladder [4, 8, 16]" in verdict.notes
+
+
+def test_ch_c3_never_enumerates_histories(monkeypatch):
+    def enumerate_histories(*args):
+        raise AssertionError("consistent_histories was called")
+
+    monkeypatch.setattr(schemes_mod, "consistent_histories", enumerate_histories)
+    monkeypatch.setattr(audit, "consistent_histories", enumerate_histories, raising=False)
+    verdict = audit.check_c3(SchemeId.CONSISTENT_HISTORIES, dim=2, n_samples=5)
+    assert verdict.status is audit.Status.SATISFIED
 
 
 def test_table1_pattern_is_seed_independent():

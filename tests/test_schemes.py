@@ -781,3 +781,12 @@ def test_sub_ensemble_matches_the_loop_reference(kind):
 def test_consistent_histories_matches_the_loop_reference(kind):
     for s in loop_reference_scenarios(kind, driven=True):
         assert_same_atoms(sch.consistent_histories(s, 5), consistent_histories_loop(s, 5))
+
+
+def test_consistent_histories_mean_matches_the_enumeration():
+    cases = [(s, k) for kind in LOOP_KINDS for s in loop_reference_scenarios(kind, driven=True)
+             for k in (2, 5, 8)]
+    cases.append((audit._probe_ch_c2(2)[0], 16))
+    for s, k in cases:
+        assert sch.consistent_histories_mean(s, k) == pytest.approx(
+            sch.consistent_histories(s, k).mean(), rel=0, abs=1e-12)

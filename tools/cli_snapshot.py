@@ -141,7 +141,8 @@ def commands() -> list[tuple[str, list[str]]]:
                  ["dist", "--scheme", "sub-ensemble", "--scenario", "scenarios/d3-unitary.json",
                   "--members", "5", "--seed", "3"]))
     runs.append(("table1-d2-s100", ["table1", "--dim", "2", "--samples", "100"]))
-    # the consistent-histories row past d = 4, where its history grids shrink to fit TRAJ_CAP
+    # the consistent-histories row past d = 4, where its C1 and C2 history grids shrink to
+    # fit TRAJ_CAP
     for dim in (5, 8):
         runs.append((f"table1-d{dim}-s10", ["table1", "--dim", str(dim), "--samples", "10"]))
     for dim in (2, 3, 4):
@@ -153,6 +154,10 @@ def commands() -> list[tuple[str, list[str]]]:
         for dim in (2, 3):
             runs.append((f"audit-{scheme}-d{dim}",
                          ["audit", "--scheme", scheme, "--dim", str(dim), "--samples", "40"]))
+    # the consistent-histories C3 limit criterion above the trajectory budget: closed form
+    runs.append(("audit-consistent-histories-c3-d17",
+                 ["audit", "--scheme", "consistent-histories", "--condition", "c3", "--dim", "17",
+                  "--samples", "10"]))
     for dim in (2, 3, 4):
         runs.append((f"collective-d{dim}", ["collective", "--dim", str(dim), "--samples", "40"]))
     runs.append(("thermo-s50", ["thermo", "--samples", "50"]))
