@@ -55,24 +55,26 @@ _CONVENTION_FLAGS = {
 }
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _metadata(seed) -> dict:
-    return {"tool": "qworklab", "version": __version__, "seed": seed,
-            "tolerances": TOLERANCES}
-
-
 def _report(doc: dict, seed, **after) -> str:
     """JSON text of ``doc``, then ``metadata``, then each ``after`` key that is not None."""
-    doc["metadata"] = _metadata(seed)
+    doc["metadata"] = {"tool": "qworklab", "version": __version__, "seed": seed,
+                       "tolerances": TOLERANCES}
     doc.update((key, value) for key, value in after.items() if value is not None)
-    return json.dumps(doc, indent=2) + "\n"
+    atoms = doc.get("atoms")
+    if not atoms:
+        return json.dumps(doc, indent=2) + "\n"
+    # json encodes in pure Python under indent, so the atom rows are laid out here as json would
+    head, _, tail = json.dumps(dict(doc, atoms="\0"), indent=2).partition(json.dumps("\0"))
+    rows = ",".join(["\n    [\n      %r,\n      %r\n    ]"] * len(atoms)) % tuple(
+        x for pair in atoms for x in pair)
+    # float repr writes nan, inf and -inf where json writes NaN, Infinity and -Infinity
+    rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
+    return "".join([head, "[", rows, "\n  ]", tail, "\n"])
 
 
 def _csv(header: str, rows) -> str:
-    return "\n".join([header, *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
+    lines = (",".join(format(float(x), ".17g") for x in row) for row in rows)
+    return "\n".join([header, *lines]) + "\n"
 
 
 def emit_distribution(dist: WorkDistribution, fmt: str, seed=None) -> str:
@@ -81,7 +83,7 @@ def emit_distribution(dist: WorkDistribution, fmt: str, seed=None) -> str:
         return _csv("work,weight", dist.atoms)
     note = _CONVENTION_FLAGS.get(dist.scheme)
     return _report({"scheme": dist.scheme.value, "is_quasi": dist.is_quasi,
-                    "atoms": [[w, p] for w, p in dist.atoms]}, seed,
+                    "atoms": dist.atoms}, seed,
                    conventions=[note] if note else None)
 
 
@@ -199,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True, choices=scheme_names)
     p.add_argument("--scenario", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k-steps", type=int, default=8, help="history grid steps")
     p.add_argument("--lam", default="auto", help="collective mixing parameter or 'auto'")
@@ -214,40 +215,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json"], default="json")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_audit)
 
     p = sub.add_parser("table1", help="audit every scheme and print the survey table")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_table1)
 
     p = sub.add_parser("nogo", help="numerically reproduce the no-go argument")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_nogo)
 
     p = sub.add_parser("witness", help="search for a negative joint quasi-probability")
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_witness)
 
     p = sub.add_parser("thermo", help="run the free-energy/coherence identity suite")
     p.add_argument("--check", choices=["all"], default="all")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_thermo)
 
     p = sub.add_parser("collective", help="adapted two-copy condition report")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_collective)
 
     p = sub.add_parser("pointer-sweep",
@@ -262,8 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spread", type=float, default=1.0)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_pointer_sweep)
+    for p in sub.choices.values():  # every verb writes to --out, or to stdout
+        p.add_argument("--out")
     return parser
 
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -24,6 +25,7 @@ from qworklab.schemes import (
 )
 
 from conftest import (
+    H01,
     HADAMARD,
     PLUS,
     SZ,
@@ -377,17 +379,95 @@ def test_witness_reevaluates_from_serialized_scenario():
 def test_witness_scenario_stable_under_last_bit_noise(monkeypatch):
     # a 2-ulp change in a candidate's value must not change which scenario wins
     clean = serialize_scenario(audit.contextuality_witness(search_budget=500, seed=0).scenario)
-    exact = audit._witness_value
+    exact = audit._witness_weights
     for noise_seed in range(4):
         rng = np.random.default_rng(noise_seed)
 
         def noisy(params):
-            value, idx, s = exact(params)
-            return value + int(rng.integers(-2, 3)) * np.spacing(value), idx, s
+            # shifts all four weights of each candidate, and so its minimum, by +-2 ulp
+            w = exact(params)
+            shift = rng.integers(-2, 3, len(w)) * np.spacing(w.min(axis=(1, 2)))
+            return w + shift[:, None, None]
 
-        monkeypatch.setattr(audit, "_witness_value", noisy)
+        monkeypatch.setattr(audit, "_witness_weights", noisy)
         witness = audit.contextuality_witness(search_budget=500, seed=0)
         assert serialize_scenario(witness.scenario) == clean
+
+
+_WITNESS_SPANS = np.array([np.pi, 2 * np.pi, 2 * np.pi, np.pi, 2 * np.pi])
+
+
+def _loop_qubit_unitary(angles):
+    a, b, c = angles
+    rz1 = np.diag([np.exp(-0.5j * a), np.exp(0.5j * a)])
+    ry = np.array([[math.cos(b / 2.0), -math.sin(b / 2.0)],
+                   [math.sin(b / 2.0), math.cos(b / 2.0)]], dtype=complex)
+    rz2 = np.diag([np.exp(-0.5j * c), np.exp(0.5j * c)])
+    return rz1 @ ry @ rz2
+
+
+def _loop_witness_value(params):
+    """One candidate as its own validated Scenario and margenau_hill table."""
+    theta, phi, a, b, c = params
+    psi = np.array([math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)])
+    s = Scenario(dim=2, h_initial=H01, h_final=H01, evolution=_loop_qubit_unitary((a, b, c)),
+                 rho=projector(psi), label="witness-candidate")
+    table, _ = margenau_hill(s)
+    k, m = np.unravel_index(int(np.argmin(table.weights)), table.weights.shape)
+    return float(table.weights[k, m]), (int(k), int(m)), s
+
+
+def _loop_witness_search(search_budget, seed):
+    """The search candidate by candidate, each scored through _loop_witness_value."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+    n_random = max(1, int(0.8 * search_budget))
+    best, best_params = (np.inf, (0, 0), None), None
+    for _ in range(n_random):
+        params = rng.random(5) * _WITNESS_SPANS
+        value, idx, s = _loop_witness_value(params)
+        if value < best[0] - audit.WITNESS_TIE_TOL:
+            best, best_params = (value, idx, s), params
+    step = 0.4
+    for i in range(search_budget - n_random):
+        coord = i % 5
+        trial = best_params.copy()
+        trial[coord] += rng.normal() * step * _WITNESS_SPANS[coord] / np.pi
+        value, idx, s = _loop_witness_value(trial)
+        if value < best[0] - audit.WITNESS_TIE_TOL:
+            best, best_params = (value, idx, s), trial
+        if coord == 4:
+            step *= 0.93
+    if best[0] < -audit.VIOLATION_FLOOR:
+        return audit.ContextualityWitness(scenario=best[2], indices=best[1], value=best[0])
+    return None
+
+
+def test_witness_weights_match_margenau_hill_on_validated_scenarios():
+    params = np.random.default_rng(13).random((200, 5)) * _WITNESS_SPANS
+    weights = audit._witness_weights(params)
+    _, unitaries = audit._witness_candidates(params)
+    for row, w, u in zip(params, weights, unitaries):
+        _, _, s = _loop_witness_value(row)
+        table, _ = margenau_hill(s)
+        assert max_abs(w - table.weights) <= 1e-15
+        assert np.argmin(w) == np.argmin(table.weights)
+        # the closed form multiplies in the order of Rz(a) Ry(b) Rz(c)
+        assert np.array_equal(u, s.evolution)
+
+
+def test_witness_search_equals_the_loop_reference():
+    for seed in range(6):
+        stacked = audit.contextuality_witness(search_budget=500, seed=seed)
+        assert stacked.to_dict() == _loop_witness_search(500, seed).to_dict(), seed
+
+
+def test_witness_search_builds_one_scenario(monkeypatch):
+    built = []
+    post_init = Scenario.__post_init__
+    monkeypatch.setattr(Scenario, "__post_init__",
+                        lambda self: built.append(self.label) or post_init(self))
+    assert audit.contextuality_witness(search_budget=2500, seed=1) is not None
+    assert built == ["witness-candidate"]
 
 
 def test_witness_absent_for_diagonal_states():

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from qworklab.cli import emit_distribution, main
+from qworklab import __version__
+from qworklab.cli import _CONVENTION_FLAGS, TOLERANCES, emit_distribution, main
 from qworklab.scenario import Scenario, serialize_scenario
 from qworklab.schemes import SchemeId, WorkDistribution
 
@@ -79,6 +80,28 @@ def test_emit_distribution_formats():
                                         [p for _, p in doc["atoms"]],
                                         SchemeId.MARGENAU_HILL, True)
     assert np.array_equal(again.weights, quasi.weights)
+
+
+_RNG = np.random.default_rng(21)
+
+
+@pytest.mark.parametrize("works, weights", [
+    (_RNG.normal(size=3000) * 10.0 ** _RNG.integers(-20, 20, 3000), _RNG.normal(size=3000)),
+    ([0.5], [1.0]),
+    ([-np.inf, np.nan, -0.0, np.inf], [np.nan, np.inf, -np.inf, 1e-300]),
+    ([], []),
+], ids=["many-atoms", "one-atom", "non-finite", "no-atoms"])
+@pytest.mark.parametrize("scheme", [SchemeId.FCS, SchemeId.STATE_DEPENDENT])
+def test_json_emitter_writes_the_text_of_json_dumps(works, weights, scheme):
+    # the dataclass takes any arrays, non-finite values included
+    dist = WorkDistribution(works=np.array(works, dtype=float),
+                            weights=np.array(weights, dtype=float), scheme=scheme, is_quasi=True)
+    doc = {"scheme": scheme.value, "is_quasi": True, "atoms": [[w, p] for w, p in dist.atoms],
+           "metadata": {"tool": "qworklab", "version": __version__, "seed": 4,
+                        "tolerances": TOLERANCES}}
+    if scheme in _CONVENTION_FLAGS:
+        doc["conventions"] = [_CONVENTION_FLAGS[scheme]]
+    assert emit_distribution(dist, "json", seed=4) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_atoms_emitted_in_ascending_order(ramp_file, capsys):

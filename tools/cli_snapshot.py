@@ -19,7 +19,7 @@ uses the standard library only: the scenario files are generated with
 ``python -m qworklab.cli`` process with the output directory as working
 directory, so no output holds an absolute path.  Each command's stdout goes
 to ``<name>.out``; ``exit_codes.txt`` lists every command with its exit code
-and its stderr.  A full snapshot takes about 45 s on one core.
+and its stderr.  A full snapshot takes about 50 s on one core.
 """
 
 from __future__ import annotations
@@ -130,6 +130,10 @@ def commands() -> list[tuple[str, list[str]]]:
         runs.append((f"dist-collective-two-copy-{name}-json",
                      ["dist", "--scheme", "collective-two-copy", "--scenario",
                       f"scenarios/{name}.json", "--format", "json"]))
+    # the JSON emitter on 2,176 FCS atoms (d^3 = 4,096 before merging)
+    runs.append(("dist-fcs-d16-unitary-json",
+                 ["dist", "--scheme", "fcs", "--scenario", "scenarios/d16-unitary.json",
+                  "--format", "json"]))
     # a three-breakpoint protocol: a history grid point on the interior breakpoint, and TPM
     three = "scenarios/d3-three-breakpoints.json"
     runs.append(("dist-consistent-histories-d3-three-breakpoints-k4-json",
@@ -150,6 +154,10 @@ def commands() -> list[tuple[str, list[str]]]:
     for seed in (0, 1, 2):
         runs.append((f"witness-b500-seed{seed}",
                      ["witness", "--budget", "500", "--seed", str(seed)]))
+    # the benchmark's witness search and the README example
+    for budget, seed in ((2500, 1), (10_000, 0)):
+        runs.append((f"witness-b{budget}-seed{seed}",
+                     ["witness", "--budget", str(budget), "--seed", str(seed)]))
     for scheme in SCHEMES:
         for dim in (2, 3):
             runs.append((f"audit-{scheme}-d{dim}",
