@@ -29,7 +29,6 @@ from .errors import DegenerateRhoWarning, DomainError, NotLinear
 from .linalg import (
     _eig,
     dag,
-    eig_hermitian,
     max_abs,
     projector,
     random_density,
@@ -135,11 +134,13 @@ def sample_scenario(dim: int, rng, coherent: bool = True, driven: bool = False) 
     if coherent:
         rho = random_density(dim, rng)
     else:
-        # h is Hermitian by construction and is validated once, by Scenario or
-        # the protocol; the solve is cached for the schemes
-        v = _eig(h, validated=True).eigenvectors
-        rho = (v * _diagonal_probabilities(dim, rng)) @ dag(v)
-    return Scenario(dim=dim, h_initial=h, h_final=hf, evolution=evolution, rho=rho)
+        # h is Hermitian by construction and is validated once, by Scenario or the protocol
+        dec = _eig(h, validated=True)
+        rho = (dec.eigenvectors * _diagonal_probabilities(dim, rng)) @ dag(dec.eigenvectors)
+    s = Scenario(dim=dim, h_initial=h, h_final=hf, evolution=evolution, rho=rho)
+    if not coherent:  # the Scenario keeps the solve of h as its spectrum("H")
+        s.derived("H", lambda: dec)
+    return s
 
 
 # --- canonical probe instances (seed-independent regression witnesses) -------
@@ -509,9 +510,9 @@ def demonstrate_nogo(dim: int = 2, seed: int = 0) -> NogoReport:
     h = random_nondegenerate_hermitian(dim, rng)
     hf = random_nondegenerate_hermitian(dim, rng)
     u = random_unitary(dim, rng)
-    basis = eig_hermitian(h).eigenvectors
     ref = Scenario(dim=dim, h_initial=h, h_final=hf, evolution=u,
                    rho=np.eye(dim, dtype=complex) / dim)
+    basis = ref.spectrum("H").eigenvectors
     analytic = tpm_povm(ref)
     support = analytic.labels
 

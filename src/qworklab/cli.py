@@ -266,6 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:  # numpy seeds must be non-negative; every verb takes --seed
+            raise DomainError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except (ParseError, ValidationError, FileNotFoundError) as exc:
         sys.stderr.write(f"input error: {exc}\n")

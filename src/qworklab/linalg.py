@@ -5,8 +5,11 @@ The ``require_*`` functions validate operators and return a defensive complex128
 copy; they run when an input type (``Scenario``, ``DrivingProtocol``,
 ``ThermalContext``) is constructed and, inside ``eig_hermitian``, on a cache
 miss only.  Downstream code treats validated arrays, and operators it makes
-exactly Hermitian, as immutable and solves them with ``_eig(arr, validated=True)``
-(a Scenario keeps its spectra), which skips validation on a miss.  The
+exactly Hermitian, as immutable and solves them with ``_eig(arr, validated=True)``,
+which skips validation on a miss.  Each spectrum has one owner: ``require_density``
+returns the one it solved, which a Scenario keeps for its rho; a Scenario holds
+those of H, H_final and its history operators, a ``ThermalContext`` that of its
+H.  The bounded ``_EIG_CACHE`` only shares equal operators between owners.  The
 eigensolver is a deterministic complex Jacobi iteration for dense Hermitian
 matrices (dimension <= 64).  A single matrix below ``_ROUNDS_MIN_DIM`` takes
 the cyclic per-pair loop; a larger one, or a stack (n, d, d), takes sweeps in
@@ -87,16 +90,18 @@ def require_unitary(m, name: str = "operator") -> np.ndarray:
     return arr.copy()
 
 
-def require_density(m, name: str = "state") -> np.ndarray:
-    """Validate a density operator: Hermitian, unit trace, positive semidefinite."""
+def require_density(m, name: str = "state") -> tuple[np.ndarray, "SpectralDecomposition"]:
+    """Validate a density operator (Hermitian, unit trace, positive semidefinite);
+    return it and the decomposition its positivity check solved, for the caller to keep."""
     arr = require_hermitian(m, name)
     tr = complex(np.trace(arr))
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise ValidationError("NotDensity", name, f"trace = {tr:.12g}, expected 1")
-    lo = float(_eig(arr, validated=True).eigenvalues[0])
+    dec = _eig(arr, validated=True)
+    lo = float(dec.eigenvalues[0])
     if lo < -DENSITY_EIG_TOL:
         raise ValidationError("NotDensity", name, f"min eigenvalue {lo:.3e} < -{DENSITY_EIG_TOL}")
-    return arr
+    return arr, dec
 
 
 @dataclass(frozen=True)
@@ -372,9 +377,11 @@ def dephase(rho, basis: SpectralDecomposition) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy in nats; eigenvalues below EIG_FLOOR contribute zero."""
-    vals = eig_hermitian(rho).eigenvalues
-    mask = vals > EIG_FLOOR
-    lam = vals[mask]
+    return _entropy(eig_hermitian(rho))
+
+
+def _entropy(dec: SpectralDecomposition) -> float:
+    lam = dec.eigenvalues[dec.eigenvalues > EIG_FLOOR]
     return float(-np.sum(lam * np.log(lam))) if lam.size else 0.0
 
 

@@ -5,7 +5,7 @@ explicit unitary or a piecewise-linear driving protocol compiled to a
 time-ordered product of midpoint-rule exponential factors.  Scenarios are
 serialized to a JSON document with complex entries written as [re, im] pairs.
 What a scenario derives from H, H_final and the evolution is computed once, in
-one dict that its ``with_rho`` copies share.
+one dict that its ``with_rho`` copies share; each keeps its own rho's spectrum.
 """
 
 from __future__ import annotations
@@ -200,6 +200,7 @@ class Scenario:
     rho: np.ndarray
     label: str = ""
     _derived: dict = field(default_factory=dict, repr=False, compare=False)
+    _rho_spectrum: SpectralDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         driven = isinstance(self.evolution, DrivingProtocol)
@@ -210,7 +211,9 @@ class Scenario:
             if end is None or not np.array_equal(value, end):
                 end = require_hermitian(value, name)
             object.__setattr__(self, attr, end)
-        object.__setattr__(self, "rho", require_density(self.rho, "rho"))
+        rho, dec = require_density(self.rho, "rho")
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "_rho_spectrum", dec)
         d = self.dim
         for name, arr in (("H", self.h_initial), ("H_final", self.h_final), ("rho", self.rho)):
             if arr.shape[0] != d:
@@ -233,15 +236,16 @@ class Scenario:
     def with_rho(self, rho, label: str = "") -> "Scenario":
         """The same experiment on another initial state.
 
-        Only ``rho`` is validated.  H, H_final, the evolution and everything
-        derived from them are shared with this scenario, which has validated them.
+        Only ``rho`` is validated, and its spectrum kept.  H, H_final, the evolution
+        and everything derived from them are shared with this scenario.
         """
-        rho = require_density(rho, "rho")
+        rho, dec = require_density(rho, "rho")
         if rho.shape[0] != self.dim:
             raise ValidationError("DimMismatch", "rho",
                                   f"dimension {rho.shape[0]} != dim={self.dim}")
         out = copy.copy(self)
         object.__setattr__(out, "rho", rho)
+        object.__setattr__(out, "_rho_spectrum", dec)
         object.__setattr__(out, "label", label)
         return out
 
@@ -263,7 +267,9 @@ class Scenario:
         return self.derived("u", lambda: compile_unitary(self.evolution)[0])
 
     def spectrum(self, name: str) -> SpectralDecomposition:
-        """Decomposition of ``"H"`` or ``"H_final"``, solved as it is: construction validated it."""
+        """Decomposition of ``"rho"`` (kept from its validation), ``"H"`` or ``"H_final"``."""
+        if name == "rho":
+            return self._rho_spectrum
         h = {"H": self.h_initial, "H_final": self.h_final}[name]
         return self.derived(name, lambda: _eig(h, validated=True))
 

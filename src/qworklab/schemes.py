@@ -84,6 +84,8 @@ class WorkDistribution:
 
     @classmethod
     def from_atoms(cls, works, weights, scheme: SchemeId, is_quasi: bool) -> "WorkDistribution":
+        if not (np.isfinite(works).all() and np.isfinite(weights).all()):
+            raise ValueError(f"non-finite work value or weight in {scheme.value} atoms")
         w, p = merge_atoms(works, weights)
         keep = np.abs(p) > _ATOM_PRUNE
         w, p = w[keep], p[keep]
@@ -281,27 +283,31 @@ def margenau_hill(s: Scenario) -> tuple[JointWorkTable, WorkDistribution]:
 def _ch_power_operators(s: Scenario, k_steps: int) -> tuple[float, np.ndarray]:
     """The step dt = tau/K of a K-step time grid and the Heisenberg power operator
     X(t_j) = U^dag(t_j) dH/dt(t_j) U(t_j), made exactly Hermitian, at its K-1
-    interior points, stacked (K-1, d, d)."""
+    interior points, stacked (K-1, d, d); derived once per experiment and K."""
     if not s.is_driven:
         raise DomainError("consistent_histories requires a driving-protocol scenario")
     if k_steps < 2:
         raise DomainError("need at least 2 grid steps")
-    protocol = s.evolution
-    tau = protocol.duration
-    grid = [tau * j / k_steps for j in range(k_steps + 1)]
-    _, times, unitaries = compile_unitary(protocol, grid=grid)
-    if times.size != k_steps + 1:
-        raise ValueError("grid times collapsed; use a coarser grid")
-    u = unitaries[1:-1]
-    x = dag(u) @ protocol.derivative_at(times[1:-1]) @ u
-    return tau / k_steps, (x + dag(x)) / 2.0
+
+    def make():  # the grid and X(t_j) do not read rho
+        protocol = s.evolution
+        tau = protocol.duration
+        grid = [tau * j / k_steps for j in range(k_steps + 1)]
+        _, times, unitaries = compile_unitary(protocol, grid=grid)
+        if times.size != k_steps + 1:
+            raise ValueError("grid times collapsed; use a coarser grid")
+        u = unitaries[1:-1]
+        x = dag(u) @ protocol.derivative_at(times[1:-1]) @ u
+        return tau / k_steps, (x + dag(x)) / 2.0
+    return s.derived(("ch_power_operators", k_steps), make)
 
 
 def consistent_histories(s: Scenario, k_steps: int) -> WorkDistribution:
     """Consistent-histories work quasi-probability on a K-step time grid.
 
-    Enumerates the projector trajectories of X(t_j) (``_ch_power_operators``)
-    and weights each grouped history by Re Tr(C_w rho).  The two endpoint
+    Enumerates the projector trajectories of X(t_j) (``_ch_power_operators``;
+    the experiment keeps their eigenspaces per K, not the histories) and
+    weights each grouped history by Re Tr(C_w rho).  The two endpoint
     projector sums telescope to the identity (work values depend only on the
     interior points), so only interior trajectories are enumerated; the
     trajectory budget is still enforced on the full count d^(K+1).
@@ -310,10 +316,11 @@ def consistent_histories(s: Scenario, k_steps: int) -> WorkDistribution:
     if d ** (k_steps + 1) > TRAJ_CAP:
         raise TrajectoryBudgetExceeded(f"d^(K+1) = {d ** (k_steps + 1)} exceeds cap {TRAJ_CAP}")
     dt, x = _ch_power_operators(s, k_steps)
+    spaces = s.derived(("ch_eigenspaces", k_steps),  # X is made Hermitian above
+                       lambda: [_eig(x_op, validated=True).eigenspaces() for x_op in x])
     prods = np.eye(d, dtype=np.complex128)[None, :, :]
     works = np.zeros(1)
-    for x_op in x:
-        vals, proj = _eig(x_op, validated=True).eigenspaces()  # made Hermitian above
+    for vals, proj in spaces:
         # cluster-major: history (c, n) follows every history n through cluster c
         prods = np.einsum("cij,njk->cnik", proj, prods).reshape(-1, d, d)
         works = (works[None, :] + vals[:, None] * dt).ravel()
@@ -349,7 +356,7 @@ def state_dependent(s: Scenario) -> WorkDistribution:
     value (a convention: the statistics carry no canonical energy assignment
     when rho and H do not commute, so this choice is flagged in reports).
     """
-    dec_rho = eig_hermitian(s.rho)
+    dec_rho = s.spectrum("rho")
     lam = dec_rho.eigenvalues
     if np.any(np.diff(lam) < DEGENERACY_GAP):
         warnings.warn("rho has (near-)degenerate eigenvalues; its eigenbasis is ambiguous",

@@ -5,6 +5,7 @@ Units: hbar = k = 1, so beta = 1/T and entropies are in nats.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -14,9 +15,10 @@ import numpy as np
 from .errors import DegenerateHamiltonianWarning, DomainError
 from .linalg import (
     DEGENERACY_GAP,
+    _eig,
+    _entropy,
     dag,
     dephase,
-    eig_hermitian,
     max_abs,
     partial_trace,
     random_density,
@@ -52,7 +54,7 @@ IDENTITY_BOUNDS = {
 
 @dataclass(frozen=True, eq=False)
 class ThermalContext:
-    """Inverse temperature and the Hamiltonian defining the Gibbs reference."""
+    """Inverse temperature and the Hamiltonian defining the Gibbs reference; H is solved once."""
 
     beta: float
     hamiltonian: np.ndarray
@@ -61,9 +63,9 @@ class ThermalContext:
         _require_beta(self.beta)
         object.__setattr__(self, "hamiltonian", require_hermitian(self.hamiltonian, "H"))
 
-    @property
-    def decomposition(self):
-        return eig_hermitian(self.hamiltonian)
+    @functools.cached_property
+    def decomposition(self):  # construction, or the caller of _context, validated H
+        return _eig(self.hamiltonian, validated=True)
 
     def log_partition(self) -> float:
         """ln Z, computed with an energy shift for numerical range."""
@@ -95,9 +97,9 @@ def _context(beta: float, hamiltonian: np.ndarray) -> ThermalContext:
 
 def free_energy(rho: np.ndarray, ctx: ThermalContext) -> float:
     """F(rho, H) = Tr(H rho) - S(rho) / beta."""
-    rho = require_density(rho)
+    rho, dec = require_density(rho)
     energy = float(np.trace(ctx.hamiltonian @ rho).real)
-    return energy - von_neumann_entropy(rho) / ctx.beta
+    return energy - _entropy(dec) / ctx.beta
 
 
 def max_extractable_work(rho: np.ndarray, ctx: ThermalContext) -> float:
@@ -168,7 +170,7 @@ class BipartiteScenario:
     def __post_init__(self):
         object.__setattr__(self, "h_system", require_hermitian(self.h_system, "H_S"))
         object.__setattr__(self, "h_bath", require_hermitian(self.h_bath, "H_B"))
-        object.__setattr__(self, "rho_system", require_density(self.rho_system, "rho_S"))
+        object.__setattr__(self, "rho_system", require_density(self.rho_system, "rho_S")[0])
         object.__setattr__(self, "u_joint", require_unitary(self.u_joint, "U_SB"))
         if self.h_system.shape[0] != self.dim_system:
             raise ValueError("H_S dimension mismatch")
@@ -321,10 +323,10 @@ def local_free_energy_decomposition(rho_joint: np.ndarray, dims: tuple[int, int]
 
 def _local_decomposition(rho_joint: np.ndarray, dims: tuple[int, int],
                          ctx_s: ThermalContext, ctx_b: ThermalContext) -> dict:
-    rho_joint = require_density(rho_joint, "X_SB")
+    rho_joint, dec = require_density(rho_joint, "X_SB")
     beta = ctx_s.beta
     h_total = tensor(ctx_s.hamiltonian, np.eye(dims[1])) + tensor(np.eye(dims[0]), ctx_b.hamiltonian)
-    joint = float(np.trace(h_total @ rho_joint).real) - von_neumann_entropy(rho_joint) / beta
+    joint = float(np.trace(h_total @ rho_joint).real) - _entropy(dec) / beta
     f_s = free_energy(partial_trace(rho_joint, dims, "A"), ctx_s)
     f_b = free_energy(partial_trace(rho_joint, dims, "B"), ctx_b)
     info = mutual_information(rho_joint, dims) / beta

@@ -114,6 +114,7 @@ def test_c1_two_copy_computes_the_factors_once_per_mixture(monkeypatch):
 def test_with_rho_copies_share_the_derived_state():
     s = audit.sample_scenario(3, np.random.default_rng(8), coherent=True, driven=True)
     copies = [s.with_rho(rho) for rho in (np.eye(3) / 3, np.diag([0.5, 0.3, 0.2]))]
+    schemes_mod.consistent_histories(s, 4)
     for copy in copies:
         assert copy.unitary() is s.unitary()
         for name in ("H", "H_final"):
@@ -121,11 +122,17 @@ def test_with_rho_copies_share_the_derived_state():
             assert all(a is b for a, b in zip(copy.eigenspaces(name), s.eigenspaces(name)))
         assert collective_factors(copy) is collective_factors(s)
         assert collective_factors(copy, 0.0) is collective_factors(s, 0.0)
+        # the history operators and their eigenspaces do not read rho: one per (experiment, K)
+        assert schemes_mod._ch_power_operators(copy, 4) is schemes_mod._ch_power_operators(s, 4)
+        assert copy._derived[("ch_eigenspaces", 4)] is s._derived[("ch_eigenspaces", 4)]
+        # each copy keeps the spectrum of its own rho
+        assert copy.spectrum("rho") is not s.spectrum("rho")
+        np.testing.assert_allclose(copy.spectrum("rho").reconstruct(), copy.rho, atol=1e-14)
     assert collective_factors(s, 0.0) is not collective_factors(s)
+    assert schemes_mod._ch_power_operators(s, 5) is not schemes_mod._ch_power_operators(s, 4)
 
 
 def test_schemes_solve_h_and_h_final_once_per_experiment(monkeypatch):
-    s = audit.sample_scenario(3, np.random.default_rng(9), coherent=True)
     solved = []
     original = la._jacobi
 
@@ -135,12 +142,19 @@ def test_schemes_solve_h_and_h_final_once_per_experiment(monkeypatch):
 
     monkeypatch.setattr(la, "_jacobi", recording)
     rng = np.random.default_rng(10)
-    for t in (s, s.with_rho(la.random_density(3, rng)), s.with_rho(la.random_density(3, rng))):
-        for scheme in (tpm, fcs_quasiprob, margenau_hill, state_dependent, collective_two_copy):
-            la._EIG_CACHE.clear()  # so only the scenario can hold a spectrum between calls
-            scheme(t)
-    for h in (s.h_initial, s.h_final):
-        assert sum(np.array_equal(a, h) for a in solved) == 1
+    # a coherent state, and a diagonal one whose sampling solved H to build it
+    for coherent in (True, False):
+        solved.clear()
+        s = audit.sample_scenario(3, np.random.default_rng(9), coherent=coherent)
+        runs = (s, s.with_rho(la.random_density(3, rng)), s.with_rho(la.random_density(3, rng)))
+        for t in runs:
+            for scheme in (tpm, fcs_quasiprob, margenau_hill, state_dependent,
+                           collective_two_copy):
+                la._EIG_CACHE.clear()  # so only the scenario can hold a spectrum between calls
+                scheme(t)
+        # H and H_final once per experiment, and each rho once, when it was validated
+        for op in (s.h_initial, s.h_final, *(t.rho for t in runs)):
+            assert sum(np.array_equal(a, op) for a in solved) == 1
 
 
 def test_tpm_c2_is_self_consistent():

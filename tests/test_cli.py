@@ -172,6 +172,11 @@ def test_scheme_error_is_exit_3(ramp_file, capsys):
     (["pointer-sweep", "--scenario", "{file}", "--density", "--coupling", "inf"], 3),
     (["pointer-sweep", "--scenario", "{file}", "--density", "--spread", "inf"], 3),
     (["pointer-sweep", "--scenario", "{file}", "--density", "--spread", "nan"], 3),
+    *((args + ["--seed", "-1"], 3) for args in (
+        ["table1", "--samples", "1"], ["witness", "--budget", "1"], ["nogo"],
+        ["collective", "--samples", "1"], ["audit", "--scheme", "tpm", "--samples", "1"],
+        ["thermo", "--samples", "1"],
+        ["dist", "--scheme", "sub-ensemble", "--scenario", "{mixed}", "--members", "3"])),
 ], ids=["dist-lam-2", "dist-lam-abc", "dist-ch-unitary", "table1-dim-1",
         "pointer-sweep-coupling-negative", "pointer-density-spread-0",
         "witness-budget-negative", "witness-budget-0", "thermo-samples-0",
@@ -180,7 +185,9 @@ def test_scheme_error_is_exit_3(ramp_file, capsys):
         "pointer-sweep-ratio-min-0", "pointer-sweep-ratio-min-negative",
         "pointer-sweep-points-negative", "pointer-sweep-points-0",
         "pointer-sweep-coupling-inf", "pointer-density-coupling-inf",
-        "pointer-density-spread-inf", "pointer-density-spread-nan"])
+        "pointer-density-spread-inf", "pointer-density-spread-nan",
+        *(f"{verb}-seed-negative" for verb in ("table1", "witness", "nogo", "collective",
+                                               "audit", "thermo", "dist-members"))])
 def test_flag_domain_errors_exit_with_documented_codes(args, code, scenario_file, mixed_file,
                                                        capsys):
     assert main([a.format(file=scenario_file, mixed=mixed_file) for a in args]) == code

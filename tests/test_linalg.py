@@ -293,8 +293,10 @@ def test_require_density_validates_a_fresh_state_once(monkeypatch):
     monkeypatch.setattr(la, "require_hermitian",
                         lambda m, name="operator": calls.append(name) or original(m, name))
     la._EIG_CACHE.clear()
-    la.require_density(la.random_density(3, 5))
+    rho, dec = la.require_density(la.random_density(3, 5))
     assert calls == ["state"]
+    # the decomposition its positivity check solved, returned for the caller to keep
+    np.testing.assert_allclose(dec.reconstruct(), rho, atol=1e-14)
     bad = np.array([[0.5, 0.2], [0.0, 0.5]], dtype=complex)
     with pytest.raises(ValidationError) as err:
         la.require_density(bad, "rho")

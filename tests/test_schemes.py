@@ -137,6 +137,14 @@ def test_distribution_rejects_bad_normalization():
         sch.WorkDistribution.from_atoms([0.0], [0.5], sch.SchemeId.TPM, False)
     with pytest.raises(ValueError):
         sch.WorkDistribution.from_atoms([0.0, 1.0], [1.5, -0.5], sch.SchemeId.TPM, False)
+    # non-finite atoms: a NaN work would absorb its neighbour in the merge, and a NaN
+    # weight would be pruned before the sum check
+    with pytest.raises(ValueError):
+        sch.WorkDistribution.from_atoms([np.nan, 0.5], [0.25, 0.75], sch.SchemeId.TPM, False)
+    with pytest.raises(ValueError):
+        sch.WorkDistribution.from_atoms([0.0, 1.0], [np.nan, 1.0], sch.SchemeId.TPM, False)
+    with pytest.raises(ValueError):
+        sch.WorkDistribution.from_atoms([0.0, np.inf], [0.5, 0.5], sch.SchemeId.FCS, True)
 
 
 def test_tv_distance_merges_supports():

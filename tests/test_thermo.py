@@ -140,6 +140,22 @@ def test_measurement_work_loss_large_dim_matches_numpy(dim, seed):
     assert abs(th.measurement_work_loss(rho, ctx) - expected) <= 1e-8
 
 
+def test_measurement_work_loss_solves_its_hamiltonian_once(monkeypatch):
+    ctx = random_context(np.random.default_rng(82), dim=3)
+    rho = random_density_np(3, np.random.default_rng(83))
+    solved = []
+    original = la._jacobi
+    monkeypatch.setattr(la, "_jacobi",
+                        lambda a, max_sweeps: solved.append(a.copy()) or original(a, max_sweeps))
+    # empty the eigen cache before each step, so only the context can hold H's spectrum
+    for name in ("max_extractable_work", "dephased", "asymmetry"):
+        step = getattr(th, name)
+        monkeypatch.setattr(th, name, lambda *args, step=step: la._EIG_CACHE.clear() or step(*args))
+    la._EIG_CACHE.clear()
+    th.measurement_work_loss(rho, ctx)
+    assert sum(np.array_equal(a, ctx.hamiltonian) for a in solved) == 1
+
+
 def test_measurement_work_loss_warns_on_degenerate_spectrum():
     ctx = th.ThermalContext(1.0, np.eye(2, dtype=complex))
     with pytest.warns(DegenerateHamiltonianWarning):

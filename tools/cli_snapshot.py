@@ -19,7 +19,7 @@ uses the standard library only: the scenario files are generated with
 ``python -m qworklab.cli`` process with the output directory as working
 directory, so no output holds an absolute path.  Each command's stdout goes
 to ``<name>.out``; ``exit_codes.txt`` lists every command with its exit code
-and its stderr.  A full snapshot takes about 50 s on one core.
+and its stderr.  A full snapshot takes about 55 s on one core.
 """
 
 from __future__ import annotations
@@ -145,6 +145,9 @@ def commands() -> list[tuple[str, list[str]]]:
                  ["dist", "--scheme", "sub-ensemble", "--scenario", "scenarios/d3-unitary.json",
                   "--members", "5", "--seed", "3"]))
     runs.append(("table1-d2-s100", ["table1", "--dim", "2", "--samples", "100"]))
+    # enough scenarios between a state's validation and its state-dependent evaluation that
+    # a bounded eigen cache would have dropped rho's spectrum: the Scenario must keep it
+    runs.append(("table1-d2-s300", ["table1", "--dim", "2", "--samples", "300"]))
     # the consistent-histories row past d = 4, where its C1 and C2 history grids shrink to
     # fit TRAJ_CAP
     for dim in (5, 8):
@@ -186,6 +189,7 @@ def commands() -> list[tuple[str, list[str]]]:
           "--members", "1"]),
         ("error-pointer-sweep-ratio-min0",
          ["pointer-sweep", "--scenario", "scenarios/d2-unitary.json", "--ratio-min", "0"]),
+        ("error-table1-seed-negative", ["table1", "--seed", "-1"]),
     ]
     return runs
 
