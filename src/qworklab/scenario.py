@@ -2,7 +2,9 @@
 
 A scenario is (H, H_final, evolution, rho) where the evolution is either an
 explicit unitary or a piecewise-linear driving protocol compiled to a
-time-ordered product of midpoint-rule exponential factors.  Scenarios are
+time-ordered product of midpoint-rule exponential factors.  A driven scenario
+compiles its protocol once, on the protocol's own substep mesh; U(tau) and the
+propagators of every history grid are read from that compile.  Scenarios are
 serialized to a JSON document with complex entries written as [re, im] pairs.
 What a scenario derives from H, H_final and the evolution is computed once, in
 one dict that its ``with_rho`` copies share; each keeps its own rho's spectrum.
@@ -130,63 +132,24 @@ def _expi(hs: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(-1j * vals * steps[:, None])[:, None, :]) @ dag(vecs)
 
 
-def compile_unitary(
-    protocol: DrivingProtocol, grid: list[float] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def compile_unitary(protocol: DrivingProtocol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Time-ordered product of midpoint-rule factors exp(-i H(mid) dt).
 
-    Later times multiply from the left.  Returns ``(u, times, unitaries)``:
-    U(tau), the output times, shape (m,), and the propagators U(t) at them,
-    shape (m, d, d).  ``grid`` selects the output times (it must start at 0
-    and end at the protocol duration); by default every internal substep
-    boundary is reported.  Each interval between requested times and
-    breakpoints is subdivided so that no factor step exceeds (length of the
-    segment holding it) / steps_per_segment.
+    Each segment takes ``steps_per_segment`` equal factors, so a short segment
+    does not refine the others; later times multiply from the left.  Returns
+    ``(u, times, unitaries)``: U(tau), the substep mesh, shape (m,), and the
+    propagators U(t) on it, shape (m, d, d), from U(0) = I.
     """
-    tau = protocol.duration
-    bps = protocol.times
-    steps = protocol.steps_per_segment
-    tol = _TIME_MATCH_TOL * max(1.0, tau)
-
-    if grid is None:
-        grid_pts = np.append((bps[:-1, None] + np.diff(bps)[:, None] * np.arange(steps) / steps)
-                             .ravel(), tau)
-    else:
-        grid_pts = np.array(grid, dtype=float)
-        if abs(grid_pts[0]) > tol or abs(grid_pts[-1] - tau) > tol:
-            raise ValueError("grid must start at 0 and end at the protocol duration")
-        grid_pts[0], grid_pts[-1] = 0.0, tau
-
-    # a set, not np.unique: that imports numpy.ma, about 1 MB of resident memory
-    pts = sorted(set(grid_pts.tolist()) | set(bps.tolist()))
-    merged = [pts[0]]
-    for t in pts[1:]:
-        if t - merged[-1] > tol:
-            merged.append(t)
-    grid_set = sorted(grid_pts.tolist())
-
-    # every midpoint Hamiltonian at once; n[j] equal substeps of width dt[j] in interval j,
-    # each at most (length of the segment holding the interval) / steps
-    a, b = np.array(merged[:-1]), np.array(merged[1:])
-    seg = np.clip(np.searchsorted(bps, (a + b) / 2) - 1, 0, bps.size - 2)
-    n = np.maximum(1, np.ceil((b - a) / (np.diff(bps)[seg] / steps) - 1e-9)).astype(int)
-    dt = (b - a) / n
-    k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    mids = protocol.hamiltonian_at(np.repeat(a, n) + (k + 0.5) * np.repeat(dt, n))
-    factors = iter(_expi(mids, np.repeat(dt, n)))
-
+    bps, steps = protocol.times, protocol.steps_per_segment
+    times = np.append((bps[:-1, None] + np.diff(bps)[:, None] * np.arange(steps) / steps)
+                      .ravel(), bps[-1])
+    dt = np.diff(times)
     u = np.eye(protocol.dim, dtype=np.complex128)
-    times, unitaries, j = [], [], 0
-    for t, count in zip(merged, [0, *n]):
-        for _ in range(count):
-            u = next(factors) @ u
-        # the first grid time within tol of t; no merged time exceeds the largest grid time
-        while grid_set[j] - t < -tol:
-            j += 1
-        if grid_set[j] - t <= tol:
-            times.append(grid_set[j])
-            unitaries.append(u)
-    return u, np.array(times), np.array(unitaries)
+    unitaries = [u]
+    for factor in _expi(protocol.hamiltonian_at(times[:-1] + 0.5 * dt), dt):
+        u = factor @ u
+        unitaries.append(u)
+    return u, times, np.array(unitaries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +227,24 @@ class Scenario:
         """Final evolution operator U(tau)."""
         if not self.is_driven:
             return self.evolution
-        return self.derived("u", lambda: compile_unitary(self.evolution)[0])
+        return self.derived("compile", lambda: compile_unitary(self.evolution))[0]
+
+    def _propagators(self, ts: np.ndarray) -> np.ndarray:
+        """U(t) at the times ``ts`` in [0, tau], stacked (n, d, d), from the one
+        compile that ``unitary()`` reads.  A time within the time tolerance of a
+        substep-mesh time takes that propagator as it is; any other takes one
+        midpoint factor exp(-i H((t_m + t)/2)(t - t_m)) from the mesh time t_m
+        before it, all such factors from one stacked solve."""
+        protocol = self.evolution
+        _, mesh, unitaries = self.derived("compile", lambda: compile_unitary(protocol))
+        tol = _TIME_MATCH_TOL * max(1.0, protocol.duration)
+        m = np.searchsorted(mesh, ts + tol, side="right") - 1
+        out = unitaries[m]  # a copy: the compile stays as it is
+        off = np.flatnonzero(ts - mesh[m] > tol)
+        if off.size:
+            t_m, t = mesh[m[off]], ts[off]
+            out[off] = _expi(protocol.hamiltonian_at((t_m + t) / 2), t - t_m) @ out[off]
+        return out
 
     def spectrum(self, name: str) -> SpectralDecomposition:
         """Decomposition of ``"rho"`` (kept from its validation), ``"H"`` or ``"H_final"``."""

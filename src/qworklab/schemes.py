@@ -30,7 +30,7 @@ from .linalg import (
     eig_hermitian,
     max_abs,
 )
-from .scenario import Scenario, compile_unitary
+from .scenario import Scenario
 
 W_MERGE_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-9
@@ -290,14 +290,10 @@ def _ch_power_operators(s: Scenario, k_steps: int) -> tuple[float, np.ndarray]:
         raise DomainError("need at least 2 grid steps")
 
     def make():  # the grid and X(t_j) do not read rho
-        protocol = s.evolution
-        tau = protocol.duration
-        grid = [tau * j / k_steps for j in range(k_steps + 1)]
-        _, times, unitaries = compile_unitary(protocol, grid=grid)
-        if times.size != k_steps + 1:
-            raise ValueError("grid times collapsed; use a coarser grid")
-        u = unitaries[1:-1]
-        x = dag(u) @ protocol.derivative_at(times[1:-1]) @ u
+        tau = s.evolution.duration
+        times = tau * np.arange(1, k_steps) / k_steps
+        u = s._propagators(times)
+        x = dag(u) @ s.evolution.derivative_at(times) @ u
         return tau / k_steps, (x + dag(x)) / 2.0
     return s.derived(("ch_power_operators", k_steps), make)
 
@@ -476,6 +472,13 @@ class CollectiveFactors:
         ``self.povm().min_eigenvalue()``.
         """
         return min(0.0, float((self.diag_parts + self.lam * self.off_min).min()))
+
+    def completeness_defect(self) -> float:
+        """max_i ||sum_j F_ij - I||_max without building an element: the elements sum
+        to sum_i |i><i| (x) sum_j F_ij, the identity exactly when every sum_j F_ij is."""
+        eye = np.eye(self.basis.shape[0])
+        sums = self.diag_parts.sum(axis=1)[:, None, None] * eye + self.lam * self.off_parts.sum(0)
+        return max_abs(sums - eye)
 
     def distribution(self, rho: np.ndarray) -> WorkDistribution:
         """Weights Tr[(|i><i| (x) F_ij)(rho (x) rho)] = <i|rho|i> (<i|T_j|i> + lam Tr(T_j^off rho))."""

@@ -6,7 +6,7 @@ import pytest
 from qworklab import __version__
 from qworklab.cli import _CONVENTION_FLAGS, TOLERANCES, emit_distribution, main
 from qworklab.scenario import Scenario, serialize_scenario
-from qworklab.schemes import SchemeId, WorkDistribution
+from qworklab.schemes import CollectiveFactors, SchemeId, WorkDistribution
 
 from conftest import HADAMARD, PLUS, SZ
 
@@ -224,6 +224,18 @@ def test_nogo_verb(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["coherent_c3_gap"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_collective_verb_at_d32_builds_no_two_copy_element(monkeypatch, capsys):
+    # an explicit d = 32 two-copy POVM holds 32^6 complex entries (about 16 GB)
+    built = []
+    real = CollectiveFactors.povm
+    monkeypatch.setattr(CollectiveFactors, "povm", lambda f: built.append(f.lam) or real(f))
+    code, out = run_cli(["collective", "--dim", "32", "--samples", "2"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["n_contract_violations"] == 0 and doc["worst_completeness"] <= 1e-8
+    assert len(built) == 2  # the two fixed d = 2 probes only
 
 
 def test_pointer_sweep_verb(scenario_file, capsys):

@@ -18,7 +18,7 @@ from qworklab.scenario import (
     serialize_scenario,
     time_reversed,
 )
-from qworklab.schemes import tpm
+from qworklab.schemes import consistent_histories, consistent_histories_mean, tpm
 
 from conftest import (
     HADAMARD,
@@ -27,7 +27,9 @@ from conftest import (
     SZ,
     derivative_at_loop,
     hamiltonian_at_loop,
+    partial_factor_loop,
     random_hermitian_np,
+    substep_mesh_loop,
 )
 
 MINIMAL_DOC = {
@@ -152,18 +154,31 @@ def test_with_rho_compiles_a_driven_unitary_once(monkeypatch):
     calls = []
     real = scenario_mod.compile_unitary
 
-    def counting(protocol, grid=None):
+    def counting(protocol):
         calls.append(protocol)
-        return real(protocol, grid)
+        return real(protocol)
 
     monkeypatch.setattr(scenario_mod, "compile_unitary", counting)
+    solves = []
+    real_expi = scenario_mod._expi
+    monkeypatch.setattr(scenario_mod, "_expi",
+                        lambda hs, dts: solves.append(len(hs)) or real_expi(hs, dts))
     proto = DrivingProtocol([0.0, 1.0], [SZ, SZ + 0.7 * SX], 16)
     s = Scenario(dim=2, h_initial=SZ, h_final=SZ + 0.7 * SX, evolution=proto, rho=PLUS)
     first = s.with_rho(np.diag([0.8, 0.2]).astype(complex))
     u = s.unitary()
     second = s.with_rho(np.diag([0.1, 0.9]).astype(complex))
     assert first.unitary() is u and second.unitary() is u
+    # every scheme and history grid, on or off the substep mesh, reads that compile
+    for scenario in (s, first, second):
+        tpm(scenario)
+        for k in (4, 6, 8):
+            consistent_histories(scenario, k)
+        for k in (4, 8, 16):
+            consistent_histories_mean(scenario, k)
     assert len(calls) == 1
+    # the compile, then one solve for the K = 6 grid points off the mesh (all but t = 1/2)
+    assert solves == [16, 4]
 
 
 @pytest.mark.parametrize("rho, kind", [
@@ -310,39 +325,53 @@ def test_each_segment_takes_its_own_factor_step(monkeypatch, middle):
     assert max_abs(u.conj().T @ u - np.eye(2)) <= 1e-10
 
 
-def compile_unitary_loop(proto):
-    """Reference: one eig_hermitian solve and exponential per midpoint, in time order."""
-    u = np.eye(proto.dim, dtype=complex)
-    unitaries = [u]
-    for t0, t1 in zip(proto.times, proto.times[1:]):
-        h = (t1 - t0) / proto.steps_per_segment
-        for k in range(proto.steps_per_segment):
-            dec = la.eig_hermitian(proto.hamiltonian_at(t0 + (k + 0.5) * h))
-            u = dec.apply(lambda lam: np.exp(-1j * lam * h)) @ u
-            unitaries.append(u)
-    return u, np.array(unitaries)
-
-
 @pytest.mark.parametrize("dim", [2, 3, 4, 8])
 def test_stacked_compile_matches_the_per_midpoint_loop(dim):
     rng = np.random.default_rng(40 + dim)
     hams = [random_hermitian_np(dim, rng) for _ in range(3)]
     proto = DrivingProtocol([0.0, 0.3, 1.1], hams, 12)
     u, times, unitaries = compile_unitary(proto)
-    ref_u, ref_unitaries = compile_unitary_loop(proto)
+    ref_times, ref_unitaries = substep_mesh_loop(proto)
     assert times.size == ref_unitaries.shape[0] == 25
-    assert max_abs(u - ref_u) <= 1e-12
+    assert max_abs(times - ref_times) <= 1e-15
+    assert unitaries[-1].tobytes() == u.tobytes()
     assert max_abs(unitaries - ref_unitaries) <= 1e-12
 
 
-def test_grid_records_requested_times():
-    proto = DrivingProtocol([0.0, 1.0], [SZ, SZ + 0.5 * SX], 8)
-    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
-    u, times, unitaries = compile_unitary(proto, grid=grid)
-    assert times.tolist() == grid
-    assert max_abs(unitaries[-1] - u) == 0.0
-    for uj in unitaries:
-        assert max_abs(uj.conj().T @ uj - np.eye(2)) <= 1e-10
+@pytest.mark.parametrize("case", [0, 1], ids=["3-breakpoints", "4-breakpoints"])
+def test_history_grids_read_the_one_compile(monkeypatch, case):
+    protocol = unequal_protocols()[case]
+    s = Scenario(dim=protocol.dim, h_initial=protocol.hamiltonians[0],
+                 h_final=protocol.hamiltonians[-1], evolution=protocol,
+                 rho=np.eye(protocol.dim) / protocol.dim)
+    _, mesh, unitaries = compile_unitary(protocol)
+    tol = scenario_mod._TIME_MATCH_TOL * max(1.0, protocol.duration)
+    solves = []
+    real = scenario_mod._expi
+
+    def counting(hs, dts):
+        solves.append(len(hs))
+        return real(hs, dts)
+
+    monkeypatch.setattr(scenario_mod, "_expi", counting)
+    s.unitary()
+    # every mesh time, and within the tolerance of one, takes its propagator as it is
+    for shift in (0.0, -tol / 2, tol / 2):
+        ts = np.clip(mesh + shift, 0.0, None)
+        assert s._propagators(ts).tobytes() == unitaries.tobytes()
+    # a 6-step grid and points between mesh times take one partial factor
+    tau = protocol.duration
+    off = np.concatenate([tau * np.arange(1, 6) / 6, (mesh[:-1] + mesh[1:]) / 2,
+                          mesh[1:] - 3.0 * tol])
+    got = s._propagators(off)
+    assert solves == [mesh.size - 1, off.size]  # the compile, then one solve for the grid
+    for t, u_t in zip(off, got):
+        m = np.searchsorted(mesh, t) - 1
+        assert t - mesh[m] > tol
+        assert max_abs(u_t - partial_factor_loop(protocol, mesh[m], unitaries[m], t,
+                                                 stacked=True)) <= 1e-14
+        assert max_abs(u_t - partial_factor_loop(protocol, mesh[m], unitaries[m], t)) <= 1e-12
+        assert max_abs(u_t.conj().T @ u_t - np.eye(protocol.dim)) <= 1e-10
 
 
 def test_compiled_unitaries_pass_the_unitarity_invariant():

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from qworklab.linalg import eig_hermitian, max_abs, projector, random_density, r
 from qworklab.scenario import (
     DrivingProtocol,
     Scenario,
-    compile_unitary,
     mean_energy_change,
     time_reversed,
 )
@@ -36,6 +36,7 @@ from conftest import (
     derivative_at_loop,
     haar_unitary_np,
     projector_pairs,
+    propagator_loop,
     random_density_np,
     random_hermitian_np,
 )
@@ -558,6 +559,19 @@ def test_collective_factor_positivity_matches_full_diagonalisation():
                 assert abs(factors.min_eigenvalue() - factors.povm().min_eigenvalue()) <= 1e-14
 
 
+def test_collective_completeness_defect_matches_the_built_elements():
+    rng = np.random.default_rng(37)
+    for dim in (2, 3, 4):
+        for _ in range(3):
+            factors = sch.collective_factors(audit.sample_scenario(dim, rng))
+            assert factors.completeness_defect() <= 1e-13
+            assert factors.povm().completeness_defect() <= 1e-13
+            # deliberately incomplete: every sum_j F_ij - I is 0.01 I
+            short = replace(factors, diag_parts=1.01 * factors.diag_parts)
+            assert short.completeness_defect() == pytest.approx(
+                short.povm().completeness_defect(), rel=1e-12)
+
+
 def test_collective_hadamard_improves_first_law_gap(hadamard_scenario):
     target = mean_energy_change(hadamard_scenario)
     gap_tpm = abs(sch.tpm(hadamard_scenario)[0].mean() - target)
@@ -725,11 +739,10 @@ def sub_ensemble_loop(s, decomp):
 def consistent_histories_loop(s, k_steps):
     protocol = s.evolution
     dt = protocol.duration / k_steps
-    _, times, unitaries = compile_unitary(
-        protocol, grid=[protocol.duration * j / k_steps for j in range(k_steps + 1)])
     prods = np.eye(s.dim, dtype=complex)[None]
     works = np.zeros(1)
-    for t_j, u_j in zip(times[1:-1], unitaries[1:-1]):
+    for t_j in (protocol.duration * j / k_steps for j in range(1, k_steps)):
+        u_j = propagator_loop(protocol, t_j, stacked=True)
         x_op = u_j.conj().T @ derivative_at_loop(protocol, t_j) @ u_j
         clusters = projector_pairs(eig_hermitian((x_op + x_op.conj().T) / 2.0))
         prods = np.concatenate([np.einsum("ij,njk->nik", proj, prods) for _, proj in clusters])

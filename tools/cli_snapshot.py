@@ -139,6 +139,11 @@ def commands() -> list[tuple[str, list[str]]]:
     runs.append(("dist-consistent-histories-d3-three-breakpoints-k4-json",
                  ["dist", "--scheme", "consistent-histories", "--scenario", three,
                   "--k-steps", "4", "--format", "json"]))
+    # history grids off (K = 6) and on (K = 16) the 16-step substep mesh of a driven file
+    for k in (6, 16):
+        runs.append((f"dist-consistent-histories-d2-k{k}-json",
+                     ["dist", "--scheme", "consistent-histories", "--scenario",
+                      "scenarios/d2-driven.json", "--k-steps", str(k), "--format", "json"]))
     runs.append(("dist-tpm-d3-three-breakpoints-json",
                  ["dist", "--scheme", "tpm", "--scenario", three, "--format", "json"]))
     runs.append(("dist-sub-ensemble-d3-members5",
@@ -165,6 +170,10 @@ def commands() -> list[tuple[str, list[str]]]:
         for dim in (2, 3):
             runs.append((f"audit-{scheme}-d{dim}",
                          ["audit", "--scheme", scheme, "--dim", str(dim), "--samples", "40"]))
+    # the benchmark's consistent-histories audit at d = 4
+    runs.append(("audit-consistent-histories-d4-s10-seed1",
+                 ["audit", "--scheme", "consistent-histories", "--dim", "4", "--samples", "10",
+                  "--seed", "1"]))
     # the consistent-histories C3 limit criterion above the trajectory budget: closed form
     runs.append(("audit-consistent-histories-c3-d17",
                  ["audit", "--scheme", "consistent-histories", "--condition", "c3", "--dim", "17",
