@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateRhoWarning, DomainError, NotLinear
 from .linalg import (
-    _eig,
+    SpectralDecomposition,
     dag,
     max_abs,
     projector,
@@ -106,14 +106,14 @@ def _require_count(n: int, name: str = "n_samples") -> None:
 
 # --- scenario sampling -------------------------------------------------------
 
-def _ladder(dim: int, rng) -> np.ndarray:
-    # unit spacing plus jitter keeps every gap >= 0.6: non-degenerate by construction
-    return np.arange(dim, dtype=float) + 0.4 * rng.random(dim)
+def _random_spectrum(dim: int, rng) -> SpectralDecomposition:
+    """A Haar-random eigenbasis and a unit ladder plus jitter: every gap is >= 0.6."""
+    u = random_unitary(dim, rng)
+    return SpectralDecomposition(np.arange(dim, dtype=float) + 0.4 * rng.random(dim), u)
 
 
 def random_nondegenerate_hermitian(dim: int, rng) -> np.ndarray:
-    u = random_unitary(dim, rng)
-    return (u * _ladder(dim, rng)) @ dag(u)
+    return _random_spectrum(dim, rng).reconstruct()
 
 
 def _diagonal_probabilities(dim: int, rng) -> np.ndarray:
@@ -123,8 +123,8 @@ def _diagonal_probabilities(dim: int, rng) -> np.ndarray:
 
 
 def sample_scenario(dim: int, rng, coherent: bool = True, driven: bool = False) -> Scenario:
-    h = random_nondegenerate_hermitian(dim, rng)
-    hf = random_nondegenerate_hermitian(dim, rng)
+    spec, spec_final = _random_spectrum(dim, rng), _random_spectrum(dim, rng)
+    h, hf = spec.reconstruct(), spec_final.reconstruct()
     if driven:
         # the protocol validates h and hf; Scenario takes its equal endpoints as they are
         evolution: np.ndarray | DrivingProtocol = DrivingProtocol(
@@ -134,12 +134,11 @@ def sample_scenario(dim: int, rng, coherent: bool = True, driven: bool = False) 
     if coherent:
         rho = random_density(dim, rng)
     else:
-        # h is Hermitian by construction and is validated once, by Scenario or the protocol
-        dec = _eig(h, validated=True)
-        rho = (dec.eigenvectors * _diagonal_probabilities(dim, rng)) @ dag(dec.eigenvectors)
+        rho = SpectralDecomposition(_diagonal_probabilities(dim, rng),
+                                    spec.eigenvectors).reconstruct()
     s = Scenario(dim=dim, h_initial=h, h_final=hf, evolution=evolution, rho=rho)
-    if not coherent:  # the Scenario keeps the solve of h as its spectrum("H")
-        s.derived("H", lambda: dec)
+    s.derived("H", lambda: spec)
+    s.derived("H_final", lambda: spec_final)
     return s
 
 

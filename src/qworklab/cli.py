@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -49,7 +50,8 @@ _CONVENTION_FLAGS = {
         "initial energy of a rho eigenstate taken as its energy expectation value"
     ),
     SchemeId.CONSISTENT_HISTORIES: (
-        "driving compiled with midpoint-rule factors on the history grid"
+        "driving compiled with midpoint-rule factors on the protocol's substep mesh; "
+        "an off-mesh history time takes one partial midpoint factor"
     ),
     SchemeId.COLLECTIVE_TWO_COPY: "auto lambda maximizes POVM validity (lambda_max)",
 }
@@ -263,12 +265,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, *_) -> None:
+    sys.stderr.write(f"warning: {category.__name__}: {message}\n")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.seed < 0:  # numpy seeds must be non-negative; every verb takes --seed
             raise DomainError(f"--seed must be >= 0, got {args.seed}")
-        return args.fn(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line  # one line, without a source path
+            return args.fn(args)
     except (ParseError, ValidationError, FileNotFoundError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2

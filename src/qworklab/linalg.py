@@ -8,15 +8,18 @@ miss only.  Downstream code treats validated arrays, and operators it makes
 exactly Hermitian, as immutable and solves them with ``_eig(arr, validated=True)``,
 which skips validation on a miss.  Each spectrum has one owner: ``require_density``
 returns the one it solved, which a Scenario keeps for its rho; a Scenario holds
-those of H, H_final and its history operators, a ``ThermalContext`` that of its
-H.  The bounded ``_EIG_CACHE`` only shares equal operators between owners.  The
+those of H, H_final, its work operator and its history operators, a
+``ThermalContext`` that of its H.  Sampled Hamiltonians come with the spectra
+they were drawn from, and the work and history operators, which no other owner
+holds, are solved by ``_jacobi`` directly (a grid's as one stack).  The bounded
+``_EIG_CACHE`` sees the rest, and shares equal operators between owners.  The
 eigensolver is a deterministic complex Jacobi iteration for dense Hermitian
 matrices (dimension <= 64).  A single matrix below ``_ROUNDS_MIN_DIM`` takes
 the cyclic per-pair loop; a larger one, or a stack (n, d, d), takes sweeps in
 Brent & Luk's parallel order, whose rounds rotate all their disjoint pairs at
-once, vectorised over the pairs and the stack.  Both share one threshold and
-one rotation formula.  ``SpectralDecomposition.eigenspaces()`` is the one form
-of its eigenspaces.
+once, vectorised over the pairs and the stack.  Both share one threshold, one
+rotation formula and the sweep budget ``MAX_SWEEPS``.
+``SpectralDecomposition.eigenspaces()`` is the one form of its eigenspaces.
 """
 
 from __future__ import annotations
@@ -172,7 +175,7 @@ def _rotation(apq, mag, app, aqq, m=math):
     return c, t * c * (apq / mag)
 
 
-def _jacobi(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex Jacobi diagonalization of a Hermitian matrix (d, d) or stack (n, d, d).
 
     Returns the ascending eigenvalues and the matching eigenvector columns,
@@ -182,7 +185,7 @@ def _jacobi(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
     per-pair loop, which has less overhead there.
     """
     if a.ndim == 3 or a.shape[0] >= _ROUNDS_MIN_DIM:
-        vals, vecs = _jacobi_rounds(a.reshape(-1, *a.shape[-2:]), max_sweeps)
+        vals, vecs = _jacobi_rounds(a.reshape(-1, *a.shape[-2:]))
         return (vals, vecs) if a.ndim == 3 else (vals[0], vecs[0])
     d = a.shape[0]
     A = a.astype(np.complex128, copy=True)
@@ -191,7 +194,7 @@ def _jacobi(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
         return np.array([A[0, 0].real]), V
     tol, skip = _jacobi_threshold(A)
 
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         off = 0.0
         for p in range(d - 1):
             row = np.abs(A[p, p + 1:])
@@ -230,7 +233,7 @@ def _jacobi(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
                 V[:, p] = c * vcol_p + np.conj(sp) * vcol_q
                 V[:, q] = -sp * vcol_p + c * vcol_q
     raise NonConvergence(
-        f"Jacobi eigensolver did not reach off-diagonal {tol:.1e} in {max_sweeps} sweeps"
+        f"Jacobi eigensolver did not reach off-diagonal {tol:.1e} in {MAX_SWEEPS} sweeps"
     )
 
 
@@ -258,7 +261,7 @@ def _rounds(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(out)
 
 
-def _jacobi_rounds(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_rounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Jacobi diagonalization of a stack (n, d, d) in parallel-ordered rounds.
 
     Each sweep runs the rounds of ``_rounds(d)``; a round rotates all its
@@ -274,7 +277,7 @@ def _jacobi_rounds(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarr
     tol, skip = _jacobi_threshold(A)
     upper = np.triu_indices(d, 1)
     idx = np.arange(d)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         off = np.abs(A[:, upper[0], upper[1]]).max(axis=1, initial=0.0)
         todo = np.flatnonzero(off > tol)
         if not todo.size:
@@ -310,7 +313,7 @@ def _jacobi_rounds(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarr
             As[:, q, q] = As[:, q, q].real
         A[todo], V[todo] = As, Vs
     raise NonConvergence(
-        f"Jacobi eigensolver did not reach off-diagonal {tol.max():.1e} in {max_sweeps} sweeps"
+        f"Jacobi eigensolver did not reach off-diagonal {tol.max():.1e} in {MAX_SWEEPS} sweeps"
     )
 
 
@@ -332,8 +335,7 @@ def _eig(arr: np.ndarray, validated: bool) -> SpectralDecomposition:
     hit = _EIG_CACHE.get(key)
     if hit is not None:
         return hit
-    dec = SpectralDecomposition(*_jacobi(arr if validated else require_hermitian(arr),
-                                         MAX_SWEEPS))
+    dec = SpectralDecomposition(*_jacobi(arr if validated else require_hermitian(arr)))
     if len(_EIG_CACHE) >= _EIG_CACHE_CAP:
         del _EIG_CACHE[next(iter(_EIG_CACHE))]  # evict the oldest entry
     _EIG_CACHE[key] = dec

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import DomainError, ParseError, ValidationError
 from .linalg import (
     HERMITICITY_TOL,
-    MAX_SWEEPS,
     SpectralDecomposition,
     _eig,
     _jacobi,
@@ -128,7 +127,7 @@ def _expi(hs: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """exp(-i H_j dt_j) for a stack of Hamiltonians (m, d, d) and steps (m,), from one
     stacked eigensolve.  The stack interpolates breakpoints the protocol validated,
     so it is solved as it is, and bypasses the eigen cache: midpoints do not recur."""
-    vals, vecs = _jacobi(hs, MAX_SWEEPS)
+    vals, vecs = _jacobi(hs)
     return (vecs * np.exp(-1j * vals * steps[:, None])[:, None, :]) @ dag(vecs)
 
 

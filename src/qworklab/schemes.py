@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DecompositionMismatch,
+    DegenerateHamiltonianWarning,
     DegenerateRhoWarning,
     DomainError,
     ImaginaryResidue,
@@ -24,8 +25,9 @@ from .errors import (
 from .linalg import (
     DEGENERACY_GAP,
     EIG_FLOOR,
+    SpectralDecomposition,
     _chain_starts,
-    _eig,
+    _jacobi,
     dag,
     eig_hermitian,
     max_abs,
@@ -222,11 +224,11 @@ def tpm(s: Scenario) -> tuple[WorkDistribution, JointWorkTable]:
 
 def work_operator(s: Scenario) -> tuple[np.ndarray, WorkDistribution]:
     """Spectral statistics of W = U^dag H_final U - H."""
-    def solve():  # W is made exactly Hermitian here, so it is solved as it is
+    def solve():  # W is made exactly Hermitian here and recurs in no other experiment
         u = s.unitary()
         w_op = dag(u) @ s.h_final @ u - s.h_initial
         w_op = (w_op + dag(w_op)) / 2.0
-        return (w_op, *_eig(w_op, validated=True).eigenspaces())
+        return (w_op, *SpectralDecomposition(*_jacobi(w_op)).eigenspaces())
 
     w_op, works, proj = s.derived("work_operator", solve)
     weights = np.einsum("kij,ji->k", proj, s.rho).real
@@ -312,8 +314,8 @@ def consistent_histories(s: Scenario, k_steps: int) -> WorkDistribution:
     if d ** (k_steps + 1) > TRAJ_CAP:
         raise TrajectoryBudgetExceeded(f"d^(K+1) = {d ** (k_steps + 1)} exceeds cap {TRAJ_CAP}")
     dt, x = _ch_power_operators(s, k_steps)
-    spaces = s.derived(("ch_eigenspaces", k_steps),  # X is made Hermitian above
-                       lambda: [_eig(x_op, validated=True).eigenspaces() for x_op in x])
+    spaces = s.derived(("ch_eigenspaces", k_steps), lambda: [  # every X(t_j) in one solve
+        SpectralDecomposition(*pair).eigenspaces() for pair in zip(*_jacobi(x))])
     prods = np.eye(d, dtype=np.complex128)[None, :, :]
     works = np.zeros(1)
     for vals, proj in spaces:
@@ -345,6 +347,13 @@ def _expectations(states: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return (np.conj(states)[:, None, None, :] @ ops @ states[:, None, :, None])[:, :, 0, 0].real
 
 
+def _warn_if_degenerate(dec: SpectralDecomposition, name: str, category) -> None:
+    """Warn the scheme's caller when a basis it reads off ``dec`` is the solver's choice."""
+    if np.any(np.diff(dec.eigenvalues) < DEGENERACY_GAP):
+        warnings.warn(f"{name} has (near-)degenerate eigenvalues; its eigenbasis is ambiguous",
+                      category, stacklevel=3)
+
+
 def state_dependent(s: Scenario) -> WorkDistribution:
     """Projective measurement in the eigenbasis of rho itself.
 
@@ -353,10 +362,8 @@ def state_dependent(s: Scenario) -> WorkDistribution:
     when rho and H do not commute, so this choice is flagged in reports).
     """
     dec_rho = s.spectrum("rho")
+    _warn_if_degenerate(dec_rho, "rho", DegenerateRhoWarning)
     lam = dec_rho.eigenvalues
-    if np.any(np.diff(lam) < DEGENERACY_GAP):
-        warnings.warn("rho has (near-)degenerate eigenvalues; its eigenbasis is ambiguous",
-                      DegenerateRhoWarning, stacklevel=2)
     keep = lam > EIG_FLOOR
     phi = dec_rho.eigenvectors[:, keep].T  # rows are the kept eigenstates
     e_a = _expectations(phi, s.h_initial[None])[:, 0]
@@ -512,8 +519,10 @@ def collective_factors(s: Scenario, lam: float | str = "auto") -> CollectiveFact
     negative.  For a rank-one Q_j = |E'_j><E'_j|, T_j^off = |t><t| - diag(|t|^2)
     in the initial eigenbasis with t = V^dag U^dag |E'_j>, so lambda_min comes
     from the secular equation; only a degenerate final eigenspace (rank > 1)
-    takes a Jacobi solve.
+    takes a Jacobi solve.  Warns with :class:`DegenerateHamiltonianWarning` when H
+    is degenerate, since the basis |i> inside an eigenspace is then the solver's.
     """
+    _warn_if_degenerate(s.spectrum("H"), "H", DegenerateHamiltonianWarning)
     return s.derived(("collective_factors", lam), lambda: _collective_factors(s, lam))
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qworklab.linalg import DEGENERACY_GAP, MAX_SWEEPS, _jacobi, eig_hermitian
+from qworklab.linalg import DEGENERACY_GAP, _jacobi, eig_hermitian
 from qworklab.scenario import _TIME_MATCH_TOL, Scenario
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -119,7 +119,7 @@ def exp_factor(h, dt, stacked=False):
     result in any stack.  The two kernels agree to their convergence target
     (JACOBI_TOL relative), not to the last bit."""
     if stacked:
-        vals, vecs = (x[0] for x in _jacobi(h[None], MAX_SWEEPS))
+        vals, vecs = (x[0] for x in _jacobi(h[None]))
     else:
         dec = eig_hermitian(h)
         vals, vecs = dec.eigenvalues, dec.eigenvectors

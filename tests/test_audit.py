@@ -136,13 +136,13 @@ def test_schemes_solve_h_and_h_final_once_per_experiment(monkeypatch):
     solved = []
     original = la._jacobi
 
-    def recording(a, max_sweeps):
+    def recording(a):
         solved.append(a.copy())
-        return original(a, max_sweeps)
+        return original(a)
 
     monkeypatch.setattr(la, "_jacobi", recording)
     rng = np.random.default_rng(10)
-    # a coherent state, and a diagonal one whose sampling solved H to build it
+    # a coherent state, and a diagonal one built in the eigenbasis the sampler drew for H
     for coherent in (True, False):
         solved.clear()
         s = audit.sample_scenario(3, np.random.default_rng(9), coherent=coherent)
@@ -152,9 +152,64 @@ def test_schemes_solve_h_and_h_final_once_per_experiment(monkeypatch):
                            collective_two_copy):
                 la._EIG_CACHE.clear()  # so only the scenario can hold a spectrum between calls
                 scheme(t)
-        # H and H_final once per experiment, and each rho once, when it was validated
-        for op in (s.h_initial, s.h_final, *(t.rho for t in runs)):
-            assert sum(np.array_equal(a, op) for a in solved) == 1
+        # sampled H and H_final come with the spectra they were built from: never solved
+        for op in (s.h_initial, s.h_final):
+            assert not any(np.array_equal(a, op) for a in solved)
+        # and each rho once, when it was validated
+        for t in runs:
+            assert sum(np.array_equal(a, t.rho) for a in solved) == 1
+
+
+class _LookupRecorder(dict):
+    """An eigen cache that records the key of every lookup."""
+
+    def __init__(self):
+        super().__init__()
+        self.keys = set()
+
+    def get(self, key, default=None):
+        self.keys.add(key)
+        return super().get(key, default)
+
+
+def test_owned_spectra_bypass_the_eigen_cache(monkeypatch):
+    cache = _LookupRecorder()
+    monkeypatch.setattr(la, "_EIG_CACHE", cache)
+    solved = []
+    original = la._jacobi
+
+    def recording(a):
+        solved.append(a.copy())
+        return original(a)
+
+    for module in (la, scenario_mod, schemes_mod):
+        monkeypatch.setattr(module, "_jacobi", recording)
+
+    def key(op):
+        return repr(op.shape).encode() + op.tobytes()
+
+    rng = np.random.default_rng(11)
+    for coherent in (True, False):
+        for driven in (False, True):
+            solved.clear()
+            s = audit.sample_scenario(3, rng, coherent=coherent, driven=driven)
+            # the sampler hands over the spectra it built H and H_final from
+            assert np.array_equal(s.spectrum("H").reconstruct(), s.h_initial)
+            assert np.array_equal(s.spectrum("H_final").reconstruct(), s.h_final)
+            for scheme in SchemeId:
+                if scheme is not SchemeId.CONSISTENT_HISTORIES:
+                    schemes_mod.distribution(scheme, s)
+            owned = [s.h_initial, s.h_final, schemes_mod.work_operator(s)[0]]
+            for k_steps in ((4, 6) if driven else ()):
+                schemes_mod.consistent_histories(s, k_steps)
+                x = schemes_mod._ch_power_operators(s, k_steps)[1]
+                owned += list(x)
+                # every X(t_j) of the grid in one stacked solve, and none alone
+                assert sum(a.shape == x.shape and np.array_equal(a, x) for a in solved) == 1
+                assert not any(a.shape == x_j.shape and np.array_equal(a, x_j)
+                               for a in solved for x_j in x)
+            assert not cache.keys & {key(op) for op in owned}
+            assert key(s.rho) in cache.keys  # the cache still sees require_density
 
 
 def test_tpm_c2_is_self_consistent():

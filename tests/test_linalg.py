@@ -66,11 +66,12 @@ def test_eig_deterministic():
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
 
-def test_eig_nonconvergence_guard():
+def test_eig_nonconvergence_guard(monkeypatch):
     rng = np.random.default_rng(0)
     h = random_hermitian_np(6, rng)
+    monkeypatch.setattr(la, "MAX_SWEEPS", 0)
     with pytest.raises(NonConvergence):
-        la._jacobi(h, 0)
+        la._jacobi(h)
 
 
 # --- the round-parallel kernel: stacks and single matrices with d >= 8 ---------
@@ -96,7 +97,7 @@ def assert_spectral(vals, vecs, h):
 def test_stacked_kernel_matches_numpy(dim):
     rng = np.random.default_rng(70 + dim)
     h = hermitian_stack(dim, 3 if dim > 16 else 6, rng)
-    vals, vecs = la._jacobi(h, la.MAX_SWEEPS)
+    vals, vecs = la._jacobi(h)
     assert vals.shape == h.shape[:2] and vecs.shape == h.shape
     assert_spectral(vals, vecs, h)
 
@@ -104,9 +105,9 @@ def test_stacked_kernel_matches_numpy(dim):
 @pytest.mark.parametrize("dim", [d for d in KERNEL_DIMS if d >= la._ROUNDS_MIN_DIM])
 def test_single_matrix_at_d_8_and_above_takes_the_round_kernel(dim):
     h = random_hermitian_np(dim, np.random.default_rng(dim))
-    vals, vecs = la._jacobi(h, la.MAX_SWEEPS)
+    vals, vecs = la._jacobi(h)
     assert_spectral(vals, vecs, h)
-    stacked = la._jacobi(h[None], la.MAX_SWEEPS)
+    stacked = la._jacobi(h[None])
     np.testing.assert_array_equal(vals, stacked[0][0])
     np.testing.assert_array_equal(vecs, stacked[1][0])
 
@@ -120,9 +121,9 @@ def test_each_stack_member_equals_its_stack_of_one(dim):
     # converged as given, with an entry above the skip level: rotating it again would show
     h[3] = np.diag(np.arange(dim, dtype=complex))
     h[3, 0, -1] = h[3, -1, 0] = 0.7 * la.JACOBI_TOL * max(1, dim - 1)
-    vals, vecs = la._jacobi(h, la.MAX_SWEEPS)
+    vals, vecs = la._jacobi(h)
     for i in range(h.shape[0]):
-        one_vals, one_vecs = la._jacobi(h[i:i + 1], la.MAX_SWEEPS)
+        one_vals, one_vecs = la._jacobi(h[i:i + 1])
         np.testing.assert_array_equal(vals[i], one_vals[0])
         np.testing.assert_array_equal(vecs[i], one_vecs[0])
 
@@ -140,7 +141,7 @@ def test_stacked_kernel_on_degenerate_spectra(dim):
         rotation[np.ix_(idx, idx)] = haar_unitary_np(idx.size, rng) if idx.size > 1 else 1.0
     h = np.array([(v * levels) @ v.conj().T for v in (vecs, vecs @ rotation)])
     h = (h + la.dag(h)) / 2
-    vals, out = la._jacobi(h, la.MAX_SWEEPS)
+    vals, out = la._jacobi(h)
     assert_spectral(vals, out, h)
     spaces = [la.SpectralDecomposition(vals[i], out[i]).eigenspaces() for i in range(2)]
     np.testing.assert_allclose(spaces[0][0], np.unique(levels), rtol=0, atol=1e-9)
@@ -150,20 +151,21 @@ def test_stacked_kernel_on_degenerate_spectra(dim):
 @pytest.mark.parametrize("dim", [2, 3, 8, 9])
 def test_stacked_kernel_leaves_diagonal_input_alone(dim):
     diag = np.array([np.diag(np.arange(dim, 0, -1.0)), np.diag(np.zeros(dim))], dtype=complex)
-    vals, vecs = la._jacobi(diag, la.MAX_SWEEPS)
+    vals, vecs = la._jacobi(diag)
     np.testing.assert_array_equal(vals, [np.arange(1.0, dim + 1), np.zeros(dim)])
     np.testing.assert_array_equal(vecs[0], np.eye(dim)[:, ::-1])
     np.testing.assert_array_equal(vecs[1], np.eye(dim))
-    vals, vecs = la._jacobi(diag[:, ::-1, ::-1], la.MAX_SWEEPS)
+    vals, vecs = la._jacobi(diag[:, ::-1, ::-1])
     np.testing.assert_array_equal(vecs, [np.eye(dim), np.eye(dim)])
 
 
-def test_stacked_kernel_nonconvergence_guard():
+def test_stacked_kernel_nonconvergence_guard(monkeypatch):
     h = hermitian_stack(6, 3, np.random.default_rng(0))
+    monkeypatch.setattr(la, "MAX_SWEEPS", 0)
     with pytest.raises(NonConvergence):
-        la._jacobi(h, 0)
+        la._jacobi(h)
     with pytest.raises(NonConvergence):
-        la._jacobi(np.kron(h[0], np.eye(2)), 0)  # one matrix at d = 12
+        la._jacobi(np.kron(h[0], np.eye(2)))  # one matrix at d = 12
 
 
 def test_rounds_cover_every_pair_once_with_disjoint_pairs():

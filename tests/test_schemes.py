@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from qworklab import audit
+from qworklab import linalg as la
 from qworklab import schemes as sch
 from qworklab.errors import (
     DecompositionMismatch,
+    DegenerateHamiltonianWarning,
     DegenerateRhoWarning,
     NotPositive,
     TrajectoryBudgetExceeded,
@@ -549,6 +551,33 @@ def test_collective_degenerate_final_eigenspace_takes_the_jacobi_branch():
         sch.collective_povm(s).check(eig_tol=1e-8)
 
 
+def test_collective_warns_when_its_basis_is_the_solvers_choice():
+    # H = diag(0, 0, 1) and a rotation w inside its degenerate block: w H w^dag = H
+    h = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    rng = np.random.default_rng(38)
+    hf, u, rho = random_hermitian_np(3, rng), haar_unitary_np(3, rng), random_density_np(3, rng)
+    w = block_diag(haar_unitary_np(2, rng), 1.0)
+    rot = lambda m: w @ m @ w.conj().T
+    s = Scenario(dim=3, h_initial=h, h_final=hf, evolution=u, rho=rho)
+    t = Scenario(dim=3, h_initial=h, h_final=rot(hf), evolution=rot(u), rho=rot(rho))
+    two_copy = []
+    for scenario in (s, t):
+        with pytest.warns(DegenerateHamiltonianWarning):
+            two_copy.append(sch.collective_two_copy(scenario))
+    # the two are the same experiment: TPM agrees, the two-copy scheme does not
+    assert sch.tpm(s)[0].tv_distance(sch.tpm(t)[0]) <= 1e-12
+    assert two_copy[0].tv_distance(two_copy[1]) > 1e-3
+
+
+def test_collective_warns_on_no_sampled_scenario_or_audit_probe():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateHamiltonianWarning)
+        for dim in (2, 3):
+            for check in (audit.check_c1_linearity, audit.check_c2, audit.check_c3):
+                check(sch.SchemeId.COLLECTIVE_TWO_COPY, dim, 10, 0)
+            audit.check_collective_adapted(dim, 10, 0)
+
+
 def test_collective_factor_positivity_matches_full_diagonalisation():
     rng = np.random.default_rng(34)
     for dim in (2, 3, 4):
@@ -737,14 +766,19 @@ def sub_ensemble_loop(s, decomp):
 
 
 def consistent_histories_loop(s, k_steps):
+    """Plain-loop reference histories; like the scheme, it solves all its X(t_j) as one
+    stack, which gives each X(t_j) bitwise the result of its stack of one."""
     protocol = s.evolution
     dt = protocol.duration / k_steps
-    prods = np.eye(s.dim, dtype=complex)[None]
-    works = np.zeros(1)
+    x_ops = []
     for t_j in (protocol.duration * j / k_steps for j in range(1, k_steps)):
         u_j = propagator_loop(protocol, t_j, stacked=True)
         x_op = u_j.conj().T @ derivative_at_loop(protocol, t_j) @ u_j
-        clusters = projector_pairs(eig_hermitian((x_op + x_op.conj().T) / 2.0))
+        x_ops.append((x_op + x_op.conj().T) / 2.0)
+    prods = np.eye(s.dim, dtype=complex)[None]
+    works = np.zeros(1)
+    for dec in map(la.SpectralDecomposition, *la._jacobi(np.array(x_ops))):
+        clusters = projector_pairs(dec)
         prods = np.concatenate([np.einsum("ij,njk->nik", proj, prods) for _, proj in clusters])
         works = np.concatenate([works + val * dt for val, _ in clusters])
     weights = np.einsum("nij,ji->n", prods, s.rho).real
@@ -811,3 +845,26 @@ def test_consistent_histories_mean_matches_the_enumeration():
     for s, k in cases:
         assert sch.consistent_histories_mean(s, k) == pytest.approx(
             sch.consistent_histories(s, k).mean(), rel=0, abs=1e-12)
+
+
+# --- a change of basis --------------------------------------------------------------
+
+@pytest.mark.parametrize("driven", [False, True], ids=["unitary", "driven"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_every_scheme_is_invariant_under_a_change_of_basis(dim, driven):
+    """H, H_final, the evolution and rho all conjugated by one Haar unitary v."""
+    schemes = [sc for sc in sch.SchemeId
+               if driven or sc is not sch.SchemeId.CONSISTENT_HISTORIES]
+    for seed in range(20):
+        rng = np.random.default_rng([seed, dim])
+        s = audit.sample_scenario(dim, rng, coherent=True, driven=driven)
+        v = haar_unitary_np(dim, rng)
+        rot = lambda m: v @ m @ v.conj().T  # a matrix, or each matrix of a stack
+        p = s.evolution
+        evolution = (DrivingProtocol(p.times, rot(p.hamiltonians), p.steps_per_segment)
+                     if driven else rot(p))
+        t = Scenario(dim=dim, h_initial=rot(s.h_initial), h_final=rot(s.h_final),
+                     evolution=evolution, rho=rot(s.rho))
+        for scheme in schemes:
+            got, ref = (sch.distribution(scheme, x, k_steps=4) for x in (t, s))
+            assert got.tv_distance(ref) <= 1e-10, scheme

@@ -146,7 +146,7 @@ def test_measurement_work_loss_solves_its_hamiltonian_once(monkeypatch):
     solved = []
     original = la._jacobi
     monkeypatch.setattr(la, "_jacobi",
-                        lambda a, max_sweeps: solved.append(a.copy()) or original(a, max_sweeps))
+                        lambda a: solved.append(a.copy()) or original(a))
     # empty the eigen cache before each step, so only the context can hold H's spectrum
     for name in ("max_extractable_work", "dephased", "asymmetry"):
         step = getattr(th, name)

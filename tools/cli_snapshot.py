@@ -89,17 +89,19 @@ def scenario_docs(dim: int, seed: int) -> tuple[dict, dict]:
     return unitary, driven
 
 
-def degenerate_doc(dim: int, seed: int) -> dict:
-    """A unitary scenario whose H_final has a two-fold degenerate lowest level."""
+def degenerate_doc(dim: int, seed: int, level: str = "H_final") -> dict:
+    """A unitary scenario whose ``level`` Hamiltonian ("H" or "H_final") has a
+    two-fold degenerate lowest level."""
     rng = random.Random(seed)
-    h, v = _hermitian(dim, rng), _unitary(dim, rng)
+    other, v = _hermitian(dim, rng), _unitary(dim, rng)
     levels = [0.0, 0.0] + [float(k) for k in range(1, dim - 1)]
-    hf = [[sum(v[i][k] * levels[k] * v[j][k].conjugate() for k in range(dim))
-           for j in range(dim)] for i in range(dim)]
+    degenerate = [[sum(v[i][k] * levels[k] * v[j][k].conjugate() for k in range(dim))
+                   for j in range(dim)] for i in range(dim)]
     u, rho = _unitary(dim, rng), _density(dim, rng)
-    return {"dim": dim, "label": f"snapshot-d{dim}-degenerate", "H": _pairs(h),
-            "H_final": _pairs(hf), "evolution": {"type": "unitary", "U": _pairs(u)},
-            "rho": _pairs(rho)}
+    hams = {"H": _pairs(other), "H_final": _pairs(other), level: _pairs(degenerate)}
+    suffix = "-h" if level == "H" else ""
+    return {"dim": dim, "label": f"snapshot-d{dim}-degenerate{suffix}", **hams,
+            "evolution": {"type": "unitary", "U": _pairs(u)}, "rho": _pairs(rho)}
 
 
 def three_breakpoint_doc(dim: int, seed: int) -> dict:
@@ -125,8 +127,9 @@ def commands() -> list[tuple[str, list[str]]]:
                 runs.append((f"dist-{scheme}-d{dim}-{fmt}",
                              ["dist", "--scheme", scheme, "--scenario",
                               f"scenarios/d{dim}-{kind}.json", "--format", fmt]))
-    # the two-copy scheme where H_final is degenerate (its Jacobi branch) and at d = 16
-    for name in ("d3-degenerate", "d16-unitary"):
+    # the two-copy scheme where H_final is degenerate (its Jacobi branch), where H is
+    # (its basis is the solver's choice: a warning on stderr) and at d = 16
+    for name in ("d3-degenerate", "d3-degenerate-h", "d16-unitary"):
         runs.append((f"dist-collective-two-copy-{name}-json",
                      ["dist", "--scheme", "collective-two-copy", "--scenario",
                       f"scenarios/{name}.json", "--format", "json"]))
@@ -251,6 +254,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     (out / "scenarios").mkdir(parents=True, exist_ok=True)
     docs = {"d3-degenerate": degenerate_doc(3, seed=2003),
+            "d3-degenerate-h": degenerate_doc(3, seed=2013, level="H"),
             "d16-unitary": scenario_docs(16, seed=1016)[0],
             "d3-three-breakpoints": three_breakpoint_doc(3, seed=3003)}
     for dim in (2, 3, 4):
