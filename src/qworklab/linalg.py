@@ -6,12 +6,15 @@ copy; they run when an input type (``Scenario``, ``DrivingProtocol``,
 ``ThermalContext``) is constructed and, inside ``eig_hermitian``, on a cache
 miss only.  Downstream code treats validated arrays, and operators it makes
 exactly Hermitian, as immutable and solves them with ``_eig(arr, validated=True)``,
-which skips validation on a miss.  Each spectrum has one owner: ``require_density``
-returns the one it solved, which a Scenario keeps for its rho; a Scenario holds
-those of H, H_final, its work operator and its history operators, a
-``ThermalContext`` that of its H.  Sampled Hamiltonians come with the spectra
-they were drawn from, and the work and history operators, which no other owner
-holds, are solved by ``_jacobi`` directly (a grid's as one stack).  The bounded
+which skips validation on a miss.  ``require_density`` solves nothing for a
+valid state: its positivity test is the Cholesky factorisation of
+``_cholesky_positive``, d steps with no iteration on one matrix or a stack, and
+only a state that fails it is solved, for its least eigenvalue.  Each spectrum
+has one owner: a Scenario derives that of its rho on first read and holds those
+of H, H_final, its work operator and its history operators, a ``ThermalContext``
+that of its H.  Sampled Hamiltonians come with the spectra they were drawn
+from, and the work and history operators, which no other owner holds, are
+solved by ``_jacobi`` directly (a grid's as one stack).  The bounded
 ``_EIG_CACHE`` sees the rest, and shares equal operators between owners.  The
 eigensolver is a deterministic complex Jacobi iteration for dense Hermitian
 matrices (dimension <= 64).  A single matrix below ``_ROUNDS_MIN_DIM`` takes
@@ -93,18 +96,69 @@ def require_unitary(m, name: str = "operator") -> np.ndarray:
     return arr.copy()
 
 
-def require_density(m, name: str = "state") -> tuple[np.ndarray, "SpectralDecomposition"]:
-    """Validate a density operator (Hermitian, unit trace, positive semidefinite);
-    return it and the decomposition its positivity check solved, for the caller to keep."""
+def require_density(m, name: str = "state") -> np.ndarray:
+    """Validate a density operator (Hermitian, unit trace, positive semidefinite)
+    and return it.
+
+    Positivity means a least eigenvalue >= ``-DENSITY_EIG_TOL``.  A state that
+    ``_cholesky_positive`` factors passes without a solve; one that it does not
+    is solved once, and rejected only if that least eigenvalue is below the
+    tolerance, so the verdicts of the two tests can differ only by rounding.
+    """
     arr = require_hermitian(m, name)
     tr = complex(np.trace(arr))
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise ValidationError("NotDensity", name, f"trace = {tr:.12g}, expected 1")
-    dec = _eig(arr, validated=True)
-    lo = float(dec.eigenvalues[0])
-    if lo < -DENSITY_EIG_TOL:
-        raise ValidationError("NotDensity", name, f"min eigenvalue {lo:.3e} < -{DENSITY_EIG_TOL}")
-    return arr, dec
+    if not _cholesky_positive(arr):
+        lo = float(_eig(arr, validated=True).eigenvalues[0])
+        if lo < -DENSITY_EIG_TOL:
+            raise ValidationError("NotDensity", name,
+                                  f"min eigenvalue {lo:.3e} < -{DENSITY_EIG_TOL}")
+    return arr
+
+
+def _cholesky_positive(a: np.ndarray) -> np.ndarray | np.bool_:
+    """Whether h + ``DENSITY_EIG_TOL`` I is positive definite, h = (a + a^dag) / 2,
+    for a matrix (d, d) or each matrix of a stack (..., d, d); boolean, of
+    shape (...).  h is ``a`` itself when ``a`` is exactly Hermitian, and a
+    matrix Hermitian only within ``HERMITICITY_TOL`` is tested whole, not by
+    its lower triangle alone.
+
+    A column-by-column Cholesky factorisation of the shifted matrix m: step k
+    takes the pivot p = m_kk, and a matrix fails there unless p > 0;
+    otherwise the column l = m[k+1:, k] / sqrt(p) updates the trailing block
+    by -l l^dag, of which only the lower triangle is read again.  A single
+    matrix below ``_ROUNDS_MIN_DIM`` runs the steps on Python scalars, which
+    costs less there than array operations, as in ``_jacobi``.  In exact
+    arithmetic every pivot is > 0 exactly when the least eigenvalue of h is
+    > -``DENSITY_EIG_TOL``; rounding moves that boundary by about d eps ||h||
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).
+    """
+    d = a.shape[-1]
+    m = 0.5 * (a + dag(a)) + DENSITY_EIG_TOL * np.eye(d)
+    if m.ndim == 2 and d < _ROUNDS_MIN_DIM:
+        rows = m.tolist()
+        for k in range(d):
+            pivot = rows[k][k].real
+            if not pivot > 0.0:
+                return np.False_
+            root = math.sqrt(pivot)
+            col = [rows[i][k] / root for i in range(k + 1, d)]
+            for i, li in enumerate(col, k + 1):
+                for j, lj in enumerate(col[:i - k], k + 1):
+                    rows[i][j] -= li * lj.conjugate()
+        return np.True_
+    ok = np.ones(m.shape[:-2], dtype=bool)
+    # a failed pivot fills the rest of its matrix with NaN or inf, silently: it stays failed
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(d):
+            pivot = m[..., k, k].real
+            ok &= pivot > 0.0
+            if k == d - 1 or not ok.any():
+                break
+            col = m[..., k + 1:, k] / np.sqrt(pivot)[..., None]
+            m[..., k + 1:, k + 1:] -= col[..., :, None] * col[..., None, :].conj()
+    return ok
 
 
 @dataclass(frozen=True)

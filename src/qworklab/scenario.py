@@ -162,7 +162,8 @@ class Scenario:
     rho: np.ndarray
     label: str = ""
     _derived: dict = field(default_factory=dict, repr=False, compare=False)
-    _rho_spectrum: SpectralDecomposition = field(init=False, repr=False, compare=False)
+    _rho_spectrum: SpectralDecomposition | None = field(default=None, init=False, repr=False,
+                                                        compare=False)
 
     def __post_init__(self):
         driven = isinstance(self.evolution, DrivingProtocol)
@@ -173,9 +174,7 @@ class Scenario:
             if end is None or not np.array_equal(value, end):
                 end = require_hermitian(value, name)
             object.__setattr__(self, attr, end)
-        rho, dec = require_density(self.rho, "rho")
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "_rho_spectrum", dec)
+        object.__setattr__(self, "rho", require_density(self.rho, "rho"))
         d = self.dim
         for name, arr in (("H", self.h_initial), ("H_final", self.h_final), ("rho", self.rho)):
             if arr.shape[0] != d:
@@ -198,16 +197,17 @@ class Scenario:
     def with_rho(self, rho, label: str = "") -> "Scenario":
         """The same experiment on another initial state.
 
-        Only ``rho`` is validated, and its spectrum kept.  H, H_final, the evolution
-        and everything derived from them are shared with this scenario.
+        Only ``rho`` is validated; its spectrum is the copy's own, derived on first
+        read.  H, H_final, the evolution and everything derived from them are
+        shared with this scenario.
         """
-        rho, dec = require_density(rho, "rho")
+        rho = require_density(rho, "rho")
         if rho.shape[0] != self.dim:
             raise ValidationError("DimMismatch", "rho",
                                   f"dimension {rho.shape[0]} != dim={self.dim}")
         out = copy.copy(self)
         object.__setattr__(out, "rho", rho)
-        object.__setattr__(out, "_rho_spectrum", dec)
+        object.__setattr__(out, "_rho_spectrum", None)
         object.__setattr__(out, "label", label)
         return out
 
@@ -246,8 +246,11 @@ class Scenario:
         return out
 
     def spectrum(self, name: str) -> SpectralDecomposition:
-        """Decomposition of ``"rho"`` (kept from its validation), ``"H"`` or ``"H_final"``."""
+        """Decomposition of ``"rho"`` (this instance's own, solved on first read),
+        ``"H"`` or ``"H_final"``."""
         if name == "rho":
+            if self._rho_spectrum is None:
+                object.__setattr__(self, "_rho_spectrum", _eig(self.rho, validated=True))
             return self._rho_spectrum
         h = {"H": self.h_initial, "H_final": self.h_final}[name]
         return self.derived(name, lambda: _eig(h, validated=True))

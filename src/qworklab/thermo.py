@@ -97,9 +97,9 @@ def _context(beta: float, hamiltonian: np.ndarray) -> ThermalContext:
 
 def free_energy(rho: np.ndarray, ctx: ThermalContext) -> float:
     """F(rho, H) = Tr(H rho) - S(rho) / beta."""
-    rho, dec = require_density(rho)
+    rho = require_density(rho)
     energy = float(np.trace(ctx.hamiltonian @ rho).real)
-    return energy - _entropy(dec) / ctx.beta
+    return energy - _entropy(_eig(rho, validated=True)) / ctx.beta
 
 
 def max_extractable_work(rho: np.ndarray, ctx: ThermalContext) -> float:
@@ -170,7 +170,7 @@ class BipartiteScenario:
     def __post_init__(self):
         object.__setattr__(self, "h_system", require_hermitian(self.h_system, "H_S"))
         object.__setattr__(self, "h_bath", require_hermitian(self.h_bath, "H_B"))
-        object.__setattr__(self, "rho_system", require_density(self.rho_system, "rho_S")[0])
+        object.__setattr__(self, "rho_system", require_density(self.rho_system, "rho_S"))
         object.__setattr__(self, "u_joint", require_unitary(self.u_joint, "U_SB"))
         if self.h_system.shape[0] != self.dim_system:
             raise ValueError("H_S dimension mismatch")
@@ -323,10 +323,11 @@ def local_free_energy_decomposition(rho_joint: np.ndarray, dims: tuple[int, int]
 
 def _local_decomposition(rho_joint: np.ndarray, dims: tuple[int, int],
                          ctx_s: ThermalContext, ctx_b: ThermalContext) -> dict:
-    rho_joint, dec = require_density(rho_joint, "X_SB")
+    rho_joint = require_density(rho_joint, "X_SB")
     beta = ctx_s.beta
     h_total = tensor(ctx_s.hamiltonian, np.eye(dims[1])) + tensor(np.eye(dims[0]), ctx_b.hamiltonian)
-    joint = float(np.trace(h_total @ rho_joint).real) - _entropy(dec) / beta
+    entropy = _entropy(_eig(rho_joint, validated=True))
+    joint = float(np.trace(h_total @ rho_joint).real) - entropy / beta
     f_s = free_energy(partial_trace(rho_joint, dims, "A"), ctx_s)
     f_b = free_energy(partial_trace(rho_joint, dims, "B"), ctx_b)
     info = mutual_information(rho_joint, dims) / beta

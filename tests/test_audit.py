@@ -155,9 +155,38 @@ def test_schemes_solve_h_and_h_final_once_per_experiment(monkeypatch):
         # sampled H and H_final come with the spectra they were built from: never solved
         for op in (s.h_initial, s.h_final):
             assert not any(np.array_equal(a, op) for a in solved)
-        # and each rho once, when it was validated
+        # and each rho once, when the state-dependent scheme first read spectrum("rho")
         for t in runs:
             assert sum(np.array_equal(a, t.rho) for a in solved) == 1
+
+
+def test_rho_is_solved_only_when_its_spectrum_is_read(monkeypatch):
+    solved = []
+    original = la._jacobi
+
+    def recording(a):
+        solved.append(a.copy())
+        return original(a)
+
+    def read_twice(s):
+        """The first spectrum("rho") solves rho once, and the second solves nothing."""
+        solved.clear()
+        la._EIG_CACHE.clear()  # so only the scenario can hold its rho's spectrum
+        first = s.spectrum("rho")
+        assert len(solved) == 1 and np.array_equal(solved[0], s.rho)
+        assert s.spectrum("rho") is first and len(solved) == 1
+        return first
+
+    monkeypatch.setattr(la, "_jacobi", recording)
+    sampled = audit.sample_scenario(3, np.random.default_rng(12), coherent=True, driven=True)
+    parsed = parse_scenario(serialize_scenario(sampled))
+    for s in (sampled, parsed):  # validating rho solved nothing
+        assert not any(np.array_equal(a, s.rho) for a in solved)
+    first = read_twice(sampled)
+    read_twice(parsed)
+    copy = sampled.with_rho(la.random_density(3, 13))  # after the original's rho was solved
+    assert not any(np.array_equal(a, copy.rho) for a in solved)
+    assert read_twice(copy) is not first
 
 
 class _LookupRecorder(dict):
@@ -209,7 +238,7 @@ def test_owned_spectra_bypass_the_eigen_cache(monkeypatch):
                 assert not any(a.shape == x_j.shape and np.array_equal(a, x_j)
                                for a in solved for x_j in x)
             assert not cache.keys & {key(op) for op in owned}
-            assert key(s.rho) in cache.keys  # the cache still sees require_density
+            assert key(s.rho) in cache.keys  # the cache still sees spectrum("rho")
 
 
 def test_tpm_c2_is_self_consistent():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qworklab import linalg as la
@@ -290,19 +290,108 @@ def test_non_finite_entries_raise_dim_mismatch(bad):
 
 
 def test_require_density_validates_a_fresh_state_once(monkeypatch):
-    calls = []
-    original = la.require_hermitian
+    calls, solved = [], []
+    original, jacobi = la.require_hermitian, la._jacobi
     monkeypatch.setattr(la, "require_hermitian",
                         lambda m, name="operator": calls.append(name) or original(m, name))
+    monkeypatch.setattr(la, "_jacobi", lambda a: solved.append(a) or jacobi(a))
     la._EIG_CACHE.clear()
-    rho, dec = la.require_density(la.random_density(3, 5))
+    state = la.random_density(3, 5)
+    rho = la.require_density(state)
     assert calls == ["state"]
-    # the decomposition its positivity check solved, returned for the caller to keep
-    np.testing.assert_allclose(dec.reconstruct(), rho, atol=1e-14)
+    # the validated copy alone: a valid state passes the pivot test with no solve
+    assert isinstance(rho, np.ndarray) and rho is not state and np.array_equal(rho, state)
+    assert not solved
+    # a state that fails a pivot is solved once, for the least eigenvalue its message names
+    with pytest.raises(ValidationError) as err:
+        la.require_density(np.diag([1.5, -0.5]).astype(complex), "rho")
+    assert (err.value.kind, err.value.path) == ("NotDensity", "rho")
+    assert len(solved) == 1
     bad = np.array([[0.5, 0.2], [0.0, 0.5]], dtype=complex)
     with pytest.raises(ValidationError) as err:
         la.require_density(bad, "rho")
     assert (err.value.kind, err.value.path) == ("NotHermitian", "rho")
+    assert len(solved) == 1
+
+
+def _state_with_least_eigenvalue(dim, lam_min, rng):
+    """V diag(lam) V^dag, V Haar, with least eigenvalue ``lam_min`` and unit trace."""
+    rest = rng.random(dim - 1) + 0.5
+    lam = np.concatenate(([lam_min], rest * (1.0 - lam_min) / rest.sum()))
+    v = haar_unitary_np(dim, rng)
+    return (v * lam) @ v.conj().T
+
+
+_TOL = la.DENSITY_EIG_TOL
+# least eigenvalues just inside and just outside the positivity tolerance
+_BOUNDARY = ((-(1 - 1e-3) * _TOL, True), ((1 - 1e-3) * _TOL, True), ((1 + 1e-3) * _TOL, True),
+             (-(1 + 1e-3) * _TOL, False))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 16])
+def test_require_density_keeps_the_eigenvalue_boundary(dim):
+    rng = np.random.default_rng(dim)
+    states, expected = [], []
+    for lam_min, accepted in _BOUNDARY:
+        for _ in range(3):
+            rho = _state_with_least_eigenvalue(dim, lam_min, rng)
+            states.append(rho)
+            expected.append(accepted)
+            if accepted:
+                np.testing.assert_array_equal(la.require_density(rho, "rho"), rho)
+                continue
+            with pytest.raises(ValidationError) as err:
+                la.require_density(rho, "rho")
+            assert (err.value.kind, err.value.path) == ("NotDensity", "rho")
+            assert str(err.value) == "NotDensity at 'rho': min eigenvalue -1.001e-10 < -1e-10"
+    # the stacked test gives every state the verdict it gets alone
+    verdicts = la._cholesky_positive(np.array(states))
+    assert verdicts.shape == (len(states),)
+    assert verdicts.tolist() == expected
+    assert [bool(la._cholesky_positive(rho)) for rho in states] == expected
+
+
+@pytest.mark.parametrize("x, accepted", [(0.4e-10, True), (0.6e-10, False)])
+def test_require_density_tests_a_nearly_hermitian_state_whole(x, accepted):
+    # the off-diagonals differ by 9e-11, within HERMITICITY_TOL: the lower triangle
+    # alone has least eigenvalue -x, the Hermitian part -x - 4.5e-11
+    m = np.array([[0.5, 0.5 + x + 0.9e-10], [0.5 + x, 0.5]], dtype=complex)
+    assert bool(la._cholesky_positive(m)) is accepted
+    assert la._cholesky_positive(m[None]).tolist() == [accepted]
+    if accepted:
+        la.require_density(m)
+    else:
+        with pytest.raises(ValidationError, match="min eigenvalue -1.050e-10"):
+            la.require_density(m)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32, 64])
+def test_require_density_accepts_pure_states_without_a_solve(dim, monkeypatch):
+    solved = []
+    monkeypatch.setattr(la, "_jacobi", lambda a: solved.append(a))
+    rho = la.projector(la.random_pure(dim, dim))
+    np.testing.assert_array_equal(la.require_density(rho), rho)
+    assert not solved
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 16), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_require_density_agrees_with_the_least_eigenvalue(seed, dim, data):
+    rank = data.draw(st.integers(1, dim), label="rank")
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    lam, v = np.linalg.eigh(g @ g.conj().T)  # a rank-r Wishart state's spectrum
+    lam[0] = rng.uniform(-1e-8, 1e-8)  # its least eigenvalue, moved
+    rho = (v * (lam / lam.sum())) @ v.conj().T
+    lo = np.linalg.eigvalsh(rho).min()  # numpy as the oracle
+    assume(abs(lo + _TOL) > 1e-6 * _TOL)
+    try:
+        la.require_density(rho)
+        accepted = True
+    except ValidationError as err:
+        assert err.kind == "NotDensity"
+        accepted = False
+    assert accepted == (lo >= -_TOL)
 
 
 # --- tensor / partial trace --------------------------------------------------

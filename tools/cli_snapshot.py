@@ -19,7 +19,7 @@ uses the standard library only: the scenario files are generated with
 ``python -m qworklab.cli`` process with the output directory as working
 directory, so no output holds an absolute path.  Each command's stdout goes
 to ``<name>.out``; ``exit_codes.txt`` lists every command with its exit code
-and its stderr.  A full snapshot takes about 55 s on one core.
+and its stderr.  A full snapshot takes about 60 s on one core.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+DENSITY_EIG_TOL = 1e-10  # qworklab.linalg.DENSITY_EIG_TOL: least eigenvalue a state may have
 
 SCHEMES = ("tpm", "operator-of-work", "fcs", "margenau-hill", "consistent-histories",
            "state-dependent", "sub-ensemble", "collective-two-copy")
@@ -117,6 +119,21 @@ def three_breakpoint_doc(dim: int, seed: int) -> dict:
                                           for t, h in zip((0.0, 0.5, 2.0), hams)]}}
 
 
+def boundary_doc(dim: int, seed: int, lam_min: float, side: str) -> dict:
+    """A unitary scenario whose rho = V diag(lam) V^dag, V from ``_unitary``, has the
+    least eigenvalue ``lam_min`` and unit trace."""
+    rng = random.Random(seed)
+    h, hf, u, v = (_hermitian(dim, rng), _hermitian(dim, rng), _unitary(dim, rng),
+                   _unitary(dim, rng))
+    rest = [rng.random() + 0.5 for _ in range(dim - 1)]
+    lam = [lam_min] + [x * (1.0 - lam_min) / sum(rest) for x in rest]
+    rho = [[sum(v[i][k] * lam[k] * v[j][k].conjugate() for k in range(dim)) for j in range(dim)]
+           for i in range(dim)]
+    return {"dim": dim, "label": f"snapshot-d{dim}-boundary-{side}", "H": _pairs(h),
+            "H_final": _pairs(hf), "evolution": {"type": "unitary", "U": _pairs(u)},
+            "rho": _pairs(rho)}
+
+
 def commands() -> list[tuple[str, list[str]]]:
     """(name, CLI arguments) for every snapshot entry, in a fixed order."""
     runs: list[tuple[str, list[str]]] = []
@@ -160,7 +177,7 @@ def commands() -> list[tuple[str, list[str]]]:
     # fit TRAJ_CAP
     for dim in (5, 8):
         runs.append((f"table1-d{dim}-s10", ["table1", "--dim", str(dim), "--samples", "10"]))
-    for dim in (2, 3, 4):
+    for dim in (2, 3, 4, 16):
         runs.append((f"nogo-d{dim}", ["nogo", "--dim", str(dim)]))
     for seed in (0, 1, 2):
         runs.append((f"witness-b500-seed{seed}",
@@ -177,6 +194,9 @@ def commands() -> list[tuple[str, list[str]]]:
     runs.append(("audit-consistent-histories-d4-s10-seed1",
                  ["audit", "--scheme", "consistent-histories", "--dim", "4", "--samples", "10",
                   "--seed", "1"]))
+    # 30 states validated at d = 64
+    runs.append(("audit-tpm-d64-s5-seed1",
+                 ["audit", "--scheme", "tpm", "--dim", "64", "--samples", "5", "--seed", "1"]))
     # the consistent-histories C3 limit criterion above the trajectory budget: closed form
     runs.append(("audit-consistent-histories-c3-d17",
                  ["audit", "--scheme", "consistent-histories", "--condition", "c3", "--dim", "17",
@@ -203,6 +223,12 @@ def commands() -> list[tuple[str, list[str]]]:
          ["pointer-sweep", "--scenario", "scenarios/d2-unitary.json", "--ratio-min", "0"]),
         ("error-table1-seed-negative", ["table1", "--seed", "-1"]),
     ]
+    # states whose least eigenvalue lies just inside and just outside the positivity
+    # tolerance: the first is accepted, the second exits with the eigenvalue on stderr
+    for name in ("inside", "outside"):
+        runs.append((f"dist-tpm-d3-boundary-{name}",
+                     ["dist", "--scheme", "tpm", "--scenario",
+                      f"scenarios/d3-boundary-{name}.json"]))
     return runs
 
 
@@ -256,7 +282,9 @@ def main(argv=None) -> int:
     docs = {"d3-degenerate": degenerate_doc(3, seed=2003),
             "d3-degenerate-h": degenerate_doc(3, seed=2013, level="H"),
             "d16-unitary": scenario_docs(16, seed=1016)[0],
-            "d3-three-breakpoints": three_breakpoint_doc(3, seed=3003)}
+            "d3-three-breakpoints": three_breakpoint_doc(3, seed=3003),
+            "d3-boundary-inside": boundary_doc(3, 3013, -0.5 * DENSITY_EIG_TOL, "inside"),
+            "d3-boundary-outside": boundary_doc(3, 3023, -2 * DENSITY_EIG_TOL, "outside")}
     for dim in (2, 3, 4):
         docs[f"d{dim}-unitary"], docs[f"d{dim}-driven"] = scenario_docs(dim, seed=1000 + dim)
     for name, doc in docs.items():
