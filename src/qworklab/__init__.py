@@ -17,6 +17,7 @@ from .linalg import (
 from .scenario import (
     DrivingProtocol,
     Scenario,
+    ScenarioBatch,
     compile_unitary,
     load_scenario,
     mean_energy_change,
@@ -30,12 +31,14 @@ from .schemes import (
     Povm,
     PureDecomposition,
     SchemeId,
+    WorkBatch,
     WorkDistribution,
     collective_factors,
     collective_povm,
     collective_two_copy,
     consistent_histories,
     distribution,
+    distributions,
     fcs_characteristic,
     fcs_quasiprob,
     lambda_max,

@@ -28,6 +28,9 @@ import numpy as np
 from .errors import DegenerateRhoWarning, DomainError, NotLinear
 from .linalg import (
     SpectralDecomposition,
+    _complex_normal,
+    _orthonormal_columns,
+    _wishart_states,
     dag,
     max_abs,
     projector,
@@ -35,17 +38,25 @@ from .linalg import (
     random_unitary,
 )
 from .pointer import PointerConfig, gaussian_meter, weak_value_table
-from .scenario import DrivingProtocol, Scenario, mean_energy_change, scenario_to_dict
+from .scenario import (
+    DrivingProtocol,
+    Scenario,
+    ScenarioBatch,
+    mean_energy_change,
+    scenario_to_dict,
+)
 from .schemes import (
     Povm,
     SchemeId,
     TRAJ_CAP,
     W_MERGE_TOL,
+    WorkBatch,
     WorkDistribution,
+    _part_bounds,
     collective_factors,
     collective_two_copy,
     consistent_histories_mean,
-    distribution,
+    distributions,
     margenau_hill,
     merge_atoms,
     tpm,
@@ -122,13 +133,22 @@ def _diagonal_probabilities(dim: int, rng) -> np.ndarray:
     return raw / raw.sum()
 
 
+def _drawn(spec: SpectralDecomposition, spec_final: SpectralDecomposition, evolution,
+           rho) -> Scenario:
+    """The scenario of Hamiltonians built from drawn spectra, which it holds as its own."""
+    s = Scenario(dim=spec.dim, h_initial=spec.reconstruct(), h_final=spec_final.reconstruct(),
+                 evolution=evolution, rho=rho)
+    s.derived("H", lambda: spec)
+    s.derived("H_final", lambda: spec_final)
+    return s
+
+
 def sample_scenario(dim: int, rng, coherent: bool = True, driven: bool = False) -> Scenario:
     spec, spec_final = _random_spectrum(dim, rng), _random_spectrum(dim, rng)
-    h, hf = spec.reconstruct(), spec_final.reconstruct()
     if driven:
         # the protocol validates h and hf; Scenario takes its equal endpoints as they are
         evolution: np.ndarray | DrivingProtocol = DrivingProtocol(
-            [0.0, 1.0], [h, hf], SAMPLE_PROTOCOL_STEPS)
+            [0.0, 1.0], [spec.reconstruct(), spec_final.reconstruct()], SAMPLE_PROTOCOL_STEPS)
     else:
         evolution = random_unitary(dim, rng)
     if coherent:
@@ -136,10 +156,63 @@ def sample_scenario(dim: int, rng, coherent: bool = True, driven: bool = False) 
     else:
         rho = SpectralDecomposition(_diagonal_probabilities(dim, rng),
                                     spec.eigenvectors).reconstruct()
-    s = Scenario(dim=dim, h_initial=h, h_final=hf, evolution=evolution, rho=rho)
-    s.derived("H", lambda: spec)
-    s.derived("H_final", lambda: spec_final)
-    return s
+    return _drawn(spec, spec_final, evolution, rho)
+
+
+def _sample_batch(dim: int, n: int, rng, coherent: bool, driven: bool,
+                  mixtures: bool = False):
+    """n scenarios as ``sample_scenario`` samples them one by one, as one batch.
+
+    The random numbers are drawn in the order of n ``sample_scenario`` calls, so
+    the stream is the same; the arithmetic on them is done once, on stacks.
+    With ``mixtures``, each sample also draws two states and a weight lam, as a
+    C1 mixture does: the result is then the batch of mixed states, those of the
+    first and of the second components, on the same experiments, and the lam
+    (n,).
+    """
+    if dim < 2:
+        raise DomainError("dim must be >= 2")
+
+    def normals():  # the parts of one complex-normal matrix
+        return rng.standard_normal((2, dim, dim))
+
+    draws = []
+    for _ in range(n):
+        row = [normals(), rng.random(dim), normals(), rng.random(dim)]
+        if not driven:
+            row.append(normals())
+        row.append(normals() if coherent else rng.random(dim))
+        if mixtures:
+            row += [normals(), normals(), rng.uniform(0.2, 0.8)]
+        draws.append(row)
+    columns = iter([np.array(column) for column in zip(*draws)])
+
+    def ginibre():
+        return _complex_normal(next(columns))
+
+    spectra = {}
+    for name in ("H", "H_final"):  # as _random_spectrum, on the stack
+        vecs = _orthonormal_columns(ginibre())
+        spectra[name] = (np.arange(dim, dtype=float) + 0.4 * next(columns), vecs)
+    h, hf = ((vecs * vals[:, None, :]) @ dag(vecs) for vals, vecs in spectra.values())
+    if driven:
+        evolution = tuple(DrivingProtocol([0.0, 1.0], pair, SAMPLE_PROTOCOL_STEPS)
+                          for pair in zip(h, hf))
+    else:
+        evolution = _orthonormal_columns(ginibre())
+    if coherent:
+        rho = _wishart_states(ginibre())
+    else:  # as _diagonal_probabilities, in the drawn eigenbasis of H
+        raw = np.arange(1.0, dim + 1.0) + 0.5 * next(columns)
+        vecs = spectra["H"][1]
+        rho = (vecs * (raw / raw.sum(axis=1, keepdims=True))[:, None, :]) @ dag(vecs)
+    if not mixtures:
+        return ScenarioBatch.build(h, hf, evolution, rho, np.arange(n), spectra)
+    rho1, rho2 = _wishart_states(ginibre()), _wishart_states(ginibre())
+    lam = next(columns)
+    mix = lam[:, None, None] * rho1 + (1.0 - lam)[:, None, None] * rho2
+    batch = ScenarioBatch.build(h, hf, evolution, mix, np.arange(n), spectra)
+    return batch, batch.with_rho(rho1, np.arange(n)), batch.with_rho(rho2, np.arange(n)), lam
 
 
 # --- canonical probe instances (seed-independent regression witnesses) -------
@@ -230,17 +303,10 @@ def _probe_collective_mixture(dim: int):
     return s1.with_rho(0.5 * s1.rho + 0.5 * s2.rho, "collective-mixture"), s1, s2, 0.5
 
 
-def _scheme_dist(scheme: SchemeId, s: Scenario, k_steps: int) -> WorkDistribution:
+def _batch_dist(scheme: SchemeId, batch: ScenarioBatch, k_steps: int) -> WorkBatch:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateRhoWarning)
-        return distribution(scheme, s, k_steps=k_steps)
-
-
-def _blend(d1: WorkDistribution, d2: WorkDistribution, lam: float) -> WorkDistribution:
-    works = np.concatenate([d1.works, d2.works])
-    weights = np.concatenate([lam * d1.weights, (1.0 - lam) * d2.weights])
-    w, p = merge_atoms(works, weights)
-    return WorkDistribution(works=w, weights=p, scheme=d1.scheme, is_quasi=True)
+        return distributions(scheme, batch, k_steps=k_steps)
 
 
 def _witness_payload(s: Scenario, value: float, detail: str) -> dict:
@@ -252,8 +318,9 @@ def _worst(cases) -> tuple[float, dict | None, str]:
 
     A later case replaces the worst only if it exceeds it by more than the
     fraction ``WORST_TIE_RTOL``, so cases tied up to last-bit noise keep the
-    first as witness.  The payload is built once, for that case.  With no
-    case above 0 the result is (0.0, None, "").
+    first as witness.  The payload is built once, for that case; its scenario
+    may be given as a function of no arguments that makes it, called then.
+    With no case above 0 the result is (0.0, None, "").
     """
     worst, arg = 0.0, None
     for violation, s, detail in cases:
@@ -261,30 +328,34 @@ def _worst(cases) -> tuple[float, dict | None, str]:
             worst, arg = violation, (s, detail)
     if arg is None:
         return 0.0, None, ""
-    return worst, _witness_payload(arg[0], worst, arg[1]), arg[1]
+    s = arg[0]() if callable(arg[0]) else arg[0]
+    return worst, _witness_payload(s, worst, arg[1]), arg[1]
+
+
+def _parts(batch: ScenarioBatch):
+    """The batch in the parts its kernels run in (``schemes._part_bounds``), so that
+    a grader holds the distributions of one part at a time."""
+    return (batch.members(start, stop) for start, stop in _part_bounds(len(batch), batch.dim))
+
+
+def _member_cases(values: np.ndarray, batch: ScenarioBatch, detail: str):
+    """``_worst`` cases of per-member values, each member's scenario made only if it wins."""
+    return ((v, partial(batch.scenario, i), detail) for i, v in enumerate(values.tolist()))
 
 
 # --- the three condition checks ----------------------------------------------
 
-def _ensemble(condition: Condition, dim: int, n: int, seed: int, driven: bool) -> list:
+def _ensemble(condition: Condition, dim: int, n: int, seed: int, driven: bool):
     """What a check of ``condition`` grades, from a stream that depends on the
-    condition, not the scheme: C1 mixtures (s_mix, s1, s2, lam) of two random
-    states on a sampled experiment, C2 diagonal-state and C3 coherent scenarios."""
+    condition, not the scheme: for C1 the batches of mixtures of two random states
+    on sampled experiments and of their components, with the weights lam (see
+    ``_sample_batch``), for C2 a batch of diagonal-state and for C3 one of
+    coherent scenarios."""
     _require_count(n)
     stream = list(Condition).index(condition) + 1
     rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
-    if condition is not Condition.C1_LINEAR_POVM:
-        coherent = condition is Condition.C3_FIRST_LAW
-        return [sample_scenario(dim, rng, coherent=coherent, driven=driven) for _ in range(n)]
-    mixtures = []
-    for _ in range(n):
-        base = sample_scenario(dim, rng, coherent=True, driven=driven)
-        rho1 = random_density(dim, rng)
-        rho2 = random_density(dim, rng)
-        lam = float(rng.uniform(0.2, 0.8))
-        mix = lam * rho1 + (1.0 - lam) * rho2
-        mixtures.append((base.with_rho(mix), base.with_rho(rho1), base.with_rho(rho2), lam))
-    return mixtures
+    return _sample_batch(dim, n, rng, coherent=condition is not Condition.C2_TPM_AGREEMENT,
+                         driven=driven, mixtures=condition is Condition.C1_LINEAR_POVM)
 
 
 def _ch_steps(dim: int, k_max: int) -> int | None:
@@ -301,7 +372,7 @@ def _over_budget(condition: Condition, dim: int) -> ConditionVerdict:
         f"no history grid fits the trajectory budget d^(K+1) <= {TRAJ_CAP} at dim {dim}"))
 
 
-def _grade_c2(scheme: SchemeId, dim: int, samples: list) -> ConditionVerdict:
+def _grade_c2(scheme: SchemeId, dim: int, samples: ScenarioBatch) -> ConditionVerdict:
     k_steps, grid = _ch_steps(dim, DEFAULT_CH_STEPS), ""
     probes: list[tuple[Scenario, int]] = []
     if scheme is SchemeId.OPERATOR_OF_WORK:
@@ -311,11 +382,16 @@ def _grade_c2(scheme: SchemeId, dim: int, samples: list) -> ConditionVerdict:
             return _over_budget(Condition.C2_TPM_AGREEMENT, dim)
         probes.append(_probe_ch_c2(dim))
         grid = f"; history grid K = {k_steps} (K = {probes[-1][1]} on the probe)"
-    cases = probes + [(s, k_steps) for s in samples]
-    worst, witness, _ = _worst((_scheme_dist(scheme, s, kk).tv_distance(tpm(s)[0]), s,
-                                "tv distance to TPM") for s, kk in cases)
+    groups = [(ScenarioBatch.of([s]), k) for s, k in probes] + [(samples, k_steps)]
+
+    def cases():
+        for part, k in ((part, k) for batch, k in groups for part in _parts(batch)):
+            tv = _batch_dist(scheme, part, k).tv_distance(_batch_dist(SchemeId.TPM, part, k))
+            yield from _member_cases(tv, part, "tv distance to TPM")
+
+    worst, witness, _ = _worst(cases())
     return _graded(Condition.C2_TPM_AGREEMENT, worst, witness,
-                   notes=f"{len(cases)} diagonal-state scenarios, dim {dim}{grid}")
+                   notes=f"{len(probes) + len(samples)} diagonal-state scenarios, dim {dim}{grid}")
 
 
 def check_c2(scheme: SchemeId | str, dim: int = 2, n_samples: int = 200,
@@ -327,7 +403,7 @@ def check_c2(scheme: SchemeId | str, dim: int = 2, n_samples: int = 200,
     return _grade_c2(scheme, dim, samples)
 
 
-def _grade_c3(scheme: SchemeId, dim: int, samples: list) -> ConditionVerdict:
+def _grade_c3(scheme: SchemeId, dim: int, samples: ScenarioBatch) -> ConditionVerdict:
     """The first-law gap of each case; for consistent histories, a convergence
     criterion instead: the first-moment error must shrink by <= 0.6 per K doubling
     on K = 4, 8, 16 at every dimension, read in closed form (no budget applies).
@@ -337,16 +413,23 @@ def _grade_c3(scheme: SchemeId, dim: int, samples: list) -> ConditionVerdict:
     ratios meaningless there).
     """
     if scheme is not SchemeId.CONSISTENT_HISTORIES:
-        cases = ([hadamard_scenario()] if scheme is SchemeId.TPM and dim == 2 else []) + samples
-        worst, witness, _ = _worst(
-            (abs(_scheme_dist(scheme, s, DEFAULT_CH_STEPS).mean() - mean_energy_change(s)), s,
-             "first-law gap") for s in cases)
+        groups = ([ScenarioBatch.of([hadamard_scenario()])]
+                  if scheme is SchemeId.TPM and dim == 2 else []) + [samples]
+
+        def cases():
+            for part in (part for batch in groups for part in _parts(batch)):
+                gap = _batch_dist(scheme, part, DEFAULT_CH_STEPS).means()
+                yield from _member_cases(np.abs(gap - part.mean_energy_change()), part,
+                                         "first-law gap")
+
+        worst, witness, _ = _worst(cases())
         return _graded(Condition.C3_FIRST_LAW, worst, witness,
-                       notes=f"{len(cases)} coherent scenarios, dim {dim}")
+                       notes=f"{sum(map(len, groups))} coherent scenarios, dim {dim}")
+    # consistent histories: a plain loop over the members
     ks = [4, 8, 16]
     agg = np.zeros(len(ks))
     probe, _ = _probe_ch_c2(dim)
-    for s in [probe] + samples:
+    for s in [probe] + [samples.scenario(i) for i in range(len(samples))]:
         target = mean_energy_change(s)
         for j, k in enumerate(ks):
             agg[j] += abs(consistent_histories_mean(s, k) - target)
@@ -370,7 +453,9 @@ def check_c3(scheme: SchemeId | str, dim: int = 2, n_samples: int = 200,
     return _grade_c3(scheme, dim, samples)
 
 
-def _grade_c1(scheme: SchemeId, dim: int, mixtures: list) -> ConditionVerdict:
+def _grade_c1(scheme: SchemeId, dim: int, mixtures) -> ConditionVerdict:
+    """``mixtures`` holds the batches of n mixed states, of their first and of
+    their second components, and the weights lam (n,), as ``_ensemble`` gives."""
     k_steps, notes = _ch_steps(dim, DEFAULT_CH_STEPS), f"linearity + positivity over dim {dim}"
     # negativity probes
     neg_probes = []
@@ -393,12 +478,21 @@ def _grade_c1(scheme: SchemeId, dim: int, mixtures: list) -> ConditionVerdict:
 
     def cases():
         for s in neg_probes:
-            yield max(0.0, -_scheme_dist(scheme, s, k_steps).min_weight()), s, "negativity"
-        for s_mix, s1, s2, lam in mix_probes + mixtures:
-            d_mix, d1, d2 = (_scheme_dist(scheme, s, k_steps) for s in (s_mix, s1, s2))
-            yield d_mix.tv_distance(_blend(d1, d2, lam)), s_mix, "nonconvexity"
-            for d, s in ((d_mix, s_mix), (d1, s1), (d2, s2)):
-                yield max(0.0, -d.min_weight()), s, "negativity"
+            batch = ScenarioBatch.of([s])
+            yield from _member_cases(
+                np.maximum(0.0, -_batch_dist(scheme, batch, k_steps).min_weights()), batch,
+                "negativity")
+        probes = [(*(ScenarioBatch.of([s]) for s in p[:3]), np.array([p[3]])) for p in mix_probes]
+        for *batches, lam in probes + [mixtures]:
+            for start, stop in _part_bounds(len(lam), dim):
+                parts = [batch.members(start, stop) for batch in batches]
+                d_mix, d1, d2 = (_batch_dist(scheme, part, k_steps) for part in parts)
+                tv = d_mix.tv_distance(d1.blend(d2, lam[start:stop])).tolist()
+                negativity = [np.maximum(0.0, -d.min_weights()).tolist() for d in (d_mix, d1, d2)]
+                for i in range(stop - start):
+                    yield tv[i], partial(parts[0].scenario, i), "nonconvexity"
+                    for part, values in zip(parts, negativity):
+                        yield values[i], partial(part.scenario, i), "negativity"
 
     worst, witness, mode = _worst(cases())
     if mode:
@@ -430,11 +524,6 @@ def informationally_complete_states(dim: int) -> np.ndarray:
     return vecs[:, :, None] * vecs.conj()[:, None, :]
 
 
-def _hits(dist: WorkDistribution, support: np.ndarray, tol: float) -> np.ndarray:
-    """Hit matrix, shape (support, atoms): atom n of ``dist`` lies within ``tol`` of value k."""
-    return np.abs(dist.works[None, :] - support[:, None]) <= tol
-
-
 def reconstruct_povm(scheme: SchemeId | str, h, h_final, u, seed: int = 0) -> Povm:
     """Solve for state-independent operators reproducing the scheme.
 
@@ -443,34 +532,33 @@ def reconstruct_povm(scheme: SchemeId | str, h, h_final, u, seed: int = 0) -> Po
     right-hand side each), and validates the reconstruction on fresh random
     states.  Raises :class:`NotLinear` when the validation residual exceeds 1e-6.
     """
-    scheme = SchemeId(scheme)
     dim = np.shape(h)[0]
+    base = Scenario(dim=dim, h_initial=h, h_final=h_final, evolution=u,
+                    rho=np.eye(dim, dtype=complex) / dim)
+    return _tomography(SchemeId(scheme), ScenarioBatch.of([base]), seed)
+
+
+def _tomography(scheme: SchemeId, base: ScenarioBatch, seed: int) -> Povm:
+    """``reconstruct_povm`` on the one experiment of ``base``: the d^2 states and the
+    ``N_VALIDATION`` fresh ones are one batch on it."""
+    dim = base.dim
     states = informationally_complete_states(dim)
-    base = Scenario(dim=dim, h_initial=h, h_final=h_final, evolution=u, rho=states[0])
-
-    def run(rho: np.ndarray) -> WorkDistribution:
-        return _scheme_dist(scheme, base.with_rho(rho), DEFAULT_CH_STEPS)
-
-    dists = [run(rho) for rho in states]
-    support, _ = merge_atoms(np.concatenate([d.works for d in dists]),
-                             np.concatenate([d.weights for d in dists]))
-    y = np.array([_hits(d, support, W_MERGE_TOL) @ d.weights for d in dists])
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
+    # N_VALIDATION random_density draws, as one stack
+    fresh = _wishart_states(_complex_normal(rng.standard_normal((N_VALIDATION, 2, dim, dim))))
+    dists = _batch_dist(scheme, base.with_rho(np.concatenate([states, fresh])), DEFAULT_CH_STEPS)
+    solve, check = dists.members(0, len(states)), dists.members(len(states), len(dists))
+    support, _ = merge_atoms(solve.works, solve.weights)
+    y, _ = solve.masses(support, W_MERGE_TOL)
     # Tr(rho X) = sum_ij rho_ji X_ij: row r of the system is rho_r transposed, flattened
     x, *_ = np.linalg.lstsq(states.swapaxes(1, 2).reshape(len(states), -1), y, rcond=None)
     ops = x.T.reshape(-1, dim, dim)
     ops = (ops + dag(ops)) / 2.0
     povm = Povm(support, ops)
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
-    residual = 0.0
-    for _ in range(N_VALIDATION):
-        rho = random_density(dim, rng)
-        actual = run(rho)
-        predicted = povm.probabilities(rho)
-        hit = _hits(actual, support, W_MERGE_TOL + 1e-12)
-        stray = float(np.abs(actual.weights[~hit.any(axis=0)]).sum())
-        residual = max(residual, stray,
-                       float(np.abs(predicted - hit @ actual.weights).max(initial=0.0)))
+    actual, stray = check.masses(support, W_MERGE_TOL + 1e-12)
+    residual = max(0.0, float(stray.max()),
+                   float(np.abs(povm.probabilities(fresh) - actual).max(initial=0.0)))
     if residual > RECONSTRUCTION_TOL:
         raise NotLinear(residual)
     return povm
@@ -506,32 +594,29 @@ def demonstrate_nogo(dim: int = 2, seed: int = 0) -> NogoReport:
     Hadamard instance has gap exactly 1.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
-    h = random_nondegenerate_hermitian(dim, rng)
-    hf = random_nondegenerate_hermitian(dim, rng)
-    u = random_unitary(dim, rng)
-    ref = Scenario(dim=dim, h_initial=h, h_final=hf, evolution=u,
-                   rho=np.eye(dim, dtype=complex) / dim)
-    basis = ref.spectrum("H").eigenvectors
+    spec, spec_final = _random_spectrum(dim, rng), _random_spectrum(dim, rng)
+    ref = _drawn(spec, spec_final, random_unitary(dim, rng), np.eye(dim, dtype=complex) / dim)
+    experiment = ScenarioBatch.of([ref])
+    basis = spec.eigenvectors
     analytic = tpm_povm(ref)
     support = analytic.labels
 
+    def tpm_masses(rhos: np.ndarray) -> np.ndarray:
+        return _batch_dist(SchemeId.TPM, experiment.with_rho(rhos), DEFAULT_CH_STEPS).masses(
+            support, W_MERGE_TOL)[0]
+
     # diagonal-state behaviour fixes the diagonal of each element; C1+C2 force
     # the off-diagonal part to vanish, leaving exactly these operators
-    coeff = np.array([_hits(d, support, W_MERGE_TOL) @ d.weights
-                      for d in (tpm(ref.with_rho(projector(v)))[0] for v in basis.T)])
+    coeff = tpm_masses(basis.T[:, :, None] * basis.T.conj()[:, None, :])
     forced = Povm(support, (basis * coeff.T[:, None, :]) @ dag(basis))
     forced_gap = _povm_gap(forced, analytic)
 
-    tomo = reconstruct_povm(SchemeId.TPM, h, hf, u, seed=seed)
-    tomo_gap = _povm_gap(tomo, analytic)
+    tomo_gap = _povm_gap(_tomography(SchemeId.TPM, experiment, seed), analytic)
 
-    c2_residual = 0.0
-    for _ in range(N_NOGO_SAMPLES):
-        p = _diagonal_probabilities(dim, rng)
-        rho_d = (basis * p) @ dag(basis)
-        d_ref = tpm(ref.with_rho(rho_d))[0]
-        gap = forced.probabilities(rho_d) - _hits(d_ref, support, W_MERGE_TOL) @ d_ref.weights
-        c2_residual = max(c2_residual, float(np.abs(gap).max()))
+    # N_NOGO_SAMPLES _diagonal_probabilities draws, as one stack
+    raw = np.arange(1.0, dim + 1.0) + 0.5 * rng.random((N_NOGO_SAMPLES, dim))
+    rho_d = (basis * (raw / raw.sum(axis=1, keepdims=True))[:, None, :]) @ dag(basis)
+    c2_residual = float(np.abs(forced.probabilities(rho_d) - tpm_masses(rho_d)).max())
 
     s_had = hadamard_scenario()
     povm_had = tpm_povm(s_had)

@@ -9,12 +9,14 @@ exactly Hermitian, as immutable and solves them with ``_eig(arr, validated=True)
 which skips validation on a miss.  ``require_density`` solves nothing for a
 valid state: its positivity test is the Cholesky factorisation of
 ``_cholesky_positive``, d steps with no iteration on one matrix or a stack, and
-only a state that fails it is solved, for its least eigenvalue.  Each spectrum
-has one owner: a Scenario derives that of its rho on first read and holds those
-of H, H_final, its work operator and its history operators, a ``ThermalContext``
-that of its H.  Sampled Hamiltonians come with the spectra they were drawn
-from, and the work and history operators, which no other owner holds, are
-solved by ``_jacobi`` directly (a grid's as one stack).  The bounded
+only a state that fails it is solved, for its least eigenvalue; ``_require_stack``
+runs each check once over a stack.  Each spectrum has one owner: a Scenario
+derives that of its rho on first read and holds those of H, H_final and its
+history operators, a ``ScenarioBatch`` those of its experiments' work
+operators and, when it is not made of Scenarios, of its members' states, a
+``ThermalContext`` that of its H.  Sampled Hamiltonians come with the spectra
+they were drawn from, and the operators no other owner holds are solved by
+``_jacobi`` directly, each batch's or grid's as one stack.  The bounded
 ``_EIG_CACHE`` sees the rest, and shares equal operators between owners.  The
 eigensolver is a deterministic complex Jacobi iteration for dense Hermitian
 matrices (dimension <= 64).  A single matrix below ``_ROUNDS_MIN_DIM`` takes
@@ -161,6 +163,51 @@ def _cholesky_positive(a: np.ndarray) -> np.ndarray | np.bool_:
     return ok
 
 
+def _require_stack(m, name: str, kind: str) -> np.ndarray:
+    """``require_hermitian`` (kind "hermitian"), ``require_unitary`` ("unitary") or
+    ``require_density`` ("density") on each matrix of a stack (n, d, d), each test
+    run once over the whole stack; returns a complex128 copy.
+
+    A failure reports the first failing matrix i at path ``name[i]``, with the
+    message the single-matrix check gives.  The positivity of a density stack is
+    one ``_cholesky_positive`` call; only a matrix that fails it is solved.
+    """
+    arr = np.array(m, dtype=np.complex128)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise ValidationError("DimMismatch", name,
+                              f"expected a stack of square matrices, got shape {arr.shape}")
+
+    def fail(bad, err_kind, message):
+        i = int(np.flatnonzero(bad)[0])
+        raise ValidationError(err_kind, f"{name}[{i}]", message(i))
+
+    finite = np.isfinite(arr).all(axis=(1, 2))
+    if not finite.all():
+        fail(~finite, "DimMismatch", lambda i: "entries must be finite (no NaN/Inf)")
+    if kind == "unitary":
+        defect = np.abs(dag(arr) @ arr - np.eye(arr.shape[-1])).max(axis=(1, 2), initial=0.0)
+        if (defect > UNITARITY_TOL).any():
+            fail(defect > UNITARITY_TOL, "NotUnitary",
+                 lambda i: f"||U^dag U - I||_max = {defect[i]:.3e} > {UNITARITY_TOL}")
+        return arr
+    defect = np.abs(arr - dag(arr)).max(axis=(1, 2), initial=0.0)
+    limit = HERMITICITY_TOL * np.maximum(1.0, np.abs(arr).max(axis=(1, 2), initial=0.0))
+    if (defect > limit).any():
+        fail(defect > limit, "NotHermitian",
+             lambda i: f"||M - M^dag||_max = {defect[i]:.3e} > {limit[i]:.3e}")
+    if kind == "density":
+        tr = np.trace(arr, axis1=1, axis2=2)
+        off = np.abs(tr - 1.0) > DENSITY_TRACE_TOL
+        if off.any():
+            fail(off, "NotDensity", lambda i: f"trace = {complex(tr[i]):.12g}, expected 1")
+        for i in np.flatnonzero(~_cholesky_positive(arr)):
+            lo = float(_eig(arr[i], validated=True).eigenvalues[0])
+            if lo < -DENSITY_EIG_TOL:
+                raise ValidationError("NotDensity", f"{name}[{i}]",
+                                      f"min eigenvalue {lo:.3e} < -{DENSITY_EIG_TOL}")
+    return arr
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and matching orthonormal eigenvector columns."""
@@ -190,19 +237,47 @@ class SpectralDecomposition:
         orientations are solver-dependent, so any consumer facing possible
         degeneracies must work with these projectors rather than raw columns.
         """
-        vals = self.eigenvalues
-        starts = _chain_starts(vals, DEGENERACY_GAP)
-        labels = np.add.reduceat(vals, starts) / np.diff(np.append(starts, vals.size))
-        blocks = np.split(self.eigenvectors, starts[1:], axis=1)
-        return labels, np.array([block @ dag(block) for block in blocks])
+        return _eigenspaces(self.eigenvalues, self.eigenvectors)
 
 
-def _chain_starts(sorted_vals: np.ndarray, gap: float) -> np.ndarray:
+def _eigenspaces(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``SpectralDecomposition.eigenspaces`` of ascending eigenvalues (d,) and their
+    eigenvectors (d, d), or of each decomposition of a stack (..., d) and (..., d, d):
+    the labels (..., k) and the projectors (..., k, d, d).
+
+    Every decomposition of a stack must have the same number k of eigenspaces;
+    a stack is not padded, so one with differing counts raises DomainError.
+    Where the counts agree but the clusters lie elsewhere, each decomposition is
+    clustered on its own.
+    """
+    d = vals.shape[-1]
+    rows = (np.diff(vals, axis=-1) > DEGENERACY_GAP).reshape(vals.size // d, d - 1)
+    if (rows != rows[:1]).any():
+        counts = rows.sum(axis=1) + 1
+        if (counts != counts[0]).any():
+            raise DomainError(f"a batch needs one eigenspace count, and its members have "
+                              f"{counts.min()} to {counts.max()}; it is not padded, so "
+                              f"evaluate them in separate batches")
+        pairs = [_eigenspaces(v, w) for v, w in zip(vals.reshape(-1, d), vecs.reshape(-1, d, d))]
+        return (np.stack([p[0] for p in pairs]).reshape(vals.shape[:-1] + (-1,)),
+                np.stack([p[1] for p in pairs]).reshape(vecs.shape[:-2] + (-1, d, d)))
+    starts = np.flatnonzero(np.concatenate(([True], rows[0])))
+    labels = np.add.reduceat(vals, starts, axis=-1) / np.diff(np.append(starts, vals.shape[-1]))
+    blocks = np.split(vecs, starts[1:], axis=-1)
+    return labels, np.stack([block @ dag(block) for block in blocks], axis=-3)
+
+
+def _chain_starts(sorted_vals: np.ndarray, gap: float, segments=None) -> np.ndarray:
     """Start index of each run of ascending values whose adjacent gaps are <= ``gap``.
 
-    The indices suit ``np.add.reduceat``; ``sorted_vals`` must be non-empty.
+    With ``segments``, a label per value, a run also breaks where the label
+    changes, so values of different segments never share a run.  The indices
+    suit ``np.add.reduceat``; ``sorted_vals`` must be non-empty.
     """
-    return np.flatnonzero(np.concatenate(([True], np.diff(sorted_vals) > gap)))
+    breaks = np.diff(sorted_vals) > gap
+    if segments is not None:
+        breaks |= np.diff(segments) != 0
+    return np.flatnonzero(np.concatenate(([True], breaks)))
 
 
 def _jacobi_threshold(a: np.ndarray):
@@ -476,7 +551,14 @@ def _rng(seed) -> np.random.Generator:
 
 
 def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
+    return _complex_normal(rng.standard_normal((2, dim, dim)))
+
+
+def _complex_normal(parts: np.ndarray) -> np.ndarray:
+    """(re + i im) / sqrt 2 of standard normal parts (..., 2, d, d): complex-normal
+    (Ginibre) matrices (..., d, d).  One draw of shape (2, d, d) is the same stream
+    as a draw of the real parts and then one of the imaginary parts."""
+    return (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / math.sqrt(2.0)
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:
@@ -484,26 +566,38 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     complex-normal matrix (the QR factor with positive-real diagonal)."""
     if dim < 2:
         raise DomainError("dim must be >= 2")
-    rng = _rng(seed)
-    g = _ginibre(dim, rng)
+    return _orthonormal_columns(_ginibre(dim, _rng(seed))[None])[0]
+
+
+def _orthonormal_columns(g: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt on the columns of each matrix of a stack (n, d, d).
+
+    Each product and norm is one vector product per matrix, so a matrix gets
+    bitwise the result it gets in a stack of one.
+    """
     q = np.zeros_like(g)
-    for k in range(dim):
-        v = g[:, k].copy()
+    for k in range(g.shape[-1]):
+        v = g[:, :, k].copy()
         for j in range(k):
-            v -= (q[:, j].conj() @ v) * q[:, j]
-        v /= np.linalg.norm(v)
-        q[:, k] = v
+            v -= (q[:, None, :, j].conj() @ v[:, :, None])[:, 0] * q[:, :, j]
+        re, im = v.real[:, None, :], v.imag[:, None, :]
+        v /= np.sqrt((re @ re.swapaxes(1, 2))[:, 0] + (im @ im.swapaxes(1, 2))[:, 0])
+        q[:, :, k] = v
     return q
+
+
+def _wishart_states(g: np.ndarray) -> np.ndarray:
+    """The normalized Wishart state g g^dag / Tr(g g^dag) of each complex-normal
+    matrix of a stack (n, d, d)."""
+    w = g @ dag(g)
+    return w / np.trace(w, axis1=1, axis2=2).real[:, None, None]
 
 
 def random_density(dim: int, seed) -> np.ndarray:
     """Full-rank random density operator via normalized Wishart construction."""
     if dim < 2:
         raise DomainError("dim must be >= 2")
-    rng = _rng(seed)
-    g = _ginibre(dim, rng)
-    w = g @ dag(g)
-    return w / np.trace(w).real
+    return _wishart_states(_ginibre(dim, _rng(seed))[None])[0]
 
 
 def random_pure(dim: int, seed) -> np.ndarray:

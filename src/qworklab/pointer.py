@@ -184,9 +184,8 @@ def weak_value_protocol(s: Scenario, k: int, cfg: PointerConfig) -> np.ndarray:
 def weak_value_table(s: Scenario, cfg: PointerConfig) -> np.ndarray:
     """All weak-value protocol rows stacked: shape (n_initial, n_final)."""
     kappa = math.exp(-cfg.coupling ** 2 / (8.0 * cfg.spread ** 2))
-    rho = s.rho
 
-    def effective(p):
+    def effective(p, rho):
         comp = np.eye(s.dim) - p
         return p @ rho @ p + 0.5 * kappa * (p @ rho @ comp + comp @ rho @ p)
 

@@ -8,6 +8,8 @@ propagators of every history grid are read from that compile.  Scenarios are
 serialized to a JSON document with complex entries written as [re, im] pairs.
 What a scenario derives from H, H_final and the evolution is computed once, in
 one dict that its ``with_rho`` copies share; each keeps its own rho's spectrum.
+A ``ScenarioBatch`` holds many experiments and states as stacks, so that a
+scheme evaluates all of them in one set of array operations.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from .linalg import (
     HERMITICITY_TOL,
     SpectralDecomposition,
     _eig,
+    _eigenspaces,
     _jacobi,
+    _require_stack,
     dag,
     max_abs,
     require_density,
@@ -194,6 +198,16 @@ class Scenario:
                 raise ValidationError("DimMismatch", "evolution.U", f"dimension != dim={d}")
             object.__setattr__(self, "evolution", u)
 
+    @classmethod
+    def _trusted(cls, h_initial, h_final, evolution, rho, derived: dict) -> "Scenario":
+        """A scenario over fields its caller has validated, sharing ``derived``."""
+        out = object.__new__(cls)
+        for name, value in (("dim", rho.shape[-1]), ("h_initial", h_initial),
+                            ("h_final", h_final), ("evolution", evolution), ("rho", rho),
+                            ("label", ""), ("_derived", derived), ("_rho_spectrum", None)):
+            object.__setattr__(out, name, value)
+        return out
+
     def with_rho(self, rho, label: str = "") -> "Scenario":
         """The same experiment on another initial state.
 
@@ -260,12 +274,184 @@ class Scenario:
         return self.derived(name + " eigenspaces", lambda: self.spectrum(name).eigenspaces())
 
 
+def _energy_change(u, rho, h_initial, h_final) -> np.ndarray:
+    """Tr(U rho U^dag H_final) - Tr(rho H) of matrices, or of each member of stacks."""
+    after = np.trace(u @ rho @ dag(u) @ h_final, axis1=-2, axis2=-1).real
+    return after - np.trace(rho @ h_initial, axis1=-2, axis2=-1).real
+
+
 def mean_energy_change(s: Scenario) -> float:
     """Tr(U rho U^dag H_final) - Tr(rho H): the unmeasured average energy change."""
-    u = s.unitary()
-    after = float(np.trace(u @ s.rho @ dag(u) @ s.h_final).real)
-    before = float(np.trace(s.rho @ s.h_initial).real)
-    return after - before
+    return float(_energy_change(s.unitary(), s.rho, s.h_initial, s.h_final))
+
+
+@dataclass(frozen=True, eq=False)
+class ScenarioBatch:
+    """n members over m experiments: member i is experiment ``experiment[i]`` on the
+    state ``rho[i]``.
+
+    ``h_initial`` and ``h_final`` are stacked (m, d, d) and ``evolution`` is a
+    stack of unitaries (m, d, d) or a tuple of m evolutions; ``rho`` is (n, d, d).
+    An experiment may carry several states, as a C1 mixture and its two
+    components do, and its spectra and everything derived from it are held once.
+    The schemes with a batch kernel (see ``schemes.distributions``) evaluate all
+    members in one set of array operations.
+
+    Build a batch with ``build`` (validated stacks, with the spectra H and H_final
+    were drawn from), ``of`` (validated Scenarios) or ``with_rho``; the
+    constructor itself trusts its arguments.
+    """
+
+    dim: int
+    h_initial: np.ndarray
+    h_final: np.ndarray
+    evolution: np.ndarray | tuple
+    rho: np.ndarray
+    experiment: np.ndarray
+    _derived: dict = field(default_factory=dict, repr=False)
+    # per experiment: the derived dict its Scenarios share (None until one is made)
+    _shared: list = field(default_factory=list, repr=False)
+    _members: tuple | None = field(default=None, repr=False)
+    _rho_spectrum: tuple | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def build(cls, h_initial, h_final, evolution, rho, experiment, spectra: dict):
+        """A validated batch.  ``spectra`` maps "H" and "H_final" to the stacked
+        eigenvalues (m, d) and eigenvectors (m, d, d) the Hamiltonians were built
+        from, which the batch then holds instead of solving them; each experiment's
+        Scenarios share them.  A stack of unitaries is validated here, and a tuple
+        of DrivingProtocols validated itself."""
+        h_initial = _require_stack(h_initial, "H", "hermitian")
+        h_final = _require_stack(h_final, "H_final", "hermitian")
+        if isinstance(evolution, np.ndarray):
+            evolution = _require_stack(evolution, "evolution.U", "unitary")
+        rho = _require_stack(rho, "rho", "density")
+        m, d = h_initial.shape[:2]
+        experiment = np.asarray(experiment, dtype=np.intp)
+        if (h_final.shape != h_initial.shape or rho.shape[1:] != (d, d) or len(evolution) != m
+                or experiment.shape != rho.shape[:1] or not (0 <= experiment).all()
+                or not (experiment < m).all()):
+            raise ValidationError("DimMismatch", "batch",
+                                  "stacks of H, H_final, evolution, rho and experiment disagree")
+        batch = cls(d, h_initial, h_final, evolution, rho, experiment, _shared=[None] * m)
+        for name, pair in spectra.items():
+            batch._derived[("spectrum", name)] = pair
+        return batch
+
+    @classmethod
+    def of(cls, scenarios) -> "ScenarioBatch":
+        """The batch of validated Scenarios, one member each.  Scenarios that share an
+        experiment (``with_rho`` copies) are one experiment here; the batch reads
+        each experiment's spectra and evolution through its Scenario, and a batch of
+        one experiment keeps what it derives in that experiment's shared state."""
+        scenarios = tuple(scenarios)
+        index: dict[int, int] = {}
+        heads = []
+        for s in scenarios:
+            if index.setdefault(id(s._derived), len(heads)) == len(heads):
+                heads.append(s)
+
+        derived = heads[0]._derived.setdefault("batch", {}) if len(heads) == 1 else {}
+        return cls(scenarios[0].dim, np.stack([s.h_initial for s in heads]),
+                   np.stack([s.h_final for s in heads]), tuple(s.evolution for s in heads),
+                   np.stack([s.rho for s in scenarios]),
+                   np.array([index[id(s._derived)] for s in scenarios], dtype=np.intp),
+                   derived, [s._derived for s in heads], scenarios)
+
+    def with_rho(self, rho, experiment=None) -> "ScenarioBatch":
+        """The same experiments on other states (n', d, d), member i on experiment
+        ``experiment[i]`` (all on experiment 0 by default).  Only the states are
+        validated, once as a stack; the experiments and what is derived from
+        them are shared."""
+        rho = _require_stack(rho, "rho", "density")
+        experiment = (np.zeros(len(rho), dtype=np.intp) if experiment is None
+                      else np.asarray(experiment, dtype=np.intp))
+        if rho.shape[1:] != (self.dim, self.dim) or experiment.shape != rho.shape[:1]:
+            raise ValidationError("DimMismatch", "rho", f"expected states of dim={self.dim}")
+        return ScenarioBatch(self.dim, self.h_initial, self.h_final, self.evolution, rho,
+                             experiment, self._derived, self._shared)
+
+    def __len__(self) -> int:
+        return len(self.rho)
+
+    def members(self, start: int, stop: int) -> "ScenarioBatch":
+        """Members start to stop - 1, on the same experiments and what is derived
+        from them."""
+        return ScenarioBatch(self.dim, self.h_initial, self.h_final, self.evolution,
+                             self.rho[start:stop], self.experiment[start:stop], self._derived,
+                             self._shared, None if self._members is None
+                             else self._members[start:stop])
+
+    def derived(self, key, make):
+        """``make()``, computed once for these experiments: like ``Scenario.derived``,
+        ``make`` must not read rho."""
+        if key not in self._derived:
+            self._derived[key] = make()
+        return self._derived[key]
+
+    def per_member(self, arr: np.ndarray) -> np.ndarray:
+        """A stack over experiments (m, ...) read per member (n, ...); no copy when
+        member i is experiment i."""
+        x = self.experiment
+        if len(x) == len(arr) and (x == np.arange(len(x))).all():
+            return arr
+        return arr[x]
+
+    def scenario(self, i: int) -> Scenario:
+        """Member i as a Scenario; the members of one experiment share its derived
+        state, so a per-member loop compiles or solves each experiment once."""
+        if self._members is not None:
+            return self._members[i]
+        return self._experiment(int(self.experiment[i]), self.rho[i])
+
+    def _experiment(self, j: int, rho: np.ndarray) -> Scenario:
+        """Experiment j on the state ``rho``, sharing the experiment's derived state."""
+        if self._shared[j] is None:
+            self._shared[j] = {name: SpectralDecomposition(vals[j], vecs[j])
+                               for name in ("H", "H_final")
+                               for vals, vecs in [self._derived[("spectrum", name)]]}
+        return Scenario._trusted(self.h_initial[j], self.h_final[j], self.evolution[j], rho,
+                                 self._shared[j])
+
+    def _heads(self) -> list:
+        """One Scenario per experiment, whether or not this batch holds a state of it,
+        on the maximally mixed state: what the batch reads from it does not read rho."""
+        mixed = np.eye(self.dim, dtype=complex) / self.dim
+        return [self._experiment(j, mixed) for j in range(len(self.h_initial))]
+
+    def unitary(self) -> np.ndarray:
+        """U(tau) of each experiment, (m, d, d); a protocol compiles once, in the
+        state its Scenarios share."""
+        if isinstance(self.evolution, np.ndarray):
+            return self.evolution
+        return self.derived("U", lambda: np.stack([s.unitary() for s in self._heads()]))
+
+    def spectrum(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and eigenvectors of ``"H"`` or ``"H_final"`` per experiment,
+        (m, d) and (m, d, d), or of ``"rho"`` per member, (n, d) and (n, d, d).
+
+        A batch of Scenarios reads their own spectra; otherwise the rho spectra of
+        all members are one stacked Jacobi solve, made on first read."""
+        if name != "rho":
+            return self.derived(("spectrum", name), lambda: tuple(np.stack(x) for x in zip(*(
+                (dec.eigenvalues, dec.eigenvectors) for dec in
+                (s.spectrum(name) for s in self._heads())))))
+        if self._rho_spectrum is None:
+            pairs = (_jacobi(self.rho) if self._members is None else
+                     [np.stack(x) for x in zip(*((dec.eigenvalues, dec.eigenvectors) for dec in
+                                                 (s.spectrum("rho") for s in self._members)))])
+            object.__setattr__(self, "_rho_spectrum", tuple(pairs))
+        return self._rho_spectrum
+
+    def eigenspaces(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Labels (m, k) and projectors (m, k, d, d) of the eigenspaces of ``"H"`` or
+        ``"H_final"``; every experiment must have the same count k."""
+        return self.derived((name, "eigenspaces"), lambda: _eigenspaces(*self.spectrum(name)))
+
+    def mean_energy_change(self) -> np.ndarray:
+        """``mean_energy_change`` of every member, (n,)."""
+        return _energy_change(self.per_member(self.unitary()), self.rho,
+                              self.per_member(self.h_initial), self.per_member(self.h_final))
 
 
 def time_reversed(s: Scenario) -> Scenario:

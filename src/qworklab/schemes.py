@@ -1,8 +1,16 @@
-"""Work-distribution schemes: each maps a Scenario to a WorkDistribution.
+"""Work-distribution schemes: each maps a Scenario to a WorkDistribution, and a
+ScenarioBatch to a WorkBatch.
 
 All schemes share the atom representation (work value, real weight); quasi
 schemes may carry negative weights.  Work values closer than ``W_MERGE_TOL``
 are merged by weight addition, which also absorbs spectral degeneracies.
+
+TPM, the operator of work, FCS, Margenau-Hill and the state-dependent scheme
+each have one kernel, which evaluates every member of a ``ScenarioBatch`` in
+one set of array operations and merges all members' atoms in one segmented
+merge into a ``WorkBatch``; ``distribution`` runs the same kernel on a batch of
+one.  Consistent histories, the sub-ensemble and the two-copy schemes run a
+plain loop over the members behind the same entry point, ``distributions``.
 """
 
 from __future__ import annotations
@@ -27,12 +35,13 @@ from .linalg import (
     EIG_FLOOR,
     SpectralDecomposition,
     _chain_starts,
+    _eigenspaces,
     _jacobi,
     dag,
     eig_hermitian,
     max_abs,
 )
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioBatch
 
 W_MERGE_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-9
@@ -54,25 +63,41 @@ class SchemeId(str, Enum):
     COLLECTIVE_TWO_COPY = "collective_two_copy"
 
 
-def merge_atoms(works, weights):
+def merge_atoms(works, weights, members=None):
     """Sort atoms by work value and merge values closer than ``W_MERGE_TOL``.
 
     Merging is chained on adjacent gaps; the merged work value is the plain
     mean of the member values (weights may be negative, so a weighted mean
     would be ill-conditioned).  ``weights`` may be real, complex, or a stack
     of operators with the atoms along axis 0; each group's weights are summed.
+
+    The segmented form takes ``members``, an integer label per atom: the sort
+    is stable within each member, members ascending, a chain breaks where the
+    member changes, and the merged atoms' labels are returned third.  Each
+    member's atoms come out as merging them alone gives them.
     """
     works = np.asarray(works, dtype=float)
     weights = np.asarray(weights)
     weights = weights.astype(np.promote_types(weights.dtype, float), copy=False)
     if works.size == 0:
-        return works, weights
-    order = np.argsort(works, kind="stable")
+        return (works, weights) if members is None else (works, weights, np.asarray(members))
+    if members is None:
+        order, seg = np.argsort(works, kind="stable"), None
+    else:
+        order = np.lexsort((works, members))
+        seg = np.asarray(members)[order]
     works = works[order]
-    starts = _chain_starts(works, W_MERGE_TOL)
+    starts = _chain_starts(works, W_MERGE_TOL, seg)
     sizes = np.diff(np.append(starts, works.size))
-    return (np.add.reduceat(works, starts) / sizes,
-            np.add.reduceat(weights[order], starts, axis=0))
+    merged = (np.add.reduceat(works, starts) / sizes,
+              np.add.reduceat(weights[order], starts, axis=0))
+    return merged if seg is None else (*merged, seg[starts])
+
+
+def _rows(n: int, size: int) -> np.ndarray | None:
+    """Member labels of n members with ``size`` atoms each, stored member-major;
+    None for one member, which ``merge_atoms`` then merges unsegmented."""
+    return None if n == 1 else np.repeat(np.arange(n), size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,19 +111,9 @@ class WorkDistribution:
 
     @classmethod
     def from_atoms(cls, works, weights, scheme: SchemeId, is_quasi: bool) -> "WorkDistribution":
-        if not (np.isfinite(works).all() and np.isfinite(weights).all()):
-            raise ValueError(f"non-finite work value or weight in {scheme.value} atoms")
-        w, p = merge_atoms(works, weights)
-        keep = np.abs(p) > _ATOM_PRUNE
-        w, p = w[keep], p[keep]
-        total = float(np.sum(p))
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, expected 1")
-        if not is_quasi and p.size and float(p.min()) < -1e-12:
-            raise ValueError(f"negative weight {p.min():.3e} in a probability scheme")
-        w.setflags(write=False)
-        p.setflags(write=False)
-        return cls(works=w, weights=p, scheme=scheme, is_quasi=is_quasi)
+        """Merge, prune and check the atoms of one distribution (``WorkBatch.from_atoms``
+        with one member)."""
+        return WorkBatch.from_atoms(works, weights, None, 1, scheme, is_quasi)[0]
 
     @property
     def atoms(self) -> list[tuple[float, float]]:
@@ -126,6 +141,123 @@ class WorkDistribution:
         signed = np.concatenate([self.weights, -other.weights])
         _, net = merge_atoms(works, signed)
         return 0.5 * float(np.sum(np.abs(net)))
+
+
+@dataclass(frozen=True, eq=False)
+class WorkBatch:
+    """The work distributions of the n members of a batch, stored back to back:
+    member i owns atoms ``offsets[i]:offsets[i + 1]`` of ``works`` and ``weights``."""
+
+    works: np.ndarray
+    weights: np.ndarray
+    offsets: np.ndarray
+    scheme: SchemeId
+    is_quasi: bool
+
+    @classmethod
+    def from_atoms(cls, works, weights, members, n: int, scheme: SchemeId,
+                   is_quasi: bool) -> "WorkBatch":
+        """Merge each member's atoms (``members`` labels them, None for n = 1), prune
+        weights within ``_ATOM_PRUNE`` of 0 and check each member as one
+        distribution: finite atoms, weights summing to 1 and, unless ``is_quasi``,
+        none negative.  The first failing member raises, with that check's
+        message."""
+        if not (np.isfinite(works).all() and np.isfinite(weights).all()):
+            raise ValueError(f"non-finite work value or weight in {scheme.value} atoms")
+        w, p, *seg = merge_atoms(works, weights, members)
+        keep = np.abs(p) > _ATOM_PRUNE
+        w, p = w[keep], p[keep]
+        ids = seg[0][keep] if seg else np.zeros(len(p), dtype=np.intp)
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=n))))
+        off_sum = np.abs(np.bincount(ids, weights=p, minlength=n) - 1.0) > WEIGHT_SUM_TOL
+        negative = np.zeros(n, dtype=bool)
+        if not is_quasi:
+            negative[ids[p < -1e-12]] = True
+        if (off_sum | negative).any():
+            i = int(np.argmax(off_sum | negative))
+            mine = p[offsets[i]:offsets[i + 1]]
+            if off_sum[i]:
+                raise ValueError(f"weights sum to {float(np.sum(mine))!r}, expected 1")
+            raise ValueError(f"negative weight {mine.min():.3e} in a probability scheme")
+        w.setflags(write=False)
+        p.setflags(write=False)
+        return cls(w, p, offsets, scheme, is_quasi)
+
+    @classmethod
+    def concat(cls, parts: list) -> "WorkBatch":
+        """Merged and checked distributions, or batches of them, back to back."""
+        w = np.concatenate([x.works for x in parts])
+        p = np.concatenate([x.weights for x in parts])
+        w.setflags(write=False)
+        p.setflags(write=False)
+        sizes = [np.diff(x.offsets) if isinstance(x, WorkBatch) else [len(x)] for x in parts]
+        offsets = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
+        return cls(w, p, offsets, parts[0].scheme, parts[0].is_quasi)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i: int) -> WorkDistribution:
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return WorkDistribution(self.works[lo:hi], self.weights[lo:hi], self.scheme,
+                                self.is_quasi)
+
+    def members(self, start: int, stop: int) -> "WorkBatch":
+        """Members start to stop - 1, sharing this batch's atoms."""
+        lo, hi = self.offsets[start], self.offsets[stop]
+        return WorkBatch(self.works[lo:hi], self.weights[lo:hi],
+                         self.offsets[start:stop + 1] - lo, self.scheme, self.is_quasi)
+
+    def ids(self) -> np.ndarray:
+        """The member of each atom."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
+    def means(self) -> np.ndarray:
+        """The first moment of each member, (n,)."""
+        return np.bincount(self.ids(), weights=self.works * self.weights, minlength=len(self))
+
+    def min_weights(self) -> np.ndarray:
+        """The least weight of each member, (n,); every member has an atom."""
+        return np.minimum.reduceat(self.weights, self.offsets[:-1])
+
+    def _signed_sum(self, other: "WorkBatch", a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Member by member, these atoms with weights times ``a`` and the other's
+        times ``b`` (per member), merged: works, weights and member labels."""
+        ids, other_ids = self.ids(), other.ids()
+        return merge_atoms(np.concatenate([self.works, other.works]),
+                           np.concatenate([a[ids] * self.weights, b[other_ids] * other.weights]),
+                           np.concatenate([ids, other_ids]))
+
+    def tv_distance(self, other: "WorkBatch") -> np.ndarray:
+        """``WorkDistribution.tv_distance`` of each member pair, (n,)."""
+        one = np.ones(len(self))
+        _, net, seg = self._signed_sum(other, one, -one)
+        return 0.5 * np.bincount(seg, weights=np.abs(net), minlength=len(self))
+
+    def blend(self, other: "WorkBatch", lam: np.ndarray) -> "WorkBatch":
+        """lam * this + (1 - lam) * other, member by member, merged but unchecked."""
+        w, p, seg = self._signed_sum(other, lam, 1.0 - lam)
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(seg, minlength=len(self)))))
+        return WorkBatch(w, p, offsets, self.scheme, True)
+
+    def masses(self, support: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """Each member's weight within ``tol`` of each value of the ascending
+        ``support``, (n, k), and the absolute weight of its atoms near none of
+        them, (n,).  An atom w is tested only against the support values its
+        window [w - tol, w + tol] reaches, and one more on each side for rounding."""
+        lo = np.searchsorted(support, self.works - tol) - 1
+        reach = np.searchsorted(support, self.works + tol, side="right") - lo
+        near = lo[:, None] + np.arange(int(reach.max(initial=0)) + 1)
+        inside = (near >= 0) & (near < len(support))
+        near = np.clip(near, 0, len(support) - 1)
+        hit = inside & (np.abs(self.works[:, None] - support[near]) <= tol)
+        ids = np.broadcast_to(self.ids()[:, None], hit.shape)
+        weights = np.broadcast_to(self.weights[:, None], hit.shape)
+        mass = np.zeros((len(self), len(support)))
+        np.add.at(mass, (ids[hit], near[hit]), weights[hit])
+        stray = np.bincount(ids[:, 0], weights=np.abs(self.weights) * ~hit.any(axis=1),
+                            minlength=len(self))
+        return mass, stray
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,8 +311,8 @@ class Povm:
     ops: np.ndarray
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        """Re Tr(rho M_k) of every element, shape (k,)."""
-        return np.einsum("ij,kji->k", rho, self.ops).real
+        """Re Tr(rho M_k) of every element, shape (k,), or (n, k) for states (n, d, d)."""
+        return np.einsum("...ij,kji->...k", rho, self.ops).real
 
     def min_eigenvalue(self) -> float:
         return min(float(eig_hermitian(op).eigenvalues[0]) for op in self.ops)
@@ -197,19 +329,43 @@ class Povm:
             raise ValueError(f"POVM completeness defect {defect:.3e} > {sum_tol}")
 
 
-def _joint_table(s: Scenario, initial_op) -> JointWorkTable:
-    """Joint weights Re Tr(Q_b U X_a U^dag) with X_a = ``initial_op(P_a)``.
+def _joint_weights(b: ScenarioBatch, initial_op):
+    """Each member's joint weights Re Tr(Q_b U X_a U^dag), X_a = ``initial_op(P_a, rho)``,
+    (n, ka, kb), and its eigenspace energies E_a (n, ka) and E'_b (n, kb).
 
-    ``initial_op`` maps the stacked initial projectors P_a to operators X_a;
-    work values are the eigenspace energy differences E'_b - E_a.
+    ``initial_op`` maps the initial projectors (n, ka, d, d) and the states
+    (n, 1, d, d) to the operators X_a.
     """
-    e_i, p = s.eigenspaces("H")
-    e_f, q = s.eigenspaces("H_final")
-    u = s.unitary()
-    evolved = u @ initial_op(p) @ dag(u)
-    weights = np.einsum("bij,aji->ab", q, evolved).real
-    return JointWorkTable(initial_energies=e_i, final_energies=e_f, weights=weights,
-                          work_values=e_f[None, :] - e_i[:, None])
+    e_i, p = b.eigenspaces("H")
+    e_f, q = b.eigenspaces("H_final")
+    u = b.per_member(b.unitary())[:, None]
+    evolved = u @ initial_op(b.per_member(p), b.rho[:, None]) @ dag(u)
+    weights = np.einsum("nbij,naji->nab", b.per_member(q), evolved).real
+    return weights, b.per_member(e_i), b.per_member(e_f)
+
+
+def _joint_distributions(b: ScenarioBatch, initial_op, scheme: SchemeId,
+                         is_quasi: bool) -> WorkBatch:
+    """The joint-table scheme of ``initial_op``: atom (a, b) at E'_b - E_a."""
+    weights, e_i, e_f = _joint_weights(b, initial_op)
+    works = e_f[:, None, :] - e_i[:, :, None]
+    return WorkBatch.from_atoms(works.ravel(), weights.ravel(), _rows(len(b), weights[0].size),
+                                len(b), scheme, is_quasi)
+
+
+def _joint_table(s: Scenario, initial_op) -> JointWorkTable:
+    """``_joint_weights`` of one scenario, as its batch of one."""
+    weights, e_i, e_f = _joint_weights(ScenarioBatch.of([s]), initial_op)
+    return JointWorkTable(initial_energies=e_i[0], final_energies=e_f[0], weights=weights[0],
+                          work_values=e_f[0][None, :] - e_i[0][:, None])
+
+
+def _tpm_op(p, rho):
+    return p @ rho @ p
+
+
+def _margenau_hill_op(p, rho):
+    return rho @ p
 
 
 def tpm(s: Scenario) -> tuple[WorkDistribution, JointWorkTable]:
@@ -218,36 +374,67 @@ def tpm(s: Scenario) -> tuple[WorkDistribution, JointWorkTable]:
     Joint weights Tr(Q_j U P_i rho P_i U^dag) over eigenspace projectors of the
     initial and final Hamiltonians; work values are the energy differences.
     """
-    table = _joint_table(s, lambda p: p @ s.rho @ p)
+    table = _joint_table(s, _tpm_op)
     return table.to_distribution(SchemeId.TPM, is_quasi=False), table
+
+
+def _work_operators(b: ScenarioBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W = U^dag H_final U - H of each experiment, made exactly Hermitian (m, d, d),
+    with its eigenspace labels and projectors, from one stacked solve."""
+    def solve():  # W recurs in no other experiment, so the eigen cache never sees it
+        u = b.unitary()
+        w_op = dag(u) @ b.h_final @ u - b.h_initial
+        w_op = (w_op + dag(w_op)) / 2.0
+        return (w_op, *_eigenspaces(*_jacobi(w_op)))
+    return b.derived("work_operator", solve)
+
+
+def _work_operator_distributions(b: ScenarioBatch) -> WorkBatch:
+    _, works, proj = _work_operators(b)
+    weights = np.einsum("nkij,nji->nk", b.per_member(proj), b.rho).real
+    return WorkBatch.from_atoms(b.per_member(works).ravel(), weights.ravel(),
+                                _rows(len(b), weights.shape[1]), len(b),
+                                SchemeId.OPERATOR_OF_WORK, is_quasi=False)
 
 
 def work_operator(s: Scenario) -> tuple[np.ndarray, WorkDistribution]:
     """Spectral statistics of W = U^dag H_final U - H."""
-    def solve():  # W is made exactly Hermitian here and recurs in no other experiment
-        u = s.unitary()
-        w_op = dag(u) @ s.h_final @ u - s.h_initial
-        w_op = (w_op + dag(w_op)) / 2.0
-        return (w_op, *SpectralDecomposition(*_jacobi(w_op)).eigenspaces())
+    b = ScenarioBatch.of([s])
+    return _work_operators(b)[0][0], _work_operator_distributions(b)[0]
 
-    w_op, works, proj = s.derived("work_operator", solve)
-    weights = np.einsum("kij,ji->k", proj, s.rho).real
-    dist = WorkDistribution.from_atoms(works, weights, SchemeId.OPERATOR_OF_WORK, is_quasi=False)
-    return w_op, dist
+
+def _transition_kernels(b: ScenarioBatch):
+    """Kernel q[m, n, n'] = t[m, n] conj(t[m, n']) r[n, n'] of each member, (n, d, d, d),
+    and its initial and final energies (n, d).
+
+    t[m, n] = <E'_m|U|E_n> and r is rho in the initial energy eigenbasis; the
+    FCS quasi-probability and the Gaussian work meter both weight by q.
+    """
+    (e_i, v_i), (e_f, v_f) = b.spectrum("H"), b.spectrum("H_final")
+    t = b.per_member(dag(v_f) @ b.unitary() @ v_i)
+    v_i = b.per_member(v_i)
+    r = dag(v_i) @ b.rho @ v_i
+    return (np.einsum("amn,amo,ano->amno", t, np.conj(t), r),
+            b.per_member(e_i), b.per_member(e_f))
 
 
 def _transition_kernel(s: Scenario):
-    """Kernel b[m, n, n'] = t[m, n] conj(t[m, n']) r[n, n'], initial and final energies.
+    """``_transition_kernels`` of one scenario: (d, d, d), (d,) and (d,)."""
+    return tuple(x[0] for x in _transition_kernels(ScenarioBatch.of([s])))
 
-    t[m, n] = <E'_m|U|E_n> and r is rho in the initial energy eigenbasis; the
-    FCS quasi-probability and the Gaussian work meter both weight by b.
-    """
-    dec_i, dec_f = s.spectrum("H"), s.spectrum("H_final")
-    u = s.unitary()
-    v_i = dec_i.eigenvectors
-    t = dag(dec_f.eigenvectors) @ u @ v_i
-    r = dag(v_i) @ s.rho @ v_i
-    return np.einsum("mn,mo,no->mno", t, np.conj(t), r), dec_i.eigenvalues, dec_f.eigenvalues
+
+def _fcs_distributions(b: ScenarioBatch) -> WorkBatch:
+    q, e_i, e_f = _transition_kernels(b)
+    works = e_f[:, :, None, None] - (e_i[:, None, :, None] + e_i[:, None, None, :]) / 2.0
+    # merge the complex weights so the imaginary residue is visible
+    out_w, out_q, *seg = merge_atoms(works.ravel(), q.ravel(), _rows(len(b), q[0].size))
+    residue = np.abs(out_q.imag)
+    bad = residue > IMAG_RESIDUE_TOL
+    if bad.any():
+        mine = residue[seg[0] == seg[0][bad][0]] if seg else residue
+        raise ImaginaryResidue(f"grouped FCS weight has imaginary part {mine.max():.3e}")
+    return WorkBatch.from_atoms(out_w, out_q.real, seg[0] if seg else None, len(b),
+                                SchemeId.FCS, is_quasi=True)
 
 
 def fcs_quasiprob(s: Scenario) -> WorkDistribution:
@@ -257,14 +444,7 @@ def fcs_quasiprob(s: Scenario) -> WorkDistribution:
     transition kernel; conjugate (n, n') pairs share a work value, so the
     grouped weights must be real up to ``IMAG_RESIDUE_TOL``.
     """
-    q, e_i, e_f = _transition_kernel(s)
-    works = e_f[:, None, None] - (e_i[None, :, None] + e_i[None, None, :]) / 2.0
-    # merge the complex weights so the imaginary residue is visible
-    out_w, out_q = merge_atoms(works.ravel(), q.ravel())
-    residue = float(np.abs(out_q.imag).max(initial=0.0))
-    if residue > IMAG_RESIDUE_TOL:
-        raise ImaginaryResidue(f"grouped FCS weight has imaginary part {residue:.3e}")
-    return WorkDistribution.from_atoms(out_w, out_q.real, SchemeId.FCS, is_quasi=True)
+    return _fcs_distributions(ScenarioBatch.of([s]))[0]
 
 
 def fcs_characteristic(s: Scenario, u_var: float) -> complex:
@@ -278,7 +458,7 @@ def fcs_characteristic(s: Scenario, u_var: float) -> complex:
 
 def margenau_hill(s: Scenario) -> tuple[JointWorkTable, WorkDistribution]:
     """Margenau-Hill joint quasi-probability Re Tr[rho P_k U^dag Q_m U]."""
-    table = _joint_table(s, lambda p: s.rho @ p)
+    table = _joint_table(s, _margenau_hill_op)
     return table, table.to_distribution(SchemeId.MARGENAU_HILL, is_quasi=True)
 
 
@@ -339,19 +519,39 @@ def consistent_histories_mean(s: Scenario, k_steps: int) -> float:
 
 
 def _expectations(states: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Re <psi_n|O_k|psi_n> for state rows psi_n and a stack of operators O_k, shape (n, k).
+    """Re <psi_a|O_k|psi_a> for state rows psi_a (..., a, d) and operators O_k
+    (..., k, d, d), shape (..., a, k).
 
-    Each term is (<psi_n| O_k) |psi_n>, one vector product per term as a loop over
+    Each term is (<psi_a| O_k) |psi_a>, one vector product per term as a loop over
     states would do, so the values match that loop to the last bit.
     """
-    return (np.conj(states)[:, None, None, :] @ ops @ states[:, None, :, None])[:, :, 0, 0].real
+    bra = np.conj(states)[..., :, None, None, :]
+    return (bra @ ops[..., None, :, :, :] @ states[..., :, None, :, None])[..., 0, 0].real
 
 
-def _warn_if_degenerate(dec: SpectralDecomposition, name: str, category) -> None:
-    """Warn the scheme's caller when a basis it reads off ``dec`` is the solver's choice."""
-    if np.any(np.diff(dec.eigenvalues) < DEGENERACY_GAP):
+def _warn_if_degenerate(eigenvalues: np.ndarray, name: str, category) -> None:
+    """Warn the scheme's caller when a basis it reads off a spectrum (or any of a
+    stack of them) is the solver's choice."""
+    if np.any(np.diff(eigenvalues, axis=-1) < DEGENERACY_GAP):
         warnings.warn(f"{name} has (near-)degenerate eigenvalues; its eigenbasis is ambiguous",
                       category, stacklevel=3)
+
+
+def _state_dependent_distributions(b: ScenarioBatch) -> WorkBatch:
+    """Members whose rho has eigenvalues <= ``EIG_FLOOR`` drop those eigenstates'
+    atoms before the merge, so a member may have fewer atoms than another."""
+    lam, vecs = b.spectrum("rho")
+    _warn_if_degenerate(lam, "rho", DegenerateRhoWarning)
+    keep = lam > EIG_FLOOR
+    phi = vecs.swapaxes(1, 2)  # rows are the eigenstates
+    e_a = _expectations(phi, b.per_member(b.h_initial)[:, None])[..., 0]
+    e_f, q = b.eigenspaces("H_final")
+    u = b.per_member(b.unitary())[:, None]
+    weights = lam[..., None] * _expectations((u @ phi[..., None])[..., 0], b.per_member(q))
+    works = b.per_member(e_f)[:, None, :] - e_a[..., None]
+    members = None if len(b) == 1 else np.repeat(np.arange(len(b)), keep.sum(1) * e_f.shape[1])
+    return WorkBatch.from_atoms(works[keep].ravel(), weights[keep].ravel(), members, len(b),
+                                SchemeId.STATE_DEPENDENT, is_quasi=False)
 
 
 def state_dependent(s: Scenario) -> WorkDistribution:
@@ -361,16 +561,7 @@ def state_dependent(s: Scenario) -> WorkDistribution:
     value (a convention: the statistics carry no canonical energy assignment
     when rho and H do not commute, so this choice is flagged in reports).
     """
-    dec_rho = s.spectrum("rho")
-    _warn_if_degenerate(dec_rho, "rho", DegenerateRhoWarning)
-    lam = dec_rho.eigenvalues
-    keep = lam > EIG_FLOOR
-    phi = dec_rho.eigenvectors[:, keep].T  # rows are the kept eigenstates
-    e_a = _expectations(phi, s.h_initial[None])[:, 0]
-    e_f, q = s.eigenspaces("H_final")
-    weights = lam[keep][:, None] * _expectations((s.unitary() @ phi[:, :, None])[..., 0], q)
-    return WorkDistribution.from_atoms((e_f[None, :] - e_a[:, None]).ravel(), weights.ravel(),
-                                       SchemeId.STATE_DEPENDENT, is_quasi=False)
+    return _state_dependent_distributions(ScenarioBatch.of([s]))[0]
 
 
 def spectral_pure_decomposition(rho: np.ndarray) -> PureDecomposition:
@@ -522,7 +713,7 @@ def collective_factors(s: Scenario, lam: float | str = "auto") -> CollectiveFact
     takes a Jacobi solve.  Warns with :class:`DegenerateHamiltonianWarning` when H
     is degenerate, since the basis |i> inside an eigenspace is then the solver's.
     """
-    _warn_if_degenerate(s.spectrum("H"), "H", DegenerateHamiltonianWarning)
+    _warn_if_degenerate(s.spectrum("H").eigenvalues, "H", DegenerateHamiltonianWarning)
     return s.derived(("collective_factors", lam), lambda: _collective_factors(s, lam))
 
 
@@ -597,24 +788,60 @@ def tpm_povm(s: Scenario) -> Povm:
                              strength.reshape(-1, s.dim, s.dim)))
 
 
-def distribution(scheme: SchemeId | str, s: Scenario, **opts) -> WorkDistribution:
-    """Uniform dispatcher used by audits and the CLI."""
-    scheme = SchemeId(scheme)
-    if scheme is SchemeId.TPM:
-        return tpm(s)[0]
-    if scheme is SchemeId.OPERATOR_OF_WORK:
-        return work_operator(s)[1]
-    if scheme is SchemeId.FCS:
-        return fcs_quasiprob(s)
-    if scheme is SchemeId.MARGENAU_HILL:
-        return margenau_hill(s)[1]
+# A kernel call takes at most this many members times d^3, the size of the largest
+# arrays a member needs (FCS atoms, joint-table operators): one member at d = 64,
+# and a whole ensemble at d <= 4.  A larger batch runs in parts of that size.
+_KERNEL_ENTRIES = 2 ** 18
+
+
+def _part_bounds(n: int, dim: int) -> list[tuple[int, int]]:
+    """The member ranges [start, stop) of the parts n members of dimension ``dim``
+    run in, ``_KERNEL_ENTRIES`` / d^3 members each (at least one)."""
+    step = max(1, _KERNEL_ENTRIES // dim ** 3)
+    return [(i, min(i + step, n)) for i in range(0, n, step)]
+
+_BATCH_KERNELS = {
+    SchemeId.TPM: lambda b: _joint_distributions(b, _tpm_op, SchemeId.TPM, False),
+    SchemeId.OPERATOR_OF_WORK: _work_operator_distributions,
+    SchemeId.FCS: _fcs_distributions,
+    SchemeId.MARGENAU_HILL: lambda b: _joint_distributions(
+        b, _margenau_hill_op, SchemeId.MARGENAU_HILL, True),
+    SchemeId.STATE_DEPENDENT: _state_dependent_distributions,
+}
+
+
+def _member_distribution(scheme: SchemeId, s: Scenario, opts: dict) -> WorkDistribution:
     if scheme is SchemeId.CONSISTENT_HISTORIES:
         return consistent_histories(s, int(opts.get("k_steps", 8)))
-    if scheme is SchemeId.STATE_DEPENDENT:
-        return state_dependent(s)
     if scheme is SchemeId.SUB_ENSEMBLE:
         decomp = opts.get("decomposition") or spectral_pure_decomposition(s.rho)
         return sub_ensemble(s, decomp)
     if scheme is SchemeId.COLLECTIVE_TWO_COPY:
         return collective_two_copy(s, opts.get("lam", "auto"))
     raise ValueError(f"no atom-valued distribution for scheme {scheme}")
+
+
+def distributions(scheme: SchemeId | str, batch: ScenarioBatch, **opts) -> WorkBatch:
+    """The scheme's distribution of every member of ``batch``.
+
+    TPM, the operator of work, FCS, Margenau-Hill and the state-dependent scheme
+    run their batch kernel once for all members, or once per part of
+    ``_KERNEL_ENTRIES`` / d^3 members, so that memory stays bounded at large d.
+    Consistent histories, the sub-ensemble and the two-copy schemes are a plain
+    loop over the members, each evaluated as its own Scenario; members of one
+    experiment share what that experiment derives.
+    """
+    scheme = SchemeId(scheme)
+    kernel = _BATCH_KERNELS.get(scheme)
+    if kernel is None:
+        return WorkBatch.concat([_member_distribution(scheme, batch.scenario(i), opts)
+                                 for i in range(len(batch))])
+    bounds = _part_bounds(len(batch), batch.dim)
+    if len(bounds) == 1:
+        return kernel(batch)
+    return WorkBatch.concat([kernel(batch.members(start, stop)) for start, stop in bounds])
+
+
+def distribution(scheme: SchemeId | str, s: Scenario, **opts) -> WorkDistribution:
+    """Uniform dispatcher used by the CLI: ``distributions`` on the batch of ``s`` alone."""
+    return distributions(scheme, ScenarioBatch.of([s]), **opts)[0]

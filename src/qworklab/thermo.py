@@ -97,7 +97,11 @@ def _context(beta: float, hamiltonian: np.ndarray) -> ThermalContext:
 
 def free_energy(rho: np.ndarray, ctx: ThermalContext) -> float:
     """F(rho, H) = Tr(H rho) - S(rho) / beta."""
-    rho = require_density(rho)
+    return _free_energy(require_density(rho), ctx)
+
+
+def _free_energy(rho: np.ndarray, ctx: ThermalContext) -> float:
+    """``free_energy`` of a state its caller has validated."""
     energy = float(np.trace(ctx.hamiltonian @ rho).real)
     return energy - _entropy(_eig(rho, validated=True)) / ctx.beta
 
@@ -108,7 +112,12 @@ def max_extractable_work(rho: np.ndarray, ctx: ThermalContext) -> float:
     This equals S(rho || gibbs) / beta; since ln gibbs = -beta H - ln Z,
     F(gibbs) = -ln Z / beta, and the Gibbs state itself is never formed.
     """
-    return free_energy(rho, ctx) + ctx.log_partition() / ctx.beta
+    return _max_extractable_work(require_density(rho), ctx)
+
+
+def _max_extractable_work(rho: np.ndarray, ctx: ThermalContext) -> float:
+    """``max_extractable_work`` of a state its caller has validated."""
+    return _free_energy(rho, ctx) + ctx.log_partition() / ctx.beta
 
 
 def dephased(rho: np.ndarray, ctx: ThermalContext) -> np.ndarray:
@@ -236,13 +245,11 @@ def bipartite_work_identity(bs: BipartiteScenario) -> BipartiteWorkReport:
     ath_s = relative_entropy(rho1_s, tau_s) / beta
     ath_b = relative_entropy(rho1_b, tau_b) / beta
     corr = mutual_information(rho1, dims) / beta
-    bound = free_energy(bs.rho_system, ctx_s) - free_energy(tau_s, ctx_s)
+    f_rho = _free_energy(bs.rho_system, ctx_s)  # the scenario validated rho_S
+    bound = f_rho - free_energy(tau_s, ctx_s)
 
     residual = abs(work - (bound - (ath_s + corr + ath_b)))
-    intermediate = abs(
-        work - (free_energy(bs.rho_system, ctx_s) - free_energy(rho1_s, ctx_s)
-                - (ath_b + corr))
-    )
+    intermediate = abs(work - (f_rho - free_energy(rho1_s, ctx_s) - (ath_b + corr)))
     return BipartiteWorkReport(
         work=work,
         bound_delta_f=bound,
@@ -273,7 +280,7 @@ def identity_suite(n_samples: int = 200, seed: int = 1) -> dict:
         vals = np.arange(dim) + rng.random(dim)
         h = (h * vals) @ dag(h)
         ctx = ThermalContext(float(rng.uniform(0.2, 3.0)), h)
-        rho = random_density(dim, rng)
+        rho = require_density(random_density(dim, rng))  # each state is validated once
         bs = BipartiteScenario(2, 2, sz, 0.6 * sz, random_density(2, rng),
                                float(rng.uniform(0.3, 2.0)), random_unitary(4, rng))
         x_sb = random_density(4, rng)
@@ -281,15 +288,15 @@ def identity_suite(n_samples: int = 200, seed: int = 1) -> dict:
         # the Hamiltonians bs validated, at the local check's own beta
         local = _local_decomposition(x_sb, (2, 2), _context(beta_local, bs.h_system),
                                      _context(beta_local, bs.h_bath))
-        gibbs = ctx.gibbs_state()
-        wmax = max_extractable_work(rho, ctx)
+        gibbs = require_density(ctx.gibbs_state())
+        wmax = _max_extractable_work(rho, ctx)
         diag_part, coh_part = free_energy_decomposition(rho, ctx)
         direct = wmax - diag_part  # the work lost by dephasing first
-        total = free_energy(rho, ctx) - free_energy(gibbs, ctx)
+        total = _free_energy(rho, ctx) - _free_energy(gibbs, ctx)
         rep = bipartite_work_identity(bs)
         sample = {
             "max_wmax_negativity": -wmax,
-            "wmax_zero_at_gibbs": abs(max_extractable_work(gibbs, ctx)),
+            "wmax_zero_at_gibbs": abs(_max_extractable_work(gibbs, ctx)),
             "max_decomposition_residual": abs(diag_part + coh_part - total),
             "max_loss_path_disagreement": abs(direct - coh_part),
             "max_dephasing_wmax_excess": -direct,

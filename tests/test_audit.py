@@ -360,8 +360,7 @@ def reconstruct_povm_loop(scheme, h, hf, u):
     dim = h.shape[0]
     states = audit.informationally_complete_states(dim)
     base = Scenario(dim=dim, h_initial=h, h_final=hf, evolution=u, rho=states[0])
-    dists = [audit._scheme_dist(scheme, base.with_rho(rho), audit.DEFAULT_CH_STEPS)
-             for rho in states]
+    dists = [schemes_mod.distribution(scheme, base.with_rho(rho)) for rho in states]
     support, _ = merge_atoms(np.concatenate([d.works for d in dists]),
                              np.concatenate([d.weights for d in dists]))
     y = np.array([[d.weight_at(w) for w in support] for d in dists])

@@ -1,0 +1,375 @@
+"""ScenarioBatch, the batch kernels and the batched graders.
+
+The per-sample graders below are the form the C1, C2 and C3 checks had before
+they graded whole batches: one Scenario and one distribution at a time, each
+through ``schemes.distribution``.  They are kept here as the oracle of the
+batched graders in ``audit``.
+"""
+
+import sys
+import warnings
+from dataclasses import asdict
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qworklab import audit
+from qworklab import linalg as la
+from qworklab import scenario as scenario_mod
+from qworklab import schemes as sch
+from qworklab.errors import DegenerateRhoWarning, DomainError
+from qworklab.linalg import eig_hermitian
+from qworklab.scenario import Scenario, ScenarioBatch, mean_energy_change, scenario_from_dict
+from qworklab.schemes import SchemeId
+
+from conftest import HADAMARD, projector_pairs, random_density_np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from cli_snapshot import degenerate_doc  # noqa: E402
+
+BATCHED = [SchemeId.TPM, SchemeId.OPERATOR_OF_WORK, SchemeId.FCS, SchemeId.MARGENAU_HILL,
+           SchemeId.STATE_DEPENDENT]
+C = audit.Condition
+
+
+# --- the per-sample graders, the oracle of the batched ones -------------------------
+
+def reference_dist(scheme, s, k_steps):
+    """The scheme on one Scenario.  Like a batch, it reads rho's spectrum from a
+    stacked solve (of one), which gives rho bitwise the result it has in any
+    stack; the cyclic kernel of a single solve agrees with that only to the
+    convergence target ``JACOBI_TOL``, which moves a state-dependent TV distance
+    by up to 2e-12 at d = 3."""
+    if s._rho_spectrum is None:
+        object.__setattr__(s, "_rho_spectrum",
+                           la.SpectralDecomposition(*(x[0] for x in la._jacobi(s.rho[None]))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateRhoWarning)
+        return sch.distribution(scheme, s, k_steps=k_steps)
+
+
+def reference_blend(d1, d2, lam):
+    works = np.concatenate([d1.works, d2.works])
+    weights = np.concatenate([lam * d1.weights, (1.0 - lam) * d2.weights])
+    w, p = sch.merge_atoms(works, weights)
+    return sch.WorkDistribution(works=w, weights=p, scheme=d1.scheme, is_quasi=True)
+
+
+def reference_ensemble(condition, dim, n, seed, driven=False):
+    """The checks' instances, sampled one Scenario at a time from the same stream."""
+    stream = list(C).index(condition) + 1
+    rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
+    if condition is not C.C1_LINEAR_POVM:
+        coherent = condition is C.C3_FIRST_LAW
+        return [audit.sample_scenario(dim, rng, coherent=coherent, driven=driven)
+                for _ in range(n)]
+    mixtures = []
+    for _ in range(n):
+        base = audit.sample_scenario(dim, rng, coherent=True, driven=driven)
+        rho1 = la.random_density(dim, rng)
+        rho2 = la.random_density(dim, rng)
+        lam = float(rng.uniform(0.2, 0.8))
+        mix = lam * rho1 + (1.0 - lam) * rho2
+        mixtures.append((base.with_rho(mix), base.with_rho(rho1), base.with_rho(rho2), lam))
+    return mixtures
+
+
+def reference_grade_c2(scheme, dim, samples):
+    k_steps = audit._ch_steps(dim, audit.DEFAULT_CH_STEPS)
+    probes = []
+    if scheme is SchemeId.OPERATOR_OF_WORK:
+        probes.append((audit._probe_work_operator_c2(dim), audit.DEFAULT_CH_STEPS))
+    cases = probes + [(s, k_steps) for s in samples]
+    worst, witness, _ = audit._worst(
+        (reference_dist(scheme, s, kk).tv_distance(sch.tpm(s)[0]), s, "tv distance to TPM")
+        for s, kk in cases)
+    return audit._graded(C.C2_TPM_AGREEMENT, worst, witness,
+                         notes=f"{len(cases)} diagonal-state scenarios, dim {dim}")
+
+
+def reference_grade_c3(scheme, dim, samples):
+    cases = ([audit.hadamard_scenario()] if scheme is SchemeId.TPM and dim == 2 else []) + samples
+    worst, witness, _ = audit._worst(
+        (abs(reference_dist(scheme, s, audit.DEFAULT_CH_STEPS).mean() - mean_energy_change(s)),
+         s, "first-law gap") for s in cases)
+    return audit._graded(C.C3_FIRST_LAW, worst, witness,
+                         notes=f"{len(cases)} coherent scenarios, dim {dim}")
+
+
+def reference_grade_c1(scheme, dim, mixtures):
+    k_steps = audit._ch_steps(dim, audit.DEFAULT_CH_STEPS)
+    notes = f"linearity + positivity over dim {dim}"
+    neg_probes = []
+    if scheme is SchemeId.FCS:
+        neg_probes.append(audit._probe_fcs_negativity(dim))
+    if scheme is SchemeId.MARGENAU_HILL:
+        neg_probes.append(audit._probe_mh_negativity(dim))
+    mix_probes = []
+    if scheme is SchemeId.STATE_DEPENDENT:
+        mix_probes.append(audit._probe_state_dependent_mixture(dim))
+
+    def cases():
+        for s in neg_probes:
+            yield max(0.0, -reference_dist(scheme, s, k_steps).min_weight()), s, "negativity"
+        for s_mix, s1, s2, lam in mix_probes + mixtures:
+            d_mix, d1, d2 = (reference_dist(scheme, s, k_steps) for s in (s_mix, s1, s2))
+            yield d_mix.tv_distance(reference_blend(d1, d2, lam)), s_mix, "nonconvexity"
+            for d, s in ((d_mix, s_mix), (d1, s1), (d2, s2)):
+                yield max(0.0, -d.min_weight()), s, "negativity"
+
+    worst, witness, mode = audit._worst(cases())
+    if mode:
+        notes += f"; dominant failure mode: {mode}"
+    return audit._graded(C.C1_LINEAR_POVM, worst, witness, notes=notes)
+
+
+REFERENCE_GRADERS = {C.C1_LINEAR_POVM: (reference_grade_c1, audit._grade_c1),
+                     C.C2_TPM_AGREEMENT: (reference_grade_c2, audit._grade_c2),
+                     C.C3_FIRST_LAW: (reference_grade_c3, audit._grade_c3)}
+
+
+def assert_same_witness(got, ref):
+    assert (got is None) == (ref is None)
+    if got is None:
+        return
+    assert got["detail"] == ref["detail"]
+    assert got["value"] == pytest.approx(ref["value"], rel=0, abs=1e-12)
+    a, b = got["scenario"], ref["scenario"]
+    assert (a["dim"], a["label"], a["evolution"]["type"]) == (b["dim"], b["label"],
+                                                             b["evolution"]["type"])
+    for key in ("H", "H_final", "rho"):
+        np.testing.assert_allclose(a[key], b[key], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a["evolution"]["U"], b["evolution"]["U"], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("condition", list(C), ids=lambda c: c.name[:2])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_batched_graders_match_the_per_sample_reference(condition, dim):
+    reference, batched = REFERENCE_GRADERS[condition]
+    for seed in range(5):
+        ensemble = audit._ensemble(condition, dim, 6, seed, driven=False)
+        samples = reference_ensemble(condition, dim, 6, seed)
+        for scheme in BATCHED:
+            got, ref = batched(scheme, dim, ensemble), reference(scheme, dim, samples)
+            assert got.status is ref.status, (scheme, seed)
+            assert got.notes == ref.notes, (scheme, seed)
+            assert got.max_violation == pytest.approx(ref.max_violation, rel=0, abs=1e-12)
+            assert_same_witness(got.witness, ref.witness)
+
+
+def test_the_batch_sampler_draws_the_per_sample_stream():
+    for condition in C:
+        for driven in (False, True):
+            batch = audit._ensemble(condition, 3, 5, 7, driven)
+            samples = reference_ensemble(condition, 3, 5, 7, driven)
+            pairs = [(batch, samples)]
+            if condition is C.C1_LINEAR_POVM:  # the mixtures, first and second components
+                assert batch[3].tolist() == [m[3] for m in samples]
+                pairs = [(batch[k], [m[k] for m in samples]) for k in range(3)]
+            # the stacked arithmetic is bitwise the per-sample one
+            for batch, scenarios in pairs:
+                assert len(batch) == len(scenarios)
+                for i, s in enumerate(scenarios):
+                    member = batch.scenario(i)
+                    for a, b in ((member.h_initial, s.h_initial), (member.h_final, s.h_final),
+                                 (member.rho, s.rho), (member.unitary(), s.unitary())):
+                        np.testing.assert_array_equal(a, b)
+
+
+# --- each member is its own batch of one ---------------------------------------------
+
+def assert_same_atoms(got, ref, atol=1e-14):
+    assert got.works.shape == ref.works.shape
+    np.testing.assert_allclose(got.works, ref.works, rtol=0, atol=atol)
+    np.testing.assert_allclose(got.weights, ref.weights, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("scheme", BATCHED, ids=lambda s: s.value)
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_each_member_matches_its_batch_of_one(scheme, dim):
+    for seed in range(5):
+        # mixtures and their components: three members on each experiment
+        mixed, first, second, _ = audit._ensemble(C.C1_LINEAR_POVM, dim, 4, seed, driven=False)
+        batch = mixed.with_rho(np.concatenate([mixed.rho, first.rho, second.rho]),
+                               np.tile(mixed.experiment, 3))
+        dists = sch.distributions(scheme, batch)
+        assert len(dists) == len(batch)
+        for i in range(len(batch)):
+            one = batch.with_rho(batch.rho[[i]], batch.experiment[[i]])
+            assert_same_atoms(dists[i], sch.distributions(scheme, one)[0])
+            # and the member as a Scenario, through the per-scenario entry point
+            assert_same_atoms(dists[i], reference_dist(scheme, batch.scenario(i), 0))
+
+
+def test_large_batches_run_in_bounded_parts(monkeypatch):
+    batch = audit._ensemble(C.C3_FIRST_LAW, 3, 7, 0, driven=False)
+    whole = {scheme: sch.distributions(scheme, batch) for scheme in BATCHED}
+    checks = (audit.check_c1_linearity, audit.check_c2, audit.check_c3)
+    verdicts = {(c, s): asdict(c(s, 3, 5, 0)) for c in checks for s in BATCHED}
+    monkeypatch.setattr(sch, "_KERNEL_ENTRIES", 2 * 3 ** 3)  # two members per part at d = 3
+    assert sch._part_bounds(7, 3) == [(0, 2), (2, 4), (4, 6), (6, 7)]
+    for scheme in BATCHED:
+        parts = sch.distributions(scheme, batch)
+        assert np.array_equal(parts.offsets, whole[scheme].offsets)
+        for i in range(len(batch)):
+            assert_same_atoms(parts[i], whole[scheme][i])
+    for (check, scheme), verdict in verdicts.items():
+        assert asdict(check(scheme, 3, 5, 0)) == verdict, (check.__name__, scheme)
+
+
+def test_support_masses_match_the_hit_matrix():
+    rng = np.random.default_rng(3)
+    tol = sch.W_MERGE_TOL + 1e-12
+    for _ in range(50):
+        # some support gaps under 2 tol, so that an atom can be near two values
+        support = np.cumsum(rng.choice([1.5e-9, 0.3, 1.0], 6))
+        works = rng.choice(support, 24) + rng.choice([0.0, tol, -tol, 6e-10, -2e-9, 0.1], 24)
+        offsets = np.array([0, 5, 6, 15, 24])
+        dists = sch.WorkBatch(works, rng.standard_normal(24), offsets, SchemeId.FCS, True)
+        mass, stray = dists.masses(support, tol)
+        for i in range(4):
+            w, p = works[offsets[i]:offsets[i + 1]], dists.weights[offsets[i]:offsets[i + 1]]
+            hit = np.abs(w[None, :] - support[:, None]) <= tol
+            np.testing.assert_allclose(mass[i], hit @ p, rtol=0, atol=1e-15)
+            assert stray[i] == pytest.approx(np.abs(p[~hit.any(axis=0)]).sum(), abs=1e-15)
+
+
+@given(sizes=st.lists(st.integers(0, 12), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_segmented_merge_equals_merging_each_member_alone(sizes, seed):
+    rng = np.random.default_rng(seed)
+    members = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    # coarse works, so that equal and nearly equal values occur within a member
+    works = rng.integers(-4, 5, members.size) + rng.choice([0.0, 3e-10, 0.25], members.size)
+    weights = rng.standard_normal(members.size)
+    w, p, seg = sch.merge_atoms(works, weights, members)
+    assert np.all(np.diff(seg) >= 0)
+    for m in range(len(sizes)):
+        alone = sch.merge_atoms(works[members == m], weights[members == m])
+        assert np.array_equal(w[seg == m], alone[0]) and np.array_equal(p[seg == m], alone[1])
+
+
+# --- members that differ ----------------------------------------------------------------
+
+def test_members_with_different_eigenspace_counts_raise():
+    rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    make = partial(Scenario, dim=3, h_final=np.diag([0.0, 1.0, 2.0]), evolution=np.eye(3),
+                   rho=rho)
+    degenerate, generic = make(h_initial=np.diag([1.0, 1.0, 2.0])), make(h_initial=np.diag(
+        [0.0, 1.0, 2.0]))
+    for s in (degenerate, generic):  # each alone is a batch of its own count
+        sch.distributions(SchemeId.TPM, ScenarioBatch.of([s]))
+    for scheme in (SchemeId.TPM, SchemeId.MARGENAU_HILL):
+        with pytest.raises(DomainError, match="eigenspace count.*2 to 3.*not padded"):
+            sch.distributions(scheme, ScenarioBatch.of([degenerate, generic]))
+
+
+def joint_loop(s, scheme):
+    """Plain-loop TPM or Margenau-Hill: one atom per pair of eigenspace projectors."""
+    u = s.unitary()
+    works, weights = [], []
+    for e_a, p in projector_pairs(eig_hermitian(s.h_initial)):
+        x = p @ s.rho @ p if scheme is SchemeId.TPM else s.rho @ p
+        evolved = u @ x @ u.conj().T
+        for e_b, q in projector_pairs(eig_hermitian(s.h_final)):
+            works.append(e_b - e_a)
+            weights.append(float(np.trace(q @ evolved).real))
+    return sch.WorkDistribution.from_atoms(works, weights, scheme,
+                                           is_quasi=scheme is SchemeId.MARGENAU_HILL)
+
+
+def test_the_degenerate_snapshot_file_keeps_its_joint_distributions():
+    s = scenario_from_dict(degenerate_doc(3, seed=2003))
+    assert len(s.eigenspaces("H_final")[0]) == 2
+    for scheme in (SchemeId.TPM, SchemeId.MARGENAU_HILL):
+        assert_same_atoms(sch.distribution(scheme, s), joint_loop(s, scheme))
+
+
+def test_state_dependent_drops_null_eigenstates_before_the_merge():
+    # rho's null eigenstate |2> would put atoms 5e-10 from the kept ones at works 0 and -1
+    base = Scenario(dim=3, h_initial=np.diag([0.0, 1.0, 2.0 + 5e-10]),
+                    h_final=np.diag([0.0, 1.0, 2.0]), evolution=np.eye(3),
+                    rho=np.eye(3, dtype=complex) / 3)
+    rng = np.random.default_rng(5)
+    rank_two = np.diag([0.7, 0.3, 0.0]).astype(complex)
+    stack = np.array([random_density_np(3, rng), rank_two, random_density_np(3, rng)])
+    batch = ScenarioBatch.of([base]).with_rho(stack)
+    dists = sch.distributions(SchemeId.STATE_DEPENDENT, batch)
+    assert dists[1].works.tolist() == [0.0] and dists[1].weights.tolist() == [1.0]
+    for i in range(3):
+        assert_same_atoms(dists[i], sch.distributions(SchemeId.STATE_DEPENDENT,
+                                                      batch.with_rho(stack[[i]]))[0])
+    assert len(dists[0]) == len(dists[2]) == 9
+
+
+def test_degenerate_rho_warns_dist_callers_and_not_the_graders():
+    s = Scenario(dim=2, h_initial=np.diag([1.0, -1.0]), h_final=np.diag([1.0, -1.0]),
+                 evolution=HADAMARD, rho=np.eye(2, dtype=complex) / 2.0)
+    with pytest.warns(DegenerateRhoWarning):
+        sch.distribution(SchemeId.STATE_DEPENDENT, s)
+    probe = audit._probe_state_dependent_mixture(3)  # rho padded with zeros: degenerate
+    with pytest.warns(DegenerateRhoWarning):
+        sch.distributions(SchemeId.STATE_DEPENDENT, ScenarioBatch.of(probe[:3]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateRhoWarning)
+        for check in (audit.check_c1_linearity, audit.check_c2, audit.check_c3):
+            check(SchemeId.STATE_DEPENDENT, dim=3, n_samples=5, seed=0)
+
+
+# --- what the batch holds ----------------------------------------------------------------
+
+def test_a_sampled_batch_solves_no_hamiltonian_and_validates_each_stack_once(monkeypatch):
+    solved, checked = [], []
+    original_jacobi, original_stack = la._jacobi, la._require_stack
+
+    def recording(a):
+        solved.append(a.shape)
+        return original_jacobi(a)
+
+    def counting(m, name, kind):
+        checked.append((name, np.shape(m)))
+        return original_stack(m, name, kind)
+
+    for module in (la, scenario_mod, sch):
+        monkeypatch.setattr(module, "_jacobi", recording)
+    monkeypatch.setattr(scenario_mod, "_require_stack", counting)
+    batch = audit._ensemble(C.C3_FIRST_LAW, 3, 20, 0, driven=False)
+    assert checked == [("H", (20, 3, 3)), ("H_final", (20, 3, 3)),
+                       ("evolution.U", (20, 3, 3)), ("rho", (20, 3, 3))]
+    for scheme in (SchemeId.TPM, SchemeId.FCS, SchemeId.MARGENAU_HILL):
+        sch.distributions(scheme, batch)
+    assert solved == []
+    sch.distributions(SchemeId.OPERATOR_OF_WORK, batch)
+    sch.distributions(SchemeId.STATE_DEPENDENT, batch)
+    assert solved == [(20, 3, 3), (20, 3, 3)]  # all W in one stack, all rho in another
+
+
+def test_nogo_solves_neither_drawn_hamiltonian(monkeypatch):
+    from test_audit import _LookupRecorder
+
+    cache = _LookupRecorder()
+    monkeypatch.setattr(la, "_EIG_CACHE", cache)
+    solved = []
+    original = la._jacobi
+
+    def recording(a):
+        solved.append(a.copy())
+        return original(a)
+
+    for module in (la, scenario_mod, sch):
+        monkeypatch.setattr(module, "_jacobi", recording)
+    for dim, seed in ((2, 1), (3, 0)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
+        h, hf = (audit._random_spectrum(dim, rng).reconstruct() for _ in range(2))
+        solved.clear()
+        report = audit.demonstrate_nogo(dim, seed)
+        assert report.tpm_verdicts == {"c1": "satisfied", "c2": "satisfied", "c3": "violated"}
+        for op in (h, hf):
+            assert repr(op.shape).encode() + op.tobytes() not in cache.keys
+            assert not any(a.shape[-2:] == op.shape and np.any(np.all(a == op, axis=(-2, -1)))
+                           for a in solved)

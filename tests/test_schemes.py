@@ -732,10 +732,14 @@ def test_every_scheme_normalizes_to_one():
 # their references exactly; the others sum in another order (1e-14).
 
 def work_operator_loop(s):
+    """Like the scheme, it solves W as a stack (of one), which gives W bitwise the
+    result it has in any stack of experiments."""
     u = s.unitary()
     w_op = u.conj().T @ s.h_final @ u - s.h_initial
+    w_op = (w_op + w_op.conj().T) / 2.0
     works, weights = [], []
-    for val, proj in projector_pairs(eig_hermitian((w_op + w_op.conj().T) / 2.0)):
+    dec = la.SpectralDecomposition(*(x[0] for x in la._jacobi(w_op[None])))
+    for val, proj in projector_pairs(dec):
         works.append(val)
         weights.append(float(np.trace(proj @ s.rho).real))
     return sch.WorkDistribution.from_atoms(works, weights, sch.SchemeId.OPERATOR_OF_WORK, False)

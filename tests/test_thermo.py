@@ -232,6 +232,21 @@ def test_identity_suite_validates_each_hamiltonian_once_per_sample(monkeypatch):
     assert [n for n in calls if n in {"H", "H_S", "H_B"}] == ["H", "H_S", "H_B"] * 3
 
 
+def test_identity_suite_validates_each_state_once(monkeypatch):
+    states = []
+    original = th.require_density
+
+    def record(m, name="state"):
+        states.append(np.asarray(m).tobytes())
+        return original(m, name)
+
+    monkeypatch.setattr(th, "require_density", record)
+    th.identity_suite(50, seed=1)
+    # per sample: rho, its dephased form and the Gibbs state; rho_S, tau_S and rho'_S
+    # of the bipartite identity; X_SB and its two marginals
+    assert len(states) == len(set(states)) == 450
+
+
 def test_bipartite_scenario_checks_beta_through_its_contexts():
     rng = np.random.default_rng(85)
     for beta in (0.0, math.inf, math.nan):

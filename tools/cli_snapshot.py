@@ -38,6 +38,8 @@ DENSITY_EIG_TOL = 1e-10  # qworklab.linalg.DENSITY_EIG_TOL: least eigenvalue a s
 
 SCHEMES = ("tpm", "operator-of-work", "fcs", "margenau-hill", "consistent-histories",
            "state-dependent", "sub-ensemble", "collective-two-copy")
+# the schemes whose kernels run on a whole ScenarioBatch at once
+BATCHED_SCHEMES = ("tpm", "operator-of-work", "fcs", "margenau-hill", "state-dependent")
 
 
 def _ginibre(dim: int, rng: random.Random) -> list[list[complex]]:
@@ -150,6 +152,11 @@ def commands() -> list[tuple[str, list[str]]]:
         runs.append((f"dist-collective-two-copy-{name}-json",
                      ["dist", "--scheme", "collective-two-copy", "--scenario",
                       f"scenarios/{name}.json", "--format", "json"]))
+    # the joint-table kernels on a degenerate H_final (two final eigenspaces at d = 3)
+    for scheme in ("tpm", "margenau-hill"):
+        runs.append((f"dist-{scheme}-d3-degenerate-json",
+                     ["dist", "--scheme", scheme, "--scenario", "scenarios/d3-degenerate.json",
+                      "--format", "json"]))
     # the JSON emitter on 2,176 FCS atoms (d^3 = 4,096 before merging)
     runs.append(("dist-fcs-d16-unitary-json",
                  ["dist", "--scheme", "fcs", "--scenario", "scenarios/d16-unitary.json",
@@ -173,6 +180,9 @@ def commands() -> list[tuple[str, list[str]]]:
     # enough scenarios between a state's validation and its state-dependent evaluation that
     # a bounded eigen cache would have dropped rho's spectrum: the Scenario must keep it
     runs.append(("table1-d2-s300", ["table1", "--dim", "2", "--samples", "300"]))
+    # the paper-scale survey at the benchmark's held-out seed
+    runs.append(("table1-d2-s500-seed7919",
+                 ["table1", "--dim", "2", "--samples", "500", "--seed", "7919"]))
     # the consistent-histories row past d = 4, where its C1 and C2 history grids shrink to
     # fit TRAJ_CAP
     for dim in (5, 8):
@@ -190,6 +200,10 @@ def commands() -> list[tuple[str, list[str]]]:
         for dim in (2, 3):
             runs.append((f"audit-{scheme}-d{dim}",
                          ["audit", "--scheme", scheme, "--dim", str(dim), "--samples", "40"]))
+    # the batched schemes on stacks of k = d = 4 eigenspaces
+    for scheme in BATCHED_SCHEMES:
+        runs.append((f"audit-{scheme}-d4-s40",
+                     ["audit", "--scheme", scheme, "--dim", "4", "--samples", "40"]))
     # the benchmark's consistent-histories audit at d = 4
     runs.append(("audit-consistent-histories-d4-s10-seed1",
                  ["audit", "--scheme", "consistent-histories", "--dim", "4", "--samples", "10",
