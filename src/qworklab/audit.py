@@ -37,7 +37,7 @@ from .linalg import (
     random_density,
     random_unitary,
 )
-from .pointer import PointerConfig, gaussian_meter, weak_value_table
+from .pointer import PointerConfig, _weak_value_operator, gaussian_meter
 from .scenario import (
     DrivingProtocol,
     Scenario,
@@ -51,10 +51,10 @@ from .schemes import (
     TRAJ_CAP,
     W_MERGE_TOL,
     WorkBatch,
-    WorkDistribution,
+    _joint_distributions,
+    _joint_weights,
     _part_bounds,
     collective_factors,
-    collective_two_copy,
     consistent_histories_mean,
     distributions,
     margenau_hill,
@@ -127,44 +127,22 @@ def random_nondegenerate_hermitian(dim: int, rng) -> np.ndarray:
     return _random_spectrum(dim, rng).reconstruct()
 
 
-def _diagonal_probabilities(dim: int, rng) -> np.ndarray:
-    # spaced populations: eigenbasis of rho stays numerically unambiguous
-    raw = np.arange(1.0, dim + 1.0) + 0.5 * rng.random(dim)
-    return raw / raw.sum()
-
-
-def _drawn(spec: SpectralDecomposition, spec_final: SpectralDecomposition, evolution,
-           rho) -> Scenario:
-    """The scenario of Hamiltonians built from drawn spectra, which it holds as its own."""
-    s = Scenario(dim=spec.dim, h_initial=spec.reconstruct(), h_final=spec_final.reconstruct(),
-                 evolution=evolution, rho=rho)
-    s.derived("H", lambda: spec)
-    s.derived("H_final", lambda: spec_final)
-    return s
-
-
 def sample_scenario(dim: int, rng, coherent: bool = True, driven: bool = False) -> Scenario:
-    spec, spec_final = _random_spectrum(dim, rng), _random_spectrum(dim, rng)
-    if driven:
-        # the protocol validates h and hf; Scenario takes its equal endpoints as they are
-        evolution: np.ndarray | DrivingProtocol = DrivingProtocol(
-            [0.0, 1.0], [spec.reconstruct(), spec_final.reconstruct()], SAMPLE_PROTOCOL_STEPS)
-    else:
-        evolution = random_unitary(dim, rng)
-    if coherent:
-        rho = random_density(dim, rng)
-    else:
-        rho = SpectralDecomposition(_diagonal_probabilities(dim, rng),
-                                    spec.eigenvectors).reconstruct()
-    return _drawn(spec, spec_final, evolution, rho)
+    """One sampled scenario: ``_sample_batch`` of one."""
+    return _sample_batch(dim, 1, rng, coherent, driven).scenario(0)
 
 
 def _sample_batch(dim: int, n: int, rng, coherent: bool, driven: bool,
                   mixtures: bool = False):
-    """n scenarios as ``sample_scenario`` samples them one by one, as one batch.
+    """n sampled scenarios as one batch.
 
-    The random numbers are drawn in the order of n ``sample_scenario`` calls, so
-    the stream is the same; the arithmetic on them is done once, on stacks.
+    Each has H and H_final of a Haar-random eigenbasis and a unit ladder plus
+    jitter (``_random_spectrum``), which the batch holds as their spectra, and a
+    Haar-random U or a linear ramp from H to H_final; its state is a Wishart
+    state if ``coherent``, else diagonal in H's eigenbasis with spaced
+    populations, which keep rho's eigenbasis numerically unambiguous.  The
+    random numbers are drawn sample by sample, so n draws of one take the same
+    stream as one draw of n; the arithmetic on them is done once, on stacks.
     With ``mixtures``, each sample also draws two states and a weight lam, as a
     C1 mixture does: the result is then the batch of mixed states, those of the
     first and of the second components, on the same experiments, and the lam
@@ -202,7 +180,7 @@ def _sample_batch(dim: int, n: int, rng, coherent: bool, driven: bool,
         evolution = _orthonormal_columns(ginibre())
     if coherent:
         rho = _wishart_states(ginibre())
-    else:  # as _diagonal_probabilities, in the drawn eigenbasis of H
+    else:
         raw = np.arange(1.0, dim + 1.0) + 0.5 * next(columns)
         vecs = spectra["H"][1]
         rho = (vecs * (raw / raw.sum(axis=1, keepdims=True))[:, None, :]) @ dag(vecs)
@@ -595,7 +573,10 @@ def demonstrate_nogo(dim: int = 2, seed: int = 0) -> NogoReport:
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
     spec, spec_final = _random_spectrum(dim, rng), _random_spectrum(dim, rng)
-    ref = _drawn(spec, spec_final, random_unitary(dim, rng), np.eye(dim, dtype=complex) / dim)
+    ref = Scenario(dim=dim, h_initial=spec.reconstruct(), h_final=spec_final.reconstruct(),
+                   evolution=random_unitary(dim, rng), rho=np.eye(dim, dtype=complex) / dim)
+    ref.derived("H", lambda: spec)  # it holds the drawn spectra as its own
+    ref.derived("H_final", lambda: spec_final)
     experiment = ScenarioBatch.of([ref])
     basis = spec.eigenvectors
     analytic = tpm_povm(ref)
@@ -613,7 +594,7 @@ def demonstrate_nogo(dim: int = 2, seed: int = 0) -> NogoReport:
 
     tomo_gap = _povm_gap(_tomography(SchemeId.TPM, experiment, seed), analytic)
 
-    # N_NOGO_SAMPLES _diagonal_probabilities draws, as one stack
+    # N_NOGO_SAMPLES states diagonal in H's eigenbasis, populations spaced as sampled
     raw = np.arange(1.0, dim + 1.0) + 0.5 * rng.random((N_NOGO_SAMPLES, dim))
     rho_d = (basis * (raw / raw.sum(axis=1, keepdims=True))[:, None, :]) @ dag(basis)
     c2_residual = float(np.abs(forced.probabilities(rho_d) - tpm_masses(rho_d)).max())
@@ -663,32 +644,36 @@ def check_collective_adapted(dim: int = 2, n_samples: int = 200,
     worst_pos = 0.0
     worst_defect = 0.0
 
-    def gap_pair(s: Scenario, explicit: bool = False) -> tuple[float, float, float]:
+    def gaps(batch: ScenarioBatch, explicit: bool = False):
+        """The TPM and two-copy first-law gaps and the lambda of each member."""
         nonlocal worst_pos, worst_defect
-        factors = collective_factors(s)
-        # samples read positivity and completeness off the factors; the two fixed
-        # probes build and check every element, an independent check of both formulas
-        checked = factors.povm() if explicit else factors
-        worst_pos = min(worst_pos, checked.min_eigenvalue())
-        worst_defect = max(worst_defect, checked.completeness_defect())
-        target = mean_energy_change(s)
-        return (abs(tpm(s)[0].mean() - target),
-                abs(factors.distribution(s.rho).mean() - target), factors.lam)
+        factors = [collective_factors(batch.scenario(i)) for i in range(len(batch))]
+        for f in factors:
+            # samples read positivity and completeness off the factors; the two fixed
+            # probes build and check every element, an independent check of both formulas
+            checked = f.povm() if explicit else f
+            worst_pos = min(worst_pos, checked.min_eigenvalue())
+            worst_defect = max(worst_defect, checked.completeness_defect())
+        target = batch.mean_energy_change()
+        return zip(np.abs(distributions(SchemeId.TPM, batch).means() - target).tolist(),
+                   np.abs(distributions(SchemeId.COLLECTIVE_TWO_COPY, batch).means()
+                          - target).tolist(), [f.lam for f in factors])
 
     # canonical tie: U and H_final diagonal in the H basis, so every T_j is
     # diagonal there and the collective scheme reduces to TPM exactly
     phase = np.diag(np.exp(1j * np.array([0.3, -1.1]))).astype(complex)
     s_tie = Scenario(dim=2, h_initial=_SZ, h_final=np.diag([0.3, 1.7]).astype(complex),
                      evolution=phase, rho=random_density(2, rng))
-    g_t, g_c, _ = gap_pair(s_tie, explicit=True)
+    [(g_t, g_c, _)] = gaps(ScenarioBatch.of([s_tie]), explicit=True)
     if abs(g_t - g_c) <= 1e-12:
         ties += 1
     else:
         violations += 1
 
-    for _ in range(n_samples):
-        s = sample_scenario(dim, rng, coherent=True)
-        g_tpm, g_col, lam = gap_pair(s)
+    # the coherent samples, then the diagonal ones
+    coherent = _sample_batch(dim, n_samples, rng, coherent=True, driven=False)
+    diagonal = _sample_batch(dim, n_samples, rng, coherent=False, driven=False)
+    for g_tpm, g_col, lam in gaps(coherent):
         if g_col > g_tpm + 1e-12:
             violations += 1
         elif abs(g_tpm - g_col) <= 1e-12:
@@ -698,13 +683,9 @@ def check_collective_adapted(dim: int = 2, n_samples: int = 200,
         else:
             strict += 1
 
-    c2_tv = 0.0
-    for _ in range(n_samples):
-        s = sample_scenario(dim, rng, coherent=False)
-        dist = collective_two_copy(s)
-        c2_tv = max(c2_tv, dist.tv_distance(tpm(s)[0]))
-
-    g_t, g_c, _ = gap_pair(hadamard_scenario(), explicit=True)
+    c2_tv = distributions(SchemeId.COLLECTIVE_TWO_COPY, diagonal).tv_distance(
+        distributions(SchemeId.TPM, diagonal))
+    [(g_t, g_c, _)] = gaps(ScenarioBatch.of([hadamard_scenario()]), explicit=True)
     return CollectiveAdaptedReport(
         dim=dim,
         seed=seed,
@@ -714,7 +695,7 @@ def check_collective_adapted(dim: int = 2, n_samples: int = 200,
         n_contract_violations=violations,
         worst_positivity=worst_pos,
         worst_completeness=worst_defect,
-        adapted_c2_max_tv=c2_tv,
+        adapted_c2_max_tv=max(0.0, float(c2_tv.max())),
         hadamard_gap_pair=(g_t, g_c),
     )
 
@@ -895,46 +876,31 @@ def _gaussian_row(cfg: Table1Config) -> Table1Row:
                            "first-law-respecting (weak) readings")
 
 
-def _weak_value_distribution_atoms(s: Scenario, cfg: PointerConfig):
-    e_i, _ = s.eigenspaces("H")
-    e_f, _ = s.eigenspaces("H_final")
-    works = (e_f[None, :] - e_i[:, None]).ravel()
-    return merge_atoms(works, weak_value_table(s, cfg).ravel())
-
-
 def _postselection_row(cfg: Table1Config) -> Table1Row:
-    s_coh = hadamard_scenario()
-    s_wit = _probe_mh_negativity(2)
-    strong = PointerConfig.for_scenario(s_coh, 10.0, 1.0)
-    weak = PointerConfig.for_scenario(s_coh, 1.0, 20.0, points_per_sigma=8.0)
-    strong_w = PointerConfig.for_scenario(s_wit, 10.0, 1.0)
-    weak_w = PointerConfig.for_scenario(s_wit, 1.0, 20.0, points_per_sigma=8.0)
+    # the joint weights read the pointer through kappa(coupling, spread) alone: a strong
+    # (10, 1) and a weak (1, 20) pointer, and (1, 1) for the C2 samples
+    strong, weak = _weak_value_operator(10.0, 1.0), _weak_value_operator(1.0, 20.0)
+    weak_values = partial(_joint_distributions, scheme=SchemeId.MARGENAU_HILL, is_quasi=True)
 
-    neg_strong = -float(weak_value_table(s_wit, strong_w).min())
-    neg_weak = -float(weak_value_table(s_wit, weak_w).min())
+    s_wit = ScenarioBatch.of([_probe_mh_negativity(2)])
+    neg_strong, neg_weak = (-float(_joint_weights(s_wit, op)[0].min()) for op in (strong, weak))
     c1 = ConditionVerdict(
         Condition.C1_LINEAR_POVM, Status.LIMIT_DEPENDENT, max(neg_weak, 0.0),
         notes=f"strong-coupling negativity {neg_strong:.2e}; weak-coupling "
               f"negativity {neg_weak:.3f} (joint weights turn anomalous)")
 
+    # 60 commuting-state samples, as one batch
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 9]))
-    c2_worst = 0.0
-    for _ in range(60):
-        s = sample_scenario(2, rng, coherent=False)
-        cfg_s = PointerConfig.for_scenario(s, 1.0, 1.0)
-        works, weights = _weak_value_distribution_atoms(s, cfg_s)
-        dist = WorkDistribution(works=works, weights=weights,
-                                scheme=SchemeId.MARGENAU_HILL, is_quasi=True)
-        c2_worst = max(c2_worst, dist.tv_distance(tpm(s)[0]))
-    c2 = _graded(Condition.C2_TPM_AGREEMENT, c2_worst, None,
+    samples = _sample_batch(2, 60, rng, coherent=False, driven=False)
+    tv = weak_values(samples, _weak_value_operator(1.0, 1.0)).tv_distance(
+        distributions(SchemeId.TPM, samples))
+    c2 = _graded(Condition.C2_TPM_AGREEMENT, max(0.0, float(tv.max())), None,
                  notes="agreement holds at every coupling for commuting states")
 
+    s_coh = hadamard_scenario()
     target = mean_energy_change(s_coh)
-    def mean_at(cfg_p):
-        works, weights = _weak_value_distribution_atoms(s_coh, cfg_p)
-        return float(np.sum(works * weights))
-    gap_strong = abs(mean_at(strong) - target)
-    gap_weak = abs(mean_at(weak) - target)
+    gap_strong, gap_weak = (abs(float(weak_values(ScenarioBatch.of([s_coh]), op).means()[0])
+                                - target) for op in (strong, weak))
     c3 = ConditionVerdict(
         Condition.C3_FIRST_LAW, Status.LIMIT_DEPENDENT, gap_strong,
         notes=f"strong-coupling gap {gap_strong:.3f}; weak-coupling gap {gap_weak:.2e}")

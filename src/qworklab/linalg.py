@@ -19,11 +19,11 @@ they were drawn from, and the operators no other owner holds are solved by
 ``_jacobi`` directly, each batch's or grid's as one stack.  The bounded
 ``_EIG_CACHE`` sees the rest, and shares equal operators between owners.  The
 eigensolver is a deterministic complex Jacobi iteration for dense Hermitian
-matrices (dimension <= 64).  A single matrix below ``_ROUNDS_MIN_DIM`` takes
-the cyclic per-pair loop; a larger one, or a stack (n, d, d), takes sweeps in
-Brent & Luk's parallel order, whose rounds rotate all their disjoint pairs at
-once, vectorised over the pairs and the stack.  Both share one threshold, one
-rotation formula and the sweep budget ``MAX_SWEEPS``.
+matrices (dimension <= 64), one kernel for one matrix (d, d) and for a stack
+(..., d, d): sweeps in Brent & Luk's parallel order, whose rounds rotate all
+their disjoint pairs at once, vectorised over the pairs and the stack, so a
+matrix gets bitwise the result it gets in any stack.  ``eig_hermitian`` takes
+a stack (n, d, d) as well, validated and solved as one.
 ``SpectralDecomposition.eigenspaces()`` is the one form of its eigenspaces.
 """
 
@@ -45,7 +45,6 @@ EIG_FLOOR = 1e-14          # eigenvalues below this contribute 0 to entropies
 DEGENERACY_GAP = 1e-9      # eigenvalues closer than this share an eigenspace
 MAX_SWEEPS = 100
 JACOBI_TOL = 1e-12         # off-diagonal convergence target (relative to scale)
-_ROUNDS_MIN_DIM = 8        # one matrix this large takes the round-parallel kernel
 
 _EIG_CACHE: dict[bytes, "SpectralDecomposition"] = {}
 _EIG_CACHE_CAP = 512
@@ -119,7 +118,7 @@ def require_density(m, name: str = "state") -> np.ndarray:
     return arr
 
 
-def _cholesky_positive(a: np.ndarray) -> np.ndarray | np.bool_:
+def _cholesky_positive(a: np.ndarray) -> np.ndarray:
     """Whether h + ``DENSITY_EIG_TOL`` I is positive definite, h = (a + a^dag) / 2,
     for a matrix (d, d) or each matrix of a stack (..., d, d); boolean, of
     shape (...).  h is ``a`` itself when ``a`` is exactly Hermitian, and a
@@ -129,27 +128,13 @@ def _cholesky_positive(a: np.ndarray) -> np.ndarray | np.bool_:
     A column-by-column Cholesky factorisation of the shifted matrix m: step k
     takes the pivot p = m_kk, and a matrix fails there unless p > 0;
     otherwise the column l = m[k+1:, k] / sqrt(p) updates the trailing block
-    by -l l^dag, of which only the lower triangle is read again.  A single
-    matrix below ``_ROUNDS_MIN_DIM`` runs the steps on Python scalars, which
-    costs less there than array operations, as in ``_jacobi``.  In exact
+    by -l l^dag, of which only the lower triangle is read again.  In exact
     arithmetic every pivot is > 0 exactly when the least eigenvalue of h is
     > -``DENSITY_EIG_TOL``; rounding moves that boundary by about d eps ||h||
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).
     """
     d = a.shape[-1]
     m = 0.5 * (a + dag(a)) + DENSITY_EIG_TOL * np.eye(d)
-    if m.ndim == 2 and d < _ROUNDS_MIN_DIM:
-        rows = m.tolist()
-        for k in range(d):
-            pivot = rows[k][k].real
-            if not pivot > 0.0:
-                return np.False_
-            root = math.sqrt(pivot)
-            col = [rows[i][k] / root for i in range(k + 1, d)]
-            for i, li in enumerate(col, k + 1):
-                for j, lj in enumerate(col[:i - k], k + 1):
-                    rows[i][j] -= li * lj.conjugate()
-        return np.True_
     ok = np.ones(m.shape[:-2], dtype=bool)
     # a failed pivot fills the rest of its matrix with NaN or inf, silently: it stays failed
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -217,17 +202,17 @@ class SpectralDecomposition:
 
     @property
     def dim(self) -> int:
-        return int(self.eigenvalues.shape[0])
+        return int(self.eigenvalues.shape[-1])
 
     def reconstruct(self) -> np.ndarray:
         """Sum_k lambda_k v_k v_k^dag."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ dag(v)
+        return self.apply(lambda lam: lam)
 
     def apply(self, fn) -> np.ndarray:
-        """Matrix function f(M) = V f(lambda) V^dag for a scalar callable."""
+        """Matrix function f(M) = V f(lambda) V^dag for a scalar callable; of each
+        decomposition of a stack (..., d) and (..., d, d) as well."""
         v = self.eigenvectors
-        return (v * fn(self.eigenvalues)) @ dag(v)
+        return (v * fn(self.eigenvalues)[..., None, :]) @ dag(v)
 
     def eigenspaces(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenspaces, clustering eigenvalues closer than ``DEGENERACY_GAP``.
@@ -280,92 +265,6 @@ def _chain_starts(sorted_vals: np.ndarray, gap: float, segments=None) -> np.ndar
     return np.flatnonzero(np.concatenate(([True], breaks)))
 
 
-def _jacobi_threshold(a: np.ndarray):
-    """Convergence target and rotation-skip level of a matrix, or of each matrix
-    in a stack: the off-diagonal max-norm must fall to
-    ``JACOBI_TOL * max(1, ||A||_max)``, and an entry at or below half of that
-    is not rotated."""
-    tol = JACOBI_TOL * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
-    return tol, 0.5 * tol
-
-
-def _rotation(apq, mag, app, aqq, m=math):
-    """Jacobi rotation zeroing ``apq`` (``mag = |apq| > 0``) in the Hermitian block
-    [[app, apq], [conj(apq), aqq]].
-
-    Returns ``c`` and ``sp = s e^{i arg apq}`` for the column update
-    [col_p, col_q] <- [col_p, col_q] @ [[c, -sp], [conj(sp), c]].  ``m`` is
-    ``math`` for one pair or ``numpy`` for arrays of pairs.
-    """
-    # t takes the sign of app - aqq; adding 0.0 turns a tie's -0.0 into +0.0, so t = 1 there
-    tau = (app - aqq + 0.0) / (2.0 * mag)
-    t = m.copysign(1.0 / (abs(tau) + m.hypot(1.0, tau)), tau)
-    c = 1.0 / m.sqrt(1.0 + t * t)
-    return c, t * c * (apq / mag)
-
-
-def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Jacobi diagonalization of a Hermitian matrix (d, d) or stack (n, d, d).
-
-    Returns the ascending eigenvalues and the matching eigenvector columns,
-    shaped like the input without its last axis, and like the input.  A stack,
-    or one matrix with d >= ``_ROUNDS_MIN_DIM``, takes the round-parallel
-    kernel ``_jacobi_rounds``; a smaller single matrix takes the cyclic
-    per-pair loop, which has less overhead there.
-    """
-    if a.ndim == 3 or a.shape[0] >= _ROUNDS_MIN_DIM:
-        vals, vecs = _jacobi_rounds(a.reshape(-1, *a.shape[-2:]))
-        return (vals, vecs) if a.ndim == 3 else (vals[0], vecs[0])
-    d = a.shape[0]
-    A = a.astype(np.complex128, copy=True)
-    V = np.eye(d, dtype=np.complex128)
-    if d == 1:
-        return np.array([A[0, 0].real]), V
-    tol, skip = _jacobi_threshold(A)
-
-    for _ in range(MAX_SWEEPS):
-        off = 0.0
-        for p in range(d - 1):
-            row = np.abs(A[p, p + 1:])
-            if row.size:
-                off = max(off, float(row.max()))
-        if off <= tol:
-            diag = np.real(np.diag(A)).copy()
-            order = np.argsort(diag, kind="stable")
-            vals = diag[order]
-            vecs = V[:, order]
-            vals.setflags(write=False)
-            vecs.setflags(write=False)
-            return vals, vecs
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = A[p, q]
-                mag = abs(apq)
-                if mag <= skip:
-                    continue
-                c, sp = _rotation(apq, mag, A[p, p].real, A[q, q].real)
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p + np.conj(sp) * col_q
-                A[:, q] = -sp * col_p + c * col_q
-                # rows: apply the conjugate transpose from the left
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p + sp * row_q
-                A[q, :] = -np.conj(sp) * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-                vcol_p = V[:, p].copy()
-                vcol_q = V[:, q].copy()
-                V[:, p] = c * vcol_p + np.conj(sp) * vcol_q
-                V[:, q] = -sp * vcol_p + c * vcol_q
-    raise NonConvergence(
-        f"Jacobi eigensolver did not reach off-diagonal {tol:.1e} in {MAX_SWEEPS} sweeps"
-    )
-
-
 @functools.lru_cache(maxsize=None)
 def _rounds(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """One sweep over the pairs p < q of range(d) as rounds of disjoint pairs.
@@ -390,70 +289,88 @@ def _rounds(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(out)
 
 
-def _jacobi_rounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi diagonalization of a stack (n, d, d) in parallel-ordered rounds.
+def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Jacobi diagonalization of a Hermitian matrix (d, d) or of each matrix
+    of a stack (..., d, d), in parallel-ordered rounds.
 
-    Each sweep runs the rounds of ``_rounds(d)``; a round rotates all its
-    disjoint pairs at once, in every matrix not yet converged.  Convergence is
-    tested per matrix at the start of each sweep, against the same threshold
-    as the per-pair loop, and a converged matrix is not rotated again.  Every
-    operation is elementwise per matrix, so each matrix gets bitwise the
-    result it gets in a stack of one.
+    Returns the ascending eigenvalues and the matching eigenvector columns,
+    shaped like the input without its last axis, and like the input.  Each
+    sweep runs the rounds of ``_rounds(d)``; a round rotates all its disjoint
+    pairs at once, in every matrix not yet converged.  A matrix has converged
+    when its off-diagonal max-norm is at most ``JACOBI_TOL * max(1, ||A||_max)``,
+    tested at the start of each sweep, and a converged matrix is not rotated
+    again; an entry at or below half of that target is not rotated either.
+    Every operation is elementwise per matrix, so a matrix gets bitwise the
+    result it gets alone or in any other stack.
     """
     d = a.shape[-1]
-    A = a.astype(np.complex128, copy=True)
-    V = np.broadcast_to(np.eye(d, dtype=np.complex128), A.shape).copy()
-    tol, skip = _jacobi_threshold(A)
+    A = np.asarray(a, dtype=np.complex128).reshape(-1, d, d)
+    tol = JACOBI_TOL * np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
+    skip = 0.5 * tol
+    # A over V, (n, 2d, d): a column rotation turns both, a row rotation only A
+    W = np.concatenate((A, np.broadcast_to(np.eye(d, dtype=np.complex128), A.shape)), axis=1)
     upper = np.triu_indices(d, 1)
     idx = np.arange(d)
     for _ in range(MAX_SWEEPS):
-        off = np.abs(A[:, upper[0], upper[1]]).max(axis=1, initial=0.0)
-        todo = np.flatnonzero(off > tol)
-        if not todo.size:
-            diag = A[:, idx, idx].real
+        live = np.abs(W[:, upper[0], upper[1]]).max(axis=1, initial=0.0) > tol
+        if not live.any():
+            diag = W[:, idx, idx].real
             order = np.argsort(diag, axis=1, kind="stable")
-            vals = np.take_along_axis(diag, order, 1)
-            vecs = np.take_along_axis(V, order[:, None, :], 2)
+            vals = np.take_along_axis(diag, order, 1).reshape(a.shape[:-1])
+            vecs = np.take_along_axis(W[:, d:], order[:, None, :], 2).reshape(a.shape)
             vals.setflags(write=False)
             vecs.setflags(write=False)
             return vals, vecs
-        As, Vs, sk = A[todo], V[todo], skip[todo, None]
+        # every matrix still to rotate is rotated in place, a strict subset in a copy
+        whole = live.all()
+        todo = np.flatnonzero(live)
+        Ws, sk = (W, skip[:, None]) if whole else (W[todo], skip[todo, None])
         for p, q in _rounds(d):
-            apq = As[:, p, q]
+            apq = Ws[:, p, q]
             mag = np.abs(apq)
             rot = mag > sk
-            if not rot.any():
-                continue
-            c, sp = _rotation(np.where(rot, apq, 1.0), np.where(rot, mag, 1.0),
-                              As[:, p, p].real, As[:, q, q].real, np)
-            c = np.where(rot, c, 1.0)[:, None, :]
-            sp = np.where(rot, sp, 0.0)[:, None, :]
-            for M in (As, Vs):
-                col_p, col_q = M[:, :, p], M[:, :, q]
-                M[:, :, p] = c * col_p + sp.conj() * col_q
-                M[:, :, q] = -sp * col_p + c * col_q
+            every = rot.all()  # else the pairs not rotated take c = 1, sp = 0
+            if not every:
+                if not rot.any():
+                    continue
+                apq, mag = np.where(rot, apq, 1.0), np.where(rot, mag, 1.0)
+            # the rotations zeroing apq, c and sp = s e^{i arg apq}, for the column update
+            # [col_p, col_q] <- [col_p, col_q] @ [[c, -sp], [conj(sp), c]]; t takes the sign
+            # of app - aqq, and adding 0.0 turns a tie's -0.0 into +0.0, so t = 1 there
+            tau = (Ws[:, p, p].real - Ws[:, q, q].real + 0.0) / (2.0 * mag)
+            t = np.copysign(1.0 / (abs(tau) + np.hypot(1.0, tau)), tau)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            sp = t * c * (apq / mag)
+            if not every:
+                c, sp = np.where(rot, c, 1.0), np.where(rot, sp, 0.0)
+            c, sp = c[:, None, :], sp[:, None, :]
+            col_p, col_q = Ws[:, :, p], Ws[:, :, q]
+            Ws[:, :, p] = c * col_p + sp.conj() * col_q
+            Ws[:, :, q] = -sp * col_p + c * col_q
             c, sp = c.swapaxes(1, 2), sp.swapaxes(1, 2)
-            row_p, row_q = As[:, p, :], As[:, q, :]
-            As[:, p, :] = c * row_p + sp * row_q
-            As[:, q, :] = -sp.conj() * row_p + c * row_q
-            As[:, p, q] = np.where(rot, 0.0, As[:, p, q])
-            As[:, q, p] = np.where(rot, 0.0, As[:, q, p])
-            As[:, p, p] = As[:, p, p].real
-            As[:, q, q] = As[:, q, q].real
-        A[todo], V[todo] = As, Vs
+            row_p, row_q = Ws[:, p, :], Ws[:, q, :]
+            Ws[:, p, :] = c * row_p + sp * row_q
+            Ws[:, q, :] = -sp.conj() * row_p + c * row_q
+            for i, j in ((p, q), (q, p)):
+                Ws[:, i, j] = 0.0 if every else np.where(rot, 0.0, Ws[:, i, j])
+            for i in (p, q):
+                Ws[:, i, i] = Ws[:, i, i].real
+        if not whole:
+            W[todo] = Ws
     raise NonConvergence(
         f"Jacobi eigensolver did not reach off-diagonal {tol.max():.1e} in {MAX_SWEEPS} sweeps"
     )
 
 
 def eig_hermitian(op) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian operator.
+    """Spectral decomposition of a Hermitian operator (d, d), or of each operator of a
+    stack (n, d, d) in one solve, as a stacked decomposition (n, d) and (n, d, d).
 
     Uses Jacobi rotations in a fixed sweep order (see ``_jacobi``), so the
     result is deterministic for a fixed input.  Raises :class:`NonConvergence` if the
     off-diagonal mass is not eliminated within ``MAX_SWEEPS`` sweeps.
     The input is validated only on a cache miss: the key holds the full shape
-    and the bytes, so a hit is a matrix that was validated when it was solved.
+    and the bytes, so a hit is a matrix or stack that was validated when it was solved.
     """
     return _eig(np.asarray(op, dtype=np.complex128), validated=False)
 
@@ -464,7 +381,10 @@ def _eig(arr: np.ndarray, validated: bool) -> SpectralDecomposition:
     hit = _EIG_CACHE.get(key)
     if hit is not None:
         return hit
-    dec = SpectralDecomposition(*_jacobi(arr if validated else require_hermitian(arr)))
+    if not validated:
+        arr = (_require_stack(arr, "operator", "hermitian") if arr.ndim == 3
+               else require_hermitian(arr))
+    dec = SpectralDecomposition(*_jacobi(arr))
     if len(_EIG_CACHE) >= _EIG_CACHE_CAP:
         del _EIG_CACHE[next(iter(_EIG_CACHE))]  # evict the oldest entry
     _EIG_CACHE[key] = dec
@@ -472,8 +392,16 @@ def _eig(arr: np.ndarray, validated: bool) -> SpectralDecomposition:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
+    """Kronecker product; of each matching pair of two stacks of matrices (..., m, m)
+    as well."""
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    if a.ndim <= 2 and b.ndim <= 2:
+        return np.kron(a, b)
+    if min(a.ndim, b.ndim) < 2:
+        raise DimensionMismatch(f"a stack pairs only with matrices, not {a.shape}, {b.shape}")
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3],
+                                         out.shape[-2] * out.shape[-1]))
 
 
 def partial_trace(m, dims: tuple[int, int], keep: str) -> np.ndarray:
@@ -481,39 +409,45 @@ def partial_trace(m, dims: tuple[int, int], keep: str) -> np.ndarray:
 
     ``keep`` selects the surviving factor, "A" or "B".
     """
+    if keep not in ("A", "B"):
+        raise DimensionMismatch(f"keep must be 'A' or 'B', got {keep!r}")
+    return _marginals(require_square(m), dims)["AB".index(keep)]
+
+
+def _marginals(m: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced operators on A and on B of a bipartite operator on dims (dA, dB),
+    or of each operator of a stack (..., dA dB, dA dB)."""
     da, db = int(dims[0]), int(dims[1])
-    arr = require_square(m)
-    if arr.shape[0] != da * db:
-        raise DimensionMismatch(
-            f"operator of size {arr.shape[0]} does not factor as {da}x{db}"
-        )
-    four = arr.reshape(da, db, da, db)
-    if keep == "A":
-        return np.einsum("ibjb->ij", four)
-    if keep == "B":
-        return np.einsum("aiaj->ij", four)
-    raise DimensionMismatch(f"keep must be 'A' or 'B', got {keep!r}")
+    if m.shape[-1] != da * db:
+        raise DimensionMismatch(f"operator of size {m.shape[-1]} does not factor as {da}x{db}")
+    four = m.reshape(m.shape[:-2] + (da, db, da, db))
+    return np.einsum("...ibjb->...ij", four), np.einsum("...aiaj->...ij", four)
 
 
 def dephase(rho, basis: SpectralDecomposition) -> np.ndarray:
-    """Remove coherences between the eigenspaces of ``basis``.
+    """Remove coherences between the eigenspaces of ``basis``; of a state (d, d), or
+    of each state of a stack (n, d, d) in the matching decomposition of a stacked
+    ``basis``.
 
     Populations are preserved.  Degenerate clusters are handled via eigenspace
     projectors, so the result does not depend on the orientation of
     eigenvectors inside a cluster.
     """
     proj = basis.eigenspaces()[1]
-    return (proj @ require_square(rho) @ proj).sum(axis=0)
+    rho = require_square(rho) if np.ndim(rho) == 2 else _require_stack(rho, "rho", "hermitian")
+    return (proj @ rho[..., None, :, :] @ proj).sum(axis=-3)
 
 
 def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy in nats; eigenvalues below EIG_FLOOR contribute zero."""
-    return _entropy(eig_hermitian(rho))
+    return float(_entropies(eig_hermitian(rho).eigenvalues))
 
 
-def _entropy(dec: SpectralDecomposition) -> float:
-    lam = dec.eigenvalues[dec.eigenvalues > EIG_FLOOR]
-    return float(-np.sum(lam * np.log(lam))) if lam.size else 0.0
+def _entropies(vals: np.ndarray) -> np.ndarray:
+    """``von_neumann_entropy`` from the eigenvalues of a state (d,), or of each state
+    of a stack (..., d): shape (...)."""
+    lam = np.where(vals > EIG_FLOOR, vals, 1.0)  # 1 log 1 = 0
+    return -np.sum(lam * np.log(lam), axis=-1)
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -522,26 +456,19 @@ def relative_entropy(rho, sigma) -> float:
     Returns ``math.inf`` when the support of rho is not contained in the
     support of sigma.
     """
-    dr = eig_hermitian(rho)
-    ds = eig_hermitian(sigma)
-    r_vals, r_vecs = dr.eigenvalues, dr.eigenvectors
-    s_vals, s_vecs = ds.eigenvalues, ds.eigenvectors
+    return float(_relative_entropies(eig_hermitian(rho), eig_hermitian(sigma)))
 
-    kernel = s_vals <= EIG_FLOOR
-    if np.any(kernel):
-        amps = dag(s_vecs[:, kernel]) @ r_vecs
-        kernel_mass = float(np.sum((np.abs(amps) ** 2) * r_vals[None, :]))
-        if kernel_mass > 1e-10:
-            return math.inf
 
-    r_mask = r_vals > EIG_FLOOR
-    term_r = float(np.sum(r_vals[r_mask] * np.log(r_vals[r_mask])))
-
-    s_mask = s_vals > EIG_FLOOR
-    # overlap matrix |<u_i|v_j>|^2 between rho and sigma eigenvectors
-    ov = np.abs(dag(r_vecs[:, r_mask]) @ s_vecs[:, s_mask]) ** 2
-    term_s = float(r_vals[r_mask] @ ov @ np.log(s_vals[s_mask]))
-    return term_r - term_s
+def _relative_entropies(r: SpectralDecomposition, s: SpectralDecomposition) -> np.ndarray:
+    """``relative_entropy`` from the spectra of rho and sigma, or of each pair of two
+    stacked spectra (..., d) and (..., d, d): shape (...)."""
+    ov = np.abs(dag(s.eigenvectors) @ r.eigenvectors) ** 2  # ov[j, i] = |<sigma_j|rho_i>|^2
+    kernel = s.eigenvalues <= EIG_FLOOR
+    mass = np.sum(ov * r.eigenvalues[..., None, :] * kernel[..., :, None], axis=(-2, -1))
+    weights = np.where(r.eigenvalues > EIG_FLOOR, r.eigenvalues, 0.0)
+    log_s = np.log(np.where(kernel, 1.0, s.eigenvalues))
+    term_s = np.einsum("...i,...ji,...j->...", weights, ov, log_s)
+    return np.where(mass > 1e-10, math.inf, -_entropies(r.eigenvalues) - term_s)
 
 
 def _rng(seed) -> np.random.Generator:

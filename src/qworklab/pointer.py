@@ -181,15 +181,22 @@ def weak_value_protocol(s: Scenario, k: int, cfg: PointerConfig) -> np.ndarray:
     return rows[k]
 
 
-def weak_value_table(s: Scenario, cfg: PointerConfig) -> np.ndarray:
-    """All weak-value protocol rows stacked: shape (n_initial, n_final)."""
-    kappa = math.exp(-cfg.coupling ** 2 / (8.0 * cfg.spread ** 2))
+def _weak_value_operator(coupling: float, spread: float):
+    """The effective initial operator X_a = P_a rho P_a + kappa/2 (P_a rho Q_a + Q_a rho P_a),
+    Q_a = I - P_a and kappa = exp(-coupling^2 / (8 spread^2)), of the weak-value
+    protocol, as ``schemes._joint_weights`` takes it: of projector and state stacks."""
+    kappa = math.exp(-coupling ** 2 / (8.0 * spread ** 2))
 
     def effective(p, rho):
-        comp = np.eye(s.dim) - p
+        comp = np.eye(p.shape[-1]) - p
         return p @ rho @ p + 0.5 * kappa * (p @ rho @ comp + comp @ rho @ p)
 
-    return _joint_table(s, effective).weights
+    return effective
+
+
+def weak_value_table(s: Scenario, cfg: PointerConfig) -> np.ndarray:
+    """All weak-value protocol rows stacked: shape (n_initial, n_final)."""
+    return _joint_table(s, _weak_value_operator(cfg.coupling, cfg.spread)).weights
 
 
 def interpolation_sweep(s: Scenario, coupling: float, ratios):

@@ -320,10 +320,15 @@ class ScenarioBatch:
         eigenvalues (m, d) and eigenvectors (m, d, d) the Hamiltonians were built
         from, which the batch then holds instead of solving them; each experiment's
         Scenarios share them.  A stack of unitaries is validated here, and a tuple
-        of DrivingProtocols validated itself."""
-        h_initial = _require_stack(h_initial, "H", "hermitian")
-        h_final = _require_stack(h_final, "H_final", "hermitian")
-        if isinstance(evolution, np.ndarray):
+        of DrivingProtocols validated itself; an H or H_final stack equal to the
+        protocols' endpoints is those validated endpoints."""
+        unitaries = isinstance(evolution, np.ndarray)
+        ends = ((None, None) if unitaries else
+                np.array([p.hamiltonians[[0, -1]] for p in evolution]).swapaxes(0, 1))
+        h_initial, h_final = (end if end is not None and np.array_equal(end, m)
+                              else _require_stack(m, name, "hermitian")
+                              for m, end, name in zip((h_initial, h_final), ends, ("H", "H_final")))
+        if unitaries:
             evolution = _require_stack(evolution, "evolution.U", "unitary")
         rho = _require_stack(rho, "rho", "density")
         m, d = h_initial.shape[:2]

@@ -315,7 +315,8 @@ class Povm:
         return np.einsum("...ij,kji->...k", rho, self.ops).real
 
     def min_eigenvalue(self) -> float:
-        return min(float(eig_hermitian(op).eigenvalues[0]) for op in self.ops)
+        """The least eigenvalue over all elements, from one stacked solve."""
+        return float(eig_hermitian(self.ops).eigenvalues[:, 0].min())
 
     def completeness_defect(self) -> float:
         return max_abs(self.ops.sum(axis=0) - np.eye(self.ops.shape[1]))
@@ -733,8 +734,8 @@ def _collective_factors(s: Scenario, lam: float | str) -> CollectiveFactors:
     t = dag(basis) @ dag(u) @ dec_f.eigenvectors[:, starts[rank_one]]
     off_min = np.empty(len(e_f))
     off_min[rank_one] = _secular_min(np.abs(t.T) ** 2)
-    off_min[~rank_one] = [eig_hermitian(off_parts[j]).eigenvalues[0]
-                          for j in np.flatnonzero(~rank_one)]
+    if not rank_one.all():  # the degenerate final eigenspaces, in one stacked solve
+        off_min[~rank_one] = eig_hermitian(off_parts[~rank_one]).eigenvalues[:, 0]
     diag_parts = diag.real.T
     if lam == "auto":
         neg = off_min < 0.0

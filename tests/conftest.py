@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qworklab.linalg import DEGENERACY_GAP, _jacobi, eig_hermitian
+from qworklab.linalg import DEGENERACY_GAP, eig_hermitian
 from qworklab.scenario import _TIME_MATCH_TOL, Scenario
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -113,20 +113,14 @@ def derivative_at_loop(protocol, t):
     return sum(hits[1:], start=hits[0]) / len(hits)
 
 
-def exp_factor(h, dt, stacked=False):
-    """Reference exp(-i h dt) from one solve of h: by eig_hermitian, or with ``stacked``
-    by the Jacobi kernel of a stacked solve run on h alone, which gives h bitwise its
-    result in any stack.  The two kernels agree to their convergence target
-    (JACOBI_TOL relative), not to the last bit."""
-    if stacked:
-        vals, vecs = (x[0] for x in _jacobi(h[None]))
-    else:
-        dec = eig_hermitian(h)
-        vals, vecs = dec.eigenvalues, dec.eigenvectors
+def exp_factor(h, dt):
+    """Reference exp(-i h dt) from one solve of h alone."""
+    dec = eig_hermitian(h)
+    vals, vecs = dec.eigenvalues, dec.eigenvectors
     return (vecs * np.exp(-1j * vals * dt)) @ vecs.conj().T
 
 
-def substep_mesh_loop(protocol, stacked=False):
+def substep_mesh_loop(protocol):
     """Reference substep mesh and propagators U(t) on it, from U(0) = I: one
     ``exp_factor`` per midpoint, in time order."""
     u = np.eye(protocol.dim, dtype=complex)
@@ -134,25 +128,25 @@ def substep_mesh_loop(protocol, stacked=False):
     for t0, t1 in zip(protocol.times, protocol.times[1:]):
         h = (t1 - t0) / protocol.steps_per_segment
         for k in range(protocol.steps_per_segment):
-            u = exp_factor(protocol.hamiltonian_at(t0 + (k + 0.5) * h), h, stacked) @ u
+            u = exp_factor(protocol.hamiltonian_at(t0 + (k + 0.5) * h), h) @ u
             times.append(t0 + (k + 1) * h)
             unitaries.append(u)
     return np.array(times), np.array(unitaries)
 
 
-def partial_factor_loop(protocol, t_m, u_m, t, stacked=False):
+def partial_factor_loop(protocol, t_m, u_m, t):
     """Reference U(t) from U(t_m) = u_m at a mesh time t_m before t: one midpoint
     factor exp(-i H((t_m + t)/2)(t - t_m))."""
-    return exp_factor(protocol.hamiltonian_at((t_m + t) / 2), t - t_m, stacked) @ u_m
+    return exp_factor(protocol.hamiltonian_at((t_m + t) / 2), t - t_m) @ u_m
 
 
-def propagator_loop(protocol, t, stacked=False):
+def propagator_loop(protocol, t):
     """Reference U(t): the loop propagator at the last mesh time within the time
     tolerance of t, or before it, and a partial factor when that is more than the
     tolerance before t."""
-    times, unitaries = substep_mesh_loop(protocol, stacked)
+    times, unitaries = substep_mesh_loop(protocol)
     tol = _TIME_MATCH_TOL * max(1.0, protocol.duration)
     m = max(i for i, t_i in enumerate(times) if t_i <= t + tol)
     if t - times[m] <= tol:
         return unitaries[m]
-    return partial_factor_loop(protocol, times[m], unitaries[m], t, stacked)
+    return partial_factor_loop(protocol, times[m], unitaries[m], t)

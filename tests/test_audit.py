@@ -71,18 +71,24 @@ def test_worst_witness_stable_under_last_bit_noise(monkeypatch):
 
 def test_sample_scenario_validates_each_hamiltonian_once(monkeypatch):
     calls = []
-    original = la.require_hermitian
+    original, original_stack = la.require_hermitian, la._require_stack
 
     def record(m, name="operator"):
         calls.append(name)
         return original(m, name)
 
+    def record_stack(m, name, kind):
+        calls.append(name)
+        return original_stack(m, name, kind)
+
     monkeypatch.setattr(la, "require_hermitian", record)
     monkeypatch.setattr(scenario_mod, "require_hermitian", record)
+    monkeypatch.setattr(scenario_mod, "_require_stack", record_stack)
     la._EIG_CACHE.clear()
     rng = np.random.default_rng(4)
-    expected = {(True, False): ["H", "H_final", "rho"],
-                (False, False): ["H", "H_final", "rho"],
+    # a batch of one: its stacks, or a protocol's breakpoints, which are H and H_final
+    expected = {(True, False): ["H", "H_final", "evolution.U", "rho"],
+                (False, False): ["H", "H_final", "evolution.U", "rho"],
                 (True, True): ["evolution.breakpoints[0].H", "evolution.breakpoints[1].H", "rho"],
                 (False, True): ["evolution.breakpoints[0].H", "evolution.breakpoints[1].H", "rho"]}
     for (coherent, driven), names in expected.items():

@@ -39,14 +39,7 @@ C = audit.Condition
 # --- the per-sample graders, the oracle of the batched ones -------------------------
 
 def reference_dist(scheme, s, k_steps):
-    """The scheme on one Scenario.  Like a batch, it reads rho's spectrum from a
-    stacked solve (of one), which gives rho bitwise the result it has in any
-    stack; the cyclic kernel of a single solve agrees with that only to the
-    convergence target ``JACOBI_TOL``, which moves a state-dependent TV distance
-    by up to 2e-12 at d = 3."""
-    if s._rho_spectrum is None:
-        object.__setattr__(s, "_rho_spectrum",
-                           la.SpectralDecomposition(*(x[0] for x in la._jacobi(s.rho[None]))))
+    """The scheme on one Scenario."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateRhoWarning)
         return sch.distribution(scheme, s, k_steps=k_steps)
@@ -178,6 +171,11 @@ def test_the_batch_sampler_draws_the_per_sample_stream():
                     for a, b in ((member.h_initial, s.h_initial), (member.h_final, s.h_final),
                                  (member.rho, s.rho), (member.unitary(), s.unitary())):
                         np.testing.assert_array_equal(a, b)
+                    for name in ("H", "H_final"):  # the drawn spectra the batch holds
+                        np.testing.assert_array_equal(member.spectrum(name).eigenvalues,
+                                                      s.spectrum(name).eigenvalues)
+                        np.testing.assert_array_equal(member.spectrum(name).eigenvectors,
+                                                      s.spectrum(name).eigenvectors)
 
 
 # --- each member is its own batch of one ---------------------------------------------

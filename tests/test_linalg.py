@@ -74,7 +74,7 @@ def test_eig_nonconvergence_guard(monkeypatch):
         la._jacobi(h)
 
 
-# --- the round-parallel kernel: stacks and single matrices with d >= 8 ---------
+# --- the round-parallel kernel: single matrices and stacks --------------------
 
 KERNEL_DIMS = [2, 3, 4, 5, 8, 9, 16, 33, 64]
 
@@ -102,10 +102,11 @@ def test_stacked_kernel_matches_numpy(dim):
     assert_spectral(vals, vecs, h)
 
 
-@pytest.mark.parametrize("dim", [d for d in KERNEL_DIMS if d >= la._ROUNDS_MIN_DIM])
-def test_single_matrix_at_d_8_and_above_takes_the_round_kernel(dim):
+@pytest.mark.parametrize("dim", KERNEL_DIMS)
+def test_single_matrix_equals_its_stack_of_one(dim):
     h = random_hermitian_np(dim, np.random.default_rng(dim))
     vals, vecs = la._jacobi(h)
+    assert vals.shape == (dim,) and vecs.shape == (dim, dim)
     assert_spectral(vals, vecs, h)
     stacked = la._jacobi(h[None])
     np.testing.assert_array_equal(vals, stacked[0][0])
@@ -203,6 +204,22 @@ def test_eig_cache_key_holds_the_full_shape():
     assert stack.tobytes() == h.tobytes()
     with pytest.raises(ValidationError):
         la.eig_hermitian(stack)
+
+
+def test_eig_hermitian_solves_a_stack_as_its_members():
+    rng = np.random.default_rng(13)
+    stack = np.array([random_hermitian_np(3, rng) for _ in range(4)])
+    dec = la.eig_hermitian(stack)
+    assert dec.eigenvalues.shape == (4, 3) and dec.eigenvectors.shape == (4, 3, 3)
+    for h, vals, vecs in zip(stack, dec.eigenvalues, dec.eigenvectors):
+        single = la.eig_hermitian(h)
+        np.testing.assert_array_equal(vals, single.eigenvalues)
+        np.testing.assert_array_equal(vecs, single.eigenvectors)
+    bad = stack.copy()
+    bad[2, 0, 1] += 1.0
+    with pytest.raises(ValidationError) as err:
+        la.eig_hermitian(bad)
+    assert err.value.kind == "NotHermitian" and err.value.path == "operator[2]"
 
 
 def test_eig_cache_evicts_only_the_oldest_entry():
@@ -328,7 +345,7 @@ _BOUNDARY = ((-(1 - 1e-3) * _TOL, True), ((1 - 1e-3) * _TOL, True), ((1 + 1e-3) 
              (-(1 + 1e-3) * _TOL, False))
 
 
-@pytest.mark.parametrize("dim", [2, 3, 16])
+@pytest.mark.parametrize("dim", [2, 3, 4, 16])
 def test_require_density_keeps_the_eigenvalue_boundary(dim):
     rng = np.random.default_rng(dim)
     states, expected = [], []
@@ -408,6 +425,21 @@ def test_tensor_of_unitaries_is_unitary():
     assert la.max_abs(u.conj().T @ u - np.eye(6)) <= la.UNITARITY_TOL
 
 
+def test_tensor_of_kets_and_of_stacks():
+    rng = np.random.default_rng(12)
+    ket_a, ket_b = rng.standard_normal(2) + 0j, rng.standard_normal(3) + 0j
+    np.testing.assert_array_equal(la.tensor(ket_a, ket_b), np.kron(ket_a, ket_b))
+    a = np.array([haar_unitary_np(2, rng) for _ in range(3)])
+    b = np.array([haar_unitary_np(3, rng) for _ in range(3)])
+    got = la.tensor(a, b)
+    assert got.shape == (3, 6, 6)
+    for k in range(3):
+        np.testing.assert_array_equal(got[k], np.kron(a[k], b[k]))
+    np.testing.assert_array_equal(la.tensor(a, np.eye(2)), [np.kron(m, np.eye(2)) for m in a])
+    with pytest.raises(DimensionMismatch):
+        la.tensor(a, ket_b)
+
+
 def brute_partial_trace(m, da, db, keep):
     m = m.reshape(da, db, da, db)
     if keep == "A":
@@ -476,6 +508,22 @@ def test_dephase_preserves_populations():
         before = np.diag(vecs.conj().T @ rho @ vecs).real
         after = np.diag(vecs.conj().T @ out @ vecs).real
         np.testing.assert_allclose(np.sort(before), np.sort(after), atol=1e-10)
+
+
+def test_dephase_of_a_stack_matches_each_member_and_validates_it():
+    rng = np.random.default_rng(10)
+    hs = np.array([random_hermitian_np(3, rng) for _ in range(4)])
+    rhos = np.array([random_density_np(3, rng) for _ in range(4)])
+    got = la.dephase(rhos, la.SpectralDecomposition(*la._jacobi(hs)))
+    for h, rho, out in zip(hs, rhos, got):
+        np.testing.assert_allclose(out, la.dephase(rho, la.eig_hermitian(h)), rtol=0, atol=1e-15)
+    bad = rhos.copy()
+    bad[1, 0, 2] += 0.5
+    with pytest.raises(ValidationError) as err:
+        la.dephase(bad, la.SpectralDecomposition(*la._jacobi(hs)))
+    assert err.value.path == "rho[1]"
+    with pytest.raises(ValidationError):
+        la.dephase(rhos[..., None], la.eig_hermitian(hs[0]))
 
 
 # --- entropies ------------------------------------------------------------------

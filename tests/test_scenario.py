@@ -368,9 +368,7 @@ def test_history_grids_read_the_one_compile(monkeypatch, case):
     for t, u_t in zip(off, got):
         m = np.searchsorted(mesh, t) - 1
         assert t - mesh[m] > tol
-        assert max_abs(u_t - partial_factor_loop(protocol, mesh[m], unitaries[m], t,
-                                                 stacked=True)) <= 1e-14
-        assert max_abs(u_t - partial_factor_loop(protocol, mesh[m], unitaries[m], t)) <= 1e-12
+        assert max_abs(u_t - partial_factor_loop(protocol, mesh[m], unitaries[m], t)) <= 1e-14
         assert max_abs(u_t.conj().T @ u_t - np.eye(protocol.dim)) <= 1e-10
 
 

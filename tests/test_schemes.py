@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from qworklab import audit
-from qworklab import linalg as la
 from qworklab import schemes as sch
 from qworklab.errors import (
     DecompositionMismatch,
@@ -732,13 +731,11 @@ def test_every_scheme_normalizes_to_one():
 # their references exactly; the others sum in another order (1e-14).
 
 def work_operator_loop(s):
-    """Like the scheme, it solves W as a stack (of one), which gives W bitwise the
-    result it has in any stack of experiments."""
     u = s.unitary()
     w_op = u.conj().T @ s.h_final @ u - s.h_initial
     w_op = (w_op + w_op.conj().T) / 2.0
     works, weights = [], []
-    dec = la.SpectralDecomposition(*(x[0] for x in la._jacobi(w_op[None])))
+    dec = eig_hermitian(w_op)
     for val, proj in projector_pairs(dec):
         works.append(val)
         weights.append(float(np.trace(proj @ s.rho).real))
@@ -770,18 +767,17 @@ def sub_ensemble_loop(s, decomp):
 
 
 def consistent_histories_loop(s, k_steps):
-    """Plain-loop reference histories; like the scheme, it solves all its X(t_j) as one
-    stack, which gives each X(t_j) bitwise the result of its stack of one."""
+    """Plain-loop reference histories."""
     protocol = s.evolution
     dt = protocol.duration / k_steps
     x_ops = []
     for t_j in (protocol.duration * j / k_steps for j in range(1, k_steps)):
-        u_j = propagator_loop(protocol, t_j, stacked=True)
+        u_j = propagator_loop(protocol, t_j)
         x_op = u_j.conj().T @ derivative_at_loop(protocol, t_j) @ u_j
         x_ops.append((x_op + x_op.conj().T) / 2.0)
     prods = np.eye(s.dim, dtype=complex)[None]
     works = np.zeros(1)
-    for dec in map(la.SpectralDecomposition, *la._jacobi(np.array(x_ops))):
+    for dec in map(eig_hermitian, x_ops):
         clusters = projector_pairs(dec)
         prods = np.concatenate([np.einsum("ij,njk->nik", proj, prods) for _, proj in clusters])
         works = np.concatenate([works + val * dt for val, _ in clusters])

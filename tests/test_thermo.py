@@ -102,6 +102,30 @@ def test_free_energy_decomposition_sums_1000_draws():
         assert abs(diag_part + coherent - total) <= 1e-10
 
 
+def test_suite_and_free_energy_decomposition_share_one_formula(monkeypatch):
+    calls = []
+    original = th._decomposition_terms
+
+    def record(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(th, "_decomposition_terms", record)
+    th.identity_suite(6, seed=2)
+    assert calls and all(rho.ndim == 3 for rho, _, _ in calls)
+    rng = np.random.default_rng(81)
+    ctx = random_context(rng, 3)
+    rho = random_density_np(3, rng)
+    calls.clear()
+    parts = th.free_energy_decomposition(rho, ctx)
+    assert len(calls) == 1
+    # the public value is the stacked formula on a stack of one
+    rho_1, dec_1 = th._states(rho[None], "rho")
+    ctx_1 = th._context(np.array([ctx.beta]), ctx.hamiltonian[None])
+    stacked = original(rho_1, dec_1, ctx_1)
+    np.testing.assert_allclose([v[0] for v in stacked], parts, rtol=0, atol=1e-14)
+
+
 def test_measurement_work_loss():
     ctx = th.ThermalContext(1.0, SZ)
     assert abs(th.measurement_work_loss(np.diag([0.2, 0.8]).astype(complex), ctx)) <= 1e-12
@@ -216,35 +240,69 @@ def test_bipartite_scenario_validates_hamiltonians_only_when_built(monkeypatch):
         assert not {"H", "H_S", "H_B"} & set(calls), calls
 
 
+def _record_stacks(monkeypatch):
+    """(name, kind, validated stack) of every ``_require_stack`` call thermo makes."""
+    stacks = []
+    original = th._require_stack
+
+    def record(m, name, kind):
+        out = original(m, name, kind)
+        stacks.append((name, kind, out))
+        return out
+
+    monkeypatch.setattr(th, "_require_stack", record)
+    return stacks
+
+
 def test_identity_suite_validates_each_hamiltonian_once_per_sample(monkeypatch):
-    calls = []
+    singles = []
     original = la.require_hermitian
 
     def record(m, name="operator"):
-        calls.append(name)
+        singles.append(name)
         return original(m, name)
 
     monkeypatch.setattr(la, "require_hermitian", record)
     monkeypatch.setattr(th, "require_hermitian", record)
-    th.identity_suite(3, seed=4)
-    # per sample: the random H of the single-system context, then H_S and H_B of the
-    # bipartite scenario, whose arrays the local decomposition reuses
-    assert [n for n in calls if n in {"H", "H_S", "H_B"}] == ["H", "H_S", "H_B"] * 3
+    stacks = _record_stacks(monkeypatch)
+    th.identity_suite(5, seed=4)
+    # the random H of every sample, in one stack per dimension drawn; the qubit
+    # Hamiltonians of the bipartite and local parts are the suite's own constants
+    hermitian = [(name, len(m)) for name, kind, m in stacks if kind == "hermitian"]
+    assert {name for name, _ in hermitian} == {"H"} and len(hermitian) <= 2
+    assert sum(n for _, n in hermitian) == 5
+    assert not singles
 
 
 def test_identity_suite_validates_each_state_once(monkeypatch):
-    states = []
-    original = th.require_density
-
-    def record(m, name="state"):
-        states.append(np.asarray(m).tobytes())
-        return original(m, name)
-
-    monkeypatch.setattr(th, "require_density", record)
+    singles = []
+    monkeypatch.setattr(th, "require_density", lambda m, name="state": singles.append(name))
+    stacks = _record_stacks(monkeypatch)
     th.identity_suite(50, seed=1)
-    # per sample: rho, its dephased form and the Gibbs state; rho_S, tau_S and rho'_S
-    # of the bipartite identity; X_SB and its two marginals
-    assert len(states) == len(set(states)) == 450
+    # per sample: rho, its Gibbs state and its dephased form; rho_S, tau_S, tau_B,
+    # rho'_S, rho'_B and rho'_SB of the bipartite identity; X_SB and its two marginals
+    states = [m.tobytes() for _, kind, stack in stacks if kind == "density" for m in stack]
+    assert len(states) == len(set(states)) == 600
+    assert not singles
+
+
+def test_identity_suite_solves_each_stack_of_states_once_and_no_single_matrix(monkeypatch):
+    solved = []
+    original = la._jacobi
+
+    def record(a):
+        solved.append(a.copy())
+        return original(a)
+
+    monkeypatch.setattr(la, "_jacobi", record)
+    monkeypatch.setattr(th, "_jacobi", record, raising=False)
+    stacks = _record_stacks(monkeypatch)
+    la._EIG_CACHE.clear()  # so that no spectrum comes from an earlier solve
+    th.identity_suite(50, seed=1)
+    assert solved and all(a.ndim == 3 for a in solved)
+    for _, kind, stack in stacks:
+        if kind == "density":
+            assert sum(a.shape == stack.shape and np.array_equal(a, stack) for a in solved) == 1
 
 
 def test_bipartite_scenario_checks_beta_through_its_contexts():

@@ -218,6 +218,10 @@ def commands() -> list[tuple[str, list[str]]]:
     for dim in (2, 3, 4):
         runs.append((f"collective-d{dim}", ["collective", "--dim", str(dim), "--samples", "40"]))
     runs.append(("thermo-s50", ["thermo", "--samples", "50"]))
+    # the stacked identity suite and the batched two-copy check at the held-out seed
+    runs.append(("thermo-s200-seed7919", ["thermo", "--samples", "200", "--seed", "7919"]))
+    runs.append(("collective-d4-s40-seed7919",
+                 ["collective", "--dim", "4", "--samples", "40", "--seed", "7919"]))
     for fmt in ("csv", "json"):
         runs.append((f"pointer-sweep-d2-{fmt}",
                      ["pointer-sweep", "--scenario", "scenarios/d2-unitary.json",
