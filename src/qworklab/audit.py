@@ -37,7 +37,7 @@ from .linalg import (
     random_density,
     random_unitary,
 )
-from .pointer import PointerConfig, _weak_value_operator, gaussian_meter
+from .pointer import PointerConfig, _kappa, gaussian_meter
 from .scenario import (
     DrivingProtocol,
     Scenario,
@@ -879,11 +879,11 @@ def _gaussian_row(cfg: Table1Config) -> Table1Row:
 def _postselection_row(cfg: Table1Config) -> Table1Row:
     # the joint weights read the pointer through kappa(coupling, spread) alone: a strong
     # (10, 1) and a weak (1, 20) pointer, and (1, 1) for the C2 samples
-    strong, weak = _weak_value_operator(10.0, 1.0), _weak_value_operator(1.0, 20.0)
+    strong, weak = _kappa(10.0, 1.0), _kappa(1.0, 20.0)
     weak_values = partial(_joint_distributions, scheme=SchemeId.MARGENAU_HILL, is_quasi=True)
 
     s_wit = ScenarioBatch.of([_probe_mh_negativity(2)])
-    neg_strong, neg_weak = (-float(_joint_weights(s_wit, op)[0].min()) for op in (strong, weak))
+    neg_strong, neg_weak = (-float(_joint_weights(s_wit, k)[0].min()) for k in (strong, weak))
     c1 = ConditionVerdict(
         Condition.C1_LINEAR_POVM, Status.LIMIT_DEPENDENT, max(neg_weak, 0.0),
         notes=f"strong-coupling negativity {neg_strong:.2e}; weak-coupling "
@@ -892,15 +892,15 @@ def _postselection_row(cfg: Table1Config) -> Table1Row:
     # 60 commuting-state samples, as one batch
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 9]))
     samples = _sample_batch(2, 60, rng, coherent=False, driven=False)
-    tv = weak_values(samples, _weak_value_operator(1.0, 1.0)).tv_distance(
+    tv = weak_values(samples, _kappa(1.0, 1.0)).tv_distance(
         distributions(SchemeId.TPM, samples))
     c2 = _graded(Condition.C2_TPM_AGREEMENT, max(0.0, float(tv.max())), None,
                  notes="agreement holds at every coupling for commuting states")
 
     s_coh = hadamard_scenario()
     target = mean_energy_change(s_coh)
-    gap_strong, gap_weak = (abs(float(weak_values(ScenarioBatch.of([s_coh]), op).means()[0])
-                                - target) for op in (strong, weak))
+    gap_strong, gap_weak = (abs(float(weak_values(ScenarioBatch.of([s_coh]), k).means()[0])
+                                - target) for k in (strong, weak))
     c3 = ConditionVerdict(
         Condition.C3_FIRST_LAW, Status.LIMIT_DEPENDENT, gap_strong,
         notes=f"strong-coupling gap {gap_strong:.3f}; weak-coupling gap {gap_weak:.2e}")

@@ -23,8 +23,8 @@ matrices (dimension <= 64), one kernel for one matrix (d, d) and for a stack
 (..., d, d): sweeps in Brent & Luk's parallel order, whose rounds rotate all
 their disjoint pairs at once, vectorised over the pairs and the stack, so a
 matrix gets bitwise the result it gets in any stack.  ``eig_hermitian`` takes
-a stack (n, d, d) as well, validated and solved as one.
-``SpectralDecomposition.eigenspaces()`` is the one form of its eigenspaces.
+a stack (n, d, d) as well, validated and solved as one.  An eigenspace is a block
+of eigenvector columns (``SpectralDecomposition.eigenspaces()``).
 """
 
 from __future__ import annotations
@@ -215,54 +215,44 @@ class SpectralDecomposition:
         return (v * fn(self.eigenvalues)[..., None, :]) @ dag(v)
 
     def eigenspaces(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenspaces, clustering eigenvalues closer than ``DEGENERACY_GAP``.
-
-        Returns the cluster mean eigenvalues, ascending, shape (k,), and their
-        projectors stacked with shape (k, d, d).  Degenerate eigenvector
-        orientations are solver-dependent, so any consumer facing possible
-        degeneracies must work with these projectors rather than raw columns.
-        """
-        return _eigenspaces(self.eigenvalues, self.eigenvectors)
+        """``_eigenspaces`` of the eigenvalues.  Degenerate eigenvector orientations are
+        solver-dependent, so a consumer reads a block only through what a rotation
+        inside it leaves alone: sums over its columns, or its projector."""
+        return _eigenspaces(self.eigenvalues)
 
 
-def _eigenspaces(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``SpectralDecomposition.eigenspaces`` of ascending eigenvalues (d,) and their
-    eigenvectors (d, d), or of each decomposition of a stack (..., d) and (..., d, d):
-    the labels (..., k) and the projectors (..., k, d, d).
-
-    Every decomposition of a stack must have the same number k of eigenspaces;
-    a stack is not padded, so one with differing counts raises DomainError.
-    Where the counts agree but the clusters lie elsewhere, each decomposition is
-    clustered on its own.
+def _eigenspaces(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenspaces of ascending eigenvalues (d,), or of each row of a stack (..., d) in
+    one pass, clustering values closer than ``DEGENERACY_GAP``: the labels (cluster
+    means) (..., k), k the largest count and NaN past a row's own, and the cluster
+    index of each eigenvector column (..., d).  A cluster's columns are one block V_c.
     """
     d = vals.shape[-1]
-    rows = (np.diff(vals, axis=-1) > DEGENERACY_GAP).reshape(vals.size // d, d - 1)
-    if (rows != rows[:1]).any():
-        counts = rows.sum(axis=1) + 1
-        if (counts != counts[0]).any():
-            raise DomainError(f"a batch needs one eigenspace count, and its members have "
-                              f"{counts.min()} to {counts.max()}; it is not padded, so "
-                              f"evaluate them in separate batches")
-        pairs = [_eigenspaces(v, w) for v, w in zip(vals.reshape(-1, d), vecs.reshape(-1, d, d))]
-        return (np.stack([p[0] for p in pairs]).reshape(vals.shape[:-1] + (-1,)),
-                np.stack([p[1] for p in pairs]).reshape(vecs.shape[:-2] + (-1, d, d)))
-    starts = np.flatnonzero(np.concatenate(([True], rows[0])))
-    labels = np.add.reduceat(vals, starts, axis=-1) / np.diff(np.append(starts, vals.shape[-1]))
-    blocks = np.split(vecs, starts[1:], axis=-1)
-    return labels, np.stack([block @ dag(block) for block in blocks], axis=-3)
+    first = np.concatenate((np.ones(vals.shape[:-1] + (1,), dtype=bool),
+                            np.diff(vals, axis=-1) > DEGENERACY_GAP), axis=-1)
+    ids = np.cumsum(first, axis=-1) - 1
+    starts = np.flatnonzero(first)
+    labels = np.full((vals.size // d, int(ids.max()) + 1), np.nan)
+    labels[starts // d, ids.ravel()[starts]] = (np.add.reduceat(vals.ravel(), starts)
+                                                / np.diff(np.append(starts, vals.size)))
+    return labels.reshape(vals.shape[:-1] + labels.shape[1:]), ids
 
 
-def _chain_starts(sorted_vals: np.ndarray, gap: float, segments=None) -> np.ndarray:
-    """Start index of each run of ascending values whose adjacent gaps are <= ``gap``.
-
-    With ``segments``, a label per value, a run also breaks where the label
-    changes, so values of different segments never share a run.  The indices
-    suit ``np.add.reduceat``; ``sorted_vals`` must be non-empty.
-    """
-    breaks = np.diff(sorted_vals) > gap
-    if segments is not None:
-        breaks |= np.diff(segments) != 0
-    return np.flatnonzero(np.concatenate(([True], breaks)))
+def _projectors(vecs: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The projectors V_c V_c^dag (..., k, d, d) of eigenvectors (..., d, d) with cluster
+    indices ``ids`` (..., d), zero past a decomposition's count; each the product of
+    its own column block, as a loop over the blocks forms it."""
+    d = ids.shape[-1]
+    v, ids_2d = vecs.reshape(-1, d, d), ids.reshape(-1, d)
+    starts = np.flatnonzero(np.diff(ids_2d, axis=-1, prepend=-1))
+    ranks = np.diff(np.append(starts, ids_2d.size))
+    member, col = np.divmod(starts, d)
+    out = np.zeros((len(v), int(ids_2d.max()) + 1, d, d), dtype=np.complex128)
+    for r in np.flatnonzero(np.bincount(ranks)):  # the blocks of one rank in one product
+        sel = ranks == r
+        block = v[member[sel, None], :, col[sel, None] + np.arange(r)].swapaxes(-1, -2)
+        out[member[sel], ids_2d[member[sel], col[sel]]] = block @ dag(block)
+    return out.reshape(ids.shape[:-1] + out.shape[1:])
 
 
 @functools.lru_cache(maxsize=None)
@@ -429,13 +419,17 @@ def dephase(rho, basis: SpectralDecomposition) -> np.ndarray:
     of each state of a stack (n, d, d) in the matching decomposition of a stacked
     ``basis``.
 
-    Populations are preserved.  Degenerate clusters are handled via eigenspace
-    projectors, so the result does not depend on the orientation of
-    eigenvectors inside a cluster.
+    Populations are preserved.  The result is V (M * V^dag rho V) V^dag, M the
+    mask of the entries within one eigenspace block, so it does not depend on
+    the orientation of eigenvectors inside a cluster.
     """
-    proj = basis.eigenspaces()[1]
-    rho = require_square(rho) if np.ndim(rho) == 2 else _require_stack(rho, "rho", "hermitian")
-    return (proj @ rho[..., None, :, :] @ proj).sum(axis=-3)
+    rho = (require_hermitian(rho, "rho") if np.ndim(rho) == 2
+           else _require_stack(rho, "rho", "hermitian"))
+    if rho.shape[-1] != basis.dim:
+        raise DimensionMismatch(f"rho of size {rho.shape[-1]} in a basis of size {basis.dim}")
+    v, ids = basis.eigenvectors, basis.eigenspaces()[1]
+    same = ids[..., :, None] == ids[..., None, :]
+    return v @ (same * (dag(v) @ rho @ v)) @ dag(v)
 
 
 def von_neumann_entropy(rho) -> float:

@@ -6,7 +6,9 @@ pointer of position standard deviation ``s``:
 * the two-interaction work meter: couple H, evolve, counter-couple H_final,
   read the pointer once;
 * the post-selected weak-value protocol: couple a single initial-energy
-  projector, read the pointer, evolve, measure the final energy.
+  projector, read the pointer, evolve, measure the final energy.  Its rows
+  are the joint table of ``schemes._joint_weights`` at the interference
+  factor kappa = exp(-g^2 / 8 s^2): TPM at kappa = 0, Margenau-Hill at 1.
 
 Sign convention: ``exp(i a P)`` translates the pointer by ``+a``, so the
 meter's pointer lands at g (E_n - E'_m) and the readout axis is negated to
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridTooNarrow
-from .scenario import Scenario
-from .schemes import _joint_table, _transition_kernel, margenau_hill, tpm
+from .scenario import Scenario, ScenarioBatch
+from .schemes import _joint_table, _transition_kernels, margenau_hill, tpm
 
 GRID_MIN_POINTS = 256
 GRID_MAX_POINTS = 2 ** 17
@@ -109,7 +111,7 @@ def gaussian_meter(s: Scenario, cfg: PointerConfig) -> PointerReadout:
     coherences between (n, n') are damped by exp(-g^2 (E_n - E_n')^2 / 8 s^2).
     """
     g, spread = cfg.coupling, cfg.spread
-    b, e_i, e_f = _transition_kernel(s)
+    b, e_i, e_f = (x[0] for x in _transition_kernels(ScenarioBatch.of([s])))
     centers = g * (e_f[:, None] - e_i[None, :])  # centers[m, n]
     lo, hi = centers.min(), centers.max()
     if lo - _COVER_SIGMAS * spread < cfg.x_min or hi + _COVER_SIGMAS * spread > cfg.x_max:
@@ -181,22 +183,15 @@ def weak_value_protocol(s: Scenario, k: int, cfg: PointerConfig) -> np.ndarray:
     return rows[k]
 
 
-def _weak_value_operator(coupling: float, spread: float):
-    """The effective initial operator X_a = P_a rho P_a + kappa/2 (P_a rho Q_a + Q_a rho P_a),
-    Q_a = I - P_a and kappa = exp(-coupling^2 / (8 spread^2)), of the weak-value
-    protocol, as ``schemes._joint_weights`` takes it: of projector and state stacks."""
-    kappa = math.exp(-coupling ** 2 / (8.0 * spread ** 2))
-
-    def effective(p, rho):
-        comp = np.eye(p.shape[-1]) - p
-        return p @ rho @ p + 0.5 * kappa * (p @ rho @ comp + comp @ rho @ p)
-
-    return effective
+def _kappa(coupling: float, spread: float) -> float:
+    """The interference factor exp(-coupling^2 / (8 spread^2)) of the weak-value
+    protocol: its rows are ``schemes._joint_weights`` at this kappa."""
+    return math.exp(-coupling ** 2 / (8.0 * spread ** 2))
 
 
 def weak_value_table(s: Scenario, cfg: PointerConfig) -> np.ndarray:
     """All weak-value protocol rows stacked: shape (n_initial, n_final)."""
-    return _joint_table(s, _weak_value_operator(cfg.coupling, cfg.spread)).weights
+    return _joint_table(s, _kappa(cfg.coupling, cfg.spread)).weights
 
 
 def interpolation_sweep(s: Scenario, coupling: float, ratios):

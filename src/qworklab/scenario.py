@@ -270,7 +270,7 @@ class Scenario:
         return self.derived(name, lambda: _eig(h, validated=True))
 
     def eigenspaces(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """``spectrum(name).eigenspaces()``: the eigenvalue labels and stacked projectors."""
+        """``spectrum(name).eigenspaces()``: eigenspace labels and column cluster ids."""
         return self.derived(name + " eigenspaces", lambda: self.spectrum(name).eigenspaces())
 
 
@@ -449,9 +449,9 @@ class ScenarioBatch:
         return self._rho_spectrum
 
     def eigenspaces(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """Labels (m, k) and projectors (m, k, d, d) of the eigenspaces of ``"H"`` or
-        ``"H_final"``; every experiment must have the same count k."""
-        return self.derived((name, "eigenspaces"), lambda: _eigenspaces(*self.spectrum(name)))
+        """``_eigenspaces`` of ``"H"`` or ``"H_final"`` per experiment: labels (m, k), NaN
+        past an experiment's own count, and column cluster ids (m, d)."""
+        return self.derived((name, "eigenspaces"), lambda: _eigenspaces(self.spectrum(name)[0]))
 
     def mean_energy_change(self) -> np.ndarray:
         """``mean_energy_change`` of every member, (n,)."""

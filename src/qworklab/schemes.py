@@ -9,8 +9,10 @@ TPM, the operator of work, FCS, Margenau-Hill and the state-dependent scheme
 each have one kernel, which evaluates every member of a ``ScenarioBatch`` in
 one set of array operations and merges all members' atoms in one segmented
 merge into a ``WorkBatch``; ``distribution`` runs the same kernel on a batch of
-one.  Consistent histories, the sub-ensemble and the two-copy schemes run a
-plain loop over the members behind the same entry point, ``distributions``.
+one.  TPM, Margenau-Hill and the post-selected pointer are one joint table in
+kappa (``_joint_weights``), read off the eigenspaces as eigenvector blocks.
+Consistent histories, the sub-ensemble and the two-copy schemes run a plain
+loop over the members behind the same entry point, ``distributions``.
 """
 
 from __future__ import annotations
@@ -33,10 +35,9 @@ from .errors import (
 from .linalg import (
     DEGENERACY_GAP,
     EIG_FLOOR,
-    SpectralDecomposition,
-    _chain_starts,
     _eigenspaces,
     _jacobi,
+    _projectors,
     dag,
     eig_hermitian,
     max_abs,
@@ -87,17 +88,14 @@ def merge_atoms(works, weights, members=None):
         order = np.lexsort((works, members))
         seg = np.asarray(members)[order]
     works = works[order]
-    starts = _chain_starts(works, W_MERGE_TOL, seg)
+    breaks = np.diff(works) > W_MERGE_TOL
+    if seg is not None:
+        breaks |= np.diff(seg) != 0
+    starts = np.flatnonzero(np.concatenate(([True], breaks)))
     sizes = np.diff(np.append(starts, works.size))
     merged = (np.add.reduceat(works, starts) / sizes,
               np.add.reduceat(weights[order], starts, axis=0))
     return merged if seg is None else (*merged, seg[starts])
-
-
-def _rows(n: int, size: int) -> np.ndarray | None:
-    """Member labels of n members with ``size`` atoms each, stored member-major;
-    None for one member, which ``merge_atoms`` then merges unsegmented."""
-    return None if n == 1 else np.repeat(np.arange(n), size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,43 +328,56 @@ class Povm:
             raise ValueError(f"POVM completeness defect {defect:.3e} > {sum_tol}")
 
 
-def _joint_weights(b: ScenarioBatch, initial_op):
-    """Each member's joint weights Re Tr(Q_b U X_a U^dag), X_a = ``initial_op(P_a, rho)``,
-    (n, ka, kb), and its eigenspace energies E_a (n, ka) and E'_b (n, kb).
-
-    ``initial_op`` maps the initial projectors (n, ka, d, d) and the states
-    (n, 1, d, d) to the operators X_a.
-    """
-    e_i, p = b.eigenspaces("H")
-    e_f, q = b.eigenspaces("H_final")
-    u = b.per_member(b.unitary())[:, None]
-    evolved = u @ initial_op(b.per_member(p), b.rho[:, None]) @ dag(u)
-    weights = np.einsum("nbij,naji->nab", b.per_member(q), evolved).real
-    return weights, b.per_member(e_i), b.per_member(e_f)
+def _frames(b: ScenarioBatch) -> tuple[np.ndarray, np.ndarray]:
+    """T = V'^dag U V and R = V^dag rho V of each member, (n, d, d) each: the evolution
+    and the state in the eigenbases V of H and V' of H_final."""
+    (_, v_i), (_, v_f) = b.spectrum("H"), b.spectrum("H_final")
+    t = b.per_member(dag(v_f) @ b.unitary() @ v_i)
+    v_i = b.per_member(v_i)
+    return t, dag(v_i) @ b.rho @ v_i
 
 
-def _joint_distributions(b: ScenarioBatch, initial_op, scheme: SchemeId,
-                         is_quasi: bool) -> WorkBatch:
-    """The joint-table scheme of ``initial_op``: atom (a, b) at E'_b - E_a."""
-    weights, e_i, e_f = _joint_weights(b, initial_op)
+def _cell_sums(weights, cells, k: int) -> np.ndarray:
+    """Each member's weights (n, ...) summed over its cells ``cells`` (n, ...), numbered
+    0 to k - 1 in every member: (n, k)."""
+    n = len(weights)
+    flat = (cells + k * np.arange(n).reshape((-1,) + (1,) * (cells.ndim - 1))).ravel()
+    return np.bincount(flat, weights.ravel(), minlength=n * k).reshape(n, k)
+
+
+def _joint_weights(b: ScenarioBatch, kappa: float):
+    """Joint weights Re Tr(Q_b U X_a U^dag), X_a = P_a rho P_a + kappa/2 (P_a rho Q_a +
+    Q_a rho P_a) and Q_a = I - P_a: TPM at kappa = 0, Margenau-Hill at 1 and the
+    post-selected pointer between.  The weight of (a, b) sums Re[(T R_k) * conj(T)]
+    over the rows of block b of H_final and the columns of block a of H (``_frames``),
+    R_k being R with its entries between blocks of H times kappa: O(d^3) per member.
+    Returns each atom's weight, work E'_b - E_a and member, a-major in a member."""
+    (e_i, id_i), (e_f, id_f) = ((b.per_member(x) for x in b.eigenspaces(name))
+                                for name in ("H", "H_final"))
+    t, r = _frames(b)
+    r = np.where(id_i[:, :, None] == id_i[:, None, :], r, kappa * r)
+    k_i, k_f = e_i.shape[1], e_f.shape[1]
+    cells = id_i[:, None, :] * k_f + id_f[:, :, None]
+    weights = _cell_sums(((t @ r) * t.conj()).real, cells, k_i * k_f).reshape(-1, k_i, k_f)
     works = e_f[:, None, :] - e_i[:, :, None]
-    return WorkBatch.from_atoms(works.ravel(), weights.ravel(), _rows(len(b), weights[0].size),
-                                len(b), scheme, is_quasi)
+    real = ~np.isnan(works)  # not a slot past a member's eigenspace count
+    return weights[real], works[real], np.nonzero(real)[0]
 
 
-def _joint_table(s: Scenario, initial_op) -> JointWorkTable:
+def _joint_distributions(b: ScenarioBatch, kappa: float, scheme: SchemeId,
+                         is_quasi: bool) -> WorkBatch:
+    """The joint-table scheme of ``kappa``: atom (a, b) at E'_b - E_a."""
+    weights, works, members = _joint_weights(b, kappa)
+    return WorkBatch.from_atoms(works, weights, members, len(b), scheme, is_quasi)
+
+
+def _joint_table(s: Scenario, kappa: float) -> JointWorkTable:
     """``_joint_weights`` of one scenario, as its batch of one."""
-    weights, e_i, e_f = _joint_weights(ScenarioBatch.of([s]), initial_op)
-    return JointWorkTable(initial_energies=e_i[0], final_energies=e_f[0], weights=weights[0],
-                          work_values=e_f[0][None, :] - e_i[0][:, None])
-
-
-def _tpm_op(p, rho):
-    return p @ rho @ p
-
-
-def _margenau_hill_op(p, rho):
-    return rho @ p
+    weights, works, _ = _joint_weights(ScenarioBatch.of([s]), kappa)
+    e_i, e_f = s.eigenspaces("H")[0], s.eigenspaces("H_final")[0]
+    shape = (len(e_i), len(e_f))
+    return JointWorkTable(initial_energies=e_i, final_energies=e_f,
+                          weights=weights.reshape(shape), work_values=works.reshape(shape))
 
 
 def tpm(s: Scenario) -> tuple[WorkDistribution, JointWorkTable]:
@@ -375,26 +386,30 @@ def tpm(s: Scenario) -> tuple[WorkDistribution, JointWorkTable]:
     Joint weights Tr(Q_j U P_i rho P_i U^dag) over eigenspace projectors of the
     initial and final Hamiltonians; work values are the energy differences.
     """
-    table = _joint_table(s, _tpm_op)
+    table = _joint_table(s, 0.0)
     return table.to_distribution(SchemeId.TPM, is_quasi=False), table
 
 
-def _work_operators(b: ScenarioBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _work_operators(b: ScenarioBatch) -> tuple[np.ndarray, ...]:
     """W = U^dag H_final U - H of each experiment, made exactly Hermitian (m, d, d),
-    with its eigenspace labels and projectors, from one stacked solve."""
+    with its eigenvectors, eigenspace labels and column cluster indices, from one
+    stacked solve."""
     def solve():  # W recurs in no other experiment, so the eigen cache never sees it
         u = b.unitary()
         w_op = dag(u) @ b.h_final @ u - b.h_initial
         w_op = (w_op + dag(w_op)) / 2.0
-        return (w_op, *_eigenspaces(*_jacobi(w_op)))
+        vals, vecs = _jacobi(w_op)
+        return (w_op, vecs, *_eigenspaces(vals))
     return b.derived("work_operator", solve)
 
 
 def _work_operator_distributions(b: ScenarioBatch) -> WorkBatch:
-    _, works, proj = _work_operators(b)
-    weights = np.einsum("nkij,nji->nk", b.per_member(proj), b.rho).real
-    return WorkBatch.from_atoms(b.per_member(works).ravel(), weights.ravel(),
-                                _rows(len(b), weights.shape[1]), len(b),
+    """One atom per eigenspace of W, weighing diag(V_W^dag rho V_W) over its block."""
+    vecs, labels, ids = (b.per_member(x) for x in _work_operators(b)[1:])
+    pops = (vecs.conj() * (b.rho @ vecs)).sum(axis=-2).real
+    weights = _cell_sums(pops, ids, labels.shape[1])
+    real = ~np.isnan(labels)
+    return WorkBatch.from_atoms(labels[real], weights[real], np.nonzero(real)[0], len(b),
                                 SchemeId.OPERATOR_OF_WORK, is_quasi=False)
 
 
@@ -408,34 +423,26 @@ def _transition_kernels(b: ScenarioBatch):
     """Kernel q[m, n, n'] = t[m, n] conj(t[m, n']) r[n, n'] of each member, (n, d, d, d),
     and its initial and final energies (n, d).
 
-    t[m, n] = <E'_m|U|E_n> and r is rho in the initial energy eigenbasis; the
-    FCS quasi-probability and the Gaussian work meter both weight by q.
+    t and r are T and R of ``_frames``; the FCS quasi-probability and the Gaussian
+    work meter both weight by q.
     """
-    (e_i, v_i), (e_f, v_f) = b.spectrum("H"), b.spectrum("H_final")
-    t = b.per_member(dag(v_f) @ b.unitary() @ v_i)
-    v_i = b.per_member(v_i)
-    r = dag(v_i) @ b.rho @ v_i
+    t, r = _frames(b)
     return (np.einsum("amn,amo,ano->amno", t, np.conj(t), r),
-            b.per_member(e_i), b.per_member(e_f))
-
-
-def _transition_kernel(s: Scenario):
-    """``_transition_kernels`` of one scenario: (d, d, d), (d,) and (d,)."""
-    return tuple(x[0] for x in _transition_kernels(ScenarioBatch.of([s])))
+            b.per_member(b.spectrum("H")[0]), b.per_member(b.spectrum("H_final")[0]))
 
 
 def _fcs_distributions(b: ScenarioBatch) -> WorkBatch:
     q, e_i, e_f = _transition_kernels(b)
     works = e_f[:, :, None, None] - (e_i[:, None, :, None] + e_i[:, None, None, :]) / 2.0
     # merge the complex weights so the imaginary residue is visible
-    out_w, out_q, *seg = merge_atoms(works.ravel(), q.ravel(), _rows(len(b), q[0].size))
+    out_w, out_q, seg = merge_atoms(works.ravel(), q.ravel(),
+                                    np.repeat(np.arange(len(b)), q[0].size))
     residue = np.abs(out_q.imag)
     bad = residue > IMAG_RESIDUE_TOL
     if bad.any():
-        mine = residue[seg[0] == seg[0][bad][0]] if seg else residue
+        mine = residue[seg == seg[bad][0]]
         raise ImaginaryResidue(f"grouped FCS weight has imaginary part {mine.max():.3e}")
-    return WorkBatch.from_atoms(out_w, out_q.real, seg[0] if seg else None, len(b),
-                                SchemeId.FCS, is_quasi=True)
+    return WorkBatch.from_atoms(out_w, out_q.real, seg, len(b), SchemeId.FCS, is_quasi=True)
 
 
 def fcs_quasiprob(s: Scenario) -> WorkDistribution:
@@ -459,7 +466,7 @@ def fcs_characteristic(s: Scenario, u_var: float) -> complex:
 
 def margenau_hill(s: Scenario) -> tuple[JointWorkTable, WorkDistribution]:
     """Margenau-Hill joint quasi-probability Re Tr[rho P_k U^dag Q_m U]."""
-    table = _joint_table(s, _margenau_hill_op)
+    table = _joint_table(s, 1.0)
     return table, table.to_distribution(SchemeId.MARGENAU_HILL, is_quasi=True)
 
 
@@ -495,8 +502,11 @@ def consistent_histories(s: Scenario, k_steps: int) -> WorkDistribution:
     if d ** (k_steps + 1) > TRAJ_CAP:
         raise TrajectoryBudgetExceeded(f"d^(K+1) = {d ** (k_steps + 1)} exceeds cap {TRAJ_CAP}")
     dt, x = _ch_power_operators(s, k_steps)
-    spaces = s.derived(("ch_eigenspaces", k_steps), lambda: [  # every X(t_j) in one solve
-        SpectralDecomposition(*pair).eigenspaces() for pair in zip(*_jacobi(x))])
+    def solve():  # every X(t_j) in one solve, each step's spaces cut to its own count
+        vals, vecs = _jacobi(x)
+        labels, ids = _eigenspaces(vals)
+        return [(e[:k], p[:k]) for e, p, k in zip(labels, _projectors(vecs, ids), ids[:, -1] + 1)]
+    spaces = s.derived(("ch_eigenspaces", k_steps), solve)
     prods = np.eye(d, dtype=np.complex128)[None, :, :]
     works = np.zeros(1)
     for vals, proj in spaces:
@@ -546,12 +556,13 @@ def _state_dependent_distributions(b: ScenarioBatch) -> WorkBatch:
     keep = lam > EIG_FLOOR
     phi = vecs.swapaxes(1, 2)  # rows are the eigenstates
     e_a = _expectations(phi, b.per_member(b.h_initial)[:, None])[..., 0]
-    e_f, q = b.eigenspaces("H_final")
+    e_f, ids = b.eigenspaces("H_final")
+    q = _projectors(b.spectrum("H_final")[1], ids)
     u = b.per_member(b.unitary())[:, None]
     weights = lam[..., None] * _expectations((u @ phi[..., None])[..., 0], b.per_member(q))
     works = b.per_member(e_f)[:, None, :] - e_a[..., None]
-    members = None if len(b) == 1 else np.repeat(np.arange(len(b)), keep.sum(1) * e_f.shape[1])
-    return WorkBatch.from_atoms(works[keep].ravel(), weights[keep].ravel(), members, len(b),
+    keep = keep[:, :, None] & ~np.isnan(works)  # a NaN work is a slot past a count
+    return WorkBatch.from_atoms(works[keep], weights[keep], np.nonzero(keep)[0], len(b),
                                 SchemeId.STATE_DEPENDENT, is_quasi=False)
 
 
@@ -720,20 +731,20 @@ def collective_factors(s: Scenario, lam: float | str = "auto") -> CollectiveFact
 
 def _collective_factors(s: Scenario, lam: float | str) -> CollectiveFactors:
     dec_i, dec_f = s.spectrum("H"), s.spectrum("H_final")
-    e_f, q = s.eigenspaces("H_final")
-    u = s.unitary()
+    e_f, ids = s.eigenspaces("H_final")
     basis = dec_i.eigenvectors
-    t_basis = dag(basis) @ (dag(u) @ q @ u) @ basis
+    # T_j = G_j G_j^dag in the initial basis, G = V^dag U^dag V' and G_j its columns in
+    # the final block j: a sum of outer products over the block
+    g = dag(basis) @ dag(s.unitary()) @ dec_f.eigenvectors
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    t_basis = np.add.reduceat(g.T[:, :, None] * g.T.conj()[:, None, :], starts, axis=0)
     diag = np.diagonal(t_basis, axis1=1, axis2=2)
     off_parts = basis @ (t_basis - diag[:, :, None] * np.eye(s.dim)) @ dag(basis)
-    starts = _chain_starts(dec_f.eigenvalues, DEGENERACY_GAP)
-    rank_one = np.diff(np.append(starts, s.dim)) == 1
-    # t from the final eigenvectors, not from the diagonal of t_basis (a sum of
-    # rounded products): an exact zero of t stays exact, and lambda_max reads
-    # the sign of off_min
-    t = dag(basis) @ dag(u) @ dec_f.eigenvectors[:, starts[rank_one]]
+    rank_one = np.bincount(ids) == 1
+    # t from G, not from the diagonal of t_basis (a sum of rounded products): an
+    # exact zero of t stays exact, and lambda_max reads the sign of off_min
     off_min = np.empty(len(e_f))
-    off_min[rank_one] = _secular_min(np.abs(t.T) ** 2)
+    off_min[rank_one] = _secular_min(np.abs(g[:, starts[rank_one]].T) ** 2)
     if not rank_one.all():  # the degenerate final eigenspaces, in one stacked solve
         off_min[~rank_one] = eig_hermitian(off_parts[~rank_one]).eigenvalues[:, 0]
     diag_parts = diag.real.T
@@ -780,8 +791,8 @@ def collective_povm(s: Scenario, lam: float | str = "auto") -> Povm:
 
 def tpm_povm(s: Scenario) -> Povm:
     """Analytic TPM POVM: Pi_w = sum over (i,j) at w of |<E'_j|U|E_i>|^2 projectors."""
-    e_i, p = s.eigenspaces("H")
-    e_f, q = s.eigenspaces("H_final")
+    (e_i, p), (e_f, q) = ((labels, _projectors(s.spectrum(name).eigenvectors, ids))
+                          for name in ("H", "H_final") for labels, ids in [s.eigenspaces(name)])
     u = s.unitary()
     strength = p[:, None] @ (dag(u) @ q @ u)[None, :] @ p[:, None]
     strength = (strength + dag(strength)) / 2.0
@@ -790,8 +801,8 @@ def tpm_povm(s: Scenario) -> Povm:
 
 
 # A kernel call takes at most this many members times d^3, the size of the largest
-# arrays a member needs (FCS atoms, joint-table operators): one member at d = 64,
-# and a whole ensemble at d <= 4.  A larger batch runs in parts of that size.
+# arrays a member needs (FCS atoms, state-dependent final projectors; the joint tables
+# need d^2): one member at d = 64, a whole ensemble at d <= 4.  Larger batches run in parts.
 _KERNEL_ENTRIES = 2 ** 18
 
 
@@ -802,11 +813,10 @@ def _part_bounds(n: int, dim: int) -> list[tuple[int, int]]:
     return [(i, min(i + step, n)) for i in range(0, n, step)]
 
 _BATCH_KERNELS = {
-    SchemeId.TPM: lambda b: _joint_distributions(b, _tpm_op, SchemeId.TPM, False),
+    SchemeId.TPM: lambda b: _joint_distributions(b, 0.0, SchemeId.TPM, False),
     SchemeId.OPERATOR_OF_WORK: _work_operator_distributions,
     SchemeId.FCS: _fcs_distributions,
-    SchemeId.MARGENAU_HILL: lambda b: _joint_distributions(
-        b, _margenau_hill_op, SchemeId.MARGENAU_HILL, True),
+    SchemeId.MARGENAU_HILL: lambda b: _joint_distributions(b, 1.0, SchemeId.MARGENAU_HILL, True),
     SchemeId.STATE_DEPENDENT: _state_dependent_distributions,
 }
 

@@ -15,6 +15,7 @@ from qworklab.linalg import max_abs, projector, random_density, random_unitary
 from qworklab.scenario import (
     DrivingProtocol,
     Scenario,
+    ScenarioBatch,
     mean_energy_change,
     time_reversed,
 )
@@ -72,14 +73,13 @@ def test_criterion_03_condition2_suite():
     worst = {}
     for dim in (2, 3, 4):
         rng = np.random.default_rng(np.random.SeedSequence([404, dim]))
-        scenarios = [audit.sample_scenario(dim, rng, coherent=False)
-                     for _ in range(500)]
-        refs = [sch.tpm(s)[0] for s in scenarios]
+        batch = ScenarioBatch.of([audit.sample_scenario(dim, rng, coherent=False)
+                                  for _ in range(500)])
+        refs = sch.distributions(SchemeId.TPM, batch)
         for scheme in (SchemeId.FCS, SchemeId.MARGENAU_HILL,
                        SchemeId.STATE_DEPENDENT, SchemeId.COLLECTIVE_TWO_COPY):
             key = (scheme.value, dim)
-            worst[key] = max(sch.distribution(scheme, s).tv_distance(ref)
-                             for s, ref in zip(scenarios, refs))
+            worst[key] = float(sch.distributions(scheme, batch).tv_distance(refs).max())
     bad = {k: v for k, v in worst.items() if v > 1e-9}
     _report(3, not bad,
             f"C2 agreement on 500 diagonal scenarios per dim in {{2,3,4}}: "
@@ -90,15 +90,14 @@ def test_criterion_04_condition3_suite():
     worst = {}
     for dim in (2, 3, 4):
         rng = np.random.default_rng(np.random.SeedSequence([405, dim]))
-        scenarios = [audit.sample_scenario(dim, rng, coherent=True)
-                     for _ in range(500)]
-        targets = [mean_energy_change(s) for s in scenarios]
+        batch = ScenarioBatch.of([audit.sample_scenario(dim, rng, coherent=True)
+                                  for _ in range(500)])
+        targets = batch.mean_energy_change()
         for scheme in (SchemeId.OPERATOR_OF_WORK, SchemeId.FCS,
                        SchemeId.MARGENAU_HILL, SchemeId.STATE_DEPENDENT,
                        SchemeId.SUB_ENSEMBLE):
             key = (scheme.value, dim)
-            worst[key] = max(abs(sch.distribution(scheme, s).mean() - t)
-                             for s, t in zip(scenarios, targets))
+            worst[key] = float(np.abs(sch.distributions(scheme, batch).means() - targets).max())
     bad = {k: v for k, v in worst.items() if v > 1e-9}
     _report(4, not bad,
             f"C3 first law on 500 coherent scenarios per dim in {{2,3,4}}: "

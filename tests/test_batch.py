@@ -9,7 +9,6 @@ batched graders in ``audit``.
 import sys
 import warnings
 from dataclasses import asdict
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +20,20 @@ from qworklab import audit
 from qworklab import linalg as la
 from qworklab import scenario as scenario_mod
 from qworklab import schemes as sch
-from qworklab.errors import DegenerateRhoWarning, DomainError
+from qworklab.errors import DegenerateRhoWarning
 from qworklab.linalg import eig_hermitian
 from qworklab.scenario import Scenario, ScenarioBatch, mean_energy_change, scenario_from_dict
 from qworklab.schemes import SchemeId
 
-from conftest import HADAMARD, projector_pairs, random_density_np
+from conftest import (
+    HADAMARD,
+    degenerate_hermitian,
+    degenerate_w_triple,
+    haar_unitary_np,
+    projector_pairs,
+    random_density_np,
+    random_hermitian_np,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from cli_snapshot import degenerate_doc  # noqa: E402
@@ -254,17 +261,31 @@ def test_segmented_merge_equals_merging_each_member_alone(sizes, seed):
 
 # --- members that differ ----------------------------------------------------------------
 
-def test_members_with_different_eigenspace_counts_raise():
-    rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
-    make = partial(Scenario, dim=3, h_final=np.diag([0.0, 1.0, 2.0]), evolution=np.eye(3),
-                   rho=rho)
-    degenerate, generic = make(h_initial=np.diag([1.0, 1.0, 2.0])), make(h_initial=np.diag(
-        [0.0, 1.0, 2.0]))
-    for s in (degenerate, generic):  # each alone is a batch of its own count
-        sch.distributions(SchemeId.TPM, ScenarioBatch.of([s]))
-    for scheme in (SchemeId.TPM, SchemeId.MARGENAU_HILL):
-        with pytest.raises(DomainError, match="eigenspace count.*2 to 3.*not padded"):
-            sch.distributions(scheme, ScenarioBatch.of([degenerate, generic]))
+def test_members_with_different_eigenspace_counts_share_a_batch():
+    rng = np.random.default_rng(31)
+    for dim in (3, 4):
+        h, h_final, u = degenerate_w_triple(dim, rng)
+        scenarios = [  # degenerate H and H_final, generic, and a degenerate W
+            Scenario(dim=dim, h_initial=degenerate_hermitian(dim, rng),
+                     h_final=degenerate_hermitian(dim, rng),
+                     evolution=haar_unitary_np(dim, rng), rho=random_density_np(dim, rng)),
+            Scenario(dim=dim, h_initial=random_hermitian_np(dim, rng),
+                     h_final=random_hermitian_np(dim, rng),
+                     evolution=haar_unitary_np(dim, rng), rho=random_density_np(dim, rng)),
+            Scenario(dim=dim, h_initial=h, h_final=h_final, evolution=u,
+                     rho=random_density_np(dim, rng)),
+        ]
+        batch = ScenarioBatch.of(scenarios)
+        # NaN marks a label past a member's count: the first member lacks one eigenspace of
+        # H and of H_final, the third one of W
+        labels = (batch.eigenspaces("H")[0], batch.eigenspaces("H_final")[0],
+                  sch._work_operators(batch)[2])
+        missing = [np.isnan(x).sum(axis=1).tolist() for x in labels]
+        assert missing[0][:2] == missing[1][:2] == [1, 0] and missing[2][1:] == [0, 1]
+        for scheme in BATCHED:
+            dists = sch.distributions(scheme, batch)
+            for i, s in enumerate(scenarios):
+                assert_same_atoms(dists[i], sch.distributions(scheme, ScenarioBatch.of([s]))[0])
 
 
 def joint_loop(s, scheme):

@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qworklab import linalg as la
+from qworklab import schemes as sch
 from qworklab.errors import DimensionMismatch, NonConvergence, ValidationError
-from qworklab.scenario import Scenario
+from qworklab.scenario import Scenario, ScenarioBatch
 
 from conftest import (
     degenerate_hermitian,
@@ -144,9 +145,10 @@ def test_stacked_kernel_on_degenerate_spectra(dim):
     h = (h + la.dag(h)) / 2
     vals, out = la._jacobi(h)
     assert_spectral(vals, out, h)
-    spaces = [la.SpectralDecomposition(vals[i], out[i]).eigenspaces() for i in range(2)]
-    np.testing.assert_allclose(spaces[0][0], np.unique(levels), rtol=0, atol=1e-9)
-    np.testing.assert_allclose(spaces[1][1], spaces[0][1], rtol=0, atol=1e-9)
+    labels, ids = la._eigenspaces(vals)
+    np.testing.assert_allclose(labels, [np.unique(levels)] * 2, rtol=0, atol=1e-9)
+    projs = la._projectors(out, ids)
+    np.testing.assert_allclose(projs[1], projs[0], rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 8, 9])
@@ -235,7 +237,10 @@ def test_eig_cache_evicts_only_the_oldest_entry():
 
 def test_projectors_cluster_degenerate_eigenvalues():
     h = np.diag([1.0, 1.0 + 1e-12, 3.0]).astype(complex)
-    _, projs = la.eig_hermitian(h).eigenspaces()
+    dec = la.eig_hermitian(h)
+    _, ids = dec.eigenspaces()
+    np.testing.assert_array_equal(ids, [0, 0, 1])
+    projs = la._projectors(dec.eigenvectors, ids)
     assert len(projs) == 2
     assert abs(np.trace(projs[0]).real - 2.0) < 1e-12
 
@@ -247,7 +252,8 @@ def test_eigenspaces_and_dephase_match_the_loop_reference(dim):
     for h, n_spaces in ((random_hermitian_np(dim, rng), dim),
                         (degenerate_hermitian(dim, rng), dim - 1)):
         dec = la.eig_hermitian(h)
-        labels, projs = dec.eigenspaces()
+        labels, ids = dec.eigenspaces()
+        projs = la._projectors(dec.eigenvectors, ids)
         pairs = projector_pairs(dec)
         assert projs.shape == (n_spaces, dim, dim) and len(pairs) == n_spaces
         np.testing.assert_allclose(labels, [e for e, _ in pairs], rtol=0, atol=1e-14)
@@ -256,22 +262,57 @@ def test_eigenspaces_and_dephase_match_the_loop_reference(dim):
         np.testing.assert_allclose(la.dephase(rho, dec), dephased, rtol=0, atol=1e-14)
 
 
-@given(levels=st.lists(st.sampled_from([-1.5, 0.0, 0.25, 2.0]), min_size=2, max_size=6),
-       seed=st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
-def test_eigenspaces_ignore_rotations_inside_a_degenerate_eigenspace(levels, seed):
-    rng = np.random.default_rng(seed)
-    vals = np.sort(np.array(levels))
+def rotated_in_eigenspaces(vals, rng):
+    """A Haar eigenbasis of the ascending ``vals`` and the same basis rotated by a Haar
+    unitary inside each degenerate eigenspace."""
     dim = vals.size
     vecs = haar_unitary_np(dim, rng)
     rotation = np.zeros((dim, dim), dtype=complex)
     for value in np.unique(vals):
         idx = np.flatnonzero(vals == value)
         rotation[np.ix_(idx, idx)] = haar_unitary_np(idx.size, rng) if idx.size > 1 else 1.0
-    labels, projs = la.SpectralDecomposition(vals, vecs).eigenspaces()
-    labels_rot, projs_rot = la.SpectralDecomposition(vals, vecs @ rotation).eigenspaces()
+    return vecs, vecs @ rotation
+
+
+@given(levels=st.lists(st.sampled_from([-1.5, 0.0, 0.25, 2.0]), min_size=2, max_size=6),
+       seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_eigenspaces_ignore_rotations_inside_a_degenerate_eigenspace(levels, seed):
+    """Every consumer of the eigenspace blocks, on the eigenvectors of H, H_final and
+    W as solved and rotated inside their degenerate eigenspaces."""
+    rng = np.random.default_rng(seed)
+    vals = np.sort(np.array(levels))
+    dim = vals.size
+    bases = {name: rotated_in_eigenspaces(vals, rng) for name in ("H", "H_final", "W")}
+    u, rho = haar_unitary_np(dim, rng), random_density_np(dim, rng)
+    hams = {name: (v * vals) @ v.conj().T for name, (v, _) in bases.items()}
+
+    def outputs(rotate, rotate_h=True):
+        """The blocks' consumers, with the rotated eigenvectors where ``rotate``."""
+        vecs = {name: pair[rotate and (rotate_h or name != "H")] for name, pair in bases.items()}
+        batch = ScenarioBatch.build(hams["H"][None], hams["H_final"][None], u[None], rho[None],
+                                    [0], {name: (vals[None], vecs[name][None])
+                                          for name in ("H", "H_final")})
+        batch.derived("work_operator", lambda: (hams["W"][None], vecs["W"][None],
+                                                *la._eigenspaces(vals[None])))
+        s = batch.scenario(0)
+        factors = sch._collective_factors(s, "auto")
+        return ([sch._joint_weights(batch, kappa)[0] for kappa in (0.0, 0.5, 1.0)]
+                + [sch.distributions(sch.SchemeId.OPERATOR_OF_WORK, batch).weights,
+                   la.dephase(rho, s.spectrum("H")), la.dephase(rho, s.spectrum("H_final")),
+                   sch.tpm_povm(s).ops, la._projectors(vecs["H"], la._eigenspaces(vals)[1])],
+                [factors.diag_parts, factors.off_parts, factors.off_min])
+
+    labels, ids = la.SpectralDecomposition(vals, bases["H"][0]).eigenspaces()
+    labels_rot, ids_rot = la.SpectralDecomposition(vals, bases["H"][1]).eigenspaces()
     np.testing.assert_array_equal(labels_rot, labels)
-    np.testing.assert_allclose(projs_rot, projs, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(ids_rot, ids)
+    (plain, _), (rotated, _) = outputs(False), outputs(True)
+    for got, ref in zip(rotated, plain):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+    # the two-copy factors read the basis of H itself: rotate H_final only
+    for got, ref in zip(outputs(True, rotate_h=False)[1], outputs(False)[1]):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
 
 
 # --- memory layout and single validation ---------------------------------------
@@ -524,6 +565,21 @@ def test_dephase_of_a_stack_matches_each_member_and_validates_it():
     assert err.value.path == "rho[1]"
     with pytest.raises(ValidationError):
         la.dephase(rhos[..., None], la.eig_hermitian(hs[0]))
+
+
+def test_dephase_rejects_a_non_hermitian_state():
+    rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    rho[0, 2] = 0.3
+    with pytest.raises(ValidationError) as err:
+        la.dephase(rho, la.eig_hermitian(np.diag([0.0, 1.0, 2.0]).astype(complex)))
+    assert err.value.kind == "NotHermitian" and err.value.path == "rho"
+
+
+def test_dephase_rejects_a_state_of_another_size():
+    basis = la.eig_hermitian(np.diag([0.0, 1.0, 2.0]).astype(complex))
+    for rho in (np.eye(2) / 2.0, np.array([np.eye(4) / 4.0] * 2)):
+        with pytest.raises(DimensionMismatch):
+            la.dephase(rho, basis)
 
 
 # --- entropies ------------------------------------------------------------------

@@ -9,7 +9,15 @@ from qworklab.linalg import eig_hermitian
 from qworklab.scenario import Scenario, mean_energy_change
 from qworklab.schemes import margenau_hill, tpm
 
-from conftest import H01, HADAMARD, PLUS, SZ
+from conftest import (
+    H01,
+    HADAMARD,
+    PLUS,
+    SZ,
+    haar_unitary_np,
+    projector_pairs,
+    random_density_np,
+)
 
 
 def coherent_scenario():
@@ -134,8 +142,7 @@ def test_weak_value_row_against_quadrature_oracle():
     s = coherent_scenario()
     g, spread = 1.3, 0.9
     cfg = ptr.PointerConfig.for_scenario(s, g, spread)
-    dec = eig_hermitian(s.h_initial)
-    p_k = dec.eigenspaces()[1][0]
+    p_k = projector_pairs(eig_hermitian(s.h_initial))[0][1]
     comp = np.eye(2) - p_k
     u = s.unitary()
     xs = np.linspace(-14 * spread, 14 * spread + g, 40001)
@@ -143,15 +150,56 @@ def test_weak_value_row_against_quadrature_oracle():
     def phi(x):
         return (2 * math.pi * spread ** 2) ** -0.25 * np.exp(-x ** 2 / (4 * spread ** 2))
 
-    fins = eig_hermitian(s.h_final).eigenspaces()[1]
     oracle = []
-    for q in fins:
+    for _, q in projector_pairs(eig_hermitian(s.h_final)):
         vals = []
         for x in xs:
             k_x = phi(x - g) * p_k + phi(x) * comp
             vals.append(x * np.trace(q @ u @ k_x @ s.rho @ k_x.conj().T @ u.conj().T).real)
         oracle.append(np.trapezoid(vals, xs) / g)
     np.testing.assert_allclose(ptr.weak_value_protocol(s, 0, cfg), oracle, atol=1e-9)
+
+
+def weak_value_loop(s, kappa):
+    """Plain-loop reference rows Re Tr(Q_b U X_a U^dag) of the effective initial operator
+    X_a = P_a rho P_a + kappa/2 (P_a rho Q_a + Q_a rho P_a), Q_a = I - P_a."""
+    u = s.unitary()
+    rows = []
+    for _, p in projector_pairs(eig_hermitian(s.h_initial)):
+        comp = np.eye(s.dim) - p
+        x = p @ s.rho @ p + 0.5 * kappa * (p @ s.rho @ comp + comp @ s.rho @ p)
+        evolved = u @ x @ u.conj().T
+        rows.append([np.trace(q @ evolved).real
+                     for _, q in projector_pairs(eig_hermitian(s.h_final))])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("degenerate", [False, True], ids=["generic", "degenerate"])
+@pytest.mark.parametrize("dim", [2, 3, 16])
+def test_weak_value_table_is_the_joint_table_at_kappa(dim, degenerate):
+    rng = np.random.default_rng([61, dim, degenerate])
+
+    def hamiltonian():  # two-fold levels 0, 0, 1, 1, ... when degenerate
+        levels = np.arange(dim) // 2 if degenerate else np.sort(rng.standard_normal(dim))
+        v = haar_unitary_np(dim, rng)
+        return (v * levels) @ v.conj().T
+
+    s = Scenario(dim=dim, h_initial=hamiltonian(), h_final=hamiltonian(),
+                 evolution=haar_unitary_np(dim, rng), rho=random_density_np(dim, rng))
+    for coupling, spread in ((0.5, 2.0), (1.3, 0.9), (3.0, 1.0), (10.0, 1.0)):
+        cfg = ptr.PointerConfig(coupling=coupling, spread=spread, x_min=-1.0, x_max=1.0)
+        kappa = math.exp(-coupling ** 2 / (8.0 * spread ** 2))
+        np.testing.assert_allclose(ptr.weak_value_table(s, cfg), weak_value_loop(s, kappa),
+                                   rtol=0, atol=1e-14)
+    np.testing.assert_allclose(tpm(s)[1].weights, weak_value_loop(s, 0.0), rtol=0, atol=1e-14)
+    # at kappa = 1 the loop's X_a has the Margenau-Hill weights of rho P_a
+    mh = margenau_hill(s)[0].weights
+    np.testing.assert_allclose(mh, weak_value_loop(s, 1.0), rtol=0, atol=1e-14)
+    u = s.unitary()
+    mh_loop = [[np.trace(q @ u @ s.rho @ p @ u.conj().T).real
+                for _, q in projector_pairs(eig_hermitian(s.h_final))]
+               for _, p in projector_pairs(eig_hermitian(s.h_initial))]
+    np.testing.assert_allclose(mh, mh_loop, rtol=0, atol=1e-14)
 
 
 def test_interpolation_sweep_is_monotone():
