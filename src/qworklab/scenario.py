@@ -2,14 +2,16 @@
 
 A scenario is (H, H_final, evolution, rho) where the evolution is either an
 explicit unitary or a piecewise-linear driving protocol compiled to a
-time-ordered product of midpoint-rule exponential factors.  A driven scenario
-compiles its protocol once, on the protocol's own substep mesh; U(tau) and the
-propagators of every history grid are read from that compile.  Scenarios are
+time-ordered product of midpoint-rule exponential factors (``_expi``, matrix
+products only).  A driven scenario compiles its protocol once, on the protocol's
+own substep mesh; U(tau) and the propagators of every history grid are read
+from that compile.  Scenarios are
 serialized to a JSON document with complex entries written as [re, im] pairs.
 What a scenario derives from H, H_final and the evolution is computed once, in
 one dict that its ``with_rho`` copies share; each keeps its own rho's spectrum.
 A ``ScenarioBatch`` holds many experiments and states as stacks, so that a
-scheme evaluates all of them in one set of array operations.
+scheme evaluates all of them in one set of array operations; protocols on one
+substep mesh compile as one stack.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .linalg import (
 
 DEFAULT_STEPS_PER_SEGMENT = 64
 _TIME_MATCH_TOL = 1e-12
+_COMPILE_ENTRIES = 2 ** 18  # midpoint entries (m n steps d^2) one batch compile holds
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +81,7 @@ class DrivingProtocol:
 
     @property
     def dim(self) -> int:
-        return self.hamiltonians.shape[1]
+        return self.hamiltonians.shape[-1]
 
     @property
     def duration(self) -> float:
@@ -92,7 +95,8 @@ class DrivingProtocol:
         i = np.clip(np.searchsorted(self.times, t), 1, self.times.size - 1)
         t0, t1 = self.times[i - 1], self.times[i]
         lam = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)[..., None, None]
-        return (1.0 - lam) * self.hamiltonians[i - 1] + lam * self.hamiltonians[i]
+        hams = self.hamiltonians
+        return (1.0 - lam) * hams[..., i - 1, :, :] + lam * hams[..., i, :, :]
 
     def derivative_at(self, t) -> np.ndarray:
         """Time derivative of the interpolation at a time or an array of times.
@@ -104,7 +108,7 @@ class DrivingProtocol:
         """
         t = np.asarray(t, dtype=float)
         t0, t1 = self.times[:-1], self.times[1:]
-        slopes = (self.hamiltonians[1:] - self.hamiltonians[:-1]) / (t1 - t0)[:, None, None]
+        slopes = np.diff(self.hamiltonians, axis=-3) / (t1 - t0)[:, None, None]
         tol = _TIME_MATCH_TOL * max(1.0, self.duration)
         tc = t[..., None]
         hits = ((t0 - tol <= tc) & (tc <= t1 + tol)
@@ -114,7 +118,7 @@ class DrivingProtocol:
             raise DomainError(f"time {t[missing][0]} outside protocol range")
         first = hits.argmax(axis=-1)
         last = hits.shape[-1] - 1 - hits[..., ::-1].argmax(axis=-1)
-        return (slopes[first] + slopes[last]) / 2
+        return (slopes[..., first, :, :] + slopes[..., last, :, :]) / 2
 
     def reversed(self) -> "DrivingProtocol":
         """Motion-reversed protocol: mirrored in time and complex-conjugated.
@@ -126,13 +130,41 @@ class DrivingProtocol:
         return DrivingProtocol(self.duration - self.times[::-1], np.conj(self.hamiltonians[::-1]),
                                self.steps_per_segment)
 
+    @classmethod
+    def _stack(cls, protocols) -> "DrivingProtocol":
+        """Validated protocols on one substep mesh as one, its ``hamiltonians`` stacked
+        (m, n, d, d): its interpolation, derivative and compile run on all m at once."""
+        out = copy.copy(protocols[0])
+        object.__setattr__(out, "hamiltonians", np.stack([p.hamiltonians for p in protocols]))
+        return out
+
+
+_TAYLOR_TOL = 1e-18  # the Taylor sum of a scaled factor stops at the first term below this
+
 
 def _expi(hs: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """exp(-i H_j dt_j) for a stack of Hamiltonians (m, d, d) and steps (m,), from one
-    stacked eigensolve.  The stack interpolates breakpoints the protocol validated,
-    so it is solved as it is, and bypasses the eigen cache: midpoints do not recur."""
-    vals, vecs = _jacobi(hs)
-    return (vecs * np.exp(-1j * vals * steps[:, None])[:, None, :]) @ dag(vecs)
+    """exp(-i H_j dt_j) for Hamiltonians (..., d, d) and steps (...,) from matrix products
+    alone, by scaling and squaring (Moler & Van Loan 2003; Higham 2005): A = -i H dt is
+    scaled by 2^-s to a 1-norm <= 0.5, its Taylor terms summed until one's largest entry
+    is below ``_TAYLOR_TOL`` (each member's own, so it is bitwise as alone), and the sum
+    squared s times.  Each factor's largest entry error against ``scipy.linalg.expm``
+    and its unitarity defect are <= 4 d eps max(1, ||H dt||_1)."""
+    a = hs * (-1j * steps)[..., None, None]
+    s = np.maximum(np.frexp(2.0 * np.abs(a).sum(axis=-2).max(axis=-1))[1], 0)
+    a = a * np.ldexp(1.0, -s)[..., None, None]
+    out, term, k = np.eye(a.shape[-1]) + a, a, 1
+    while True:
+        k += 1
+        term = term @ a / k
+        live = (np.abs(term).max(axis=(-2, -1)) >= _TAYLOR_TOL)[..., None, None]
+        if not live.any():
+            break
+        term = term * live  # a member whose sum has stopped adds nothing more
+        out = out + term
+    for i in range(int(s.max(initial=0))):
+        sq = s > i
+        out[sq] = out[sq] @ out[sq]
+    return out
 
 
 def compile_unitary(protocol: DrivingProtocol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,19 +172,40 @@ def compile_unitary(protocol: DrivingProtocol) -> tuple[np.ndarray, np.ndarray, 
 
     Each segment takes ``steps_per_segment`` equal factors, so a short segment
     does not refine the others; later times multiply from the left.  Returns
-    ``(u, times, unitaries)``: U(tau), the substep mesh, shape (m,), and the
-    propagators U(t) on it, shape (m, d, d), from U(0) = I.
+    ``(u, times, unitaries)``: U(tau), the substep mesh, shape (k,), and the
+    propagators U(t) on it, shape (k, d, d), from U(0) = I; all factors from one
+    ``_expi`` call.  A ``DrivingProtocol._stack`` gives u (m, d, d) and unitaries
+    (m, k, d, d), each protocol bitwise as it compiles alone.
     """
     bps, steps = protocol.times, protocol.steps_per_segment
     times = np.append((bps[:-1, None] + np.diff(bps)[:, None] * np.arange(steps) / steps)
                       .ravel(), bps[-1])
     dt = np.diff(times)
-    u = np.eye(protocol.dim, dtype=np.complex128)
-    unitaries = [u]
-    for factor in _expi(protocol.hamiltonian_at(times[:-1] + 0.5 * dt), dt):
-        u = factor @ u
-        unitaries.append(u)
-    return u, times, np.array(unitaries)
+    factors = _expi(protocol.hamiltonian_at(times[:-1] + 0.5 * dt), dt)
+    unitaries = np.empty(factors.shape[:-3] + (times.size,) + factors.shape[-2:], complex)
+    unitaries[..., 0, :, :] = np.eye(protocol.dim)
+    for j in range(dt.size):
+        unitaries[..., j + 1, :, :] = factors[..., j, :, :] @ unitaries[..., j, :, :]
+    return unitaries[..., -1, :, :], times, unitaries
+
+
+def _propagators(protocol: DrivingProtocol, mesh: np.ndarray, unitaries: np.ndarray,
+                 ts: np.ndarray) -> np.ndarray:
+    """U(t) at the times ``ts`` in [0, tau], (..., n, d, d), from the compile
+    ``(mesh, unitaries)`` of ``protocol`` (or of a stack of protocols on that
+    mesh).  A time within the time tolerance of a mesh time takes that
+    propagator as it is; any other takes one midpoint factor
+    exp(-i H((t_m + t)/2)(t - t_m)) from the mesh time t_m before it, all such
+    factors from one ``_expi`` call."""
+    tol = _TIME_MATCH_TOL * max(1.0, protocol.duration)
+    m = np.searchsorted(mesh, ts + tol, side="right") - 1
+    out = unitaries[..., m, :, :]  # a copy: the compile stays as it is
+    off = np.flatnonzero(ts - mesh[m] > tol)
+    if off.size:
+        t_m, t = mesh[m[off]], ts[off]
+        out[..., off, :, :] = (_expi(protocol.hamiltonian_at((t_m + t) / 2), t - t_m)
+                               @ out[..., off, :, :])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,23 +294,6 @@ class Scenario:
         if not self.is_driven:
             return self.evolution
         return self.derived("compile", lambda: compile_unitary(self.evolution))[0]
-
-    def _propagators(self, ts: np.ndarray) -> np.ndarray:
-        """U(t) at the times ``ts`` in [0, tau], stacked (n, d, d), from the one
-        compile that ``unitary()`` reads.  A time within the time tolerance of a
-        substep-mesh time takes that propagator as it is; any other takes one
-        midpoint factor exp(-i H((t_m + t)/2)(t - t_m)) from the mesh time t_m
-        before it, all such factors from one stacked solve."""
-        protocol = self.evolution
-        _, mesh, unitaries = self.derived("compile", lambda: compile_unitary(protocol))
-        tol = _TIME_MATCH_TOL * max(1.0, protocol.duration)
-        m = np.searchsorted(mesh, ts + tol, side="right") - 1
-        out = unitaries[m]  # a copy: the compile stays as it is
-        off = np.flatnonzero(ts - mesh[m] > tol)
-        if off.size:
-            t_m, t = mesh[m[off]], ts[off]
-            out[off] = _expi(protocol.hamiltonian_at((t_m + t) / 2), t - t_m) @ out[off]
-        return out
 
     def spectrum(self, name: str) -> SpectralDecomposition:
         """Decomposition of ``"rho"`` (this instance's own, solved on first read),
@@ -429,7 +465,37 @@ class ScenarioBatch:
         state its Scenarios share."""
         if isinstance(self.evolution, np.ndarray):
             return self.evolution
-        return self.derived("U", lambda: np.stack([s.unitary() for s in self._heads()]))
+
+        def make():  # every protocol compiled with those on its mesh, then read per experiment
+            self._compiles()
+            return np.stack([s.unitary() for s in self._heads()])
+        return self.derived("U", make)
+
+    def _compiles(self) -> list:
+        """``(experiments, stacked protocol, mesh, unitaries (g, k, d, d))`` per substep
+        mesh of the driven experiments.  Those not yet compiled compile together,
+        ``_COMPILE_ENTRIES`` midpoint entries at a time, into the state their Scenarios read."""
+        def make():
+            shared = [s._derived for s in self._heads()]
+            groups: dict = {}
+            for j, p in enumerate(self.evolution):
+                if isinstance(p, DrivingProtocol):
+                    groups.setdefault((p.times.tobytes(), p.steps_per_segment), []).append(j)
+            out = []
+            for js in groups.values():
+                protocol = DrivingProtocol._stack([self.evolution[j] for j in js])
+                new = [j for j in js if "compile" not in shared[j]]
+                step = max(1, _COMPILE_ENTRIES // (protocol.hamiltonians[0].size
+                                                   * protocol.steps_per_segment))
+                for part in (new[i:i + step] for i in range(0, len(new), step)):
+                    u, mesh, unitaries = compile_unitary(
+                        DrivingProtocol._stack([self.evolution[j] for j in part]))
+                    for i, j in enumerate(part):
+                        shared[j]["compile"] = (u[i], mesh, unitaries[i])
+                out.append((np.array(js), protocol, shared[js[0]]["compile"][1],
+                            np.stack([shared[j]["compile"][2] for j in js])))
+            return out
+        return self.derived("compiles", make)
 
     def spectrum(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and eigenvectors of ``"H"`` or ``"H_final"`` per experiment,

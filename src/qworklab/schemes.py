@@ -12,7 +12,9 @@ merge into a ``WorkBatch``; ``distribution`` runs the same kernel on a batch of
 one.  TPM, Margenau-Hill and the post-selected pointer are one joint table in
 kappa (``_joint_weights``), read off the eigenspaces as eigenvector blocks.
 Consistent histories, the sub-ensemble and the two-copy schemes run a plain
-loop over the members behind the same entry point, ``distributions``.
+loop over the members behind the same entry point, ``distributions``; the
+history operators X(t_j) and the closed-form consistent-histories means are
+stacked over a batch.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .linalg import (
     eig_hermitian,
     max_abs,
 )
-from .scenario import Scenario, ScenarioBatch
+from .scenario import DrivingProtocol, Scenario, ScenarioBatch, _propagators
 
 W_MERGE_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-9
@@ -50,7 +52,9 @@ IMAG_RESIDUE_TOL = 1e-10
 TRAJ_CAP = 2 ** 20
 POVM_EIG_TOL = 1e-10
 DECOMPOSITION_TOL = 1e-9
-_ATOM_PRUNE = 1e-15
+# per atom merged, the largest weight taken as 0: above the rounding noise of a d <= 64
+# kernel entry (d eps) and the eigensolver residue one carries (<= 200 eps at d = 4-16)
+_ATOM_PRUNE = 256 * np.finfo(float).eps
 
 
 class SchemeId(str, Enum):
@@ -155,15 +159,17 @@ class WorkBatch:
     @classmethod
     def from_atoms(cls, works, weights, members, n: int, scheme: SchemeId,
                    is_quasi: bool) -> "WorkBatch":
-        """Merge each member's atoms (``members`` labels them, None for n = 1), prune
-        weights within ``_ATOM_PRUNE`` of 0 and check each member as one
-        distribution: finite atoms, weights summing to 1 and, unless ``is_quasi``,
-        none negative.  The first failing member raises, with that check's
-        message."""
+        """Merge each member's atoms (``members`` labels them, None for n = 1), drop
+        each merged weight of magnitude at most ``_ATOM_PRUNE`` times the number of
+        atoms merged into it, and check each member as one distribution: finite
+        atoms, weights summing to 1 and, unless ``is_quasi``, none negative.  The
+        first failing member raises, with that check's message."""
         if not (np.isfinite(works).all() and np.isfinite(weights).all()):
             raise ValueError(f"non-finite work value or weight in {scheme.value} atoms")
-        w, p, *seg = merge_atoms(works, weights, members)
-        keep = np.abs(p) > _ATOM_PRUNE
+        w, pn, *seg = merge_atoms(works, np.column_stack((weights, np.ones(np.shape(weights)))),
+                                  members)
+        p = pn[:, 0]
+        keep = np.abs(p) > _ATOM_PRUNE * pn[:, 1]
         w, p = w[keep], p[keep]
         ids = seg[0][keep] if seg else np.zeros(len(p), dtype=np.intp)
         offsets = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=n))))
@@ -470,22 +476,27 @@ def margenau_hill(s: Scenario) -> tuple[JointWorkTable, WorkDistribution]:
     return table, table.to_distribution(SchemeId.MARGENAU_HILL, is_quasi=True)
 
 
-def _ch_power_operators(s: Scenario, k_steps: int) -> tuple[float, np.ndarray]:
-    """The step dt = tau/K of a K-step time grid and the Heisenberg power operator
-    X(t_j) = U^dag(t_j) dH/dt(t_j) U(t_j), made exactly Hermitian, at its K-1
-    interior points, stacked (K-1, d, d); derived once per experiment and K."""
-    if not s.is_driven:
+def _ch_power_operators(b: ScenarioBatch, k_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The step dt = tau/K of each experiment's K-step time grid, (m,), and the
+    Heisenberg power operators X(t_j) = U^dag(t_j) dH/dt(t_j) U(t_j), made exactly
+    Hermitian, at its K-1 interior points, (m, K-1, d, d); derived once per batch
+    and K, each group of experiments on one substep mesh (``_compiles``) as one stack."""
+    if not all(isinstance(p, DrivingProtocol) for p in b.evolution):
         raise DomainError("consistent_histories requires a driving-protocol scenario")
     if k_steps < 2:
         raise DomainError("need at least 2 grid steps")
 
-    def make():  # the grid and X(t_j) do not read rho
-        tau = s.evolution.duration
-        times = tau * np.arange(1, k_steps) / k_steps
-        u = s._propagators(times)
-        x = dag(u) @ s.evolution.derivative_at(times) @ u
-        return tau / k_steps, (x + dag(x)) / 2.0
-    return s.derived(("ch_power_operators", k_steps), make)
+    def make():  # the grids and X(t_j) do not read rho
+        dt = np.empty(len(b.evolution))
+        x = np.empty((len(b.evolution), k_steps - 1, b.dim, b.dim), dtype=np.complex128)
+        for js, protocol, mesh, unitaries in b._compiles():
+            tau = protocol.duration
+            times = tau * np.arange(1, k_steps) / k_steps
+            u = _propagators(protocol, mesh, unitaries, times)
+            xs = dag(u) @ protocol.derivative_at(times) @ u
+            dt[js], x[js] = tau / k_steps, (xs + dag(xs)) / 2.0
+        return dt, x
+    return b.derived(("ch_power_operators", k_steps), make)
 
 
 def consistent_histories(s: Scenario, k_steps: int) -> WorkDistribution:
@@ -501,7 +512,8 @@ def consistent_histories(s: Scenario, k_steps: int) -> WorkDistribution:
     d = s.dim
     if d ** (k_steps + 1) > TRAJ_CAP:
         raise TrajectoryBudgetExceeded(f"d^(K+1) = {d ** (k_steps + 1)} exceeds cap {TRAJ_CAP}")
-    dt, x = _ch_power_operators(s, k_steps)
+    dt, x = (a[0] for a in _ch_power_operators(ScenarioBatch.of([s]), k_steps))
+
     def solve():  # every X(t_j) in one solve, each step's spaces cut to its own count
         vals, vecs = _jacobi(x)
         labels, ids = _eigenspaces(vals)
@@ -518,15 +530,15 @@ def consistent_histories(s: Scenario, k_steps: int) -> WorkDistribution:
                                        is_quasi=True)
 
 
-def consistent_histories_mean(s: Scenario, k_steps: int) -> float:
-    """The first moment of ``consistent_histories(s, k_steps)`` in closed form.
+def consistent_histories_means(b: ScenarioBatch, k_steps: int) -> np.ndarray:
+    """The first moment of ``consistent_histories`` of every member, (n,), in closed form.
 
     Summing the history weights over every projector index but step j's
     inserts sum_c P_c = I at each other step, so the mean telescopes to
     dt sum_j Re Tr[X(t_j) rho]: no eigensolve, no enumeration, no budget.
     """
-    dt, x = _ch_power_operators(s, k_steps)
-    return dt * float(np.einsum("nij,ji->", x, s.rho).real)
+    dt, x = _ch_power_operators(b, k_steps)
+    return b.per_member(dt) * np.einsum("nkij,nji->n", b.per_member(x), b.rho).real
 
 
 def _expectations(states: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -840,11 +852,14 @@ def distributions(scheme: SchemeId | str, batch: ScenarioBatch, **opts) -> WorkB
     ``_KERNEL_ENTRIES`` / d^3 members, so that memory stays bounded at large d.
     Consistent histories, the sub-ensemble and the two-copy schemes are a plain
     loop over the members, each evaluated as its own Scenario; members of one
-    experiment share what that experiment derives.
+    experiment share what that experiment derives, the compile included, which
+    the batch makes for all its protocols first.
     """
     scheme = SchemeId(scheme)
     kernel = _BATCH_KERNELS.get(scheme)
     if kernel is None:
+        if scheme is SchemeId.CONSISTENT_HISTORIES:
+            batch._compiles()  # each member's loop reads its experiment's part of it
         return WorkBatch.concat([_member_distribution(scheme, batch.scenario(i), opts)
                                  for i in range(len(batch))])
     bounds = _part_bounds(len(batch), batch.dim)

@@ -10,7 +10,13 @@ from qworklab import scenario as scenario_mod
 from qworklab import schemes as schemes_mod
 from qworklab.errors import NotLinear
 from qworklab.linalg import max_abs, projector
-from qworklab.scenario import Scenario, mean_energy_change, parse_scenario, serialize_scenario
+from qworklab.scenario import (
+    Scenario,
+    ScenarioBatch,
+    mean_energy_change,
+    parse_scenario,
+    serialize_scenario,
+)
 from qworklab.schemes import (
     Povm,
     SchemeId,
@@ -129,13 +135,15 @@ def test_with_rho_copies_share_the_derived_state():
         assert collective_factors(copy) is collective_factors(s)
         assert collective_factors(copy, 0.0) is collective_factors(s, 0.0)
         # the history operators and their eigenspaces do not read rho: one per (experiment, K)
-        assert schemes_mod._ch_power_operators(copy, 4) is schemes_mod._ch_power_operators(s, 4)
+        assert (schemes_mod._ch_power_operators(ScenarioBatch.of([copy]), 4)
+                is schemes_mod._ch_power_operators(ScenarioBatch.of([s]), 4))
         assert copy._derived[("ch_eigenspaces", 4)] is s._derived[("ch_eigenspaces", 4)]
         # each copy keeps the spectrum of its own rho
         assert copy.spectrum("rho") is not s.spectrum("rho")
         np.testing.assert_allclose(copy.spectrum("rho").reconstruct(), copy.rho, atol=1e-14)
     assert collective_factors(s, 0.0) is not collective_factors(s)
-    assert schemes_mod._ch_power_operators(s, 5) is not schemes_mod._ch_power_operators(s, 4)
+    batch = ScenarioBatch.of([s])
+    assert schemes_mod._ch_power_operators(batch, 5) is not schemes_mod._ch_power_operators(batch, 4)
 
 
 def test_schemes_solve_h_and_h_final_once_per_experiment(monkeypatch):
@@ -237,7 +245,7 @@ def test_owned_spectra_bypass_the_eigen_cache(monkeypatch):
             owned = [s.h_initial, s.h_final, schemes_mod.work_operator(s)[0]]
             for k_steps in ((4, 6) if driven else ()):
                 schemes_mod.consistent_histories(s, k_steps)
-                x = schemes_mod._ch_power_operators(s, k_steps)[1]
+                x = schemes_mod._ch_power_operators(ScenarioBatch.of([s]), k_steps)[1][0]
                 owned += list(x)
                 # every X(t_j) of the grid in one stacked solve, and none alone
                 assert sum(a.shape == x.shape and np.array_equal(a, x) for a in solved) == 1

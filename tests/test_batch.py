@@ -22,15 +22,23 @@ from qworklab import scenario as scenario_mod
 from qworklab import schemes as sch
 from qworklab.errors import DegenerateRhoWarning
 from qworklab.linalg import eig_hermitian
-from qworklab.scenario import Scenario, ScenarioBatch, mean_energy_change, scenario_from_dict
+from qworklab.scenario import (
+    DrivingProtocol,
+    Scenario,
+    ScenarioBatch,
+    mean_energy_change,
+    scenario_from_dict,
+)
 from qworklab.schemes import SchemeId
 
 from conftest import (
     HADAMARD,
     degenerate_hermitian,
     degenerate_w_triple,
+    derivative_at_loop,
     haar_unitary_np,
     projector_pairs,
+    propagator_loop,
     random_density_np,
     random_hermitian_np,
 )
@@ -392,3 +400,121 @@ def test_nogo_solves_neither_drawn_hamiltonian(monkeypatch):
             assert repr(op.shape).encode() + op.tobytes() not in cache.keys
             assert not any(a.shape[-2:] == op.shape and np.any(np.all(a == op, axis=(-2, -1)))
                            for a in solved)
+
+
+# --- driven experiments on stacks ---------------------------------------------------------
+
+def counting_compiles(monkeypatch):
+    """The protocols each ``compile_unitary`` call receives, and the unpatched compile."""
+    calls, real = [], scenario_mod.compile_unitary
+    monkeypatch.setattr(scenario_mod, "compile_unitary", lambda p: calls.append(p) or real(p))
+    return calls, real
+
+
+def test_a_batch_compiles_each_protocol_as_it_compiles_alone(monkeypatch):
+    batch = audit._ensemble(C.C3_FIRST_LAW, 3, 8, 0, driven=True)
+    calls, real = counting_compiles(monkeypatch)
+    u = batch.unitary()
+    assert len(calls) == 1  # the sampled protocols share one substep mesh
+    for j, protocol in enumerate(batch.evolution):
+        alone = real(protocol)
+        s = batch.scenario(j)
+        assert u[j].tobytes() == alone[0].tobytes()  # the products keep their order: atol 0
+        for got, ref in zip(s._derived["compile"], alone):
+            assert got.tobytes() == ref.tobytes()
+        sch.consistent_histories(s, 4)  # the per-member loop reads the batch's compile
+    assert len(calls) == 1
+
+
+def mixed_mesh_scenarios(rng):
+    """Driven d = 3 scenarios on three meshes: two breakpoint sets, and 8 or 16 steps."""
+    out = []
+    for times, steps in (([0.0, 1.0], 16), ([0.0, 0.4, 1.0], 16), ([0.0, 1.0], 16),
+                         ([0.0, 1.0], 8), ([0.0, 0.4, 1.0], 16)):
+        hams = [random_hermitian_np(3, rng) for _ in times]
+        out.append(Scenario(3, hams[0], hams[-1], DrivingProtocol(times, hams, steps),
+                            random_density_np(3, rng)))
+    return out
+
+
+def ch_mean_loop(s, k_steps):
+    """Reference closed-form consistent-histories mean: dt sum_j Re Tr[X(t_j) rho], each
+    U(t_j) from the reference propagator loop."""
+    tau = s.evolution.duration
+    total = 0.0
+    for t in tau * np.arange(1, k_steps) / k_steps:
+        u = propagator_loop(s.evolution, t)
+        x = u.conj().T @ derivative_at_loop(s.evolution, t) @ u
+        total += np.trace(x @ s.rho).real
+    return tau / k_steps * total
+
+
+def test_a_batch_mixing_meshes_compiles_each_mesh_once(monkeypatch):
+    scenarios = mixed_mesh_scenarios(np.random.default_rng(29))
+    batch = ScenarioBatch.of(scenarios)
+    calls, real = counting_compiles(monkeypatch)
+    u = batch.unitary()
+    assert len(calls) == 3
+    for j, s in enumerate(scenarios):
+        assert u[j].tobytes() == real(s.evolution)[0].tobytes()
+    for k in (4, 6):
+        means = sch.consistent_histories_means(batch, k)
+        for s, mean in zip(scenarios, means):
+            assert mean == pytest.approx(ch_mean_loop(s, k), rel=0, abs=1e-12)
+
+
+def test_consistent_histories_c3_matches_the_member_loop():
+    """The batched C3 aggregates against the plain loop over the members that graded
+    them before, on per-sample scenarios each compiled alone, with the history
+    propagators from the reference loop."""
+    ks = [4, 8, 16]
+    for dim, seed in ((2, 0), (2, 1), (3, 0), (4, 2)):
+        probe, _ = audit._probe_ch_c2(dim)
+        ensemble = audit._ensemble(C.C3_FIRST_LAW, dim, 6, seed, driven=True)
+        samples = reference_ensemble(C.C3_FIRST_LAW, dim, 6, seed, driven=True)
+        loop = np.zeros(len(ks))
+        for s in [probe] + samples:
+            target = mean_energy_change(s)
+            for j, k in enumerate(ks):
+                loop[j] += abs(ch_mean_loop(s, k) - target)
+        batched = sum(np.array([np.abs(sch.consistent_histories_means(b, k)
+                                       - b.mean_energy_change()).sum() for k in ks])
+                      for b in (ScenarioBatch.of([probe]), ensemble))
+        np.testing.assert_allclose(batched, loop, rtol=0, atol=1e-12)
+        ratios = [loop[j + 1] / loop[j] for j in range(len(ks) - 1)]
+        got = audit._grade_c3(SchemeId.CONSISTENT_HISTORIES, dim, ensemble)
+        assert got.status is (audit.Status.SATISFIED if max(ratios) <= 0.6
+                              else audit.Status.VIOLATED)
+        assert got.notes == (f"limit criterion: K ladder {ks}, aggregate per-doubling error "
+                             f"ratios {[float(round(r, 3)) for r in ratios]} (must stay <= 0.6) "
+                             f"on 7 driven scenarios")
+        assert got.max_violation == pytest.approx(max(0.0, max(ratios) - 0.6), rel=0, abs=1e-12)
+
+
+def commuting_experiment(dim, rng):
+    """H, H_final, U and a state, H, H_final and U diagonal in one random basis: H a
+    ladder, W = U^dag H_final U - H = diag(1, 1, 2, ..., d - 1)."""
+    v = haar_unitary_np(dim, rng)
+    ladder = np.arange(dim, dtype=float)
+    levels = np.concatenate([[1.0], ladder[1:]])
+    return [(v * diag) @ v.conj().T
+            for diag in (ladder, ladder + levels, np.exp(1j * rng.random(dim)))] + [
+        random_density_np(dim, rng)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pruned_atoms_do_not_depend_on_the_summation_order(seed):
+    """Margenau-Hill on a d = 16 experiment whose H, H_final and U commute: only its
+    d - 1 distinct levels of W carry weight, and every other atom is zero in exact
+    arithmetic.  The basis reversed (an exact permutation, which reorders every sum
+    of the kernel and of the eigensolver) and a batch of several members keep the
+    same atoms."""
+    rng = np.random.default_rng(seed)
+    h, hf, u, rho = commuting_experiment(16, rng)
+    rev = np.arange(16)[::-1]
+    s = Scenario(16, h, hf, u, rho)
+    r = Scenario(16, *(m[np.ix_(rev, rev)] for m in (h, hf, u, rho)))
+    batch = sch.distributions(SchemeId.MARGENAU_HILL, ScenarioBatch.of(
+        [s.with_rho(random_density_np(16, rng)), r, s]))
+    for dist in (sch.margenau_hill(s)[1], sch.margenau_hill(r)[1], batch[1], batch[2]):
+        np.testing.assert_allclose(dist.works, np.arange(1.0, 16.0), rtol=0, atol=1e-9)

@@ -12,13 +12,14 @@ from qworklab.linalg import HERMITICITY_TOL, max_abs, random_density, random_uni
 from qworklab.scenario import (
     DrivingProtocol,
     Scenario,
+    ScenarioBatch,
     compile_unitary,
     mean_energy_change,
     parse_scenario,
     serialize_scenario,
     time_reversed,
 )
-from qworklab.schemes import consistent_histories, consistent_histories_mean, tpm
+from qworklab.schemes import consistent_histories, consistent_histories_means, tpm
 
 from conftest import (
     HADAMARD,
@@ -161,8 +162,8 @@ def test_with_rho_compiles_a_driven_unitary_once(monkeypatch):
     monkeypatch.setattr(scenario_mod, "compile_unitary", counting)
     solves = []
     real_expi = scenario_mod._expi
-    monkeypatch.setattr(scenario_mod, "_expi",
-                        lambda hs, dts: solves.append(len(hs)) or real_expi(hs, dts))
+    monkeypatch.setattr(scenario_mod, "_expi",  # the number of factors of each call
+                        lambda hs, dts: solves.append(hs[..., 0, 0].size) or real_expi(hs, dts))
     proto = DrivingProtocol([0.0, 1.0], [SZ, SZ + 0.7 * SX], 16)
     s = Scenario(dim=2, h_initial=SZ, h_final=SZ + 0.7 * SX, evolution=proto, rho=PLUS)
     first = s.with_rho(np.diag([0.8, 0.2]).astype(complex))
@@ -175,7 +176,7 @@ def test_with_rho_compiles_a_driven_unitary_once(monkeypatch):
         for k in (4, 6, 8):
             consistent_histories(scenario, k)
         for k in (4, 8, 16):
-            consistent_histories_mean(scenario, k)
+            consistent_histories_means(ScenarioBatch.of([scenario]), k)
     assert len(calls) == 1
     # the compile, then one solve for the K = 6 grid points off the mesh (all but t = 1/2)
     assert solves == [16, 4]
@@ -356,20 +357,76 @@ def test_history_grids_read_the_one_compile(monkeypatch, case):
     monkeypatch.setattr(scenario_mod, "_expi", counting)
     s.unitary()
     # every mesh time, and within the tolerance of one, takes its propagator as it is
+    compiled = s._derived["compile"][1:]
     for shift in (0.0, -tol / 2, tol / 2):
         ts = np.clip(mesh + shift, 0.0, None)
-        assert s._propagators(ts).tobytes() == unitaries.tobytes()
+        assert scenario_mod._propagators(protocol, *compiled, ts).tobytes() == unitaries.tobytes()
     # a 6-step grid and points between mesh times take one partial factor
     tau = protocol.duration
     off = np.concatenate([tau * np.arange(1, 6) / 6, (mesh[:-1] + mesh[1:]) / 2,
                           mesh[1:] - 3.0 * tol])
-    got = s._propagators(off)
+    got = scenario_mod._propagators(protocol, *compiled, off)
     assert solves == [mesh.size - 1, off.size]  # the compile, then one solve for the grid
     for t, u_t in zip(off, got):
         m = np.searchsorted(mesh, t) - 1
         assert t - mesh[m] > tol
         assert max_abs(u_t - partial_factor_loop(protocol, mesh[m], unitaries[m], t)) <= 1e-14
         assert max_abs(u_t.conj().T @ u_t - np.eye(protocol.dim)) <= 1e-10
+
+
+def expi_bound(hs, dts):
+    """The per-factor bound ``_expi`` documents: 4 d eps max(1, ||H dt||_1), per member."""
+    norms = np.abs(hs * dts[:, None, None]).sum(axis=-2).max(axis=-1)
+    return 4 * hs.shape[-1] * np.finfo(float).eps * np.maximum(1.0, norms)
+
+
+def expi_errors(hs, dts):
+    """Largest entry error against ``scipy.linalg.expm`` and unitarity defect, per member."""
+    got = scenario_mod._expi(hs, dts)
+    ref = np.array([scipy.linalg.expm(-1j * dt * h) for h, dt in zip(hs, dts)])
+    defect = got.conj().swapaxes(-1, -2) @ got - np.eye(hs.shape[-1])
+    return np.abs(got - ref).max(axis=(1, 2)), np.abs(defect).max(axis=(1, 2))
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32, 64])
+def test_expi_is_within_its_error_bound(dim, scale):
+    rng = np.random.default_rng([dim, int(np.log10(scale)) + 8])
+    hs = scale * np.array([random_hermitian_np(dim, rng) for _ in range(3)])
+    dts = np.array([1.0 / 16, 0.3, 1e-3])
+    error, defect = expi_errors(hs, dts)
+    bound = expi_bound(hs, dts)
+    assert (error <= bound).all() and (defect <= bound).all()
+    if scale == 1.0 and dim == 64:  # the measured per-factor error of a 16-step compile
+        assert error[0] <= 1.1e-14 and defect[0] <= 2.2e-14
+
+
+def test_expi_takes_each_member_of_a_stack_alone():
+    """1-norms 1e6 apart: each member is scaled and summed on its own, bitwise as alone."""
+    rng = np.random.default_rng(23)
+    hs = np.array([c * random_hermitian_np(8, rng) for c in (1e-3, 1.0, 1e3)])
+    dts = np.full(3, 0.1)
+    norms = np.abs(hs * 0.1).sum(axis=-2).max(axis=-1)
+    assert norms.max() / norms.min() > 1e6 / 2
+    stacked = scenario_mod._expi(hs, dts)
+    for i in range(3):
+        assert stacked[i].tobytes() == scenario_mod._expi(hs[i:i + 1], dts[i:i + 1])[0].tobytes()
+    error, defect = expi_errors(hs, dts)
+    assert (error <= expi_bound(hs, dts)).all() and (defect <= expi_bound(hs, dts)).all()
+
+
+def test_a_compile_runs_no_eigensolver(monkeypatch):
+    solves = []
+    real = la._jacobi
+    for module in (la, scenario_mod):
+        monkeypatch.setattr(module, "_jacobi", lambda a: solves.append(a) or real(a))
+    for protocol in unequal_protocols():
+        _, mesh, unitaries = compile_unitary(protocol)
+        scenario_mod._propagators(protocol, mesh, unitaries, (mesh[:-1] + mesh[1:]) / 2)
+    batch = ScenarioBatch.of([Scenario(3, *p.hamiltonians[[0, -1]], p, np.eye(3) / 3)
+                              for p in unequal_protocols()[:1] * 2])
+    batch.unitary()
+    assert solves == []
 
 
 def test_compiled_unitaries_pass_the_unitarity_invariant():

@@ -21,6 +21,7 @@ from qworklab.linalg import eig_hermitian, max_abs, projector, random_density, r
 from qworklab.scenario import (
     DrivingProtocol,
     Scenario,
+    ScenarioBatch,
     mean_energy_change,
     time_reversed,
 )
@@ -843,7 +844,7 @@ def test_consistent_histories_mean_matches_the_enumeration():
              for k in (2, 5, 8)]
     cases.append((audit._probe_ch_c2(2)[0], 16))
     for s, k in cases:
-        assert sch.consistent_histories_mean(s, k) == pytest.approx(
+        assert sch.consistent_histories_means(ScenarioBatch.of([s]), k)[0] == pytest.approx(
             sch.consistent_histories(s, k).mean(), rel=0, abs=1e-12)
 
 

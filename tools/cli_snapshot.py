@@ -19,7 +19,7 @@ uses the standard library only: the scenario files are generated with
 ``python -m qworklab.cli`` process with the output directory as working
 directory, so no output holds an absolute path.  Each command's stdout goes
 to ``<name>.out``; ``exit_codes.txt`` lists every command with its exit code
-and its stderr.  A full snapshot takes about 60 s on one core.
+and its stderr.  A full snapshot takes about 70 s on one core.
 """
 
 from __future__ import annotations
@@ -187,6 +187,10 @@ def commands() -> list[tuple[str, list[str]]]:
     # fit TRAJ_CAP
     for dim in (5, 8):
         runs.append((f"table1-d{dim}-s10", ["table1", "--dim", str(dim), "--samples", "10"]))
+    # driven compiles at d = 32, where the propagators' last bits reach the
+    # consistent-histories C3 numbers
+    runs.append(("table1-d32-s3-seed1",
+                 ["table1", "--dim", "32", "--samples", "3", "--seed", "1"]))
     for dim in (2, 3, 4, 16):
         runs.append((f"nogo-d{dim}", ["nogo", "--dim", str(dim)]))
     for seed in (0, 1, 2):
