@@ -53,6 +53,7 @@ from .schemes import (
     WorkBatch,
     _joint_distributions,
     _joint_weights,
+    _member_entries,
     _part_bounds,
     collective_factors,
     consistent_histories_means,
@@ -310,10 +311,11 @@ def _worst(cases) -> tuple[float, dict | None, str]:
     return worst, _witness_payload(s, worst, arg[1]), arg[1]
 
 
-def _parts(batch: ScenarioBatch):
-    """The batch in the parts its kernels run in (``schemes._part_bounds``), so that
-    a grader holds the distributions of one part at a time."""
-    return (batch.members(start, stop) for start, stop in _part_bounds(len(batch), batch.dim))
+def _parts(batch: ScenarioBatch, scheme: SchemeId, k_steps: int):
+    """The batch in the parts the scheme's kernel runs in (``schemes._part_bounds``), so
+    that a grader holds the distributions of one part at a time."""
+    bounds = _part_bounds(len(batch), _member_entries(scheme, batch.dim, k_steps))
+    return (batch.members(start, stop) for start, stop in bounds)
 
 
 def _member_cases(values: np.ndarray, batch: ScenarioBatch, detail: str):
@@ -363,7 +365,7 @@ def _grade_c2(scheme: SchemeId, dim: int, samples: ScenarioBatch) -> ConditionVe
     groups = [(ScenarioBatch.of([s]), k) for s, k in probes] + [(samples, k_steps)]
 
     def cases():
-        for part, k in ((part, k) for batch, k in groups for part in _parts(batch)):
+        for part, k in ((part, k) for batch, k in groups for part in _parts(batch, scheme, k)):
             tv = _batch_dist(scheme, part, k).tv_distance(_batch_dist(SchemeId.TPM, part, k))
             yield from _member_cases(tv, part, "tv distance to TPM")
 
@@ -395,7 +397,7 @@ def _grade_c3(scheme: SchemeId, dim: int, samples: ScenarioBatch) -> ConditionVe
                   if scheme is SchemeId.TPM and dim == 2 else []) + [samples]
 
         def cases():
-            for part in (part for batch in groups for part in _parts(batch)):
+            for part in (part for batch in groups for part in _parts(batch, scheme, None)):
                 gap = _batch_dist(scheme, part, DEFAULT_CH_STEPS).means()
                 yield from _member_cases(np.abs(gap - part.mean_energy_change()), part,
                                          "first-law gap")
@@ -461,7 +463,7 @@ def _grade_c1(scheme: SchemeId, dim: int, mixtures) -> ConditionVerdict:
                 "negativity")
         probes = [(*(ScenarioBatch.of([s]) for s in p[:3]), np.array([p[3]])) for p in mix_probes]
         for *batches, lam in probes + [mixtures]:
-            for start, stop in _part_bounds(len(lam), dim):
+            for start, stop in _part_bounds(len(lam), _member_entries(scheme, dim, k_steps)):
                 parts = [batch.members(start, stop) for batch in batches]
                 d_mix, d1, d2 = (_batch_dist(scheme, part, k_steps) for part in parts)
                 tv = d_mix.tv_distance(d1.blend(d2, lam[start:stop])).tolist()

@@ -238,6 +238,18 @@ def _eigenspaces(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels.reshape(vals.shape[:-1] + labels.shape[1:]), ids
 
 
+def _blocks(vecs: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The blocks V_c (..., k, d, r) of eigenvectors (..., d, d) with cluster indices ``ids``
+    (..., d), r the largest rank: block c holds its columns in order, zero past its rank
+    and past a decomposition's count."""
+    d = ids.shape[-1]
+    v, ids_2d = vecs.reshape(-1, d, d), ids.reshape(-1, d)
+    pos = np.arange(d) - (ids_2d[:, :, None] > ids_2d[:, None, :]).sum(-1)  # column in block
+    out = np.zeros((len(v), int(ids_2d.max()) + 1, d, int(pos.max()) + 1), dtype=np.complex128)
+    out[np.arange(len(v))[:, None], ids_2d, :, pos] = v.swapaxes(-1, -2)
+    return out.reshape(ids.shape[:-1] + out.shape[1:])
+
+
 def _projectors(vecs: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """The projectors V_c V_c^dag (..., k, d, d) of eigenvectors (..., d, d) with cluster
     indices ``ids`` (..., d), zero past a decomposition's count; each the product of

@@ -5,16 +5,15 @@ All schemes share the atom representation (work value, real weight); quasi
 schemes may carry negative weights.  Work values closer than ``W_MERGE_TOL``
 are merged by weight addition, which also absorbs spectral degeneracies.
 
-TPM, the operator of work, FCS, Margenau-Hill and the state-dependent scheme
-each have one kernel, which evaluates every member of a ``ScenarioBatch`` in
-one set of array operations and merges all members' atoms in one segmented
-merge into a ``WorkBatch``; ``distribution`` runs the same kernel on a batch of
-one.  TPM, Margenau-Hill and the post-selected pointer are one joint table in
-kappa (``_joint_weights``), read off the eigenspaces as eigenvector blocks.
-Consistent histories, the sub-ensemble and the two-copy schemes run a plain
-loop over the members behind the same entry point, ``distributions``; the
-history operators X(t_j) and the closed-form consistent-histories means are
-stacked over a batch.
+TPM, the operator of work, FCS, Margenau-Hill, consistent histories and the
+state-dependent scheme each have one kernel, which evaluates every member of a
+``ScenarioBatch`` in one set of array operations and merges all members' atoms in
+one segmented merge into a ``WorkBatch``; ``distribution`` runs the same kernel on
+a batch of one.  TPM, Margenau-Hill and the post-selected pointer are one joint
+table in kappa (``_joint_weights``), and consistent histories chains of overlaps
+(``_ch_distributions``), both read off the eigenspaces as eigenvector blocks.  Only
+the sub-ensemble and the two-copy schemes run a plain loop over the members, behind
+the same entry point, ``distributions``.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from .errors import (
 from .linalg import (
     DEGENERACY_GAP,
     EIG_FLOOR,
+    _blocks,
     _eigenspaces,
     _jacobi,
     _projectors,
@@ -81,25 +81,28 @@ def merge_atoms(works, weights, members=None):
     member changes, and the merged atoms' labels are returned third.  Each
     member's atoms come out as merging them alone gives them.
     """
+    works, weights, seg, _ = _merge(works, weights, members)
+    return (works, weights) if members is None else (works, weights, seg)
+
+
+def _merge(works, weights, members):
+    """``merge_atoms`` as (works, weights, labels or None, atoms merged into each)."""
     works = np.asarray(works, dtype=float)
     weights = np.asarray(weights)
     weights = weights.astype(np.promote_types(weights.dtype, float), copy=False)
+    seg = None if members is None else np.asarray(members)
     if works.size == 0:
-        return (works, weights) if members is None else (works, weights, np.asarray(members))
-    if members is None:
-        order, seg = np.argsort(works, kind="stable"), None
-    else:
-        order = np.lexsort((works, members))
-        seg = np.asarray(members)[order]
+        return works, weights, seg, np.zeros(0, dtype=np.intp)
+    order = np.argsort(works, kind="stable") if seg is None else np.lexsort((works, seg))
     works = works[order]
     breaks = np.diff(works) > W_MERGE_TOL
     if seg is not None:
+        seg = seg[order]
         breaks |= np.diff(seg) != 0
     starts = np.flatnonzero(np.concatenate(([True], breaks)))
     sizes = np.diff(np.append(starts, works.size))
-    merged = (np.add.reduceat(works, starts) / sizes,
-              np.add.reduceat(weights[order], starts, axis=0))
-    return merged if seg is None else (*merged, seg[starts])
+    return (np.add.reduceat(works, starts) / sizes, np.add.reduceat(weights[order], starts, axis=0),
+            None if seg is None else seg[starts], sizes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,12 +169,10 @@ class WorkBatch:
         first failing member raises, with that check's message."""
         if not (np.isfinite(works).all() and np.isfinite(weights).all()):
             raise ValueError(f"non-finite work value or weight in {scheme.value} atoms")
-        w, pn, *seg = merge_atoms(works, np.column_stack((weights, np.ones(np.shape(weights)))),
-                                  members)
-        p = pn[:, 0]
-        keep = np.abs(p) > _ATOM_PRUNE * pn[:, 1]
+        w, p, seg, sizes = _merge(works, weights, members)
+        keep = np.abs(p) > _ATOM_PRUNE * sizes
         w, p = w[keep], p[keep]
-        ids = seg[0][keep] if seg else np.zeros(len(p), dtype=np.intp)
+        ids = np.zeros(len(p), dtype=np.intp) if seg is None else seg[keep]
         offsets = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=n))))
         off_sum = np.abs(np.bincount(ids, weights=p, minlength=n) - 1.0) > WEIGHT_SUM_TOL
         negative = np.zeros(n, dtype=bool)
@@ -499,35 +500,41 @@ def _ch_power_operators(b: ScenarioBatch, k_steps: int) -> tuple[np.ndarray, np.
     return b.derived(("ch_power_operators", k_steps), make)
 
 
+def _ch_distributions(b: ScenarioBatch, k_steps: int) -> WorkBatch:
+    """History (c_L, ..., c_1) of eigenspaces of X(t_1..t_L), L = K - 1, weighs Re Tr(P_L ...
+    P_1 rho) = Re Tr(O_L ... O_2 R), O_j = B_j^dag B_{j-1}, R = B_1^dag rho B_L for eigenvector
+    blocks B_j (``_blocks``): r x r overlaps, which a rotation inside a block leaves alone, one
+    scalar per history when X is non-degenerate.  Histories are c_L-major."""
+    if b.dim ** (k_steps + 1) > TRAJ_CAP:
+        raise TrajectoryBudgetExceeded(f"d^(K+1) = {b.dim ** (k_steps + 1)} exceeds cap {TRAJ_CAP}")
+    def solve():  # every X(t_j) of the batch in one stacked solve
+        dt, x = _ch_power_operators(b, k_steps)
+        vals, vecs = _jacobi(x.reshape(-1, b.dim, b.dim))
+        labels, ids = _eigenspaces(vals.reshape(x.shape[:-1]))
+        return dt, labels, _blocks(vecs.reshape(x.shape), ids)
+    dt, labels, blocks = (b.per_member(a) for a in b.derived(("ch_blocks", k_steps), solve))
+    n, k = labels.shape[0], labels.shape[-1]
+    # chain[c_L, h], histories h so far: from rho B_L (B_0 = I), c_L carried until step L
+    chain = (b.rho[:, None] @ blocks[:, -1])[:, :, None, None]
+    works = np.zeros((n, 1))
+    for j in range(k_steps - 1):
+        o = dag(blocks[:, j])[:, :, None] @ (blocks[:, j - 1, None] if j else np.eye(b.dim))
+        chain = chain.reshape((n, k, o.shape[2], -1) + chain.shape[-2:])
+        chain = (o[:, :, :, None] @ chain if j == k_steps - 2
+                 else o[:, None, :, :, None] @ chain[:, :, None])
+        works = (works[:, None, :] + (labels[:, j] * dt[:, None])[:, :, None]).reshape(n, -1)
+    weights = np.trace(chain, axis1=-2, axis2=-1).real.reshape(n, -1)
+    real = ~np.isnan(works)  # not a history through a slot past a count
+    return WorkBatch.from_atoms(works[real], weights[real], np.nonzero(real)[0], n,
+                                SchemeId.CONSISTENT_HISTORIES, is_quasi=True)
+
+
 def consistent_histories(s: Scenario, k_steps: int) -> WorkDistribution:
-    """Consistent-histories work quasi-probability on a K-step time grid.
-
-    Enumerates the projector trajectories of X(t_j) (``_ch_power_operators``;
-    the experiment keeps their eigenspaces per K, not the histories) and
-    weights each grouped history by Re Tr(C_w rho).  The two endpoint
-    projector sums telescope to the identity (work values depend only on the
-    interior points), so only interior trajectories are enumerated; the
-    trajectory budget is still enforced on the full count d^(K+1).
-    """
-    d = s.dim
-    if d ** (k_steps + 1) > TRAJ_CAP:
-        raise TrajectoryBudgetExceeded(f"d^(K+1) = {d ** (k_steps + 1)} exceeds cap {TRAJ_CAP}")
-    dt, x = (a[0] for a in _ch_power_operators(ScenarioBatch.of([s]), k_steps))
-
-    def solve():  # every X(t_j) in one solve, each step's spaces cut to its own count
-        vals, vecs = _jacobi(x)
-        labels, ids = _eigenspaces(vals)
-        return [(e[:k], p[:k]) for e, p, k in zip(labels, _projectors(vecs, ids), ids[:, -1] + 1)]
-    spaces = s.derived(("ch_eigenspaces", k_steps), solve)
-    prods = np.eye(d, dtype=np.complex128)[None, :, :]
-    works = np.zeros(1)
-    for vals, proj in spaces:
-        # cluster-major: history (c, n) follows every history n through cluster c
-        prods = np.einsum("cij,njk->cnik", proj, prods).reshape(-1, d, d)
-        works = (works[None, :] + vals[:, None] * dt).ravel()
-    weights = np.einsum("nij,ji->n", prods, s.rho).real
-    return WorkDistribution.from_atoms(works, weights, SchemeId.CONSISTENT_HISTORIES,
-                                       is_quasi=True)
+    """Consistent-histories work quasi-probability on a K-step time grid (``_ch_distributions``
+    on the batch of ``s``): each history of eigenspaces of X(t_j) weighs Re Tr(C_w rho), C_w its
+    projector product.  The endpoint projector sums telescope to the identity, so only interior
+    histories are enumerated; the trajectory budget still bounds the full count d^(K+1)."""
+    return _ch_distributions(ScenarioBatch.of([s]), k_steps)[0]
 
 
 def consistent_histories_means(b: ScenarioBatch, k_steps: int) -> np.ndarray:
@@ -812,17 +819,23 @@ def tpm_povm(s: Scenario) -> Povm:
                              strength.reshape(-1, s.dim, s.dim)))
 
 
-# A kernel call takes at most this many members times d^3, the size of the largest
-# arrays a member needs (FCS atoms, state-dependent final projectors; the joint tables
-# need d^2): one member at d = 64, a whole ensemble at d <= 4.  Larger batches run in parts.
+# A kernel call takes at most this many entries, d^3 a member (FCS atoms, state-dependent
+# final projectors; the joint tables need d^2) or the trajectory budget's d^(K+1) for histories:
+# a d <= 4 ensemble, one member at d = 64 or at the budget.  Larger batches run in parts.
 _KERNEL_ENTRIES = 2 ** 18
 
 
-def _part_bounds(n: int, dim: int) -> list[tuple[int, int]]:
-    """The member ranges [start, stop) of the parts n members of dimension ``dim``
-    run in, ``_KERNEL_ENTRIES`` / d^3 members each (at least one)."""
-    step = max(1, _KERNEL_ENTRIES // dim ** 3)
+def _part_bounds(n: int, entries: int) -> list[tuple[int, int]]:
+    """The member ranges [start, stop) of the parts n members of ``entries`` each run in,
+    ``_KERNEL_ENTRIES`` / entries members each (at least one)."""
+    step = max(1, _KERNEL_ENTRIES // entries)
     return [(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _member_entries(scheme: SchemeId, dim: int, k_steps: int) -> int:
+    """A member's entries: d^(K+1) for histories (a K < 2 the kernel rejects as 2), else d^3."""
+    return dim ** (max(int(k_steps), 2) + 1 if scheme is SchemeId.CONSISTENT_HISTORIES else 3)
+
 
 _BATCH_KERNELS = {
     SchemeId.TPM: lambda b: _joint_distributions(b, 0.0, SchemeId.TPM, False),
@@ -834,8 +847,6 @@ _BATCH_KERNELS = {
 
 
 def _member_distribution(scheme: SchemeId, s: Scenario, opts: dict) -> WorkDistribution:
-    if scheme is SchemeId.CONSISTENT_HISTORIES:
-        return consistent_histories(s, int(opts.get("k_steps", 8)))
     if scheme is SchemeId.SUB_ENSEMBLE:
         decomp = opts.get("decomposition") or spectral_pure_decomposition(s.rho)
         return sub_ensemble(s, decomp)
@@ -847,22 +858,22 @@ def _member_distribution(scheme: SchemeId, s: Scenario, opts: dict) -> WorkDistr
 def distributions(scheme: SchemeId | str, batch: ScenarioBatch, **opts) -> WorkBatch:
     """The scheme's distribution of every member of ``batch``.
 
-    TPM, the operator of work, FCS, Margenau-Hill and the state-dependent scheme
-    run their batch kernel once for all members, or once per part of
-    ``_KERNEL_ENTRIES`` / d^3 members, so that memory stays bounded at large d.
-    Consistent histories, the sub-ensemble and the two-copy schemes are a plain
-    loop over the members, each evaluated as its own Scenario; members of one
-    experiment share what that experiment derives, the compile included, which
-    the batch makes for all its protocols first.
+    TPM, the operator of work, FCS, Margenau-Hill, consistent histories (on the grid
+    of ``k_steps``, 8 by default) and the state-dependent scheme run their batch
+    kernel once for all members, or once per part of ``_KERNEL_ENTRIES`` entries
+    (``_member_entries`` per member), so that memory stays bounded at large d and K.
+    The sub-ensemble and two-copy schemes are a plain loop over the members, each
+    evaluated as its own Scenario; members of one experiment share what that
+    experiment derives.
     """
     scheme = SchemeId(scheme)
-    kernel = _BATCH_KERNELS.get(scheme)
+    k_steps = opts.get("k_steps", 8)
+    kernel = ((lambda part: _ch_distributions(part, int(k_steps)))
+              if scheme is SchemeId.CONSISTENT_HISTORIES else _BATCH_KERNELS.get(scheme))
     if kernel is None:
-        if scheme is SchemeId.CONSISTENT_HISTORIES:
-            batch._compiles()  # each member's loop reads its experiment's part of it
         return WorkBatch.concat([_member_distribution(scheme, batch.scenario(i), opts)
                                  for i in range(len(batch))])
-    bounds = _part_bounds(len(batch), batch.dim)
+    bounds = _part_bounds(len(batch), _member_entries(scheme, batch.dim, k_steps))
     if len(bounds) == 1:
         return kernel(batch)
     return WorkBatch.concat([kernel(batch.members(start, stop)) for start, stop in bounds])

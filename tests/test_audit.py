@@ -137,7 +137,7 @@ def test_with_rho_copies_share_the_derived_state():
         # the history operators and their eigenspaces do not read rho: one per (experiment, K)
         assert (schemes_mod._ch_power_operators(ScenarioBatch.of([copy]), 4)
                 is schemes_mod._ch_power_operators(ScenarioBatch.of([s]), 4))
-        assert copy._derived[("ch_eigenspaces", 4)] is s._derived[("ch_eigenspaces", 4)]
+        assert copy._derived["batch"][("ch_blocks", 4)] is s._derived["batch"][("ch_blocks", 4)]
         # each copy keeps the spectrum of its own rho
         assert copy.spectrum("rho") is not s.spectrum("rho")
         np.testing.assert_allclose(copy.spectrum("rho").reconstruct(), copy.rho, atol=1e-14)
@@ -635,6 +635,7 @@ def test_ch_c3_never_enumerates_histories(monkeypatch):
         raise AssertionError("consistent_histories was called")
 
     monkeypatch.setattr(schemes_mod, "consistent_histories", enumerate_histories)
+    monkeypatch.setattr(schemes_mod, "_ch_distributions", enumerate_histories)
     monkeypatch.setattr(audit, "consistent_histories", enumerate_histories, raising=False)
     verdict = audit.check_c3(SchemeId.CONSISTENT_HISTORIES, dim=2, n_samples=5)
     assert verdict.status is audit.Status.SATISFIED

@@ -48,6 +48,7 @@ from cli_snapshot import degenerate_doc  # noqa: E402
 
 BATCHED = [SchemeId.TPM, SchemeId.OPERATOR_OF_WORK, SchemeId.FCS, SchemeId.MARGENAU_HILL,
            SchemeId.STATE_DEPENDENT]
+KERNELS = BATCHED + [SchemeId.CONSISTENT_HISTORIES]  # every scheme with a batch kernel
 C = audit.Condition
 
 
@@ -201,30 +202,46 @@ def assert_same_atoms(got, ref, atol=1e-14):
     np.testing.assert_allclose(got.weights, ref.weights, rtol=0, atol=atol)
 
 
-@pytest.mark.parametrize("scheme", BATCHED, ids=lambda s: s.value)
+def member_ensemble(dim, seed, driven):
+    """Mixtures and their components, three members on each sampled experiment; driven,
+    with the consistent-histories negativity probe first, whose X(t_j) have the
+    eigenvalues +-sqrt 2 and, from d = 3, 0 of multiplicity d - 2 (at d = 4 a count
+    below the samples' and a rank above theirs)."""
+    mixed, first, second, _ = audit._ensemble(C.C1_LINEAR_POVM, dim, 4, seed, driven=driven)
+    batch = mixed.with_rho(np.concatenate([mixed.rho, first.rho, second.rho]),
+                           np.tile(mixed.experiment, 3))
+    if not driven:
+        return batch
+    return ScenarioBatch.of([audit._probe_ch_negativity(dim)]
+                            + [batch.scenario(i) for i in range(len(batch))])
+
+
+@pytest.mark.parametrize("scheme", KERNELS, ids=lambda s: s.value)
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_each_member_matches_its_batch_of_one(scheme, dim):
+    k_steps = 4  # the history grid; the other kernels take none
     for seed in range(5):
-        # mixtures and their components: three members on each experiment
-        mixed, first, second, _ = audit._ensemble(C.C1_LINEAR_POVM, dim, 4, seed, driven=False)
-        batch = mixed.with_rho(np.concatenate([mixed.rho, first.rho, second.rho]),
-                               np.tile(mixed.experiment, 3))
-        dists = sch.distributions(scheme, batch)
+        batch = member_ensemble(dim, seed, driven=scheme is SchemeId.CONSISTENT_HISTORIES)
+        dists = sch.distributions(scheme, batch, k_steps=k_steps)
         assert len(dists) == len(batch)
         for i in range(len(batch)):
             one = batch.with_rho(batch.rho[[i]], batch.experiment[[i]])
-            assert_same_atoms(dists[i], sch.distributions(scheme, one)[0])
+            assert_same_atoms(dists[i], sch.distributions(scheme, one, k_steps=k_steps)[0])
             # and the member as a Scenario, through the per-scenario entry point
-            assert_same_atoms(dists[i], reference_dist(scheme, batch.scenario(i), 0))
+            assert_same_atoms(dists[i], reference_dist(scheme, batch.scenario(i), k_steps))
 
 
 def test_large_batches_run_in_bounded_parts(monkeypatch):
     batch = audit._ensemble(C.C3_FIRST_LAW, 3, 7, 0, driven=False)
+    driven = audit._ensemble(C.C3_FIRST_LAW, 3, 7, 0, driven=True)
+    histories = ScenarioBatch.of([audit._probe_ch_negativity(3)]
+                                 + [driven.scenario(i) for i in range(len(driven))])
     whole = {scheme: sch.distributions(scheme, batch) for scheme in BATCHED}
+    whole_histories = sch.distributions(SchemeId.CONSISTENT_HISTORIES, histories, k_steps=3)
     checks = (audit.check_c1_linearity, audit.check_c2, audit.check_c3)
-    verdicts = {(c, s): asdict(c(s, 3, 5, 0)) for c in checks for s in BATCHED}
+    verdicts = {(c, s): asdict(c(s, 3, 5, 0)) for c in checks for s in KERNELS}
     monkeypatch.setattr(sch, "_KERNEL_ENTRIES", 2 * 3 ** 3)  # two members per part at d = 3
-    assert sch._part_bounds(7, 3) == [(0, 2), (2, 4), (4, 6), (6, 7)]
+    assert sch._part_bounds(7, 3 ** 3) == [(0, 2), (2, 4), (4, 6), (6, 7)]
     for scheme in BATCHED:
         parts = sch.distributions(scheme, batch)
         assert np.array_equal(parts.offsets, whole[scheme].offsets)
@@ -232,6 +249,16 @@ def test_large_batches_run_in_bounded_parts(monkeypatch):
             assert_same_atoms(parts[i], whole[scheme][i])
     for (check, scheme), verdict in verdicts.items():
         assert asdict(check(scheme, 3, 5, 0)) == verdict, (check.__name__, scheme)
+    # histories count d^(K+1) = 81 entries a member at K = 3: two members per part
+    monkeypatch.setattr(sch, "_KERNEL_ENTRIES", 2 * 3 ** 4)
+    kernel, parts = sch._ch_distributions, []
+    monkeypatch.setattr(sch, "_ch_distributions",
+                        lambda b, k_steps: parts.append(len(b)) or kernel(b, k_steps))
+    got = sch.distributions(SchemeId.CONSISTENT_HISTORIES, histories, k_steps=3)
+    assert parts == [2, 2, 2, 2]
+    assert np.array_equal(got.offsets, whole_histories.offsets)
+    for i in range(len(histories)):
+        assert_same_atoms(got[i], whole_histories[i])
 
 
 def test_support_masses_match_the_hit_matrix():
@@ -422,7 +449,7 @@ def test_a_batch_compiles_each_protocol_as_it_compiles_alone(monkeypatch):
         assert u[j].tobytes() == alone[0].tobytes()  # the products keep their order: atol 0
         for got, ref in zip(s._derived["compile"], alone):
             assert got.tobytes() == ref.tobytes()
-        sch.consistent_histories(s, 4)  # the per-member loop reads the batch's compile
+        sch.consistent_histories(s, 4)  # the history kernel reads the batch's compile
     assert len(calls) == 1
 
 

@@ -17,7 +17,14 @@ from qworklab.errors import (
     NotPositive,
     TrajectoryBudgetExceeded,
 )
-from qworklab.linalg import eig_hermitian, max_abs, projector, random_density, random_unitary
+from qworklab.linalg import (
+    _eigenspaces,
+    eig_hermitian,
+    max_abs,
+    projector,
+    random_density,
+    random_unitary,
+)
 from qworklab.scenario import (
     DrivingProtocol,
     Scenario,
@@ -846,6 +853,43 @@ def test_consistent_histories_mean_matches_the_enumeration():
     for s, k in cases:
         assert sch.consistent_histories_means(ScenarioBatch.of([s]), k)[0] == pytest.approx(
             sch.consistent_histories(s, k).mean(), rel=0, abs=1e-12)
+
+
+def rotating_degenerate_blocks(mp, rng):
+    """Patch ``schemes._jacobi`` so that it turns the columns of each eigenspace of rank
+    > 1 it returns by a Haar unitary of their own; returns the ranks it turned."""
+    solve, turned = sch._jacobi, []
+
+    def rotating(a):
+        vals, vecs = solve(a)
+        d = vals.shape[-1]
+        vecs = vecs.reshape(-1, d, d).copy()
+        for v, ids in zip(vecs, _eigenspaces(vals.reshape(-1, d))[1]):
+            for c in np.unique(ids):
+                cols = np.flatnonzero(ids == c)
+                if len(cols) > 1:
+                    v[:, cols] = v[:, cols] @ haar_unitary_np(len(cols), rng)
+                    turned.append(len(cols))
+        return vals, vecs.reshape(np.shape(a))
+
+    mp.setattr(sch, "_jacobi", rotating)
+    return turned
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_ch_atoms_ignore_rotations_inside_degenerate_eigenspaces(seed):
+    """The d = 4 negativity probe, whose X(t_j) have a rank-2 eigenspace, on a full-rank
+    state: every history through that block carries weight, and its atoms do not move
+    when the solver hands back that block's columns in another orientation."""
+    rng = np.random.default_rng(seed)
+    rho = random_density_np(4, rng)
+    ref = sch.consistent_histories(audit._probe_ch_negativity(4).with_rho(rho), 4)
+    with pytest.MonkeyPatch.context() as mp:
+        turned = rotating_degenerate_blocks(mp, rng)
+        got = sch.consistent_histories(audit._probe_ch_negativity(4).with_rho(rho), 4)
+    assert turned == [2, 2, 2]  # one rank-2 block at each of the K - 1 = 3 grid times
+    assert_same_atoms(got, ref)
 
 
 # --- a change of basis --------------------------------------------------------------

@@ -38,7 +38,8 @@ DENSITY_EIG_TOL = 1e-10  # qworklab.linalg.DENSITY_EIG_TOL: least eigenvalue a s
 
 SCHEMES = ("tpm", "operator-of-work", "fcs", "margenau-hill", "consistent-histories",
            "state-dependent", "sub-ensemble", "collective-two-copy")
-# the schemes whose kernels run on a whole ScenarioBatch at once
+# the schemes whose kernels run on a whole ScenarioBatch at once, but for the history
+# kernel, which has its own entries below
 BATCHED_SCHEMES = ("tpm", "operator-of-work", "fcs", "margenau-hill", "state-dependent")
 
 
@@ -211,6 +212,10 @@ def commands() -> list[tuple[str, list[str]]]:
     # the benchmark's consistent-histories audit at d = 4
     runs.append(("audit-consistent-histories-d4-s10-seed1",
                  ["audit", "--scheme", "consistent-histories", "--dim", "4", "--samples", "10",
+                  "--seed", "1"]))
+    # the history kernel at d = 8, where the probes' X(t_j) have eigenspaces of rank > 1
+    runs.append(("audit-consistent-histories-d8-s30-seed1",
+                 ["audit", "--scheme", "consistent-histories", "--dim", "8", "--samples", "30",
                   "--seed", "1"]))
     # 30 states validated at d = 64
     runs.append(("audit-tpm-d64-s5-seed1",
