@@ -51,6 +51,7 @@ from .schemes import (
     TRAJ_CAP,
     W_MERGE_TOL,
     WorkBatch,
+    _collective_factors,
     _joint_distributions,
     _joint_weights,
     _member_entries,
@@ -648,17 +649,16 @@ def check_collective_adapted(dim: int = 2, n_samples: int = 200,
     def gaps(batch: ScenarioBatch, explicit: bool = False):
         """The TPM and two-copy first-law gaps and the lambda of each member."""
         nonlocal worst_pos, worst_defect
-        factors = [collective_factors(batch.scenario(i)) for i in range(len(batch))]
-        for f in factors:
-            # samples read positivity and completeness off the factors; the two fixed
-            # probes build and check every element, an independent check of both formulas
-            checked = f.povm() if explicit else f
-            worst_pos = min(worst_pos, checked.min_eigenvalue())
-            worst_defect = max(worst_defect, checked.completeness_defect())
+        factors = _collective_factors(batch, "auto")
+        # samples read positivity and completeness off the factor stacks; the two fixed
+        # probes build and check every element, an independent check of both formulas
+        checked = collective_factors(batch.scenario(0)).povm() if explicit else factors
+        worst_pos = min(worst_pos, float(np.min(checked.min_eigenvalue())))
+        worst_defect = max(worst_defect, float(np.max(checked.completeness_defect())))
         target = batch.mean_energy_change()
         return zip(np.abs(distributions(SchemeId.TPM, batch).means() - target).tolist(),
                    np.abs(distributions(SchemeId.COLLECTIVE_TWO_COPY, batch).means()
-                          - target).tolist(), [f.lam for f in factors])
+                          - target).tolist(), batch.per_member(factors.lam).tolist())
 
     # canonical tie: U and H_final diagonal in the H basis, so every T_j is
     # diagonal there and the collective scheme reduces to TPM exactly

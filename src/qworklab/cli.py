@@ -35,7 +35,7 @@ from .schemes import (
     WorkDistribution,
     distribution,
     random_pure_decomposition,
-    spectral_pure_decomposition,
+    sub_ensemble,
 )
 from .thermo import identity_suite
 
@@ -113,12 +113,10 @@ def _cmd_dist(args) -> int:
             opts["lam"] = float(args.lam)
         except ValueError:
             raise ParseError(f"--lam must be a number or 'auto', got {args.lam!r}") from None
-    if scheme is SchemeId.SUB_ENSEMBLE:
-        if args.members:
-            opts["decomposition"] = random_pure_decomposition(s.rho, args.members, args.seed)
-        else:
-            opts["decomposition"] = spectral_pure_decomposition(s.rho)
-    dist = distribution(scheme, s, **opts)
+    if scheme is SchemeId.SUB_ENSEMBLE and args.members:
+        dist = sub_ensemble(s, random_pure_decomposition(s.rho, args.members, args.seed))
+    else:
+        dist = distribution(scheme, s, **opts)
     _write(emit_distribution(dist, args.format, seed=args.seed), args.out)
     return 0
 

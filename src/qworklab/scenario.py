@@ -330,8 +330,8 @@ class ScenarioBatch:
     stack of unitaries (m, d, d) or a tuple of m evolutions; ``rho`` is (n, d, d).
     An experiment may carry several states, as a C1 mixture and its two
     components do, and its spectra and everything derived from it are held once.
-    The schemes with a batch kernel (see ``schemes.distributions``) evaluate all
-    members in one set of array operations.
+    Every scheme evaluates all members in one set of array operations (see
+    ``schemes.distributions``).
 
     Build a batch with ``build`` (validated stacks, with the spectra H and H_final
     were drawn from), ``of`` (validated Scenarios) or ``with_rho``; the

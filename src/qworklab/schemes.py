@@ -5,21 +5,20 @@ All schemes share the atom representation (work value, real weight); quasi
 schemes may carry negative weights.  Work values closer than ``W_MERGE_TOL``
 are merged by weight addition, which also absorbs spectral degeneracies.
 
-TPM, the operator of work, FCS, Margenau-Hill, consistent histories and the
-state-dependent scheme each have one kernel, which evaluates every member of a
-``ScenarioBatch`` in one set of array operations and merges all members' atoms in
-one segmented merge into a ``WorkBatch``; ``distribution`` runs the same kernel on
-a batch of one.  TPM, Margenau-Hill and the post-selected pointer are one joint
-table in kappa (``_joint_weights``), and consistent histories chains of overlaps
-(``_ch_distributions``), both read off the eigenspaces as eigenvector blocks.  Only
-the sub-ensemble and the two-copy schemes run a plain loop over the members, behind
-the same entry point, ``distributions``.
+Every scheme has one kernel, which evaluates every member of a ``ScenarioBatch``
+in one set of array operations and merges all members' atoms in one segmented
+merge into a ``WorkBatch``; ``distribution`` and the per-scenario functions run the
+same kernel on a batch of one.  TPM, Margenau-Hill and the post-selected pointer
+are one joint table in kappa (``_joint_weights``), consistent histories chains of
+overlaps (``_ch_distributions``) and the two-copy factors sums over the columns of
+G = V^dag U^dag V' (``_collective_factors``), all read off the eigenspaces as
+eigenvector blocks.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -43,6 +42,7 @@ from .linalg import (
     dag,
     eig_hermitian,
     max_abs,
+    random_unitary,
 )
 from .scenario import DrivingProtocol, Scenario, ScenarioBatch, _propagators
 
@@ -167,9 +167,13 @@ class WorkBatch:
         atoms merged into it, and check each member as one distribution: finite
         atoms, weights summing to 1 and, unless ``is_quasi``, none negative.  The
         first failing member raises, with that check's message."""
-        if not (np.isfinite(works).all() and np.isfinite(weights).all()):
+        return cls._from_merged(*_merge(works, weights, members), n, scheme, is_quasi)
+
+    @classmethod
+    def _from_merged(cls, w, p, seg, sizes, n: int, scheme: SchemeId, is_quasi: bool):
+        """``from_atoms`` on ``_merge``'s output; a non-finite atom stays so in the merge."""
+        if not (np.isfinite(w).all() and np.isfinite(p).all()):
             raise ValueError(f"non-finite work value or weight in {scheme.value} atoms")
-        w, p, seg, sizes = _merge(works, weights, members)
         keep = np.abs(p) > _ATOM_PRUNE * sizes
         w, p = w[keep], p[keep]
         ids = np.zeros(len(p), dtype=np.intp) if seg is None else seg[keep]
@@ -189,14 +193,14 @@ class WorkBatch:
         return cls(w, p, offsets, scheme, is_quasi)
 
     @classmethod
-    def concat(cls, parts: list) -> "WorkBatch":
-        """Merged and checked distributions, or batches of them, back to back."""
+    def concat(cls, parts: list["WorkBatch"]) -> "WorkBatch":
+        """Merged and checked batches, back to back."""
         w = np.concatenate([x.works for x in parts])
         p = np.concatenate([x.weights for x in parts])
         w.setflags(write=False)
         p.setflags(write=False)
-        sizes = [np.diff(x.offsets) if isinstance(x, WorkBatch) else [len(x)] for x in parts]
-        offsets = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
+        sizes = np.concatenate([np.diff(x.offsets) for x in parts])
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
         return cls(w, p, offsets, parts[0].scheme, parts[0].is_quasi)
 
     def __len__(self) -> int:
@@ -288,16 +292,16 @@ class JointWorkTable:
 
 @dataclass(frozen=True, eq=False)
 class PureDecomposition:
-    """Convex decomposition of a density operator into pure states."""
+    """Convex decomposition of a density operator, or of each of a stack, into pure states."""
 
-    weights: np.ndarray
-    states: np.ndarray  # shape (n_members, dim), rows are unit vectors
+    weights: np.ndarray  # shape (..., n_members)
+    states: np.ndarray  # shape (..., n_members, dim), rows are unit vectors
 
     def reconstruct(self) -> np.ndarray:
-        return (self.states.T * self.weights) @ np.conj(self.states)
+        return (self.states.swapaxes(-1, -2) * self.weights[..., None, :]) @ np.conj(self.states)
 
     def check_against(self, rho: np.ndarray) -> None:
-        if np.any(self.weights < -1e-12) or abs(float(self.weights.sum()) - 1.0) > 1e-12:
+        if np.any(self.weights < -1e-12) or np.any(np.abs(self.weights.sum(-1) - 1.0) > 1e-12):
             raise DecompositionMismatch("decomposition weights are not a probability vector")
         gap = max_abs(self.reconstruct() - rho)
         if gap > DECOMPOSITION_TOL:
@@ -441,15 +445,16 @@ def _transition_kernels(b: ScenarioBatch):
 def _fcs_distributions(b: ScenarioBatch) -> WorkBatch:
     q, e_i, e_f = _transition_kernels(b)
     works = e_f[:, :, None, None] - (e_i[:, None, :, None] + e_i[:, None, None, :]) / 2.0
-    # merge the complex weights so the imaginary residue is visible
-    out_w, out_q, seg = merge_atoms(works.ravel(), q.ravel(),
-                                    np.repeat(np.arange(len(b)), q[0].size))
+    # merge the complex weights so the imaginary residue is visible, and prune on this merge
+    out_w, out_q, seg, sizes = _merge(works.ravel(), q.ravel(),
+                                      np.repeat(np.arange(len(b)), q[0].size))
     residue = np.abs(out_q.imag)
     bad = residue > IMAG_RESIDUE_TOL
     if bad.any():
         mine = residue[seg == seg[bad][0]]
         raise ImaginaryResidue(f"grouped FCS weight has imaginary part {mine.max():.3e}")
-    return WorkBatch.from_atoms(out_w, out_q.real, seg, len(b), SchemeId.FCS, is_quasi=True)
+    return WorkBatch._from_merged(out_w, out_q.real, seg, sizes, len(b), SchemeId.FCS,
+                                  is_quasi=True)
 
 
 def fcs_quasiprob(s: Scenario) -> WorkDistribution:
@@ -595,23 +600,12 @@ def state_dependent(s: Scenario) -> WorkDistribution:
     return _state_dependent_distributions(ScenarioBatch.of([s]))[0]
 
 
-def spectral_pure_decomposition(rho: np.ndarray) -> PureDecomposition:
-    """Canonical decomposition of rho into its eigenstates."""
-    dec = eig_hermitian(rho)
-    keep = dec.eigenvalues > EIG_FLOOR
-    weights = dec.eigenvalues[keep]
-    states = dec.eigenvectors[:, keep].T
-    return PureDecomposition(weights=weights / weights.sum(), states=states)
-
-
 def random_pure_decomposition(rho: np.ndarray, size: int, seed) -> PureDecomposition:
     """Random pure-state decomposition of rho with ``size`` members.
 
     Members are built by mixing the spectral decomposition through the first
     columns of a Haar unitary, which reconstructs rho exactly.
     """
-    from .linalg import random_unitary
-
     dec = eig_hermitian(rho)
     keep = dec.eigenvalues > EIG_FLOOR
     lam = dec.eigenvalues[keep]
@@ -629,13 +623,26 @@ def random_pure_decomposition(rho: np.ndarray, size: int, seed) -> PureDecomposi
     return PureDecomposition(weights=weights, states=states)
 
 
+def _sub_ensemble_distributions(b: ScenarioBatch, decomp=None) -> WorkBatch:
+    """An atom of weight > 0 per state psi of each member's stacked ``decomp`` (default: rho's
+    eigenstates above ``EIG_FLOOR``, renormalised) at <psi|U^dag H' U|psi> - <psi|H|psi>."""
+    if decomp is None:
+        lam, vecs = b.spectrum("rho")
+        lam = np.where(lam > EIG_FLOOR, lam, 0.0)
+        decomp = PureDecomposition(lam / lam.sum(axis=1)[:, None], vecs.swapaxes(1, 2))
+    decomp.check_against(b.rho)
+    u = b.unitary()
+    ops = b.per_member(np.stack([dag(u) @ b.h_final @ u, b.h_initial], axis=1))
+    e_out, e_in = np.moveaxis(_expectations(decomp.states, ops), -1, 0)
+    keep = decomp.weights != 0.0
+    return WorkBatch.from_atoms((e_out - e_in)[keep], decomp.weights[keep], np.nonzero(keep)[0],
+                                len(b), SchemeId.SUB_ENSEMBLE, is_quasi=False)
+
+
 def sub_ensemble(s: Scenario, decomp: PureDecomposition) -> WorkDistribution:
     """One work atom per decomposition member: its mean energy change."""
-    decomp.check_against(s.rho)
-    u = s.unitary()
-    e_out, e_in = _expectations(decomp.states, np.array([dag(u) @ s.h_final @ u, s.h_initial])).T
-    return WorkDistribution.from_atoms(e_out - e_in, decomp.weights, SchemeId.SUB_ENSEMBLE,
-                                       is_quasi=False)
+    stacked = PureDecomposition(decomp.weights[None], decomp.states[None])
+    return _sub_ensemble_distributions(ScenarioBatch.of([s]), stacked)[0]
 
 
 _SECULAR_STEPS = 100  # cap on Newton steps; a handful suffice up to d = 64
@@ -677,7 +684,8 @@ def _secular_min(w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CollectiveFactors:
-    """Second-copy factors F_ij = <i|T_j|i> I + lam T_j^off of T_j = U^dag Q_j U.
+    """Second-copy factors F_ij = <i|T_j|i> I + lam T_j^off of T_j = U^dag Q_j U, of one
+    experiment or, every field with a leading axis (m,), of m (zero past a count).
 
     The two-copy element of outcome (i, j) is |i><i| (x) F_ij, with |i> the
     columns of ``basis`` (the initial eigenvectors).  ``diag_parts[i, j]`` is
@@ -691,32 +699,26 @@ class CollectiveFactors:
     diag_parts: np.ndarray
     off_parts: np.ndarray
     off_min: np.ndarray
-    lam: float
+    lam: float | np.ndarray
 
-    def min_eigenvalue(self) -> float:
+    def min_eigenvalue(self):
         """Least eigenvalue over all two-copy elements, without building one.
 
         |i><i| (x) F_ij has spectrum {0} and spec(F_ij), whose least value is
         <i|T_j|i> + lam lambda_min(T_j^off); this equals
         ``self.povm().min_eigenvalue()``.
         """
-        return min(0.0, float((self.diag_parts + self.lam * self.off_min).min()))
+        lo = self.diag_parts + np.asarray(self.lam)[..., None, None] * self.off_min[..., None, :]
+        return np.minimum(0.0, lo.min(axis=(-2, -1)))
 
-    def completeness_defect(self) -> float:
-        """max_i ||sum_j F_ij - I||_max without building an element: the elements sum
-        to sum_i |i><i| (x) sum_j F_ij, the identity exactly when every sum_j F_ij is."""
-        eye = np.eye(self.basis.shape[0])
-        sums = self.diag_parts.sum(axis=1)[:, None, None] * eye + self.lam * self.off_parts.sum(0)
-        return max_abs(sums - eye)
-
-    def distribution(self, rho: np.ndarray) -> WorkDistribution:
-        """Weights Tr[(|i><i| (x) F_ij)(rho (x) rho)] = <i|rho|i> (<i|T_j|i> + lam Tr(T_j^off rho))."""
-        pops = np.diagonal(dag(self.basis) @ rho @ self.basis).real
-        off_mean = np.einsum("jab,ba->j", self.off_parts, rho).real
-        weights = pops[:, None] * (self.diag_parts + self.lam * off_mean[None, :])
-        works = self.final_energies[None, :] - self.initial_energies[:, None]
-        return WorkDistribution.from_atoms(works.ravel(), weights.ravel(),
-                                           SchemeId.COLLECTIVE_TWO_COPY, is_quasi=False)
+    def completeness_defect(self):
+        """max_i ||sum_j F_ij - I||_max without building an element: the elements sum to
+        sum_i |i><i| (x) sum_j F_ij, and sum_j F_ij - I = (c_i - 1) I + lam S with
+        c_i = sum_j <i|T_j|i> and S = sum_j T_j^off."""
+        lam_s = np.asarray(self.lam)[..., None, None] * self.off_parts.sum(axis=-3)
+        on = self.diag_parts.sum(-1)[..., :, None] + np.diagonal(lam_s, 0, -2, -1)[..., None, :]
+        off = lam_s * (1.0 - np.eye(lam_s.shape[-1]))
+        return np.maximum(np.abs(on - 1.0).max(axis=(-2, -1)), np.abs(off).max(axis=(-2, -1)))
 
     def povm(self) -> Povm:
         """The explicit d^2 x d^2 elements |i><i| (x) F_ij at work E'_j - E_i.
@@ -733,8 +735,43 @@ class CollectiveFactors:
         return Povm(works.ravel(), ops.reshape(d * k, d * d, d * d))
 
 
+def _collective_factors(b: ScenarioBatch, lam: float | str) -> CollectiveFactors:
+    """``collective_factors`` of every experiment of ``b``, stacked, once per batch and ``lam``:
+    T_j = G_j G_j^dag, G = V^dag U^dag V' and G_j its columns in final eigenspace j."""
+    _warn_if_degenerate(b.spectrum("H")[0], "H", DegenerateHamiltonianWarning)
+
+    def make():  # the factors read no rho
+        if lam != "auto" and not 0.0 <= float(lam) <= 1.0:
+            raise DomainError("lambda must lie in [0, 1]")
+        (e_i, v_i), (_, v_f) = b.spectrum("H"), b.spectrum("H_final")
+        e_f, ids = b.eigenspaces("H_final")
+        g = _blocks(dag(v_i) @ dag(b.unitary()) @ v_f, ids)  # (m, k, d, r)
+        t = (g[..., :, None, :] * g.conj()[..., None, :, :]).sum(axis=-1)
+        diag_parts = np.diagonal(t, 0, -2, -1).real.swapaxes(1, 2).copy()
+        t[..., np.arange(b.dim), np.arange(b.dim)] = 0.0  # T_j^off, in place
+        off_parts = v_i[:, None] @ t @ dag(v_i)[:, None]
+        rank = (ids[:, None, :] == np.arange(e_f.shape[1])[:, None]).sum(axis=-1)
+        # t from G, not from the diagonal of T (a sum of rounded products): an exact
+        # zero of t stays exact, and lambda_max reads the sign of off_min
+        off_min = np.zeros(e_f.shape)
+        off_min[rank == 1] = _secular_min(np.abs(g[rank == 1][..., 0]) ** 2)
+        if (rank > 1).any():  # every degenerate final eigenspace in one stacked solve
+            off_min[rank > 1] = _jacobi(off_parts[rank > 1])[0][:, 0]
+        neg = off_min < 0.0
+        bound = np.where(neg, diag_parts.min(axis=1) / np.where(neg, -off_min, 1.0), np.inf)
+        lam_val = (np.clip(bound.min(axis=1, initial=1.0), 0.0, 1.0) if lam == "auto"
+                   else np.full(len(e_f), float(lam)))
+        lo = (diag_parts + lam_val[:, None, None] * off_min[:, None, :]).min(axis=(1, 2))
+        bad = np.flatnonzero(lo < -POVM_EIG_TOL)
+        if bad.size:
+            raise NotPositive(float(lam_val[bad[0]]), float(lo[bad[0]]))
+        return CollectiveFactors(v_i, e_i, e_f, diag_parts, off_parts, off_min, lam_val)
+    return b.derived(("collective_factors", lam), make)
+
+
 def collective_factors(s: Scenario, lam: float | str = "auto") -> CollectiveFactors:
-    """The factors of the two-copy elements at a checked lambda, once per scenario.
+    """The factors of the two-copy elements at a checked lambda, of the batch of ``s``
+    and kept in the state its ``with_rho`` copies share.
 
     ``lam="auto"`` selects lambda_max.  Raises :class:`NotPositive` when an
     element's least eigenvalue <i|T_j|i> + lambda lambda_min(T_j^off) is
@@ -744,42 +781,9 @@ def collective_factors(s: Scenario, lam: float | str = "auto") -> CollectiveFact
     takes a Jacobi solve.  Warns with :class:`DegenerateHamiltonianWarning` when H
     is degenerate, since the basis |i> inside an eigenspace is then the solver's.
     """
-    _warn_if_degenerate(s.spectrum("H").eigenvalues, "H", DegenerateHamiltonianWarning)
-    return s.derived(("collective_factors", lam), lambda: _collective_factors(s, lam))
-
-
-def _collective_factors(s: Scenario, lam: float | str) -> CollectiveFactors:
-    dec_i, dec_f = s.spectrum("H"), s.spectrum("H_final")
-    e_f, ids = s.eigenspaces("H_final")
-    basis = dec_i.eigenvectors
-    # T_j = G_j G_j^dag in the initial basis, G = V^dag U^dag V' and G_j its columns in
-    # the final block j: a sum of outer products over the block
-    g = dag(basis) @ dag(s.unitary()) @ dec_f.eigenvectors
-    starts = np.flatnonzero(np.diff(ids, prepend=-1))
-    t_basis = np.add.reduceat(g.T[:, :, None] * g.T.conj()[:, None, :], starts, axis=0)
-    diag = np.diagonal(t_basis, axis1=1, axis2=2)
-    off_parts = basis @ (t_basis - diag[:, :, None] * np.eye(s.dim)) @ dag(basis)
-    rank_one = np.bincount(ids) == 1
-    # t from G, not from the diagonal of t_basis (a sum of rounded products): an
-    # exact zero of t stays exact, and lambda_max reads the sign of off_min
-    off_min = np.empty(len(e_f))
-    off_min[rank_one] = _secular_min(np.abs(g[:, starts[rank_one]].T) ** 2)
-    if not rank_one.all():  # the degenerate final eigenspaces, in one stacked solve
-        off_min[~rank_one] = eig_hermitian(off_parts[~rank_one]).eigenvalues[:, 0]
-    diag_parts = diag.real.T
-    if lam == "auto":
-        neg = off_min < 0.0
-        bound = (diag_parts[:, neg].min(axis=0) / -off_min[neg]).min(initial=1.0)
-        lam_val = float(np.clip(bound, 0.0, 1.0))
-    else:
-        lam_val = float(lam)
-        if not 0.0 <= lam_val <= 1.0:
-            raise DomainError("lambda must lie in [0, 1]")
-    lo = float((diag_parts + lam_val * off_min).min())
-    if lo < -POVM_EIG_TOL:
-        raise NotPositive(lam_val, lo)
-    return CollectiveFactors(basis, dec_i.eigenvalues, e_f, diag_parts, off_parts, off_min,
-                             lam_val)
+    stack = _collective_factors(ScenarioBatch.of([s]), lam)
+    return s.derived(("collective_factors", lam), lambda: CollectiveFactors(
+        *(getattr(stack, f.name)[0] for f in fields(CollectiveFactors))))
 
 
 def lambda_max(s: Scenario) -> float:
@@ -790,7 +794,20 @@ def lambda_max(s: Scenario) -> float:
     over the j whose off-diagonal part is nonzero (lambda_min < 0), clipped to
     [0, 1].  lambda = 0 always qualifies (it reproduces TPM).
     """
-    return collective_factors(s, "auto").lam
+    return float(collective_factors(s, "auto").lam)
+
+
+def _collective_distributions(b: ScenarioBatch, lam: float | str) -> WorkBatch:
+    """``collective_two_copy`` of every member, from its experiment's factors."""
+    f = _collective_factors(b, lam)
+    basis, e_i, e_f, diag, off, _, lam_m = (b.per_member(getattr(f, x.name)) for x in fields(f))
+    pops = np.diagonal(dag(basis) @ b.rho @ basis, axis1=-2, axis2=-1).real
+    off_mean = np.einsum("njab,nba->nj", off, b.rho).real
+    weights = pops[:, :, None] * (diag + lam_m[:, None, None] * off_mean[:, None, :])
+    works = e_f[:, None, :] - e_i[:, :, None]
+    real = ~np.isnan(works)  # not a slot past a member's final eigenspace count
+    return WorkBatch.from_atoms(works[real], weights[real], np.nonzero(real)[0], len(b),
+                                SchemeId.COLLECTIVE_TWO_COPY, is_quasi=False)
 
 
 def collective_two_copy(s: Scenario, lam: float | str = "auto") -> WorkDistribution:
@@ -800,7 +817,7 @@ def collective_two_copy(s: Scenario, lam: float | str = "auto") -> WorkDistribut
     Tr[M_(ij) rho (x) rho] = <i|rho|i> (<i|T_j|i> + lam Tr(T_j^off rho)), so no
     two-copy operator is formed.  ``lam="auto"`` selects lambda_max.
     """
-    return collective_factors(s, lam).distribution(s.rho)
+    return _collective_distributions(ScenarioBatch.of([s]), lam)[0]
 
 
 def collective_povm(s: Scenario, lam: float | str = "auto") -> Povm:
@@ -819,9 +836,9 @@ def tpm_povm(s: Scenario) -> Povm:
                              strength.reshape(-1, s.dim, s.dim)))
 
 
-# A kernel call takes at most this many entries, d^3 a member (FCS atoms, state-dependent
-# final projectors; the joint tables need d^2) or the trajectory budget's d^(K+1) for histories:
-# a d <= 4 ensemble, one member at d = 64 or at the budget.  Larger batches run in parts.
+# A kernel call takes at most this many entries: d^3 a member (FCS atoms, state-dependent
+# projectors, two-copy factors), or the budget's d^(K+1) for histories; a d <= 4 ensemble,
+# one member at d = 64 or at the budget.  Larger batches run in parts.
 _KERNEL_ENTRIES = 2 ** 18
 
 
@@ -838,45 +855,30 @@ def _member_entries(scheme: SchemeId, dim: int, k_steps: int) -> int:
 
 
 _BATCH_KERNELS = {
-    SchemeId.TPM: lambda b: _joint_distributions(b, 0.0, SchemeId.TPM, False),
-    SchemeId.OPERATOR_OF_WORK: _work_operator_distributions,
-    SchemeId.FCS: _fcs_distributions,
-    SchemeId.MARGENAU_HILL: lambda b: _joint_distributions(b, 1.0, SchemeId.MARGENAU_HILL, True),
-    SchemeId.STATE_DEPENDENT: _state_dependent_distributions,
+    SchemeId.TPM: lambda b, *_: _joint_distributions(b, 0.0, SchemeId.TPM, False),
+    SchemeId.OPERATOR_OF_WORK: lambda b, *_: _work_operator_distributions(b),
+    SchemeId.FCS: lambda b, *_: _fcs_distributions(b),
+    SchemeId.MARGENAU_HILL: lambda b, *_: _joint_distributions(b, 1.0, SchemeId.MARGENAU_HILL,
+                                                               True),
+    SchemeId.CONSISTENT_HISTORIES: lambda b, k_steps, _: _ch_distributions(b, k_steps),
+    SchemeId.STATE_DEPENDENT: lambda b, *_: _state_dependent_distributions(b),
+    SchemeId.SUB_ENSEMBLE: lambda b, *_: _sub_ensemble_distributions(b),
+    SchemeId.COLLECTIVE_TWO_COPY: lambda b, _, lam: _collective_distributions(b, lam),
 }
 
 
-def _member_distribution(scheme: SchemeId, s: Scenario, opts: dict) -> WorkDistribution:
-    if scheme is SchemeId.SUB_ENSEMBLE:
-        decomp = opts.get("decomposition") or spectral_pure_decomposition(s.rho)
-        return sub_ensemble(s, decomp)
-    if scheme is SchemeId.COLLECTIVE_TWO_COPY:
-        return collective_two_copy(s, opts.get("lam", "auto"))
-    raise ValueError(f"no atom-valued distribution for scheme {scheme}")
-
-
-def distributions(scheme: SchemeId | str, batch: ScenarioBatch, **opts) -> WorkBatch:
-    """The scheme's distribution of every member of ``batch``.
-
-    TPM, the operator of work, FCS, Margenau-Hill, consistent histories (on the grid
-    of ``k_steps``, 8 by default) and the state-dependent scheme run their batch
-    kernel once for all members, or once per part of ``_KERNEL_ENTRIES`` entries
-    (``_member_entries`` per member), so that memory stays bounded at large d and K.
-    The sub-ensemble and two-copy schemes are a plain loop over the members, each
-    evaluated as its own Scenario; members of one experiment share what that
-    experiment derives.
-    """
+def distributions(scheme: SchemeId | str, batch: ScenarioBatch, k_steps: int = 8,
+                  lam: float | str = "auto") -> WorkBatch:
+    """The scheme's distribution of every member of ``batch`` (histories on the grid of
+    ``k_steps``, the two-copy scheme at ``lam``), its kernel run once for all members or
+    once per part of ``_KERNEL_ENTRIES`` entries (``_member_entries`` per member)."""
     scheme = SchemeId(scheme)
-    k_steps = opts.get("k_steps", 8)
-    kernel = ((lambda part: _ch_distributions(part, int(k_steps)))
-              if scheme is SchemeId.CONSISTENT_HISTORIES else _BATCH_KERNELS.get(scheme))
-    if kernel is None:
-        return WorkBatch.concat([_member_distribution(scheme, batch.scenario(i), opts)
-                                 for i in range(len(batch))])
+    kernel = _BATCH_KERNELS[scheme]
     bounds = _part_bounds(len(batch), _member_entries(scheme, batch.dim, k_steps))
     if len(bounds) == 1:
-        return kernel(batch)
-    return WorkBatch.concat([kernel(batch.members(start, stop)) for start, stop in bounds])
+        return kernel(batch, int(k_steps), lam)
+    return WorkBatch.concat([kernel(batch.members(start, stop), int(k_steps), lam)
+                             for start, stop in bounds])
 
 
 def distribution(scheme: SchemeId | str, s: Scenario, **opts) -> WorkDistribution:

@@ -15,7 +15,6 @@ from qworklab.linalg import max_abs, projector, random_density, random_unitary
 from qworklab.scenario import (
     DrivingProtocol,
     Scenario,
-    ScenarioBatch,
     mean_energy_change,
     time_reversed,
 )
@@ -73,8 +72,7 @@ def test_criterion_03_condition2_suite():
     worst = {}
     for dim in (2, 3, 4):
         rng = np.random.default_rng(np.random.SeedSequence([404, dim]))
-        batch = ScenarioBatch.of([audit.sample_scenario(dim, rng, coherent=False)
-                                  for _ in range(500)])
+        batch = audit._sample_batch(dim, 500, rng, coherent=False, driven=False)
         refs = sch.distributions(SchemeId.TPM, batch)
         for scheme in (SchemeId.FCS, SchemeId.MARGENAU_HILL,
                        SchemeId.STATE_DEPENDENT, SchemeId.COLLECTIVE_TWO_COPY):
@@ -90,8 +88,7 @@ def test_criterion_04_condition3_suite():
     worst = {}
     for dim in (2, 3, 4):
         rng = np.random.default_rng(np.random.SeedSequence([405, dim]))
-        batch = ScenarioBatch.of([audit.sample_scenario(dim, rng, coherent=True)
-                                  for _ in range(500)])
+        batch = audit._sample_batch(dim, 500, rng, coherent=True, driven=False)
         targets = batch.mean_energy_change()
         for scheme in (SchemeId.OPERATOR_OF_WORK, SchemeId.FCS,
                        SchemeId.MARGENAU_HILL, SchemeId.STATE_DEPENDENT,

@@ -21,6 +21,7 @@ from qworklab.schemes import (
     Povm,
     SchemeId,
     collective_factors,
+    collective_povm,
     collective_two_copy,
     fcs_quasiprob,
     margenau_hill,
@@ -119,8 +120,9 @@ def test_c1_two_copy_computes_the_factors_once_per_mixture(monkeypatch):
 
     monkeypatch.setattr(schemes_mod, "CollectiveFactors", counting)
     audit.check_c1_linearity(SchemeId.COLLECTIVE_TWO_COPY, dim=2, n_samples=200, seed=0)
-    # the probe mixture and one mixture per sample; its two components reuse the factors
-    assert len(built) == 201
+    # one stack for the probe mixture and one for the 200 sampled mixtures; the
+    # components of each reuse it
+    assert len(built) == 2
 
 
 def test_with_rho_copies_share_the_derived_state():
@@ -455,15 +457,18 @@ def test_collective_adapted_report():
 
 
 def test_collective_adapted_positivity_matches_the_loop_reference(monkeypatch):
-    # the report reads sample positivity off the factors; the reference fully
-    # diagonalises every built two-copy element of the same scenarios
+    # the report reads sample positivity off the factor stacks; the reference fully
+    # diagonalises every built two-copy element of each member, one scenario at a time
+    real = audit._collective_factors
     for dim in (2, 3, 4):
         seen = []
-        monkeypatch.setattr(audit, "collective_factors",
-                            lambda s: seen.append(collective_factors(s)) or seen[-1])
+        monkeypatch.setattr(audit, "_collective_factors",
+                            lambda b, lam: seen.append(b) or real(b, lam))
         report = audit.check_collective_adapted(dim=dim, n_samples=4, seed=dim)
-        assert len(seen) == 6  # the tie probe, 4 samples and the Hadamard probe
-        reference = min(0.0, min(f.povm().min_eigenvalue() for f in seen))
+        # the tie probe, the 4 coherent samples and the Hadamard probe
+        assert [len(b) for b in seen] == [1, 4, 1]
+        reference = min(0.0, min(collective_povm(b.scenario(i)).min_eigenvalue()
+                                 for b in seen for i in range(len(b))))
         assert abs(report.worst_positivity - reference) <= 1e-14
 
 

@@ -47,7 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from cli_snapshot import degenerate_doc  # noqa: E402
 
 BATCHED = [SchemeId.TPM, SchemeId.OPERATOR_OF_WORK, SchemeId.FCS, SchemeId.MARGENAU_HILL,
-           SchemeId.STATE_DEPENDENT]
+           SchemeId.STATE_DEPENDENT, SchemeId.SUB_ENSEMBLE, SchemeId.COLLECTIVE_TWO_COPY]
 KERNELS = BATCHED + [SchemeId.CONSISTENT_HISTORIES]  # every scheme with a batch kernel
 C = audit.Condition
 
@@ -118,8 +118,10 @@ def reference_grade_c1(scheme, dim, mixtures):
     if scheme is SchemeId.MARGENAU_HILL:
         neg_probes.append(audit._probe_mh_negativity(dim))
     mix_probes = []
-    if scheme is SchemeId.STATE_DEPENDENT:
+    if scheme in (SchemeId.STATE_DEPENDENT, SchemeId.SUB_ENSEMBLE):
         mix_probes.append(audit._probe_state_dependent_mixture(dim))
+    if scheme is SchemeId.COLLECTIVE_TWO_COPY:
+        mix_probes.append(audit._probe_collective_mixture(dim))
 
     def cases():
         for s in neg_probes:
@@ -531,8 +533,8 @@ def commuting_experiment(dim, rng):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_pruned_atoms_do_not_depend_on_the_summation_order(seed):
-    """Margenau-Hill on a d = 16 experiment whose H, H_final and U commute: only its
-    d - 1 distinct levels of W carry weight, and every other atom is zero in exact
+    """Margenau-Hill and FCS on a d = 16 experiment whose H, H_final and U commute: only
+    its d - 1 distinct levels of W carry weight, and every other atom is zero in exact
     arithmetic.  The basis reversed (an exact permutation, which reorders every sum
     of the kernel and of the eigensolver) and a batch of several members keep the
     same atoms."""
@@ -541,7 +543,9 @@ def test_pruned_atoms_do_not_depend_on_the_summation_order(seed):
     rev = np.arange(16)[::-1]
     s = Scenario(16, h, hf, u, rho)
     r = Scenario(16, *(m[np.ix_(rev, rev)] for m in (h, hf, u, rho)))
-    batch = sch.distributions(SchemeId.MARGENAU_HILL, ScenarioBatch.of(
-        [s.with_rho(random_density_np(16, rng)), r, s]))
-    for dist in (sch.margenau_hill(s)[1], sch.margenau_hill(r)[1], batch[1], batch[2]):
-        np.testing.assert_allclose(dist.works, np.arange(1.0, 16.0), rtol=0, atol=1e-9)
+    members = ScenarioBatch.of([s.with_rho(random_density_np(16, rng)), r, s])
+    for scheme in (SchemeId.MARGENAU_HILL, SchemeId.FCS):
+        batch = sch.distributions(scheme, members)
+        for dist in (sch.distribution(scheme, s), sch.distribution(scheme, r), batch[1], batch[2]):
+            np.testing.assert_allclose(dist.works, np.arange(1.0, 16.0), rtol=0, atol=1e-9,
+                                       err_msg=scheme.value)

@@ -296,7 +296,7 @@ def test_eigenspaces_ignore_rotations_inside_a_degenerate_eigenspace(levels, see
         batch.derived("work_operator", lambda: (hams["W"][None], vecs["W"][None],
                                                 *la._eigenspaces(vals[None])))
         s = batch.scenario(0)
-        factors = sch._collective_factors(s, "auto")
+        factors = sch._collective_factors(batch, "auto")
         return ([sch._joint_weights(batch, kappa)[0] for kappa in (0.0, 0.5, 1.0)]
                 + [sch.distributions(sch.SchemeId.OPERATOR_OF_WORK, batch).weights,
                    la.dephase(rho, s.spectrum("H")), la.dephase(rho, s.spectrum("H_final")),

@@ -437,7 +437,7 @@ def test_sub_ensemble_energy_eigenstate_decomposition():
     h = np.diag([0.0, 1.0]).astype(complex)
     rho = np.diag([0.4, 0.6]).astype(complex)
     s = Scenario(dim=2, h_initial=h, h_final=h, evolution=np.eye(2, dtype=complex), rho=rho)
-    dist = sch.sub_ensemble(s, sch.spectral_pure_decomposition(rho))
+    dist = sch.distribution(sch.SchemeId.SUB_ENSEMBLE, s)
     assert dist.atoms == [(0.0, pytest.approx(1.0))]
 
 
@@ -446,7 +446,7 @@ def test_sub_ensemble_mean_is_decomposition_independent():
     for trial in range(50):
         s = random_scenario(3, rng)
         target = mean_energy_change(s)
-        spec = sch.sub_ensemble(s, sch.spectral_pure_decomposition(s.rho))
+        spec = sch.distribution(sch.SchemeId.SUB_ENSEMBLE, s)
         rand = sch.sub_ensemble(s, sch.random_pure_decomposition(s.rho, 5, trial))
         assert abs(spec.mean() - target) <= 1e-10
         assert abs(rand.mean() - target) <= 1e-10
@@ -722,7 +722,7 @@ def test_every_scheme_normalizes_to_one():
         sch.fcs_quasiprob(s),
         sch.margenau_hill(s)[1],
         sch.state_dependent(s),
-        sch.sub_ensemble(s, sch.spectral_pure_decomposition(s.rho)),
+        sch.distribution(sch.SchemeId.SUB_ENSEMBLE, s),
         sch.collective_two_copy(s, "auto"),
     ]
     ramp = make_ramp(PLUS)
@@ -763,6 +763,15 @@ def state_dependent_loop(s):
             works.append(e_j - e_a)
             weights.append(float(lam) * float((np.conj(evolved) @ q @ evolved).real))
     return sch.WorkDistribution.from_atoms(works, weights, sch.SchemeId.STATE_DEPENDENT, False)
+
+
+def spectral_decomposition_loop(rho):
+    """The sub-ensemble scheme's default decomposition: rho's eigenstates above
+    ``EIG_FLOOR``, their weights normalised."""
+    dec = eig_hermitian(rho)
+    keep = dec.eigenvalues > sch.EIG_FLOOR
+    weights = dec.eigenvalues[keep]
+    return sch.PureDecomposition(weights / weights.sum(), dec.eigenvectors[:, keep].T)
 
 
 def sub_ensemble_loop(s, decomp):
@@ -835,9 +844,10 @@ def test_state_dependent_matches_the_loop_reference(kind):
 @pytest.mark.parametrize("kind", LOOP_KINDS)
 def test_sub_ensemble_matches_the_loop_reference(kind):
     for s in loop_reference_scenarios(kind):
-        for decomp in (sch.spectral_pure_decomposition(s.rho),
-                       sch.random_pure_decomposition(s.rho, s.dim + 2, seed=9)):
-            assert_same_atoms(sch.sub_ensemble(s, decomp), sub_ensemble_loop(s, decomp), atol=0.0)
+        assert_same_atoms(sch.distribution(sch.SchemeId.SUB_ENSEMBLE, s),
+                          sub_ensemble_loop(s, spectral_decomposition_loop(s.rho)), atol=0.0)
+        decomp = sch.random_pure_decomposition(s.rho, s.dim + 2, seed=9)
+        assert_same_atoms(sch.sub_ensemble(s, decomp), sub_ensemble_loop(s, decomp), atol=0.0)
 
 
 @pytest.mark.parametrize("kind", LOOP_KINDS)

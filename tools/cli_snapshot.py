@@ -40,7 +40,8 @@ SCHEMES = ("tpm", "operator-of-work", "fcs", "margenau-hill", "consistent-histor
            "state-dependent", "sub-ensemble", "collective-two-copy")
 # the schemes whose kernels run on a whole ScenarioBatch at once, but for the history
 # kernel, which has its own entries below
-BATCHED_SCHEMES = ("tpm", "operator-of-work", "fcs", "margenau-hill", "state-dependent")
+BATCHED_SCHEMES = ("tpm", "operator-of-work", "fcs", "margenau-hill", "state-dependent",
+                   "sub-ensemble", "collective-two-copy")
 
 
 def _ginibre(dim: int, rng: random.Random) -> list[list[complex]]:
