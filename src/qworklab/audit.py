@@ -319,9 +319,10 @@ def _parts(batch: ScenarioBatch, scheme: SchemeId, k_steps: int):
     return (batch.members(start, stop) for start, stop in bounds)
 
 
-def _member_cases(values: np.ndarray, batch: ScenarioBatch, detail: str):
-    """``_worst`` cases of per-member values, each member's scenario made only if it wins."""
-    return ((v, partial(batch.scenario, i), detail) for i, v in enumerate(values.tolist()))
+def _member_cases(values, batch: ScenarioBatch, detail: str, probe: Scenario | None = None):
+    """``_worst`` cases of per-member values, each member's scenario made only if it wins;
+    the one member of a ``probe``'s batch is that probe."""
+    return ((v, probe or partial(batch.scenario, i), detail) for i, v in enumerate(values.tolist()))
 
 
 # --- the three condition checks ----------------------------------------------
@@ -363,12 +364,13 @@ def _grade_c2(scheme: SchemeId, dim: int, samples: ScenarioBatch) -> ConditionVe
             return _over_budget(Condition.C2_TPM_AGREEMENT, dim)
         probes.append(_probe_ch_c2(dim))
         grid = f"; history grid K = {k_steps} (K = {probes[-1][1]} on the probe)"
-    groups = [(ScenarioBatch.of([s]), k) for s, k in probes] + [(samples, k_steps)]
+    groups = [(ScenarioBatch.of([s]), k, s) for s, k in probes] + [(samples, k_steps, None)]
 
     def cases():
-        for part, k in ((part, k) for batch, k in groups for part in _parts(batch, scheme, k)):
-            tv = _batch_dist(scheme, part, k).tv_distance(_batch_dist(SchemeId.TPM, part, k))
-            yield from _member_cases(tv, part, "tv distance to TPM")
+        for batch, k, probe in groups:
+            for part in _parts(batch, scheme, k):
+                tv = _batch_dist(scheme, part, k).tv_distance(_batch_dist(SchemeId.TPM, part, k))
+                yield from _member_cases(tv, part, "tv distance to TPM", probe)
 
     worst, witness, _ = _worst(cases())
     return _graded(Condition.C2_TPM_AGREEMENT, worst, witness,
@@ -394,18 +396,19 @@ def _grade_c3(scheme: SchemeId, dim: int, samples: ScenarioBatch) -> ConditionVe
     ratios meaningless there).
     """
     if scheme is not SchemeId.CONSISTENT_HISTORIES:
-        groups = ([ScenarioBatch.of([hadamard_scenario()])]
-                  if scheme is SchemeId.TPM and dim == 2 else []) + [samples]
+        probes = [hadamard_scenario()] if scheme is SchemeId.TPM and dim == 2 else []
+        groups = [(ScenarioBatch.of([s]), s) for s in probes] + [(samples, None)]
 
         def cases():
-            for part in (part for batch in groups for part in _parts(batch, scheme, None)):
-                gap = _batch_dist(scheme, part, DEFAULT_CH_STEPS).means()
-                yield from _member_cases(np.abs(gap - part.mean_energy_change()), part,
-                                         "first-law gap")
+            for batch, probe in groups:
+                for part in _parts(batch, scheme, None):
+                    gap = _batch_dist(scheme, part, DEFAULT_CH_STEPS).means()
+                    yield from _member_cases(np.abs(gap - part.mean_energy_change()), part,
+                                             "first-law gap", probe)
 
         worst, witness, _ = _worst(cases())
         return _graded(Condition.C3_FIRST_LAW, worst, witness,
-                       notes=f"{sum(map(len, groups))} coherent scenarios, dim {dim}")
+                       notes=f"{len(probes) + len(samples)} coherent scenarios, dim {dim}")
     # consistent histories: one closed-form mean per K over each batch
     ks = [4, 8, 16]
     probe, _ = _probe_ch_c2(dim)
@@ -461,18 +464,20 @@ def _grade_c1(scheme: SchemeId, dim: int, mixtures) -> ConditionVerdict:
             batch = ScenarioBatch.of([s])
             yield from _member_cases(
                 np.maximum(0.0, -_batch_dist(scheme, batch, k_steps).min_weights()), batch,
-                "negativity")
-        probes = [(*(ScenarioBatch.of([s]) for s in p[:3]), np.array([p[3]])) for p in mix_probes]
-        for *batches, lam in probes + [mixtures]:
+                "negativity", s)
+        probes = [(*(ScenarioBatch.of([s]) for s in p[:3]), np.array([p[3]]), p[:3])
+                  for p in mix_probes]
+        for *batches, lam, members in probes + [(*mixtures, (None,) * 3)]:
             for start, stop in _part_bounds(len(lam), _member_entries(scheme, dim, k_steps)):
                 parts = [batch.members(start, stop) for batch in batches]
                 d_mix, d1, d2 = (_batch_dist(scheme, part, k_steps) for part in parts)
                 tv = d_mix.tv_distance(d1.blend(d2, lam[start:stop])).tolist()
                 negativity = [np.maximum(0.0, -d.min_weights()).tolist() for d in (d_mix, d1, d2)]
                 for i in range(stop - start):
-                    yield tv[i], partial(parts[0].scenario, i), "nonconvexity"
-                    for part, values in zip(parts, negativity):
-                        yield values[i], partial(part.scenario, i), "negativity"
+                    who = [s or partial(part.scenario, i) for s, part in zip(members, parts)]
+                    yield tv[i], who[0], "nonconvexity"
+                    for s, values in zip(who, negativity):
+                        yield values[i], s, "negativity"
 
     worst, witness, mode = _worst(cases())
     if mode:
@@ -575,13 +580,13 @@ def demonstrate_nogo(dim: int = 2, seed: int = 0) -> NogoReport:
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
     spec, spec_final = _random_spectrum(dim, rng), _random_spectrum(dim, rng)
-    ref = Scenario(dim=dim, h_initial=spec.reconstruct(), h_final=spec_final.reconstruct(),
-                   evolution=random_unitary(dim, rng), rho=np.eye(dim, dtype=complex) / dim)
-    ref.derived("H", lambda: spec)  # it holds the drawn spectra as its own
-    ref.derived("H_final", lambda: spec_final)
-    experiment = ScenarioBatch.of([ref])
+    spectra = {"H": spec, "H_final": spec_final}  # the one experiment holds them as drawn
+    experiment = ScenarioBatch.build(
+        spec.reconstruct()[None], spec_final.reconstruct()[None], random_unitary(dim, rng)[None],
+        np.eye(dim, dtype=complex)[None] / dim, [0],
+        {name: (x.eigenvalues[None], x.eigenvectors[None]) for name, x in spectra.items()})
     basis = spec.eigenvectors
-    analytic = tpm_povm(ref)
+    analytic = tpm_povm(experiment.scenario(0))
     support = analytic.labels
 
     def tpm_masses(rhos: np.ndarray) -> np.ndarray:
@@ -646,13 +651,15 @@ def check_collective_adapted(dim: int = 2, n_samples: int = 200,
     worst_pos = 0.0
     worst_defect = 0.0
 
-    def gaps(batch: ScenarioBatch, explicit: bool = False):
+    def gaps(members: ScenarioBatch | Scenario):
         """The TPM and two-copy first-law gaps and the lambda of each member."""
         nonlocal worst_pos, worst_defect
+        probe = isinstance(members, Scenario)
+        batch = ScenarioBatch.of([members]) if probe else members
         factors = _collective_factors(batch, "auto")
         # samples read positivity and completeness off the factor stacks; the two fixed
         # probes build and check every element, an independent check of both formulas
-        checked = collective_factors(batch.scenario(0)).povm() if explicit else factors
+        checked = collective_factors(members).povm() if probe else factors
         worst_pos = min(worst_pos, float(np.min(checked.min_eigenvalue())))
         worst_defect = max(worst_defect, float(np.max(checked.completeness_defect())))
         target = batch.mean_energy_change()
@@ -665,7 +672,7 @@ def check_collective_adapted(dim: int = 2, n_samples: int = 200,
     phase = np.diag(np.exp(1j * np.array([0.3, -1.1]))).astype(complex)
     s_tie = Scenario(dim=2, h_initial=_SZ, h_final=np.diag([0.3, 1.7]).astype(complex),
                      evolution=phase, rho=random_density(2, rng))
-    [(g_t, g_c, _)] = gaps(ScenarioBatch.of([s_tie]), explicit=True)
+    [(g_t, g_c, _)] = gaps(s_tie)
     if abs(g_t - g_c) <= 1e-12:
         ties += 1
     else:
@@ -686,7 +693,7 @@ def check_collective_adapted(dim: int = 2, n_samples: int = 200,
 
     c2_tv = distributions(SchemeId.COLLECTIVE_TWO_COPY, diagonal).tv_distance(
         distributions(SchemeId.TPM, diagonal))
-    [(g_t, g_c, _)] = gaps(ScenarioBatch.of([hadamard_scenario()]), explicit=True)
+    [(g_t, g_c, _)] = gaps(hadamard_scenario())
     return CollectiveAdaptedReport(
         dim=dim,
         seed=seed,

@@ -10,11 +10,10 @@ which skips validation on a miss.  ``require_density`` solves nothing for a
 valid state: its positivity test is the Cholesky factorisation of
 ``_cholesky_positive``, d steps with no iteration on one matrix or a stack, and
 only a state that fails it is solved, for its least eigenvalue; ``_require_stack``
-runs each check once over a stack.  Each spectrum has one owner: a Scenario
-derives that of its rho on first read and holds those of H, H_final and its
-history operators, a ``ScenarioBatch`` those of its experiments' work
-operators and, when it is not made of Scenarios, of its members' states, a
-``ThermalContext`` that of its H.  Sampled Hamiltonians come with the spectra
+runs each check once over a stack.  Each spectrum has one owner: a
+``ScenarioBatch`` holds those of its experiments' H, H_final, work and history
+operators and of its states (a Scenario reads its own through its batch of
+one), a ``ThermalContext`` that of its H.  Sampled Hamiltonians come with the spectra
 they were drawn from, and the operators no other owner holds are solved by
 ``_jacobi`` directly, each batch's or grid's as one stack.  The bounded
 ``_EIG_CACHE`` sees the rest, and shares equal operators between owners.  The

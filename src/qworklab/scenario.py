@@ -3,15 +3,14 @@
 A scenario is (H, H_final, evolution, rho) where the evolution is either an
 explicit unitary or a piecewise-linear driving protocol compiled to a
 time-ordered product of midpoint-rule exponential factors (``_expi``, matrix
-products only).  A driven scenario compiles its protocol once, on the protocol's
-own substep mesh; U(tau) and the propagators of every history grid are read
-from that compile.  Scenarios are
+products only), once, on the protocol's own substep mesh; U(tau) and the
+propagators of every history grid are read from that compile.  Scenarios are
 serialized to a JSON document with complex entries written as [re, im] pairs.
-What a scenario derives from H, H_final and the evolution is computed once, in
-one dict that its ``with_rho`` copies share; each keeps its own rho's spectrum.
 A ``ScenarioBatch`` holds many experiments and states as stacks, so that a
 scheme evaluates all of them in one set of array operations; protocols on one
-substep mesh compile as one stack.
+substep mesh compile as one stack.  The batch is the one holder of derived
+state: a Scenario reads everything through its own batch of one, whose
+experiment state its ``with_rho`` copies share; each keeps its own rho's spectrum.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .linalg import (
     HERMITICITY_TOL,
     SpectralDecomposition,
     _eig,
-    _eigenspaces,
     _jacobi,
     _require_stack,
     dag,
@@ -210,7 +208,11 @@ def _propagators(protocol: DrivingProtocol, mesh: np.ndarray, unitaries: np.ndar
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """One work experiment: dim, H, H_final, evolution, rho, label."""
+    """One work experiment: dim, H, H_final, evolution, rho, label.
+
+    Its batch of one (``ScenarioBatch.of([s])``), built with it, holds all that is
+    derived from it; its ``with_rho`` copies share that batch's experiment state.
+    """
 
     dim: int
     h_initial: np.ndarray
@@ -218,9 +220,7 @@ class Scenario:
     evolution: np.ndarray | DrivingProtocol
     rho: np.ndarray
     label: str = ""
-    _derived: dict = field(default_factory=dict, repr=False, compare=False)
-    _rho_spectrum: SpectralDecomposition | None = field(default=None, init=False, repr=False,
-                                                        compare=False)
+    _batch: "ScenarioBatch" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         driven = isinstance(self.evolution, DrivingProtocol)
@@ -250,64 +250,43 @@ class Scenario:
             if u.shape[0] != d:
                 raise ValidationError("DimMismatch", "evolution.U", f"dimension != dim={d}")
             object.__setattr__(self, "evolution", u)
-
-    @classmethod
-    def _trusted(cls, h_initial, h_final, evolution, rho, derived: dict) -> "Scenario":
-        """A scenario over fields its caller has validated, sharing ``derived``."""
-        out = object.__new__(cls)
-        for name, value in (("dim", rho.shape[-1]), ("h_initial", h_initial),
-                            ("h_final", h_final), ("evolution", evolution), ("rho", rho),
-                            ("label", ""), ("_derived", derived), ("_rho_spectrum", None)):
-            object.__setattr__(out, name, value)
-        return out
+        object.__setattr__(self, "_batch", ScenarioBatch(  # its fields as stacks of one
+            d, self.h_initial[None], self.h_final[None],
+            (self.evolution,) if driven else self.evolution[None], self.rho[None],
+            np.zeros(1, dtype=np.intp)))
 
     def with_rho(self, rho, label: str = "") -> "Scenario":
         """The same experiment on another initial state.
 
         Only ``rho`` is validated; its spectrum is the copy's own, derived on first
         read.  H, H_final, the evolution and everything derived from them are
-        shared with this scenario.
+        shared with this scenario, through ``ScenarioBatch.with_rho``.
         """
         rho = require_density(rho, "rho")
         if rho.shape[0] != self.dim:
             raise ValidationError("DimMismatch", "rho",
                                   f"dimension {rho.shape[0]} != dim={self.dim}")
         out = copy.copy(self)
-        object.__setattr__(out, "rho", rho)
-        object.__setattr__(out, "_rho_spectrum", None)
-        object.__setattr__(out, "label", label)
+        out.__dict__.update(rho=rho, label=label,
+                            _batch=self._batch._on(rho[None], self._batch.experiment))
         return out
 
     @property
     def is_driven(self) -> bool:
         return isinstance(self.evolution, DrivingProtocol)
 
-    def derived(self, key, make):
-        """``make()``, computed once for this experiment and its ``with_rho`` copies,
-        which share the result: ``make`` must not read rho."""
-        if key not in self._derived:
-            self._derived[key] = make()
-        return self._derived[key]
-
     def unitary(self) -> np.ndarray:
         """Final evolution operator U(tau)."""
-        if not self.is_driven:
-            return self.evolution
-        return self.derived("compile", lambda: compile_unitary(self.evolution))[0]
+        return self._batch._held_unitary() if self.is_driven else self.evolution
 
     def spectrum(self, name: str) -> SpectralDecomposition:
         """Decomposition of ``"rho"`` (this instance's own, solved on first read),
         ``"H"`` or ``"H_final"``."""
-        if name == "rho":
-            if self._rho_spectrum is None:
-                object.__setattr__(self, "_rho_spectrum", _eig(self.rho, validated=True))
-            return self._rho_spectrum
-        h = {"H": self.h_initial, "H_final": self.h_final}[name]
-        return self.derived(name, lambda: _eig(h, validated=True))
+        return self._batch._held_spectrum(name)
 
     def eigenspaces(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """``spectrum(name).eigenspaces()``: eigenspace labels and column cluster ids."""
-        return self.derived(name + " eigenspaces", lambda: self.spectrum(name).eigenspaces())
+        return self._batch._held_eigenspaces(name)
 
 
 def _energy_change(u, rho, h_initial, h_final) -> np.ndarray:
@@ -329,9 +308,12 @@ class ScenarioBatch:
     ``h_initial`` and ``h_final`` are stacked (m, d, d) and ``evolution`` is a
     stack of unitaries (m, d, d) or a tuple of m evolutions; ``rho`` is (n, d, d).
     An experiment may carry several states, as a C1 mixture and its two
-    components do, and its spectra and everything derived from it are held once.
-    Every scheme evaluates all members in one set of array operations (see
-    ``schemes.distributions``).
+    components do.  The batch holds all that is derived from its experiments,
+    each fact once, shared by the batches ``with_rho`` and ``members`` make; every
+    scheme evaluates all members in one set of array operations (see
+    ``schemes.distributions``).  A Scenario's batch of one holds U(tau), the
+    spectra and the eigenspaces as those of one matrix; ``unitary``, ``spectrum``
+    and ``eigenspaces`` read any batch's as stacks.
 
     Build a batch with ``build`` (validated stacks, with the spectra H and H_final
     were drawn from), ``of`` (validated Scenarios) or ``with_rho``; the
@@ -345,19 +327,16 @@ class ScenarioBatch:
     rho: np.ndarray
     experiment: np.ndarray
     _derived: dict = field(default_factory=dict, repr=False)
-    # per experiment: the derived dict its Scenarios share (None until one is made)
-    _shared: list = field(default_factory=list, repr=False)
-    _members: tuple | None = field(default=None, repr=False)
-    _rho_spectrum: tuple | None = field(default=None, init=False, repr=False)
+    _rho_spectrum: SpectralDecomposition | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def build(cls, h_initial, h_final, evolution, rho, experiment, spectra: dict):
         """A validated batch.  ``spectra`` maps "H" and "H_final" to the stacked
         eigenvalues (m, d) and eigenvectors (m, d, d) the Hamiltonians were built
-        from, which the batch then holds instead of solving them; each experiment's
-        Scenarios share them.  A stack of unitaries is validated here, and a tuple
-        of DrivingProtocols validated itself; an H or H_final stack equal to the
-        protocols' endpoints is those validated endpoints."""
+        from, which the batch then holds instead of solving them.  A stack of
+        unitaries is validated here, and a tuple of DrivingProtocols validated
+        itself; an H or H_final stack equal to the protocols' endpoints is those
+        validated endpoints."""
         unitaries = isinstance(evolution, np.ndarray)
         ends = ((None, None) if unitaries else
                 np.array([p.hamiltonians[[0, -1]] for p in evolution]).swapaxes(0, 1))
@@ -374,30 +353,19 @@ class ScenarioBatch:
                 or not (experiment < m).all()):
             raise ValidationError("DimMismatch", "batch",
                                   "stacks of H, H_final, evolution, rho and experiment disagree")
-        batch = cls(d, h_initial, h_final, evolution, rho, experiment, _shared=[None] * m)
-        for name, pair in spectra.items():
-            batch._derived[("spectrum", name)] = pair
-        return batch
+        return cls(d, h_initial, h_final, evolution, rho, experiment,
+                   {name: SpectralDecomposition(*pair) for name, pair in spectra.items()})
 
     @classmethod
     def of(cls, scenarios) -> "ScenarioBatch":
-        """The batch of validated Scenarios, one member each.  Scenarios that share an
-        experiment (``with_rho`` copies) are one experiment here; the batch reads
-        each experiment's spectra and evolution through its Scenario, and a batch of
-        one experiment keeps what it derives in that experiment's shared state."""
+        """The batch of validated Scenarios, one experiment and member each: that of one
+        Scenario is its own batch, and several make a new batch, which derives its own."""
         scenarios = tuple(scenarios)
-        index: dict[int, int] = {}
-        heads = []
-        for s in scenarios:
-            if index.setdefault(id(s._derived), len(heads)) == len(heads):
-                heads.append(s)
-
-        derived = heads[0]._derived.setdefault("batch", {}) if len(heads) == 1 else {}
-        return cls(scenarios[0].dim, np.stack([s.h_initial for s in heads]),
-                   np.stack([s.h_final for s in heads]), tuple(s.evolution for s in heads),
-                   np.stack([s.rho for s in scenarios]),
-                   np.array([index[id(s._derived)] for s in scenarios], dtype=np.intp),
-                   derived, [s._derived for s in heads], scenarios)
+        if len(scenarios) == 1:
+            return scenarios[0]._batch
+        return cls(scenarios[0].dim, np.stack([s.h_initial for s in scenarios]),
+                   np.stack([s.h_final for s in scenarios]), tuple(s.evolution for s in scenarios),
+                   np.stack([s.rho for s in scenarios]), np.arange(len(scenarios)))
 
     def with_rho(self, rho, experiment=None) -> "ScenarioBatch":
         """The same experiments on other states (n', d, d), member i on experiment
@@ -409,8 +377,12 @@ class ScenarioBatch:
                       else np.asarray(experiment, dtype=np.intp))
         if rho.shape[1:] != (self.dim, self.dim) or experiment.shape != rho.shape[:1]:
             raise ValidationError("DimMismatch", "rho", f"expected states of dim={self.dim}")
+        return self._on(rho, experiment)
+
+    def _on(self, rho: np.ndarray, experiment: np.ndarray) -> "ScenarioBatch":
+        """These experiments, and what is derived from them, on validated states."""
         return ScenarioBatch(self.dim, self.h_initial, self.h_final, self.evolution, rho,
-                             experiment, self._derived, self._shared)
+                             experiment, self._derived)
 
     def __len__(self) -> int:
         return len(self.rho)
@@ -418,14 +390,11 @@ class ScenarioBatch:
     def members(self, start: int, stop: int) -> "ScenarioBatch":
         """Members start to stop - 1, on the same experiments and what is derived
         from them."""
-        return ScenarioBatch(self.dim, self.h_initial, self.h_final, self.evolution,
-                             self.rho[start:stop], self.experiment[start:stop], self._derived,
-                             self._shared, None if self._members is None
-                             else self._members[start:stop])
+        return self._on(self.rho[start:stop], self.experiment[start:stop])
 
     def derived(self, key, make):
-        """``make()``, computed once for these experiments: like ``Scenario.derived``,
-        ``make`` must not read rho."""
+        """``make()``, computed once for these experiments and shared with every batch
+        ``with_rho`` and ``members`` make of them: ``make`` must not read rho."""
         if key not in self._derived:
             self._derived[key] = make()
         return self._derived[key]
@@ -439,85 +408,91 @@ class ScenarioBatch:
         return arr[x]
 
     def scenario(self, i: int) -> Scenario:
-        """Member i as a Scenario; the members of one experiment share its derived
-        state, so a per-member loop compiles or solves each experiment once."""
-        if self._members is not None:
-            return self._members[i]
-        return self._experiment(int(self.experiment[i]), self.rho[i])
-
-    def _experiment(self, j: int, rho: np.ndarray) -> Scenario:
-        """Experiment j on the state ``rho``, sharing the experiment's derived state."""
-        if self._shared[j] is None:
-            self._shared[j] = {name: SpectralDecomposition(vals[j], vecs[j])
-                               for name in ("H", "H_final")
-                               for vals, vecs in [self._derived[("spectrum", name)]]}
-        return Scenario._trusted(self.h_initial[j], self.h_final[j], self.evolution[j], rho,
-                                 self._shared[j])
-
-    def _heads(self) -> list:
-        """One Scenario per experiment, whether or not this batch holds a state of it,
-        on the maximally mixed state: what the batch reads from it does not read rho."""
-        mixed = np.eye(self.dim, dtype=complex) / self.dim
-        return [self._experiment(j, mixed) for j in range(len(self.h_initial))]
+        """Member i as a Scenario, whose batch holds experiment ``experiment[i]`` alone,
+        seeded with this batch's spectra of it and, once compiled, its compile."""
+        j, held = int(self.experiment[i]), {}
+        for name in ("H", "H_final"):
+            if name in self._derived:
+                vals, vecs = self.spectrum(name)
+                held[name] = SpectralDecomposition(vals[j], vecs[j])
+        for js, _, mesh, unitaries in self._derived.get("compiles", ()):
+            if j in js:
+                held["compiles"] = [(np.zeros(1, dtype=np.intp),
+                                     DrivingProtocol._stack([self.evolution[j]]), mesh,
+                                     unitaries[js == j])]
+        s = object.__new__(Scenario)  # over fields this batch has validated
+        s.__dict__.update(dim=self.dim, h_initial=self.h_initial[j], h_final=self.h_final[j],
+                          evolution=self.evolution[j], rho=self.rho[i], label="",
+                          _batch=ScenarioBatch(self.dim, self.h_initial[j:j + 1],
+                                               self.h_final[j:j + 1], self.evolution[j:j + 1],
+                                               self.rho[i:i + 1], np.zeros(1, dtype=np.intp), held))
+        return s
 
     def unitary(self) -> np.ndarray:
-        """U(tau) of each experiment, (m, d, d); a protocol compiles once, in the
-        state its Scenarios share."""
+        """U(tau) of each experiment, (m, d, d)."""
         if isinstance(self.evolution, np.ndarray):
             return self.evolution
+        return self._held_unitary().reshape(-1, self.dim, self.dim)
 
-        def make():  # every protocol compiled with those on its mesh, then read per experiment
-            self._compiles()
-            return np.stack([s.unitary() for s in self._heads()])
+    def _held_unitary(self) -> np.ndarray:
+        """U(tau) of a tuple of evolutions, (d, d) of one experiment, else (m, d, d)."""
+        def make():  # a protocol's is the last propagator of its compile
+            ends = {j: unitaries[i, -1] for js, _, _, unitaries in self._compiles()
+                    for i, j in enumerate(js)}
+            u = [ends.get(j, e) for j, e in enumerate(self.evolution)]
+            return u[0] if len(u) == 1 else np.stack(u)
         return self.derived("U", make)
 
     def _compiles(self) -> list:
         """``(experiments, stacked protocol, mesh, unitaries (g, k, d, d))`` per substep
-        mesh of the driven experiments.  Those not yet compiled compile together,
-        ``_COMPILE_ENTRIES`` midpoint entries at a time, into the state their Scenarios read."""
+        mesh of the driven experiments, compiled together ``_COMPILE_ENTRIES`` midpoint
+        entries at a time."""
         def make():
-            shared = [s._derived for s in self._heads()]
             groups: dict = {}
             for j, p in enumerate(self.evolution):
                 if isinstance(p, DrivingProtocol):
                     groups.setdefault((p.times.tobytes(), p.steps_per_segment), []).append(j)
             out = []
             for js in groups.values():
-                protocol = DrivingProtocol._stack([self.evolution[j] for j in js])
-                new = [j for j in js if "compile" not in shared[j]]
-                step = max(1, _COMPILE_ENTRIES // (protocol.hamiltonians[0].size
-                                                   * protocol.steps_per_segment))
-                for part in (new[i:i + step] for i in range(0, len(new), step)):
-                    u, mesh, unitaries = compile_unitary(
-                        DrivingProtocol._stack([self.evolution[j] for j in part]))
-                    for i, j in enumerate(part):
-                        shared[j]["compile"] = (u[i], mesh, unitaries[i])
-                out.append((np.array(js), protocol, shared[js[0]]["compile"][1],
-                            np.stack([shared[j]["compile"][2] for j in js])))
+                ps = [self.evolution[j] for j in js]
+                step = max(1, _COMPILE_ENTRIES // (ps[0].hamiltonians.size
+                                                   * ps[0].steps_per_segment))
+                parts = [compile_unitary(DrivingProtocol._stack(ps[i:i + step]))
+                         for i in range(0, len(ps), step)]
+                out.append((np.array(js), DrivingProtocol._stack(ps), parts[0][1],
+                            np.concatenate([unitaries for _, _, unitaries in parts])))
             return out
         return self.derived("compiles", make)
 
     def spectrum(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and eigenvectors of ``"H"`` or ``"H_final"`` per experiment,
-        (m, d) and (m, d, d), or of ``"rho"`` per member, (n, d) and (n, d, d).
+        (m, d) and (m, d, d), or of ``"rho"`` per member, (n, d) and (n, d, d)."""
+        dec = self._held_spectrum(name)
+        return (dec.eigenvalues.reshape(-1, self.dim),
+                dec.eigenvectors.reshape(-1, self.dim, self.dim))
 
-        A batch of Scenarios reads their own spectra; otherwise the rho spectra of
-        all members are one stacked Jacobi solve, made on first read."""
+    def _held_spectrum(self, name: str) -> SpectralDecomposition:
+        """The decomposition of ``spectrum(name)``, solved on first read: one matrix through
+        ``_eig``, whose cache shares equal operators between owners, a stack in one
+        ``_jacobi`` call.  Each batch solves its own states."""
+        def solve(stack):
+            return (_eig(stack[0], validated=True) if len(stack) == 1
+                    else SpectralDecomposition(*_jacobi(stack)))
         if name != "rho":
-            return self.derived(("spectrum", name), lambda: tuple(np.stack(x) for x in zip(*(
-                (dec.eigenvalues, dec.eigenvectors) for dec in
-                (s.spectrum(name) for s in self._heads())))))
+            return self.derived(name, lambda: solve({"H": self.h_initial,
+                                                     "H_final": self.h_final}[name]))
         if self._rho_spectrum is None:
-            pairs = (_jacobi(self.rho) if self._members is None else
-                     [np.stack(x) for x in zip(*((dec.eigenvalues, dec.eigenvectors) for dec in
-                                                 (s.spectrum("rho") for s in self._members)))])
-            object.__setattr__(self, "_rho_spectrum", tuple(pairs))
+            object.__setattr__(self, "_rho_spectrum", solve(self.rho))
         return self._rho_spectrum
 
     def eigenspaces(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """``_eigenspaces`` of ``"H"`` or ``"H_final"`` per experiment: labels (m, k), NaN
         past an experiment's own count, and column cluster ids (m, d)."""
-        return self.derived((name, "eigenspaces"), lambda: _eigenspaces(self.spectrum(name)[0]))
+        labels, ids = self._held_eigenspaces(name)
+        return labels.reshape(len(self.h_initial), -1), ids.reshape(-1, self.dim)
+
+    def _held_eigenspaces(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        return self.derived((name, "eigenspaces"), lambda: self._held_spectrum(name).eigenspaces())
 
     def mean_energy_change(self) -> np.ndarray:
         """``mean_energy_change`` of every member, (n,)."""

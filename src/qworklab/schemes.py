@@ -8,7 +8,8 @@ are merged by weight addition, which also absorbs spectral degeneracies.
 Every scheme has one kernel, which evaluates every member of a ``ScenarioBatch``
 in one set of array operations and merges all members' atoms in one segmented
 merge into a ``WorkBatch``; ``distribution`` and the per-scenario functions run the
-same kernel on a batch of one.  TPM, Margenau-Hill and the post-selected pointer
+same kernel on the Scenario's own batch of one, which holds all that the kernels
+derive for it.  TPM, Margenau-Hill and the post-selected pointer
 are one joint table in kappa (``_joint_weights``), consistent histories chains of
 overlaps (``_ch_distributions``) and the two-copy factors sums over the columns of
 G = V^dag U^dag V' (``_collective_factors``), all read off the eigenspaces as
@@ -688,18 +689,24 @@ class CollectiveFactors:
     experiment or, every field with a leading axis (m,), of m (zero past a count).
 
     The two-copy element of outcome (i, j) is |i><i| (x) F_ij, with |i> the
-    columns of ``basis`` (the initial eigenvectors).  ``diag_parts[i, j]`` is
-    <i|T_j|i>, ``off_parts[j]`` is T_j^off and ``off_min[j]`` its least
-    eigenvalue.
+    columns of ``basis`` (the initial eigenvectors).  ``blocks[j]`` is G_j, the
+    columns of G = V^dag U^dag V' in final eigenspace j, so T_j = V G_j G_j^dag V^dag;
+    ``diag_parts[i, j]`` is <i|T_j|i> and ``off_min[j]`` the least eigenvalue of
+    T_j^off.  Only ``off_parts`` and ``povm`` form the d x d parts T_j^off.
     """
 
     basis: np.ndarray
     initial_energies: np.ndarray
     final_energies: np.ndarray
     diag_parts: np.ndarray
-    off_parts: np.ndarray
+    blocks: np.ndarray
     off_min: np.ndarray
     lam: float | np.ndarray
+
+    @property
+    def off_parts(self) -> np.ndarray:
+        """T_j^off, (..., k, d, d), formed from the blocks on each read."""
+        return _off_parts(self.basis[..., None, :, :], self.blocks)
 
     def min_eigenvalue(self):
         """Least eigenvalue over all two-copy elements, without building one.
@@ -714,8 +721,10 @@ class CollectiveFactors:
     def completeness_defect(self):
         """max_i ||sum_j F_ij - I||_max without building an element: the elements sum to
         sum_i |i><i| (x) sum_j F_ij, and sum_j F_ij - I = (c_i - 1) I + lam S with
-        c_i = sum_j <i|T_j|i> and S = sum_j T_j^off."""
-        lam_s = np.asarray(self.lam)[..., None, None] * self.off_parts.sum(axis=-3)
+        c_i = sum_j <i|T_j|i> and S = sum_j T_j^off, read off all blocks' columns at once."""
+        g = np.moveaxis(self.blocks, -3, -2)
+        lam_s = np.asarray(self.lam)[..., None, None] * _off_parts(
+            self.basis, g.reshape(g.shape[:-2] + (-1,)))
         on = self.diag_parts.sum(-1)[..., :, None] + np.diagonal(lam_s, 0, -2, -1)[..., None, :]
         off = lam_s * (1.0 - np.eye(lam_s.shape[-1]))
         return np.maximum(np.abs(on - 1.0).max(axis=(-2, -1)), np.abs(off).max(axis=(-2, -1)))
@@ -735,6 +744,13 @@ class CollectiveFactors:
         return Povm(works.ravel(), ops.reshape(d * k, d * d, d * d))
 
 
+def _off_parts(basis: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """V (G G^dag, its diagonal zeroed) V^dag of columns G (..., d, r) in the basis V."""
+    t = g @ dag(g)
+    t[..., np.arange(t.shape[-1]), np.arange(t.shape[-1])] = 0.0
+    return basis @ t @ dag(basis)
+
+
 def _collective_factors(b: ScenarioBatch, lam: float | str) -> CollectiveFactors:
     """``collective_factors`` of every experiment of ``b``, stacked, once per batch and ``lam``:
     T_j = G_j G_j^dag, G = V^dag U^dag V' and G_j its columns in final eigenspace j."""
@@ -746,17 +762,15 @@ def _collective_factors(b: ScenarioBatch, lam: float | str) -> CollectiveFactors
         (e_i, v_i), (_, v_f) = b.spectrum("H"), b.spectrum("H_final")
         e_f, ids = b.eigenspaces("H_final")
         g = _blocks(dag(v_i) @ dag(b.unitary()) @ v_f, ids)  # (m, k, d, r)
-        t = (g[..., :, None, :] * g.conj()[..., None, :, :]).sum(axis=-1)
-        diag_parts = np.diagonal(t, 0, -2, -1).real.swapaxes(1, 2).copy()
-        t[..., np.arange(b.dim), np.arange(b.dim)] = 0.0  # T_j^off, in place
-        off_parts = v_i[:, None] @ t @ dag(v_i)[:, None]
+        diag_parts = (g * g.conj()).real.sum(axis=-1).swapaxes(1, 2)
         rank = (ids[:, None, :] == np.arange(e_f.shape[1])[:, None]).sum(axis=-1)
         # t from G, not from the diagonal of T (a sum of rounded products): an exact
         # zero of t stays exact, and lambda_max reads the sign of off_min
         off_min = np.zeros(e_f.shape)
         off_min[rank == 1] = _secular_min(np.abs(g[rank == 1][..., 0]) ** 2)
         if (rank > 1).any():  # every degenerate final eigenspace in one stacked solve
-            off_min[rank > 1] = _jacobi(off_parts[rank > 1])[0][:, 0]
+            at = np.nonzero(rank > 1)
+            off_min[at] = _jacobi(_off_parts(v_i[at[0]], g[at]))[0][:, 0]
         neg = off_min < 0.0
         bound = np.where(neg, diag_parts.min(axis=1) / np.where(neg, -off_min, 1.0), np.inf)
         lam_val = (np.clip(bound.min(axis=1, initial=1.0), 0.0, 1.0) if lam == "auto"
@@ -765,13 +779,13 @@ def _collective_factors(b: ScenarioBatch, lam: float | str) -> CollectiveFactors
         bad = np.flatnonzero(lo < -POVM_EIG_TOL)
         if bad.size:
             raise NotPositive(float(lam_val[bad[0]]), float(lo[bad[0]]))
-        return CollectiveFactors(v_i, e_i, e_f, diag_parts, off_parts, off_min, lam_val)
+        return CollectiveFactors(v_i, e_i, e_f, diag_parts, g, off_min, lam_val)
     return b.derived(("collective_factors", lam), make)
 
 
 def collective_factors(s: Scenario, lam: float | str = "auto") -> CollectiveFactors:
-    """The factors of the two-copy elements at a checked lambda, of the batch of ``s``
-    and kept in the state its ``with_rho`` copies share.
+    """The factors of the two-copy elements at a checked lambda: those of the one
+    experiment of the batch of ``s``.
 
     ``lam="auto"`` selects lambda_max.  Raises :class:`NotPositive` when an
     element's least eigenvalue <i|T_j|i> + lambda lambda_min(T_j^off) is
@@ -782,8 +796,7 @@ def collective_factors(s: Scenario, lam: float | str = "auto") -> CollectiveFact
     is degenerate, since the basis |i> inside an eigenspace is then the solver's.
     """
     stack = _collective_factors(ScenarioBatch.of([s]), lam)
-    return s.derived(("collective_factors", lam), lambda: CollectiveFactors(
-        *(getattr(stack, f.name)[0] for f in fields(CollectiveFactors))))
+    return CollectiveFactors(*(getattr(stack, f.name)[0] for f in fields(CollectiveFactors)))
 
 
 def lambda_max(s: Scenario) -> float:
@@ -800,9 +813,11 @@ def lambda_max(s: Scenario) -> float:
 def _collective_distributions(b: ScenarioBatch, lam: float | str) -> WorkBatch:
     """``collective_two_copy`` of every member, from its experiment's factors."""
     f = _collective_factors(b, lam)
-    basis, e_i, e_f, diag, off, _, lam_m = (b.per_member(getattr(f, x.name)) for x in fields(f))
-    pops = np.diagonal(dag(basis) @ b.rho @ basis, axis1=-2, axis2=-1).real
-    off_mean = np.einsum("njab,nba->nj", off, b.rho).real
+    basis, e_i, e_f, diag, g, _, lam_m = (b.per_member(getattr(f, x.name)) for x in fields(f))
+    rho_h = dag(basis) @ b.rho @ basis  # rho in the initial eigenbasis
+    pops = np.diagonal(rho_h, axis1=-2, axis2=-1).real.copy()
+    rho_h[:, np.arange(b.dim), np.arange(b.dim)] = 0.0  # Tr(T_j^off rho) = Tr(G_j^dag rho_h G_j)
+    off_mean = (g.conj() * (rho_h[:, None] @ g)).real.sum(axis=(-2, -1))
     weights = pops[:, :, None] * (diag + lam_m[:, None, None] * off_mean[:, None, :])
     works = e_f[:, None, :] - e_i[:, :, None]
     real = ~np.isnan(works)  # not a slot past a member's final eigenspace count

@@ -125,26 +125,34 @@ def test_c1_two_copy_computes_the_factors_once_per_mixture(monkeypatch):
     assert len(built) == 2
 
 
-def test_with_rho_copies_share_the_derived_state():
+def test_with_rho_copies_share_the_derived_state(monkeypatch):
     s = audit.sample_scenario(3, np.random.default_rng(8), coherent=True, driven=True)
     copies = [s.with_rho(rho) for rho in (np.eye(3) / 3, np.diag([0.5, 0.3, 0.2]))]
     schemes_mod.consistent_histories(s, 4)
+    solved = []
+    original = schemes_mod._jacobi
+    monkeypatch.setattr(schemes_mod, "_jacobi", lambda a: solved.append(a) or original(a))
+    batch = ScenarioBatch.of([s])
     for copy in copies:
         assert copy.unitary() is s.unitary()
         for name in ("H", "H_final"):
             assert copy.spectrum(name) is s.spectrum(name)
             assert all(a is b for a, b in zip(copy.eigenspaces(name), s.eigenspaces(name)))
-        assert collective_factors(copy) is collective_factors(s)
-        assert collective_factors(copy, 0.0) is collective_factors(s, 0.0)
+        for lam in ("auto", 0.0):
+            assert (schemes_mod._collective_factors(ScenarioBatch.of([copy]), lam)
+                    is schemes_mod._collective_factors(batch, lam))
+            assert np.shares_memory(collective_factors(copy, lam).blocks,
+                                    collective_factors(s, lam).blocks)
         # the history operators and their eigenspaces do not read rho: one per (experiment, K)
         assert (schemes_mod._ch_power_operators(ScenarioBatch.of([copy]), 4)
-                is schemes_mod._ch_power_operators(ScenarioBatch.of([s]), 4))
-        assert copy._derived["batch"][("ch_blocks", 4)] is s._derived["batch"][("ch_blocks", 4)]
+                is schemes_mod._ch_power_operators(batch, 4))
+        schemes_mod.consistent_histories(copy, 4)
+        assert solved == []  # the X(t_j) blocks s solved
         # each copy keeps the spectrum of its own rho
         assert copy.spectrum("rho") is not s.spectrum("rho")
         np.testing.assert_allclose(copy.spectrum("rho").reconstruct(), copy.rho, atol=1e-14)
-    assert collective_factors(s, 0.0) is not collective_factors(s)
-    batch = ScenarioBatch.of([s])
+    assert (schemes_mod._collective_factors(batch, 0.0)
+            is not schemes_mod._collective_factors(batch, "auto"))
     assert schemes_mod._ch_power_operators(batch, 5) is not schemes_mod._ch_power_operators(batch, 4)
 
 

@@ -449,10 +449,38 @@ def test_a_batch_compiles_each_protocol_as_it_compiles_alone(monkeypatch):
         alone = real(protocol)
         s = batch.scenario(j)
         assert u[j].tobytes() == alone[0].tobytes()  # the products keep their order: atol 0
-        for got, ref in zip(s._derived["compile"], alone):
+        [(_, _, mesh, unitaries)] = ScenarioBatch.of([s])._compiles()
+        for got, ref in zip((s.unitary(), mesh, unitaries[0]), alone):
             assert got.tobytes() == ref.tobytes()
         sch.consistent_histories(s, 4)  # the history kernel reads the batch's compile
     assert len(calls) == 1
+
+
+def test_a_scenario_taken_from_a_batch_reads_the_batch_facts(monkeypatch):
+    batch = audit._sample_batch(3, 4, np.random.default_rng(41), coherent=True, driven=True)
+    sampled = audit.sample_scenario(3, np.random.default_rng(42), driven=True)
+    u = batch.unitary()  # both compiled before anything is counted
+    sampled.unitary()
+    taken = [batch.scenario(i) for i in range(len(batch))] + [sampled]
+    taken += [s.with_rho(la.random_density(3, 43 + i)) for i, s in enumerate(taken)]
+    calls, _ = counting_compiles(monkeypatch)
+    solved = []
+    original = la._jacobi
+
+    def recording(a):
+        solved.append(a.copy())
+        return original(a)
+
+    for module in (la, scenario_mod, sch):
+        monkeypatch.setattr(module, "_jacobi", recording)
+    for i, s in enumerate(taken):
+        if i % 5 < 4:  # the batch's members and their copies read its compile as it is
+            assert s.unitary().tobytes() == u[i % 5].tobytes()
+        s.unitary(), s.spectrum("H")
+        sch.consistent_histories(s, 4)
+    assert calls == []
+    assert not any(a.shape[-2:] == op.shape and np.any(np.all(a == op, axis=(-2, -1)))
+                   for a in solved for s in taken for op in (s.h_initial, s.h_final))
 
 
 def mixed_mesh_scenarios(rng):

@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from qworklab import __version__
+from qworklab import __version__, audit
+from qworklab import linalg as la
+from qworklab import scenario as scenario_mod
+from qworklab import schemes as schemes_mod
+from qworklab import thermo
 from qworklab.cli import _CONVENTION_FLAGS, TOLERANCES, emit_distribution, main
-from qworklab.scenario import Scenario, serialize_scenario
+from qworklab.scenario import Scenario, load_scenario, serialize_scenario
 from qworklab.schemes import CollectiveFactors, SchemeId, WorkDistribution
 
 from conftest import HADAMARD, PLUS, SZ
@@ -236,6 +240,29 @@ def test_collective_verb_at_d32_builds_no_two_copy_element(monkeypatch, capsys):
     doc = json.loads(out)
     assert doc["n_contract_violations"] == 0 and doc["worst_completeness"] <= 1e-8
     assert len(built) == 2  # the two fixed d = 2 probes only
+
+
+def test_rereading_a_scenario_file_reuses_the_cached_spectra(tmp_path, monkeypatch, capsys):
+    """Each verb parses the file again, into a Scenario of its own; the eigen cache shares
+    H, H_final and rho between those parses, so each is solved once in the process."""
+    path = tmp_path / "d16.json"
+    path.write_text(serialize_scenario(audit.sample_scenario(16, np.random.default_rng(16))))
+    solved = []
+    original = la._jacobi
+
+    def recording(a):
+        solved.append(a.copy())
+        return original(a)
+
+    for module in (la, scenario_mod, schemes_mod, thermo):
+        monkeypatch.setattr(module, "_jacobi", recording)
+    monkeypatch.setattr(la, "_EIG_CACHE", {})
+    for scheme in ("state-dependent", "sub-ensemble"):
+        assert main(["dist", "--scheme", scheme, "--scenario", str(path), "--format", "json"]) == 0
+    again = load_scenario(path)
+    thermo.measurement_work_loss(again.rho, thermo.ThermalContext(1.0, again.h_initial))
+    for op in (again.h_initial, again.h_final, again.rho):
+        assert sum(a.shape == op.shape and np.array_equal(a, op) for a in solved) == 1
 
 
 def test_pointer_sweep_verb(scenario_file, capsys):

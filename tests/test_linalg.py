@@ -301,7 +301,7 @@ def test_eigenspaces_ignore_rotations_inside_a_degenerate_eigenspace(levels, see
                 + [sch.distributions(sch.SchemeId.OPERATOR_OF_WORK, batch).weights,
                    la.dephase(rho, s.spectrum("H")), la.dephase(rho, s.spectrum("H_final")),
                    sch.tpm_povm(s).ops, la._projectors(vecs["H"], la._eigenspaces(vals)[1])],
-                [factors.diag_parts, factors.off_parts, factors.off_min])
+                [factors.diag_parts, sch.collective_factors(s).off_parts, factors.off_min])
 
     labels, ids = la.SpectralDecomposition(vals, bases["H"][0]).eigenspaces()
     labels_rot, ids_rot = la.SpectralDecomposition(vals, bases["H"][1]).eigenspaces()

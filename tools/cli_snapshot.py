@@ -232,6 +232,9 @@ def commands() -> list[tuple[str, list[str]]]:
     runs.append(("thermo-s200-seed7919", ["thermo", "--samples", "200", "--seed", "7919"]))
     runs.append(("collective-d4-s40-seed7919",
                  ["collective", "--dim", "4", "--samples", "40", "--seed", "7919"]))
+    # the two-copy check's factor stacks above d = 4
+    runs.append(("collective-d16-s20-seed1",
+                 ["collective", "--dim", "16", "--samples", "20", "--seed", "1"]))
     for fmt in ("csv", "json"):
         runs.append((f"pointer-sweep-d2-{fmt}",
                      ["pointer-sweep", "--scenario", "scenarios/d2-unitary.json",
