@@ -58,20 +58,22 @@ _CONVENTION_FLAGS = {
 
 
 def _report(doc: dict, seed, **after) -> str:
-    """JSON text of ``doc``, then ``metadata``, then each ``after`` key that is not None."""
+    """JSON text of ``doc``, then ``metadata``, then each ``after`` key that is not None.
+    An ``atoms`` entry of ``doc`` is an (n, 2) float array of (work, weight) rows."""
     doc["metadata"] = {"tool": "qworklab", "version": __version__, "seed": seed,
                        "tolerances": TOLERANCES}
     doc.update((key, value) for key, value in after.items() if value is not None)
     atoms = doc.get("atoms")
-    if not atoms:
+    if atoms is None:
         return json.dumps(doc, indent=2) + "\n"
     # json encodes in pure Python under indent, so the atom rows are laid out here as json would
     head, _, tail = json.dumps(dict(doc, atoms="\0"), indent=2).partition(json.dumps("\0"))
     rows = ",".join(["\n    [\n      %r,\n      %r\n    ]"] * len(atoms)) % tuple(
-        x for pair in atoms for x in pair)
-    # float repr writes nan, inf and -inf where json writes NaN, Infinity and -Infinity
-    rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
-    return "".join([head, "[", rows, "\n  ]", tail, "\n"])
+        atoms.ravel().tolist())
+    if not np.isfinite(atoms).all():
+        # float repr writes nan, inf and -inf where json writes NaN, Infinity and -Infinity
+        rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
+    return "".join([head, "[", rows, "\n  ]" if len(atoms) else "]", tail, "\n"])
 
 
 def _csv(header: str, rows) -> str:
@@ -85,7 +87,7 @@ def emit_distribution(dist: WorkDistribution, fmt: str, seed=None) -> str:
         return _csv("work,weight", dist.atoms)
     note = _CONVENTION_FLAGS.get(dist.scheme)
     return _report({"scheme": dist.scheme.value, "is_quasi": dist.is_quasi,
-                    "atoms": dist.atoms}, seed,
+                    "atoms": np.column_stack((dist.works, dist.weights))}, seed,
                    conventions=[note] if note else None)
 
 

@@ -436,11 +436,37 @@ def dephase(rho, basis: SpectralDecomposition) -> np.ndarray:
     """
     rho = (require_hermitian(rho, "rho") if np.ndim(rho) == 2
            else _require_stack(rho, "rho", "hermitian"))
+    return _dephase(rho, basis)
+
+
+def _require_basis_size(rho: np.ndarray, basis: SpectralDecomposition) -> None:
     if rho.shape[-1] != basis.dim:
         raise DimensionMismatch(f"rho of size {rho.shape[-1]} in a basis of size {basis.dim}")
+
+
+def _dephase(rho: np.ndarray, basis: SpectralDecomposition) -> np.ndarray:
+    """``dephase`` of a validated state, or stack of states; only its size is checked."""
+    _require_basis_size(rho, basis)
     v, ids = basis.eigenvectors, basis.eigenspaces()[1]
     same = ids[..., :, None] == ids[..., None, :]
     return v @ (same * (dag(v) @ rho @ v)) @ dag(v)
+
+
+def _dephased_eigenvalues(rho: np.ndarray, basis: SpectralDecomposition) -> np.ndarray:
+    """The eigenvalues of ``dephase(rho, basis)`` of a validated state (d, d), or of
+    each of a stack (n, d, d), read without forming or solving the dephased state:
+    they are those of the blocks V_c^dag rho V_c of the eigenspaces of ``basis``
+    (``_blocks``).  Where every block has rank 1 these are the populations; else
+    the r x r blocks are solved in one stacked ``_jacobi`` call.  Shape (..., k r),
+    the values past a block's rank and a decomposition's count 0, which entropies
+    ignore.  Only the state's size is checked.
+    """
+    _require_basis_size(rho, basis)
+    v = _blocks(basis.eigenvectors, basis.eigenspaces()[1])  # (..., k, d, r)
+    blocks = dag(v) @ rho[..., None, :, :] @ v
+    if v.shape[-1] == 1:
+        return blocks[..., 0, 0].real
+    return _jacobi(blocks)[0].reshape(blocks.shape[:-3] + (-1,))
 
 
 def von_neumann_entropy(rho) -> float:

@@ -16,6 +16,7 @@ experiment state its ``with_rho`` copies share; each keeps its own rho's spectru
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -531,26 +532,41 @@ def _matrix_to_json(m: np.ndarray) -> list:
     return [[_entry_to_pair(complex(z)) for z in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _is_pair_matrix(node) -> bool:
+    """Whether ``node`` is a non-empty list of equal-length non-empty rows of
+    [re, im] pairs of exact ints and floats, checked over its rows, cells and
+    numbers as a whole."""
+    if type(node) is not list or not node or set(map(type, node)) != {list}:
+        return False
+    cells = list(itertools.chain.from_iterable(node))
+    return (bool(cells) and len(set(map(len, node))) == 1 and set(map(type, cells)) == {list}
+            and set(map(len, cells)) == {2}
+            and set(map(type, itertools.chain.from_iterable(cells))) <= {int, float})
+
+
 def _matrix_from_json(node, path: str) -> np.ndarray:
-    if not isinstance(node, list) or not node:
-        raise ParseError("matrix must be a non-empty nested array", path)
-    rows = []
-    width = None
-    for i, row in enumerate(node):
-        if not isinstance(row, list) or not row:
-            raise ParseError("matrix row must be a non-empty array", f"{path}[{i}]")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError("ragged matrix rows", f"{path}[{i}]")
-        entries = []
-        for j, cell in enumerate(row):
-            if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)):
-                raise ParseError("complex entry must be a [re, im] pair", f"{path}[{i}][{j}]")
-            entries.append(complex(float(cell[0]), float(cell[1])))
-        rows.append(entries)
-    return np.array(rows, dtype=np.complex128)
+    """The complex matrix of a nested array of [re, im] pairs, converted in one
+    array call, bitwise as ``complex(float(re), float(im))`` per entry.
+
+    A node that ``_is_pair_matrix`` does not accept (a bool, string or null number
+    among its entries) is walked entry by entry first, which raises a
+    ``ParseError`` at the path of the first fault; numbers of other real types
+    (numpy floats) pass the walk.
+    """
+    if not _is_pair_matrix(node):
+        if not isinstance(node, list) or not node:
+            raise ParseError("matrix must be a non-empty nested array", path)
+        for i, row in enumerate(node):
+            if not isinstance(row, list) or not row:
+                raise ParseError("matrix row must be a non-empty array", f"{path}[{i}]")
+            if len(row) != len(node[0]):
+                raise ParseError("ragged matrix rows", f"{path}[{i}]")
+            for j, cell in enumerate(row):
+                if (not isinstance(cell, list) or len(cell) != 2
+                        or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                                   for x in cell)):
+                    raise ParseError("complex entry must be a [re, im] pair", f"{path}[{i}][{j}]")
+    return np.array(node, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def scenario_to_dict(s: Scenario) -> dict:

@@ -7,7 +7,9 @@ stack of states (n, d, d), which takes the spectra of the states it reads.  A
 public function validates and solves its one state, through the shared eigen
 cache, and evaluates the formula on it.  ``identity_suite`` evaluates the same
 formulas on stacks: it validates each stack of states once and solves it in
-one stacked Jacobi call.  A ``ThermalContext`` that ``_context`` makes may
+one stacked Jacobi call.  The dephased state D(rho) is neither validated nor
+solved: it is formed from a validated rho, and its spectrum is read from the
+blocks of rho in H's eigenspaces.  A ``ThermalContext`` that ``_context`` makes may
 hold a stack of betas (n,) and Hamiltonians (n, d, d), or one Hamiltonian
 (1, d, d) that all n members share, and its methods then give one value per
 member.
@@ -26,6 +28,8 @@ from .linalg import (
     DEGENERACY_GAP,
     SpectralDecomposition,
     _complex_normal,
+    _dephase,
+    _dephased_eigenvalues,
     _eig,
     _entropies,
     _jacobi,
@@ -129,21 +133,19 @@ def _energies(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.trace(h @ rho, axis1=-2, axis2=-1).real
 
 
-def _free_energies(rho: np.ndarray, dec: SpectralDecomposition,
-                   ctx: ThermalContext) -> np.ndarray:
-    """F(rho, H) = Tr(H rho) - S(rho) / beta of states with spectrum ``dec``."""
-    return _energies(ctx.hamiltonian, rho) - _entropies(dec.eigenvalues) / ctx.beta
+def _free_energies(rho: np.ndarray, vals: np.ndarray, ctx: ThermalContext) -> np.ndarray:
+    """F(rho, H) = Tr(H rho) - S(rho) / beta of states with eigenvalues ``vals``."""
+    return _energies(ctx.hamiltonian, rho) - _entropies(vals) / ctx.beta
 
 
-def _extractable_works(rho: np.ndarray, dec: SpectralDecomposition,
-                       ctx: ThermalContext) -> np.ndarray:
-    """F(rho) - F(gibbs) = F(rho) + ln Z / beta of states with spectrum ``dec``."""
-    return _free_energies(rho, dec, ctx) + ctx.log_partition() / ctx.beta
+def _extractable_works(rho: np.ndarray, vals: np.ndarray, ctx: ThermalContext) -> np.ndarray:
+    """F(rho) - F(gibbs) = F(rho) + ln Z / beta of states with eigenvalues ``vals``."""
+    return _free_energies(rho, vals, ctx) + ctx.log_partition() / ctx.beta
 
 
-def _asymmetries(dec: SpectralDecomposition, dec_dephased: SpectralDecomposition) -> np.ndarray:
-    """S(D(rho)) - S(rho) from the spectra of rho and of D(rho)."""
-    return _entropies(dec_dephased.eigenvalues) - _entropies(dec.eigenvalues)
+def _asymmetries(vals: np.ndarray, vals_dephased: np.ndarray) -> np.ndarray:
+    """S(D(rho)) - S(rho) from the eigenvalues of rho and of D(rho)."""
+    return _entropies(vals_dephased) - _entropies(vals)
 
 
 def _mutual_informations(dec_a, dec_b, dec_ab) -> np.ndarray:
@@ -154,7 +156,8 @@ def _mutual_informations(dec_a, dec_b, dec_ab) -> np.ndarray:
 
 def free_energy(rho: np.ndarray, ctx: ThermalContext) -> float:
     """F(rho, H) = Tr(H rho) - S(rho) / beta."""
-    return float(_free_energies(*_states(rho, "state"), ctx))
+    rho, dec = _states(rho, "state")
+    return float(_free_energies(rho, dec.eigenvalues, ctx))
 
 
 def max_extractable_work(rho: np.ndarray, ctx: ThermalContext) -> float:
@@ -163,7 +166,8 @@ def max_extractable_work(rho: np.ndarray, ctx: ThermalContext) -> float:
     This equals S(rho || gibbs) / beta; since ln gibbs = -beta H - ln Z,
     F(gibbs) = -ln Z / beta, and the Gibbs state itself is never formed.
     """
-    return float(_extractable_works(*_states(rho, "state"), ctx))
+    rho, dec = _states(rho, "state")
+    return float(_extractable_works(rho, dec.eigenvalues, ctx))
 
 
 def dephased(rho: np.ndarray, ctx: ThermalContext) -> np.ndarray:
@@ -171,8 +175,14 @@ def dephased(rho: np.ndarray, ctx: ThermalContext) -> np.ndarray:
 
 
 def asymmetry(rho: np.ndarray, ctx: ThermalContext) -> float:
-    """Relative entropy of coherence in the energy basis: S(D(rho)) - S(rho)."""
-    return float(_asymmetries(eig_hermitian(rho), eig_hermitian(dephased(rho, ctx))))
+    """Relative entropy of coherence in the energy basis: S(D(rho)) - S(rho).
+
+    rho is validated as a Hermitian matrix; D(rho) is not formed, its eigenvalues
+    are read from the blocks of H's eigenspaces (``_dephased_eigenvalues``).
+    """
+    vals = eig_hermitian(rho).eigenvalues
+    return float(_asymmetries(vals, _dephased_eigenvalues(require_hermitian(rho, "rho"),
+                                                          ctx.decomposition)))
 
 
 def free_energy_decomposition(rho: np.ndarray, ctx: ThermalContext) -> tuple[float, float]:
@@ -186,9 +196,13 @@ def free_energy_decomposition(rho: np.ndarray, ctx: ThermalContext) -> tuple[flo
 
 def _decomposition_terms(rho: np.ndarray, dec: SpectralDecomposition, ctx: ThermalContext):
     """``free_energy_decomposition`` of a validated state with spectrum ``dec``, or of
-    each member of stacks of them; D(rho) is validated and solved here."""
-    rho_d, dec_d = _states(dephased(rho, ctx), "D(rho)")
-    return _extractable_works(rho_d, dec_d, ctx), _asymmetries(dec, dec_d) / ctx.beta
+    each member of stacks of them.  D(rho) is formed from the validated state, so it
+    is not validated again, and its eigenvalues are read from the blocks of H's
+    eigenspaces (``_dephased_eigenvalues``), so it is not solved."""
+    basis = ctx.decomposition
+    vals_d = _dephased_eigenvalues(rho, basis)
+    return (_extractable_works(_dephase(rho, basis), vals_d, ctx),
+            _asymmetries(dec.eigenvalues, vals_d) / ctx.beta)
 
 
 def measurement_work_loss(rho: np.ndarray, ctx: ThermalContext) -> float:
@@ -207,7 +221,7 @@ def measurement_work_loss(rho: np.ndarray, ctx: ThermalContext) -> float:
         )
     rho, dec = _states(rho, "state")
     diag_part, via_coherence = map(float, _decomposition_terms(rho, dec, ctx))
-    direct = float(_extractable_works(rho, dec, ctx)) - diag_part
+    direct = float(_extractable_works(rho, dec.eigenvalues, ctx)) - diag_part
     if abs(direct - via_coherence) > WORK_LOSS_CONSISTENCY_TOL:
         raise ArithmeticError(
             f"work-loss paths disagree: {direct!r} vs {via_coherence!r}"
@@ -312,9 +326,9 @@ def _bipartite_terms(rho_s: np.ndarray, dec_s: SpectralDecomposition, u: np.ndar
     ath_s = _relative_entropies(dec1_s, dec_tau_s) / beta
     ath_b = _relative_entropies(dec1_b, dec_tau_b) / beta
     corr = _mutual_informations(dec1_s, dec1_b, dec1) / beta
-    f_rho = _free_energies(rho_s, dec_s, ctx_s)
-    bound = f_rho - _free_energies(tau_s, dec_tau_s, ctx_s)
-    f_after = _free_energies(rho1_s, dec1_s, ctx_s)
+    f_rho = _free_energies(rho_s, dec_s.eigenvalues, ctx_s)
+    bound = f_rho - _free_energies(tau_s, dec_tau_s.eigenvalues, ctx_s)
+    f_after = _free_energies(rho1_s, dec1_s.eigenvalues, ctx_s)
     return {
         "work": work,
         "bound_delta_f": bound,
@@ -364,14 +378,16 @@ def identity_suite(n_samples: int = 200, seed: int = 1) -> dict:
         ctx = _context(beta, h)
         rho, dec = _states(_wishart_states(_complex_normal(g_rho)), "rho")
         gibbs, dec_gibbs = _states(ctx.gibbs_state(), "gibbs")
-        wmax = _extractable_works(rho, dec, ctx)
+        wmax = _extractable_works(rho, dec.eigenvalues, ctx)
         diag_part, coh_part = _decomposition_terms(rho, dec, ctx)
         direct = wmax - diag_part  # the work lost by dephasing first
-        total = _free_energies(rho, dec, ctx) - _free_energies(gibbs, dec_gibbs, ctx)
+        total = (_free_energies(rho, dec.eigenvalues, ctx)
+                 - _free_energies(gibbs, dec_gibbs.eigenvalues, ctx))
         coherent = np.abs(rho @ h - h @ rho).max(axis=(1, 2)) > COHERENT_COMMUTATOR
         for key, value in (
                 ("max_wmax_negativity", -wmax),
-                ("wmax_zero_at_gibbs", np.abs(_extractable_works(gibbs, dec_gibbs, ctx))),
+                ("wmax_zero_at_gibbs",
+                 np.abs(_extractable_works(gibbs, dec_gibbs.eigenvalues, ctx))),
                 ("max_decomposition_residual", np.abs(diag_part + coh_part - total)),
                 ("max_loss_path_disagreement", np.abs(direct - coh_part)),
                 ("min_loss_when_coherent", direct[coherent]),
@@ -423,12 +439,13 @@ def _local_terms(x_sb: np.ndarray, dec: SpectralDecomposition, dims: tuple[int, 
     """``local_free_energy_decomposition`` of a validated joint state with spectrum
     ``dec`` on contexts that share one beta, or of each member of stacks of them."""
     beta = ctx_s.beta
-    joint = _free_energies(x_sb, dec, _context(beta, _joint_hamiltonian(ctx_s, ctx_b)))
+    joint = _free_energies(x_sb, dec.eigenvalues,
+                           _context(beta, _joint_hamiltonian(ctx_s, ctx_b)))
     x_s, x_b = _marginals(x_sb, dims)
     x_s, dec_s = _states(x_s, "X_S")
     x_b, dec_b = _states(x_b, "X_B")
-    f_s = _free_energies(x_s, dec_s, ctx_s)
-    f_b = _free_energies(x_b, dec_b, ctx_b)
+    f_s = _free_energies(x_s, dec_s.eigenvalues, ctx_s)
+    f_b = _free_energies(x_b, dec_b.eigenvalues, ctx_b)
     info = _mutual_informations(dec_s, dec_b, dec) / beta
     return {
         "joint_free_energy": joint,

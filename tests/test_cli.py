@@ -108,6 +108,25 @@ def test_json_emitter_writes_the_text_of_json_dumps(works, weights, scheme):
     assert emit_distribution(dist, "json", seed=4) == json.dumps(doc, indent=2) + "\n"
 
 
+def test_json_emitter_writes_non_finite_atoms_as_json_does():
+    dist = WorkDistribution(works=np.array([np.nan, np.inf, -np.inf]),
+                            weights=np.array([-np.inf, 0.5, np.nan]), scheme=SchemeId.FCS,
+                            is_quasi=True)
+    rows = ",".join("\n    [\n      %s,\n      %s\n    ]" % pair for pair in
+                    (("NaN", "-Infinity"), ("Infinity", "0.5"), ("-Infinity", "NaN")))
+    assert f'"atoms": [{rows}\n  ],' in emit_distribution(dist, "json")
+
+
+def test_json_emitter_writes_a_d8_fcs_document_as_json_dumps():
+    s = audit.sample_scenario(8, np.random.default_rng(88))
+    dist = schemes_mod.distribution(SchemeId.FCS, s)
+    assert len(dist) > 100 and np.isfinite(dist.works).all() and np.isfinite(dist.weights).all()
+    doc = {"scheme": "fcs", "is_quasi": True, "atoms": [[w, p] for w, p in dist.atoms],
+           "metadata": {"tool": "qworklab", "version": __version__, "seed": 5,
+                        "tolerances": TOLERANCES}}
+    assert emit_distribution(dist, "json", seed=5) == json.dumps(doc, indent=2) + "\n"
+
+
 def test_atoms_emitted_in_ascending_order(ramp_file, capsys):
     code, out = run_cli(["dist", "--scheme", "consistent-histories", "--scenario",
                          ramp_file, "--k-steps", "6", "--format", "csv"], capsys)

@@ -91,6 +91,62 @@ def test_parse_errors_on_malformed_documents():
     assert "H[0][0]" in str(err.value)
 
 
+_ENTRY = "complex entry must be a [re, im] pair"
+_ROW = "matrix row must be a non-empty array"
+
+
+@pytest.mark.parametrize("edit, message, path", [
+    (lambda rho: rho[1].__setitem__(0, [True, 0.0]), _ENTRY, "rho[1][0]"),
+    (lambda rho: rho[1].__setitem__(0, ["0.5", 0.0]), _ENTRY, "rho[1][0]"),
+    (lambda rho: rho[1].__setitem__(0, [None, 0.0]), _ENTRY, "rho[1][0]"),
+    (lambda rho: rho[1].__setitem__(0, [0.0]), _ENTRY, "rho[1][0]"),
+    (lambda rho: rho[1].__setitem__(0, [0.0, 0.0, 0.0]), _ENTRY, "rho[1][0]"),
+    (lambda rho: rho[1].pop(), "ragged matrix rows", "rho[1]"),
+    (lambda rho: rho[1].clear(), _ROW, "rho[1]"),
+    (lambda rho: rho.__setitem__(1, 0.5), _ROW, "rho[1]"),
+    (lambda rho: rho[1].__setitem__(0, {"re": 0.0, "im": 0.0}), _ENTRY, "rho[1][0]"),
+    (lambda rho: rho.clear(), "matrix must be a non-empty nested array", "rho"),
+], ids=["bool", "string", "null", "one-number", "three-numbers", "ragged-row", "empty-row",
+        "number-row", "object-cell", "empty-matrix"])
+def test_each_malformed_matrix_names_the_path_of_its_first_fault(edit, message, path):
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    edit(doc["rho"])
+    with pytest.raises(ParseError) as err:
+        parse_scenario(json.dumps(doc))
+    assert err.value.path == path
+    assert str(err.value) == f"{message} (at '{path}')"
+
+
+def test_parsed_matrices_are_bitwise_the_per_entry_conversion():
+    numbers = [-0.0, 0, 3, -7, 2 ** 53 + 1, 10 ** 20 + 1, 0.1, 1.2345678901234567e-300,
+               -9.876543210987654e+200, 5e-324, -2.2250738585072014e-308, 0.30000000000000004]
+    rng = np.random.default_rng(9)
+    node = [[[numbers[i], numbers[j]] for i, j in rng.integers(len(numbers), size=(6, 2))]
+            for _ in range(6)]
+    node = json.loads(json.dumps(node))  # the numbers as a document gives them
+    reference = np.array([[complex(float(re), float(im)) for re, im in row] for row in node],
+                         dtype=np.complex128)
+    got = scenario_mod._matrix_from_json(node, "m")
+    assert got.shape == (6, 6) and got.dtype == np.complex128
+    assert got.tobytes() == reference.tobytes()
+
+
+def test_numpy_float_entries_pass_the_walk_to_the_same_conversion():
+    node = [[[0.5, -0.0], [0.25, 1e-300]], [[0.25, -1e-300], [0.5, 0.0]]]
+    as_numpy = [[[np.float64(x) for x in cell] for cell in row] for row in node]
+    assert not scenario_mod._is_pair_matrix(as_numpy)
+    got = scenario_mod._matrix_from_json(as_numpy, "rho")
+    assert got.tobytes() == scenario_mod._matrix_from_json(node, "rho").tobytes()
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_entry_reaches_the_finiteness_check(number):
+    text = json.dumps(MINIMAL_DOC).replace("[1.0, 0.0]", f"[{number}, 0.0]", 1)
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(text)
+    assert err.value.path == "H" and "finite" in str(err.value)
+
+
 def test_dim_mismatch_path():
     doc = json.loads(json.dumps(MINIMAL_DOC))
     doc["dim"] = 3

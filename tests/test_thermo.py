@@ -5,7 +5,7 @@ import pytest
 
 from qworklab import linalg as la
 from qworklab import thermo as th
-from qworklab.errors import DegenerateHamiltonianWarning
+from qworklab.errors import DegenerateHamiltonianWarning, DimensionMismatch
 from qworklab.linalg import max_abs, relative_entropy
 
 from conftest import PLUS, SZ, haar_unitary_np, random_density_np
@@ -146,7 +146,7 @@ def _entropy_np(probs):
     return float(-np.sum(probs * np.log(probs)))
 
 
-@pytest.mark.parametrize("dim", [16, 32])
+@pytest.mark.parametrize("dim", [16, 32, 64])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_measurement_work_loss_large_dim_matches_numpy(dim, seed):
     # Haar-rotated ladder with 0.4 jitter and a Wishart state, numpy only;
@@ -161,7 +161,72 @@ def test_measurement_work_loss_large_dim_matches_numpy(dim, seed):
     vecs = np.linalg.eigh(h)[1]
     pops = np.einsum("ai,ab,bi->i", vecs.conj(), rho, vecs).real
     expected = _entropy_np(pops) - _entropy_np(np.linalg.eigvalsh(rho))
-    assert abs(th.measurement_work_loss(rho, ctx) - expected) <= 1e-8
+    assert abs(th.measurement_work_loss(rho, ctx) - expected) <= 1e-10
+
+
+# rank-2 and rank-3 eigenspaces, and none, of H = V diag(ladder) V^dag
+LADDERS = np.array([[0.3, 0.3, 1.1, 2.0], [0.0, 0.7, 0.7, 0.7], [0.0, 0.5, 1.2, 1.9]])
+
+
+def _decomposition_np(rho, h, vecs, ladder, beta):
+    """(Delta F(D(rho)), A(rho) / beta), numpy only: D(rho) = sum_e P_e rho P_e over the
+    projectors P_e of the distinct levels e of H."""
+    cols = [vecs[:, ladder == e] for e in np.unique(ladder)]
+    d_rho = sum(c @ c.conj().T @ rho @ c @ c.conj().T for c in cols)
+    s_d = _entropy_np(np.linalg.eigvalsh(d_rho))
+    log_z = np.log(np.sum(np.exp(-beta * ladder)))
+    return (np.trace(h @ d_rho).real - s_d / beta + log_z / beta,
+            (s_d - _entropy_np(np.linalg.eigvalsh(rho))) / beta)
+
+
+def test_free_energy_decomposition_of_degenerate_eigenspaces_matches_numpy():
+    rng = np.random.default_rng(86)
+    vecs = np.array([haar_unitary_np(4, rng) for _ in LADDERS])
+    rhos = np.array([random_density_np(4, rng) for _ in LADDERS])
+    betas = rng.uniform(0.3, 2.0, len(LADDERS))
+    # the Hamiltonians as identity_suite makes them, a stack validated once
+    h = th._require_stack(la.SpectralDecomposition(LADDERS, vecs).reconstruct(), "H", "hermitian")
+    expected = np.array([_decomposition_np(*args) for args in zip(rhos, h, vecs, LADDERS, betas)])
+    for i in range(len(LADDERS)):
+        ctx = th.ThermalContext(betas[i], h[i])
+        got = th.free_energy_decomposition(rhos[i], ctx)
+        np.testing.assert_allclose(got, expected[i], rtol=0, atol=1e-12)
+        assert abs(th.asymmetry(rhos[i], ctx) - betas[i] * expected[i][1]) <= 1e-12
+    rho, dec = th._states(rhos, "rho")
+    stacked = th._decomposition_terms(rho, dec, th._context(betas, h))
+    np.testing.assert_allclose(np.column_stack(stacked), expected, rtol=0, atol=1e-12)
+
+
+def test_work_loss_of_a_fresh_state_solves_that_state_only(monkeypatch):
+    rng = np.random.default_rng(87)
+    vecs = haar_unitary_np(6, rng)
+    plain, degenerate = (th.ThermalContext(1.0, (vecs * ladder) @ vecs.conj().T)
+                         for ladder in ([0.0, 0.4, 1.0, 1.3, 2.0, 2.2], [0, 0, 1, 1, 1, 2]))
+    plain.decomposition, degenerate.decomposition  # H solved before the count
+    solved = []
+    original = la._jacobi
+    monkeypatch.setattr(la, "_jacobi", lambda a: solved.append(a.copy()) or original(a))
+    rho = random_density_np(6, rng)
+    la._EIG_CACHE.clear()
+    th.measurement_work_loss(rho, plain)
+    assert len(solved) == 1 and np.array_equal(solved[0], rho)
+    solved.clear()
+    la._EIG_CACHE.clear()
+    th.asymmetry(rho, plain)
+    assert len(solved) == 1 and np.array_equal(solved[0], rho)
+    # a degenerate H: D(rho)'s eigenvalues from one solve of its 3 x 3 eigenspace blocks
+    solved.clear()
+    la._EIG_CACHE.clear()
+    with pytest.warns(DegenerateHamiltonianWarning):
+        th.measurement_work_loss(rho, degenerate)
+    assert [a.shape for a in solved] == [(6, 6), (3, 3, 3)]
+
+
+@pytest.mark.parametrize("name", ["free_energy_decomposition", "measurement_work_loss",
+                                  "asymmetry"])
+def test_state_of_another_size_than_h_is_a_dimension_mismatch(name):
+    with pytest.raises(DimensionMismatch, match="rho of size 3 in a basis of size 2"):
+        getattr(th, name)(np.eye(3, dtype=complex) / 3, th.ThermalContext(1.0, SZ))
 
 
 def test_measurement_work_loss_solves_its_hamiltonian_once(monkeypatch):
@@ -279,10 +344,11 @@ def test_identity_suite_validates_each_state_once(monkeypatch):
     monkeypatch.setattr(th, "require_density", lambda m, name="state": singles.append(name))
     stacks = _record_stacks(monkeypatch)
     th.identity_suite(50, seed=1)
-    # per sample: rho, its Gibbs state and its dephased form; rho_S, tau_S, tau_B,
-    # rho'_S, rho'_B and rho'_SB of the bipartite identity; X_SB and its two marginals
+    # per sample: rho and its Gibbs state; rho_S, tau_S, tau_B, rho'_S, rho'_B and
+    # rho'_SB of the bipartite identity; X_SB and its two marginals.  The dephased
+    # form of rho is formed from the validated rho and is not validated again
     states = [m.tobytes() for _, kind, stack in stacks if kind == "density" for m in stack]
-    assert len(states) == len(set(states)) == 600
+    assert len(states) == len(set(states)) == 550
     assert not singles
 
 

@@ -138,6 +138,16 @@ def boundary_doc(dim: int, seed: int, lam_min: float, side: str) -> dict:
             "rho": _pairs(rho)}
 
 
+def malformed_docs(doc: dict) -> dict:
+    """Copies of a d = 3 scenario document, each with one malformed matrix: a JSON
+    ``true`` entry in H, and a rho whose second row lacks its last entry."""
+    h = [list(row) for row in doc["H"]]
+    h[1][0] = [True, 0.0]
+    rho = [list(row) for row in doc["rho"]]
+    rho[1].pop()
+    return {"d3-bool-entry": dict(doc, H=h), "d3-ragged-rho": dict(doc, rho=rho)}
+
+
 def commands() -> list[tuple[str, list[str]]]:
     """(name, CLI arguments) for every snapshot entry, in a fixed order."""
     runs: list[tuple[str, list[str]]] = []
@@ -159,10 +169,11 @@ def commands() -> list[tuple[str, list[str]]]:
         runs.append((f"dist-{scheme}-d3-degenerate-json",
                      ["dist", "--scheme", scheme, "--scenario", "scenarios/d3-degenerate.json",
                       "--format", "json"]))
-    # the JSON emitter on 2,176 FCS atoms (d^3 = 4,096 before merging)
-    runs.append(("dist-fcs-d16-unitary-json",
-                 ["dist", "--scheme", "fcs", "--scenario", "scenarios/d16-unitary.json",
-                  "--format", "json"]))
+    # the JSON emitter on 2,176 FCS atoms (d^3 = 4,096 before merging), and at d = 32
+    for dim in (16, 32):
+        runs.append((f"dist-fcs-d{dim}-unitary-json",
+                     ["dist", "--scheme", "fcs", "--scenario", f"scenarios/d{dim}-unitary.json",
+                      "--format", "json"]))
     # a three-breakpoint protocol: a history grid point on the interior breakpoint, and TPM
     three = "scenarios/d3-three-breakpoints.json"
     runs.append(("dist-consistent-histories-d3-three-breakpoints-k4-json",
@@ -254,6 +265,10 @@ def commands() -> list[tuple[str, list[str]]]:
          ["pointer-sweep", "--scenario", "scenarios/d2-unitary.json", "--ratio-min", "0"]),
         ("error-table1-seed-negative", ["table1", "--seed", "-1"]),
     ]
+    # malformed matrices in a scenario file: each exits 2 with its path on stderr
+    for name in ("bool-entry", "ragged-rho"):
+        runs.append((f"error-dist-{name}",
+                     ["dist", "--scheme", "tpm", "--scenario", f"scenarios/d3-{name}.json"]))
     # states whose least eigenvalue lies just inside and just outside the positivity
     # tolerance: the first is accepted, the second exits with the eigenvalue on stderr
     for name in ("inside", "outside"):
@@ -313,11 +328,13 @@ def main(argv=None) -> int:
     docs = {"d3-degenerate": degenerate_doc(3, seed=2003),
             "d3-degenerate-h": degenerate_doc(3, seed=2013, level="H"),
             "d16-unitary": scenario_docs(16, seed=1016)[0],
+            "d32-unitary": scenario_docs(32, seed=1032)[0],
             "d3-three-breakpoints": three_breakpoint_doc(3, seed=3003),
             "d3-boundary-inside": boundary_doc(3, 3013, -0.5 * DENSITY_EIG_TOL, "inside"),
             "d3-boundary-outside": boundary_doc(3, 3023, -2 * DENSITY_EIG_TOL, "outside")}
     for dim in (2, 3, 4):
         docs[f"d{dim}-unitary"], docs[f"d{dim}-driven"] = scenario_docs(dim, seed=1000 + dim)
+    docs.update(malformed_docs(docs["d3-unitary"]))
     for name, doc in docs.items():
         (out / "scenarios" / f"{name}.json").write_text(json.dumps(doc, indent=1))
 
