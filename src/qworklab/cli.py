@@ -269,8 +269,11 @@ def _warning_line(message, category, *_) -> None:
     sys.stderr.write(f"warning: {category.__name__}: {message}\n")
 
 
+_PARSER = build_parser()  # built once per process: a parse leaves it as it was
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.seed < 0:  # numpy seeds must be non-negative; every verb takes --seed
             raise DomainError(f"--seed must be >= 0, got {args.seed}")

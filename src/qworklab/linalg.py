@@ -23,7 +23,9 @@ matrices (dimension <= 64), one kernel for one matrix (d, d) and for a stack
 their disjoint pairs at once, vectorised over the pairs and the stack, so a
 matrix gets bitwise the result it gets in any stack.  ``eig_hermitian`` takes
 a stack (n, d, d) as well, validated and solved as one.  An eigenspace is a block
-of eigenvector columns (``SpectralDecomposition.eigenspaces()``).
+of eigenvector columns (``SpectralDecomposition.eigenspaces()``), and it has that one
+form: every consumer reads its columns, summed or as the zero-padded blocks of
+``_blocks``, and none forms a stack of projectors.
 """
 
 from __future__ import annotations
@@ -216,7 +218,7 @@ class SpectralDecomposition:
     def eigenspaces(self) -> tuple[np.ndarray, np.ndarray]:
         """``_eigenspaces`` of the eigenvalues.  Degenerate eigenvector orientations are
         solver-dependent, so a consumer reads a block only through what a rotation
-        inside it leaves alone: sums over its columns, or its projector."""
+        inside it leaves alone: sums over its columns, or products B B^dag of its block B."""
         return _eigenspaces(self.eigenvalues)
 
 
@@ -246,23 +248,6 @@ def _blocks(vecs: np.ndarray, ids: np.ndarray) -> np.ndarray:
     pos = np.arange(d) - (ids_2d[:, :, None] > ids_2d[:, None, :]).sum(-1)  # column in block
     out = np.zeros((len(v), int(ids_2d.max()) + 1, d, int(pos.max()) + 1), dtype=np.complex128)
     out[np.arange(len(v))[:, None], ids_2d, :, pos] = v.swapaxes(-1, -2)
-    return out.reshape(ids.shape[:-1] + out.shape[1:])
-
-
-def _projectors(vecs: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """The projectors V_c V_c^dag (..., k, d, d) of eigenvectors (..., d, d) with cluster
-    indices ``ids`` (..., d), zero past a decomposition's count; each the product of
-    its own column block, as a loop over the blocks forms it."""
-    d = ids.shape[-1]
-    v, ids_2d = vecs.reshape(-1, d, d), ids.reshape(-1, d)
-    starts = np.flatnonzero(np.diff(ids_2d, axis=-1, prepend=-1))
-    ranks = np.diff(np.append(starts, ids_2d.size))
-    member, col = np.divmod(starts, d)
-    out = np.zeros((len(v), int(ids_2d.max()) + 1, d, d), dtype=np.complex128)
-    for r in np.flatnonzero(np.bincount(ranks)):  # the blocks of one rank in one product
-        sel = ranks == r
-        block = v[member[sel, None], :, col[sel, None] + np.arange(r)].swapaxes(-1, -2)
-        out[member[sel], ids_2d[member[sel], col[sel]]] = block @ dag(block)
     return out.reshape(ids.shape[:-1] + out.shape[1:])
 
 

@@ -8,12 +8,13 @@ are merged by weight addition, which also absorbs spectral degeneracies.
 Every scheme has one kernel, which evaluates every member of a ``ScenarioBatch``
 in one set of array operations and merges all members' atoms in one segmented
 merge into a ``WorkBatch``; ``distribution`` and the per-scenario functions run the
-same kernel on the Scenario's own batch of one, which holds all that the kernels
-derive for it.  TPM, Margenau-Hill and the post-selected pointer
-are one joint table in kappa (``_joint_weights``), consistent histories chains of
-overlaps (``_ch_distributions``) and the two-copy factors sums over the columns of
-G = V^dag U^dag V' (``_collective_factors``), all read off the eigenspaces as
-eigenvector blocks.
+same kernel on the Scenario's own batch of one.  A batch derives what its kernels read
+off the experiments alone once (eigenspaces, U^dag H' U, V'^dag U and T = V'^dag U V),
+and each part of it reads its own members' rows.  Every kernel, and ``tpm_povm``, reads
+an eigenspace as a block of eigenvector columns, never as a projector: TPM, Margenau-Hill
+and the post-selected pointer are one joint table in kappa (``_joint_weights``),
+consistent histories chains of overlaps (``_ch_distributions``), and the two-copy factors
+and state-dependent weights sums over the columns of G = V^dag U^dag V' and V'^dag U V_rho.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .linalg import (
     _blocks,
     _eigenspaces,
     _jacobi,
-    _projectors,
     dag,
     eig_hermitian,
     max_abs,
@@ -340,11 +340,24 @@ class Povm:
             raise ValueError(f"POVM completeness defect {defect:.3e} > {sum_tol}")
 
 
+def _final_frame(b: ScenarioBatch) -> np.ndarray:
+    """V'^dag U of each experiment, (m, d, d), V' the eigenvectors of H_final."""
+    return b.derived("final_frame", lambda: dag(b.spectrum("H_final")[1]) @ b.unitary())
+
+
+def _evolved_final(b: ScenarioBatch) -> np.ndarray:
+    """U^dag H_final U of each experiment, (m, d, d)."""
+    def make():
+        u = b.unitary()
+        return dag(u) @ b.h_final @ u
+    return b.derived("evolved_final", make)
+
+
 def _frames(b: ScenarioBatch) -> tuple[np.ndarray, np.ndarray]:
     """T = V'^dag U V and R = V^dag rho V of each member, (n, d, d) each: the evolution
     and the state in the eigenbases V of H and V' of H_final."""
-    (_, v_i), (_, v_f) = b.spectrum("H"), b.spectrum("H_final")
-    t = b.per_member(dag(v_f) @ b.unitary() @ v_i)
+    v_i = b.spectrum("H")[1]
+    t = b.per_member(b.derived("frame", lambda: _final_frame(b) @ v_i))
     v_i = b.per_member(v_i)
     return t, dag(v_i) @ b.rho @ v_i
 
@@ -407,8 +420,7 @@ def _work_operators(b: ScenarioBatch) -> tuple[np.ndarray, ...]:
     with its eigenvectors, eigenspace labels and column cluster indices, from one
     stacked solve."""
     def solve():  # W recurs in no other experiment, so the eigen cache never sees it
-        u = b.unitary()
-        w_op = dag(u) @ b.h_final @ u - b.h_initial
+        w_op = _evolved_final(b) - b.h_initial
         w_op = (w_op + dag(w_op)) / 2.0
         vals, vecs = _jacobi(w_op)
         return (w_op, vecs, *_eigenspaces(vals))
@@ -574,19 +586,18 @@ def _warn_if_degenerate(eigenvalues: np.ndarray, name: str, category) -> None:
 
 
 def _state_dependent_distributions(b: ScenarioBatch) -> WorkBatch:
-    """Members whose rho has eigenvalues <= ``EIG_FLOOR`` drop those eigenstates'
-    atoms before the merge, so a member may have fewer atoms than another."""
+    """Atom (a, c) at E'_c - <phi_a|H|phi_a> weighs lam_a sum_{j in c} |(V'^dag U V_rho)_ja|^2 for
+    rho's eigenpairs (lam_a, phi_a) and the eigenspaces c of H_final, O(d^3) a member.  Eigenstates
+    with lam_a <= ``EIG_FLOOR`` have no atoms, so a member may have fewer atoms than another."""
     lam, vecs = b.spectrum("rho")
     _warn_if_degenerate(lam, "rho", DegenerateRhoWarning)
-    keep = lam > EIG_FLOOR
-    phi = vecs.swapaxes(1, 2)  # rows are the eigenstates
-    e_a = _expectations(phi, b.per_member(b.h_initial)[:, None])[..., 0]
-    e_f, ids = b.eigenspaces("H_final")
-    q = _projectors(b.spectrum("H_final")[1], ids)
-    u = b.per_member(b.unitary())[:, None]
-    weights = lam[..., None] * _expectations((u @ phi[..., None])[..., 0], b.per_member(q))
-    works = b.per_member(e_f)[:, None, :] - e_a[..., None]
-    keep = keep[:, :, None] & ~np.isnan(works)  # a NaN work is a slot past a count
+    e_a = _expectations(vecs.swapaxes(1, 2), b.per_member(b.h_initial)[:, None])[..., 0]
+    e_f, ids = (b.per_member(x) for x in b.eigenspaces("H_final"))
+    amp, k = b.per_member(_final_frame(b)) @ vecs, e_f.shape[1]  # amp (n, j, a), cells a k + c
+    sums = _cell_sums((amp * amp.conj()).real, ids[:, :, None] + k * np.arange(b.dim), b.dim * k)
+    weights = lam[..., None] * sums.reshape(-1, b.dim, k)
+    works = e_f[:, None, :] - e_a[..., None]
+    keep = (lam > EIG_FLOOR)[:, :, None] & ~np.isnan(works)  # NaN: a slot past a count
     return WorkBatch.from_atoms(works[keep], weights[keep], np.nonzero(keep)[0], len(b),
                                 SchemeId.STATE_DEPENDENT, is_quasi=False)
 
@@ -632,8 +643,7 @@ def _sub_ensemble_distributions(b: ScenarioBatch, decomp=None) -> WorkBatch:
         lam = np.where(lam > EIG_FLOOR, lam, 0.0)
         decomp = PureDecomposition(lam / lam.sum(axis=1)[:, None], vecs.swapaxes(1, 2))
     decomp.check_against(b.rho)
-    u = b.unitary()
-    ops = b.per_member(np.stack([dag(u) @ b.h_final @ u, b.h_initial], axis=1))
+    ops = np.stack([b.per_member(_evolved_final(b)), b.per_member(b.h_initial)], axis=1)
     e_out, e_in = np.moveaxis(_expectations(decomp.states, ops), -1, 0)
     keep = decomp.weights != 0.0
     return WorkBatch.from_atoms((e_out - e_in)[keep], decomp.weights[keep], np.nonzero(keep)[0],
@@ -841,19 +851,20 @@ def collective_povm(s: Scenario, lam: float | str = "auto") -> Povm:
 
 
 def tpm_povm(s: Scenario) -> Povm:
-    """Analytic TPM POVM: Pi_w = sum over (i,j) at w of |<E'_j|U|E_i>|^2 projectors."""
-    (e_i, p), (e_f, q) = ((labels, _projectors(s.spectrum(name).eigenvectors, ids))
-                          for name in ("H", "H_final") for labels, ids in [s.eigenspaces(name)])
-    u = s.unitary()
-    strength = p[:, None] @ (dag(u) @ q @ u)[None, :] @ p[:, None]
-    strength = (strength + dag(strength)) / 2.0
+    """Analytic TPM POVM: Pi_w sums P_i U^dag Q_j U P_i over the (i, j) at w, each X X^dag
+    with X = B_i B_i^dag U^dag B'_j for the eigenvector blocks B of H and B' of H_final."""
+    (e_i, b_i), (e_f, b_f) = ((labels, _blocks(s.spectrum(name).eigenvectors, ids))
+                              for name in ("H", "H_final") for labels, ids in [s.eigenspaces(name)])
+    x = b_i[:, None] @ (dag(b_i)[:, None] @ (dag(s.unitary()) @ b_f)[None])  # (k_i, k_f, d, r')
+    strength = x @ dag(x)
     return Povm(*merge_atoms((e_f[None, :] - e_i[:, None]).ravel(),
-                             strength.reshape(-1, s.dim, s.dim)))
+                             ((strength + dag(strength)) / 2.0).reshape(-1, s.dim, s.dim)))
 
 
-# A kernel call takes at most this many entries: d^3 a member (FCS atoms, state-dependent
-# projectors, two-copy factors), or the budget's d^(K+1) for histories; a d <= 4 ensemble,
-# one member at d = 64 or at the budget.  Larger batches run in parts.
+# A kernel call takes at most this many entries: d^3 a member (FCS atoms, the other kernels'
+# products), or the budget's d^(K+1) for histories; a d <= 4 ensemble, one member at d = 64 or
+# at the budget.  Larger batches run in parts, which read their members' rows of all that
+# their batch derives from its experiments (``ScenarioBatch.derived``), formed once.
 _KERNEL_ENTRIES = 2 ** 18
 
 

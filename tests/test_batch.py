@@ -263,6 +263,28 @@ def test_large_batches_run_in_bounded_parts(monkeypatch):
         assert_same_atoms(got[i], whole_histories[i])
 
 
+@pytest.mark.parametrize("scheme", [SchemeId.TPM, SchemeId.FCS, SchemeId.STATE_DEPENDENT,
+                                    SchemeId.SUB_ENSEMBLE], ids=lambda s: s.value)
+def test_parts_form_the_per_experiment_products_once(scheme, monkeypatch):
+    """The products a kernel reads off the experiments alone (T = V'^dag U V, V'^dag U and
+    U^dag H' U, each made from U) are formed once per batch, not once per part: with two
+    members per part, six parts over four experiments read U once between them."""
+    whole = sch.distributions(scheme, member_ensemble(3, 0, driven=False))
+    batch = member_ensemble(3, 0, driven=False)  # the same members, nothing derived yet
+    unitary, reads = ScenarioBatch.unitary, []
+    monkeypatch.setattr(ScenarioBatch, "unitary", lambda b: reads.append(b) or unitary(b))
+    monkeypatch.setattr(sch, "_KERNEL_ENTRIES", 2 * 3 ** 3)  # two members per part at d = 3
+    kernel, parts = sch._BATCH_KERNELS[scheme], []
+    monkeypatch.setitem(sch._BATCH_KERNELS, scheme,
+                        lambda b, *opts: parts.append(len(b)) or kernel(b, *opts))
+    got = sch.distributions(scheme, batch)
+    assert len(batch) == 12 and len(np.unique(batch.experiment)) == 4
+    assert parts == [2] * 6 and len(reads) == 1
+    assert np.array_equal(got.offsets, whole.offsets)
+    for i in range(len(batch)):
+        assert_same_atoms(got[i], whole[i])
+
+
 def test_support_masses_match_the_hit_matrix():
     rng = np.random.default_rng(3)
     tol = sch.W_MERGE_TOL + 1e-12

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -216,6 +217,19 @@ def test_flag_domain_errors_exit_with_documented_codes(args, code, scenario_file
     assert main([a.format(file=scenario_file, mixed=mixed_file) for a in args]) == code
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_main_calls_share_one_parser_and_dispatch_to_their_own_verbs(monkeypatch, capsys):
+    parse, parsers = argparse.ArgumentParser.parse_args, []
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *args: parsers.append(self) or parse(self, *args))
+    assert main(["nogo", "--dim", "2", "--seed", "1"]) == 0
+    nogo = json.loads(capsys.readouterr().out)
+    assert main(["witness", "--budget", "50", "--seed", "1"]) == 0
+    witness = json.loads(capsys.readouterr().out)
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    assert nogo["dim"] == 2 and "forced_vs_analytic_gap" in nogo and "found" not in nogo
+    assert "found" in witness and "dim" not in witness
 
 
 def test_same_seed_byte_identical_outputs(scenario_file, tmp_path):

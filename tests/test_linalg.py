@@ -19,6 +19,12 @@ from conftest import (
 )
 
 
+def block_projectors(vecs, ids):
+    """The projector B B^dag of each eigenvector block B of ``la._blocks``."""
+    blocks = la._blocks(vecs, ids)
+    return blocks @ la.dag(blocks)
+
+
 # --- eigensolver -----------------------------------------------------------
 
 def test_eig_diagonal_is_identity_basis():
@@ -147,8 +153,11 @@ def test_stacked_kernel_on_degenerate_spectra(dim):
     assert_spectral(vals, out, h)
     labels, ids = la._eigenspaces(vals)
     np.testing.assert_allclose(labels, [np.unique(levels)] * 2, rtol=0, atol=1e-9)
-    projs = la._projectors(out, ids)
+    projs = block_projectors(out, ids)
     np.testing.assert_allclose(projs[1], projs[0], rtol=0, atol=1e-9)
+    for i in range(2):
+        pairs = projector_pairs(la.SpectralDecomposition(vals[i], out[i]))
+        np.testing.assert_allclose(projs[i], [p for _, p in pairs], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 8, 9])
@@ -240,8 +249,9 @@ def test_projectors_cluster_degenerate_eigenvalues():
     dec = la.eig_hermitian(h)
     _, ids = dec.eigenspaces()
     np.testing.assert_array_equal(ids, [0, 0, 1])
-    projs = la._projectors(dec.eigenvectors, ids)
+    projs = block_projectors(dec.eigenvectors, ids)
     assert len(projs) == 2
+    np.testing.assert_allclose(projs, [p for _, p in projector_pairs(dec)], rtol=0, atol=1e-14)
     assert abs(np.trace(projs[0]).real - 2.0) < 1e-12
 
 
@@ -253,7 +263,7 @@ def test_eigenspaces_and_dephase_match_the_loop_reference(dim):
                         (degenerate_hermitian(dim, rng), dim - 1)):
         dec = la.eig_hermitian(h)
         labels, ids = dec.eigenspaces()
-        projs = la._projectors(dec.eigenvectors, ids)
+        projs = block_projectors(dec.eigenvectors, ids)
         pairs = projector_pairs(dec)
         assert projs.shape == (n_spaces, dim, dim) and len(pairs) == n_spaces
         np.testing.assert_allclose(labels, [e for e, _ in pairs], rtol=0, atol=1e-14)
@@ -298,9 +308,10 @@ def test_eigenspaces_ignore_rotations_inside_a_degenerate_eigenspace(levels, see
         s = batch.scenario(0)
         factors = sch._collective_factors(batch, "auto")
         return ([sch._joint_weights(batch, kappa)[0] for kappa in (0.0, 0.5, 1.0)]
-                + [sch.distributions(sch.SchemeId.OPERATOR_OF_WORK, batch).weights,
-                   la.dephase(rho, s.spectrum("H")), la.dephase(rho, s.spectrum("H_final")),
-                   sch.tpm_povm(s).ops, la._projectors(vecs["H"], la._eigenspaces(vals)[1])],
+                + [sch.distributions(scheme, batch).weights
+                   for scheme in (sch.SchemeId.OPERATOR_OF_WORK, sch.SchemeId.STATE_DEPENDENT)]
+                + [la.dephase(rho, s.spectrum("H")), la.dephase(rho, s.spectrum("H_final")),
+                   sch.tpm_povm(s).ops, block_projectors(vecs["H"], la._eigenspaces(vals)[1])],
                 [factors.diag_parts, sch.collective_factors(s).off_parts, factors.off_min])
 
     labels, ids = la.SpectralDecomposition(vals, bases["H"][0]).eigenspaces()

@@ -734,9 +734,9 @@ def test_every_scheme_normalizes_to_one():
 # --- stacked eigenspaces against per-atom loop references ---------------------------
 #
 # Each reference below is the one-atom-at-a-time form of a scheme, built on the
-# (label, projector) pairs of ``projector_pairs``.  The state-dependent and
-# sub-ensemble schemes keep the per-state vector products, so they must match
-# their references exactly; the others sum in another order (1e-14).
+# (label, projector) pairs of ``projector_pairs``.  The sub-ensemble scheme keeps
+# the per-state vector products, so it must match its reference exactly; the others
+# read eigenvector blocks and sum in another order (1e-14).
 
 def work_operator_loop(s):
     u = s.unitary()
@@ -838,7 +838,7 @@ def test_work_operator_matches_the_loop_reference(kind):
 @pytest.mark.parametrize("kind", LOOP_KINDS)
 def test_state_dependent_matches_the_loop_reference(kind):
     for s in loop_reference_scenarios(kind):
-        assert_same_atoms(sch.state_dependent(s), state_dependent_loop(s), atol=0.0)
+        assert_same_atoms(sch.state_dependent(s), state_dependent_loop(s))
 
 
 @pytest.mark.parametrize("kind", LOOP_KINDS)

@@ -232,6 +232,10 @@ def commands() -> list[tuple[str, list[str]]]:
     # 30 states validated at d = 64
     runs.append(("audit-tpm-d64-s5-seed1",
                  ["audit", "--scheme", "tpm", "--dim", "64", "--samples", "5", "--seed", "1"]))
+    # the state-dependent kernel at d = 64, where its weights sum over the final eigenspaces
+    runs.append(("audit-state-dependent-d64-s5-seed1",
+                 ["audit", "--scheme", "state-dependent", "--dim", "64", "--samples", "5",
+                  "--seed", "1"]))
     # the consistent-histories C3 limit criterion above the trajectory budget: closed form
     runs.append(("audit-consistent-histories-c3-d17",
                  ["audit", "--scheme", "consistent-histories", "--condition", "c3", "--dim", "17",
@@ -264,6 +268,13 @@ def commands() -> list[tuple[str, list[str]]]:
         ("error-pointer-sweep-ratio-min0",
          ["pointer-sweep", "--scenario", "scenarios/d2-unitary.json", "--ratio-min", "0"]),
         ("error-table1-seed-negative", ["table1", "--seed", "-1"]),
+    ]
+    # the parser's help and usage errors: help exits 0, a usage error 2 with the usage on stderr
+    runs += [
+        ("help", ["--help"]),
+        ("help-audit", ["audit", "--help"]),
+        ("error-usage-unknown-verb", ["frobnicate"]),
+        ("error-usage-audit-scheme", ["audit", "--scheme", "nope"]),
     ]
     # malformed matrices in a scenario file: each exits 2 with its path on stderr
     for name in ("bool-entry", "ragged-rho"):
@@ -339,7 +350,8 @@ def main(argv=None) -> int:
         (out / "scenarios" / f"{name}.json").write_text(json.dumps(doc, indent=1))
 
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               COLUMNS="80")  # the width argparse wraps help and usage to
     status = []
     for name, cli_args in commands():
         proc = subprocess.run([sys.executable, "-m", "qworklab.cli", *cli_args], cwd=out,
