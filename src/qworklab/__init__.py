@@ -53,6 +53,7 @@ from .pointer import (
     PointerReadout,
     gaussian_meter,
     gaussian_meter_vs_fcs,
+    meter_densities,
     weak_value_protocol,
 )
 from .thermo import (

@@ -32,6 +32,7 @@ GRID_MIN_POINTS = 256
 GRID_MAX_POINTS = 2 ** 17
 NORMALIZATION_TOL = 1e-6
 _COVER_SIGMAS = 6.0
+_EXP_ZERO = -746.0  # exp(x) rounds to 0.0 for every double x below this
 
 
 def _require_coupling_and_spread(coupling: float, spread: float) -> None:
@@ -103,39 +104,71 @@ class PointerReadout:
         return float(np.trapezoid(self.work_density()[mask], w[mask]))
 
 
+def _amplitudes(centers: np.ndarray, xs: np.ndarray, spread: float) -> np.ndarray:
+    """phi[m, n, x]: the initial Gaussian pointer amplitude shifted to each centre
+    ``centers[m, n]`` of one experiment, on the grid ``xs``; real.  An exponent below
+    ``_EXP_ZERO`` gives 0.0 without a call to exp, whose underflow path is slow."""
+    arg = xs[None, None, :] - centers[:, :, None]
+    np.square(arg, out=arg)
+    np.divide(arg, -4.0 * spread ** 2, out=arg)
+    phi = np.exp(arg, out=np.zeros_like(arg), where=arg > _EXP_ZERO)
+    phi *= (2.0 * math.pi * spread ** 2) ** -0.25
+    return phi
+
+
+def meter_densities(b: ScenarioBatch, cfg: PointerConfig) -> np.ndarray:
+    """Two-interaction work-meter readout densities of every member, (n, X) on
+    ``cfg.grid()``.
+
+    density[a, x] = sum_{m,n,n'} q[a, m, n, n'] phi[m, n, x] phi[m, n', x] with q the
+    transition kernel of ``schemes._transition_kernels``.  phi is real and formed once
+    per experiment, so each member's density is Re q[a, m] @ phi[m], one real product
+    per final level m, contracted with phi.  The cover, floor and normalisation checks
+    hold for every member; the first member that fails one raises ``GridTooNarrow``.
+    """
+    g, spread = cfg.coupling, cfg.spread
+    q = np.ascontiguousarray(_transition_kernels(b)[0].real)
+    centers = g * (b.spectrum("H_final")[0][:, :, None]
+                   - b.spectrum("H")[0][:, None, :])  # centers[j, m, n] of experiment j
+    lo, hi = (b.per_member(f(centers, axis=(1, 2))) for f in (np.min, np.max))
+    bad = np.flatnonzero((lo - _COVER_SIGMAS * spread < cfg.x_min)
+                         | (hi + _COVER_SIGMAS * spread > cfg.x_max))
+    if bad.size:
+        raise GridTooNarrow(
+            f"grid [{cfg.x_min}, {cfg.x_max}] must cover centres "
+            f"[{lo[bad[0]]:.6g}, {hi[bad[0]]:.6g}] plus {_COVER_SIGMAS} spreads"
+        )
+    xs = cfg.grid()
+    density = np.empty((len(b), xs.size))
+    for j in dict.fromkeys(b.experiment.tolist()):  # each experiment once, in member order
+        phi = _amplitudes(centers[j], xs, spread)
+        for a in np.flatnonzero(b.experiment == j):
+            density[a] = np.einsum("mnx,mnx->x", q[a] @ phi, phi)
+    floor = density.min(axis=1)
+    bad = np.flatnonzero(floor < -1e-12)
+    if bad.size:
+        raise GridTooNarrow(f"density dipped to {floor[bad[0]]:.3e}; numerical inconsistency")
+    density = np.clip(density, 0.0, None)
+    mass = np.trapezoid(density, xs, axis=1)
+    bad = np.flatnonzero(np.abs(mass - 1.0) > NORMALIZATION_TOL)
+    if bad.size:
+        raise GridTooNarrow(
+            f"grid resolves only {mass[bad[0]]:.8f} of the density; "
+            "widen the range or raise n_points"
+        )
+    return density
+
+
 def gaussian_meter(s: Scenario, cfg: PointerConfig) -> PointerReadout:
-    """Two-interaction work-meter readout density.
+    """Two-interaction work-meter readout density: ``meter_densities`` of the
+    scenario's batch of one.
 
     The readout density is a bilinear combination of Gaussians centred at
     g (E'_m - E_n) with single-interaction position noise ``spread``; branch
     coherences between (n, n') are damped by exp(-g^2 (E_n - E_n')^2 / 8 s^2).
     """
-    g, spread = cfg.coupling, cfg.spread
-    b, e_i, e_f = (x[0] for x in _transition_kernels(ScenarioBatch.of([s])))
-    centers = g * (e_f[:, None] - e_i[None, :])  # centers[m, n]
-    lo, hi = centers.min(), centers.max()
-    if lo - _COVER_SIGMAS * spread < cfg.x_min or hi + _COVER_SIGMAS * spread > cfg.x_max:
-        raise GridTooNarrow(
-            f"grid [{cfg.x_min}, {cfg.x_max}] must cover centres "
-            f"[{lo:.6g}, {hi:.6g}] plus {_COVER_SIGMAS} spreads"
-        )
-    xs = cfg.grid()
-    norm = (2.0 * math.pi * spread ** 2) ** -0.25
-    # phi[m, n, x]: initial Gaussian amplitude shifted to each centre
-    phi = norm * np.exp(-((xs[None, None, :] - centers[:, :, None]) ** 2)
-                        / (4.0 * spread ** 2))
-    density = np.einsum("mno,mnx,mox->x", b, phi, phi).real
-    floor = float(density.min())
-    if floor < -1e-12:
-        raise GridTooNarrow(f"density dipped to {floor:.3e}; numerical inconsistency")
-    density = np.clip(density, 0.0, None)
-    readout = PointerReadout(xs=xs, density=density, coupling=g)
-    if abs(readout.normalization() - 1.0) > NORMALIZATION_TOL:
-        raise GridTooNarrow(
-            f"grid resolves only {readout.normalization():.8f} of the density; "
-            "widen the range or raise n_points"
-        )
-    return readout
+    return PointerReadout(xs=cfg.grid(), density=meter_densities(ScenarioBatch.of([s]), cfg)[0],
+                          coupling=cfg.coupling)
 
 
 def _gaussian_mixture_work_density(atoms, sigma_w: float, ws: np.ndarray) -> np.ndarray:

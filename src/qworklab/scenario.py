@@ -130,6 +130,17 @@ class DrivingProtocol:
                                self.steps_per_segment)
 
     @classmethod
+    def _trusted(cls, times: np.ndarray, hamiltonians: np.ndarray,
+                 steps_per_segment: int) -> "DrivingProtocol":
+        """A protocol over validated arrays, taken as they are: float ``times`` from 0,
+        strictly increasing, and Hermitian complex128 ``hamiltonians`` (n, d, d) at them,
+        as the public constructor leaves them."""
+        out = object.__new__(cls)
+        out.__dict__.update(times=times, hamiltonians=hamiltonians,
+                            steps_per_segment=steps_per_segment)
+        return out
+
+    @classmethod
     def _stack(cls, protocols) -> "DrivingProtocol":
         """Validated protocols on one substep mesh as one, its ``hamiltonians`` stacked
         (m, n, d, d): its interpolation, derivative and compile run on all m at once."""

@@ -6,11 +6,13 @@ import pytest
 
 from qworklab import audit
 from qworklab import linalg as la
+from qworklab import pointer as pointer_mod
 from qworklab import scenario as scenario_mod
 from qworklab import schemes as schemes_mod
 from qworklab.errors import NotLinear
 from qworklab.linalg import max_abs, projector
 from qworklab.scenario import (
+    DrivingProtocol,
     Scenario,
     ScenarioBatch,
     mean_energy_change,
@@ -91,13 +93,15 @@ def test_sample_scenario_validates_each_hamiltonian_once(monkeypatch):
     monkeypatch.setattr(la, "require_hermitian", record)
     monkeypatch.setattr(scenario_mod, "require_hermitian", record)
     monkeypatch.setattr(scenario_mod, "_require_stack", record_stack)
+    monkeypatch.setattr(audit, "_require_stack", record_stack)
     la._EIG_CACHE.clear()
     rng = np.random.default_rng(4)
-    # a batch of one: its stacks, or a protocol's breakpoints, which are H and H_final
+    # a batch of one: its stacks, or its protocols' breakpoints, which are H and H_final,
+    # checked as one stack
     expected = {(True, False): ["H", "H_final", "evolution.U", "rho"],
                 (False, False): ["H", "H_final", "evolution.U", "rho"],
-                (True, True): ["evolution.breakpoints[0].H", "evolution.breakpoints[1].H", "rho"],
-                (False, True): ["evolution.breakpoints[0].H", "evolution.breakpoints[1].H", "rho"]}
+                (True, True): ["evolution.breakpoints.H", "rho"],
+                (False, True): ["evolution.breakpoints.H", "rho"]}
     for (coherent, driven), names in expected.items():
         calls.clear()
         s = audit.sample_scenario(3, rng, coherent=coherent, driven=driven)
@@ -108,6 +112,34 @@ def test_sample_scenario_validates_each_hamiltonian_once(monkeypatch):
             calls.clear()
             scheme(s)
             assert calls == [], (coherent, driven, scheme.__name__)
+
+
+def test_driven_batch_checks_its_breakpoints_as_one_stack(monkeypatch):
+    checks = []
+    original = la._require_stack
+
+    def record_stack(m, name, kind):
+        checks.append((name, kind, np.shape(m)))
+        return original(m, name, kind)
+
+    def refuse(m, name="operator"):
+        raise AssertionError(f"{name} checked alone")
+
+    for module in (audit, scenario_mod):
+        monkeypatch.setattr(module, "_require_stack", record_stack)
+    monkeypatch.setattr(scenario_mod, "require_hermitian", refuse)
+    batch = audit._sample_batch(3, 60, np.random.default_rng(21), coherent=True, driven=True)
+    # the 60 protocols' 120 breakpoints in one check; then the batch's states in one
+    assert checks == [("evolution.breakpoints.H", "hermitian", (120, 3, 3)),
+                      ("rho", "density", (60, 3, 3))]
+    monkeypatch.undo()
+    for p, h, hf in zip(batch.evolution, batch.h_initial, batch.h_final):
+        public = DrivingProtocol([0.0, 1.0], [h, hf], audit.SAMPLE_PROTOCOL_STEPS)
+        for field in ("times", "hamiltonians"):
+            mine, theirs = getattr(p, field), getattr(public, field)
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+            assert mine.tobytes() == theirs.tobytes()
+        assert p.steps_per_segment == public.steps_per_segment
 
 
 def test_c1_two_copy_computes_the_factors_once_per_mixture(monkeypatch):
@@ -580,9 +612,30 @@ def test_witness_weights_match_margenau_hill_on_validated_scenarios():
 
 
 def test_witness_search_equals_the_loop_reference():
-    for seed in range(6):
-        stacked = audit.contextuality_witness(search_budget=500, seed=seed)
-        assert stacked.to_dict() == _loop_witness_search(500, seed).to_dict(), seed
+    # budgets 1, 2 and 6 refine with no trial, one trial and fewer trials than one block
+    # of _WITNESS_BLOCK; 500 and 2,500 with many blocks
+    for budget, seeds in ((1, range(6)), (2, range(6)), (6, range(6)), (500, range(6)),
+                          (2_500, range(2))):
+        for seed in seeds:
+            stacked = audit.contextuality_witness(search_budget=budget, seed=seed)
+            loop = _loop_witness_search(budget, seed)
+            assert (stacked is None) == (loop is None), (budget, seed)
+            if stacked is not None:
+                assert stacked.to_dict() == loop.to_dict(), (budget, seed)
+
+
+def test_witness_refinement_scores_its_trials_in_blocks(monkeypatch):
+    calls = []
+    exact = audit._witness_weights
+    monkeypatch.setattr(audit, "_witness_weights",
+                        lambda params: calls.append(len(params)) or exact(params))
+    audit.contextuality_witness(search_budget=2_500, seed=1)
+    # one stack for the 2,000 random candidates, then blocks of the 500 refinement
+    # trials; scoring one trial at a time takes 501 calls
+    assert calls[0] == 2_000
+    assert len(calls) <= 100
+    assert max(calls[1:]) <= audit._WITNESS_BLOCK
+    assert sum(calls[1:]) >= 500
 
 
 def test_witness_search_builds_one_scenario(monkeypatch):
@@ -624,6 +677,32 @@ def test_table1_audited_rows_equal_the_direct_checks():
         assert asdict(row.c1) == asdict(audit.check_c1_linearity(scheme, 2, n, seed)), scheme
         assert asdict(row.c2) == asdict(audit.check_c2(scheme, 2, n, seed)), scheme
         assert asdict(row.c3) == asdict(audit.check_c3(scheme, 2, n, seed)), scheme
+
+
+def test_gaussian_row_forms_one_amplitude_stack_per_batch(monkeypatch):
+    formed = []
+    original = pointer_mod._amplitudes
+    monkeypatch.setattr(pointer_mod, "_amplitudes",
+                        lambda centers, xs, spread: formed.append(xs.size)
+                        or original(centers, xs, spread))
+    row = audit._gaussian_row(audit.Table1Config(seed=5))
+    s = audit.hadamard_scenario()
+    strong = pointer_mod.PointerConfig.for_scenario(s, *audit.POINTER_STRONG)
+    # C1 evaluates each mixture with its two components as one batch: 10 stacks, not 30;
+    # C2 and C3 share one strong readout of the two states and one weak readout
+    assert formed[:10] == [strong.n_points] * 10
+    assert len(formed) == 12
+    # C1 state by state, through the meter of each Scenario
+    monkeypatch.undo()
+    rng = np.random.default_rng(np.random.SeedSequence([5, 8]))
+    lin = 0.0
+    for _ in range(10):
+        rho1, rho2 = la.random_density(2, rng), la.random_density(2, rng)
+        lam = float(rng.uniform(0.2, 0.8))
+        d_mix, d1, d2 = (pointer_mod.gaussian_meter(s.with_rho(rho), strong).density
+                         for rho in (lam * rho1 + (1 - lam) * rho2, rho1, rho2))
+        lin = max(lin, float(np.max(np.abs(d_mix - lam * d1 - (1 - lam) * d2))))
+    assert abs(row.c1.max_violation - lin) <= 1e-15
 
 
 def test_ch_history_grids_follow_the_trajectory_budget():

@@ -5,8 +5,8 @@ import pytest
 
 from qworklab import pointer as ptr
 from qworklab.errors import GridTooNarrow
-from qworklab.linalg import eig_hermitian
-from qworklab.scenario import Scenario, mean_energy_change
+from qworklab.linalg import eig_hermitian, max_abs
+from qworklab.scenario import Scenario, ScenarioBatch, mean_energy_change
 from qworklab.schemes import margenau_hill, tpm
 
 from conftest import (
@@ -17,6 +17,7 @@ from conftest import (
     haar_unitary_np,
     projector_pairs,
     random_density_np,
+    random_hermitian_np,
 )
 
 
@@ -84,6 +85,50 @@ def test_quadrature_oracle_for_meter_density():
                     amp += t[m, n] * c[n] * norm * math.exp(-(x - shift) ** 2 / (4 * spread ** 2))
                 total += lam[a] * abs(amp) ** 2
         assert abs(total - readout.density[idx]) <= 1e-12
+
+
+def covering_config(scenarios, coupling, spread):
+    """One grid that covers every scenario's centres, at the finest resolution of theirs."""
+    cfgs = [ptr.PointerConfig.for_scenario(s, coupling, spread) for s in scenarios]
+    lo, hi = min(c.x_min for c in cfgs), max(c.x_max for c in cfgs)
+    per_unit = max((c.n_points - 1) / (c.x_max - c.x_min) for c in cfgs)
+    return ptr.PointerConfig(coupling, spread, lo, hi, int(math.ceil((hi - lo) * per_unit)) + 1)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_meter_densities_match_the_meter_state_by_state(dim):
+    rng = np.random.default_rng([67, dim])
+    scenarios = [Scenario(dim=dim, h_initial=random_hermitian_np(dim, rng),
+                          h_final=random_hermitian_np(dim, rng),
+                          evolution=haar_unitary_np(dim, rng), rho=random_density_np(dim, rng))
+                 for _ in range(3)]
+    states = np.array([random_density_np(dim, rng) for _ in range(5)])
+    for coupling, spread in ((4.0, 1.0), (1.0, 3.0)):
+        # a stack of states on one experiment
+        cfg = ptr.PointerConfig.for_scenario(scenarios[0], coupling, spread)
+        got = ptr.meter_densities(ScenarioBatch.of([scenarios[0]]).with_rho(states), cfg)
+        assert got.shape == (len(states), cfg.n_points)
+        for rho, density in zip(states, got):
+            ref = ptr.gaussian_meter(scenarios[0].with_rho(rho), cfg).density
+            assert max_abs(density - ref) <= 1e-15
+        # several experiments, each with states in any order
+        cfg = covering_config(scenarios, coupling, spread)
+        experiment = np.array([2, 0, 1, 1, 0])
+        got = ptr.meter_densities(ScenarioBatch.of(scenarios).with_rho(states, experiment), cfg)
+        for j, rho, density in zip(experiment, states, got):
+            ref = ptr.gaussian_meter(scenarios[j].with_rho(rho), cfg).density
+            assert max_abs(density - ref) <= 1e-15
+
+
+def test_meter_densities_raise_for_a_member_the_grid_misses():
+    s = coherent_scenario()
+    wide = Scenario(dim=2, h_initial=SZ, h_final=3.0 * SZ, evolution=HADAMARD, rho=PLUS)
+    cfg = ptr.PointerConfig.for_scenario(s, 2.0, 0.5)
+    batch = ScenarioBatch.of([s, wide]).with_rho(np.array([PLUS, PLUS, PLUS]), [0, 0, 1])
+    assert ptr.meter_densities(batch.members(0, 2), cfg).shape == (2, cfg.n_points)
+    # the third member's centres reach g (3 + 1) = 8, past the grid's cover
+    with pytest.raises(GridTooNarrow, match=r"centres \[-8, 8\]"):
+        ptr.meter_densities(batch, cfg)
 
 
 def test_strong_coupling_recovers_tpm_masses():

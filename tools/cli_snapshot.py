@@ -213,6 +213,11 @@ def commands() -> list[tuple[str, list[str]]]:
     for budget, seed in ((2500, 1), (10_000, 0)):
         runs.append((f"witness-b{budget}-seed{seed}",
                      ["witness", "--budget", str(budget), "--seed", str(seed)]))
+    # the refinement at the held-out seed over many blocks of trials, and a budget whose
+    # refinement is shorter than one block
+    for budget, seed in ((10_000, 7919), (6, 1)):
+        runs.append((f"witness-b{budget}-seed{seed}",
+                     ["witness", "--budget", str(budget), "--seed", str(seed)]))
     for scheme in SCHEMES:
         for dim in (2, 3):
             runs.append((f"audit-{scheme}-d{dim}",
@@ -254,9 +259,11 @@ def commands() -> list[tuple[str, list[str]]]:
         runs.append((f"pointer-sweep-d2-{fmt}",
                      ["pointer-sweep", "--scenario", "scenarios/d2-unitary.json",
                       "--format", fmt]))
-        runs.append((f"pointer-density-d2-{fmt}",
-                     ["pointer-sweep", "--scenario", "scenarios/d2-unitary.json",
-                      "--density", "--format", fmt]))
+        # the meter's density at d = 2 and d = 3
+        for dim in (2, 3):
+            runs.append((f"pointer-density-d{dim}-{fmt}",
+                         ["pointer-sweep", "--scenario", f"scenarios/d{dim}-unitary.json",
+                          "--density", "--format", fmt]))
     # flags outside their domain: each exits 3 with one line on stderr
     runs += [
         ("error-witness-budget0", ["witness", "--budget", "0"]),
