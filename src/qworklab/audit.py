@@ -869,26 +869,27 @@ def _gaussian_row(cfg: Table1Config) -> Table1Row:
     weak = PointerConfig.for_scenario(s_coh, *POINTER_WEAK, points_per_sigma=8.0)
     hadamard = ScenarioBatch.of([s_coh])
 
-    def readouts(states, meter: PointerConfig):  # of the Hadamard experiment on each state
-        return [PointerReadout(meter.grid(), density, meter.coupling) for density
-                in meter_densities(hadamard.with_rho(np.array(states)), meter)]
+    def densities(states, meter: PointerConfig):  # of the Hadamard experiment on each state
+        return meter_densities(hadamard.with_rho(np.array(states)), meter)
 
-    # C1: density is linear in rho and manifestly nonnegative
+    # C1: density is linear in rho and manifestly nonnegative; its 10 mixtures with
+    # their components, and C2's two strong-coupling states, are one batch
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 8]))
-    lin = 0.0
-    for _ in range(10):
-        rho1, rho2 = random_density(2, rng), random_density(2, rng)
-        lam = float(rng.uniform(0.2, 0.8))
-        d_mix, d1, d2 = meter_densities(
-            hadamard.with_rho(np.array([lam * rho1 + (1 - lam) * rho2, rho1, rho2])), strong)
-        d_blend = lam * d1 + (1 - lam) * d2
-        lin = max(lin, float(np.max(np.abs(d_mix - d_blend))))
+    draws = [(random_density(2, rng), random_density(2, rng), float(rng.uniform(0.2, 0.8)))
+             for _ in range(10)]
+    mixes = [rho for rho1, rho2, lam in draws
+             for rho in (lam * rho1 + (1 - lam) * rho2, rho1, rho2)]
+    dens = densities(mixes + [s_diag.rho, s_coh.rho], strong)
+    lin = max(float(np.max(np.abs(d_mix - (lam * d1 + (1 - lam) * d2))))
+              for (_, _, lam), (d_mix, d1, d2) in zip(draws, dens[:30].reshape(10, 3, -1)))
     c1 = _graded(Condition.C1_LINEAR_POVM, lin, None,
                  notes="density linear in rho; nonnegative by construction")
 
     # C2: strong regime recovers TPM atom masses; weak regime does not
-    diag_strong, coh_strong = readouts([s_diag.rho, s_coh.rho], strong)
-    (coh_weak,) = readouts([s_coh.rho], weak)
+    diag_strong, coh_strong = (PointerReadout(strong.grid(), d, strong.coupling)
+                               for d in dens[30:])
+    (d_weak,) = densities([s_coh.rho], weak)
+    coh_weak = PointerReadout(weak.grid(), d_weak, weak.coupling)
     c2_strong = max(_meter_atom_error(diag_strong, s_diag, strong),
                     _meter_atom_error(coh_strong, s_coh, strong))
     c2_weak = _meter_atom_error(coh_weak, s_coh, weak)

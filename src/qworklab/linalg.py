@@ -21,8 +21,16 @@ eigensolver is a deterministic complex Jacobi iteration for dense Hermitian
 matrices (dimension <= 64), one kernel for one matrix (d, d) and for a stack
 (..., d, d): sweeps in Brent & Luk's parallel order, whose rounds rotate all
 their disjoint pairs at once, vectorised over the pairs and the stack, so a
-matrix gets bitwise the result it gets in any stack.  ``eig_hermitian`` takes
-a stack (n, d, d) as well, validated and solved as one.  An eigenspace is a block
+matrix gets bitwise the result it gets in any stack.  From d = 12 on, a matrix
+whose largest off-diagonal entry is at most ``JACOBI_STEP_RATIO`` times its
+least diagonal gap (over the pairs still rotated) is in Jacobi's quadratic
+regime and leaves its sweeps for refinement steps of matrix products, each
+Q = exp(K) of the first-order generator K (``_expi``, the exponential that also
+compiles driving protocols), as in Ogita & Aishima's refinement of symmetric
+eigendecompositions (2018); a near-degenerate cluster fails that test and keeps
+sweeping, and a step that does not halve the off-diagonal hands its matrix back
+to sweeps.  ``eig_hermitian`` takes a stack (n, d, d) as well, validated and
+solved as one.  An eigenspace is a block
 of eigenvector columns (``SpectralDecomposition.eigenspaces()``), and it has that one
 form: every consumer reads its columns, summed or as the zero-padded blocks of
 ``_blocks``, and none forms a stack of projectors.
@@ -46,6 +54,9 @@ EIG_FLOOR = 1e-14          # eigenvalues below this contribute 0 to entropies
 DEGENERACY_GAP = 1e-9      # eigenvalues closer than this share an eigenspace
 MAX_SWEEPS = 100
 JACOBI_TOL = 1e-12         # off-diagonal convergence target (relative to scale)
+JACOBI_STEP_RATIO = 0.5    # off-diagonal / least gap at which a matrix leaves its sweeps
+_STEP_MIN_DIM = 12         # below this a step costs a stack more than the sweeps it saves
+_TAYLOR_TOL = 1e-18        # the Taylor sum of a scaled factor stops at the first term below this
 
 _EIG_CACHE: dict[bytes, "SpectralDecomposition"] = {}
 _EIG_CACHE_CAP = 512
@@ -275,9 +286,34 @@ def _rounds(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(out)
 
 
+def _expi(hs: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """exp(-i H_j dt_j) for Hamiltonians (..., d, d) and steps (...,) from matrix products
+    alone, by scaling and squaring (Moler & Van Loan 2003; Higham 2005): A = -i H dt is
+    scaled by 2^-s to a 1-norm <= 0.5, its Taylor terms summed until one's largest entry
+    is below ``_TAYLOR_TOL`` (each member's own, so it is bitwise as alone), and the sum
+    squared s times.  Each factor's largest entry error against ``scipy.linalg.expm``
+    and its unitarity defect are <= 4 d eps max(1, ||H dt||_1)."""
+    a = hs * (-1j * steps)[..., None, None]
+    s = np.maximum(np.frexp(2.0 * np.abs(a).sum(axis=-2).max(axis=-1))[1], 0)
+    a = a * np.ldexp(1.0, -s)[..., None, None]
+    out, term, k = np.eye(a.shape[-1]) + a, a, 1
+    while True:
+        k += 1
+        term = term @ a / k
+        live = (np.abs(term).max(axis=(-2, -1)) >= _TAYLOR_TOL)[..., None, None]
+        if not live.any():
+            break
+        term = term * live  # a member whose sum has stopped adds nothing more
+        out = out + term
+    for i in range(int(s.max(initial=0))):
+        sq = s > i
+        out[sq] = out[sq] @ out[sq]
+    return out
+
+
 def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex Jacobi diagonalization of a Hermitian matrix (d, d) or of each matrix
-    of a stack (..., d, d), in parallel-ordered rounds.
+    of a stack (..., d, d), in parallel-ordered rounds finished by refinement steps.
 
     Returns the ascending eigenvalues and the matching eigenvector columns,
     shaped like the input without its last axis, and like the input.  Each
@@ -286,8 +322,18 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     when its off-diagonal max-norm is at most ``JACOBI_TOL * max(1, ||A||_max)``,
     tested at the start of each sweep, and a converged matrix is not rotated
     again; an entry at or below half of that target is not rotated either.
-    Every operation is elementwise per matrix, so a matrix gets bitwise the
-    result it gets alone or in any other stack.
+
+    From d = ``_STEP_MIN_DIM`` on, a matrix whose off-diagonal max-norm is at
+    most ``JACOBI_STEP_RATIO`` times its least diagonal gap |a_pp - a_qq| over
+    the pairs above that skip level takes a refinement step (``_refine``)
+    instead of a sweep: Jacobi is in its quadratic regime there, and one step
+    of matrix products does the work of a sweep.  A pair inside a degenerate
+    or near-degenerate cluster has a gap too small to pass, so such a matrix
+    sweeps until those entries are below the skip level, and a step that does
+    not at least halve the off-diagonal max-norm hands its matrix back to
+    sweeps for good.  ``MAX_SWEEPS`` counts sweeps and steps together.  Every
+    decision and operation is per matrix, so a matrix gets bitwise the result
+    it gets alone or in any other stack.
     """
     d = a.shape[-1]
     A = np.asarray(a, dtype=np.complex128).reshape(-1, d, d)
@@ -297,8 +343,11 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     W = np.concatenate((A, np.broadcast_to(np.eye(d, dtype=np.complex128), A.shape)), axis=1)
     upper = np.triu_indices(d, 1)
     idx = np.arange(d)
+    stepping = np.full(len(W), d >= _STEP_MIN_DIM)
     for _ in range(MAX_SWEEPS):
-        live = np.abs(W[:, upper[0], upper[1]]).max(axis=1, initial=0.0) > tol
+        off = np.abs(W[:, upper[0], upper[1]])
+        top = off.max(axis=1, initial=0.0)
+        live = top > tol
         if not live.any():
             diag = W[:, idx, idx].real
             order = np.argsort(diag, axis=1, kind="stable")
@@ -307,45 +356,92 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             vals.setflags(write=False)
             vecs.setflags(write=False)
             return vals, vecs
-        # every matrix still to rotate is rotated in place, a strict subset in a copy
-        whole = live.all()
-        todo = np.flatnonzero(live)
-        Ws, sk = (W, skip[:, None]) if whole else (W[todo], skip[todo, None])
-        for p, q in _rounds(d):
-            apq = Ws[:, p, q]
-            mag = np.abs(apq)
-            rot = mag > sk
-            every = rot.all()  # else the pairs not rotated take c = 1, sp = 0
-            if not every:
-                if not rot.any():
-                    continue
-                apq, mag = np.where(rot, apq, 1.0), np.where(rot, mag, 1.0)
-            # the rotations zeroing apq, c and sp = s e^{i arg apq}, for the column update
-            # [col_p, col_q] <- [col_p, col_q] @ [[c, -sp], [conj(sp), c]]; t takes the sign
-            # of app - aqq, and adding 0.0 turns a tie's -0.0 into +0.0, so t = 1 there
-            tau = (Ws[:, p, p].real - Ws[:, q, q].real + 0.0) / (2.0 * mag)
-            t = np.copysign(1.0 / (abs(tau) + np.hypot(1.0, tau)), tau)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            sp = t * c * (apq / mag)
-            if not every:
-                c, sp = np.where(rot, c, 1.0), np.where(rot, sp, 0.0)
-            c, sp = c[:, None, :], sp[:, None, :]
-            col_p, col_q = Ws[:, :, p], Ws[:, :, q]
-            Ws[:, :, p] = c * col_p + sp.conj() * col_q
-            Ws[:, :, q] = -sp * col_p + c * col_q
-            c, sp = c.swapaxes(1, 2), sp.swapaxes(1, 2)
-            row_p, row_q = Ws[:, p, :], Ws[:, q, :]
-            Ws[:, p, :] = c * row_p + sp * row_q
-            Ws[:, q, :] = -sp.conj() * row_p + c * row_q
-            for i, j in ((p, q), (q, p)):
-                Ws[:, i, j] = 0.0 if every else np.where(rot, 0.0, Ws[:, i, j])
-            for i in (p, q):
-                Ws[:, i, i] = Ws[:, i, i].real
-        if not whole:
-            W[todo] = Ws
+        step = live & stepping
+        if step.any():
+            diag = W[:, idx, idx].real
+            gaps = np.where(off > skip[:, None],
+                            np.abs(diag[:, upper[0]] - diag[:, upper[1]]), np.inf)
+            step &= top <= JACOBI_STEP_RATIO * gaps.min(axis=1)
+        if step.any():
+            todo = np.flatnonzero(step)
+            stepping[todo] = _refine(W, todo, skip[todo], upper) <= 0.5 * top[todo]
+            live &= ~step
+        if live.any():
+            _sweep(W, live, skip)
     raise NonConvergence(
         f"Jacobi eigensolver did not reach off-diagonal {tol.max():.1e} in {MAX_SWEEPS} sweeps"
     )
+
+
+def _sweep(W: np.ndarray, live: np.ndarray, skip: np.ndarray) -> None:
+    """One sweep of ``_jacobi``'s rounds over the matrices ``live`` of its A over V
+    stack W (n, 2d, d), in place; entries at or below ``skip`` (n,) are not rotated."""
+    d = W.shape[-1]
+    # every matrix still to rotate is rotated in place, a strict subset in a copy
+    whole = live.all()
+    todo = np.flatnonzero(live)
+    Ws, sk = (W, skip[:, None]) if whole else (W[todo], skip[todo, None])
+    for p, q in _rounds(d):
+        apq = Ws[:, p, q]
+        mag = np.abs(apq)
+        rot = mag > sk
+        every = rot.all()  # else the pairs not rotated take c = 1, sp = 0
+        if not every:
+            if not rot.any():
+                continue
+            apq, mag = np.where(rot, apq, 1.0), np.where(rot, mag, 1.0)
+        # the rotations zeroing apq, c and sp = s e^{i arg apq}, for the column update
+        # [col_p, col_q] <- [col_p, col_q] @ [[c, -sp], [conj(sp), c]]; t takes the sign
+        # of app - aqq, and adding 0.0 turns a tie's -0.0 into +0.0, so t = 1 there
+        tau = (Ws[:, p, p].real - Ws[:, q, q].real + 0.0) / (2.0 * mag)
+        t = np.copysign(1.0 / (abs(tau) + np.hypot(1.0, tau)), tau)
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        sp = t * c * (apq / mag)
+        if not every:
+            c, sp = np.where(rot, c, 1.0), np.where(rot, sp, 0.0)
+        c, sp = c[:, None, :], sp[:, None, :]
+        col_p, col_q = Ws[:, :, p], Ws[:, :, q]
+        Ws[:, :, p] = c * col_p + sp.conj() * col_q
+        Ws[:, :, q] = -sp * col_p + c * col_q
+        c, sp = c.swapaxes(1, 2), sp.swapaxes(1, 2)
+        row_p, row_q = Ws[:, p, :], Ws[:, q, :]
+        Ws[:, p, :] = c * row_p + sp * row_q
+        Ws[:, q, :] = -sp.conj() * row_p + c * row_q
+        for i, j in ((p, q), (q, p)):
+            Ws[:, i, j] = 0.0 if every else np.where(rot, 0.0, Ws[:, i, j])
+        for i in (p, q):
+            Ws[:, i, i] = Ws[:, i, i].real
+    if not whole:
+        W[todo] = Ws
+
+
+def _refine(W: np.ndarray, todo: np.ndarray, skip: np.ndarray,
+            upper: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """One refinement step of ``_jacobi`` on the matrices ``todo`` of its A over V
+    stack W (n, 2d, d), in place; returns their new off-diagonal max-norms.
+
+    The first-order generator K, K_pq = a_pq / (a_qq - a_pp) on the pairs p < q
+    above ``skip`` (per matrix) and 0 elsewhere, anti-Hermitian, removes the
+    off-diagonal of A = D + E to first order: exp(-K) A exp(K) = D + O(E^2 / gap).
+    So Q = exp(K) from ``_expi``, A <- Q^dag A Q made exactly Hermitian (its
+    diagonal real) and V <- V Q; matrix products only, each per matrix.
+    """
+    d = W.shape[-1]
+    p, q = upper
+    Ws = W[todo]
+    A = Ws[:, :d]
+    apq = A[:, p, q]
+    diag = A[:, np.arange(d), np.arange(d)].real
+    use = np.abs(apq) > skip[:, None]
+    K = np.zeros_like(A)
+    K[:, p, q] = np.where(use, apq / np.where(use, diag[:, q] - diag[:, p], 1.0), 0.0)
+    K -= dag(K)
+    Q = _expi(1j * K, np.ones(len(todo)))
+    A = dag(Q) @ A @ Q
+    A = 0.5 * (A + dag(A))
+    W[todo, :d] = A
+    W[todo, d:] = Ws[:, d:] @ Q
+    return np.abs(A[:, p, q]).max(axis=1, initial=0.0)
 
 
 def eig_hermitian(op) -> SpectralDecomposition:
@@ -354,7 +450,7 @@ def eig_hermitian(op) -> SpectralDecomposition:
 
     Uses Jacobi rotations in a fixed sweep order (see ``_jacobi``), so the
     result is deterministic for a fixed input.  Raises :class:`NonConvergence` if the
-    off-diagonal mass is not eliminated within ``MAX_SWEEPS`` sweeps.
+    off-diagonal mass is not eliminated within ``MAX_SWEEPS`` sweeps and steps.
     The input is validated only on a cache miss: the key holds the full shape
     and the bytes, so a hit is a matrix or stack that was validated when it was solved.
     """

@@ -27,6 +27,7 @@ from .linalg import (
     HERMITICITY_TOL,
     SpectralDecomposition,
     _eig,
+    _expi,
     _jacobi,
     _require_stack,
     dag,
@@ -147,34 +148,6 @@ class DrivingProtocol:
         out = copy.copy(protocols[0])
         object.__setattr__(out, "hamiltonians", np.stack([p.hamiltonians for p in protocols]))
         return out
-
-
-_TAYLOR_TOL = 1e-18  # the Taylor sum of a scaled factor stops at the first term below this
-
-
-def _expi(hs: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """exp(-i H_j dt_j) for Hamiltonians (..., d, d) and steps (...,) from matrix products
-    alone, by scaling and squaring (Moler & Van Loan 2003; Higham 2005): A = -i H dt is
-    scaled by 2^-s to a 1-norm <= 0.5, its Taylor terms summed until one's largest entry
-    is below ``_TAYLOR_TOL`` (each member's own, so it is bitwise as alone), and the sum
-    squared s times.  Each factor's largest entry error against ``scipy.linalg.expm``
-    and its unitarity defect are <= 4 d eps max(1, ||H dt||_1)."""
-    a = hs * (-1j * steps)[..., None, None]
-    s = np.maximum(np.frexp(2.0 * np.abs(a).sum(axis=-2).max(axis=-1))[1], 0)
-    a = a * np.ldexp(1.0, -s)[..., None, None]
-    out, term, k = np.eye(a.shape[-1]) + a, a, 1
-    while True:
-        k += 1
-        term = term @ a / k
-        live = (np.abs(term).max(axis=(-2, -1)) >= _TAYLOR_TOL)[..., None, None]
-        if not live.any():
-            break
-        term = term * live  # a member whose sum has stopped adds nothing more
-        out = out + term
-    for i in range(int(s.max(initial=0))):
-        sq = s > i
-        out[sq] = out[sq] @ out[sq]
-    return out
 
 
 def compile_unitary(protocol: DrivingProtocol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -688,10 +688,10 @@ def test_gaussian_row_forms_one_amplitude_stack_per_batch(monkeypatch):
     row = audit._gaussian_row(audit.Table1Config(seed=5))
     s = audit.hadamard_scenario()
     strong = pointer_mod.PointerConfig.for_scenario(s, *audit.POINTER_STRONG)
-    # C1 evaluates each mixture with its two components as one batch: 10 stacks, not 30;
-    # C2 and C3 share one strong readout of the two states and one weak readout
-    assert formed[:10] == [strong.n_points] * 10
-    assert len(formed) == 12
+    # C1's 30 states and C2's two strong-coupling states are one batch, one stack;
+    # C2 and C3 share it and one weak readout
+    assert formed[0] == strong.n_points
+    assert len(formed) == 2
     # C1 state by state, through the meter of each Scenario
     monkeypatch.undo()
     rng = np.random.default_rng(np.random.SeedSequence([5, 8]))

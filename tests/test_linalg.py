@@ -90,11 +90,11 @@ def hermitian_stack(dim, n, rng):
     return np.array([random_hermitian_np(dim, rng) for _ in range(n)])
 
 
-def assert_spectral(vals, vecs, h):
-    """Eigenvalues within 1e-9 of eigvalsh; reconstruction and orthonormality."""
+def assert_spectral(vals, vecs, h, scale=1.0):
+    """Eigenvalues within 1e-9 scale of eigvalsh; reconstruction and orthonormality."""
     dim = h.shape[-1]
-    np.testing.assert_allclose(vals, np.linalg.eigvalsh(h), rtol=0, atol=1e-9)
-    assert la.max_abs((vecs * vals[..., None, :]) @ la.dag(vecs) - h) <= 1e-8
+    np.testing.assert_allclose(vals, np.linalg.eigvalsh(h), rtol=0, atol=1e-9 * scale)
+    assert la.max_abs((vecs * vals[..., None, :]) @ la.dag(vecs) - h) <= 1e-8 * scale
     assert la.max_abs(la.dag(vecs) @ vecs - np.eye(dim)) <= 1e-9
     assert np.all(np.diff(vals, axis=-1) >= 0)
     assert not vals.flags.writeable and not vecs.flags.writeable
@@ -120,16 +120,50 @@ def test_single_matrix_equals_its_stack_of_one(dim):
     np.testing.assert_array_equal(vecs, stacked[1][0])
 
 
+def record_sweeps_and_steps(monkeypatch):
+    """Wrap ``la._rounds`` (called once a sweep) and ``la._refine``: returns a one-item
+    list counting the sweeps run and a dict of the sweeps run before each stack
+    member's first step, both filled as ``_jacobi`` runs."""
+    sweeps, first = [0], {}
+    real_rounds, real_refine = la._rounds, la._refine
+
+    def rounds(d):
+        sweeps[0] += 1
+        return real_rounds(d)
+
+    def refine(w, todo, *rest):
+        for i in todo.tolist():
+            first.setdefault(i, sweeps[0])
+        return real_refine(w, todo, *rest)
+
+    monkeypatch.setattr(la, "_rounds", rounds)
+    monkeypatch.setattr(la, "_refine", refine)
+    return sweeps, first
+
+
+def near_diagonal(dim, rng, scale=1e-3):
+    """A unit ladder plus a small random Hermitian: in the step regime as given."""
+    return np.diag(np.arange(dim, dtype=complex)) + scale * random_hermitian_np(dim, rng)
+
+
 @pytest.mark.parametrize("dim", KERNEL_DIMS)
-def test_each_stack_member_equals_its_stack_of_one(dim):
+def test_each_stack_member_equals_its_stack_of_one(dim, monkeypatch):
     rng = np.random.default_rng(90 + dim)
-    h = hermitian_stack(dim, 5, rng)
+    h = hermitian_stack(dim, 8, rng)
     h[1] = np.diag(rng.standard_normal(dim))  # converges before the others
     h[2] *= 1e-3
     # converged as given, with an entry above the skip level: rotating it again would show
     h[3] = np.diag(np.arange(dim, dtype=complex))
     h[3, 0, -1] = h[3, -1, 0] = 0.7 * la.JACOBI_TOL * max(1, dim - 1)
+    # from d = _STEP_MIN_DIM on these leave their sweeps at different sweeps: at once,
+    # after a sweep or two, and late (a Wishart state, whose least gaps are small)
+    h[5] = near_diagonal(dim, rng)
+    h[6] = near_diagonal(dim, rng, scale=0.3)
+    h[7] = random_density_np(dim, rng)
+    _, first = record_sweeps_and_steps(monkeypatch)
     vals, vecs = la._jacobi(h)
+    if dim >= la._STEP_MIN_DIM:
+        assert first[5] == 0 and len(set(first.values())) >= 3
     for i in range(h.shape[0]):
         one_vals, one_vecs = la._jacobi(h[i:i + 1])
         np.testing.assert_array_equal(vals[i], one_vals[0])
@@ -178,6 +212,59 @@ def test_stacked_kernel_nonconvergence_guard(monkeypatch):
         la._jacobi(h)
     with pytest.raises(NonConvergence):
         la._jacobi(np.kron(h[0], np.eye(2)))  # one matrix at d = 12
+
+
+def spectral_case(kind, dim, rng):
+    """A Hermitian matrix (dim, dim) of one kind: random; exactly 2-4-fold degenerate;
+    near-degenerate (pairs of levels 1e-10 to 1e-7 apart); or diagonal."""
+    if kind == "random":
+        return random_hermitian_np(dim, rng)
+    if kind == "diagonal":
+        return np.diag(rng.standard_normal(dim)).astype(complex)
+    if kind == "degenerate":
+        fold = int(rng.integers(2, 5))
+        levels = np.repeat(rng.standard_normal(-(-dim // fold)), fold)[:dim]
+    else:
+        levels = rng.standard_normal(dim)
+        levels[1::2] = levels[::2][:dim // 2] + 10.0 ** rng.uniform(-10, -7, dim // 2)
+    v = haar_unitary_np(dim, rng)
+    h = (v * levels) @ v.conj().T
+    return (h + h.conj().T) / 2
+
+
+@given(kind=st.sampled_from(["random", "degenerate", "near-degenerate", "diagonal"]),
+       log_scale=st.floats(-6, 6), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+@pytest.mark.parametrize("dim", [8, 16, 32, 64])
+def test_kernel_meets_its_contract_on_every_kind_of_spectrum(dim, kind, log_scale, seed):
+    """The convergence target is ``JACOBI_TOL * max(1, ||A||)``: absolute below unit
+    scale, relative above it, so a matrix scaled by c is checked at scale max(1, c)."""
+    c = 10.0 ** log_scale
+    h = c * spectral_case(kind, dim, np.random.default_rng(seed))
+    vals, vecs = la._jacobi(h)
+    assert_spectral(vals, vecs, h, scale=max(1.0, c))
+
+
+def test_a_random_matrix_at_d64_takes_at_most_six_sweeps(monkeypatch):
+    """Sweeps alone take 8 here; steps finish it, and it never sweeps again."""
+    sweeps, first = record_sweeps_and_steps(monkeypatch)
+    h = random_hermitian_np(64, np.random.default_rng(2024))
+    vals, vecs = la._jacobi(h)
+    assert_spectral(vals, vecs, h)
+    assert sweeps[0] <= 6 and first == {0: sweeps[0]}
+
+
+def test_a_step_that_does_not_halve_hands_its_matrix_back_to_sweeps(monkeypatch):
+    """With the switch test passed at once, a random matrix's first step fails to
+    halve its off-diagonal; the matrix then only sweeps, and still converges."""
+    monkeypatch.setattr(la, "JACOBI_STEP_RATIO", 1e9)
+    steps = []
+    real_refine = la._refine
+    monkeypatch.setattr(la, "_refine", lambda *args: steps.append(1) or real_refine(*args))
+    h = random_hermitian_np(16, np.random.default_rng(16))
+    vals, vecs = la._jacobi(h)
+    assert_spectral(vals, vecs, h)
+    assert len(steps) == 1
 
 
 def test_rounds_cover_every_pair_once_with_disjoint_pairs():

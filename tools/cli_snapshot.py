@@ -174,6 +174,11 @@ def commands() -> list[tuple[str, list[str]]]:
         runs.append((f"dist-fcs-d{dim}-unitary-json",
                      ["dist", "--scheme", "fcs", "--scenario", f"scenarios/d{dim}-unitary.json",
                       "--format", "json"]))
+    # the W and rho solves at d = 64, where the eigensolver finishes with refinement steps
+    for scheme in ("operator-of-work", "state-dependent"):
+        runs.append((f"dist-{scheme}-d64-unitary-json",
+                     ["dist", "--scheme", scheme, "--scenario", "scenarios/d64-unitary.json",
+                      "--format", "json"]))
     # a three-breakpoint protocol: a history grid point on the interior breakpoint, and TPM
     three = "scenarios/d3-three-breakpoints.json"
     runs.append(("dist-consistent-histories-d3-three-breakpoints-k4-json",
@@ -347,6 +352,7 @@ def main(argv=None) -> int:
             "d3-degenerate-h": degenerate_doc(3, seed=2013, level="H"),
             "d16-unitary": scenario_docs(16, seed=1016)[0],
             "d32-unitary": scenario_docs(32, seed=1032)[0],
+            "d64-unitary": scenario_docs(64, seed=1064)[0],
             "d3-three-breakpoints": three_breakpoint_doc(3, seed=3003),
             "d3-boundary-inside": boundary_doc(3, 3013, -0.5 * DENSITY_EIG_TOL, "inside"),
             "d3-boundary-outside": boundary_doc(3, 3023, -2 * DENSITY_EIG_TOL, "outside")}
