@@ -26,11 +26,13 @@ whose largest off-diagonal entry is at most ``JACOBI_STEP_RATIO`` times its
 least diagonal gap (over the pairs still rotated) is in Jacobi's quadratic
 regime and leaves its sweeps for refinement steps of matrix products, each
 Q = exp(K) of the first-order generator K (``_expi``, the exponential that also
-compiles driving protocols), as in Ogita & Aishima's refinement of symmetric
-eigendecompositions (2018); a near-degenerate cluster fails that test and keeps
-sweeping, and a step that does not halve the off-diagonal hands its matrix back
-to sweeps.  ``eig_hermitian`` takes a stack (n, d, d) as well, validated and
-solved as one.  An eigenspace is a block
+compiles driving protocols: scaling and squaring around a Taylor polynomial of
+each member's own degree, evaluated by Paterson & Stockmeyer's blocks in A^4;
+the degree falls as K shrinks, to 2 at a last step), as in Ogita & Aishima's
+refinement of symmetric eigendecompositions (2018); a near-degenerate cluster
+fails that test and keeps sweeping, and a step that does not halve the
+off-diagonal hands its matrix back to sweeps.  ``eig_hermitian`` takes a stack
+(n, d, d) as well, validated and solved as one.  An eigenspace is a block
 of eigenvector columns (``SpectralDecomposition.eigenspaces()``), and it has that one
 form: every consumer reads its columns, summed or as the zero-padded blocks of
 ``_blocks``, and none forms a stack of projectors.
@@ -56,7 +58,11 @@ MAX_SWEEPS = 100
 JACOBI_TOL = 1e-12         # off-diagonal convergence target (relative to scale)
 JACOBI_STEP_RATIO = 0.5    # off-diagonal / least gap at which a matrix leaves its sweeps
 _STEP_MIN_DIM = 12         # below this a step costs a stack more than the sweeps it saves
-_TAYLOR_TOL = 1e-18        # the Taylor sum of a scaled factor stops at the first term below this
+_TAYLOR_TOL = 1e-18        # a scaled factor's Taylor degree: its first term bounded below this
+_PS_WIDTH = 4              # the Paterson-Stockmeyer block width of that Taylor polynomial
+# nu^k / k! < _TAYLOR_TOL when nu < theta_k = (_TAYLOR_TOL k!)^(1/k), k = 1 ... 16;
+# theta_16 = 0.51 is above the largest scaled 1-norm, 0.5
+_TAYLOR_THETA = np.array([(_TAYLOR_TOL * math.factorial(k)) ** (1.0 / k) for k in range(1, 17)])
 
 _EIG_CACHE: dict[bytes, "SpectralDecomposition"] = {}
 _EIG_CACHE_CAP = 512
@@ -287,27 +293,48 @@ def _rounds(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def _expi(hs: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """exp(-i H_j dt_j) for Hamiltonians (..., d, d) and steps (...,) from matrix products
-    alone, by scaling and squaring (Moler & Van Loan 2003; Higham 2005): A = -i H dt is
-    scaled by 2^-s to a 1-norm <= 0.5, its Taylor terms summed until one's largest entry
-    is below ``_TAYLOR_TOL`` (each member's own, so it is bitwise as alone), and the sum
-    squared s times.  Each factor's largest entry error against ``scipy.linalg.expm``
-    and its unitarity defect are <= 4 d eps max(1, ||H dt||_1)."""
+    """exp(-i H_j dt_j) for Hamiltonians (..., d, d) and steps (...,) from matrix
+    products alone, by scaling and squaring (Moler & Van Loan 2003; Higham 2005):
+    A = -i H dt is scaled by 2^-s to a 1-norm nu <= 0.5, its Taylor polynomial
+    evaluated, and the result squared s times.  Each member takes its own degree m,
+    the first with nu^m / m! < ``_TAYLOR_TOL`` (a bound on the m-th term's largest
+    entry), read from the thresholds ``_TAYLOR_THETA``.  The polynomial is evaluated
+    by Paterson & Stockmeyer (1973; Higham 2008, sec. 4.2): the powers A ... A^b,
+    b = ``_PS_WIDTH``, once (none above the batch's highest degree), then Horner over
+    blocks of b terms in A^b, so degree 14-16 costs 6 products instead of about 15.
+    A member's coefficients past its own degree are exact zeros: they change its sums
+    only in the signs of zeros, which no sum or product carries into a nonzero value,
+    and the identity term, added last, clears those signs, so each member is bitwise
+    as alone.  Each factor's largest entry error against ``scipy.linalg.expm`` and
+    its unitarity defect are <= 4 d eps max(1, ||H dt||_1)."""
     a = hs * (-1j * steps)[..., None, None]
-    s = np.maximum(np.frexp(2.0 * np.abs(a).sum(axis=-2).max(axis=-1))[1], 0)
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    s = np.maximum(np.frexp(2.0 * norm)[1], 0)
     a = a * np.ldexp(1.0, -s)[..., None, None]
-    out, term, k = np.eye(a.shape[-1]) + a, a, 1
-    while True:
-        k += 1
-        term = term @ a / k
-        live = (np.abs(term).max(axis=(-2, -1)) >= _TAYLOR_TOL)[..., None, None]
-        if not live.any():
-            break
-        term = term * live  # a member whose sum has stopped adds nothing more
-        out = out + term
+    deg = np.searchsorted(_TAYLOR_THETA, np.ldexp(norm, -s), side="right") + 1
+    top, b = int(deg.max(initial=1)), _PS_WIDTH
+    powers = [np.eye(a.shape[-1]), a]
+    while len(powers) <= min(b, top):
+        powers.append(powers[-1] @ a)
+
+    def block(j: int) -> np.ndarray:  # sum_i c_{jb+i} A^i, i = 1 ... b; c_k = 0 past deg
+        acc = 0.0
+        for k in range(j * b + 1, min(top, j * b + b) + 1):
+            coef = np.where(deg >= k, 1.0 / math.factorial(k), 0.0)
+            acc = acc + coef[..., None, None] * powers[k - j * b]
+        return acc
+
+    j = (top - 1) // b  # the highest block, whose last term is A^top / top!
+    out = block(j)
+    for j in range(j - 1, -1, -1):
+        out = out @ powers[b] + block(j)
+    out = out + powers[0]  # the identity term, last
     for i in range(int(s.max(initial=0))):
         sq = s > i
-        out[sq] = out[sq] @ out[sq]
+        if sq.all():
+            out = out @ out
+        else:
+            out[sq] = out[sq] @ out[sq]
     return out
 
 

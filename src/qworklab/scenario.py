@@ -2,10 +2,12 @@
 
 A scenario is (H, H_final, evolution, rho) where the evolution is either an
 explicit unitary or a piecewise-linear driving protocol compiled to a
-time-ordered product of midpoint-rule exponential factors (``_expi``, matrix
-products only), once, on the protocol's own substep mesh; U(tau) and the
-propagators of every history grid are read from that compile.  Scenarios are
-serialized to a JSON document with complex entries written as [re, im] pairs.
+time-ordered product of midpoint-rule exponential factors (``linalg._expi``:
+scaling and squaring around a Taylor polynomial evaluated by Paterson &
+Stockmeyer, matrix products only), once, on the protocol's own substep mesh;
+U(tau) and the propagators of every history grid are read from that compile.
+Scenarios are serialized to a JSON document with complex entries written as
+[re, im] pairs.
 A ``ScenarioBatch`` holds many experiments and states as stacks, so that a
 scheme evaluates all of them in one set of array operations; protocols on one
 substep mesh compile as one stack.  The batch is the one holder of derived

@@ -459,17 +459,31 @@ def test_expi_is_within_its_error_bound(dim, scale):
 
 
 def test_expi_takes_each_member_of_a_stack_alone():
-    """1-norms 1e6 apart: each member is scaled and summed on its own, bitwise as alone."""
+    """||H dt||_1 from 0 to 1e3: each member is scaled, takes its own Taylor degree and is
+    squared on its own, bitwise as alone, in stacks whose highest degree is 16 and 15."""
     rng = np.random.default_rng(23)
-    hs = np.array([c * random_hermitian_np(8, rng) for c in (1e-3, 1.0, 1e3)])
-    dts = np.full(3, 0.1)
-    norms = np.abs(hs * 0.1).sum(axis=-2).max(axis=-1)
-    assert norms.max() / norms.min() > 1e6 / 2
-    stacked = scenario_mod._expi(hs, dts)
-    for i in range(3):
-        assert stacked[i].tobytes() == scenario_mod._expi(hs[i:i + 1], dts[i:i + 1])[0].tobytes()
+    # zero; degree 2; degrees 4, 8, 12 and 16 unscaled; then 1, 4 and 11 squarings
+    norms = np.array([0.0, 1e-12, 3e-5, 1.5e-2, 0.14, 0.45, 0.7, 6.0, 1e3])
+    dts = np.full(norms.size, 0.1)
+    hs = np.array([random_hermitian_np(8, rng) for _ in norms])
+    hs *= (norms / (0.1 * np.abs(hs).sum(axis=-2).max(axis=-1)))[:, None, None]
+    squarings = np.maximum(np.frexp(2.0 * norms)[1], 0)
+    degrees = np.searchsorted(la._TAYLOR_THETA, np.ldexp(norms, -squarings), side="right") + 1
+    assert degrees.tolist() == [1, 2, 4, 8, 12, 16, 15, 15, 16]
+    assert squarings.tolist() == [0, 0, 0, 0, 0, 0, 1, 4, 11]
+    for pick in (np.arange(norms.size), np.flatnonzero(degrees < 16)):
+        stacked = scenario_mod._expi(hs[pick], dts[pick])
+        for i, member in zip(pick, stacked):
+            assert member.tobytes() == scenario_mod._expi(hs[i:i + 1], dts[i:i + 1])[0].tobytes()
     error, defect = expi_errors(hs, dts)
     assert (error <= expi_bound(hs, dts)).all() and (defect <= expi_bound(hs, dts)).all()
+
+
+def test_expi_of_a_zero_generator_is_the_identity():
+    rng = np.random.default_rng(29)
+    hs = np.array([np.zeros((3, 3), complex), random_hermitian_np(3, rng)])
+    got = scenario_mod._expi(hs, np.array([0.5, 0.0]))  # H = 0, then dt = 0
+    assert np.array_equal(got, np.broadcast_to(np.eye(3), got.shape))
 
 
 def test_a_compile_runs_no_eigensolver(monkeypatch):

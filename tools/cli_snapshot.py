@@ -80,7 +80,7 @@ def _pairs(m: list[list[complex]]) -> list:
     return [[[z.real, z.imag] for z in row] for row in m]
 
 
-def scenario_docs(dim: int, seed: int) -> tuple[dict, dict]:
+def scenario_docs(dim: int, seed: int, steps_per_segment: int = 16) -> tuple[dict, dict]:
     """A unitary and a driven scenario document on the same H, H_final and rho."""
     rng = random.Random(seed)
     h, hf = _hermitian(dim, rng), _hermitian(dim, rng)
@@ -89,7 +89,7 @@ def scenario_docs(dim: int, seed: int) -> tuple[dict, dict]:
     unitary = dict(base, label=f"snapshot-d{dim}",
                    evolution={"type": "unitary", "U": _pairs(u)})
     driven = dict(base, label=f"snapshot-d{dim}-driven",
-                  evolution={"type": "protocol", "steps_per_segment": 16,
+                  evolution={"type": "protocol", "steps_per_segment": steps_per_segment,
                              "breakpoints": [{"t": 0.0, "H": _pairs(h)},
                                              {"t": 1.0, "H": _pairs(hf)}]})
     return unitary, driven
@@ -174,7 +174,10 @@ def commands() -> list[tuple[str, list[str]]]:
         runs.append((f"dist-fcs-d{dim}-unitary-json",
                      ["dist", "--scheme", "fcs", "--scenario", f"scenarios/d{dim}-unitary.json",
                       "--format", "json"]))
-    # the W and rho solves at d = 64, where the eigensolver finishes with refinement steps
+    # the W and rho solves at d = 64, where the eigensolver finishes with refinement steps;
+    # the state-dependent file's last digits follow the rho solve: its Wishart state has
+    # eigenvalue gaps down to 1.7e-5 (mean spacing 9e-4), so the eigenvectors its work
+    # values are read from move with the solver's rounding
     for scheme in ("operator-of-work", "state-dependent"):
         runs.append((f"dist-{scheme}-d64-unitary-json",
                      ["dist", "--scheme", scheme, "--scenario", "scenarios/d64-unitary.json",
@@ -189,6 +192,11 @@ def commands() -> list[tuple[str, list[str]]]:
         runs.append((f"dist-consistent-histories-d2-k{k}-json",
                      ["dist", "--scheme", "consistent-histories", "--scenario",
                       "scenarios/d2-driven.json", "--k-steps", str(k), "--format", "json"]))
+    # a 2-step mesh whose substep factors have ||H dt||_1 about 2.5 (> 0.5): each is scaled
+    # by 2^-3 and squared three times, and K = 6 puts history grid points between mesh times
+    runs.append(("dist-consistent-histories-d6-coarse-k6-json",
+                 ["dist", "--scheme", "consistent-histories", "--scenario",
+                  "scenarios/d6-driven-coarse.json", "--k-steps", "6", "--format", "json"]))
     runs.append(("dist-tpm-d3-three-breakpoints-json",
                  ["dist", "--scheme", "tpm", "--scenario", three, "--format", "json"]))
     runs.append(("dist-sub-ensemble-d3-members5",
@@ -242,7 +250,10 @@ def commands() -> list[tuple[str, list[str]]]:
     # 30 states validated at d = 64
     runs.append(("audit-tpm-d64-s5-seed1",
                  ["audit", "--scheme", "tpm", "--dim", "64", "--samples", "5", "--seed", "1"]))
-    # the state-dependent kernel at d = 64, where its weights sum over the final eigenspaces
+    # the state-dependent kernel at d = 64, where its weights sum over the final eigenspaces;
+    # its last digits follow the rho solves: Wishart states at d = 64 have eigenvalue gaps
+    # far below their mean spacing (down to 3.6e-5 in the seed-1 benchmark state), so any
+    # change to the eigensolver's rounding moves them
     runs.append(("audit-state-dependent-d64-s5-seed1",
                  ["audit", "--scheme", "state-dependent", "--dim", "64", "--samples", "5",
                   "--seed", "1"]))
@@ -354,6 +365,7 @@ def main(argv=None) -> int:
             "d32-unitary": scenario_docs(32, seed=1032)[0],
             "d64-unitary": scenario_docs(64, seed=1064)[0],
             "d3-three-breakpoints": three_breakpoint_doc(3, seed=3003),
+            "d6-driven-coarse": scenario_docs(6, seed=1006, steps_per_segment=2)[1],
             "d3-boundary-inside": boundary_doc(3, 3013, -0.5 * DENSITY_EIG_TOL, "inside"),
             "d3-boundary-outside": boundary_doc(3, 3023, -2 * DENSITY_EIG_TOL, "outside")}
     for dim in (2, 3, 4):
