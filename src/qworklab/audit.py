@@ -29,6 +29,7 @@ from .errors import DegenerateRhoWarning, DomainError, NotLinear
 from .linalg import (
     SpectralDecomposition,
     _complex_normal,
+    _matmul,
     _orthonormal_columns,
     _require_stack,
     _wishart_states,
@@ -176,7 +177,7 @@ def _sample_batch(dim: int, n: int, rng, coherent: bool, driven: bool,
     for name in ("H", "H_final"):  # as _random_spectrum, on the stack
         vecs = _orthonormal_columns(ginibre())
         spectra[name] = (np.arange(dim, dtype=float) + 0.4 * next(columns), vecs)
-    h, hf = ((vecs * vals[:, None, :]) @ dag(vecs) for vals, vecs in spectra.values())
+    h, hf = (_matmul(vecs * vals[:, None, :], dag(vecs)) for vals, vecs in spectra.values())
     if driven:  # every breakpoint checked in one stack, then each protocol trusts it
         ramps = _require_stack(np.stack([h, hf], axis=1).reshape(-1, dim, dim),
                                "evolution.breakpoints.H", "hermitian").reshape(n, 2, dim, dim)
@@ -190,7 +191,7 @@ def _sample_batch(dim: int, n: int, rng, coherent: bool, driven: bool,
     else:
         raw = np.arange(1.0, dim + 1.0) + 0.5 * next(columns)
         vecs = spectra["H"][1]
-        rho = (vecs * (raw / raw.sum(axis=1, keepdims=True))[:, None, :]) @ dag(vecs)
+        rho = _matmul(vecs * (raw / raw.sum(axis=1, keepdims=True))[:, None, :], dag(vecs))
     if not mixtures:
         return ScenarioBatch.build(h, hf, evolution, rho, np.arange(n), spectra)
     rho1, rho2 = _wishart_states(ginibre()), _wishart_states(ginibre())
@@ -514,12 +515,28 @@ def informationally_complete_states(dim: int) -> np.ndarray:
     return vecs[:, :, None] * vecs.conj()[:, None, :]
 
 
+def _tomography_inverse(probs: np.ndarray) -> np.ndarray:
+    """The Hermitian operators X (..., d, d) whose probabilities Tr(rho_r X) on the
+    states of ``informationally_complete_states(d)`` are ``probs`` (..., d^2), in
+    closed form: the basis state |k> reads X_kk = p_k, and the superpositions of a
+    pair k < l read (p_k + p_l) / 2 + Re X_kl and (p_k + p_l) / 2 - Im X_kl."""
+    dim = math.isqrt(probs.shape[-1])
+    k, l = np.triu_indices(dim, 1)
+    diag, plus, imag = probs[..., :dim], probs[..., dim::2], probs[..., dim + 1::2]
+    mid = (diag[..., k] + diag[..., l]) / 2.0
+    upper = (plus - mid) + 1j * (mid - imag)
+    out = np.zeros(probs.shape[:-1] + (dim, dim), dtype=np.complex128)
+    out[..., k, l], out[..., l, k] = upper, upper.conj()
+    out[..., np.arange(dim), np.arange(dim)] = diag
+    return out
+
+
 def reconstruct_povm(scheme: SchemeId | str, h, h_final, u, seed: int = 0) -> Povm:
     """Solve for state-independent operators reproducing the scheme.
 
     Evaluates the scheme on an informationally complete set of d^2 states,
-    inverts the linear system for one operator per merged work value (one
-    right-hand side each), and validates the reconstruction on fresh random
+    inverts the linear system for one operator per merged work value in closed
+    form (``_tomography_inverse``), and validates the reconstruction on fresh random
     states.  Raises :class:`NotLinear` when the validation residual exceeds 1e-6.
     """
     dim = np.shape(h)[0]
@@ -536,15 +553,13 @@ def _tomography(scheme: SchemeId, base: ScenarioBatch, seed: int) -> Povm:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
     # N_VALIDATION random_density draws, as one stack
     fresh = _wishart_states(_complex_normal(rng.standard_normal((N_VALIDATION, 2, dim, dim))))
-    dists = _batch_dist(scheme, base.with_rho(np.concatenate([states, fresh])), DEFAULT_CH_STEPS)
+    both = np.concatenate([states, fresh])  # states the code built: not validated again
+    dists = _batch_dist(scheme, base._on(both, np.zeros(len(both), dtype=np.intp)),
+                        DEFAULT_CH_STEPS)
     solve, check = dists.members(0, len(states)), dists.members(len(states), len(dists))
     support, _ = merge_atoms(solve.works, solve.weights)
     y, _ = solve.masses(support, W_MERGE_TOL)
-    # Tr(rho X) = sum_ij rho_ji X_ij: row r of the system is rho_r transposed, flattened
-    x, *_ = np.linalg.lstsq(states.swapaxes(1, 2).reshape(len(states), -1), y, rcond=None)
-    ops = x.T.reshape(-1, dim, dim)
-    ops = (ops + dag(ops)) / 2.0
-    povm = Povm(support, ops)
+    povm = Povm(support, _tomography_inverse(y.T))
 
     actual, stray = check.masses(support, W_MERGE_TOL + 1e-12)
     residual = max(0.0, float(stray.max()),

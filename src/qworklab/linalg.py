@@ -35,7 +35,11 @@ off-diagonal hands its matrix back to sweeps.  ``eig_hermitian`` takes a stack
 (n, d, d) as well, validated and solved as one.  An eigenspace is a block
 of eigenvector columns (``SpectralDecomposition.eigenspaces()``), and it has that one
 form: every consumer reads its columns, summed or as the zero-padded blocks of
-``_blocks``, and none forms a stack of projectors.
+``_blocks``, and none forms a stack of projectors.  A product of 2 x 2 matrices,
+or of stacks of them, is ``_matmul``'s two rank-one terms in elementwise
+arithmetic, where ``@`` makes one BLAS call per matrix; every other product is
+``@``.  The exponential, the compile and the survey's batch kernels take their
+products from it, each member bitwise as alone.
 """
 
 from __future__ import annotations
@@ -88,6 +92,16 @@ def require_square(m, name: str = "matrix") -> np.ndarray:
 def dag(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
     return m.conj().swapaxes(-1, -2)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, but for two 2 x 2 matrices, or stacks of them, the sum of the two
+    rank-one terms (column j of a) (row j of b): elementwise arithmetic, where
+    ``matmul`` makes one BLAS call per 2 x 2 product, several times slower on a
+    stack.  Each product is per member, so a member is bitwise as in a stack of one."""
+    if a.shape[-2:] == b.shape[-2:] == (2, 2):
+        return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+    return a @ b
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -315,7 +329,7 @@ def _expi(hs: np.ndarray, steps: np.ndarray) -> np.ndarray:
     top, b = int(deg.max(initial=1)), _PS_WIDTH
     powers = [np.eye(a.shape[-1]), a]
     while len(powers) <= min(b, top):
-        powers.append(powers[-1] @ a)
+        powers.append(_matmul(powers[-1], a))
 
     def block(j: int) -> np.ndarray:  # sum_i c_{jb+i} A^i, i = 1 ... b; c_k = 0 past deg
         acc = 0.0
@@ -327,14 +341,14 @@ def _expi(hs: np.ndarray, steps: np.ndarray) -> np.ndarray:
     j = (top - 1) // b  # the highest block, whose last term is A^top / top!
     out = block(j)
     for j in range(j - 1, -1, -1):
-        out = out @ powers[b] + block(j)
+        out = _matmul(out, powers[b]) + block(j)
     out = out + powers[0]  # the identity term, last
     for i in range(int(s.max(initial=0))):
         sq = s > i
         if sq.all():
-            out = out @ out
+            out = _matmul(out, out)
         else:
-            out[sq] = out[sq] @ out[sq]
+            out[sq] = _matmul(out[sq], out[sq])
     return out
 
 

@@ -31,6 +31,7 @@ from .linalg import (
     _eig,
     _expi,
     _jacobi,
+    _matmul,
     _require_stack,
     dag,
     max_abs,
@@ -170,7 +171,7 @@ def compile_unitary(protocol: DrivingProtocol) -> tuple[np.ndarray, np.ndarray, 
     unitaries = np.empty(factors.shape[:-3] + (times.size,) + factors.shape[-2:], complex)
     unitaries[..., 0, :, :] = np.eye(protocol.dim)
     for j in range(dt.size):
-        unitaries[..., j + 1, :, :] = factors[..., j, :, :] @ unitaries[..., j, :, :]
+        unitaries[..., j + 1, :, :] = _matmul(factors[..., j, :, :], unitaries[..., j, :, :])
     return unitaries[..., -1, :, :], times, unitaries
 
 
@@ -188,8 +189,8 @@ def _propagators(protocol: DrivingProtocol, mesh: np.ndarray, unitaries: np.ndar
     off = np.flatnonzero(ts - mesh[m] > tol)
     if off.size:
         t_m, t = mesh[m[off]], ts[off]
-        out[..., off, :, :] = (_expi(protocol.hamiltonian_at((t_m + t) / 2), t - t_m)
-                               @ out[..., off, :, :])
+        out[..., off, :, :] = _matmul(_expi(protocol.hamiltonian_at((t_m + t) / 2), t - t_m),
+                                      out[..., off, :, :])
     return out
 
 
@@ -278,8 +279,8 @@ class Scenario:
 
 def _energy_change(u, rho, h_initial, h_final) -> np.ndarray:
     """Tr(U rho U^dag H_final) - Tr(rho H) of matrices, or of each member of stacks."""
-    after = np.trace(u @ rho @ dag(u) @ h_final, axis1=-2, axis2=-1).real
-    return after - np.trace(rho @ h_initial, axis1=-2, axis2=-1).real
+    after = np.trace(_matmul(_matmul(_matmul(u, rho), dag(u)), h_final), axis1=-2, axis2=-1).real
+    return after - np.trace(_matmul(rho, h_initial), axis1=-2, axis2=-1).real
 
 
 def mean_energy_change(s: Scenario) -> float:

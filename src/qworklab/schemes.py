@@ -40,6 +40,7 @@ from .linalg import (
     _blocks,
     _eigenspaces,
     _jacobi,
+    _matmul,
     dag,
     eig_hermitian,
     max_abs,
@@ -342,7 +343,7 @@ class Povm:
 
 def _final_frame(b: ScenarioBatch) -> np.ndarray:
     """V'^dag U of each experiment, (m, d, d), V' the eigenvectors of H_final."""
-    return b.derived("final_frame", lambda: dag(b.spectrum("H_final")[1]) @ b.unitary())
+    return b.derived("final_frame", lambda: _matmul(dag(b.spectrum("H_final")[1]), b.unitary()))
 
 
 def _evolved_final(b: ScenarioBatch) -> np.ndarray:
@@ -357,9 +358,9 @@ def _frames(b: ScenarioBatch) -> tuple[np.ndarray, np.ndarray]:
     """T = V'^dag U V and R = V^dag rho V of each member, (n, d, d) each: the evolution
     and the state in the eigenbases V of H and V' of H_final."""
     v_i = b.spectrum("H")[1]
-    t = b.per_member(b.derived("frame", lambda: _final_frame(b) @ v_i))
+    t = b.per_member(b.derived("frame", lambda: _matmul(_final_frame(b), v_i)))
     v_i = b.per_member(v_i)
-    return t, dag(v_i) @ b.rho @ v_i
+    return t, _matmul(_matmul(dag(v_i), b.rho), v_i)
 
 
 def _cell_sums(weights, cells, k: int) -> np.ndarray:
@@ -383,7 +384,7 @@ def _joint_weights(b: ScenarioBatch, kappa: float):
     r = np.where(id_i[:, :, None] == id_i[:, None, :], r, kappa * r)
     k_i, k_f = e_i.shape[1], e_f.shape[1]
     cells = id_i[:, None, :] * k_f + id_f[:, :, None]
-    weights = _cell_sums(((t @ r) * t.conj()).real, cells, k_i * k_f).reshape(-1, k_i, k_f)
+    weights = _cell_sums((_matmul(t, r) * t.conj()).real, cells, k_i * k_f).reshape(-1, k_i, k_f)
     works = e_f[:, None, :] - e_i[:, :, None]
     real = ~np.isnan(works)  # not a slot past a member's eigenspace count
     return weights[real], works[real], np.nonzero(real)[0]
@@ -430,7 +431,7 @@ def _work_operators(b: ScenarioBatch) -> tuple[np.ndarray, ...]:
 def _work_operator_distributions(b: ScenarioBatch) -> WorkBatch:
     """One atom per eigenspace of W, weighing diag(V_W^dag rho V_W) over its block."""
     vecs, labels, ids = (b.per_member(x) for x in _work_operators(b)[1:])
-    pops = (vecs.conj() * (b.rho @ vecs)).sum(axis=-2).real
+    pops = (vecs.conj() * _matmul(b.rho, vecs)).sum(axis=-2).real
     weights = _cell_sums(pops, ids, labels.shape[1])
     real = ~np.isnan(labels)
     return WorkBatch.from_atoms(labels[real], weights[real], np.nonzero(real)[0], len(b),
@@ -512,7 +513,7 @@ def _ch_power_operators(b: ScenarioBatch, k_steps: int) -> tuple[np.ndarray, np.
             tau = protocol.duration
             times = tau * np.arange(1, k_steps) / k_steps
             u = _propagators(protocol, mesh, unitaries, times)
-            xs = dag(u) @ protocol.derivative_at(times) @ u
+            xs = _matmul(_matmul(dag(u), protocol.derivative_at(times)), u)
             dt[js], x[js] = tau / k_steps, (xs + dag(xs)) / 2.0
         return dt, x
     return b.derived(("ch_power_operators", k_steps), make)
@@ -593,7 +594,8 @@ def _state_dependent_distributions(b: ScenarioBatch) -> WorkBatch:
     _warn_if_degenerate(lam, "rho", DegenerateRhoWarning)
     e_a = _expectations(vecs.swapaxes(1, 2), b.per_member(b.h_initial)[:, None])[..., 0]
     e_f, ids = (b.per_member(x) for x in b.eigenspaces("H_final"))
-    amp, k = b.per_member(_final_frame(b)) @ vecs, e_f.shape[1]  # amp (n, j, a), cells a k + c
+    amp = _matmul(b.per_member(_final_frame(b)), vecs)  # (n, j, a), cells a k + c
+    k = e_f.shape[1]
     sums = _cell_sums((amp * amp.conj()).real, ids[:, :, None] + k * np.arange(b.dim), b.dim * k)
     weights = lam[..., None] * sums.reshape(-1, b.dim, k)
     works = e_f[:, None, :] - e_a[..., None]

@@ -444,6 +444,22 @@ def test_reconstruct_povm_matches_the_loop_reference(dim):
             assert max_abs(op - op_ref) <= 1e-14
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_tomography_inverse_matches_least_squares(dim):
+    """The closed form against ``lstsq`` of the d^2 x d^2 system, on the probabilities
+    Tr(rho_r X) of random Hermitian X on the informationally complete states."""
+    rng = np.random.default_rng(80 + dim)
+    states = audit.informationally_complete_states(dim)
+    xs = np.array([random_hermitian_np(dim, rng) for _ in range(5)])
+    probs = np.einsum("rij,kji->kr", states, xs).real
+    system = states.swapaxes(1, 2).reshape(len(states), -1)  # row r: rho_r transposed
+    lstsq = np.linalg.lstsq(system, probs.T, rcond=None)[0].T.reshape(-1, dim, dim)
+    got = audit._tomography_inverse(probs)
+    assert max_abs(got - lstsq) <= 1e-13
+    assert max_abs(got - xs) <= 1e-13
+    assert (got == la.dag(got)).all()
+
+
 def test_povm_gap_matches_elements_by_label():
     assert [f.name for f in fields(Povm)] == ["labels", "ops"]
     rng = np.random.default_rng(61)

@@ -413,6 +413,57 @@ def test_eigenspaces_ignore_rotations_inside_a_degenerate_eigenspace(levels, see
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
 
 
+# --- the stacked product ------------------------------------------------------------
+
+# the broadcasts the call sites make: a stack by one matrix, one matrix by a stack, and
+# each member's one matrix by its own k
+PRODUCT_SHAPES = {"stack-matrix": lambda n, k: ((n, 2, 2), (2, 2)),
+                  "matrix-stack": lambda n, k: ((2, 2), (n, 2, 2)),
+                  "member-by-k": lambda n, k: ((n, 1, 2, 2), (n, k, 2, 2))}
+
+
+def random_complex(shape, rng, scale=1.0):
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@given(kind=st.sampled_from(sorted(PRODUCT_SHAPES)), n=st.integers(1, 9), k=st.integers(1, 5),
+       log_scale=st.integers(-8, 8), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_matmul_of_qubit_stacks_is_matmul_within_rounding(kind, n, k, log_scale, seed):
+    """Each entry sums two products, by either route: the two results differ by at most
+    a few eps ||a||_F ||b||_F of the member's own pair."""
+    rng = np.random.default_rng(seed)
+    a, b = (random_complex(shape, rng, 10.0 ** log_scale) for shape in PRODUCT_SHAPES[kind](n, k))
+    got, ref = la._matmul(a, b), a @ b
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    norms = (np.linalg.norm(a, axis=(-2, -1))[..., None, None]
+             * np.linalg.norm(b, axis=(-2, -1))[..., None, None])
+    assert (np.abs(got - ref) <= 4 * np.finfo(float).eps * norms).all()
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCT_SHAPES))
+def test_matmul_of_a_qubit_stack_takes_each_member_alone(kind):
+    rng = np.random.default_rng(71)
+    a, b = (random_complex(shape, rng) for shape in PRODUCT_SHAPES[kind](6, 3))
+    got = la._matmul(a, b)
+    for i in range(6):
+        a_i, b_i = (x if x.ndim == 2 else x[i:i + 1] for x in (a, b))
+        assert got[i:i + 1].tobytes() == la._matmul(a_i, b_i).tobytes()
+    if kind == "stack-matrix":  # and as two single matrices
+        for i in range(6):
+            assert got[i].tobytes() == la._matmul(a[i], b).tobytes()
+
+
+def test_matmul_is_matmul_off_qubit_stacks():
+    rng = np.random.default_rng(72)
+    pairs = [(random_complex((4, 3, 3), rng), random_complex((3, 3), rng)),
+             (random_complex((4, 2, 2), rng), random_complex((2,), rng)),
+             (random_complex((2,), rng), random_complex((4, 2, 2), rng)),
+             (random_complex((4, 2, 2), rng), random_complex((4, 2, 1), rng))]
+    for a, b in pairs:
+        assert la._matmul(a, b).tobytes() == (a @ b).tobytes()
+
+
 # --- memory layout and single validation ---------------------------------------
 
 @pytest.mark.parametrize("layout", ["transposed", "fortran", "strided"])

@@ -458,14 +458,13 @@ def test_expi_is_within_its_error_bound(dim, scale):
         assert error[0] <= 1.1e-14 and defect[0] <= 2.2e-14
 
 
-def test_expi_takes_each_member_of_a_stack_alone():
+def expi_members_alone(dim, rng):
     """||H dt||_1 from 0 to 1e3: each member is scaled, takes its own Taylor degree and is
     squared on its own, bitwise as alone, in stacks whose highest degree is 16 and 15."""
-    rng = np.random.default_rng(23)
     # zero; degree 2; degrees 4, 8, 12 and 16 unscaled; then 1, 4 and 11 squarings
     norms = np.array([0.0, 1e-12, 3e-5, 1.5e-2, 0.14, 0.45, 0.7, 6.0, 1e3])
     dts = np.full(norms.size, 0.1)
-    hs = np.array([random_hermitian_np(8, rng) for _ in norms])
+    hs = np.array([random_hermitian_np(dim, rng) for _ in norms])
     hs *= (norms / (0.1 * np.abs(hs).sum(axis=-2).max(axis=-1)))[:, None, None]
     squarings = np.maximum(np.frexp(2.0 * norms)[1], 0)
     degrees = np.searchsorted(la._TAYLOR_THETA, np.ldexp(norms, -squarings), side="right") + 1
@@ -477,6 +476,15 @@ def test_expi_takes_each_member_of_a_stack_alone():
             assert member.tobytes() == scenario_mod._expi(hs[i:i + 1], dts[i:i + 1])[0].tobytes()
     error, defect = expi_errors(hs, dts)
     assert (error <= expi_bound(hs, dts)).all() and (defect <= expi_bound(hs, dts)).all()
+
+
+def test_expi_takes_each_member_of_a_stack_alone():
+    expi_members_alone(8, np.random.default_rng(23))
+
+
+def test_expi_takes_each_member_of_a_qubit_stack_alone():
+    """The same at d = 2, whose products are the elementwise ones of ``linalg._matmul``."""
+    expi_members_alone(2, np.random.default_rng(24))
 
 
 def test_expi_of_a_zero_generator_is_the_identity():

@@ -731,6 +731,33 @@ def test_every_scheme_normalizes_to_one():
         assert abs(float(dist.weights.sum()) - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("dim", [2, 3, 16, 64])
+def test_joint_weight_marginals_are_the_populations(dim):
+    """Summed over the final labels, the joint weights of every kappa are the initial
+    populations <E_a|rho|E_a>, because Tr X_a = Tr(P_a rho); at kappa = 1, where
+    sum_a X_a = rho, summed over the initial labels they are the final populations
+    <E'_b|U rho U^dag|E'_b>.  Both sides read the eigenvectors the batch holds, so only
+    rounding separates them: a weight is a d-term sum over the frames T and R of
+    ``_frames``, and the largest gap seen is 2.4 d eps ||rho|| (d = 3, 8 seeds)."""
+    rng = np.random.default_rng(90 + dim)
+    b = ScenarioBatch.of([Scenario(dim=dim, h_initial=random_hermitian_np(dim, rng),
+                                   h_final=random_hermitian_np(dim, rng),
+                                   evolution=haar_unitary_np(dim, rng),
+                                   rho=random_density_np(dim, rng)) for _ in range(3)])
+    v_i, v_f, u = b.spectrum("H")[1], b.spectrum("H_final")[1], b.unitary()
+    initial = np.einsum("nja,njk,nka->na", v_i.conj(), b.rho, v_i).real
+    final = np.einsum("nja,njk,nka->na", v_f.conj(), u @ b.rho @ u.conj().swapaxes(1, 2),
+                      v_f).real
+    tol = 8 * dim * np.finfo(float).eps * np.linalg.norm(b.rho, 2, axis=(1, 2))[:, None]
+    for kappa in (0.0, 0.5, 1.0):
+        weights, _, members = sch._joint_weights(b, kappa)
+        assert (members == np.repeat(np.arange(3), dim * dim)).all()  # every H non-degenerate
+        table = weights.reshape(3, dim, dim)  # (member, a, b)
+        assert (np.abs(table.sum(axis=2) - initial) <= tol).all()
+        if kappa == 1.0:
+            assert (np.abs(table.sum(axis=1) - final) <= tol).all()
+
+
 # --- stacked eigenspaces against per-atom loop references ---------------------------
 #
 # Each reference below is the one-atom-at-a-time form of a scheme, built on the

@@ -219,6 +219,8 @@ def commands() -> list[tuple[str, list[str]]]:
                  ["table1", "--dim", "32", "--samples", "3", "--seed", "1"]))
     for dim in (2, 3, 4, 16):
         runs.append((f"nogo-d{dim}", ["nogo", "--dim", str(dim)]))
+    # the tomography's closed-form inverse on d^2 = 1,024 states, against the analytic POVM
+    runs.append(("nogo-d32-seed1", ["nogo", "--dim", "32", "--seed", "1"]))
     for seed in (0, 1, 2):
         runs.append((f"witness-b500-seed{seed}",
                      ["witness", "--budget", "500", "--seed", str(seed)]))
