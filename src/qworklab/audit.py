@@ -31,7 +31,7 @@ from .linalg import (
     _complex_normal,
     _matmul,
     _orthonormal_columns,
-    _require_stack,
+    _require,
     _wishart_states,
     dag,
     max_abs,
@@ -44,6 +44,7 @@ from .scenario import (
     DrivingProtocol,
     Scenario,
     ScenarioBatch,
+    _part_bounds,
     mean_energy_change,
     scenario_to_dict,
 )
@@ -57,7 +58,6 @@ from .schemes import (
     _joint_distributions,
     _joint_weights,
     _member_entries,
-    _part_bounds,
     collective_factors,
     consistent_histories_means,
     distributions,
@@ -179,8 +179,8 @@ def _sample_batch(dim: int, n: int, rng, coherent: bool, driven: bool,
         spectra[name] = (np.arange(dim, dtype=float) + 0.4 * next(columns), vecs)
     h, hf = (_matmul(vecs * vals[:, None, :], dag(vecs)) for vals, vecs in spectra.values())
     if driven:  # every breakpoint checked in one stack, then each protocol trusts it
-        ramps = _require_stack(np.stack([h, hf], axis=1).reshape(-1, dim, dim),
-                               "evolution.breakpoints.H", "hermitian").reshape(n, 2, dim, dim)
+        ramps = _require(np.stack([h, hf], axis=1).reshape(-1, dim, dim),
+                         "evolution.breakpoints.H", "hermitian").reshape(n, 2, dim, dim)
         times = np.array([0.0, 1.0])
         evolution = tuple(DrivingProtocol._trusted(times, pair, SAMPLE_PROTOCOL_STEPS)
                           for pair in ramps)
@@ -319,7 +319,7 @@ def _worst(cases) -> tuple[float, dict | None, str]:
 
 
 def _parts(batch: ScenarioBatch, scheme: SchemeId, k_steps: int):
-    """The batch in the parts the scheme's kernel runs in (``schemes._part_bounds``), so
+    """The batch in the parts the scheme's kernel runs in (``scenario._part_bounds``), so
     that a grader holds the distributions of one part at a time."""
     bounds = _part_bounds(len(batch), _member_entries(scheme, batch.dim, k_steps))
     return (batch.members(start, stop) for start, stop in bounds)

@@ -1,22 +1,26 @@
 """Dense complex linear algebra and quantum-state utilities.
 
 Everything here works on plain ``numpy`` complex arrays in any memory layout.
-The ``require_*`` functions validate operators and return a defensive complex128
-copy; they run when an input type (``Scenario``, ``DrivingProtocol``,
+One validator, ``_require``, checks a matrix (d, d), failing at its path, or a
+stack (n, d, d), whose first failing member i fails at ``path[i]`` with the same
+kind and message; it runs each test once over the stack and returns a defensive
+complex128 copy.  The ``require_*`` functions are its check of one matrix.  It
+runs when an input type (``Scenario``, ``ScenarioBatch``, ``DrivingProtocol``,
 ``ThermalContext``) is constructed and, inside ``eig_hermitian``, on a cache
 miss only.  Downstream code treats validated arrays, and operators it makes
-exactly Hermitian, as immutable and solves them with ``_eig(arr, validated=True)``,
-which skips validation on a miss.  ``require_density`` solves nothing for a
-valid state: its positivity test is the Cholesky factorisation of
-``_cholesky_positive``, d steps with no iteration on one matrix or a stack, and
-only a state that fails it is solved, for its least eigenvalue; ``_require_stack``
-runs each check once over a stack.  Each spectrum has one owner: a
+exactly Hermitian, as immutable and solves them with ``_eig(arr,
+validated=True)``.  The density check solves nothing for a valid state: its
+positivity test is the Cholesky factorisation of ``_cholesky_positive``, d
+steps with no iteration, and only a state that fails it is solved, for its
+least eigenvalue.  Each spectrum has one owner: a
 ``ScenarioBatch`` holds those of its experiments' H, H_final, work and history
 operators and of its states (a Scenario reads its own through its batch of
 one), a ``ThermalContext`` that of its H.  Sampled Hamiltonians come with the spectra
 they were drawn from, and the operators no other owner holds are solved by
-``_jacobi`` directly, each batch's or grid's as one stack.  The bounded
-``_EIG_CACHE`` sees the rest, and shares equal operators between owners.  The
+``_jacobi`` directly, each batch's or grid's as one stack.  ``_eig`` is the one
+entry to the solver for an operator of either shape: the bounded ``_EIG_CACHE``
+shares equal matrices between owners, and a stack is solved directly, never
+cached.  The
 eigensolver is a deterministic complex Jacobi iteration for dense Hermitian
 matrices (dimension <= 64), one kernel for one matrix (d, d) and for a stack
 (..., d, d): sweeps in Brent & Luk's parallel order, whose rounds rotate all
@@ -72,23 +76,6 @@ _EIG_CACHE: dict[bytes, "SpectralDecomposition"] = {}
 _EIG_CACHE_CAP = 512
 
 
-def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-d complex128 array."""
-    arr = np.asarray(m, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValidationError("DimMismatch", name, f"expected a matrix, got ndim={arr.ndim}")
-    if not np.isfinite(arr).all():
-        raise ValidationError("DimMismatch", name, "entries must be finite (no NaN/Inf)")
-    return arr
-
-
-def require_square(m, name: str = "matrix") -> np.ndarray:
-    arr = as_matrix(m, name)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValidationError("DimMismatch", name, f"expected square matrix, got {arr.shape}")
-    return arr
-
-
 def dag(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
     return m.conj().swapaxes(-1, -2)
@@ -109,45 +96,81 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if np.size(m) else 0.0
 
 
+def require_square(m, name: str = "matrix") -> np.ndarray:
+    """Validate a finite square matrix (``_require``)."""
+    return _require(m, name, "square", ndim=2)
+
+
 def require_hermitian(m, name: str = "operator") -> np.ndarray:
-    """Validate a Hermitian matrix; the defect is measured relative to its scale."""
-    arr = require_square(m, name)
-    defect = max_abs(arr - dag(arr))
-    limit = HERMITICITY_TOL * max(1.0, max_abs(arr))
-    if defect > limit:
-        raise ValidationError("NotHermitian", name,
-                              f"||M - M^dag||_max = {defect:.3e} > {limit:.3e}")
-    return arr.copy()
+    """Validate a Hermitian matrix; the defect is measured relative to its scale (``_require``)."""
+    return _require(m, name, "hermitian", ndim=2)
 
 
 def require_unitary(m, name: str = "operator") -> np.ndarray:
-    arr = require_square(m, name)
-    defect = max_abs(dag(arr) @ arr - np.eye(arr.shape[0]))
-    if defect > UNITARITY_TOL:
-        raise ValidationError("NotUnitary", name,
-                              f"||U^dag U - I||_max = {defect:.3e} > {UNITARITY_TOL}")
-    return arr.copy()
+    """Validate a unitary matrix (``_require``)."""
+    return _require(m, name, "unitary", ndim=2)
 
 
 def require_density(m, name: str = "state") -> np.ndarray:
-    """Validate a density operator (Hermitian, unit trace, positive semidefinite)
-    and return it.
+    """Validate a density operator: Hermitian, unit trace, positive semidefinite (``_require``)."""
+    return _require(m, name, "density", ndim=2)
+
+
+def _require(m, name: str, kind: str, ndim: int | None = None) -> np.ndarray:
+    """A complex128 copy of a matrix (d, d) or of a stack of them (n, d, d) (``ndim`` 2
+    or 3 admits only that shape), validated as ``kind``: "square", "hermitian",
+    "unitary" or "density".  Each test runs once over the whole stack: finite entries
+    and a square shape; ||U^dag U - I||_max <= ``UNITARITY_TOL`` for a unitary, else
+    ||M - M^dag||_max <= ``HERMITICITY_TOL`` max(1, ||M||_max); for a state, unit
+    trace within ``DENSITY_TRACE_TOL`` and positivity.  A matrix fails at path
+    ``name``, the first failing member i of a stack at ``name[i]``, with the same
+    kind and message (``_reject``).
 
     Positivity means a least eigenvalue >= ``-DENSITY_EIG_TOL``.  A state that
     ``_cholesky_positive`` factors passes without a solve; one that it does not
     is solved once, and rejected only if that least eigenvalue is below the
     tolerance, so the verdicts of the two tests can differ only by rounding.
     """
-    arr = require_hermitian(m, name)
-    tr = complex(np.trace(arr))
-    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
-        raise ValidationError("NotDensity", name, f"trace = {tr:.12g}, expected 1")
-    if not _cholesky_positive(arr):
-        lo = float(_eig(arr, validated=True).eigenvalues[0])
-        if lo < -DENSITY_EIG_TOL:
-            raise ValidationError("NotDensity", name,
-                                  f"min eigenvalue {lo:.3e} < -{DENSITY_EIG_TOL}")
+    arr = np.array(m, dtype=np.complex128)
+    if arr.ndim not in ((2, 3) if ndim is None else (ndim,)):
+        shape = {2: "a matrix", 3: "a stack of matrices"}.get(ndim, "a matrix or a stack")
+        raise ValidationError("DimMismatch", name, f"expected {shape}, got ndim={arr.ndim}")
+    _reject(~np.isfinite(arr).all(axis=(-2, -1)), "DimMismatch", name,
+            lambda at: "entries must be finite (no NaN/Inf)")
+    if arr.shape[-1] != arr.shape[-2]:
+        _reject(np.ones(arr.shape[:-2], dtype=bool), "DimMismatch", name,
+                lambda at: f"expected square matrix, got {arr.shape[-2:]}")
+    if kind == "unitary":
+        defect = np.abs(dag(arr) @ arr - np.eye(arr.shape[-1])).max(axis=(-2, -1), initial=0.0)
+        _reject(defect > UNITARITY_TOL, "NotUnitary", name,
+                lambda at: f"||U^dag U - I||_max = {defect[at]:.3e} > {UNITARITY_TOL}")
+    elif kind != "square":
+        defect = np.abs(arr - dag(arr)).max(axis=(-2, -1), initial=0.0)
+        limit = HERMITICITY_TOL * np.maximum(1.0, np.abs(arr).max(axis=(-2, -1), initial=0.0))
+        _reject(defect > limit, "NotHermitian", name,
+                lambda at: f"||M - M^dag||_max = {defect[at]:.3e} > {limit[at]:.3e}")
+    if kind == "density":
+        tr = np.trace(arr, axis1=-2, axis2=-1)
+        _reject(np.abs(tr - 1.0) > DENSITY_TRACE_TOL, "NotDensity", name,
+                lambda at: f"trace = {complex(tr[at]):.12g}, expected 1")
+        ok = _cholesky_positive(arr)
+        if not ok.all():  # the least eigenvalue of each state that fails the pivots
+            lo = np.zeros(ok.shape)
+            for at in map(tuple, np.argwhere(~ok)):
+                lo[at] = _eig(arr[at], validated=True).eigenvalues[0]
+            _reject(lo < -DENSITY_EIG_TOL, "NotDensity", name,
+                    lambda at: f"min eigenvalue {lo[at]:.3e} < -{DENSITY_EIG_TOL}")
     return arr
+
+
+def _reject(bad: np.ndarray, kind: str, name: str, message) -> None:
+    """Raise ``ValidationError(kind)`` at the first matrix that ``bad`` marks, if any.
+    ``bad`` is 0-d for a matrix, which fails at path ``name``, or holds one flag per
+    member i of a stack, which fails at ``name[i]``; ``message(at)`` is the text, ``at``
+    the failing matrix's index, () or (i,)."""
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValidationError(kind, name + "".join(f"[{i}]" for i in at), message(at))
 
 
 def _cholesky_positive(a: np.ndarray) -> np.ndarray:
@@ -178,51 +201,6 @@ def _cholesky_positive(a: np.ndarray) -> np.ndarray:
             col = m[..., k + 1:, k] / np.sqrt(pivot)[..., None]
             m[..., k + 1:, k + 1:] -= col[..., :, None] * col[..., None, :].conj()
     return ok
-
-
-def _require_stack(m, name: str, kind: str) -> np.ndarray:
-    """``require_hermitian`` (kind "hermitian"), ``require_unitary`` ("unitary") or
-    ``require_density`` ("density") on each matrix of a stack (n, d, d), each test
-    run once over the whole stack; returns a complex128 copy.
-
-    A failure reports the first failing matrix i at path ``name[i]``, with the
-    message the single-matrix check gives.  The positivity of a density stack is
-    one ``_cholesky_positive`` call; only a matrix that fails it is solved.
-    """
-    arr = np.array(m, dtype=np.complex128)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise ValidationError("DimMismatch", name,
-                              f"expected a stack of square matrices, got shape {arr.shape}")
-
-    def fail(bad, err_kind, message):
-        i = int(np.flatnonzero(bad)[0])
-        raise ValidationError(err_kind, f"{name}[{i}]", message(i))
-
-    finite = np.isfinite(arr).all(axis=(1, 2))
-    if not finite.all():
-        fail(~finite, "DimMismatch", lambda i: "entries must be finite (no NaN/Inf)")
-    if kind == "unitary":
-        defect = np.abs(dag(arr) @ arr - np.eye(arr.shape[-1])).max(axis=(1, 2), initial=0.0)
-        if (defect > UNITARITY_TOL).any():
-            fail(defect > UNITARITY_TOL, "NotUnitary",
-                 lambda i: f"||U^dag U - I||_max = {defect[i]:.3e} > {UNITARITY_TOL}")
-        return arr
-    defect = np.abs(arr - dag(arr)).max(axis=(1, 2), initial=0.0)
-    limit = HERMITICITY_TOL * np.maximum(1.0, np.abs(arr).max(axis=(1, 2), initial=0.0))
-    if (defect > limit).any():
-        fail(defect > limit, "NotHermitian",
-             lambda i: f"||M - M^dag||_max = {defect[i]:.3e} > {limit[i]:.3e}")
-    if kind == "density":
-        tr = np.trace(arr, axis1=1, axis2=2)
-        off = np.abs(tr - 1.0) > DENSITY_TRACE_TOL
-        if off.any():
-            fail(off, "NotDensity", lambda i: f"trace = {complex(tr[i]):.12g}, expected 1")
-        for i in np.flatnonzero(~_cholesky_positive(arr)):
-            lo = float(_eig(arr[i], validated=True).eigenvalues[0])
-            if lo < -DENSITY_EIG_TOL:
-                raise ValidationError("NotDensity", f"{name}[{i}]",
-                                      f"min eigenvalue {lo:.3e} < -{DENSITY_EIG_TOL}")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -492,25 +470,28 @@ def eig_hermitian(op) -> SpectralDecomposition:
     Uses Jacobi rotations in a fixed sweep order (see ``_jacobi``), so the
     result is deterministic for a fixed input.  Raises :class:`NonConvergence` if the
     off-diagonal mass is not eliminated within ``MAX_SWEEPS`` sweeps and steps.
-    The input is validated only on a cache miss: the key holds the full shape
-    and the bytes, so a hit is a matrix or stack that was validated when it was solved.
+    A matrix is validated only on a cache miss: the key holds its shape and bytes,
+    so a hit is a matrix that was validated when it was solved.  A stack is
+    validated and solved on every call (``_eig``).
     """
     return _eig(np.asarray(op, dtype=np.complex128), validated=False)
 
 
 def _eig(arr: np.ndarray, validated: bool) -> SpectralDecomposition:
-    """Cached solve of ``arr``; a miss validates it unless the caller already has."""
-    key = repr(arr.shape).encode() + arr.tobytes()
-    hit = _EIG_CACHE.get(key)
+    """The solve of an operator (d, d) or of each of a stack (n, d, d), validated first
+    (``_require``, at path "operator") unless the caller already has.  A matrix is
+    shared through the bounded cache, and validated and solved only on a miss; a stack
+    is solved directly in one ``_jacobi`` call, and never cached."""
+    key = repr(arr.shape).encode() + arr.tobytes() if arr.ndim == 2 else None
+    hit = _EIG_CACHE.get(key) if key is not None else None
     if hit is not None:
         return hit
-    if not validated:
-        arr = (_require_stack(arr, "operator", "hermitian") if arr.ndim == 3
-               else require_hermitian(arr))
-    dec = SpectralDecomposition(*_jacobi(arr))
-    if len(_EIG_CACHE) >= _EIG_CACHE_CAP:
-        del _EIG_CACHE[next(iter(_EIG_CACHE))]  # evict the oldest entry
-    _EIG_CACHE[key] = dec
+    dec = SpectralDecomposition(*_jacobi(arr if validated
+                                         else _require(arr, "operator", "hermitian")))
+    if key is not None:
+        if len(_EIG_CACHE) >= _EIG_CACHE_CAP:
+            del _EIG_CACHE[next(iter(_EIG_CACHE))]  # evict the oldest entry
+        _EIG_CACHE[key] = dec
     return dec
 
 
@@ -556,9 +537,7 @@ def dephase(rho, basis: SpectralDecomposition) -> np.ndarray:
     mask of the entries within one eigenspace block, so it does not depend on
     the orientation of eigenvectors inside a cluster.
     """
-    rho = (require_hermitian(rho, "rho") if np.ndim(rho) == 2
-           else _require_stack(rho, "rho", "hermitian"))
-    return _dephase(rho, basis)
+    return _dephase(_require(rho, "rho", "hermitian"), basis)
 
 
 def _require_basis_size(rho: np.ndarray, basis: SpectralDecomposition) -> None:

@@ -30,19 +30,28 @@ from .linalg import (
     SpectralDecomposition,
     _eig,
     _expi,
-    _jacobi,
     _matmul,
-    _require_stack,
+    _reject,
+    _require,
     dag,
-    max_abs,
-    require_density,
     require_hermitian,
-    require_unitary,
 )
 
 DEFAULT_STEPS_PER_SEGMENT = 64
 _TIME_MATCH_TOL = 1e-12
-_COMPILE_ENTRIES = 2 ** 18  # midpoint entries (m n steps d^2) one batch compile holds
+# A kernel call or a batch compile takes at most this many entries: d^3 a member (FCS atoms,
+# the other kernels' products), the budget's d^(K+1) for histories, or a protocol's
+# midpoints (n steps d^2); a d <= 4 ensemble, one member at d = 64 or at the budget.  Larger
+# batches run in parts, which read their members' rows of all that their batch derives from
+# its experiments (``ScenarioBatch.derived``), formed once.
+_PART_ENTRIES = 2 ** 18
+
+
+def _part_bounds(n: int, entries: int) -> list[tuple[int, int]]:
+    """The member ranges [start, stop) of the parts n members of ``entries`` each run in,
+    ``_PART_ENTRIES`` / entries members each (at least one)."""
+    step = max(1, _PART_ENTRIES // entries)
+    return [(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,8 +207,10 @@ def _propagators(protocol: DrivingProtocol, mesh: np.ndarray, unitaries: np.ndar
 class Scenario:
     """One work experiment: dim, H, H_final, evolution, rho, label.
 
-    Its batch of one (``ScenarioBatch.of([s])``), built with it, holds all that is
-    derived from it; its ``with_rho`` copies share that batch's experiment state.
+    Construction runs the experiment check that ``ScenarioBatch.build`` runs on
+    stacks (``_checked_experiments``), on these matrices.  Its batch of one
+    (``ScenarioBatch.of([s])``), built with it, holds all that is derived from it;
+    its ``with_rho`` copies share that batch's experiment state.
     """
 
     dim: int
@@ -211,36 +222,13 @@ class Scenario:
     _batch: "ScenarioBatch" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        driven = isinstance(self.evolution, DrivingProtocol)
-        # an H or H_final equal to the protocol's endpoint is that validated endpoint
-        ends = self.evolution.hamiltonians[[0, -1]] if driven else (None, None)
-        for attr, name, end in (("h_initial", "H", ends[0]), ("h_final", "H_final", ends[1])):
-            value = getattr(self, attr)
-            if end is None or not np.array_equal(value, end):
-                end = require_hermitian(value, name)
-            object.__setattr__(self, attr, end)
-        object.__setattr__(self, "rho", require_density(self.rho, "rho"))
-        d = self.dim
-        for name, arr in (("H", self.h_initial), ("H_final", self.h_final), ("rho", self.rho)):
-            if arr.shape[0] != d:
-                raise ValidationError("DimMismatch", name, f"dimension {arr.shape[0]} != dim={d}")
-        if driven:
-            if self.evolution.dim != d:
-                raise ValidationError("DimMismatch", "evolution", f"protocol dimension != dim={d}")
-            if max_abs(ends[0] - self.h_initial) > HERMITICITY_TOL:
-                raise ValidationError("EndpointMismatch", "evolution.breakpoints[0].H",
-                                      "protocol start Hamiltonian differs from H")
-            if max_abs(ends[1] - self.h_final) > HERMITICITY_TOL:
-                raise ValidationError("EndpointMismatch", "evolution.breakpoints[-1].H",
-                                      "protocol end Hamiltonian differs from H_final")
-        else:
-            u = require_unitary(self.evolution, "evolution.U")
-            if u.shape[0] != d:
-                raise ValidationError("DimMismatch", "evolution.U", f"dimension != dim={d}")
-            object.__setattr__(self, "evolution", u)
+        fields = _checked_experiments(2, self.dim, self.h_initial, self.h_final,
+                                      self.evolution, self.rho)
+        for attr, value in zip(("h_initial", "h_final", "evolution", "rho"), fields):
+            object.__setattr__(self, attr, value)
         object.__setattr__(self, "_batch", ScenarioBatch(  # its fields as stacks of one
-            d, self.h_initial[None], self.h_final[None],
-            (self.evolution,) if driven else self.evolution[None], self.rho[None],
+            self.dim, self.h_initial[None], self.h_final[None],
+            (self.evolution,) if self.is_driven else self.evolution[None], self.rho[None],
             np.zeros(1, dtype=np.intp)))
 
     def with_rho(self, rho, label: str = "") -> "Scenario":
@@ -250,10 +238,8 @@ class Scenario:
         read.  H, H_final, the evolution and everything derived from them are
         shared with this scenario, through ``ScenarioBatch.with_rho``.
         """
-        rho = require_density(rho, "rho")
-        if rho.shape[0] != self.dim:
-            raise ValidationError("DimMismatch", "rho",
-                                  f"dimension {rho.shape[0]} != dim={self.dim}")
+        rho = _require(rho, "rho", "density", 2)
+        _require_size(rho, "rho", self.dim)
         out = copy.copy(self)
         out.__dict__.update(rho=rho, label=label,
                             _batch=self._batch._on(rho[None], self._batch.experiment))
@@ -275,6 +261,57 @@ class Scenario:
     def eigenspaces(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """``spectrum(name).eigenspaces()``: eigenspace labels and column cluster ids."""
         return self._batch._held_eigenspaces(name)
+
+
+def _checked_experiments(ndim: int, dim: int | None, h_initial, h_final, evolution, rho):
+    """The experiment check of a ``Scenario`` (``ndim`` 2: matrices (d, d), one unitary
+    or DrivingProtocol) and of ``ScenarioBatch.build`` (``ndim`` 3: stacks (m, d, d) of
+    H, H_final and unitaries or a tuple of m protocols, and states (n, d, d)), in order:
+    H and H_final, each unless it equals the protocols' validated endpoints; U; rho;
+    their sizes against ``dim`` (None: H's); each protocol's size and its endpoints
+    within ``HERMITICITY_TOL`` of H and H_final.  Returns H, H_final, the evolution and
+    rho, validated by ``linalg._require``: a matrix fails at its path, member i of a
+    stack at ``path[i]``."""
+    driven = isinstance(evolution, DrivingProtocol if ndim == 2 else tuple)
+    protocols = (evolution,) if ndim == 2 else evolution
+    sizes = [p.dim for p in protocols] if driven else []
+    ends = (None, None)
+    if len(set(sizes)) == 1:  # protocols of one size; else the size check below fails
+        ends = np.array([p.hamiltonians[[0, -1]] for p in protocols]).swapaxes(0, 1)
+        ends = ends[:, 0] if ndim == 2 else ends
+    h_initial, h_final = (end if end is not None and np.array_equal(value, end)
+                          else _require(value, name, "hermitian", ndim)
+                          for value, end, name in zip((h_initial, h_final), ends,
+                                                      ("H", "H_final")))
+    if not driven:
+        evolution = _require(evolution, "evolution.U", "unitary", ndim)
+    rho = _require(rho, "rho", "density", ndim)
+    d = h_initial.shape[-1] if dim is None else dim
+    for name, arr in (("H", h_initial), ("H_final", h_final), ("rho", rho)):
+        _require_size(arr, name, d)
+    if not driven:
+        if evolution.shape[-1] != d:
+            raise ValidationError("DimMismatch", "evolution.U", f"dimension != dim={d}")
+        return h_initial, h_final, evolution, rho
+    _reject((np.array(sizes) != d).reshape(h_initial.shape[:-2]), "DimMismatch", "evolution",
+            lambda at: f"protocol dimension != dim={d}")
+    for end, h, index, which, name in ((ends[0], h_initial, 0, "start", "H"),
+                                       (ends[1], h_final, -1, "end", "H_final")):
+        if h is not end:  # an endpoint taken as H or H_final is that endpoint
+            _reject(np.abs(end - h).max(axis=(-2, -1)) > HERMITICITY_TOL, "EndpointMismatch",
+                    f"evolution.breakpoints[{index}].H",
+                    lambda at: f"protocol {which} Hamiltonian differs from {name}")
+    return h_initial, h_final, evolution, rho
+
+
+def _indexes(experiment: np.ndarray, n: int, m: int) -> bool:
+    """Whether ``experiment`` holds one experiment index in [0, m) for each of n states."""
+    return experiment.shape == (n,) and bool(((0 <= experiment) & (experiment < m)).all())
+
+
+def _require_size(arr: np.ndarray, name: str, dim: int) -> None:
+    if arr.shape[-1] != dim:
+        raise ValidationError("DimMismatch", name, f"dimension {arr.shape[-1]} != dim={dim}")
 
 
 def _energy_change(u, rho, h_initial, h_final) -> np.ndarray:
@@ -319,29 +356,19 @@ class ScenarioBatch:
 
     @classmethod
     def build(cls, h_initial, h_final, evolution, rho, experiment, spectra: dict):
-        """A validated batch.  ``spectra`` maps "H" and "H_final" to the stacked
-        eigenvalues (m, d) and eigenvectors (m, d, d) the Hamiltonians were built
-        from, which the batch then holds instead of solving them.  A stack of
-        unitaries is validated here, and a tuple of DrivingProtocols validated
-        itself; an H or H_final stack equal to the protocols' endpoints is those
-        validated endpoints."""
-        unitaries = isinstance(evolution, np.ndarray)
-        ends = ((None, None) if unitaries else
-                np.array([p.hamiltonians[[0, -1]] for p in evolution]).swapaxes(0, 1))
-        h_initial, h_final = (end if end is not None and np.array_equal(end, m)
-                              else _require_stack(m, name, "hermitian")
-                              for m, end, name in zip((h_initial, h_final), ends, ("H", "H_final")))
-        if unitaries:
-            evolution = _require_stack(evolution, "evolution.U", "unitary")
-        rho = _require_stack(rho, "rho", "density")
-        m, d = h_initial.shape[:2]
+        """A batch validated as a Scenario is (``_checked_experiments``): stacks of m
+        H, H_final and unitaries, or a tuple of m DrivingProtocols, and of n states,
+        member i on experiment ``experiment[i]``.  ``spectra`` maps "H" and "H_final"
+        to the stacked eigenvalues (m, d) and eigenvectors (m, d, d) the Hamiltonians
+        were built from, which the batch then holds instead of solving them."""
         experiment = np.asarray(experiment, dtype=np.intp)
-        if (h_final.shape != h_initial.shape or rho.shape[1:] != (d, d) or len(evolution) != m
-                or experiment.shape != rho.shape[:1] or not (0 <= experiment).all()
-                or not (experiment < m).all()):
+        m = len(h_initial)
+        if len(h_final) != m or len(evolution) != m or not _indexes(experiment, len(rho), m):
             raise ValidationError("DimMismatch", "batch",
                                   "stacks of H, H_final, evolution, rho and experiment disagree")
-        return cls(d, h_initial, h_final, evolution, rho, experiment,
+        h_initial, h_final, evolution, rho = _checked_experiments(3, None, h_initial, h_final,
+                                                                  evolution, rho)
+        return cls(h_initial.shape[-1], h_initial, h_final, evolution, rho, experiment,
                    {name: SpectralDecomposition(*pair) for name, pair in spectra.items()})
 
     @classmethod
@@ -360,11 +387,13 @@ class ScenarioBatch:
         ``experiment[i]`` (all on experiment 0 by default).  Only the states are
         validated, once as a stack; the experiments and what is derived from
         them are shared."""
-        rho = _require_stack(rho, "rho", "density")
+        rho = _require(rho, "rho", "density", 3)
+        _require_size(rho, "rho", self.dim)
         experiment = (np.zeros(len(rho), dtype=np.intp) if experiment is None
                       else np.asarray(experiment, dtype=np.intp))
-        if rho.shape[1:] != (self.dim, self.dim) or experiment.shape != rho.shape[:1]:
-            raise ValidationError("DimMismatch", "rho", f"expected states of dim={self.dim}")
+        if not _indexes(experiment, len(rho), len(self.h_initial)):
+            raise ValidationError("DimMismatch", "experiment",
+                                  f"expected one index in [0, {len(self.h_initial)}) per state")
         return self._on(rho, experiment)
 
     def _on(self, rho: np.ndarray, experiment: np.ndarray) -> "ScenarioBatch":
@@ -433,8 +462,8 @@ class ScenarioBatch:
 
     def _compiles(self) -> list:
         """``(experiments, stacked protocol, mesh, unitaries (g, k, d, d))`` per substep
-        mesh of the driven experiments, compiled together ``_COMPILE_ENTRIES`` midpoint
-        entries at a time."""
+        mesh of the driven experiments, compiled together in parts of ``_PART_ENTRIES``
+        midpoint entries (``_part_bounds``)."""
         def make():
             groups: dict = {}
             for j, p in enumerate(self.evolution):
@@ -443,10 +472,9 @@ class ScenarioBatch:
             out = []
             for js in groups.values():
                 ps = [self.evolution[j] for j in js]
-                step = max(1, _COMPILE_ENTRIES // (ps[0].hamiltonians.size
-                                                   * ps[0].steps_per_segment))
-                parts = [compile_unitary(DrivingProtocol._stack(ps[i:i + step]))
-                         for i in range(0, len(ps), step)]
+                bounds = _part_bounds(len(ps), ps[0].hamiltonians.size * ps[0].steps_per_segment)
+                parts = [compile_unitary(DrivingProtocol._stack(ps[start:stop]))
+                         for start, stop in bounds]
                 out.append((np.array(js), DrivingProtocol._stack(ps), parts[0][1],
                             np.concatenate([unitaries for _, _, unitaries in parts])))
             return out
@@ -460,12 +488,11 @@ class ScenarioBatch:
                 dec.eigenvectors.reshape(-1, self.dim, self.dim))
 
     def _held_spectrum(self, name: str) -> SpectralDecomposition:
-        """The decomposition of ``spectrum(name)``, solved on first read: one matrix through
-        ``_eig``, whose cache shares equal operators between owners, a stack in one
+        """The decomposition of ``spectrum(name)``, solved on first read by ``_eig``, whose
+        cache shares a batch of one's matrix between owners; a stack is solved in one
         ``_jacobi`` call.  Each batch solves its own states."""
         def solve(stack):
-            return (_eig(stack[0], validated=True) if len(stack) == 1
-                    else SpectralDecomposition(*_jacobi(stack)))
+            return _eig(stack[0] if len(stack) == 1 else stack, validated=True)
         if name != "rho":
             return self.derived(name, lambda: solve({"H": self.h_initial,
                                                      "H_final": self.h_final}[name]))

@@ -46,7 +46,7 @@ from .linalg import (
     max_abs,
     random_unitary,
 )
-from .scenario import DrivingProtocol, Scenario, ScenarioBatch, _propagators
+from .scenario import DrivingProtocol, Scenario, ScenarioBatch, _part_bounds, _propagators
 
 W_MERGE_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-9
@@ -863,20 +863,6 @@ def tpm_povm(s: Scenario) -> Povm:
                              ((strength + dag(strength)) / 2.0).reshape(-1, s.dim, s.dim)))
 
 
-# A kernel call takes at most this many entries: d^3 a member (FCS atoms, the other kernels'
-# products), or the budget's d^(K+1) for histories; a d <= 4 ensemble, one member at d = 64 or
-# at the budget.  Larger batches run in parts, which read their members' rows of all that
-# their batch derives from its experiments (``ScenarioBatch.derived``), formed once.
-_KERNEL_ENTRIES = 2 ** 18
-
-
-def _part_bounds(n: int, entries: int) -> list[tuple[int, int]]:
-    """The member ranges [start, stop) of the parts n members of ``entries`` each run in,
-    ``_KERNEL_ENTRIES`` / entries members each (at least one)."""
-    step = max(1, _KERNEL_ENTRIES // entries)
-    return [(i, min(i + step, n)) for i in range(0, n, step)]
-
-
 def _member_entries(scheme: SchemeId, dim: int, k_steps: int) -> int:
     """A member's entries: d^(K+1) for histories (a K < 2 the kernel rejects as 2), else d^3."""
     return dim ** (max(int(k_steps), 2) + 1 if scheme is SchemeId.CONSISTENT_HISTORIES else 3)
@@ -899,7 +885,7 @@ def distributions(scheme: SchemeId | str, batch: ScenarioBatch, k_steps: int = 8
                   lam: float | str = "auto") -> WorkBatch:
     """The scheme's distribution of every member of ``batch`` (histories on the grid of
     ``k_steps``, the two-copy scheme at ``lam``), its kernel run once for all members or
-    once per part of ``_KERNEL_ENTRIES`` entries (``_member_entries`` per member)."""
+    once per part (``scenario._part_bounds``, ``_member_entries`` per member)."""
     scheme = SchemeId(scheme)
     kernel = _BATCH_KERNELS[scheme]
     bounds = _part_bounds(len(batch), _member_entries(scheme, batch.dim, k_steps))

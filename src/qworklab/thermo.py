@@ -4,15 +4,15 @@ Units: hbar = k = 1, so beta = 1/T and entropies are in nats.
 
 Each quantity has one formula, written alike for one state (d, d) and for a
 stack of states (n, d, d), which takes the spectra of the states it reads.  A
-public function validates and solves its one state, through the shared eigen
-cache, and evaluates the formula on it.  ``identity_suite`` evaluates the same
-formulas on stacks: it validates each stack of states once and solves it in
-one stacked Jacobi call.  The dephased state D(rho) is neither validated nor
-solved: it is formed from a validated rho, and its spectrum is read from the
-blocks of rho in H's eigenspaces.  A ``ThermalContext`` that ``_context`` makes may
-hold a stack of betas (n,) and Hamiltonians (n, d, d), or one Hamiltonian
-(1, d, d) that all n members share, and its methods then give one value per
-member.
+state or a stack of them is validated once, by ``linalg._require``, and solved
+by ``linalg._eig``: a public function's one state through the shared eigen
+cache, and each stack of states of ``identity_suite`` in one stacked Jacobi
+call, which the cache never holds.  The dephased state D(rho) is neither
+validated nor solved: it is formed from a validated rho, and its spectrum is
+read from the blocks of rho in H's eigenspaces.  A ``ThermalContext`` that
+``_context`` makes may hold a stack of betas (n,) and Hamiltonians (n, d, d),
+or one Hamiltonian (1, d, d) that all n members share, and its methods then
+give one value per member.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ from .linalg import (
     _dephased_eigenvalues,
     _eig,
     _entropies,
-    _jacobi,
     _marginals,
     _orthonormal_columns,
     _relative_entropies,
-    _require_stack,
+    _require,
     _wishart_states,
     dag,
     dephase,
@@ -82,7 +81,7 @@ class ThermalContext:
 
     @functools.cached_property
     def decomposition(self):  # construction, or the caller of _context, validated H
-        return _decomposition(self.hamiltonian)
+        return _eig(self.hamiltonian, validated=True)
 
     def _boltzmann(self) -> tuple[np.ndarray, np.ndarray]:
         """The least energy and the factors exp(-beta (E - E_min)) of the spectrum."""
@@ -115,17 +114,11 @@ def _context(beta, hamiltonian: np.ndarray) -> ThermalContext:
     return ctx
 
 
-def _decomposition(ops: np.ndarray) -> SpectralDecomposition:
-    """The spectrum of a validated operator (d, d), through the shared eigen cache, or
-    of each of a stack (n, d, d), from one stacked solve that the cache does not see."""
-    return _eig(ops, validated=True) if ops.ndim == 2 else SpectralDecomposition(*_jacobi(ops))
-
-
 def _states(rho, name: str) -> tuple[np.ndarray, SpectralDecomposition]:
     """A density operator (d, d), or each of a stack (n, d, d), validated once, and
-    its spectrum (``_decomposition``)."""
-    rho = require_density(rho, name) if np.ndim(rho) == 2 else _require_stack(rho, name, "density")
-    return rho, _decomposition(rho)
+    its spectrum (``_eig``)."""
+    rho = _require(rho, name, "density")
+    return rho, _eig(rho, validated=True)
 
 
 def _energies(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -177,12 +170,12 @@ def dephased(rho: np.ndarray, ctx: ThermalContext) -> np.ndarray:
 def asymmetry(rho: np.ndarray, ctx: ThermalContext) -> float:
     """Relative entropy of coherence in the energy basis: S(D(rho)) - S(rho).
 
-    rho is validated as a Hermitian matrix; D(rho) is not formed, its eigenvalues
-    are read from the blocks of H's eigenspaces (``_dephased_eigenvalues``).
+    rho is validated once, as a Hermitian matrix at path "rho"; D(rho) is not formed,
+    its eigenvalues are read from the blocks of H's eigenspaces (``_dephased_eigenvalues``).
     """
-    vals = eig_hermitian(rho).eigenvalues
-    return float(_asymmetries(vals, _dephased_eigenvalues(require_hermitian(rho, "rho"),
-                                                          ctx.decomposition)))
+    rho = require_hermitian(rho, "rho")
+    return float(_asymmetries(_eig(rho, validated=True).eigenvalues,
+                              _dephased_eigenvalues(rho, ctx.decomposition)))
 
 
 def free_energy_decomposition(rho: np.ndarray, ctx: ThermalContext) -> tuple[float, float]:
@@ -346,7 +339,7 @@ def identity_suite(n_samples: int = 200, seed: int = 1) -> dict:
     The samples are drawn one by one, in the order of the random stream, and
     evaluated as stacks: the single-system part as one stack per dimension (2 or
     3), the bipartite and local parts as one stack each.  Each stack of states is
-    validated in one ``_require_stack`` call and solved in one ``_jacobi`` call.
+    validated in one ``_require`` call and solved in one ``_jacobi`` call.
     Each entry of ``IDENTITY_BOUNDS`` is folded over the samples and graded
     against its bound into ``pass``.  Used by the command-line ``thermo`` check
     and by the acceptance tests.
@@ -374,7 +367,7 @@ def identity_suite(n_samples: int = 200, seed: int = 1) -> dict:
             continue
         basis, ladder, beta, g_rho = (np.array([col[i] for i in members]) for col in columns[:4])
         vecs = _orthonormal_columns(_complex_normal(basis))
-        h = _require_stack(SpectralDecomposition(ladder, vecs).reconstruct(), "H", "hermitian")
+        h = _require(SpectralDecomposition(ladder, vecs).reconstruct(), "H", "hermitian")
         ctx = _context(beta, h)
         rho, dec = _states(_wishart_states(_complex_normal(g_rho)), "rho")
         gibbs, dec_gibbs = _states(ctx.gibbs_state(), "gibbs")
@@ -397,7 +390,7 @@ def identity_suite(n_samples: int = 200, seed: int = 1) -> dict:
     g_s, beta_bs, g_u, g_x, beta_local = (np.array(col) for col in columns[4:])
     sz = np.diag([1.0, -1.0]).astype(complex)[None]  # one H_S and H_B for every sample
     rho_s, dec_s = _states(_wishart_states(_complex_normal(g_s)), "rho_S")
-    u = _require_stack(_orthonormal_columns(_complex_normal(g_u)), "U_SB", "unitary")
+    u = _require(_orthonormal_columns(_complex_normal(g_u)), "U_SB", "unitary")
     rep = _bipartite_terms(rho_s, dec_s, u, _context(beta_bs, sz), _context(beta_bs, 0.6 * sz))
     x_sb, dec_x = _states(_wishart_states(_complex_normal(g_x)), "X_SB")
     local = _local_terms(x_sb, dec_x, (2, 2), _context(beta_local, sz),

@@ -80,20 +80,14 @@ def test_worst_witness_stable_under_last_bit_noise(monkeypatch):
 
 def test_sample_scenario_validates_each_hamiltonian_once(monkeypatch):
     calls = []
-    original, original_stack = la.require_hermitian, la._require_stack
+    original = la._require
 
-    def record(m, name="operator"):
+    def record(m, name, kind, ndim=None):
         calls.append(name)
-        return original(m, name)
+        return original(m, name, kind, ndim)
 
-    def record_stack(m, name, kind):
-        calls.append(name)
-        return original_stack(m, name, kind)
-
-    monkeypatch.setattr(la, "require_hermitian", record)
-    monkeypatch.setattr(scenario_mod, "require_hermitian", record)
-    monkeypatch.setattr(scenario_mod, "_require_stack", record_stack)
-    monkeypatch.setattr(audit, "_require_stack", record_stack)
+    for module in (la, scenario_mod, audit):
+        monkeypatch.setattr(module, "_require", record)
     la._EIG_CACHE.clear()
     rng = np.random.default_rng(4)
     # a batch of one: its stacks, or its protocols' breakpoints, which are H and H_final,
@@ -116,17 +110,17 @@ def test_sample_scenario_validates_each_hamiltonian_once(monkeypatch):
 
 def test_driven_batch_checks_its_breakpoints_as_one_stack(monkeypatch):
     checks = []
-    original = la._require_stack
+    original = la._require
 
-    def record_stack(m, name, kind):
+    def record_stack(m, name, kind, ndim=None):
         checks.append((name, kind, np.shape(m)))
-        return original(m, name, kind)
+        return original(m, name, kind, ndim)
 
     def refuse(m, name="operator"):
         raise AssertionError(f"{name} checked alone")
 
     for module in (audit, scenario_mod):
-        monkeypatch.setattr(module, "_require_stack", record_stack)
+        monkeypatch.setattr(module, "_require", record_stack)
     monkeypatch.setattr(scenario_mod, "require_hermitian", refuse)
     batch = audit._sample_batch(3, 60, np.random.default_rng(21), coherent=True, driven=True)
     # the 60 protocols' 120 breakpoints in one check; then the batch's states in one
@@ -267,7 +261,7 @@ def test_owned_spectra_bypass_the_eigen_cache(monkeypatch):
         solved.append(a.copy())
         return original(a)
 
-    for module in (la, scenario_mod, schemes_mod):
+    for module in (la, schemes_mod):  # scenario solves through linalg._eig
         monkeypatch.setattr(module, "_jacobi", recording)
 
     def key(op):

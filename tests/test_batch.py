@@ -20,7 +20,7 @@ from qworklab import audit
 from qworklab import linalg as la
 from qworklab import scenario as scenario_mod
 from qworklab import schemes as sch
-from qworklab.errors import DegenerateRhoWarning
+from qworklab.errors import DegenerateRhoWarning, ValidationError
 from qworklab.linalg import eig_hermitian
 from qworklab.scenario import (
     DrivingProtocol,
@@ -242,8 +242,8 @@ def test_large_batches_run_in_bounded_parts(monkeypatch):
     whole_histories = sch.distributions(SchemeId.CONSISTENT_HISTORIES, histories, k_steps=3)
     checks = (audit.check_c1_linearity, audit.check_c2, audit.check_c3)
     verdicts = {(c, s): asdict(c(s, 3, 5, 0)) for c in checks for s in KERNELS}
-    monkeypatch.setattr(sch, "_KERNEL_ENTRIES", 2 * 3 ** 3)  # two members per part at d = 3
-    assert sch._part_bounds(7, 3 ** 3) == [(0, 2), (2, 4), (4, 6), (6, 7)]
+    monkeypatch.setattr(scenario_mod, "_PART_ENTRIES", 2 * 3 ** 3)  # two members per part at d = 3
+    assert scenario_mod._part_bounds(7, 3 ** 3) == [(0, 2), (2, 4), (4, 6), (6, 7)]
     for scheme in BATCHED:
         parts = sch.distributions(scheme, batch)
         assert np.array_equal(parts.offsets, whole[scheme].offsets)
@@ -252,7 +252,7 @@ def test_large_batches_run_in_bounded_parts(monkeypatch):
     for (check, scheme), verdict in verdicts.items():
         assert asdict(check(scheme, 3, 5, 0)) == verdict, (check.__name__, scheme)
     # histories count d^(K+1) = 81 entries a member at K = 3: two members per part
-    monkeypatch.setattr(sch, "_KERNEL_ENTRIES", 2 * 3 ** 4)
+    monkeypatch.setattr(scenario_mod, "_PART_ENTRIES", 2 * 3 ** 4)
     kernel, parts = sch._ch_distributions, []
     monkeypatch.setattr(sch, "_ch_distributions",
                         lambda b, k_steps: parts.append(len(b)) or kernel(b, k_steps))
@@ -273,7 +273,7 @@ def test_parts_form_the_per_experiment_products_once(scheme, monkeypatch):
     batch = member_ensemble(3, 0, driven=False)  # the same members, nothing derived yet
     unitary, reads = ScenarioBatch.unitary, []
     monkeypatch.setattr(ScenarioBatch, "unitary", lambda b: reads.append(b) or unitary(b))
-    monkeypatch.setattr(sch, "_KERNEL_ENTRIES", 2 * 3 ** 3)  # two members per part at d = 3
+    monkeypatch.setattr(scenario_mod, "_PART_ENTRIES", 2 * 3 ** 3)  # two members per part at d = 3
     kernel, parts = sch._BATCH_KERNELS[scheme], []
     monkeypatch.setitem(sch._BATCH_KERNELS, scheme,
                         lambda b, *opts: parts.append(len(b)) or kernel(b, *opts))
@@ -403,19 +403,19 @@ def test_degenerate_rho_warns_dist_callers_and_not_the_graders():
 
 def test_a_sampled_batch_solves_no_hamiltonian_and_validates_each_stack_once(monkeypatch):
     solved, checked = [], []
-    original_jacobi, original_stack = la._jacobi, la._require_stack
+    original_jacobi, original_require = la._jacobi, la._require
 
     def recording(a):
         solved.append(a.shape)
         return original_jacobi(a)
 
-    def counting(m, name, kind):
+    def counting(m, name, kind, ndim=None):
         checked.append((name, np.shape(m)))
-        return original_stack(m, name, kind)
+        return original_require(m, name, kind, ndim)
 
-    for module in (la, scenario_mod, sch):
+    for module in (la, sch):  # scenario solves through linalg._eig
         monkeypatch.setattr(module, "_jacobi", recording)
-    monkeypatch.setattr(scenario_mod, "_require_stack", counting)
+    monkeypatch.setattr(scenario_mod, "_require", counting)
     batch = audit._ensemble(C.C3_FIRST_LAW, 3, 20, 0, driven=False)
     assert checked == [("H", (20, 3, 3)), ("H_final", (20, 3, 3)),
                        ("evolution.U", (20, 3, 3)), ("rho", (20, 3, 3))]
@@ -425,6 +425,42 @@ def test_a_sampled_batch_solves_no_hamiltonian_and_validates_each_stack_once(mon
     sch.distributions(SchemeId.OPERATOR_OF_WORK, batch)
     sch.distributions(SchemeId.STATE_DEPENDENT, batch)
     assert solved == [(20, 3, 3), (20, 3, 3)]  # all W in one stack, all rho in another
+
+
+_H01 = np.diag([0.0, 1.0]).astype(complex)
+
+
+@pytest.mark.parametrize("evolution, kind, path", [
+    (np.eye(3, dtype=complex), "DimMismatch", "evolution.U"),
+    (DrivingProtocol([0.0, 1.0], [np.diag([0.0, 1.0, 2.0])] * 2), "DimMismatch", "evolution"),
+    (DrivingProtocol([0.0, 1.0], [np.diag([0.0, 5.0]), np.diag([0.0, 7.0])]),
+     "EndpointMismatch", "evolution.breakpoints[0].H"),
+], ids=["unitary-of-another-size", "protocol-of-another-size", "protocol-endpoints"])
+def test_build_rejects_what_a_scenario_rejects(evolution, kind, path):
+    """One experiment check: a d = 2 batch fails where its Scenario fails, with the
+    same kind, and at the member's path where the fault is one member's."""
+    rho = np.eye(2, dtype=complex) / 2
+    with pytest.raises(ValidationError) as single:
+        Scenario(dim=2, h_initial=_H01, h_final=_H01, evolution=evolution, rho=rho)
+    assert (single.value.kind, single.value.path) == (kind, path)
+    stacked = evolution[None] if isinstance(evolution, np.ndarray) else (evolution,)
+    with pytest.raises(ValidationError) as batch:
+        ScenarioBatch.build(_H01[None], _H01[None], stacked, rho[None], [0], {})
+    member = path if path == "evolution.U" else f"{path}[0]"  # a size is the whole stack's
+    assert (batch.value.kind, batch.value.path) == (kind, member)
+    assert str(batch.value).endswith(str(single.value).split(": ", 1)[1])
+
+
+@pytest.mark.parametrize("experiment", [[-1], [2], [0, 1]], ids=["negative", "past-m", "two"])
+def test_with_rho_rejects_the_experiment_indices_build_rejects(experiment):
+    batch = audit._sample_batch(2, 2, np.random.default_rng(0), coherent=True, driven=False)
+    with pytest.raises(ValidationError) as err:
+        ScenarioBatch.build(batch.h_initial, batch.h_final, batch.evolution, batch.rho[:1],
+                            experiment, {})
+    assert (err.value.kind, err.value.path) == ("DimMismatch", "batch")
+    with pytest.raises(ValidationError) as err:
+        batch.with_rho(batch.rho[:1], experiment)
+    assert (err.value.kind, err.value.path) == ("DimMismatch", "experiment")
 
 
 def test_nogo_solves_neither_drawn_hamiltonian(monkeypatch):
@@ -439,7 +475,7 @@ def test_nogo_solves_neither_drawn_hamiltonian(monkeypatch):
         solved.append(a.copy())
         return original(a)
 
-    for module in (la, scenario_mod, sch):
+    for module in (la, sch):  # scenario solves through linalg._eig
         monkeypatch.setattr(module, "_jacobi", recording)
     for dim, seed in ((2, 1), (3, 0)):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
@@ -493,7 +529,7 @@ def test_a_scenario_taken_from_a_batch_reads_the_batch_facts(monkeypatch):
         solved.append(a.copy())
         return original(a)
 
-    for module in (la, scenario_mod, sch):
+    for module in (la, sch):  # scenario solves through linalg._eig
         monkeypatch.setattr(module, "_jacobi", recording)
     for i, s in enumerate(taken):
         if i % 5 < 4:  # the batch's members and their copies read its compile as it is

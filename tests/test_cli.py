@@ -6,7 +6,6 @@ import pytest
 
 from qworklab import __version__, audit
 from qworklab import linalg as la
-from qworklab import scenario as scenario_mod
 from qworklab import schemes as schemes_mod
 from qworklab import thermo
 from qworklab.cli import _CONVENTION_FLAGS, TOLERANCES, emit_distribution, main
@@ -287,7 +286,7 @@ def test_rereading_a_scenario_file_reuses_the_cached_spectra(tmp_path, monkeypat
         solved.append(a.copy())
         return original(a)
 
-    for module in (la, scenario_mod, schemes_mod, thermo):
+    for module in (la, schemes_mod):  # scenario and thermo solve through linalg._eig
         monkeypatch.setattr(module, "_jacobi", recording)
     monkeypatch.setattr(la, "_EIG_CACHE", {})
     for scheme in ("state-dependent", "sub-ensemble"):

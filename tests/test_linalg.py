@@ -498,9 +498,9 @@ def test_non_finite_entries_raise_dim_mismatch(bad):
 
 def test_require_density_validates_a_fresh_state_once(monkeypatch):
     calls, solved = [], []
-    original, jacobi = la.require_hermitian, la._jacobi
-    monkeypatch.setattr(la, "require_hermitian",
-                        lambda m, name="operator": calls.append(name) or original(m, name))
+    original, jacobi = la._require, la._jacobi
+    monkeypatch.setattr(la, "_require", lambda m, name, kind, ndim=None:
+                        calls.append(name) or original(m, name, kind, ndim))
     monkeypatch.setattr(la, "_jacobi", lambda a: solved.append(a) or jacobi(a))
     la._EIG_CACHE.clear()
     state = la.random_density(3, 5)
@@ -556,6 +556,83 @@ def test_require_density_keeps_the_eigenvalue_boundary(dim):
     assert verdicts.shape == (len(states),)
     assert verdicts.tolist() == expected
     assert [bool(la._cholesky_positive(rho)) for rho in states] == expected
+
+
+# per kind, the faults a matrix of that kind can carry and the error each gives (None: valid)
+_FAULTS = {
+    "hermitian": {"none": None, "nan": "DimMismatch", "non-square": "DimMismatch",
+                  "hermitian-defect": "NotHermitian"},
+    "unitary": {"none": None, "nan": "DimMismatch", "non-square": "DimMismatch",
+                "non-unitary": "NotUnitary"},
+    "density": {"none": None, "nan": "DimMismatch", "non-square": "DimMismatch",
+                "hermitian-defect": "NotHermitian", "trace": "NotDensity",
+                "eigenvalue-rejected": "NotDensity", "eigenvalue-accepted": None},
+}
+_PUBLIC = {"hermitian": la.require_hermitian, "unitary": la.require_unitary,
+           "density": la.require_density}
+
+
+def _valid_matrix(kind, dim, rng, scale):
+    if kind == "hermitian":
+        return scale * random_hermitian_np(dim, rng)
+    return haar_unitary_np(dim, rng) if kind == "unitary" else random_density_np(dim, rng)
+
+
+def _faulty_matrix(kind, fault, dim, rng, scale):
+    if fault.startswith("eigenvalue"):  # just outside, or just inside, the positivity tolerance
+        return _state_with_least_eigenvalue(
+            dim, (-1.001 if fault == "eigenvalue-rejected" else -0.999) * _TOL, rng)
+    m = _valid_matrix(kind, dim, rng, scale)
+    if fault == "nan":
+        m[dim - 1, 0] = np.nan
+    elif fault == "non-square":
+        m = m[:, :-1]
+    elif fault == "hermitian-defect":  # three times the relative limit, on one side only
+        m[0, 1] += 3.0 * la.HERMITICITY_TOL * max(1.0, np.abs(m).max())
+    elif fault == "trace":
+        m = m + 2e-10 * np.eye(dim) / dim
+    elif fault == "non-unitary":
+        m = (1.0 + 1e-9) * m
+    return m
+
+
+def _verdict(check, m, name):
+    """The validated copy of ``m``, or the error's (kind, path, message)."""
+    try:
+        return check(m, name)
+    except ValidationError as err:
+        return err.kind, err.path, str(err).removeprefix(f"{err.kind} at '{err.path}': ")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 4, 16]), st.sampled_from(sorted(_FAULTS)), st.data())
+def test_a_matrix_alone_and_in_a_stack_gets_one_verdict(dim, kind, data):
+    fault = data.draw(st.sampled_from(sorted(_FAULTS[kind])), label="fault")
+    n = data.draw(st.integers(1, 4), label="n")
+    i = 0 if fault == "non-square" else data.draw(st.integers(0, n - 1), label="i")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    scale = data.draw(st.sampled_from([1.0, 1e-6, 1e6]), label="scale")
+    m = _faulty_matrix(kind, fault, dim, rng, scale)
+    # a non-square member makes every member non-square, so the first fails
+    others = [m if fault == "non-square" else _valid_matrix(kind, dim, rng, scale)
+              for _ in range(n)]
+    stack = np.array(others[:i] + [m] + others[i + 1:])
+    alone = _verdict(_PUBLIC[kind], m, "rho")
+    member = _verdict(lambda a, name: la._require(a, name, kind), stack, "rho")
+    if _FAULTS[kind][fault] is None:
+        np.testing.assert_array_equal(alone, m)
+        np.testing.assert_array_equal(member, stack)
+    else:
+        assert alone[0] == _FAULTS[kind][fault]
+        assert member == (alone[0], f"rho[{i}]", alone[2])
+    if kind == "hermitian" and fault == "none":
+        la._EIG_CACHE.clear()
+        np.testing.assert_array_equal(la.eig_hermitian(stack).eigenvalues[i],
+                                      la.eig_hermitian(m).eigenvalues)
+        assert list(la._EIG_CACHE) == [repr(m.shape).encode() + m.tobytes()]  # the matrix only
+        if n > 1:
+            la._eig(stack, validated=True)
+            assert len(la._EIG_CACHE) == 1
 
 
 @pytest.mark.parametrize("x, accepted", [(0.4e-10, True), (0.6e-10, False)])

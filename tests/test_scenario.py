@@ -306,14 +306,14 @@ def _pairs(m):
 
 def test_parse_validates_each_breakpoint_and_rho_once(monkeypatch):
     calls = []
-    original = la.require_hermitian
+    original = la._require
 
-    def record(m, name="operator"):
+    def record(m, name, kind, ndim=None):
         calls.append(name)
-        return original(m, name)
+        return original(m, name, kind, ndim)
 
-    monkeypatch.setattr(la, "require_hermitian", record)
-    monkeypatch.setattr(scenario_mod, "require_hermitian", record)
+    monkeypatch.setattr(la, "_require", record)
+    monkeypatch.setattr(scenario_mod, "_require", record)
     rng = np.random.default_rng(5)
     hams = [random_hermitian_np(3, rng) for _ in range(3)]
     doc = {"dim": 3, "H": _pairs(hams[0]), "H_final": _pairs(hams[-1]),
@@ -497,8 +497,7 @@ def test_expi_of_a_zero_generator_is_the_identity():
 def test_a_compile_runs_no_eigensolver(monkeypatch):
     solves = []
     real = la._jacobi
-    for module in (la, scenario_mod):
-        monkeypatch.setattr(module, "_jacobi", lambda a: solves.append(a) or real(a))
+    monkeypatch.setattr(la, "_jacobi", lambda a: solves.append(a) or real(a))
     for protocol in unequal_protocols():
         _, mesh, unitaries = compile_unitary(protocol)
         scenario_mod._propagators(protocol, mesh, unitaries, (mesh[:-1] + mesh[1:]) / 2)

@@ -5,7 +5,7 @@ import pytest
 
 from qworklab import linalg as la
 from qworklab import thermo as th
-from qworklab.errors import DegenerateHamiltonianWarning, DimensionMismatch
+from qworklab.errors import DegenerateHamiltonianWarning, DimensionMismatch, ValidationError
 from qworklab.linalg import max_abs, relative_entropy
 
 from conftest import PLUS, SZ, haar_unitary_np, random_density_np
@@ -90,6 +90,30 @@ def test_asymmetry_examples_and_cross_check():
         entropic = th.asymmetry(rho, ctx)
         relent = relative_entropy(rho, th.dephased(rho, ctx))
         assert abs(entropic - relent) <= 1e-10
+
+
+def test_asymmetry_validates_rho_once_at_its_path(monkeypatch):
+    ctx = random_context(np.random.default_rng(80), dim=3)
+    rho = random_density_np(3, np.random.default_rng(81))
+    calls = []
+    original = la._require
+
+    def record(m, name, kind, ndim=None):
+        calls.append(name)
+        return original(m, name, kind, ndim)
+
+    for module in (la, th):
+        monkeypatch.setattr(module, "_require", record)
+    la._EIG_CACHE.clear()  # a miss: the solve takes the state as validated
+    th.asymmetry(rho, ctx)
+    assert calls == ["rho"]
+    bad = rho.copy()
+    bad[0, 1] += 1e-3
+    for name in ("asymmetry", "free_energy", "measurement_work_loss"):
+        with pytest.raises(ValidationError) as err:
+            getattr(th, name)(bad, ctx)
+        assert err.value.kind == "NotHermitian"
+        assert err.value.path == ("rho" if name == "asymmetry" else "state")
 
 
 def test_free_energy_decomposition_sums_1000_draws():
@@ -185,7 +209,7 @@ def test_free_energy_decomposition_of_degenerate_eigenspaces_matches_numpy():
     rhos = np.array([random_density_np(4, rng) for _ in LADDERS])
     betas = rng.uniform(0.3, 2.0, len(LADDERS))
     # the Hamiltonians as identity_suite makes them, a stack validated once
-    h = th._require_stack(la.SpectralDecomposition(LADDERS, vecs).reconstruct(), "H", "hermitian")
+    h = th._require(la.SpectralDecomposition(LADDERS, vecs).reconstruct(), "H", "hermitian")
     expected = np.array([_decomposition_np(*args) for args in zip(rhos, h, vecs, LADDERS, betas)])
     for i in range(len(LADDERS)):
         ctx = th.ThermalContext(betas[i], h[i])
@@ -282,14 +306,15 @@ def test_bipartite_identity_1000_random_scenarios():
 
 def test_bipartite_scenario_validates_hamiltonians_only_when_built(monkeypatch):
     calls = []
-    original = la.require_hermitian
+    original = la._require
 
-    def record(m, name="operator"):
-        calls.append(name)
-        return original(m, name)
+    def record(m, name, kind, ndim=None):
+        if kind != "unitary":  # the Hermitian checks, a state's included
+            calls.append(name)
+        return original(m, name, kind, ndim)
 
-    monkeypatch.setattr(la, "require_hermitian", record)
-    monkeypatch.setattr(th, "require_hermitian", record)
+    monkeypatch.setattr(la, "_require", record)
+    monkeypatch.setattr(th, "_require", record)
     rng = np.random.default_rng(84)
     bs = th.BipartiteScenario(2, 2, SZ, 0.6 * SZ, random_density_np(2, rng), 1.0,
                               haar_unitary_np(4, rng))
@@ -306,16 +331,16 @@ def test_bipartite_scenario_validates_hamiltonians_only_when_built(monkeypatch):
 
 
 def _record_stacks(monkeypatch):
-    """(name, kind, validated stack) of every ``_require_stack`` call thermo makes."""
+    """(name, kind, validated array) of every ``_require`` call thermo makes."""
     stacks = []
-    original = th._require_stack
+    original = th._require
 
-    def record(m, name, kind):
-        out = original(m, name, kind)
+    def record(m, name, kind, ndim=None):
+        out = original(m, name, kind, ndim)
         stacks.append((name, kind, out))
         return out
 
-    monkeypatch.setattr(th, "_require_stack", record)
+    monkeypatch.setattr(th, "_require", record)
     return stacks
 
 

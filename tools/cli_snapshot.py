@@ -148,6 +148,24 @@ def malformed_docs(doc: dict) -> dict:
     return {"d3-bool-entry": dict(doc, H=h), "d3-ragged-rho": dict(doc, rho=rho)}
 
 
+def invalid_docs(unitary: dict, driven: dict, small: dict) -> dict:
+    """Copies of the d = 3 scenario documents, each a well-formed file that fails one
+    check of the experiment: a non-unitary U, a U of the d = 2 file, a protocol whose
+    last breakpoint is not H_final, a rho of the d = 2 file, and a non-Hermitian
+    H_final (one entry off its conjugate by 1e-3)."""
+    scaled = [[[1.01 * x for x in z] for z in row] for row in unitary["evolution"]["U"]]
+    breakpoints = [dict(bp) for bp in driven["evolution"]["breakpoints"]]
+    breakpoints[-1]["H"] = unitary["H"]
+    skew = [[list(z) for z in row] for row in unitary["H_final"]]
+    skew[0][1][1] += 1e-3
+    return {"d3-nonunitary-u": dict(unitary, evolution={"type": "unitary", "U": scaled}),
+            "d3-u-of-d2": dict(unitary, evolution=small["evolution"]),
+            "d3-protocol-end-off": dict(driven, evolution=dict(driven["evolution"],
+                                                               breakpoints=breakpoints)),
+            "d3-rho-of-d2": dict(unitary, rho=small["rho"]),
+            "d3-nonhermitian-h-final": dict(unitary, H_final=skew)}
+
+
 def commands() -> list[tuple[str, list[str]]]:
     """(name, CLI arguments) for every snapshot entry, in a fixed order."""
     runs: list[tuple[str, list[str]]] = []
@@ -305,6 +323,11 @@ def commands() -> list[tuple[str, list[str]]]:
     for name in ("bool-entry", "ragged-rho"):
         runs.append((f"error-dist-{name}",
                      ["dist", "--scheme", "tpm", "--scenario", f"scenarios/d3-{name}.json"]))
+    # well-formed files that fail the experiment check: each exits 2 with its kind and path
+    for name in ("nonunitary-u", "u-of-d2", "protocol-end-off", "rho-of-d2",
+                 "nonhermitian-h-final"):
+        runs.append((f"error-dist-{name}",
+                     ["dist", "--scheme", "tpm", "--scenario", f"scenarios/d3-{name}.json"]))
     # states whose least eigenvalue lies just inside and just outside the positivity
     # tolerance: the first is accepted, the second exits with the eigenvalue on stderr
     for name in ("inside", "outside"):
@@ -373,6 +396,7 @@ def main(argv=None) -> int:
     for dim in (2, 3, 4):
         docs[f"d{dim}-unitary"], docs[f"d{dim}-driven"] = scenario_docs(dim, seed=1000 + dim)
     docs.update(malformed_docs(docs["d3-unitary"]))
+    docs.update(invalid_docs(docs["d3-unitary"], docs["d3-driven"], docs["d2-unitary"]))
     for name, doc in docs.items():
         (out / "scenarios" / f"{name}.json").write_text(json.dumps(doc, indent=1))
 
