@@ -280,7 +280,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _warning_line  # one line, without a source path
             return args.fn(args)
-    except (ParseError, ValidationError, FileNotFoundError) as exc:
+    except (ParseError, ValidationError, OSError) as exc:  # OSError: a file it cannot open or read
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except QworklabError as exc:

@@ -6,16 +6,16 @@ stack (n, d, d), whose first failing member i fails at ``path[i]`` with the same
 kind and message; it runs each test once over the stack and returns a defensive
 complex128 copy.  The ``require_*`` functions are its check of one matrix.  It
 runs when an input type (``Scenario``, ``ScenarioBatch``, ``DrivingProtocol``,
-``ThermalContext``) is constructed and, inside ``eig_hermitian``, on a cache
-miss only.  Downstream code treats validated arrays, and operators it makes
-exactly Hermitian, as immutable and solves them with ``_eig(arr,
-validated=True)``.  The density check solves nothing for a valid state: its
+``ThermalContext``) is constructed and on every call of ``eig_hermitian``.
+Downstream code treats validated arrays, and operators it makes exactly
+Hermitian, as immutable and solves them with ``_eig(arr)``, which validates
+nothing.  The density check solves nothing for a valid state: its
 positivity test is the Cholesky factorisation of ``_cholesky_positive``, d
 steps with no iteration, and only a state that fails it is solved, for its
 least eigenvalue.  Each spectrum has one owner: a
 ``ScenarioBatch`` holds those of its experiments' H, H_final, work and history
-operators and of its states (a Scenario reads its own through its batch of
-one), a ``ThermalContext`` that of its H.  Sampled Hamiltonians come with the spectra
+operators and of its states, as stacks (a Scenario reads row 0 of its batch of
+one's), a ``ThermalContext`` that of its H.  Sampled Hamiltonians come with the spectra
 they were drawn from, and the operators no other owner holds are solved by
 ``_jacobi`` directly, each batch's or grid's as one stack.  ``_eig`` is the one
 entry to the solver for an operator of either shape: the bounded ``_EIG_CACHE``
@@ -157,7 +157,7 @@ def _require(m, name: str, kind: str, ndim: int | None = None) -> np.ndarray:
         if not ok.all():  # the least eigenvalue of each state that fails the pivots
             lo = np.zeros(ok.shape)
             for at in map(tuple, np.argwhere(~ok)):
-                lo[at] = _eig(arr[at], validated=True).eigenvalues[0]
+                lo[at] = _eig(arr[at]).eigenvalues[0]
             _reject(lo < -DENSITY_EIG_TOL, "NotDensity", name,
                     lambda at: f"min eigenvalue {lo[at]:.3e} < -{DENSITY_EIG_TOL}")
     return arr
@@ -470,24 +470,21 @@ def eig_hermitian(op) -> SpectralDecomposition:
     Uses Jacobi rotations in a fixed sweep order (see ``_jacobi``), so the
     result is deterministic for a fixed input.  Raises :class:`NonConvergence` if the
     off-diagonal mass is not eliminated within ``MAX_SWEEPS`` sweeps and steps.
-    A matrix is validated only on a cache miss: the key holds its shape and bytes,
-    so a hit is a matrix that was validated when it was solved.  A stack is
-    validated and solved on every call (``_eig``).
+    The operator is validated on every call, at path "operator" (``_require``: an
+    O(d^2) check beside the O(d^3) solve), then solved by ``_eig``.
     """
-    return _eig(np.asarray(op, dtype=np.complex128), validated=False)
+    return _eig(_require(op, "operator", "hermitian"))
 
 
-def _eig(arr: np.ndarray, validated: bool) -> SpectralDecomposition:
-    """The solve of an operator (d, d) or of each of a stack (n, d, d), validated first
-    (``_require``, at path "operator") unless the caller already has.  A matrix is
-    shared through the bounded cache, and validated and solved only on a miss; a stack
-    is solved directly in one ``_jacobi`` call, and never cached."""
+def _eig(arr: np.ndarray) -> SpectralDecomposition:
+    """The solve of a validated Hermitian operator (d, d) or of each of a stack
+    (n, d, d).  A matrix is shared through the bounded cache and solved only on a miss;
+    a stack is solved directly in one ``_jacobi`` call, and never cached."""
     key = repr(arr.shape).encode() + arr.tobytes() if arr.ndim == 2 else None
     hit = _EIG_CACHE.get(key) if key is not None else None
     if hit is not None:
         return hit
-    dec = SpectralDecomposition(*_jacobi(arr if validated
-                                         else _require(arr, "operator", "hermitian")))
+    dec = SpectralDecomposition(*_jacobi(arr))
     if key is not None:
         if len(_EIG_CACHE) >= _EIG_CACHE_CAP:
             del _EIG_CACHE[next(iter(_EIG_CACHE))]  # evict the oldest entry

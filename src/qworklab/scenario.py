@@ -29,6 +29,7 @@ from .linalg import (
     HERMITICITY_TOL,
     SpectralDecomposition,
     _eig,
+    _eigenspaces,
     _expi,
     _matmul,
     _reject,
@@ -81,6 +82,11 @@ class DrivingProtocol:
             if hams[i].shape != hams[0].shape:
                 raise ValidationError("DimMismatch", f"evolution.breakpoints[{i}].H",
                                       f"dimension {hams[i].shape[0]} != {hams[0].shape[0]}")
+        # NaN passes both tests below, and an infinite last time passes the second
+        bad = np.flatnonzero(~np.isfinite(times))
+        if bad.size:
+            raise ParseError("breakpoint times must be finite",
+                             f"evolution.breakpoints[{bad[0]}].t")
         if abs(times[0]) > _TIME_MATCH_TOL:
             raise ParseError("first breakpoint time must be 0", "evolution.breakpoints[0].t")
         times[0] = 0.0
@@ -250,17 +256,18 @@ class Scenario:
         return isinstance(self.evolution, DrivingProtocol)
 
     def unitary(self) -> np.ndarray:
-        """Final evolution operator U(tau)."""
-        return self._batch._held_unitary() if self.is_driven else self.evolution
+        """Final evolution operator U(tau): row 0 of its batch's."""
+        return self._batch.unitary()[0]
 
     def spectrum(self, name: str) -> SpectralDecomposition:
         """Decomposition of ``"rho"`` (this instance's own, solved on first read),
-        ``"H"`` or ``"H_final"``."""
-        return self._batch._held_spectrum(name)
+        ``"H"`` or ``"H_final"``: row 0 of its batch's."""
+        return SpectralDecomposition(*(x[0] for x in self._batch.spectrum(name)))
 
     def eigenspaces(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """``spectrum(name).eigenspaces()``: eigenspace labels and column cluster ids."""
-        return self._batch._held_eigenspaces(name)
+        """``spectrum(name).eigenspaces()``: eigenspace labels and column cluster ids, row 0
+        of its batch's."""
+        return tuple(x[0] for x in self._batch.eigenspaces(name))
 
 
 def _checked_experiments(ndim: int, dim: int | None, h_initial, h_final, evolution, rho):
@@ -334,11 +341,10 @@ class ScenarioBatch:
     stack of unitaries (m, d, d) or a tuple of m evolutions; ``rho`` is (n, d, d).
     An experiment may carry several states, as a C1 mixture and its two
     components do.  The batch holds all that is derived from its experiments,
-    each fact once, shared by the batches ``with_rho`` and ``members`` make; every
-    scheme evaluates all members in one set of array operations (see
-    ``schemes.distributions``).  A Scenario's batch of one holds U(tau), the
-    spectra and the eigenspaces as those of one matrix; ``unitary``, ``spectrum``
-    and ``eigenspaces`` read any batch's as stacks.
+    each fact once and as a stack over them, whatever their number, shared by the
+    batches ``with_rho`` and ``members`` make; every scheme evaluates all members in
+    one set of array operations (see ``schemes.distributions``).  A Scenario reads
+    row 0 of its batch of one.
 
     Build a batch with ``build`` (validated stacks, with the spectra H and H_final
     were drawn from), ``of`` (validated Scenarios) or ``with_rho``; the
@@ -352,7 +358,7 @@ class ScenarioBatch:
     rho: np.ndarray
     experiment: np.ndarray
     _derived: dict = field(default_factory=dict, repr=False)
-    _rho_spectrum: SpectralDecomposition | None = field(default=None, init=False, repr=False)
+    _rho_spectrum: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def build(cls, h_initial, h_final, evolution, rho, experiment, spectra: dict):
@@ -369,7 +375,7 @@ class ScenarioBatch:
         h_initial, h_final, evolution, rho = _checked_experiments(3, None, h_initial, h_final,
                                                                   evolution, rho)
         return cls(h_initial.shape[-1], h_initial, h_final, evolution, rho, experiment,
-                   {name: SpectralDecomposition(*pair) for name, pair in spectra.items()})
+                   dict(spectra))
 
     @classmethod
     def of(cls, scenarios) -> "ScenarioBatch":
@@ -426,12 +432,10 @@ class ScenarioBatch:
 
     def scenario(self, i: int) -> Scenario:
         """Member i as a Scenario, whose batch holds experiment ``experiment[i]`` alone,
-        seeded with this batch's spectra of it and, once compiled, its compile."""
-        j, held = int(self.experiment[i]), {}
-        for name in ("H", "H_final"):
-            if name in self._derived:
-                vals, vecs = self.spectrum(name)
-                held[name] = SpectralDecomposition(vals[j], vecs[j])
+        seeded with this batch's rows of it: its spectra and, once compiled, its compile."""
+        j = int(self.experiment[i])
+        held = {name: tuple(x[j:j + 1] for x in self._derived[name])
+                for name in ("H", "H_final") if name in self._derived}
         for js, _, mesh, unitaries in self._derived.get("compiles", ()):
             if j in js:
                 held["compiles"] = [(np.zeros(1, dtype=np.intp),
@@ -446,18 +450,15 @@ class ScenarioBatch:
         return s
 
     def unitary(self) -> np.ndarray:
-        """U(tau) of each experiment, (m, d, d)."""
+        """U(tau) of each experiment, (m, d, d): a protocol's is the last propagator of
+        its compile."""
         if isinstance(self.evolution, np.ndarray):
             return self.evolution
-        return self._held_unitary().reshape(-1, self.dim, self.dim)
 
-    def _held_unitary(self) -> np.ndarray:
-        """U(tau) of a tuple of evolutions, (d, d) of one experiment, else (m, d, d)."""
-        def make():  # a protocol's is the last propagator of its compile
+        def make():
             ends = {j: unitaries[i, -1] for js, _, _, unitaries in self._compiles()
                     for i, j in enumerate(js)}
-            u = [ends.get(j, e) for j, e in enumerate(self.evolution)]
-            return u[0] if len(u) == 1 else np.stack(u)
+            return np.stack([ends.get(j, e) for j, e in enumerate(self.evolution)])
         return self.derived("U", make)
 
     def _compiles(self) -> list:
@@ -482,37 +483,32 @@ class ScenarioBatch:
 
     def spectrum(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and eigenvectors of ``"H"`` or ``"H_final"`` per experiment,
-        (m, d) and (m, d, d), or of ``"rho"`` per member, (n, d) and (n, d, d)."""
-        dec = self._held_spectrum(name)
-        return (dec.eigenvalues.reshape(-1, self.dim),
-                dec.eigenvectors.reshape(-1, self.dim, self.dim))
-
-    def _held_spectrum(self, name: str) -> SpectralDecomposition:
-        """The decomposition of ``spectrum(name)``, solved on first read by ``_eig``, whose
-        cache shares a batch of one's matrix between owners; a stack is solved in one
-        ``_jacobi`` call.  Each batch solves its own states."""
-        def solve(stack):
-            return _eig(stack[0] if len(stack) == 1 else stack, validated=True)
+        (m, d) and (m, d, d), or of ``"rho"`` per member, (n, d) and (n, d, d); solved
+        on first read (``_solve``).  Each batch solves its own states."""
         if name != "rho":
-            return self.derived(name, lambda: solve({"H": self.h_initial,
-                                                     "H_final": self.h_final}[name]))
+            return self.derived(name, lambda: _solve({"H": self.h_initial,
+                                                      "H_final": self.h_final}[name]))
         if self._rho_spectrum is None:
-            object.__setattr__(self, "_rho_spectrum", solve(self.rho))
+            object.__setattr__(self, "_rho_spectrum", _solve(self.rho))
         return self._rho_spectrum
 
     def eigenspaces(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """``_eigenspaces`` of ``"H"`` or ``"H_final"`` per experiment: labels (m, k), NaN
         past an experiment's own count, and column cluster ids (m, d)."""
-        labels, ids = self._held_eigenspaces(name)
-        return labels.reshape(len(self.h_initial), -1), ids.reshape(-1, self.dim)
-
-    def _held_eigenspaces(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        return self.derived((name, "eigenspaces"), lambda: self._held_spectrum(name).eigenspaces())
+        return self.derived((name, "eigenspaces"), lambda: _eigenspaces(self.spectrum(name)[0]))
 
     def mean_energy_change(self) -> np.ndarray:
         """``mean_energy_change`` of every member, (n,)."""
         return _energy_change(self.per_member(self.unitary()), self.rho,
                               self.per_member(self.h_initial), self.per_member(self.h_final))
+
+
+def _solve(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (n, d) and eigenvectors (n, d, d) of a validated stack (n, d, d),
+    solved by ``_eig``: a stack of one as its matrix, which the eigen cache shares
+    between owners, and any other in one ``_jacobi`` call."""
+    dec = _eig(stack[0] if len(stack) == 1 else stack)
+    return dec.eigenvalues.reshape(stack.shape[:-1]), dec.eigenvectors.reshape(stack.shape)
 
 
 def time_reversed(s: Scenario) -> Scenario:
@@ -668,5 +664,10 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
+    """Parse a scenario file; a file that is not UTF-8 text raises ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"scenario file is not UTF-8 text: {exc}") from exc
+    return parse_scenario(text)

@@ -88,23 +88,19 @@ def merge_atoms(works, weights, members=None):
 
 
 def _merge(works, weights, members):
-    """``merge_atoms`` as (works, weights, labels or None, atoms merged into each)."""
+    """``merge_atoms`` as (works, weights, labels, atoms merged into each); no
+    ``members`` is one member, label 0."""
     works = np.asarray(works, dtype=float)
     weights = np.asarray(weights)
     weights = weights.astype(np.promote_types(weights.dtype, float), copy=False)
-    seg = None if members is None else np.asarray(members)
-    if works.size == 0:
-        return works, weights, seg, np.zeros(0, dtype=np.intp)
-    order = np.argsort(works, kind="stable") if seg is None else np.lexsort((works, seg))
-    works = works[order]
-    breaks = np.diff(works) > W_MERGE_TOL
-    if seg is not None:
-        seg = seg[order]
-        breaks |= np.diff(seg) != 0
-    starts = np.flatnonzero(np.concatenate(([True], breaks)))
+    seg = np.zeros(works.size, dtype=np.intp) if members is None else np.asarray(members)
+    order = np.lexsort((works, seg))
+    works, seg = works[order], seg[order]
+    breaks = (np.diff(works) > W_MERGE_TOL) | (np.diff(seg) != 0)
+    starts = np.flatnonzero(np.concatenate(([works.size > 0], breaks)))
     sizes = np.diff(np.append(starts, works.size))
     return (np.add.reduceat(works, starts) / sizes, np.add.reduceat(weights[order], starts, axis=0),
-            None if seg is None else seg[starts], sizes)
+            seg[starts], sizes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,8 +173,7 @@ class WorkBatch:
         if not (np.isfinite(w).all() and np.isfinite(p).all()):
             raise ValueError(f"non-finite work value or weight in {scheme.value} atoms")
         keep = np.abs(p) > _ATOM_PRUNE * sizes
-        w, p = w[keep], p[keep]
-        ids = np.zeros(len(p), dtype=np.intp) if seg is None else seg[keep]
+        w, p, ids = w[keep], p[keep], seg[keep]
         offsets = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=n))))
         off_sum = np.abs(np.bincount(ids, weights=p, minlength=n) - 1.0) > WEIGHT_SUM_TOL
         negative = np.zeros(n, dtype=bool)

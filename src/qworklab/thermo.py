@@ -5,9 +5,9 @@ Units: hbar = k = 1, so beta = 1/T and entropies are in nats.
 Each quantity has one formula, written alike for one state (d, d) and for a
 stack of states (n, d, d), which takes the spectra of the states it reads.  A
 state or a stack of them is validated once, by ``linalg._require``, and solved
-by ``linalg._eig``: a public function's one state through the shared eigen
-cache, and each stack of states of ``identity_suite`` in one stacked Jacobi
-call, which the cache never holds.  The dephased state D(rho) is neither
+by ``linalg._eig``, which validates nothing: a public function's one state
+through the shared eigen cache, and each stack of states of ``identity_suite``
+in one stacked Jacobi call, which the cache never holds.  The dephased state D(rho) is neither
 validated nor solved: it is formed from a validated rho, and its spectrum is
 read from the blocks of rho in H's eigenspaces.  A ``ThermalContext`` that
 ``_context`` makes may hold a stack of betas (n,) and Hamiltonians (n, d, d),
@@ -81,7 +81,7 @@ class ThermalContext:
 
     @functools.cached_property
     def decomposition(self):  # construction, or the caller of _context, validated H
-        return _eig(self.hamiltonian, validated=True)
+        return _eig(self.hamiltonian)
 
     def _boltzmann(self) -> tuple[np.ndarray, np.ndarray]:
         """The least energy and the factors exp(-beta (E - E_min)) of the spectrum."""
@@ -118,7 +118,7 @@ def _states(rho, name: str) -> tuple[np.ndarray, SpectralDecomposition]:
     """A density operator (d, d), or each of a stack (n, d, d), validated once, and
     its spectrum (``_eig``)."""
     rho = _require(rho, name, "density")
-    return rho, _eig(rho, validated=True)
+    return rho, _eig(rho)
 
 
 def _energies(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -174,7 +174,7 @@ def asymmetry(rho: np.ndarray, ctx: ThermalContext) -> float:
     its eigenvalues are read from the blocks of H's eigenspaces (``_dephased_eigenvalues``).
     """
     rho = require_hermitian(rho, "rho")
-    return float(_asymmetries(_eig(rho, validated=True).eigenvalues,
+    return float(_asymmetries(_eig(rho).eigenvalues,
                               _dephased_eigenvalues(rho, ctx.decomposition)))
 
 
@@ -293,7 +293,7 @@ def bipartite_work_identity(bs: BipartiteScenario) -> BipartiteWorkReport:
     W is the mean energy drop of the joint system under the joint unitary with
     non-interacting H = H_S + H_B and a thermal ancilla.
     """
-    terms = _bipartite_terms(bs.rho_system, _eig(bs.rho_system, validated=True), bs.u_joint,
+    terms = _bipartite_terms(bs.rho_system, _eig(bs.rho_system), bs.u_joint,
                              bs.system_context(), bs.bath_context())
     return BipartiteWorkReport(**{key: float(value) for key, value in terms.items()})
 

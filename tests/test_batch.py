@@ -463,6 +463,60 @@ def test_with_rho_rejects_the_experiment_indices_build_rejects(experiment):
     assert (err.value.kind, err.value.path) == ("DimMismatch", "experiment")
 
 
+@pytest.mark.parametrize("driven", [False, True], ids=["unitary", "driven"])
+@pytest.mark.parametrize("dim", [2, 3, 16])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=3, deadline=None)
+def test_a_batch_holds_stacks_whatever_its_size(m, dim, driven, seed):
+    """``unitary()``, ``spectrum(name)`` and ``eigenspaces(name)`` are stacks over the m
+    experiments (over the n states for rho) at every m.  ``batch.scenario(i)``, a Scenario
+    built on the same matrices, and the batch of one of each read row ``experiment[i]``
+    (row i for rho) byte for byte.  Only a batch of one shares its H through the eigen
+    cache."""
+    rng = np.random.default_rng(seed)
+    h, hf = (np.array([random_hermitian_np(dim, rng) for _ in range(m)]) for _ in range(2))
+    evolution = (tuple(DrivingProtocol([0.0, 1.0], pair, 4) for pair in zip(h, hf)) if driven
+                 else np.array([haar_unitary_np(dim, rng) for _ in range(m)]))
+    experiment = np.append(np.arange(m)[::-1], rng.integers(m))  # member i is not row i
+    rho = np.array([random_density_np(dim, rng) for _ in experiment])
+    batch = ScenarioBatch.build(h, hf, evolution, rho, experiment, {})
+    la._EIG_CACHE.clear()
+    batch.spectrum("H")
+    assert list(la._EIG_CACHE) == ([repr((dim, dim)).encode() + h[0].tobytes()] if m == 1
+                                   else [])
+    held = {name: batch.spectrum(name) for name in ("H", "H_final", "rho")}
+    spaces = {name: batch.eigenspaces(name) for name in ("H", "H_final")}
+    u = batch.unitary()
+    assert u.shape == (m, dim, dim)
+    for name, (vals, vecs) in held.items():
+        rows = len(rho) if name == "rho" else m
+        assert vals.shape == (rows, dim) and vecs.shape == (rows, dim, dim)
+    for labels, ids in spaces.values():
+        assert labels.shape[0] == m and ids.shape == (m, dim)
+    for i, j in enumerate(experiment):
+        taken = batch.scenario(i)
+        built = Scenario(dim=dim, h_initial=h[j], h_final=hf[j], evolution=evolution[j],
+                         rho=rho[i])
+        for s in (taken, built):
+            one = ScenarioBatch.of([s])
+            assert one.unitary().shape == (1, dim, dim)
+            assert s.unitary().tobytes() == one.unitary()[0].tobytes() == u[j].tobytes()
+            for name, stacks in held.items():
+                row = i if name == "rho" else j
+                dec = s.spectrum(name)
+                for got, ones, whole in zip((dec.eigenvalues, dec.eigenvectors),
+                                            one.spectrum(name), stacks):
+                    assert ones.shape == (1,) + got.shape
+                    assert got.tobytes() == ones[0].tobytes() == whole[row].tobytes()
+            for name, (labels, ids) in spaces.items():
+                got, ones = s.eigenspaces(name), one.eigenspaces(name)
+                k = len(got[0])
+                assert np.isnan(labels[j, k:]).all()
+                assert got[0].tobytes() == ones[0][0].tobytes() == labels[j, :k].tobytes()
+                assert got[1].tobytes() == ones[1][0].tobytes() == ids[j].tobytes()
+
+
 def test_nogo_solves_neither_drawn_hamiltonian(monkeypatch):
     from test_audit import _LookupRecorder
 

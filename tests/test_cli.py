@@ -149,6 +149,36 @@ def test_missing_file_is_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("t, at", [(float("nan"), 1), (float("inf"), 2)], ids=["nan", "infinity"])
+@pytest.mark.parametrize("scheme", ["tpm", "consistent-histories"])
+def test_non_finite_breakpoint_time_is_exit_2_with_path(ramp_file, tmp_path, scheme, t, at,
+                                                        capsys):
+    """json reads the bare tokens NaN and Infinity as floats."""
+    doc = json.loads(open(ramp_file).read())
+    breakpoints = doc["evolution"]["breakpoints"]
+    breakpoints.insert(1, dict(breakpoints[0], t=0.5))
+    breakpoints[at]["t"] = t
+    path = tmp_path / "bad-time.json"
+    path.write_text(json.dumps(doc))
+    assert ("NaN" if t != t else "Infinity") in path.read_text()
+    code = main(["dist", "--scheme", scheme, "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"input error: breakpoint times must be finite "
+                            f"(at 'evolution.breakpoints[{at}].t')\n")
+
+
+def test_unreadable_scenario_path_is_exit_2(scenario_file, tmp_path, capsys):
+    not_utf8 = tmp_path / "utf16.json"
+    not_utf8.write_bytes(open(scenario_file).read().encode("utf-16"))
+    for path, message in ((tmp_path, "Is a directory"), (not_utf8, "not UTF-8 text")):
+        code = main(["dist", "--scheme", "tpm", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("input error: ") and message in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+
 def test_invalid_scenario_is_exit_2_with_path(tmp_path, capsys):
     doc = {
         "dim": 2, "label": "", "rho": [[[0.9, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],

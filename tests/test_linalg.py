@@ -631,7 +631,7 @@ def test_a_matrix_alone_and_in_a_stack_gets_one_verdict(dim, kind, data):
                                       la.eig_hermitian(m).eigenvalues)
         assert list(la._EIG_CACHE) == [repr(m.shape).encode() + m.tobytes()]  # the matrix only
         if n > 1:
-            la._eig(stack, validated=True)
+            la._eig(stack)
             assert len(la._EIG_CACHE) == 1
 
 

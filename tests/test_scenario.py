@@ -225,7 +225,7 @@ def test_with_rho_compiles_a_driven_unitary_once(monkeypatch):
     first = s.with_rho(np.diag([0.8, 0.2]).astype(complex))
     u = s.unitary()
     second = s.with_rho(np.diag([0.1, 0.9]).astype(complex))
-    assert first.unitary() is u and second.unitary() is u
+    assert np.shares_memory(first.unitary(), u) and np.shares_memory(second.unitary(), u)
     # every scheme and history grid, on or off the substep mesh, reads that compile
     for scenario in (s, first, second):
         tpm(scenario)
@@ -254,6 +254,19 @@ def test_protocol_time_validation():
         DrivingProtocol([0.5, 1.0], [SZ, SZ])
     with pytest.raises(ParseError):
         DrivingProtocol([0.0, 0.0], [SZ, SZ])
+
+
+@pytest.mark.parametrize("times, at", [
+    ([0.0, np.nan, 1.0], 1), ([0.0, 0.5, np.inf], 2), ([np.nan, 1.0], 0),
+    ([0.0, -np.inf, 1.0], 1), ([0.0, np.nan, np.inf], 1),
+], ids=["nan", "infinity", "nan-first", "minus-infinity", "nan-then-infinity"])
+def test_protocol_rejects_non_finite_times(times, at):
+    """NaN fails neither the first-time nor the increasing test, and would reach the
+    compile; the first non-finite time is the fault."""
+    with pytest.raises(ParseError) as err:
+        DrivingProtocol(times, [SZ] * len(times))
+    assert err.value.path == f"evolution.breakpoints[{at}].t"
+    assert str(err.value).startswith("breakpoint times must be finite")
 
 
 # --- the stacked protocol form ----------------------------------------------------

@@ -142,6 +142,38 @@ def test_merge_atoms_matches_loop_oracle(gaps, seed, kind):
     np.testing.assert_allclose(p, p_ref, rtol=0, atol=2 * works.size * eps * np.abs(weights).sum())
 
 
+# equal works, chained gaps below the tolerance and separated ones above it
+_MERGE_GAPS = st.one_of(st.just(0.0), st.floats(0.0, 0.99 * sch.W_MERGE_TOL),
+                        st.floats(1.01 * sch.W_MERGE_TOL, 2.0))
+
+
+@given(gaps=st.lists(_MERGE_GAPS, max_size=30), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["real", "complex", "operators"]), dim=st.sampled_from([2, 3]))
+@settings(max_examples=120, deadline=None)
+def test_merge_without_members_is_the_merge_of_one_member(gaps, seed, kind, dim):
+    """No members is one segment of zeros through the same sort and the same breaks:
+    bitwise the segmented merge.  Both match the loop oracle up to the rounding of
+    numpy's summation order.  No gaps is the empty input."""
+    rng = np.random.default_rng(seed)
+    works = rng.permutation(rng.uniform(-3.0, 3.0) + np.cumsum(gaps))
+    shape = (works.size, dim, dim) if kind == "operators" else (works.size,)
+    weights = rng.standard_normal(shape)
+    if kind != "real":
+        weights = weights + 1j * rng.standard_normal(shape)
+    plain = sch.merge_atoms(works, weights)
+    w, p, seg = sch.merge_atoms(works, weights, np.zeros(works.size, dtype=np.intp))
+    assert len(plain) == 2 and np.array_equal(seg, np.zeros(len(w)))
+    ref = merge_atoms_loop(works, weights)
+    eps = np.finfo(float).eps
+    scales = (np.abs(works).max(initial=0.0), np.abs(weights).sum())  # as the loop test's
+    for got, one, want, scale in zip(plain, (w, p), ref, scales):
+        assert got.dtype == one.dtype and got.shape == one.shape
+        assert got.tobytes() == one.tobytes()
+        assert got.shape == want.shape or got.size == want.size == 0
+        np.testing.assert_allclose(got, want.reshape(got.shape), rtol=0,
+                                   atol=2 * works.size * eps * scale)
+
+
 def test_distribution_rejects_bad_normalization():
     with pytest.raises(ValueError):
         sch.WorkDistribution.from_atoms([0.0], [0.5], sch.SchemeId.TPM, False)

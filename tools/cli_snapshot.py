@@ -166,6 +166,17 @@ def invalid_docs(unitary: dict, driven: dict, small: dict) -> dict:
             "d3-nonhermitian-h-final": dict(unitary, H_final=skew)}
 
 
+def bad_time_docs(doc: dict) -> dict:
+    """Copies of the three-breakpoint document whose breakpoint times are not all finite:
+    [0, NaN, 2] and [0, 0.5, Infinity], written by ``json`` as the bare tokens it reads."""
+    out = {}
+    for name, times in (("nan-time", (0.0, math.nan, 2.0)),
+                        ("infinite-time", (0.0, 0.5, math.inf))):
+        breakpoints = [dict(bp, t=t) for bp, t in zip(doc["evolution"]["breakpoints"], times)]
+        out[f"d3-{name}"] = dict(doc, evolution=dict(doc["evolution"], breakpoints=breakpoints))
+    return out
+
+
 def commands() -> list[tuple[str, list[str]]]:
     """(name, CLI arguments) for every snapshot entry, in a fixed order."""
     runs: list[tuple[str, list[str]]] = []
@@ -217,6 +228,13 @@ def commands() -> list[tuple[str, list[str]]]:
                   "scenarios/d6-driven-coarse.json", "--k-steps", "6", "--format", "json"]))
     runs.append(("dist-tpm-d3-three-breakpoints-json",
                  ["dist", "--scheme", "tpm", "--scenario", three, "--format", "json"]))
+    # a driven Scenario's U(tau) and spectra, read from its batch of one after a compile
+    runs.append(("dist-state-dependent-d3-three-breakpoints-json",
+                 ["dist", "--scheme", "state-dependent", "--scenario", three, "--format", "json"]))
+    runs.append(("pointer-sweep-d3-three-breakpoints-json",
+                 ["pointer-sweep", "--scenario", three, "--format", "json"]))
+    runs.append(("pointer-density-d3-three-breakpoints-json",
+                 ["pointer-sweep", "--scenario", three, "--density", "--format", "json"]))
     runs.append(("dist-sub-ensemble-d3-members5",
                  ["dist", "--scheme", "sub-ensemble", "--scenario", "scenarios/d3-unitary.json",
                   "--members", "5", "--seed", "3"]))
@@ -328,6 +346,16 @@ def commands() -> list[tuple[str, list[str]]]:
                  "nonhermitian-h-final"):
         runs.append((f"error-dist-{name}",
                      ["dist", "--scheme", "tpm", "--scenario", f"scenarios/d3-{name}.json"]))
+    # breakpoint times that are not finite, a directory and a file that is not UTF-8:
+    # each exits 2 with one line on stderr
+    runs.append(("error-dist-nan-time",
+                 ["dist", "--scheme", "tpm", "--scenario", "scenarios/d3-nan-time.json"]))
+    for scheme in ("tpm", "consistent-histories"):
+        runs.append((f"error-dist-{scheme}-infinite-time",
+                     ["dist", "--scheme", scheme, "--scenario", "scenarios/d3-infinite-time.json"]))
+    runs.append(("error-dist-directory", ["dist", "--scheme", "tpm", "--scenario", "scenarios"]))
+    runs.append(("error-dist-not-utf8",
+                 ["dist", "--scheme", "tpm", "--scenario", "scenarios/d3-not-utf8.json"]))
     # states whose least eigenvalue lies just inside and just outside the positivity
     # tolerance: the first is accepted, the second exits with the eigenvalue on stderr
     for name in ("inside", "outside"):
@@ -359,7 +387,7 @@ def compare_dirs(new: Path, old: Path) -> bool:
     for name in names:
         a, b = new / name, old / name
         if a.is_file() and b.is_file():
-            kind, diff = compare_file(a.read_text(), b.read_text())
+            kind, diff = compare_file(*(x.read_text(errors="surrogateescape") for x in (a, b)))
         else:
             kind, diff = "structural", math.inf
         counts[kind] += 1
@@ -397,8 +425,12 @@ def main(argv=None) -> int:
         docs[f"d{dim}-unitary"], docs[f"d{dim}-driven"] = scenario_docs(dim, seed=1000 + dim)
     docs.update(malformed_docs(docs["d3-unitary"]))
     docs.update(invalid_docs(docs["d3-unitary"], docs["d3-driven"], docs["d2-unitary"]))
+    docs.update(bad_time_docs(docs["d3-three-breakpoints"]))
     for name, doc in docs.items():
         (out / "scenarios" / f"{name}.json").write_text(json.dumps(doc, indent=1))
+    # the d = 3 document in UTF-16, whose byte-order mark no UTF-8 decoder reads
+    (out / "scenarios" / "d3-not-utf8.json").write_bytes(
+        json.dumps(docs["d3-unitary"]).encode("utf-16"))
 
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
